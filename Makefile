@@ -11,7 +11,7 @@ GO ?= go
 # plan requests) — raced explicitly by `make race`.
 CONCURRENT_PKGS := ./internal/parallel ./internal/plancache ./internal/experiments ./internal/stream ./internal/synth ./internal/faults ./internal/runtime ./internal/exec ./internal/route ./internal/obs ./internal/audit ./internal/core ./internal/server ./internal/mixgraph ./internal/forest ./internal/sched ./internal/wal ./internal/fleet ./internal/contam ./internal/artifact ./internal/cluster ./internal/errormodel ./cmd/dmfbd
 
-.PHONY: build test race vet fmt-check bench-smoke bench-routing bench-plan bench-plan-smoke bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
+.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-routing bench-plan bench-plan-smoke bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,13 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# The benchmark harness under perfbench/ is a Go module of its own, so
+# `go test ./...` above never reaches it: vet it and run its tests (generator
+# determinism, histogram quantiles, one short traced run of every workload
+# that must be correct and leave nothing running), about 10 s.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One fast iteration of every benchmark — verifies the harness wiring without
 # waiting on real measurement runs.
@@ -139,7 +146,7 @@ chaos-migrate-smoke:
 	$(GO) test -race -run 'TestChaosMigrateKillOwner' -timeout 5m ./cmd/dmfbd
 	@echo "chaos-migrate-smoke: owner killed, session migrated, timeline bit-identical"
 
-check: build vet fmt-check test race bench-smoke bench-plan-smoke bench-error-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke bench-fleet-smoke bench-cluster-smoke
+check: build vet fmt-check test perfbench-test race bench-smoke bench-plan-smoke bench-error-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke bench-fleet-smoke bench-cluster-smoke
 
 clean:
 	$(GO) clean

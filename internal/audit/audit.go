@@ -311,12 +311,17 @@ type PassCounts struct {
 	Waste, Inputs int64
 	// StartCycle is the absolute cycle the pass begins at (1-based).
 	StartCycle int
+	// Storage is the pass's peak storage occupancy.
+	Storage int
 }
 
 // StreamCounts summarises a multi-pass plan for auditing.
 type StreamCounts struct {
 	// Demand is the requested droplet count D; PerPassDemand is D'.
 	Demand, PerPassDemand int
+	// Storage is the storage budget q' every pass must fit in; 0 means
+	// unlimited.
+	Storage int
 	// Emitted, TotalCycles, TotalWaste, TotalInputs are the plan's
 	// aggregate claims.
 	Emitted, TotalCycles    int
@@ -328,7 +333,8 @@ type StreamCounts struct {
 // paper's closed forms: the pass count and per-pass emissions follow from
 // D and D' (each pass emits min(D', remaining) rounded up to even), the
 // surplus over D is at most one droplet, pass start-cycles tile the
-// timeline contiguously, and the totals equal the per-pass sums.
+// timeline contiguously, every pass — the final short one included — fits
+// in the storage budget, and the totals equal the per-pass sums.
 func CheckStreamCounts(c StreamCounts) *Report {
 	r := &Report{}
 	if r.failed(c.PerPassDemand >= 1) {
@@ -350,6 +356,9 @@ func CheckStreamCounts(c StreamCounts) *Report {
 		}
 		if r.failed(p.StartCycle == start) {
 			r.violate(&Violation{Code: ScheduleOrder, Detail: fmt.Sprintf("pass %d starts at cycle %d, want %d", i+1, p.StartCycle, start)})
+		}
+		if c.Storage > 0 && r.failed(p.Storage <= c.Storage) {
+			r.violate(&Violation{Code: StorageOccupancy, Detail: fmt.Sprintf("pass %d occupies %d storage units, q'=%d", i+1, p.Storage, c.Storage)})
 		}
 		start += p.Cycles
 		cycles += p.Cycles

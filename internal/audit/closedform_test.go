@@ -177,12 +177,12 @@ func TestTamperedScheduleViolates(t *testing.T) {
 // the auditor flags each corruption with the right code.
 func TestTamperedStreamCountsViolate(t *testing.T) {
 	good := audit.StreamCounts{
-		Demand: 10, PerPassDemand: 4, Emitted: 10, TotalCycles: 30,
+		Demand: 10, PerPassDemand: 4, Storage: 5, Emitted: 10, TotalCycles: 30,
 		TotalWaste: 6, TotalInputs: 16,
 		Passes: []audit.PassCounts{
-			{Emits: 4, Cycles: 10, Waste: 2, Inputs: 6, StartCycle: 1},
-			{Emits: 4, Cycles: 10, Waste: 2, Inputs: 6, StartCycle: 11},
-			{Emits: 2, Cycles: 10, Waste: 2, Inputs: 4, StartCycle: 21},
+			{Emits: 4, Cycles: 10, Waste: 2, Inputs: 6, StartCycle: 1, Storage: 5},
+			{Emits: 4, Cycles: 10, Waste: 2, Inputs: 6, StartCycle: 11, Storage: 5},
+			{Emits: 2, Cycles: 10, Waste: 2, Inputs: 4, StartCycle: 21, Storage: 3},
 		},
 	}
 	if rep := audit.CheckStreamCounts(good); !rep.Clean() {
@@ -199,6 +199,7 @@ func TestTamperedStreamCountsViolate(t *testing.T) {
 		{"inflated input total", func(c *audit.StreamCounts) { c.TotalInputs = 99 }, audit.MassConservation},
 		{"short emission", func(c *audit.StreamCounts) { c.Emitted = 8; c.Passes[2].Emits = 0 }, audit.TargetCount},
 		{"wrong cycle total", func(c *audit.StreamCounts) { c.TotalCycles = 7 }, audit.ScheduleOrder},
+		{"short pass over storage", func(c *audit.StreamCounts) { c.Passes[2].Storage = 6 }, audit.StorageOccupancy},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

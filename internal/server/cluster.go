@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/plancache"
 )
@@ -21,8 +20,8 @@ import (
 // local cold plan miss into (in order) a warm-disk decode, a delegated build
 // on the plan key's ring owner, or a local build published back toward the
 // owner. Every byte of any provenance — disk, peer, client PUT — passes
-// artifact.DecodeVerified (structural decode + integrity hash + full plan
-// audit) before it can reach a cache or an executor.
+// adopt (structural decode + integrity hash + full plan audit + address
+// check) before it can reach a cache or an executor.
 
 // maxArtifactBody bounds artifact uploads and build responses.
 const maxArtifactBody = 64 << 20
@@ -59,16 +58,13 @@ func (s *Server) pushReplicas(addr string, data []byte) {
 	}
 }
 
-// replicate runs pushReplicas asynchronously off the request path
-// (WaitPublish synchronizes).
-func (s *Server) replicate(addr string, data []byte) {
-	if s.clusterNode == nil {
-		return
-	}
+// background runs fn off the request path: publishes, replica pushes and
+// read-repairs. WaitPublish waits for every such goroutine.
+func (s *Server) background(fn func()) {
 	s.publishWG.Add(1)
 	go func() {
 		defer s.publishWG.Done()
-		s.pushReplicas(addr, data)
+		fn()
 	}()
 }
 
@@ -83,23 +79,6 @@ func (s *Server) cache() *plancache.Cache {
 		return s.planCache
 	}
 	return plancache.Default()
-}
-
-// planKeyFor resolves the plan-cache identity of a stateless single-pass
-// request: the engine resolves the base graph and the Mlb mixer default, so
-// the key here is byte-identical to the one stream.plan will use.
-func (s *Server) planKeyFor(spec *planSpec) (plancache.Key, error) {
-	eng, err := core.New(core.Config{
-		Target:    spec.target,
-		Algorithm: spec.algorithm,
-		Scheduler: spec.scheduler,
-		Mixers:    spec.mixers,
-		PlanCache: s.planCache,
-	})
-	if err != nil {
-		return plancache.Key{}, err
-	}
-	return plancache.KeyFor(eng.Base(), spec.demand, eng.Mixers(), spec.scheduler.String(), plancache.PristinePolicy), nil
 }
 
 // distributable reports whether a request's plan travels through the
@@ -117,60 +96,60 @@ func distributable(req *PlanRequest, spec *planSpec) bool {
 // planning path runs. The ladder, cheapest first:
 //
 //  1. in-process LRU already warm — nothing to do;
-//  2. warm disk tier: decode + verify + promote to the LRU;
+//  2. warm disk tier: verify + promote to the LRU;
 //  3. cross-node single-flight: the ring owner of the plan key builds once
-//     (coalescing its own concurrent callers), we fetch the artifact;
+//     (coalescing its own concurrent callers), we fetch the artifact —
+//     skipped when peers is false (the build endpoint: the caller is the
+//     peer);
 //  4. fall through — the caller builds locally (its own flight group
 //     coalesces local duplicates) and publishes the artifact async.
 //
 // Failures are never fatal: a corrupt disk file, a down owner or a verify
 // rejection just drops to the next rung, and the local build remains the
-// floor. ensurePlan returns the key so the caller can publish after a local
-// build.
-func (s *Server) ensurePlan(ctx context.Context, req *PlanRequest, spec *planSpec) (plancache.Key, bool) {
-	if !distributable(req, spec) || (s.artifacts == nil && s.clusterNode == nil) {
-		return plancache.Key{}, false
-	}
-	key, err := s.planKeyFor(spec)
-	if err != nil {
-		return plancache.Key{}, false // the planning path will surface the error
+// floor. ensurePlan reports whether the ladder fell through, i.e. whether
+// this node builds the plan and so must publish it. A server without an
+// artifact tier has no ladder and publishes nothing.
+func (s *Server) ensurePlan(ctx context.Context, req *PlanRequest, key plancache.Key, peers bool) bool {
+	if s.artifacts == nil && s.clusterNode == nil {
+		return false
 	}
 	if _, ok := s.cache().Get(key); ok {
-		return key, true
+		return false
 	}
 	addr := artifact.AddressFor(key)
-	if s.promoteFromDisk(key, addr) {
+	if data, ok := s.artifacts.Get(addr); ok && s.adopt(addr, data) == nil {
 		obs.Inc("server.artifact.disk_promotions")
-		return key, true
+		return false
 	}
-	if s.clusterNode != nil {
+	if peers && s.clusterNode != nil {
 		owner := s.clusterNode.Owner(addr)
 		if owner != s.clusterNode.Self() {
-			if s.adoptFromOwner(ctx, req, key, addr, owner) {
+			if s.adoptFromOwner(ctx, req, addr, owner) {
 				obs.Inc("server.artifact.remote_builds")
-				return key, true
+				return false
 			}
 			obs.Inc("server.artifact.remote_fallbacks")
 		}
 	}
-	return key, true // cold everywhere: caller builds locally, then publishes
+	return true
 }
 
-// promoteFromDisk loads addr from the warm tier into the plan cache. False
-// on miss or any verification failure (the corrupt file is removed from the
-// serving path by counting, not trusted).
-func (s *Server) promoteFromDisk(key plancache.Key, addr string) bool {
-	data, ok := s.artifacts.Get(addr)
-	if !ok {
-		return false
-	}
+// adopt is the one trust gate for artifact bytes of any provenance — disk,
+// peer or client PUT: decode + integrity hash + full plan audit
+// (artifact.DecodeVerified), then a check that the bytes really are the
+// artifact at addr, then promotion into the plan cache. Rejections count
+// and return an error wrapping an artifact error (HTTP 422).
+func (s *Server) adopt(addr string, data []byte) error {
 	a, err := artifact.DecodeVerified(data)
-	if err != nil || a.Key != key {
-		obs.Inc("server.artifact.verify_rejected")
-		return false
+	if err == nil && a.Address() != addr {
+		err = fmt.Errorf("%w: body is artifact %s, not %s", artifact.ErrVerify, a.Address(), addr)
 	}
-	s.cache().Put(key, a.Plan)
-	return true
+	if err != nil {
+		obs.Inc("server.artifact.verify_rejected")
+		return err
+	}
+	s.cache().Put(a.Key, a.Plan)
+	return nil
 }
 
 // adoptFromOwner runs the follower half of the cross-node single-flight.
@@ -186,20 +165,17 @@ func (s *Server) promoteFromDisk(key plancache.Key, addr string) bool {
 //
 // Every rung verifies before trusting; false sends the caller to the
 // local-build floor.
-func (s *Server) adoptFromOwner(ctx context.Context, req *PlanRequest, key plancache.Key, addr, owner string) bool {
-	verify := func(data []byte) bool {
-		a, err := artifact.DecodeVerified(data)
-		if err != nil || a.Key != key {
-			obs.Inc("server.artifact.verify_rejected")
+func (s *Server) adoptFromOwner(ctx context.Context, req *PlanRequest, addr, owner string) bool {
+	adopt := func(data []byte) bool {
+		if s.adopt(addr, data) != nil {
 			return false
 		}
-		s.cache().Put(key, a.Plan)
 		s.artifacts.Put(addr, data) // warm the disk tier too (nil-safe)
 		return true
 	}
 
 	data, err := s.clusterNode.Fetch(ctx, owner, addr)
-	if err == nil && verify(data) {
+	if err == nil && adopt(data) {
 		return true
 	}
 	ownerAlive := errors.Is(err, cluster.ErrNotFound)
@@ -211,14 +187,12 @@ func (s *Server) adoptFromOwner(ctx context.Context, req *PlanRequest, key planc
 			continue
 		}
 		rdata, rerr := s.clusterNode.Fetch(ctx, replica, addr)
-		if rerr != nil || !verify(rdata) {
+		if rerr != nil || !adopt(rdata) {
 			continue
 		}
 		// Read-repair: refill the owner so the ladder's first rung works
 		// again for the next follower (async; failure only counts).
-		s.publishWG.Add(1)
-		go func() {
-			defer s.publishWG.Done()
+		s.background(func() {
 			rctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultTimeout)
 			defer cancel()
 			if err := s.clusterNode.Push(rctx, owner, addr, rdata); err == nil {
@@ -226,7 +200,7 @@ func (s *Server) adoptFromOwner(ctx context.Context, req *PlanRequest, key planc
 			} else {
 				obs.Inc("server.artifact.push_errors")
 			}
-		}()
+		})
 		return true
 	}
 
@@ -238,13 +212,15 @@ func (s *Server) adoptFromOwner(ctx context.Context, req *PlanRequest, key planc
 		return false
 	}
 	data, err = s.clusterNode.BuildOn(ctx, owner, body)
-	return err == nil && verify(data)
+	return err == nil && adopt(data)
 }
 
-// publishPlan encodes the freshly built plan, stores it in the warm tier and
-// pushes it to addr's whole replica set (owner + successors). Called async
-// after a local cold build; errors only count (the plan already served).
-func (s *Server) publishPlan(key plancache.Key) {
+// publishPlan encodes a plan this node built, stores it in the warm tier
+// and pushes it to the rest of addr's replica set (owner + successors). A
+// build done for a peer fans out only from the ring owner: the asking
+// follower keeps its own copy. Runs async after the build; errors only
+// count (the plan already served).
+func (s *Server) publishPlan(key plancache.Key, forPeer bool) {
 	p, ok := s.cache().Get(key)
 	if !ok {
 		return
@@ -258,22 +234,9 @@ func (s *Server) publishPlan(key plancache.Key) {
 	if err := s.artifacts.Put(addr, data); err != nil {
 		obs.Inc("server.artifact.store_errors")
 	}
-	if s.clusterNode != nil {
+	if s.clusterNode != nil && (!forPeer || s.clusterNode.Owns(addr)) {
 		s.pushReplicas(addr, data)
 	}
-}
-
-// maybePublish spawns the async publish of a locally built distributable
-// plan. waitPublish (tests, drain) can be used to synchronize.
-func (s *Server) maybePublish(key plancache.Key, distributed bool) {
-	if !distributed || (s.artifacts == nil && s.clusterNode == nil) {
-		return
-	}
-	s.publishWG.Add(1)
-	go func() {
-		defer s.publishWG.Done()
-		s.publishPlan(key)
-	}()
 }
 
 // WaitPublish blocks until every in-flight async artifact publish has
@@ -318,9 +281,9 @@ func (s *Server) serveArtifactGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveArtifactPut answers PUT /v1/artifact/{addr}: verify, check the
-// address really is the artifact's content address, store. A corrupt or
-// misaddressed artifact is refused with a typed 422 — the warm tier never
-// holds bytes that failed verification.
+// address really is the artifact's content address, promote, store. A
+// corrupt or misaddressed artifact is refused with a typed 422 — the warm
+// tier never holds bytes that failed verification.
 func (s *Server) serveArtifactPut(w http.ResponseWriter, r *http.Request) {
 	obs.Inc("server.requests.artifact_put")
 	if s.artifacts == nil {
@@ -333,40 +296,31 @@ func (s *Server) serveArtifactPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	a, err := artifact.DecodeVerified(data)
-	if err != nil {
-		obs.Inc("server.artifact.verify_rejected")
+	if err := s.adopt(addr, data); err != nil {
 		writeError(w, statusFor(err), err)
-		return
-	}
-	if got := a.Address(); got != addr {
-		obs.Inc("server.artifact.verify_rejected")
-		writeError(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("%w: body is artifact %s, not %s", artifact.ErrVerify, got, addr))
 		return
 	}
 	if err := s.artifacts.Put(addr, data); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.cache().Put(a.Key, a.Plan) // verified: promote to the LRU as well
 	// An owner accepting a client PUT fans it out to its ring successors,
 	// async off the request path. Pushes arriving from the replication
 	// protocol itself (ReplicaHeader) are stored without fanning out — the
 	// pusher already covered the replica set — so replication never cascades.
-	if s.clusterNode != nil && s.clusterNode.Owns(addr) && s.clusterNode.Size() > 1 &&
-		r.Header.Get(cluster.ReplicaHeader) == "" {
-		s.replicate(addr, data)
+	if s.clusterNode != nil && s.clusterNode.Owns(addr) && r.Header.Get(cluster.ReplicaHeader) == "" {
+		s.background(func() { s.pushReplicas(addr, data) })
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // serveArtifactBuild answers POST /v1/artifact/build — the owner half of the
 // cross-node single-flight. The body is a stateless PlanRequest; the
-// response is the encoded artifact. Concurrent builds of one key coalesce on
-// the flight group under the artifact address, so a thundering herd of
-// followers costs one build. Build requests pass admission control like any
-// planning work.
+// response is the encoded artifact. The plan comes from the stateless
+// planning path without its peer rung (the caller is the peer), so a warm
+// LRU or disk tier answers without building. Concurrent builds of one spec
+// coalesce on the flight group, so a thundering herd of followers costs one
+// build. Build requests pass admission control like any planning work.
 func (s *Server) serveArtifactBuild(w http.ResponseWriter, r *http.Request) {
 	obs.Inc("server.requests.artifact_build")
 	if s.recovering.Load() {
@@ -401,44 +355,16 @@ func (s *Server) serveArtifactBuild(w http.ResponseWriter, r *http.Request) {
 			&errBadRequest{errors.New("build endpoint takes stateless storage-unlimited plans only")})
 		return
 	}
-	key, err := s.planKeyFor(spec)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	addr := artifact.AddressFor(key)
-	v, err, shared := s.flights.do(r.Context(), "artifact|"+addr, func() (any, error) {
-		// Serve from the warm tiers when possible; otherwise build.
-		if _, ok := s.cache().Get(key); !ok && !s.promoteFromDisk(key, addr) {
-			ctx, cancelCtx := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
-			defer cancelCtx()
-			eng, bErr := core.New(core.Config{
-				Target:    spec.target,
-				Algorithm: spec.algorithm,
-				Scheduler: spec.scheduler,
-				Mixers:    spec.mixers,
-				PlanCache: s.planCache,
-			})
-			if bErr != nil {
-				return nil, bErr
-			}
-			if _, bErr = eng.RequestCtx(ctx, spec.demand); bErr != nil {
-				return nil, bErr
-			}
+	v, err, shared := s.flights.do(r.Context(), spec.flightKey("artifact"), func() (any, error) {
+		_, _, key, err := s.planStateless(r.Context(), &req, spec, true)
+		if err != nil {
+			return nil, err
 		}
 		p, ok := s.cache().Get(key)
 		if !ok {
 			return nil, fmt.Errorf("server: built plan missing from cache (key %s)", key.Canonical())
 		}
-		data, eErr := artifact.Encode(key, p)
-		if eErr != nil {
-			return nil, eErr
-		}
-		s.artifacts.Put(addr, data) // nil-safe warm-tier write-through
-		if s.clusterNode.Owns(addr) && s.clusterNode.Size() > 1 {
-			s.replicate(addr, data) // owner fans a cold build to its replicas
-		}
-		return data, nil
+		return artifact.Encode(key, p)
 	})
 	if err != nil {
 		writeError(w, statusFor(err), err)

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/plancache"
 )
 
@@ -109,14 +110,28 @@ func TestClusterBuildsOnce(t *testing.T) {
 	if b := totalBuilds(nodes); b != 1 {
 		t.Fatalf("fleet-wide cold builds = %d, want 1", b)
 	}
-	// Every node is now warm: another full round adds no builds.
-	for _, nd := range nodes {
-		if code := post(t, nd.ts.URL+"/v1/plan", req, nil); code != http.StatusOK {
-			t.Fatalf("%s warm: status %d", nd.id, code)
+	// Every node is now warm: another full round adds no builds, and a plan
+	// served from a tier is never published again — no replica pushes, no
+	// warm-tier writes anywhere in the fleet.
+	obs.Enable(obs.Options{})
+	t.Cleanup(obs.Disable)
+	pushed, puts := obs.Counter("server.artifact.pushed"), obs.Counter("artifact.disk.puts")
+	for round := 0; round < 3; round++ {
+		for _, nd := range nodes {
+			if code := post(t, nd.ts.URL+"/v1/plan", req, nil); code != http.StatusOK {
+				t.Fatalf("%s warm: status %d", nd.id, code)
+			}
 		}
 	}
+	waitPublishes(nodes)
 	if b := totalBuilds(nodes); b != 1 {
 		t.Fatalf("warm round rebuilt: fleet-wide builds = %d, want 1", b)
+	}
+	if d := obs.Counter("server.artifact.pushed") - pushed; d != 0 {
+		t.Fatalf("warm repeats pushed %d artifacts, want 0", d)
+	}
+	if d := obs.Counter("artifact.disk.puts") - puts; d != 0 {
+		t.Fatalf("warm repeats wrote %d artifacts to the warm tiers, want 0", d)
 	}
 }
 

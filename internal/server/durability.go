@@ -161,11 +161,11 @@ func (s *Server) requestBatch(ctx context.Context, eng *core.Engine, sess *sessi
 
 // notePlanKey journals the first occurrence of a distinct stateless plan so
 // a restart can re-warm the plan cache.
-func (s *Server) notePlanKey(spec *planSpec, demand int) {
+func (s *Server) notePlanKey(spec *planSpec) {
 	if s.wal == nil {
 		return
 	}
-	key := fmt.Sprintf("%s|d%d", spec.fingerprint(), demand)
+	key := fmt.Sprintf("%s|d%d", spec.fingerprint(), spec.demand)
 	s.planKeysMu.Lock()
 	if s.planKeys[key] {
 		s.planKeysMu.Unlock()
@@ -173,7 +173,7 @@ func (s *Server) notePlanKey(spec *planSpec, demand int) {
 	}
 	s.planKeys[key] = true
 	s.planKeysMu.Unlock()
-	s.wal.AppendAsync(wal.Record{Kind: wal.KindPlanKey, Spec: specToWAL(spec), Demand: demand})
+	s.wal.AppendAsync(wal.Record{Kind: wal.KindPlanKey, Spec: specToWAL(spec), Demand: spec.demand})
 }
 
 // recBatch is one batch of a session under recovery.

@@ -322,11 +322,11 @@ func TestArtifactReplicationAndReadRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := nodes[0].srv.planKeyFor(spec)
+	eng, err := nodes[0].srv.newEngine(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := artifact.AddressFor(key)
+	addr := artifact.AddressFor(spec.planKey(eng))
 
 	// R=2 over 3 nodes: every node holds the artifact.
 	for _, nd := range nodes {

@@ -462,22 +462,25 @@ func (s *Server) applyNoiseDefaults(req *PlanRequest) {
 	}
 }
 
+// newEngine builds a fresh engine for a validated spec.
+func (s *Server) newEngine(spec *planSpec) (*core.Engine, error) {
+	return core.New(core.Config{
+		Target:      spec.target,
+		Algorithm:   spec.algorithm,
+		Scheduler:   spec.scheduler,
+		Mixers:      spec.mixers,
+		Storage:     spec.storage,
+		PlanCache:   s.planCache,
+		ErrorPolicy: spec.errPolicy,
+	})
+}
+
 // engineFor resolves the engine answering a request: the named session's
 // pooled engine (pinned against eviction until release is called), or a
 // fresh stateless engine. The fingerprint pins session configuration across
 // requests. sess is nil for stateless requests; release is always non-nil.
 func (s *Server) engineFor(req *PlanRequest, spec *planSpec) (eng *core.Engine, sess *session, release func(), err error) {
-	build := func() (*core.Engine, error) {
-		return core.New(core.Config{
-			Target:      spec.target,
-			Algorithm:   spec.algorithm,
-			Scheduler:   spec.scheduler,
-			Mixers:      spec.mixers,
-			Storage:     spec.storage,
-			PlanCache:   s.planCache,
-			ErrorPolicy: spec.errPolicy,
-		})
-	}
+	build := func() (*core.Engine, error) { return s.newEngine(spec) }
 	if req.Session == "" {
 		eng, err = build()
 		return eng, nil, func() {}, err
@@ -503,9 +506,10 @@ func (s *Server) engineFor(req *PlanRequest, spec *planSpec) (eng *core.Engine, 
 }
 
 // planBatch validates, resolves the engine and plans one batch under the
-// request deadline. It is the shared front half of every /v1 endpoint. The
-// returned done func releases the session pin and the deadline; callers must
-// invoke it exactly once (the engine must not be used after).
+// request deadline. It is the front half of the session endpoints and of
+// /v1/execute. The returned done func releases the session pin and the
+// deadline; callers must invoke it exactly once (the engine must not be
+// used after).
 func (s *Server) planBatch(ctx context.Context, req *PlanRequest) (*core.Engine, *core.Batch, *planSpec, context.CancelFunc, error) {
 	spec, err := parsePlanRequest(req)
 	if err != nil {
@@ -527,6 +531,54 @@ func (s *Server) planBatch(ctx context.Context, req *PlanRequest) (*core.Engine,
 		return nil, nil, nil, nil, err
 	}
 	return eng, b, spec, done, nil
+}
+
+// planStateless is the one planning path of a stateless request, behind
+// the stateless branches of /v1/plan and /v1/stream and the owner build of
+// /v1/artifact/build (forPeer). It builds the request's engine once. A
+// distributable request derives its plan key from that engine and climbs
+// the ladder (ensurePlan; forPeer skips the peer rung) before planning
+// under the request deadline. A successful plan journals its key, and a
+// plan the ladder left to this node to build is published async — a plan
+// found in a tier is never published again.
+func (s *Server) planStateless(ctx context.Context, req *PlanRequest, spec *planSpec, forPeer bool) (*core.Engine, *core.Batch, plancache.Key, error) {
+	eng, err := s.newEngine(spec)
+	if err != nil {
+		return nil, nil, plancache.Key{}, err
+	}
+	var key plancache.Key
+	built := false
+	if distributable(req, spec) {
+		key = spec.planKey(eng)
+		built = s.ensurePlan(ctx, req, key, !forPeer)
+	}
+	ctx, cancelCtx := context.WithTimeout(ctx, s.timeout(req.TimeoutMS))
+	defer cancelCtx()
+	b, err := eng.RequestCtx(ctx, spec.demand)
+	if err != nil {
+		return nil, nil, key, err
+	}
+	s.notePlanKey(spec)
+	if built {
+		s.background(func() { s.publishPlan(key, forPeer) })
+	}
+	return eng, b, key, nil
+}
+
+// coalesce runs a stateless request through the flight group under its
+// spec's flight key and marks a follower's copy of the leader's response.
+func coalesce[T any](s *Server, ctx context.Context, key string, fn func() (T, error), mark func(*T)) (T, error) {
+	v, err, shared := s.flights.do(ctx, key, func() (any, error) { return fn() })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	resp := v.(T)
+	if shared {
+		mark(&resp)
+		obs.Inc("server.flights.coalesced")
+	}
+	return resp, nil
 }
 
 // servePlan answers POST /v1/plan.
@@ -553,34 +605,33 @@ func (s *Server) servePlan(ctx context.Context, r *http.Request) (any, error) {
 		return resp, nil
 	}
 	// Stateless plans are pure functions of the spec: coalesce concurrent
-	// identical requests onto one leader. (Validation runs pre-flight so
-	// the flight key exists; the leader re-validates harmlessly.)
+	// identical requests onto one leader.
 	spec, err := parsePlanRequest(&req)
 	if err != nil {
 		return nil, &errBadRequest{err}
 	}
-	v, err, shared := s.flights.do(ctx, spec.flightKey("plan"), func() (any, error) {
-		key, distributed := s.ensurePlan(ctx, &req, spec)
-		eng, b, spec, done, err := s.planBatch(ctx, &req)
+	return coalesce(s, ctx, spec.flightKey("plan"), func() (PlanResponse, error) {
+		eng, b, _, err := s.planStateless(ctx, &req, spec, false)
 		if err != nil {
-			return nil, err
+			return PlanResponse{}, err
 		}
-		done()
-		s.notePlanKey(spec, req.Demand)
-		s.maybePublish(key, distributed)
 		resp := planResponse(spec, b.Result, eng.Mixers())
 		resp.StartCycle = b.StartCycle
 		return resp, nil
-	})
-	if err != nil {
-		return nil, err
+	}, func(resp *PlanResponse) { resp.Coalesced = true })
+}
+
+// streamResponse shapes a planned batch as a /v1/stream response.
+func streamResponse(spec *planSpec, eng *core.Engine, b *core.Batch) StreamResponse {
+	resp := StreamResponse{
+		PlanResponse:        planResponse(spec, b.Result, eng.Mixers()),
+		MaxSinglePassDemand: b.Result.PerPassDemand,
 	}
-	resp := v.(PlanResponse)
-	if shared {
-		resp.Coalesced = true
-		obs.Inc("server.flights.coalesced")
+	resp.StartCycle = b.StartCycle
+	for _, em := range b.Result.Emissions() {
+		resp.Emissions = append(resp.Emissions, EmissionPoint{Cycle: em.Cycle, Count: em.Count})
 	}
-	return resp, nil
+	return resp
 }
 
 // serveStream answers POST /v1/stream: the plan plus its emission timeline
@@ -591,69 +642,31 @@ func (s *Server) serveStream(ctx context.Context, r *http.Request) (any, error) 
 		return nil, err
 	}
 	s.applyNoiseDefaults(&req)
-	buildResp := func() (StreamResponse, error) {
-		eng, b, spec, done, err := s.planBatch(ctx, &req)
-		if err != nil {
-			return StreamResponse{}, err
-		}
-		done()
-		resp := StreamResponse{
-			PlanResponse:        planResponse(spec, b.Result, eng.Mixers()),
-			MaxSinglePassDemand: b.Result.PerPassDemand,
-		}
-		resp.StartCycle = b.StartCycle
-		for _, em := range b.Result.Emissions() {
-			resp.Emissions = append(resp.Emissions, EmissionPoint{Cycle: em.Cycle, Count: em.Count})
-		}
-		return resp, nil
-	}
 	if req.Session != "" {
 		if err := s.sessionRedirect(req.Session, r.URL.Path); err != nil {
 			return nil, err
 		}
-		resp, err := buildResp()
+		eng, b, spec, done, err := s.planBatch(ctx, &req)
 		if err != nil {
 			return nil, err
 		}
+		done()
+		resp := streamResponse(spec, eng, b)
 		resp.Session = req.Session
 		resp.SessionOwner = s.sessionOwner(req.Session)
 		return resp, nil
 	}
-	v, err, shared := s.flights.do(ctx, mustFlightKey(&req, "stream"), func() (any, error) {
-		var key plancache.Key
-		var distributed bool
-		if spec, perr := parsePlanRequest(&req); perr == nil {
-			key, distributed = s.ensurePlan(ctx, &req, spec)
-		}
-		resp, err := buildResp()
-		if err == nil {
-			if spec, perr := parsePlanRequest(&req); perr == nil {
-				s.notePlanKey(spec, req.Demand)
-			}
-			s.maybePublish(key, distributed)
-		}
-		return resp, err
-	})
+	spec, err := parsePlanRequest(&req)
 	if err != nil {
-		return nil, err
+		return nil, &errBadRequest{err}
 	}
-	resp := v.(StreamResponse)
-	if shared {
-		resp.Coalesced = true
-		obs.Inc("server.flights.coalesced")
-	}
-	return resp, nil
-}
-
-// mustFlightKey computes the coalescing key for a pre-validated stateless
-// request; invalid requests get a unique key and fail inside their own
-// flight.
-func mustFlightKey(req *PlanRequest, endpoint string) string {
-	spec, err := parsePlanRequest(req)
-	if err != nil {
-		return fmt.Sprintf("%s|invalid|%p", endpoint, req)
-	}
-	return spec.flightKey(endpoint)
+	return coalesce(s, ctx, spec.flightKey("stream"), func() (StreamResponse, error) {
+		eng, b, _, err := s.planStateless(ctx, &req, spec, false)
+		if err != nil {
+			return StreamResponse{}, err
+		}
+		return streamResponse(spec, eng, b), nil
+	}, func(resp *StreamResponse) { resp.Coalesced = true })
 }
 
 // serveExecute answers POST /v1/execute: plan, then replay cyberphysically

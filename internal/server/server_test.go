@@ -95,12 +95,14 @@ func TestPlanValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var e errorResponse
-			if code := post(t, ts.URL+"/v1/plan", tc.req, &e); code != tc.want {
-				t.Fatalf("status = %d (error %q), want %d", code, e.Error, tc.want)
-			}
-			if e.Error == "" {
-				t.Error("error body is empty")
+			for _, endpoint := range []string{"/v1/plan", "/v1/stream"} {
+				var e errorResponse
+				if code := post(t, ts.URL+endpoint, tc.req, &e); code != tc.want {
+					t.Fatalf("%s: status = %d (error %q), want %d", endpoint, code, e.Error, tc.want)
+				}
+				if e.Error == "" {
+					t.Errorf("%s: error body is empty", endpoint)
+				}
 			}
 		})
 	}

@@ -123,7 +123,8 @@ type Result struct {
 	// Demand is the requested number of droplets D.
 	Demand int
 	// PerPassDemand is D', the single-pass demand cap the storage limit
-	// allows (equals Demand when storage is unlimited or sufficient).
+	// allows, chosen so the final, shorter pass fits as well (equals Demand
+	// when storage is unlimited or sufficient).
 	PerPassDemand int
 	// Passes are the planned passes in execution order.
 	Passes []Pass
@@ -291,7 +292,8 @@ func Run(cfg Config, demand int) (*Result, error) {
 // error wrapping cancel.ErrCanceled. The repeated full-size pass is planned
 // once and reused for all ⌈D/D'⌉ occurrences (every full pass is the same
 // forest and schedule — only StartCycle differs); only a final short pass,
-// when the demand is not a multiple of D', is planned separately. With
+// when the demand is not a multiple of D', is planned separately, and D' is
+// lowered until that pass fits in the storage budget too. With
 // Config.ErrorPolicy set the plan is additionally selected across the
 // candidate base graphs by predicted CF error (errselect.go).
 func RunCtx(ctx context.Context, cfg Config, demand int) (*Result, error) {
@@ -312,14 +314,10 @@ func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
 	}
 	perPass := demand
 	if cfg.Storage > 0 {
-		dmax, err := MaxSinglePassDemandCtx(ctx, cfg, demand)
-		if err != nil {
+		var err error
+		if perPass, err = perPassDemand(ctx, cfg, demand); err != nil {
 			return nil, err
 		}
-		if dmax == 0 {
-			return nil, fmt.Errorf("%w (q'=%d)", ErrStorage, cfg.Storage)
-		}
-		perPass = dmax
 	}
 
 	res := &Result{Config: cfg, Demand: demand, PerPassDemand: perPass}
@@ -373,11 +371,44 @@ func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
 	return res, nil
 }
 
+// perPassDemand resolves D' for a storage-limited plan of demand droplets:
+// the largest demand whose pass fits in q' and whose final, shorter pass of
+// demand mod D' targets fits too. Storage use is not monotone in demand, so
+// the short pass can need more units than a full one; D' then drops to the
+// next fitting demand below it until the short pass fits as well.
+func perPassDemand(ctx context.Context, cfg Config, demand int) (int, error) {
+	for limit := demand; ; {
+		dmax, err := MaxSinglePassDemandCtx(ctx, cfg, limit)
+		if err != nil {
+			return 0, err
+		}
+		if dmax == 0 {
+			return 0, fmt.Errorf("%w (q'=%d)", ErrStorage, cfg.Storage)
+		}
+		short := demand % dmax
+		if short == 0 {
+			return dmax, nil
+		}
+		p, err := plan(cfg, short)
+		if err != nil {
+			return 0, err
+		}
+		if p.Storage <= cfg.Storage {
+			return dmax, nil
+		}
+		if dmax <= 2 {
+			return 0, fmt.Errorf("%w (q'=%d, final pass of %d)", ErrStorage, cfg.Storage, short)
+		}
+		limit = dmax - 2
+	}
+}
+
 // auditCounts projects a Result onto the audit package's count view.
 func auditCounts(r *Result) audit.StreamCounts {
 	c := audit.StreamCounts{
 		Demand:        r.Demand,
 		PerPassDemand: r.PerPassDemand,
+		Storage:       r.Config.Storage,
 		Emitted:       r.Emitted,
 		TotalCycles:   r.TotalCycles,
 		TotalWaste:    r.TotalWaste,
@@ -390,6 +421,7 @@ func auditCounts(r *Result) audit.StreamCounts {
 			Waste:      p.Waste,
 			Inputs:     p.Inputs,
 			StartCycle: p.StartCycle,
+			Storage:    p.Storage,
 		})
 	}
 	return c
