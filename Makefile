@@ -11,7 +11,7 @@ GO ?= go
 # plan requests) — raced explicitly by `make race`.
 CONCURRENT_PKGS := ./internal/parallel ./internal/plancache ./internal/experiments ./internal/stream ./internal/synth ./internal/faults ./internal/runtime ./internal/exec ./internal/route ./internal/obs ./internal/audit ./internal/core ./internal/server ./internal/mixgraph ./internal/forest ./internal/sched ./internal/wal ./internal/fleet ./internal/contam ./internal/artifact ./internal/cluster ./internal/errormodel ./cmd/dmfbd
 
-.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-routing bench-plan bench-plan-smoke bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
+.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-cold bench-routing bench-plan bench-plan-smoke bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,12 @@ perfbench-test:
 # waiting on real measurement runs.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
+
+# The cold dmfbd planning path replayed in process (no HTTP client, no
+# perfbench harness): distinct PaperDataset specs past every cache, with
+# allocation counts. Add -cpuprofile/-memprofile to profile it.
+bench-cold:
+	$(GO) test ./internal/server -run '^$$' -bench ColdPlanRequest -benchmem -benchtime 5000x
 
 # Routing-kernel old-vs-new measurement run: incremental vs full-recompute
 # placement annealing (bit-identity verified), cached vs cold matrices,

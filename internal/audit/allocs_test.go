@@ -1,6 +1,13 @@
 package audit
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/forest"
+	"repro/internal/minmix"
+	"repro/internal/ratio"
+	"repro/internal/sched"
+)
 
 // TestCleanAuditAllocs pins the clean-path cost of the stream-count audit:
 // it runs on every multi-pass plan the serving layer builds, so a passing
@@ -30,4 +37,40 @@ func TestCleanAuditAllocs(t *testing.T) {
 	}); allocs > 1 {
 		t.Fatalf("clean CheckStreamCounts allocates %.1f objects, want <= 1 (the Report)", allocs)
 	}
+}
+
+// TestCleanPlanAuditAllocs pins the clean-path cost of CheckPlan, the audit
+// every plan the serving layer builds passes: a fixed handful of
+// allocations — Reports, one word buffer, the Stats inputs, per-cycle
+// tables — and none per task, tree or cycle, so the PCR plan at D=128
+// costs exactly the allocations of the one at D=16.
+func TestCleanPlanAuditAllocs(t *testing.T) {
+	g, err := minmix.Build(ratio.MustParse("2:1:1:1:1:1:9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := map[int]float64{}
+	for _, demand := range []int{16, 128} {
+		f, err := forest.Build(g, demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sched.SRS(f, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[demand] = testing.AllocsPerRun(50, func() {
+			if !CheckPlan(f, s).Clean() {
+				t.Fatal("audit failed")
+			}
+		})
+	}
+	if allocs[16] != allocs[128] {
+		t.Fatalf("clean CheckPlan allocates %.1f objects at D=16 but %.1f at D=128: some allocation is per task",
+			allocs[16], allocs[128])
+	}
+	if allocs[16] > 10 {
+		t.Fatalf("clean CheckPlan allocates %.1f objects, want <= 10", allocs[16])
+	}
+	t.Logf("clean CheckPlan: %.0f allocations at D=16 and D=128", allocs[16])
 }

@@ -206,13 +206,12 @@ func (r *Report) violate(v *Violation) {
 // an MM base.
 func CheckForest(f *forest.Forest) *Report {
 	r := &Report{}
-	err := f.Validate()
+	st, err := f.ValidateStats()
 	if r.failed(err == nil) {
 		// Structural breakage invalidates the aggregate checks below.
 		r.violate(&Violation{Code: Structure, Detail: fmt.Sprint(err)})
 		return r
 	}
-	st := f.Stats()
 	wantTrees := (f.Demand + 1) / 2
 	if r.failed(st.Trees == wantTrees) {
 		r.violate(&Violation{Code: TargetCount, Detail: fmt.Sprintf("|F| = %d trees for D=%d, want ⌈D/2⌉ = %d", st.Trees, f.Demand, wantTrees)})
@@ -277,18 +276,18 @@ func CheckSchedule(s *sched.Schedule) *Report {
 	profile := sched.StorageProfile(s)
 	occ := 0
 	peak := 0
+	units := 0 // sched.StorageUnits(s), the peak of the same profile
 	for cycle := 1; cycle <= s.Cycles; cycle++ {
 		occ += diff[cycle]
 		if r.failed(occ == profile[cycle]) {
 			r.violate(&Violation{Code: StorageOccupancy, Cycle: cycle,
 				Detail: fmt.Sprintf("independent occupancy %d, Algorithm 3 profile %d", occ, profile[cycle])})
 		}
-		if occ > peak {
-			peak = occ
-		}
+		peak = max(peak, occ)
+		units = max(units, profile[cycle])
 	}
-	if r.failed(peak == sched.StorageUnits(s)) {
-		r.violate(&Violation{Code: StorageOccupancy, Detail: fmt.Sprintf("peak occupancy %d, StorageUnits %d", peak, sched.StorageUnits(s))})
+	if r.failed(peak == units) {
+		r.violate(&Violation{Code: StorageOccupancy, Detail: fmt.Sprintf("peak occupancy %d, StorageUnits %d", peak, units)})
 	}
 	return r
 }

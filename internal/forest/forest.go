@@ -59,6 +59,18 @@ func (s Source) Vec(n int) ratio.Vector {
 	return s.Task.Vec
 }
 
+// words writes the source droplet's canonical CF numerators into dst
+// (len(dst) must equal the fluid count) and returns the exponent: Vec
+// without the allocation. The source must already be known valid.
+func (s Source) words(dst []int64) uint {
+	if s.Kind == Input {
+		clear(dst)
+		dst[s.Fluid] = 1
+		return 0
+	}
+	return s.Task.Vec.NumsInto(dst)
+}
+
 // Task is one (1:1) mix-split step of the forest.
 type Task struct {
 	// ID indexes Forest.Tasks; tasks are topologically ordered (producers

@@ -52,63 +52,82 @@ func (f *Forest) Stats() Stats {
 // by Build/Builder; it exists so tests (and downstream users constructing
 // forests manually) can prove correctness rather than assume it.
 func (f *Forest) Validate() error {
+	_, err := f.ValidateStats()
+	return err
+}
+
+// ValidateStats is Validate returning, on success, the Stats its
+// conservation check computed, so an auditor needs only one pass over the
+// tasks for both. Every plan the serving layer builds passes through it, so
+// the clean path allocates a fixed handful of objects however large the
+// forest: source identity is an index check against Tasks (no visited-set
+// map) and each task's CF is recomputed in one reused word buffer. Vectors
+// are boxed only to render a message once a check has failed.
+func (f *Forest) ValidateStats() (Stats, error) {
 	n := f.Base.Target.N()
-	seen := make(map[*Task]int, len(f.Tasks))
+	words := make([]int64, 3*n)
+	left, right, mix := words[:n], words[n:2*n], words[2*n:]
 	for i, t := range f.Tasks {
 		if t.ID != i {
-			return fmt.Errorf("forest: task %d has ID %d", i, t.ID)
+			return Stats{}, fmt.Errorf("forest: task %d has ID %d", i, t.ID)
 		}
-		seen[t] = i
 		for _, src := range t.In {
 			switch src.Kind {
 			case Input:
 				if src.Fluid < 0 || src.Fluid >= n {
-					return fmt.Errorf("forest: task %d consumes unknown fluid %d", i, src.Fluid)
+					return Stats{}, fmt.Errorf("forest: task %d consumes unknown fluid %d", i, src.Fluid)
 				}
 			case FromTask:
-				j, ok := seen[src.Task]
-				if !ok {
-					return fmt.Errorf("forest: task %d consumes a task outside the forest or after itself", i)
+				if src.Task == t {
+					return Stats{}, fmt.Errorf("forest: task %d consumes task %d out of topological order", i, i)
 				}
-				if j >= i {
-					return fmt.Errorf("forest: task %d consumes task %d out of topological order", i, j)
+				// Tasks before i already passed the ID check, so an earlier
+				// task of this forest is exactly one found at its own ID.
+				if src.Task == nil || src.Task.ID < 0 || src.Task.ID >= i || f.Tasks[src.Task.ID] != src.Task {
+					return Stats{}, fmt.Errorf("forest: task %d consumes a task outside the forest or after itself", i)
 				}
 			default:
-				return fmt.Errorf("forest: task %d has invalid source kind %d", i, src.Kind)
+				return Stats{}, fmt.Errorf("forest: task %d has invalid source kind %d", i, src.Kind)
 			}
 		}
-		if want := ratio.Mix(t.In[0].Vec(n), t.In[1].Vec(n)); !t.Vec.Equal(want) {
-			return fmt.Errorf("forest: task %d vector %v, inputs average %v", i, t.Vec, want)
+		exp := ratio.MixWordsInto(mix, left, t.In[0].words(left), right, t.In[1].words(right))
+		if !t.Vec.EqualWords(mix, exp) {
+			want := ratio.Mix(t.In[0].Vec(n), t.In[1].Vec(n))
+			return Stats{}, fmt.Errorf("forest: task %d vector %v, inputs average %v", i, t.Vec, want)
 		}
 		if !t.Vec.Equal(t.Base.Vec) {
-			return fmt.Errorf("forest: task %d vector %v does not match its base node %v", i, t.Vec, t.Base.Vec)
+			return Stats{}, fmt.Errorf("forest: task %d vector %v does not match its base node %v", i, t.Vec, t.Base.Vec)
 		}
 		if t.Targets+len(t.consumers) > 2 {
-			return fmt.Errorf("forest: task %d outputs over-consumed (%d targets + %d consumers)",
+			return Stats{}, fmt.Errorf("forest: task %d outputs over-consumed (%d targets + %d consumers)",
 				i, t.Targets, len(t.consumers))
 		}
 	}
+	var target ratio.Vector // built on first use: trees normally carry Want
 	for _, tree := range f.Trees {
 		if tree.Root == nil {
-			return fmt.Errorf("forest: tree %d has no root", tree.Index)
+			return Stats{}, fmt.Errorf("forest: tree %d has no root", tree.Index)
 		}
 		if tree.Root.Targets != 2 {
-			return fmt.Errorf("forest: tree %d root emits %d targets, want 2", tree.Index, tree.Root.Targets)
+			return Stats{}, fmt.Errorf("forest: tree %d root emits %d targets, want 2", tree.Index, tree.Root.Targets)
 		}
 		want := tree.Want
 		if want.IsZero() {
-			want = f.Base.Target.Vector()
+			if target.IsZero() {
+				target = f.Base.Target.Vector()
+			}
+			want = target
 		}
 		if !tree.Root.Vec.Equal(want) {
-			return fmt.Errorf("forest: tree %d root vector %v, want target %v", tree.Index, tree.Root.Vec, want)
+			return Stats{}, fmt.Errorf("forest: tree %d root vector %v, want target %v", tree.Index, tree.Root.Vec, want)
 		}
 	}
 	// Droplet conservation: every droplet dispensed ends as a target or as
 	// waste; mixes preserve droplet count.
 	s := f.Stats()
 	if s.InputTotal != int64(s.Targets)+s.Waste {
-		return fmt.Errorf("forest: conservation violated: I=%d, targets=%d, W=%d",
+		return Stats{}, fmt.Errorf("forest: conservation violated: I=%d, targets=%d, W=%d",
 			s.InputTotal, s.Targets, s.Waste)
 	}
-	return nil
+	return s, nil
 }

@@ -56,7 +56,11 @@ func OMS(base *mixgraph.Graph, mc int) (*Schedule, error) {
 // completion", e.g. 3 for the PCR MM tree). The search increases the mixer
 // count until OMS reaches the critical path; the maximum positional-level
 // width always suffices (scheduling every mix at its positional level is
-// feasible), so the loop terminates there.
+// feasible), so the loop terminates there. It starts at ⌈tasks/cp⌉, since
+// fewer mixers cannot even run every mix within cp cycles, and it builds the
+// demand-2 forest once in packed form and runs the packed Hu rule per
+// candidate, which TestKernelHuMatchesOMS certifies slot for slot against
+// OMS (TestMlbMatchesLegacySearch checks the whole search).
 func Mlb(base *mixgraph.Graph) int {
 	cp := base.Root.Level
 	upper := 1
@@ -65,8 +69,13 @@ func Mlb(base *mixgraph.Graph) int {
 			upper = w
 		}
 	}
-	for mc := 1; mc < upper; mc++ {
-		if s, err := OMS(base, mc); err == nil && s.Cycles == cp {
+	f, err := forest.BuildPacked(forest.NewPackedBuilder(base), base, 2)
+	if err != nil {
+		return upper
+	}
+	var k Kernel
+	for mc := max(1, (len(f.Tasks)+cp-1)/cp); mc < upper; mc++ {
+		if k.Hu(f, mc) == nil && k.Cycles() == cp {
 			return mc
 		}
 	}

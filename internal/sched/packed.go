@@ -161,31 +161,34 @@ func (k *Kernel) Materialize(f *forest.Forest) *Schedule {
 	}
 }
 
-// StorageUnits runs Counting_Storage_Units (Algorithm 3) over the last
-// schedule of f, reusing the kernel's profile scratch: zero allocations when
-// warm.
+// StorageUnits returns the peak storage occupancy q of the last schedule of
+// f: the value sched.StorageUnits computes for the materialized schedule.
+// Instead of walking every droplet's storage interval cell by cell as
+// Algorithm 3 does (StorageProfile keeps that literal walk, and the plan
+// audit checks it against a difference array), it adds +1 where a lifetime
+// starts and -1 where it ends and takes the peak of the running sum, so each
+// candidate of the demand scan costs O(tasks + cycles). The kernel's profile
+// scratch is reused: zero allocations when warm.
 func (k *Kernel) StorageUnits(f *forest.PackedForest) int {
-	k.profile = growInt32(k.profile, k.cycles+1)
-	for i := range k.profile {
-		k.profile[i] = 0
-	}
+	diff := growInt32(k.profile, k.cycles+1)
+	k.profile = diff
 	for i := range f.Tasks {
 		t := &f.Tasks[i]
 		produced := k.slots[i].Cycle
 		for c := int8(0); c < t.NCons; c++ {
-			consumed := k.slots[t.Cons[c]].Cycle
-			for j := produced + 1; j < consumed; j++ {
-				k.profile[j]++
+			// The droplet sits in storage during produced+1 .. consumed-1.
+			if consumed := k.slots[t.Cons[c]].Cycle; produced+1 < consumed {
+				diff[produced+1]++
+				diff[consumed]--
 			}
 		}
 	}
-	max := 0
-	for _, v := range k.profile {
-		if v > int32(max) {
-			max = int(v)
-		}
+	var peak, occ int32
+	for _, d := range diff {
+		occ += d
+		peak = max(peak, occ)
 	}
-	return max
+	return int(peak)
 }
 
 func growAssignments(s []Assignment, n int) []Assignment {

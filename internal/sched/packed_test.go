@@ -55,7 +55,8 @@ func schedulesEqual(t *testing.T, k *Kernel, want *Schedule) {
 
 // TestKernelGoldenEquivalence certifies the packed scheduler against the
 // legacy one: identical Slots and Cycles for every protocol x algorithm,
-// a sweep of demands and mixer counts, for both MMS and SRS.
+// a sweep of demands and mixer counts, for both MMS and SRS; and identical
+// peak storage, including on the demand scan's incrementally grown forests.
 func TestKernelGoldenEquivalence(t *testing.T) {
 	var k Kernel
 	pb := &forest.PackedBuilder{}
@@ -92,6 +93,39 @@ func TestKernelGoldenEquivalence(t *testing.T) {
 				schedulesEqual(t, &k, want)
 				if got, wantQ := k.StorageUnits(pf), StorageUnits(want); got != wantQ {
 					t.Fatalf("SRS storage %d, legacy %d", got, wantQ)
+				}
+			}
+		}
+		// The storage demand scan grows one forest a tree at a time and
+		// counts storage after every step; each step must agree with a
+		// legacy forest built from scratch for that demand.
+		pb.Reset(g)
+		for demand := 2; demand <= 64; demand += 2 {
+			pb.AddTree()
+			pf := pb.Forest()
+			lf, err := forest.Build(g, demand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mc := range []int{1, 3, 4} {
+				want, err := MMS(lf, mc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := k.MMS(pf, mc); err != nil {
+					t.Fatal(err)
+				}
+				if got, wantQ := k.StorageUnits(pf), StorageUnits(want); got != wantQ {
+					t.Fatalf("grown D=%d mc=%d: MMS storage %d, legacy %d", demand, mc, got, wantQ)
+				}
+				if want, err = SRS(lf, mc); err != nil {
+					t.Fatal(err)
+				}
+				if err := k.SRS(pf, mc); err != nil {
+					t.Fatal(err)
+				}
+				if got, wantQ := k.StorageUnits(pf), StorageUnits(want); got != wantQ {
+					t.Fatalf("grown D=%d mc=%d: SRS storage %d, legacy %d", demand, mc, got, wantQ)
 				}
 			}
 		}

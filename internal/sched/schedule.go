@@ -11,8 +11,10 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/forest"
 )
@@ -57,14 +59,18 @@ var (
 // every task scheduled exactly once; a droplet never consumed before the
 // cycle after it was produced; at most Mc concurrent mix-splits; no mixer
 // running two mixes in one cycle; and Tc consistent with the assignments.
+// Errors are reported for the first offending task in forest order. The
+// bookkeeping lives in slices indexed by cycle, grown when a slot lies past
+// Tc, so a clean run allocates the same few objects at any forest size.
 func (s *Schedule) Validate() error {
-	if len(s.Slots) != len(s.Forest.Tasks) {
-		return fmt.Errorf("sched: %d slots for %d tasks", len(s.Slots), len(s.Forest.Tasks))
+	tasks := s.Forest.Tasks
+	if len(s.Slots) != len(tasks) {
+		return fmt.Errorf("sched: %d slots for %d tasks", len(s.Slots), len(tasks))
 	}
+	clashAt, clashWith := s.firstDoubleBooking()
 	maxCycle := 0
-	busy := make(map[[2]int]int) // (cycle, mixer) -> task ID
-	perCycle := make(map[int]int)
-	for _, t := range s.Forest.Tasks {
+	perCycle := make([]int, s.Cycles+1)
+	for i, t := range tasks {
 		a := s.Slots[t.ID]
 		if t.ID < s.FirstTask {
 			// Completed in an earlier window; must stay unassigned here.
@@ -79,11 +85,13 @@ func (s *Schedule) Validate() error {
 		if a.Mixer < 1 || a.Mixer > s.Mixers {
 			return fmt.Errorf("sched: task %d on invalid mixer %d (Mc=%d)", t.ID, a.Mixer, s.Mixers)
 		}
-		if prev, ok := busy[[2]int{a.Cycle, a.Mixer}]; ok {
+		if i == clashAt {
 			return fmt.Errorf("sched: mixer %d double-booked at cycle %d (tasks %d and %d)",
-				a.Mixer, a.Cycle, prev, t.ID)
+				a.Mixer, a.Cycle, clashWith, t.ID)
 		}
-		busy[[2]int{a.Cycle, a.Mixer}] = t.ID
+		if a.Cycle >= len(perCycle) {
+			perCycle = append(perCycle, make([]int, a.Cycle+1-len(perCycle))...)
+		}
 		perCycle[a.Cycle]++
 		if perCycle[a.Cycle] > s.Mixers {
 			return fmt.Errorf("sched: more than %d mixes at cycle %d", s.Mixers, a.Cycle)
@@ -105,6 +113,72 @@ func (s *Schedule) Validate() error {
 		return fmt.Errorf("sched: Tc=%d but max assigned cycle is %d", s.Cycles, maxCycle)
 	}
 	return nil
+}
+
+// placed reports whether task t's slot is one Validate's per-task checks
+// accept up to the double-booking test: in the window, at a cycle >= 1, on
+// a mixer in 1..Mc.
+func (s *Schedule) placed(t *forest.Task) (Assignment, bool) {
+	a := s.Slots[t.ID]
+	return a, t.ID >= s.FirstTask && a.Cycle >= 1 && a.Mixer >= 1 && a.Mixer <= s.Mixers
+}
+
+// firstDoubleBooking finds the first task, in forest order, whose (cycle,
+// mixer) an earlier task already holds. It returns that task's position in
+// Forest.Tasks and the earlier task's ID, or (-1, -1) when no mixer is
+// double-booked. Placed slots are counting-sorted into per-cycle buckets
+// (forest order kept inside each) and every bucket is sorted by mixer, so
+// the search costs O(tasks + cycles) memory however many mixers the
+// schedule declares, and no map.
+func (s *Schedule) firstDoubleBooking() (at, with int) {
+	tasks := s.Forest.Tasks
+	// end[c] counts cycle c's slots, then (as prefix sums) marks where its
+	// bucket of order ends. The fill walks the tasks backwards and
+	// decrements end[c] per slot, so afterwards end[c] is where bucket c
+	// starts and every bucket lists its tasks in forest order.
+	end := make([]int32, s.Cycles+1)
+	placed := 0
+	for _, t := range tasks {
+		if a, ok := s.placed(t); ok {
+			if a.Cycle >= len(end) {
+				end = append(end, make([]int32, a.Cycle+1-len(end))...)
+			}
+			end[a.Cycle]++
+			placed++
+		}
+	}
+	for c := 1; c < len(end); c++ {
+		end[c] += end[c-1]
+	}
+	order := make([]int32, placed)
+	for i := len(tasks) - 1; i >= 0; i-- {
+		if a, ok := s.placed(tasks[i]); ok {
+			end[a.Cycle]--
+			order[end[a.Cycle]] = int32(i)
+		}
+	}
+	mixer := func(i int32) int { return s.Slots[tasks[i].ID].Mixer }
+	byMixer := func(x, y int32) int { return cmp.Or(cmp.Compare(mixer(x), mixer(y)), cmp.Compare(x, y)) }
+	at, with = -1, -1
+	hi := int32(placed) // bucket c ends where bucket c+1 starts
+	for c := len(end) - 1; c >= 1; c-- {
+		lo := end[c]
+		bucket := order[lo:hi]
+		hi = lo
+		if len(bucket) < 2 {
+			continue
+		}
+		slices.SortFunc(bucket, byMixer)
+		for k := 1; k < len(bucket); k++ {
+			// In a run of equal mixers the first entry is the occupant and
+			// the second the earliest clash; only that second entry can
+			// beat the running minimum, so its predecessor is the occupant.
+			if pos := int(bucket[k]); mixer(bucket[k]) == mixer(bucket[k-1]) && (at < 0 || pos < at) {
+				at, with = pos, tasks[bucket[k-1]].ID
+			}
+		}
+	}
+	return at, with
 }
 
 // CriticalPathBound returns the precedence lower bound on Tc: the length of

@@ -316,14 +316,16 @@ type handlerFunc func(ctx context.Context, r *http.Request) (any, error)
 // handle wraps an endpoint with admission control, the per-request
 // deadline, structured obs logging and uniform error rendering.
 func (s *Server) handle(name string, fn handlerFunc) http.HandlerFunc {
+	// Metric names are built once per endpoint, not once per request.
+	requests, latency := "server.requests."+name, "server.latency_ms."+name
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		obs.Inc("server.requests")
-		obs.Inc("server.requests." + name)
+		obs.Inc(requests)
 
 		status, err := s.dispatch(name, w, r, fn)
 		if obs.Enabled() {
-			obs.Observe("server.latency_ms."+name, float64(time.Since(t0).Microseconds())/1000)
+			obs.Observe(latency, float64(time.Since(t0).Microseconds())/1000)
 			f := map[string]any{
 				"endpoint": name,
 				"status":   status,
@@ -334,8 +336,25 @@ func (s *Server) handle(name string, fn handlerFunc) http.HandlerFunc {
 			}
 			obs.Emit("server.request", f)
 		}
-		obs.Inc("server.status." + strconv.Itoa(status))
+		obs.Inc(statusMetric(status))
 	}
+}
+
+// statusMetrics holds the "server.status.<code>" counter name of every
+// standard HTTP status code, so counting a response builds no string.
+var statusMetrics = func() (names [600]string) {
+	for code := 100; code < len(names); code++ {
+		names[code] = "server.status." + strconv.Itoa(code)
+	}
+	return names
+}()
+
+// statusMetric returns the counter name for an HTTP status code.
+func statusMetric(code int) string {
+	if code >= 100 && code < len(statusMetrics) {
+		return statusMetrics[code]
+	}
+	return "server.status." + strconv.Itoa(code)
 }
 
 // dispatch runs one admitted request and writes its response, returning the
