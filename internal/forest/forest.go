@@ -23,7 +23,6 @@ package forest
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/mixgraph"
@@ -147,86 +146,33 @@ func (f *Forest) Target() ratio.Ratio { return f.Base.Target }
 
 // Builder grows a mixing forest incrementally, one component tree at a time.
 // This is the demand-driven core: the waste pool persists between AddTree
-// calls, so later demands keep harvesting earlier spills.
+// calls, so later demands keep harvesting earlier spills. A Builder is a
+// PackedBuilder whose forest is materialized as it grows: AddTree appends
+// the new tree's tasks to the one Forest the builder hands out, so a forest
+// (and any schedule over it) obtained earlier keeps growing in place and
+// its tasks keep their identity.
 type Builder struct {
-	base  *mixgraph.Graph
-	f     *Forest
-	pool  map[int][]*Task // base-node ID -> tasks with a spare output tagged with it
-	tasks int
+	pb PackedBuilder
+	f  *Forest
 }
 
 // NewBuilder returns an empty forest builder over the given base graph.
 func NewBuilder(base *mixgraph.Graph) *Builder {
-	return &Builder{
-		base: base,
-		f:    &Forest{Base: base},
-		pool: make(map[int][]*Task),
-	}
+	b := &Builder{f: &Forest{Base: base}}
+	b.pb.Reset(base)
+	return b
 }
 
 // PoolSize returns the number of spare droplets currently available for
 // reuse, keyed by base-node identity.
-func (b *Builder) PoolSize() int {
-	n := 0
-	for _, s := range b.pool {
-		n += len(s)
-	}
-	return n
-}
+func (b *Builder) PoolSize() int { return b.pb.PoolSize() }
 
 // AddTree appends the next component tree, adding two target droplets of
 // capacity, and returns it.
 func (b *Builder) AddTree() *Tree {
-	idx := len(b.f.Trees) + 1
-	tree := &Tree{Index: idx, Want: b.base.Target.Vector()}
-
-	var obtain func(v *mixgraph.Node) Source
-	obtain = func(v *mixgraph.Node) Source {
-		if spares := b.pool[v.ID]; len(spares) > 0 {
-			t := spares[0]
-			b.pool[v.ID] = spares[1:]
-			src := Source{Kind: FromTask, Task: t, Reused: t.Tree != idx}
-			return src
-		}
-		if v.IsLeaf() {
-			return Source{Kind: Input, Fluid: v.Fluid}
-		}
-		l := obtain(v.Children[0])
-		r := obtain(v.Children[1])
-		t := b.newTask(v, l, r, tree)
-		// The second split output is spare: pool it tagged with v.
-		b.pool[v.ID] = append(b.pool[v.ID], t)
-		return Source{Kind: FromTask, Task: t}
-	}
-
-	rootNode := b.base.Root
-	l := obtain(rootNode.Children[0])
-	r := obtain(rootNode.Children[1])
-	root := b.newTask(rootNode, l, r, tree)
-	root.Targets = 2
-	tree.Root = root
-	b.f.Trees = append(b.f.Trees, tree)
-	return tree
-}
-
-func (b *Builder) newTask(v *mixgraph.Node, l, r Source, tree *Tree) *Task {
-	t := &Task{
-		ID:    b.tasks,
-		Tree:  tree.Index,
-		Base:  v,
-		Level: v.PosLevel,
-		In:    [2]Source{l, r},
-		Vec:   v.Vec,
-	}
-	b.tasks++
-	for _, s := range t.In {
-		if s.Kind == FromTask {
-			s.Task.consumers = append(s.Task.consumers, t)
-		}
-	}
-	tree.Tasks = append(tree.Tasks, t)
-	b.f.Tasks = append(b.f.Tasks, t)
-	return t
+	b.pb.AddTree()
+	b.pb.f.grow(b.f)
+	return b.f.Trees[len(b.f.Trees)-1]
 }
 
 // Forest returns the forest built so far. The builder may keep growing it;
@@ -250,19 +196,14 @@ var buildCount atomic.Int64
 func BuildCount() int64 { return buildCount.Load() }
 
 // Build constructs the mixing forest meeting demand D: ⌈D/2⌉ component
-// trees. For odd D the last tree still emits two droplets; Stats reports the
-// surplus.
+// trees grown by a PackedBuilder and materialized. For odd D the last tree
+// still emits two droplets; Stats reports the surplus. A demand whose
+// forest could overflow the packed arena's int32 task indices fails with
+// ErrArenaOverflow, and a non-positive one with ErrBadDemand.
 func Build(base *mixgraph.Graph, demand int) (*Forest, error) {
-	if demand <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadDemand, demand)
+	pf, err := BuildPacked(new(PackedBuilder), base, demand)
+	if err != nil {
+		return nil, err
 	}
-	buildCount.Add(1)
-	b := NewBuilder(base)
-	trees := (demand + 1) / 2
-	for i := 0; i < trees; i++ {
-		b.AddTree()
-	}
-	f := b.Forest()
-	f.Demand = demand
-	return f, nil
+	return pf.Materialize(), nil
 }

@@ -2,7 +2,7 @@ package forest
 
 import (
 	"errors"
-	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/minmix"
@@ -13,7 +13,7 @@ import (
 	"repro/internal/rma"
 )
 
-// forestsEqual compares two legacy forests structurally, field by field.
+// forestsEqual compares two pointer forests structurally, field by field.
 func forestsEqual(t *testing.T, got, want *Forest) {
 	t.Helper()
 	if got.Demand != want.Demand {
@@ -90,98 +90,98 @@ func allBases(t *testing.T) []*mixgraph.Graph {
 	return out
 }
 
-// TestPackedGoldenEquivalence certifies the tentpole's core promise: the
-// packed arena builder materializes to a forest bit-identical to the legacy
-// pointer builder, for every protocol x algorithm and a sweep of demands.
-func TestPackedGoldenEquivalence(t *testing.T) {
-	pb := &PackedBuilder{}
-	for _, g := range allBases(t) {
-		for _, demand := range []int{1, 2, 3, 4, 7, 8, 16, 20, 31, 64} {
-			want, err := Build(g, demand)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pf, err := BuildPacked(pb, g, demand)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := pf.Materialize()
-			forestsEqual(t, got, want)
-			if err := got.Validate(); err != nil {
-				t.Fatalf("materialized forest invalid: %v", err)
-			}
-		}
-	}
-}
-
-// TestPackedGoldenEquivalenceRandom extends the golden sweep to randomized
-// ratios (random parts, power-of-two sums, random algorithms and demands).
-func TestPackedGoldenEquivalenceRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	builders := []func(ratio.Ratio) (*mixgraph.Graph, error){minmix.Build, rma.Build, mtcs.Build}
-	pb := &PackedBuilder{}
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(5)
-		d := 3 + rng.Intn(5)
-		parts := make([]int64, n)
-		total := int64(1) << d
-		ok := true
-		for i := 0; i < n-1; i++ {
-			maxPart := total - int64(n-1-i) // leave at least 1 per later part
-			if maxPart < 1 {
-				ok = false
-				break
-			}
-			v := 1 + rng.Int63n(maxPart)
-			parts[i] = v
-			total -= v
-		}
-		parts[n-1] = total
-		if !ok || total < 1 {
-			continue
-		}
-		r, err := ratio.New(parts...)
-		if err != nil {
-			t.Fatalf("trial %d: ratio %v: %v", trial, parts, err)
-		}
-		g, err := builders[rng.Intn(len(builders))](r)
-		if err != nil {
-			t.Fatalf("trial %d: base build: %v", trial, err)
-		}
-		demand := 1 + rng.Intn(40)
-		want, err := Build(g, demand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf, err := BuildPacked(pb, g, demand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		forestsEqual(t, pf.Materialize(), want)
-	}
-}
-
-// TestPackedIncrementalMatchesLegacyIncremental checks AddTree-by-AddTree
-// equivalence: the packed builder's pool discipline must track the legacy
-// builder at every step, not just at the end.
-func TestPackedIncrementalMatchesLegacyIncremental(t *testing.T) {
+// TestBuilderGrowsInPlace checks the incremental Builder: after every
+// AddTree its forest equals a one-shot build of that many trees, and it is
+// the same Forest with the same earlier tasks, grown in place — what the
+// persistent engine's schedules and Emissions rely on.
+func TestBuilderGrowsInPlace(t *testing.T) {
 	g, err := minmix.Build(protocols.PCR16().Ratio)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := NewBuilder(g)
-	pb := NewPackedBuilder(g)
-	for step := 0; step < 16; step++ {
-		lb.AddTree()
-		pb.AddTree()
-		if got, want := pb.PoolSize(), lb.PoolSize(); got != want {
-			t.Fatalf("step %d: packed pool %d, legacy pool %d", step, got, want)
+	b := NewBuilder(g)
+	first := b.Forest()
+	var firstTask *Task
+	for step := 1; step <= 16; step++ {
+		tree := b.AddTree()
+		f := b.Forest()
+		if f != first {
+			t.Fatalf("step %d: Forest() returned a new forest", step)
 		}
-		forestsEqual(t, pb.Forest().Materialize(), lb.Forest())
+		if tree != f.Trees[step-1] || tree.Index != step {
+			t.Fatalf("step %d: AddTree returned tree %d", step, tree.Index)
+		}
+		if firstTask == nil {
+			firstTask = f.Tasks[0]
+		} else if f.Tasks[0] != firstTask {
+			t.Fatalf("step %d: task 0 was replaced", step)
+		}
+		pf, err := BuildPacked(NewPackedBuilder(g), g, 2*step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forestsEqual(t, f, pf.Materialize())
+		if got, want := b.PoolSize(), packedBuilderAt(t, g, step).PoolSize(); got != want {
+			t.Fatalf("step %d: pool %d, one-shot pool %d", step, got, want)
+		}
 	}
 }
 
-// TestPackedStatsMatch checks PackedStats against the legacy Stats.
+// packedBuilderAt returns a packed builder after trees AddTree calls.
+func packedBuilderAt(t *testing.T, g *mixgraph.Graph, trees int) *PackedBuilder {
+	t.Helper()
+	pb := NewPackedBuilder(g)
+	for i := 0; i < trees; i++ {
+		pb.AddTree()
+	}
+	return pb
+}
+
+// TestPackRoundTrip checks Pack inverts Materialize on every protocol
+// forest, packs Restore's decoded forests to the same arrays, and packs
+// BuildMulti's combined forests with their consumer links intact.
+func TestPackRoundTrip(t *testing.T) {
+	bases := allBases(t)
+	for _, g := range bases {
+		for _, demand := range []int{1, 2, 7, 20} {
+			pf, err := BuildPacked(NewPackedBuilder(g), g, demand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := pf.Materialize()
+			back, err := Pack(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, pf) {
+				t.Fatalf("%s D=%d: Pack(Materialize) differs from the packed forest", g.Algorithm, demand)
+			}
+			restored, err := Restore(g, demand, Describe(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back, err = Pack(restored); err != nil || !reflect.DeepEqual(back, pf) {
+				t.Fatalf("%s D=%d: Pack(Restore) differs from the packed forest (err %v)", g.Algorithm, demand, err)
+			}
+		}
+	}
+	mf, err := BuildMulti(bases[:2], []int{5, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := Pack(mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, task := range mf.Tasks {
+		if int(pm.Tasks[i].NCons) != len(task.Consumers()) || pm.Tasks[i].FreeOutputs() != task.FreeOutputs() {
+			t.Fatalf("multi task %d: packed %d consumers, forest %d", i, pm.Tasks[i].NCons, len(task.Consumers()))
+		}
+	}
+}
+
+// TestPackedStatsMatch checks PackedStats against Stats of the
+// materialized forest.
 func TestPackedStatsMatch(t *testing.T) {
 	for _, g := range allBases(t) {
 		pb := NewPackedBuilder(g)
@@ -198,11 +198,11 @@ func TestPackedStatsMatch(t *testing.T) {
 		gs := pf.PackedStats(buf)
 		if gs.Trees != ws.Trees || gs.Mixes != ws.Mixes || gs.Waste != ws.Waste ||
 			gs.InputTotal != ws.InputTotal || gs.Targets != ws.Targets || gs.Reuses != ws.Reuses {
-			t.Fatalf("packed stats %+v, legacy %+v", gs, ws)
+			t.Fatalf("packed stats %+v, materialized %+v", gs, ws)
 		}
 		for i := range ws.Inputs {
 			if gs.Inputs[i] != ws.Inputs[i] {
-				t.Fatalf("input %d: packed %d, legacy %d", i, gs.Inputs[i], ws.Inputs[i])
+				t.Fatalf("input %d: packed %d, materialized %d", i, gs.Inputs[i], ws.Inputs[i])
 			}
 		}
 	}

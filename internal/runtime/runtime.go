@@ -977,23 +977,12 @@ func (e *executor) bindChunk(order []string, base *mixgraph.Graph, demand, mixer
 		if name == "SRS" {
 			scheme = stream.SRS
 		}
+		// Degraded replans are built and audited by the same plan builder
+		// as pristine plans; the key keeps them apart in the cache.
 		p, err := plancache.Default().GetOrBuild(
 			plancache.KeyFor(base, demand, mixers, name, e.pol.Fingerprint()),
 			func() (*plancache.Plan, error) {
-				f, err := forest.Build(base, demand)
-				if err != nil {
-					return nil, err
-				}
-				s, err := scheme.Schedule(f, mixers)
-				if err != nil {
-					return nil, err
-				}
-				// Degraded replans pass the same plan-level audit as
-				// pristine plans before they may execute.
-				if arep := audit.CheckPlan(f, s); !arep.Clean() {
-					return nil, fmt.Errorf("runtime: degraded replan: %w", arep.Err())
-				}
-				return plancache.NewPlan(f, s), nil
+				return stream.BuildPlan(stream.Config{Base: base, Mixers: mixers, Scheduler: scheme}, demand)
 			})
 		if err != nil {
 			lastErr = err

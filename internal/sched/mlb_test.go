@@ -14,8 +14,8 @@ import (
 	"repro/internal/synth"
 )
 
-// legacyMlb is the original mixer search Mlb replaced: legacy OMS over a
-// freshly built pointer forest for every mixer count from 1 up.
+// legacyMlb is the original mixer search Mlb replaced: OMS over a freshly
+// built forest for every mixer count from 1 up.
 func legacyMlb(base *mixgraph.Graph) int {
 	cp := base.Root.Level
 	upper := 1
@@ -33,7 +33,7 @@ func legacyMlb(base *mixgraph.Graph) int {
 }
 
 // TestMlbMatchesLegacySearch checks the packed, lower-bound-started Mlb
-// against the legacy linear OMS search on the Table 2 protocols and on a
+// against the original linear OMS search on the Table 2 protocols and on a
 // fixed sample of the paper's dataset (every 17th ratio), each under every
 // base algorithm (MM, RMA, MTCS, RSM — core.AllAlgorithms).
 func TestMlbMatchesLegacySearch(t *testing.T) {

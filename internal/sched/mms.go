@@ -1,12 +1,10 @@
 package sched
 
 import (
-	"fmt"
-	"slices"
+	"sync"
 
 	"repro/internal/forest"
 	"repro/internal/mixgraph"
-	"repro/internal/obs"
 )
 
 // MMS schedules a mixing forest on mc mixers with M_Mixers_Schedule
@@ -21,7 +19,7 @@ import (
 // the drain phase (cross-tree dependences), so — clearly the intent — newly
 // ready tasks keep being enqueued every cycle until the forest is complete.
 func MMS(f *forest.Forest, mc int) (*Schedule, error) {
-	return run(f, mc, "MMS", &fifoQueue{}, 0)
+	return schedule(f, mc, "MMS", policyMMS, 0)
 }
 
 // MMSFrom schedules only the tasks with ID >= firstTask, treating earlier
@@ -29,12 +27,30 @@ func MMS(f *forest.Forest, mc int) (*Schedule, error) {
 // pool-persistent demand-driven engine (droplets pooled by earlier windows
 // are available immediately and occupy storage until consumed).
 func MMSFrom(f *forest.Forest, mc, firstTask int) (*Schedule, error) {
-	return run(f, mc, "MMS", &fifoQueue{}, firstTask)
+	return schedule(f, mc, "MMS", policyMMS, firstTask)
+}
+
+// SRS schedules a mixing forest on mc mixers with Storage_Reduced_Scheduling
+// (Algorithm 2 of the paper). Schedulable tasks are kept in two priority
+// queues:
+//
+//   - Qint holds Type-A and Type-B tasks (at least one input droplet comes
+//     from another mix — stalling them keeps droplets in storage), ordered
+//     by descending level: finishing high tasks early shortens the forest.
+//   - Qleaf holds Type-C tasks (both inputs fresh from reservoirs — stalling
+//     them costs no storage), ordered by ascending level.
+//
+// Each cycle drains Qint first and only gives leftover mixers to Qleaf,
+// using the paper's counting rule: Qleaf supplies at most
+// max(0, Mc - |Qint before dequeue|) tasks. Compared with MMS this can
+// lengthen Tc slightly but needs fewer on-chip storage units.
+func SRS(f *forest.Forest, mc int) (*Schedule, error) {
+	return schedule(f, mc, "SRS", policySRS, 0)
 }
 
 // SRSFrom is the SRS counterpart of MMSFrom.
 func SRSFrom(f *forest.Forest, mc, firstTask int) (*Schedule, error) {
-	return run(f, mc, "SRS", newSRSQueue(), firstTask)
+	return schedule(f, mc, "SRS", policySRS, firstTask)
 }
 
 // OMS schedules a single base mixing graph on mc mixers following Luo and
@@ -48,7 +64,27 @@ func OMS(base *mixgraph.Graph, mc int) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return run(f, mc, "OMS", newHuQueue(), 0)
+	return schedule(f, mc, "OMS", policyHu, 0)
+}
+
+// kernels pools the scheduling kernels behind the pointer-forest entry
+// points; a Materialized schedule owns its slots, so a kernel is free for
+// reuse as soon as it returns.
+var kernels = sync.Pool{New: func() any { return new(Kernel) }}
+
+// schedule packs f, runs the kernel with the given policy and window, and
+// materializes the result as a Schedule over f.
+func schedule(f *forest.Forest, mc int, algo string, p policy, firstTask int) (*Schedule, error) {
+	pf, err := forest.Pack(f)
+	if err != nil {
+		return nil, err
+	}
+	k := kernels.Get().(*Kernel)
+	defer kernels.Put(k)
+	if err := k.run(pf, mc, algo, p, firstTask); err != nil {
+		return nil, err
+	}
+	return k.Materialize(f), nil
 }
 
 // Mlb returns the minimum number of mixers that lets the base graph complete
@@ -58,9 +94,9 @@ func OMS(base *mixgraph.Graph, mc int) (*Schedule, error) {
 // width always suffices (scheduling every mix at its positional level is
 // feasible), so the loop terminates there. It starts at ⌈tasks/cp⌉, since
 // fewer mixers cannot even run every mix within cp cycles, and it builds the
-// demand-2 forest once in packed form and runs the packed Hu rule per
-// candidate, which TestKernelHuMatchesOMS certifies slot for slot against
-// OMS (TestMlbMatchesLegacySearch checks the whole search).
+// demand-2 forest once in packed form and runs the Hu rule per candidate
+// (TestMlbMatchesLegacySearch checks the whole search against the search
+// from one mixer up).
 func Mlb(base *mixgraph.Graph) int {
 	cp := base.Root.Level
 	upper := 1
@@ -80,135 +116,4 @@ func Mlb(base *mixgraph.Graph) int {
 		}
 	}
 	return upper
-}
-
-// queue abstracts the ready-task policy of a cycle-stepped list scheduler.
-type queue interface {
-	// add offers tasks that became schedulable this cycle. The slice is the
-	// engine's reusable release buffer: policies may reorder it in place but
-	// must not retain it past the call.
-	add(tasks []*forest.Task)
-	// pick removes and returns up to mc tasks to run this cycle.
-	pick(mc int) []*forest.Task
-	// len reports how many tasks are waiting.
-	len() int
-	// reserve pre-grows internal storage for n total tasks.
-	reserve(n int)
-}
-
-// fifoQueue is the MMS policy: FIFO overall, each batch pre-sorted by
-// ascending level (then task ID for determinism).
-type fifoQueue struct {
-	items []*forest.Task
-}
-
-// levelThenID is the shared batch order: ascending level, ID as tie-break.
-// The comparator is a total order (task IDs are unique), so any correct
-// sort has exactly one fixed point: every queue policy in this package
-// breaks its final tie on ID, which is what makes repeated schedules of the
-// same forest byte-identical (TestScheduleDeterminism).
-func levelThenID(a, b *forest.Task) int {
-	if a.Level != b.Level {
-		return a.Level - b.Level
-	}
-	return a.ID - b.ID
-}
-
-func (q *fifoQueue) add(tasks []*forest.Task) {
-	// Sorting the engine's release buffer in place (instead of copying it
-	// first) keeps the per-cycle cost at one append into the pre-reserved
-	// ring; the engine resets the buffer right after this call.
-	slices.SortFunc(tasks, levelThenID)
-	q.items = append(q.items, tasks...)
-}
-
-func (q *fifoQueue) pick(mc int) []*forest.Task {
-	n := mc
-	if n > len(q.items) {
-		n = len(q.items)
-	}
-	out := q.items[:n]
-	q.items = q.items[n:]
-	return out
-}
-
-func (q *fifoQueue) len() int { return len(q.items) }
-
-func (q *fifoQueue) reserve(n int) {
-	if cap(q.items) < n {
-		q.items = make([]*forest.Task, 0, n)
-	}
-}
-
-// run is the shared cycle-stepped engine: at every cycle it releases tasks
-// whose producers have all finished, lets the policy pick up to mc of them,
-// and assigns mixers in increasing index order (as Algorithms 1 and 2 do).
-// Tasks with ID < firstTask are treated as completed before cycle 1: their
-// output droplets are available immediately and they receive no assignment.
-func run(f *forest.Forest, mc int, name string, q queue, firstTask int) (*Schedule, error) {
-	if mc < 1 {
-		return nil, ErrNoMixers
-	}
-	if firstTask < 0 || firstTask > len(f.Tasks) {
-		return nil, fmt.Errorf("sched: first task %d outside [0, %d]", firstTask, len(f.Tasks))
-	}
-	s := &Schedule{
-		Forest:    f,
-		Mixers:    mc,
-		Algorithm: name,
-		Slots:     make([]Assignment, len(f.Tasks)),
-		FirstTask: firstTask,
-	}
-	pendingPreds := make([]int, len(f.Tasks))
-	window := len(f.Tasks) - firstTask
-	q.reserve(window)
-	initial := make([]*forest.Task, 0, window)
-	for _, t := range f.Tasks {
-		if t.ID < firstTask {
-			continue
-		}
-		for _, src := range t.In {
-			if src.Kind == forest.FromTask && src.Task.ID >= firstTask {
-				pendingPreds[t.ID]++
-			}
-		}
-		if pendingPreds[t.ID] == 0 {
-			initial = append(initial, t)
-		}
-	}
-	q.add(initial)
-
-	remaining := window
-	releasedNext := initial[len(initial):] // reuse the spare capacity
-	for t := 1; remaining > 0; t++ {
-		batch := q.pick(mc)
-		if len(batch) == 0 {
-			return nil, ErrDeadlock
-		}
-		for i, task := range batch {
-			s.Slots[task.ID] = Assignment{Cycle: t, Mixer: i + 1}
-			remaining--
-			for _, c := range task.Consumers() {
-				if c.ID < firstTask {
-					continue // consumed in an earlier window
-				}
-				pendingPreds[c.ID]--
-				if pendingPreds[c.ID] == 0 {
-					releasedNext = append(releasedNext, c)
-				}
-			}
-		}
-		s.Cycles = t
-		q.add(releasedNext)
-		releasedNext = releasedNext[:0]
-	}
-	if obs.Enabled() {
-		obs.Inc("sched.schedules")
-		obs.Observe("sched.cycles", float64(s.Cycles))
-		if s.Cycles > 0 {
-			scheduled := len(f.Tasks) - firstTask
-			obs.Observe("sched.mixer_utilization", float64(scheduled)/(float64(mc)*float64(s.Cycles)))
-		}
-	}
-	return s, nil
 }

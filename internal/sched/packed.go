@@ -8,22 +8,23 @@ import (
 	"repro/internal/obs"
 )
 
-// Packed scheduling: the zero-steady-state-allocation twin of MMS/SRS/OMS,
-// operating directly on forest.PackedForest.
+// The scheduling kernel: the one implementation of MMS, SRS and OMS. The
+// pointer-forest entry points (MMS, SRS, OMS, MMSFrom, SRSFrom) pack their
+// forest and run it here; dmfbd's planner runs it on PackedBuilder forests
+// directly.
 //
-// Every queue policy in this package orders tasks by a total order over
-// (level, internal-input count, ID) with ID as the final tie-break, so the
-// whole priority can be packed into one uint64 whose integer comparison is
-// the policy's comparator. Ready queues then become flat []uint64 buffers —
-// a head-indexed FIFO for MMS, binary min-heaps for SRS and Hu — that a
-// Kernel retains across runs. After the first schedule of a given size,
-// re-scheduling allocates nothing (TestKernelZeroAllocSteadyState).
-//
-// Because every comparator is a total order, a correct heap pops keys in
-// exactly sorted order regardless of its internal layout, so the packed
-// engine is bit-identical to the container/heap-based legacy path
-// (TestKernelGoldenEquivalence certifies Slots and Cycles match across all
-// protocols, algorithms, mixer counts and scheduling windows).
+// Every queue policy orders tasks by a total order over (level,
+// internal-input count, ID) with ID as the final tie-break, so the whole
+// priority packs into one uint64 whose integer comparison is the policy's
+// comparator. Ready queues are then flat []uint64 buffers — a head-indexed
+// FIFO for MMS, binary min-heaps for SRS and Hu — that a Kernel retains
+// across runs. After the first schedule of a given size, re-scheduling
+// allocates nothing (TestKernelZeroAllocSteadyState). Because every
+// comparator is a total order, a correct heap pops keys in exactly sorted
+// order regardless of its internal layout, which is what makes repeated
+// schedules of one forest byte-identical (TestScheduleDeterminism); the
+// frozen fixtures of internal/stream (TestPlannerGolden) pin the schedules
+// themselves.
 
 // Priority-key packing. Positional levels are bounded by ratio.MaxDepth
 // (62), far under the 16-bit field; task IDs occupy the low 32 bits so a
@@ -124,7 +125,7 @@ func (k *Kernel) SRS(f *forest.PackedForest, mc int) error {
 }
 
 // MMSFrom schedules only tasks with index >= firstTask (the incremental
-// window of a pool-persistent engine), like the legacy MMSFrom.
+// window of a pool-persistent engine); see the package-level MMSFrom.
 func (k *Kernel) MMSFrom(f *forest.PackedForest, mc, firstTask int) error {
 	return k.run(f, mc, "MMS", policyMMS, firstTask)
 }
@@ -147,8 +148,8 @@ func (k *Kernel) Cycles() int { return k.cycles }
 // slice aliases kernel scratch: it is valid until the next run.
 func (k *Kernel) Assignments() []Assignment { return k.slots }
 
-// Materialize copies the last run's result into a legacy Schedule over the
-// given (materialized) forest. Called once per plan-cache miss, never on a
+// Materialize copies the last run's result into a Schedule over the given
+// pointer forest (the materialized or original form of the packed one). Called once per plan-cache miss, never on a
 // steady-state path.
 func (k *Kernel) Materialize(f *forest.Forest) *Schedule {
 	return &Schedule{
@@ -214,18 +215,17 @@ func growInt32(s []int32, n int) []int32 {
 }
 
 // flush moves this cycle's released batch (rel holds keyAsc keys) into the
-// active policy's ready structure. Releases are batched exactly as the
-// legacy engine batches releasedNext: a task released while cycle t's batch
-// executes cannot join that same batch, which is what keeps a droplet from
-// being consumed in the cycle it was produced.
+// active policy's ready structure. Releases are batched per cycle: a task
+// released while cycle t's batch executes cannot join that same batch,
+// which is what keeps a droplet from being consumed in the cycle it was
+// produced.
 func (k *Kernel) flush(f *forest.PackedForest, p policy) {
 	if len(k.rel) == 0 {
 		return
 	}
 	switch p {
 	case policyMMS:
-		// FIFO overall, each batch in ascending (level, ID) order — the
-		// legacy fifoQueue.add contract.
+		// FIFO overall, each batch in ascending (level, ID) order.
 		slices.Sort(k.rel)
 		if k.fifoHead == len(k.fifo) {
 			// Queue momentarily empty: rewind so the backing array never
@@ -251,9 +251,11 @@ func (k *Kernel) flush(f *forest.PackedForest, p policy) {
 	k.rel = k.rel[:0]
 }
 
-// run is the packed cycle-stepped engine, mirroring the legacy run: release
-// tasks whose producers finished, let the policy pick up to mc, assign
-// mixers in increasing index order.
+// run is the cycle-stepped list-scheduling engine: release tasks whose
+// producers finished, let the policy pick up to mc, assign mixers in
+// increasing index order (as Algorithms 1 and 2 do). Tasks with index <
+// firstTask are treated as completed before cycle 1: their output droplets
+// are available immediately and they receive no assignment.
 func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firstTask int) error {
 	if mc < 1 {
 		return ErrNoMixers

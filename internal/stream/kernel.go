@@ -11,13 +11,13 @@ import (
 	"repro/internal/sched"
 )
 
-// planKernel bundles the packed forest builder and the packed scheduling
-// kernel that together compute one single-pass plan without steady-state
+// planKernel bundles the packed forest builder and the scheduling kernel
+// that together compute one single-pass plan without steady-state
 // allocations. Kernels are pooled: a plan-cache miss borrows one, grows the
 // packed forest in its arenas, schedules it in the kernel's scratch, and
-// only then materializes the immutable legacy Forest/Schedule pair that
-// enters the cache. The pooled arenas persist, so repeated misses of
-// similar size allocate only the cached artefacts themselves.
+// only then materializes the immutable Forest/Schedule pair that enters the
+// cache. The pooled arenas persist, so repeated misses of similar size
+// allocate only the cached artefacts themselves.
 type planKernel struct {
 	builder forest.PackedBuilder
 	sched   sched.Kernel
@@ -37,12 +37,14 @@ func (k *planKernel) schedulePacked(s Scheduler, f *forest.PackedForest, mc int)
 	}
 }
 
-// buildPlan computes the single-pass plan for demand d on the packed path
-// and materializes it into the immutable cached form. The result is
-// bit-identical to the legacy forest.Build + Scheduler.Schedule pipeline
-// (TestPlanPackedMatchesLegacy); the audit runs on the materialized plan, so
-// exactly what enters the cache is what was verified.
-func buildPlan(cfg Config, d int) (*plancache.Plan, error) {
+// BuildPlan computes the single-pass plan for demand d — forest, schedule,
+// stats and peak storage — and materializes it into the immutable form the
+// plan caches hold. It is the one plan builder: stream's own cache misses
+// and the runtime's degraded replans both call it. The audit runs on the
+// materialized plan, so exactly what a cache receives is what was verified.
+// BuildPlan bypasses every cache and ignores cfg.Storage; the frozen
+// fixtures of TestPlannerGolden pin its output.
+func BuildPlan(cfg Config, d int) (*plancache.Plan, error) {
 	k := kernelPool.Get().(*planKernel)
 	defer kernelPool.Put(k)
 	pf, err := forest.BuildPacked(&k.builder, cfg.Base, d)
@@ -54,7 +56,7 @@ func buildPlan(cfg Config, d int) (*plancache.Plan, error) {
 	}
 	f := pf.Materialize()
 	s := k.sched.Materialize(f)
-	// Every plan entering the cache passes the plan-level audit first: a
+	// Every plan entering a cache passes the plan-level audit first: a
 	// structurally broken forest or a storage-profile mismatch is a planner
 	// bug and must never be cached, reused, or executed.
 	if rep := audit.CheckPlan(f, s); !rep.Clean() {

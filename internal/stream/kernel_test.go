@@ -1,126 +1,13 @@
 package stream
 
-import (
-	"testing"
-
-	"repro/internal/forest"
-	"repro/internal/minmix"
-	"repro/internal/mixgraph"
-	"repro/internal/mtcs"
-	"repro/internal/plancache"
-	"repro/internal/protocols"
-	"repro/internal/ratio"
-	"repro/internal/rma"
-	"repro/internal/sched"
-)
-
-// kernelBases returns every (protocol, algorithm) base graph the paper
-// evaluates.
-func kernelBases(t *testing.T) []*mixgraph.Graph {
-	t.Helper()
-	var out []*mixgraph.Graph
-	ratios := []ratio.Ratio{protocols.PCR16().Ratio}
-	for _, p := range protocols.Table2() {
-		ratios = append(ratios, p.Ratio)
-	}
-	for name, build := range map[string]func(ratio.Ratio) (*mixgraph.Graph, error){
-		"MM": minmix.Build, "RMA": rma.Build, "MTCS": mtcs.Build,
-	} {
-		for _, r := range ratios {
-			g, err := build(r)
-			if err != nil {
-				t.Fatalf("%s(%v): %v", name, r, err)
-			}
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-// TestPlanPackedMatchesLegacy certifies the packed miss path: buildPlan's
-// materialized plan is bit-identical — forest, schedule, stats, storage —
-// to the legacy forest.Build + Scheduler.Schedule pipeline.
-func TestPlanPackedMatchesLegacy(t *testing.T) {
-	for _, g := range kernelBases(t) {
-		for _, scheme := range []Scheduler{MMS, SRS} {
-			for _, d := range []int{1, 2, 7, 20} {
-				cfg := Config{Base: g, Mixers: 4, Scheduler: scheme}
-				got, err := buildPlan(cfg, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f, err := forest.Build(g, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, err := scheme.Schedule(f, cfg.Mixers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := plancache.NewPlan(f, s)
-				if sched.Gantt(got.Schedule) != sched.Gantt(want.Schedule) {
-					t.Fatalf("%s d=%d: packed plan renders differently", scheme, d)
-				}
-				if got.Storage != want.Storage ||
-					got.Stats.Waste != want.Stats.Waste ||
-					got.Stats.InputTotal != want.Stats.InputTotal ||
-					got.Stats.Reuses != want.Stats.Reuses ||
-					got.Stats.Targets != want.Stats.Targets {
-					t.Fatalf("%s d=%d: packed plan %+v/%d, legacy %+v/%d",
-						scheme, d, got.Stats, got.Storage, want.Stats, want.Storage)
-				}
-				if err := got.Forest.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				if err := got.Schedule.Validate(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-// TestMaxSinglePassDemandPackedMatchesLegacy pins the packed incremental
-// scan against a from-scratch legacy scan (fresh plans per candidate, no
-// cache short-circuit).
-func TestMaxSinglePassDemandPackedMatchesLegacy(t *testing.T) {
-	plancache.Default().Purge()
-	for _, g := range kernelBases(t)[:6] {
-		for _, scheme := range []Scheduler{MMS, SRS} {
-			for _, storage := range []int{2, 4, 6} {
-				cfg := Config{Base: g, Mixers: 4, Storage: storage, Scheduler: scheme}
-				got, err := MaxSinglePassDemand(cfg, 40)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := 0
-				for d := 2; d <= 40; d += 2 {
-					f, err := forest.Build(g, d)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s, err := scheme.Schedule(f, cfg.Mixers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sched.StorageUnits(s) <= storage {
-						want = d
-					}
-				}
-				if got != want {
-					t.Fatalf("%s q'=%d: packed scan D'=%d, legacy D'=%d", scheme, storage, got, want)
-				}
-			}
-		}
-	}
-}
+import "testing"
 
 // TestDemandScanMemo pins the scan memo: a repeated scan returns the same
 // D' with zero allocations and no schedule recomputation (the serving
 // layer's heavy storage-limited path hammers one spec), and a purged memo
 // recomputes the identical value.
 func TestDemandScanMemo(t *testing.T) {
-	g := kernelBases(t)[0]
+	g := goldenGraphs(t)[0].g
 	cfg := Config{Base: g, Mixers: 4, Storage: 4, Scheduler: SRS}
 	PurgeScanMemo()
 	first, err := MaxSinglePassDemand(cfg, 120)

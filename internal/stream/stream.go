@@ -149,11 +149,11 @@ var ErrStorage = errors.New("stream: base tree needs more storage units than ava
 // single-pass plan for demand d: forest, schedule, stats and peak storage.
 // Plans are pure functions of (base graph, d, mixers, scheduler), so cached
 // plans are exactly what a fresh build would produce; see internal/plancache.
-// Misses build on the packed kernel path (kernel.go).
+// Misses build with BuildPlan (kernel.go).
 func plan(cfg Config, d int) (*plancache.Plan, error) {
 	key := plancache.KeyFor(cfg.Base, d, cfg.Mixers, cfg.Scheduler.String(), plancache.PristinePolicy)
 	return cfg.cache().GetOrBuild(key, func() (*plancache.Plan, error) {
-		return buildPlan(cfg, d)
+		return BuildPlan(cfg, d)
 	})
 }
 
