@@ -430,7 +430,8 @@ func statusFor(err error) int {
 	case errors.Is(err, stream.ErrStorage),
 		errors.Is(err, core.ErrBadConfig),
 		errors.Is(err, core.ErrPersistStorage),
-		errors.Is(err, forest.ErrBadDemand):
+		errors.Is(err, forest.ErrBadDemand),
+		errors.Is(err, forest.ErrArenaOverflow):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, artifact.ErrCorrupt),
 		errors.Is(err, artifact.ErrIntegrity),

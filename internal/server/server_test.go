@@ -117,6 +117,23 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
+// TestDemandPastArenaIsUnprocessable pins the status of a demand whose
+// forest would overflow the packed arena: the client chose it, so it is a
+// 422 with the typed reason, never a 500.
+func TestDemandPastArenaIsUnprocessable(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := PlanRequest{Ratio: "2:1:1:1:1:1:9", Demand: 2_000_000_000, Mixers: 4}
+	for _, endpoint := range []string{"/v1/plan", "/v1/stream"} {
+		var e errorResponse
+		if code := post(t, ts.URL+endpoint, req, &e); code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status = %d (error %q), want 422", endpoint, code, e.Error)
+		}
+		if !strings.Contains(e.Error, "packed arena") {
+			t.Errorf("%s: error %q does not name the arena limit", endpoint, e.Error)
+		}
+	}
+}
+
 func TestStreamEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var resp StreamResponse
