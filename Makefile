@@ -56,12 +56,14 @@ bench-cold:
 bench-routing:
 	$(GO) run ./cmd/benchroute -out results/bench_routing.json
 
-# Short fuzzing passes over the parser, the forest builder, the WAL replayer
+# Short fuzzing passes over the parser, the forest builder, the planner
+# (plan audit, window audit, Pack/Materialize round trip), the WAL replayer
 # and the artifact decoder — enough to replay the corpora and explore a
 # little, not a soak run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseRatio -fuzztime=10s ./internal/ratio
 	$(GO) test -fuzz=FuzzBuildForest -fuzztime=10s ./internal/forest
+	$(GO) test -fuzz=FuzzPlan -fuzztime=10s ./internal/stream
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=10s ./internal/artifact
 
@@ -79,16 +81,16 @@ audit-smoke:
 	test -s "$$tmp/mdst.jsonl" && test -s "$$tmp/chipsim.jsonl"; \
 	echo "audit-smoke: all runs audited clean"
 
-# Planning-kernel old-vs-new measurement run: packed arena forests and the
-# allocation-free MMS/SRS kernel vs the legacy pointer pipeline, plus the
-# warm end-to-end plan request and the incremental demand scan. Bit-identity
-# is verified before anything is measured. Writes results/bench_plan.json
-# (EXPERIMENTS §E10).
+# Planning-kernel measurement run: packed arena forests, the allocation-free
+# MMS/SRS kernel, the warm end-to-end plan request and the incremental
+# demand scan. Writes results/bench_plan_packed.json; results/bench_plan.json
+# stays the recorded legacy-vs-packed comparison of EXPERIMENTS §E10.
 bench-plan:
-	$(GO) run ./cmd/benchplan -out results/bench_plan.json
+	$(GO) run ./cmd/benchplan -out results/bench_plan_packed.json
 
-# Fast wiring check for the same harness: runs the identity checks and one
-# iteration of each workload, writes nothing.
+# Fast wiring check for the same harness: one iteration of each workload,
+# writes nothing. The planner's output is gated by TestPlannerGolden's
+# frozen fixtures (part of `test`), not here.
 bench-plan-smoke:
 	$(GO) run ./cmd/benchplan -smoke
 
