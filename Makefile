@@ -57,14 +57,15 @@ bench-routing:
 	$(GO) run ./cmd/benchroute -out results/bench_routing.json
 
 # Short fuzzing passes over the parser, the forest builder, the planner
-# (plan audit, window audit, Pack/Materialize round trip), the WAL replayer
-# and the artifact decoder — enough to replay the corpora and explore a
-# little, not a soak run.
+# (plan audit, window audit, Pack/Materialize round trip), the WAL replayer,
+# the session-adopt snapshot decoder and the artifact decoder — enough to
+# replay the corpora and explore a little, not a soak run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseRatio -fuzztime=10s ./internal/ratio
 	$(GO) test -fuzz=FuzzBuildForest -fuzztime=10s ./internal/forest
 	$(GO) test -fuzz=FuzzPlan -fuzztime=10s ./internal/stream
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
+	$(GO) test -fuzz=FuzzAdoptSnapshot -fuzztime=10s ./internal/server
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=10s ./internal/artifact
 
 # End-to-end audit smoke: drive the CLIs through planning, streaming, fault

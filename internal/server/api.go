@@ -38,9 +38,11 @@ type PlanRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// ErrorAware asks the planner to select the base graph (MM vs RMA vs
 	// MTCS) by predicted CF error under the chip's noise model instead of
-	// honouring Algorithm — the two are mutually exclusive. Error-aware
-	// plans are stateless (no Session): the selection may re-bind the base
-	// graph per request, which a pinned session timeline cannot express.
+	// honouring Algorithm — the two are mutually exclusive. The selection
+	// runs per request, so each batch of an error-aware session may plan on
+	// a different base graph; the session pins the policy (noise magnitudes
+	// and cycle slack), and its journal, recovery and migration replay the
+	// same choices.
 	ErrorAware bool `json:"error_aware,omitempty"`
 	// SplitImbalance and DispenseError are the chip's physical noise
 	// magnitudes (relative, e.g. 0.05 for ±5%). They drive error-aware
@@ -204,9 +206,6 @@ func parsePlanRequest(req *PlanRequest) (*planSpec, error) {
 	if req.ErrorAware {
 		if req.Algorithm != "" {
 			return nil, fmt.Errorf("error_aware selects the base algorithm; leave algorithm unset")
-		}
-		if req.Session != "" {
-			return nil, fmt.Errorf("error_aware plans are stateless; drop the session or the error_aware flag")
 		}
 		spec.errPolicy = &errormodel.Policy{Params: noise, CycleSlack: req.CycleSlack}
 	}

@@ -510,12 +510,9 @@ func (s *Server) engineFor(req *PlanRequest, spec *planSpec) (eng *core.Engine, 
 	// and with a WAL attached the open record's log position precedes every
 	// batch record of the session.
 	onInsert := func(sess *session) {
-		sess.spec = specToWAL(spec)
+		sess.spec = spec
 		if s.wal != nil {
-			s.wal.AppendAsync(wal.Record{
-				Kind: wal.KindSessionOpen, Session: req.Session,
-				Fingerprint: spec.fingerprint(), Spec: sess.spec,
-			})
+			s.wal.AppendAsync(sessionRecords(req.Session, spec, nil)[0])
 		}
 	}
 	sess, release, err = s.pool.acquire(req.Session, spec.fingerprint(), build, onInsert)

@@ -231,13 +231,14 @@ func TestSessionPoolEviction(t *testing.T) {
 	builds := 0
 	for i := 0; i < 4*sessionShards; i++ {
 		name := fmt.Sprintf("s%d", i)
-		_, err := pool.get(name, "fp", func() (*core.Engine, error) {
+		_, release, err := pool.acquire(name, "fp", func() (*core.Engine, error) {
 			builds++
 			return core.New(core.Config{Target: ratio.MustParse("1:3")})
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		release()
 	}
 	if got := pool.len(); got > sessionShards {
 		t.Errorf("pool holds %d sessions, capacity %d", got, sessionShards)

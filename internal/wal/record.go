@@ -55,13 +55,20 @@ func (k Kind) valid() bool { return k >= KindSessionOpen && k <= KindPlanKey }
 
 // Spec is the engine configuration carried by session-open and plan-key
 // records — exactly the fields a server needs to rebuild the engine (or
-// re-plan the cache key) deterministically after a restart.
+// re-plan the cache key) deterministically after a restart. The error
+// policy fields are set only on error-aware specs, so error-blind records
+// encode as they always have.
 type Spec struct {
 	Ratio     string `json:"ratio"`
 	Algorithm string `json:"algorithm,omitempty"`
 	Scheduler string `json:"scheduler,omitempty"`
 	Mixers    int    `json:"mixers,omitempty"`
 	Storage   int    `json:"storage,omitempty"`
+
+	ErrorAware     bool    `json:"error_aware,omitempty"`
+	SplitImbalance float64 `json:"split_imbalance,omitempty"`
+	DispenseError  float64 `json:"dispense_error,omitempty"`
+	CycleSlack     float64 `json:"cycle_slack,omitempty"`
 }
 
 // Record is one entry of the session log. Seq is assigned by Append and
