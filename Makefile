@@ -58,8 +58,9 @@ bench-routing:
 
 # Short fuzzing passes over the parser, the forest builder, the planner
 # (plan audit, window audit, Pack/Materialize round trip), the WAL replayer,
-# the session-adopt snapshot decoder and the artifact decoder — enough to
-# replay the corpora and explore a little, not a soak run.
+# the session-adopt snapshot decoder, the artifact decoder, dmfbd's request
+# path (every /v1 route: no panic, no 500, no hang) and the -peers parser —
+# enough to replay the corpora and explore a little, not a soak run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseRatio -fuzztime=10s ./internal/ratio
 	$(GO) test -fuzz=FuzzBuildForest -fuzztime=10s ./internal/forest
@@ -67,6 +68,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzAdoptSnapshot -fuzztime=10s ./internal/server
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=10s ./internal/artifact
+	$(GO) test -fuzz=FuzzServeRequest -fuzztime=10s ./internal/server
+	$(GO) test -fuzz=FuzzParsePeers -fuzztime=10s ./internal/cluster
 
 # End-to-end audit smoke: drive the CLIs through planning, streaming, fault
 # recovery and dilution with the invariant auditor live (it is always on) and

@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -172,5 +173,28 @@ func TestAutoLayout(t *testing.T) {
 	}
 	if _, err := AutoLayout(0, 1, 1); err == nil {
 		t.Error("zero fluids accepted")
+	}
+}
+
+// TestAutoLayoutModuleCeiling pins the census limit: exactly MaxModules
+// modules lay out, and one more mixer or storage cell is ErrTooManyModules
+// before anything is allocated.
+func TestAutoLayoutModuleCeiling(t *testing.T) {
+	const fluids, storage = 2, 8
+	atCeiling := MaxModules - fluids - storage - 3
+	l, err := AutoLayout(fluids, atCeiling, storage)
+	if err != nil {
+		t.Fatalf("census of exactly %d modules refused: %v", MaxModules, err)
+	}
+	if got := len(l.Modules); got != MaxModules {
+		t.Fatalf("layout holds %d modules, want %d", got, MaxModules)
+	}
+	for _, c := range []struct{ mixers, storage int }{
+		{atCeiling + 1, storage},
+		{atCeiling, storage + 1},
+	} {
+		if _, err := AutoLayout(fluids, c.mixers, c.storage); !errors.Is(err, ErrTooManyModules) {
+			t.Errorf("AutoLayout(%d, %d, %d) = %v, want ErrTooManyModules", fluids, c.mixers, c.storage, err)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package chip
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // The lattice floorplan: modules sit on a coarse grid with one-electrode
 // routing channels between them, the standard cross-referencing style of
@@ -99,16 +102,29 @@ func PCRLayout() *Layout {
 	return l
 }
 
+// MaxModules bounds the module census of an AutoLayout floorplan. Routing
+// keeps a module-by-module transport matrix, so the census sets its size:
+// 1024 modules make a 4 MiB matrix.
+const MaxModules = 1024
+
+// ErrTooManyModules rejects an AutoLayout census above MaxModules.
+var ErrTooManyModules = errors.New("chip: module census exceeds the floorplan limit")
+
 // AutoLayout builds a lattice floorplan for an arbitrary protocol: nFluids
 // reservoirs (Ri dispensing fluid i-1), nMixers mixers, nStorage storage
 // cells, two waste reservoirs and an output port. Reservoirs fill the west
 // columns, mixers the next column block, storage after them — the same
 // discipline as the PCR reference floorplan, at whatever lattice size fits.
+// A census above MaxModules is ErrTooManyModules.
 func AutoLayout(nFluids, nMixers, nStorage int) (*Layout, error) {
 	if nFluids < 1 || nMixers < 1 || nStorage < 0 {
 		return nil, fmt.Errorf("chip: invalid census %d/%d/%d", nFluids, nMixers, nStorage)
 	}
 	total := nFluids + nMixers + nStorage + 3
+	if nFluids > MaxModules || nMixers > MaxModules || nStorage > MaxModules || total > MaxModules {
+		return nil, fmt.Errorf("%w: %d reservoirs, %d mixers, %d storage cells and 3 ports, limit %d modules",
+			ErrTooManyModules, nFluids, nMixers, nStorage, MaxModules)
+	}
 	// Pick a near-square lattice with enough slots.
 	rows := 3
 	for ; rows*rows < total; rows++ {

@@ -28,6 +28,13 @@ var (
 	ErrPeerDown = errors.New("cluster: peer unavailable")
 	// ErrUnknownPeer reports an owner ID outside the configured membership.
 	ErrUnknownPeer = errors.New("cluster: unknown peer")
+	// ErrNotMember reports a membership change naming an ID outside the
+	// ring. It wraps ErrUnknownPeer.
+	ErrNotMember = fmt.Errorf("%w: not a member", ErrUnknownPeer)
+	// ErrBadPeer reports a malformed peer or membership change: an empty or
+	// duplicate ID, a URL that is not an absolute http(s) base URL, or this
+	// node itself.
+	ErrBadPeer = errors.New("cluster: bad peer")
 )
 
 // ReplicaHeader marks an artifact PUT as originating from the replication
@@ -43,23 +50,50 @@ type Peer struct {
 }
 
 // ParsePeers parses the -peers flag form "id=http://host:port,id2=...".
+// Every entry must pass checkPeer, and IDs must be unique.
 func ParsePeers(s string) ([]Peer, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
 	var peers []Peer
+	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		id, url, ok := strings.Cut(part, "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("cluster: bad peer %q (want id=url)", part)
+		id, rawURL, ok := strings.Cut(part, "=")
+		if !ok {
+			return nil, fmt.Errorf("%w: %q (want id=url)", ErrBadPeer, part)
 		}
-		peers = append(peers, Peer{ID: id, URL: strings.TrimRight(url, "/")})
+		p, err := checkPeer(Peer{ID: id, URL: rawURL})
+		if err != nil {
+			return nil, err
+		}
+		if seen[p.ID] {
+			return nil, fmt.Errorf("%w: duplicate peer ID %q", ErrBadPeer, p.ID)
+		}
+		seen[p.ID] = true
+		peers = append(peers, p)
 	}
 	return peers, nil
+}
+
+// checkPeer is the one rule for a peer entry, shared by ParsePeers, NewNode
+// and AddPeer (and so the members endpoint): a non-empty ID and an absolute
+// http(s) base URL without query or fragment. It returns the peer with its
+// URL's trailing slashes trimmed.
+func checkPeer(p Peer) (Peer, error) {
+	p.URL = strings.TrimRight(p.URL, "/")
+	u, err := url.Parse(p.URL)
+	switch {
+	case p.ID == "":
+		return p, fmt.Errorf("%w: %+v needs an ID", ErrBadPeer, p)
+	case err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" ||
+		u.RawQuery != "" || u.Fragment != "":
+		return p, fmt.Errorf("%w: %q needs an absolute http(s) URL, got %q", ErrBadPeer, p.ID, p.URL)
+	}
+	return p, nil
 }
 
 // Config describes one node's view of the cluster.
@@ -113,7 +147,7 @@ type Node struct {
 // (every key is local), so call sites can disable clustering by passing nil.
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
-		return nil, errors.New("cluster: node needs a non-empty self ID")
+		return nil, fmt.Errorf("%w: node needs a non-empty self ID", ErrBadPeer)
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
@@ -131,17 +165,18 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	members := []string{cfg.Self}
 	for _, p := range cfg.Peers {
-		if p.ID == cfg.Self {
-			return nil, fmt.Errorf("cluster: peer list contains self (%q)", p.ID)
+		p, err := checkPeer(p)
+		if err != nil {
+			return nil, err
 		}
-		if p.ID == "" || p.URL == "" {
-			return nil, fmt.Errorf("cluster: peer %+v needs both ID and URL", p)
+		if p.ID == cfg.Self {
+			return nil, fmt.Errorf("%w: peer list contains self (%q)", ErrBadPeer, p.ID)
 		}
 		if _, dup := n.peers[p.ID]; dup {
-			return nil, fmt.Errorf("cluster: duplicate peer ID %q", p.ID)
+			return nil, fmt.Errorf("%w: duplicate peer ID %q", ErrBadPeer, p.ID)
 		}
 		n.peers[p.ID] = &peerState{
-			url:     strings.TrimRight(p.URL, "/"),
+			url:     p.URL,
 			breaker: fleet.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, 0),
 		}
 		members = append(members, p.ID)
@@ -167,20 +202,21 @@ func (n *Node) AddPeer(p Peer) error {
 	if n == nil {
 		return errors.New("cluster: no cluster configured")
 	}
-	if p.ID == "" || p.URL == "" {
-		return fmt.Errorf("cluster: peer %+v needs both ID and URL", p)
+	p, err := checkPeer(p)
+	if err != nil {
+		return err
 	}
 	if p.ID == n.self {
-		return fmt.Errorf("cluster: cannot join self (%q)", p.ID)
+		return fmt.Errorf("%w: cannot join self (%q)", ErrBadPeer, p.ID)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if ps, ok := n.peers[p.ID]; ok {
-		ps.url = strings.TrimRight(p.URL, "/")
+		ps.url = p.URL
 		return nil
 	}
 	n.peers[p.ID] = &peerState{
-		url:     strings.TrimRight(p.URL, "/"),
+		url:     p.URL,
 		breaker: fleet.NewBreaker(n.breakerThreshold, n.breakerCooldown, 0),
 	}
 	n.ring.Store(n.ring.Load().With(p.ID))
@@ -189,19 +225,19 @@ func (n *Node) AddPeer(p Peer) error {
 }
 
 // RemovePeer removes a member from the ring at runtime (atomic ring swap,
-// peer client dropped). Removing an unknown peer is an error; the node can
-// never remove itself.
+// peer client dropped). Removing an unknown peer is ErrNotMember; the node
+// can never remove itself (ErrBadPeer).
 func (n *Node) RemovePeer(id string) error {
 	if n == nil {
 		return errors.New("cluster: no cluster configured")
 	}
 	if id == n.self {
-		return fmt.Errorf("cluster: cannot remove self (%q)", id)
+		return fmt.Errorf("%w: cannot remove self (%q)", ErrBadPeer, id)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.peers[id]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownPeer, id)
+		return fmt.Errorf("%w: %q", ErrNotMember, id)
 	}
 	delete(n.peers, id)
 	n.ring.Store(n.ring.Load().Without(id))

@@ -56,6 +56,11 @@ type PlanRequest struct {
 	CycleSlack float64 `json:"cycle_slack,omitempty"`
 }
 
+// plan and check make a PlanRequest the planBody of /v1/plan and /v1/stream;
+// the requests embedding it inherit plan.
+func (r *PlanRequest) plan() *PlanRequest { return r }
+func (r *PlanRequest) check() error       { return nil }
+
 // ExecuteRequest is the JSON body of POST /v1/execute: a plan request plus
 // cyberphysical execution knobs.
 type ExecuteRequest struct {
@@ -169,6 +174,9 @@ func parsePlanRequest(req *PlanRequest) (*planSpec, error) {
 	if err != nil {
 		return nil, err
 	}
+	if target.N() < 2 {
+		return nil, fmt.Errorf("ratio %s needs no mixing: name at least two fluids", target)
+	}
 	if req.Demand <= 0 {
 		return nil, fmt.Errorf("demand must be positive, got %d", req.Demand)
 	}
@@ -190,10 +198,12 @@ func parsePlanRequest(req *PlanRequest) (*planSpec, error) {
 	default:
 		return nil, fmt.Errorf("unknown scheduler %q (want MMS or SRS)", req.Scheduler)
 	}
-	noise := errormodel.Params{SplitImbalance: req.SplitImbalance, DispenseError: req.DispenseError}
-	if noise.SplitImbalance < 0 || noise.SplitImbalance >= 0.5 ||
-		noise.DispenseError < 0 || noise.DispenseError >= 0.5 || req.CycleSlack < 0 {
-		return nil, fmt.Errorf("split_imbalance and dispense_error must be in [0, 0.5) and cycle_slack non-negative")
+	pol := errormodel.Policy{
+		Params:     errormodel.Params{SplitImbalance: req.SplitImbalance, DispenseError: req.DispenseError},
+		CycleSlack: req.CycleSlack,
+	}
+	if err := pol.Validate(); err != nil {
+		return nil, fmt.Errorf("split_imbalance and dispense_error must be in [0, 0.5) and cycle_slack non-negative: %w", err)
 	}
 	spec := &planSpec{
 		target:    target,
@@ -207,7 +217,8 @@ func parsePlanRequest(req *PlanRequest) (*planSpec, error) {
 		if req.Algorithm != "" {
 			return nil, fmt.Errorf("error_aware selects the base algorithm; leave algorithm unset")
 		}
-		spec.errPolicy = &errormodel.Policy{Params: noise, CycleSlack: req.CycleSlack}
+		p := pol // copied here, so only error-aware requests allocate a policy
+		spec.errPolicy = &p
 	}
 	return spec, nil
 }
@@ -238,10 +249,11 @@ func (s *planSpec) planKey(eng *core.Engine) plancache.Key {
 	return plancache.KeyFor(eng.Base(), s.demand, eng.Mixers(), s.scheduler.String(), plancache.PristinePolicy)
 }
 
-// planResponse summarizes a stream.Result. Error-aware plans report the
-// selected base algorithm and the analytic error prediction of the plan
-// actually returned.
-func planResponse(spec *planSpec, res *stream.Result, mixers int) PlanResponse {
+// planResponse summarizes a planned batch as a /v1/plan response.
+// Error-aware plans report the selected base algorithm and the analytic
+// error prediction of the plan actually returned.
+func planResponse(spec *planSpec, eng *core.Engine, b *core.Batch) PlanResponse {
+	res := b.Result
 	algorithm := spec.algorithm.String()
 	if res.Selection != nil {
 		algorithm = res.Selection.Algorithm
@@ -250,7 +262,7 @@ func planResponse(spec *planSpec, res *stream.Result, mixers int) PlanResponse {
 		Ratio:         spec.target.String(),
 		Algorithm:     algorithm,
 		Scheduler:     spec.scheduler.String(),
-		Mixers:        mixers,
+		Mixers:        eng.Mixers(),
 		Storage:       spec.storage,
 		Demand:        res.Demand,
 		Emitted:       res.Emitted,
@@ -258,6 +270,7 @@ func planResponse(spec *planSpec, res *stream.Result, mixers int) PlanResponse {
 		TotalInputs:   res.TotalInputs,
 		TotalWaste:    res.TotalWaste,
 		FirstEmission: res.FirstEmission(),
+		StartCycle:    b.StartCycle,
 	}
 	if res.Selection != nil {
 		resp.ErrorAware = true

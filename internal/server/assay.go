@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"repro/internal/fleet"
@@ -44,6 +43,14 @@ type AssayResponse struct {
 	MaxCFError    float64 `json:"max_cf_error"`
 }
 
+// check refuses session routing: assays are fleet-scheduled.
+func (r *AssayRequest) check() error {
+	if r.Session != "" {
+		return errors.New("assays are fleet-scheduled; session routing does not apply")
+	}
+	return nil
+}
+
 // serveAssay answers POST /v1/assay: schedule the assay over the chip
 // fleet, execute it closed-loop on the placed chip, reassigning across
 // chips on unrecoverable failure. Fleet saturation maps to 429, a hopeless
@@ -54,18 +61,11 @@ func (s *Server) serveAssay(ctx context.Context, r *http.Request) (any, error) {
 		return nil, errFleetDisabled
 	}
 	var req AssayRequest
-	if err := decode(r, &req); err != nil {
+	spec, ctx, cancel, err := s.intake(ctx, r, &req)
+	if err != nil {
 		return nil, err
 	}
-	if req.Session != "" {
-		return nil, &errBadRequest{fmt.Errorf("assays are fleet-scheduled; session routing does not apply")}
-	}
-	spec, err := parsePlanRequest(&req.PlanRequest)
-	if err != nil {
-		return nil, &errBadRequest{err}
-	}
-	ctx, cancelCtx := context.WithTimeout(ctx, s.timeout(req.TimeoutMS))
-	defer cancelCtx()
+	defer cancel()
 	res, err := s.fleet.Run(ctx, fleet.AssaySpec{
 		Target:    spec.target,
 		Algorithm: spec.algorithm,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"repro/internal/artifact"
 	"repro/internal/cluster"
@@ -68,9 +67,25 @@ func (s *Server) background(fn func()) {
 	}()
 }
 
-// errArtifactsDisabled reports artifact endpoints on a server without a
-// configured artifact store or cluster. HTTP 501.
-var errArtifactsDisabled = errors.New("server: artifact tier not configured (start with -artifact-dir or -peers)")
+// Typed artifact-endpoint errors.
+var (
+	// errArtifactsDisabled reports artifact endpoints on a server without a
+	// configured artifact store or cluster. HTTP 501.
+	errArtifactsDisabled = errors.New("server: artifact tier not configured (start with -artifact-dir or -peers)")
+	// errArtifactNotFound reports a GET for an address the warm tier does
+	// not hold. HTTP 404.
+	errArtifactNotFound = errors.New("no artifact")
+)
+
+// readBody reads a binary request body — an artifact or a session snapshot
+// — of at most maxArtifactBody bytes.
+func readBody(r *http.Request) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxArtifactBody))
+	if err != nil {
+		return nil, &errBadRequest{err}
+	}
+	return data, nil
+}
 
 // cache resolves the server's plan cache (the process-wide default unless
 // Config.PlanCache isolated one).
@@ -264,45 +279,36 @@ func (s *Server) sessionOwner(name string) string {
 // serveArtifactGet answers GET /v1/artifact/{addr} from the warm disk tier.
 // Bytes are served as stored — the peer verifies on its side (and we
 // verified before storing), so the read path stays one ReadFile.
-func (s *Server) serveArtifactGet(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("server.requests.artifact_get")
+func (s *Server) serveArtifactGet(_ context.Context, r *http.Request) (any, error) {
 	if s.artifacts == nil {
-		writeError(w, http.StatusNotImplemented, errArtifactsDisabled)
-		return
+		return nil, errArtifactsDisabled
 	}
 	addr := r.PathValue("addr")
 	data, ok := s.artifacts.Get(addr)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no artifact %s", addr))
-		return
+		return nil, fmt.Errorf("%w %s", errArtifactNotFound, addr)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
+	return data, nil
 }
 
 // serveArtifactPut answers PUT /v1/artifact/{addr}: verify, check the
 // address really is the artifact's content address, promote, store. A
 // corrupt or misaddressed artifact is refused with a typed 422 — the warm
 // tier never holds bytes that failed verification.
-func (s *Server) serveArtifactPut(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("server.requests.artifact_put")
+func (s *Server) serveArtifactPut(_ context.Context, r *http.Request) (any, error) {
 	if s.artifacts == nil {
-		writeError(w, http.StatusNotImplemented, errArtifactsDisabled)
-		return
+		return nil, errArtifactsDisabled
 	}
 	addr := r.PathValue("addr")
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxArtifactBody))
+	data, err := readBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	if err := s.adopt(addr, data); err != nil {
-		writeError(w, statusFor(err), err)
-		return
+		return nil, err
 	}
 	if err := s.artifacts.Put(addr, data); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
 	// An owner accepting a client PUT fans it out to its ring successors,
 	// async off the request path. Pushes arriving from the replication
@@ -311,52 +317,36 @@ func (s *Server) serveArtifactPut(w http.ResponseWriter, r *http.Request) {
 	if s.clusterNode != nil && s.clusterNode.Owns(addr) && r.Header.Get(cluster.ReplicaHeader) == "" {
 		s.background(func() { s.pushReplicas(addr, data) })
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return nil, nil
+}
+
+// buildRequest is the JSON body of POST /v1/artifact/build: a plan request
+// whose plan is content-addressed, so stateless, storage-unlimited and
+// error-blind (see distributable).
+type buildRequest struct{ PlanRequest }
+
+func (r *buildRequest) check() error {
+	if r.Session != "" || r.Storage != 0 || r.ErrorAware {
+		return errors.New("build endpoint takes stateless storage-unlimited plans only")
+	}
+	return nil
 }
 
 // serveArtifactBuild answers POST /v1/artifact/build — the owner half of the
-// cross-node single-flight. The body is a stateless PlanRequest; the
-// response is the encoded artifact. The plan comes from the stateless
-// planning path without its peer rung (the caller is the peer), so a warm
-// LRU or disk tier answers without building. Concurrent builds of one spec
-// coalesce on the flight group, so a thundering herd of followers costs one
-// build. Build requests pass admission control like any planning work.
-func (s *Server) serveArtifactBuild(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("server.requests.artifact_build")
-	if s.recovering.Load() {
-		writeError(w, http.StatusServiceUnavailable, errRecovering)
-		return
-	}
-	release, err := s.admit(r.Context())
+// cross-node single-flight. The response is the encoded artifact. The plan
+// comes from the stateless planning path without its peer rung (the caller
+// is the peer), so a warm LRU or disk tier answers without building.
+// Concurrent builds of one spec coalesce on the flight group, so a
+// thundering herd of followers costs one build.
+func (s *Server) serveArtifactBuild(ctx context.Context, r *http.Request) (any, error) {
+	var req buildRequest
+	spec, ctx, cancel, err := s.intake(ctx, r, &req)
 	if err != nil {
-		var rej *errRejected
-		if errors.As(err, &rej) {
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
-			writeError(w, rej.status, err)
-			return
-		}
-		writeError(w, statusFor(err), err)
-		return
+		return nil, err
 	}
-	defer release()
-
-	var req PlanRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, err := parsePlanRequest(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, &errBadRequest{err})
-		return
-	}
-	if !distributable(&req, spec) {
-		writeError(w, http.StatusBadRequest,
-			&errBadRequest{errors.New("build endpoint takes stateless storage-unlimited plans only")})
-		return
-	}
-	v, err, shared := s.flights.do(r.Context(), spec.flightKey("artifact"), func() (any, error) {
-		_, _, key, err := s.planStateless(r.Context(), &req, spec, true)
+	defer cancel()
+	v, err, _ := s.flights.do(ctx, spec.flightKey("artifact"), func() (any, error) {
+		_, _, key, err := s.planStateless(ctx, &req.PlanRequest, spec, true)
 		if err != nil {
 			return nil, err
 		}
@@ -366,15 +356,7 @@ func (s *Server) serveArtifactBuild(w http.ResponseWriter, r *http.Request) {
 		}
 		return artifact.Encode(key, p)
 	})
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	if shared {
-		obs.Inc("server.flights.coalesced")
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(v.([]byte))
+	return v, err
 }
 
 // clusterReady summarizes the cluster tier for /healthz/ready.

@@ -463,10 +463,9 @@ func (s *Server) warmPlanKey(ctx context.Context, spec *planSpec) error {
 
 // serveRecovery answers GET /v1/recovery with the last recovery report (or
 // a stub when the server runs without a WAL / has not recovered).
-func (s *Server) serveRecovery(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) serveRecovery(context.Context, *http.Request) (any, error) {
 	if rep := s.recovery.Load(); rep != nil {
-		writeJSON(w, http.StatusOK, rep)
-		return
+		return rep, nil
 	}
-	writeJSON(w, http.StatusOK, &RecoveryReport{WAL: s.wal != nil})
+	return &RecoveryReport{WAL: s.wal != nil}, nil
 }

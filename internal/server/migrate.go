@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/cluster"
@@ -49,6 +48,9 @@ var (
 	errSessionNotFound = errors.New("server: session not resident on this node")
 	// errClusterDisabled reports cluster endpoints without a cluster. HTTP 501.
 	errClusterDisabled = errors.New("server: cluster tier not configured (start with -peers)")
+	// errSnapshotRejected refuses an adopt whose snapshot does not decode,
+	// fold or replay to a verified timeline. HTTP 422.
+	errSnapshotRejected = errors.New("server: adopt snapshot rejected")
 )
 
 // errSessionMoved carries a 307 redirect to the node holding a session.
@@ -103,11 +105,9 @@ type migrateResponse struct {
 // serveSessionMigrate answers POST /v1/session/{id}/migrate[?target=node]:
 // the admin path shipping a resident session to another member (default:
 // the session key's ring owner).
-func (s *Server) serveSessionMigrate(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("server.requests.session_migrate")
+func (s *Server) serveSessionMigrate(ctx context.Context, r *http.Request) (any, error) {
 	if s.clusterNode == nil {
-		writeError(w, http.StatusNotImplemented, errClusterDisabled)
-		return
+		return nil, errClusterDisabled
 	}
 	name := r.PathValue("id")
 	target := r.URL.Query().Get("target")
@@ -115,16 +115,9 @@ func (s *Server) serveSessionMigrate(w http.ResponseWriter, r *http.Request) {
 		target = s.clusterNode.Owner("session|" + name)
 	}
 	if target == "" || target == s.clusterNode.Self() {
-		writeError(w, http.StatusBadRequest,
-			&errBadRequest{fmt.Errorf("migration target %q is this node; nothing to move", target)})
-		return
+		return nil, &errBadRequest{fmt.Errorf("migration target %q is this node; nothing to move", target)}
 	}
-	resp, err := s.migrateSession(r.Context(), name, target)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.migrateSession(ctx, name, target)
 }
 
 // migrateSession runs the fence → snapshot → ship → delete protocol for one
@@ -189,57 +182,41 @@ type adoptResponse struct {
 // with the no-salvage wire parser, folded through the recovery state machine,
 // and replayed onto a fresh engine with the logged start-cycle/emitted
 // verified batch by batch. Only a bit-identical replay is acked 2xx; any
-// divergence, corruption or inconsistency is a typed 422 and nothing is
-// adopted. Re-adopting an already-resident session with the same fingerprint
-// is idempotent (the retried ship after a lost ack); a different fingerprint
-// is a 409.
-func (s *Server) serveSessionAdopt(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("server.requests.session_adopt")
+// divergence, corruption or inconsistency is errSnapshotRejected (422) and
+// nothing is adopted. Re-adopting an already-resident session with the same
+// fingerprint is idempotent (the retried ship after a lost ack); a different
+// fingerprint is a 409.
+func (s *Server) serveSessionAdopt(ctx context.Context, r *http.Request) (any, error) {
 	if s.clusterNode == nil {
-		writeError(w, http.StatusNotImplemented, errClusterDisabled)
-		return
-	}
-	if s.recovering.Load() {
-		writeError(w, http.StatusServiceUnavailable, errRecovering)
-		return
-	}
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-		return
+		return nil, errClusterDisabled
 	}
 	name := r.PathValue("id")
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxArtifactBody))
+	data, err := readBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	rs, err := decodeSnapshot(name, data)
 	if err != nil {
 		obs.Inc("server.sessions.adopt_rejected")
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+		return nil, err
 	}
 
 	if sess, release, ok := s.pool.peek(name); ok {
 		same := sess.fp == rs.spec.fingerprint()
 		release()
 		if !same {
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("%w: adopt of %q", errSessionConflict, name))
-			return
+			return nil, fmt.Errorf("%w: adopt of %q", errSessionConflict, name)
 		}
 		// Retried ship after a lost ack: the timeline is already here.
-		writeJSON(w, http.StatusOK, adoptResponse{Session: name, Batches: len(rs.batches)})
-		return
+		return adoptResponse{Session: name, Batches: len(rs.batches)}, nil
 	}
 
-	history, _, replayed, err := s.replaySession(r.Context(), rs)
+	history, _, replayed, err := s.replaySession(ctx, rs)
 	if err != nil {
 		// Replay divergence is the typed integrity failure of the protocol:
 		// refuse the adopt so the source keeps the (only true) timeline.
 		obs.Inc("server.sessions.adopt_rejected")
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+		return nil, fmt.Errorf("%w: %w", errSnapshotRejected, err)
 	}
 	// The session now lives here: journal it before acking, so a crash on
 	// this node after the source deleted still recovers the timeline.
@@ -248,8 +225,7 @@ func (s *Server) serveSessionAdopt(w http.ResponseWriter, r *http.Request) {
 			s.wal.AppendAsync(rec)
 		}
 		if err := s.wal.Sync(); err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("server: journal adopted session: %w", err))
-			return
+			return nil, fmt.Errorf("server: journal adopted session: %w", err)
 		}
 	}
 	// If this node had previously shipped the session away, the move is
@@ -258,32 +234,33 @@ func (s *Server) serveSessionAdopt(w http.ResponseWriter, r *http.Request) {
 	delete(s.migrated, name)
 	s.migratedMu.Unlock()
 	obs.Inc("server.sessions.adopted")
-	writeJSON(w, http.StatusOK, adoptResponse{Session: name, Batches: len(rs.batches), Replayed: replayed})
+	return adoptResponse{Session: name, Batches: len(rs.batches), Replayed: replayed}, nil
 }
 
 // decodeSnapshot decodes an adopt body into the one session it carries.
 // The frames decode without repair and fold as a boot log does; the fold
 // must hold exactly one session — named by the path, opened with a valid
-// spec, consistent and not evicted — and no plan-key records.
+// spec, consistent and not evicted — and no plan-key records. Every
+// refusal is errSnapshotRejected.
 func decodeSnapshot(name string, data []byte) (*recSession, error) {
 	recs, err := wal.DecodeFrames(data)
 	if err != nil {
-		return nil, fmt.Errorf("server: adopt snapshot: %w", err)
+		return nil, fmt.Errorf("%w: %w", errSnapshotRejected, err)
 	}
 	f := foldRecords(recs)
 	if len(f.planKeys) > 0 {
-		return nil, fmt.Errorf("server: adopt snapshot for %q carries plan-key records", name)
+		return nil, fmt.Errorf("%w: snapshot for %q carries plan-key records", errSnapshotRejected, name)
 	}
 	if len(f.sessions) != 1 {
-		return nil, fmt.Errorf("server: adopt snapshot for %q holds %d sessions, want 1", name, len(f.sessions))
+		return nil, fmt.Errorf("%w: snapshot for %q holds %d sessions, want 1", errSnapshotRejected, name, len(f.sessions))
 	}
 	switch rs := f.sessions[0]; {
 	case rs.name != name:
-		return nil, fmt.Errorf("server: adopt snapshot for %q names session %q", name, rs.name)
+		return nil, fmt.Errorf("%w: snapshot for %q names session %q", errSnapshotRejected, name, rs.name)
 	case rs.broken != "":
-		return nil, fmt.Errorf("server: adopt snapshot for %q inconsistent: %s", name, rs.broken)
+		return nil, fmt.Errorf("%w: snapshot for %q inconsistent: %s", errSnapshotRejected, name, rs.broken)
 	case rs.evicted:
-		return nil, fmt.Errorf("server: adopt snapshot for %q carries an eviction", name)
+		return nil, fmt.Errorf("%w: snapshot for %q carries an eviction", errSnapshotRejected, name)
 	default:
 		return rs, nil
 	}
@@ -312,36 +289,25 @@ type membersResponse struct {
 // this node is shipped to its new owner. Migration failures are reported,
 // never silent — the session stays resident and serves locally until a
 // retry succeeds.
-func (s *Server) serveClusterMembers(w http.ResponseWriter, r *http.Request) {
-	obs.Inc("server.requests.cluster_members")
+func (s *Server) serveClusterMembers(ctx context.Context, r *http.Request) (any, error) {
 	if s.clusterNode == nil {
-		writeError(w, http.StatusNotImplemented, errClusterDisabled)
-		return
+		return nil, errClusterDisabled
 	}
 	var req memberChange
 	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
+	var err error
 	switch req.Action {
 	case "join":
-		if err := s.clusterNode.AddPeer(cluster.Peer{ID: req.ID, URL: req.URL}); err != nil {
-			writeError(w, http.StatusBadRequest, &errBadRequest{err})
-			return
-		}
+		err = s.clusterNode.AddPeer(cluster.Peer{ID: req.ID, URL: req.URL})
 	case "leave":
-		if err := s.clusterNode.RemovePeer(req.ID); err != nil {
-			st := http.StatusBadRequest
-			if errors.Is(err, cluster.ErrUnknownPeer) {
-				st = http.StatusNotFound
-			}
-			writeError(w, st, err)
-			return
-		}
+		err = s.clusterNode.RemovePeer(req.ID)
 	default:
-		writeError(w, http.StatusBadRequest,
-			&errBadRequest{fmt.Errorf("unknown action %q (want join or leave)", req.Action)})
-		return
+		err = &errBadRequest{fmt.Errorf("unknown action %q (want join or leave)", req.Action)}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Drain work keyed by the old ring before migrating against the new one.
@@ -355,11 +321,11 @@ func (s *Server) serveClusterMembers(w http.ResponseWriter, r *http.Request) {
 		if owner == "" || owner == self {
 			continue
 		}
-		if _, err := s.migrateSession(r.Context(), sess.name, owner); err != nil {
+		if _, err := s.migrateSession(ctx, sess.name, owner); err != nil {
 			resp.Failed = append(resp.Failed, FailedSession{Session: sess.name, Error: err.Error()})
 			continue
 		}
 		resp.Migrated = append(resp.Migrated, sess.name)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }

@@ -13,6 +13,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/errormodel"
 	"repro/internal/forest"
@@ -98,8 +99,11 @@ func runErrorAware(ctx context.Context, cfg Config, demand int) (*Result, error)
 	}
 	// Admission: within (1+slack) of the cycle-optimal candidate. The limit
 	// rounds up so slack fractions of a cycle never exclude the optimum's
-	// own ties.
-	sel.CycleLimit = minCycles + int(pol.CycleSlack*float64(minCycles)+0.999999)
+	// own ties; a slack too large for an int admits every candidate.
+	sel.CycleLimit = math.MaxInt
+	if extra := pol.CycleSlack*float64(minCycles) + 0.999999; extra < math.MaxInt/2 {
+		sel.CycleLimit = minCycles + int(extra)
+	}
 	best := -1
 	for i := range plans {
 		if plans[i].res.TotalCycles > sel.CycleLimit {

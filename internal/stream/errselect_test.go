@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/errormodel"
@@ -231,6 +232,43 @@ func BenchmarkErrorAwareSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg, 8); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestErrorAwareHugeSlackAdmitsAll pins the overflow fix: a cycle slack so
+// large that (1+slack)·cycles exceeds an int caps the limit at math.MaxInt,
+// admitting every candidate, instead of wrapping negative and selecting none.
+func TestErrorAwareHugeSlackAdmitsAll(t *testing.T) {
+	mm, rm, mt := ex1Bases(t)
+	for _, slack := range []float64{1e18, 1e30, math.MaxFloat64} {
+		res, err := Run(Config{
+			Base:       mm,
+			Mixers:     4,
+			Candidates: []*mixgraph.Graph{rm, mt},
+			ErrorPolicy: &errormodel.Policy{
+				Params:     errormodel.Params{SplitImbalance: 0.05},
+				CycleSlack: slack,
+			},
+		}, 8)
+		if err != nil {
+			t.Fatalf("slack %g: %v", slack, err)
+		}
+		sel := res.Selection
+		if sel.CycleLimit != math.MaxInt {
+			t.Errorf("slack %g: cycle limit %d, want math.MaxInt", slack, sel.CycleLimit)
+		}
+		selected := 0
+		for _, c := range sel.Candidates {
+			if !c.Admissible {
+				t.Errorf("slack %g: candidate %s inadmissible", slack, c.Algorithm)
+			}
+			if c.Selected {
+				selected++
+			}
+		}
+		if selected != 1 {
+			t.Errorf("slack %g: %d candidates selected, want 1", slack, selected)
 		}
 	}
 }
