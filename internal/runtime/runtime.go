@@ -59,7 +59,7 @@ func Run(s *sched.Schedule, l *chip.Layout, inj *faults.Injector, pol Policy) (*
 // cancel.ErrCanceled, so a server can bound request latency without leaking
 // half-executed goroutines.
 func RunCtx(ctx context.Context, s *sched.Schedule, l *chip.Layout, inj *faults.Injector, pol Policy) (*Report, error) {
-	return runOne(ctx, s, l, inj, pol, 0)
+	return runOne(ctx, s, l, inj, pol, 0, nil)
 }
 
 // RunStream executes every pass of a multi-pass stream plan in order, each
@@ -81,7 +81,7 @@ func RunStreamCtx(ctx context.Context, res *stream.Result, l *chip.Layout, inj *
 		if err := cancel.Check(ctx); err != nil {
 			return agg, fmt.Errorf("runtime: pass starting at cycle %d: %w", pass.StartCycle, err)
 		}
-		r, err := runOne(ctx, pass.Schedule, l, inj, pol, pass.StartCycle-1)
+		r, err := runOne(ctx, pass.Schedule, l, inj, pol, pass.StartCycle-1, res.Config.Cache)
 		if r != nil {
 			agg.Passes = append(agg.Passes, r)
 			agg.absorb(r)
@@ -125,7 +125,7 @@ func (r *Report) absorb(p *Report) {
 	}
 }
 
-func runOne(ctx context.Context, s *sched.Schedule, l *chip.Layout, inj *faults.Injector, pol Policy, offset int) (*Report, error) {
+func runOne(ctx context.Context, s *sched.Schedule, l *chip.Layout, inj *faults.Injector, pol Policy, offset int, cache *plancache.Cache) (*Report, error) {
 	pol = pol.withDefaults()
 	basePlan, err := exec.Execute(s, l)
 	if err != nil {
@@ -143,6 +143,7 @@ func runOne(ctx context.Context, s *sched.Schedule, l *chip.Layout, inj *faults.
 	}
 	e := &executor{
 		ctx:     ctx,
+		cache:   cache,
 		pol:     pol,
 		inj:     inj,
 		rep:     rep,
@@ -252,6 +253,7 @@ type executor struct {
 	// ctx is the run's cancellation scope, checked at every cycle boundary
 	// of the replay and at every recovery replan chunk.
 	ctx    context.Context
+	cache  *plancache.Cache // of the plan run; degraded replans use it
 	pol    Policy
 	inj    *faults.Injector
 	rep    *Report
@@ -978,12 +980,9 @@ func (e *executor) bindChunk(order []string, base *mixgraph.Graph, demand, mixer
 			scheme = stream.SRS
 		}
 		// Degraded replans are built and audited by the same plan builder
-		// as pristine plans; the key keeps them apart in the cache.
-		p, err := plancache.Default().GetOrBuild(
-			plancache.KeyFor(base, demand, mixers, name, e.pol.Fingerprint()),
-			func() (*plancache.Plan, error) {
-				return stream.BuildPlan(stream.Config{Base: base, Mixers: mixers, Scheduler: scheme}, demand)
-			})
+		// as pristine plans; the policy key keeps them apart in the cache.
+		p, err := stream.Plan(e.ctx, stream.Config{Base: base, Mixers: mixers, Scheduler: scheme, Cache: e.cache},
+			demand, e.pol.Fingerprint())
 		if err != nil {
 			lastErr = err
 			continue

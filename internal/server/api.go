@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/errormodel"
-	"repro/internal/plancache"
 	"repro/internal/ratio"
 	"repro/internal/stream"
 )
@@ -240,13 +239,6 @@ func (s *planSpec) fingerprint() string {
 // different demands are different flights).
 func (s *planSpec) flightKey(endpoint string) string {
 	return fmt.Sprintf("%s|%s|d%d", endpoint, s.fingerprint(), s.demand)
-}
-
-// planKey is the plan-cache identity of a distributable spec planned on eng:
-// the engine resolved the base graph and the Mlb mixer default, so the key
-// is byte-identical to the one stream's planner looks up.
-func (s *planSpec) planKey(eng *core.Engine) plancache.Key {
-	return plancache.KeyFor(eng.Base(), s.demand, eng.Mixers(), s.scheduler.String(), plancache.PristinePolicy)
 }
 
 // planResponse summarizes a planned batch as a /v1/plan response.

@@ -102,6 +102,10 @@ func FuzzServeRequest(f *testing.F) {
 		{"/v1/assay", `{"ratio":"1:3","demand":4}`},
 		{"/v1/artifact/build", `{"ratio":"1:2:5:8","demand":8}`},
 		{"/v1/plan", `{"ratio":"1:2:5:8","demand":4,"session":"s","timeout_ms":5}`},
+		// Storage-limited, error-aware and session plans climb the artifact tier.
+		{"/v1/stream", `{"ratio":"1:2:5:8","demand":50,"mixers":3,"storage":6}`},
+		{"/v1/plan", `{"ratio":"2:1:1:1:1:1:9","demand":20,"error_aware":true,"split_imbalance":0.05}`},
+		{"/v1/stream", `{"ratio":"1:2:5:8","demand":10,"storage":6,"session":"tier","error_aware":true}`},
 		{"/v1/cluster/members", `{"action":"join","id":"p","url":"http://p:1"}`},
 		{"/v1/cluster/members", `{"action":"leave","id":"ghost"}`},
 		{"/v1/session/fuzz/adopt", "DMFBWAL1"},

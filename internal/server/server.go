@@ -80,7 +80,9 @@ type Config struct {
 	Fleet *fleet.Fleet
 	// PlanCache, when non-nil, isolates this server's plan cache from the
 	// process-wide default (multi-node tests and benches run several servers
-	// in one process). Nil selects plancache.Default().
+	// in one process). Nil selects plancache.Default(), or on a tiered server
+	// (Artifacts or Cluster set) a cache of its own at DefaultCapacity: the
+	// artifact tier is installed under the cache, never under the default.
 	PlanCache *plancache.Cache
 	// Artifacts, when non-nil, enables the warm disk artifact tier and the
 	// GET/PUT /v1/artifact/{addr} endpoints.
@@ -173,6 +175,14 @@ func New(cfg Config) *Server {
 		slots:       make(chan struct{}, cfg.MaxInFlight),
 		planKeys:    map[string]bool{},
 		migrated:    map[string]string{},
+	}
+	if s.artifacts != nil || s.clusterNode != nil {
+		if s.planCache == nil {
+			s.planCache = plancache.New(plancache.DefaultCapacity)
+		}
+		s.planCache.SetTier(artifactTier{s})
+	} else if s.planCache == nil {
+		s.planCache = plancache.Default()
 	}
 	if s.wal != nil {
 		s.recovering.Store(true)
@@ -546,11 +556,11 @@ func (s *Server) newEngine(spec *planSpec) (*core.Engine, error) {
 // fresh stateless engine. The fingerprint pins session configuration across
 // requests. sess is nil for stateless requests; release is always non-nil.
 func (s *Server) engineFor(req *PlanRequest, spec *planSpec) (eng *core.Engine, sess *session, release func(), err error) {
-	build := func() (*core.Engine, error) { return s.newEngine(spec) }
 	if req.Session == "" {
-		eng, err = build()
+		eng, err = s.newEngine(spec)
 		return eng, nil, func() {}, err
 	}
+	build := func() (*core.Engine, error) { return s.newEngine(spec) }
 	// Run under the shard lock at insert. The spec is carried on every
 	// session — migration snapshots re-emit it as the session-open record —
 	// and with a WAL attached the open record's log position precedes every
@@ -569,7 +579,7 @@ func (s *Server) engineFor(req *PlanRequest, spec *planSpec) (eng *core.Engine, 
 }
 
 // planBatch resolves the engine of a validated request and plans one batch
-// on it. It is the front half of the session endpoints and of /v1/execute.
+// on it. It is the front half of every planning endpoint.
 // The returned done func releases the session pin; callers must invoke it
 // exactly once (the engine must not be used after).
 func (s *Server) planBatch(ctx context.Context, req *PlanRequest, spec *planSpec) (*core.Engine, *core.Batch, func(), error) {
@@ -583,36 +593,6 @@ func (s *Server) planBatch(ctx context.Context, req *PlanRequest, spec *planSpec
 		return nil, nil, nil, err
 	}
 	return eng, b, release, nil
-}
-
-// planStateless is the one planning path of a stateless request, behind
-// the stateless branches of /v1/plan and /v1/stream and the owner build of
-// /v1/artifact/build (forPeer). It builds the request's engine once. A
-// distributable request derives its plan key from that engine and climbs
-// the ladder (ensurePlan; forPeer skips the peer rung) before planning. A
-// successful plan journals its key, and a plan the ladder left to this node
-// to build is published async — a plan found in a tier is never published
-// again.
-func (s *Server) planStateless(ctx context.Context, req *PlanRequest, spec *planSpec, forPeer bool) (*core.Engine, *core.Batch, plancache.Key, error) {
-	eng, err := s.newEngine(spec)
-	if err != nil {
-		return nil, nil, plancache.Key{}, err
-	}
-	var key plancache.Key
-	built := false
-	if distributable(req, spec) {
-		key = spec.planKey(eng)
-		built = s.ensurePlan(ctx, req, key, !forPeer)
-	}
-	b, err := eng.RequestCtx(ctx, spec.demand)
-	if err != nil {
-		return nil, nil, key, err
-	}
-	s.notePlanKey(spec)
-	if built {
-		s.background(func() { s.publishPlan(key, forPeer) })
-	}
-	return eng, b, key, nil
 }
 
 // servePlan answers POST /v1/plan.
@@ -630,8 +610,9 @@ func (s *Server) serveStream(ctx context.Context, r *http.Request) (any, error) 
 // of their response (shape builds it, head reaches its PlanResponse). A
 // session request extends its session's timeline, so each one plans.
 // Stateless plans are pure functions of the spec: concurrent identical
-// requests coalesce onto one leader, and a follower's copy of the leader's
-// response is marked coalesced.
+// requests coalesce onto one leader, a follower's copy of the leader's
+// response is marked coalesced, and the leader journals the spec for
+// recovery warm-up.
 func servePlanned[T any](s *Server, ctx context.Context, r *http.Request, name string,
 	shape func(*planSpec, *core.Engine, *core.Batch) T, head func(*T) *PlanResponse) (any, error) {
 	var req PlanRequest
@@ -653,10 +634,12 @@ func servePlanned[T any](s *Server, ctx context.Context, r *http.Request, name s
 		return resp, nil
 	}
 	v, err, shared := s.flights.do(ctx, spec.flightKey(name), func() (any, error) {
-		eng, b, _, err := s.planStateless(ctx, &req, spec, false)
+		eng, b, done, err := s.planBatch(ctx, &req, spec)
 		if err != nil {
 			return nil, err
 		}
+		done()
+		s.notePlanKey(spec)
 		return shape(spec, eng, b), nil
 	})
 	if err != nil || !shared {
