@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,7 +21,9 @@ import (
 // renamed into place — so a crash mid-Put leaves either the old artifact or
 // none, never a torn file. Torn or tampered files are harmless anyway: every
 // read path decodes through DecodeVerified, which rejects them with typed
-// errors. Eviction is oldest-write-first once the entry bound is exceeded.
+// errors. Eviction is oldest-write-first once the entry bound is exceeded;
+// the write order is read from the directory once, at open, and kept in
+// memory after, so a Put never lists the directory.
 //
 // A nil *Store is valid and behaves as an always-miss, drop-writes tier, so
 // call sites can disable the disk tier by passing nil.
@@ -28,6 +31,8 @@ type Store struct {
 	dir string
 	cap int
 	mu  sync.Mutex
+	age *list.List               // stored addresses, oldest write at the front
+	at  map[string]*list.Element // address → its element in age
 }
 
 // ext is the artifact file suffix; temp files use tmpPrefix and are ignored
@@ -51,7 +56,17 @@ func OpenStore(dir string, capacity int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: open store: %w", err)
 	}
-	return &Store{dir: dir, cap: capacity}, nil
+	s := &Store{dir: dir, cap: capacity, age: list.New(), at: map[string]*list.Element{}}
+	entries := s.entries()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime < entries[j].mtime })
+	for _, e := range entries {
+		addr := strings.TrimSuffix(e.name, ext)
+		s.at[addr] = s.age.PushBack(addr)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.evictLocked()
+	return s, nil
 }
 
 // Dir returns the store's root directory ("" for a nil store).
@@ -126,6 +141,11 @@ func (s *Store) Put(addr string, data []byte) error {
 		return fmt.Errorf("artifact: put: %w", err)
 	}
 	obs.Inc("artifact.disk.puts")
+	if el, ok := s.at[addr]; ok {
+		s.age.MoveToBack(el)
+	} else {
+		s.at[addr] = s.age.PushBack(addr)
+	}
 	s.evictLocked()
 	return nil
 }
@@ -135,9 +155,7 @@ func (s *Store) Len() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entriesLocked())
+	return len(s.entries())
 }
 
 // Capacity returns the store's artifact-count bound.
@@ -153,7 +171,8 @@ type diskEntry struct {
 	mtime int64
 }
 
-func (s *Store) entriesLocked() []diskEntry {
+// entries lists the artifact files in the directory, skipping temp files.
+func (s *Store) entries() []diskEntry {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil
@@ -174,16 +193,13 @@ func (s *Store) entriesLocked() []diskEntry {
 }
 
 // evictLocked removes oldest-written artifacts until the store is within its
-// bound. mtime is the write clock: Put always rewrites the file, so refresh
-// renews age.
+// bound. Put always rewrites the file and moves it to the back of age, so a
+// refresh renews age; a file already removed by hand just leaves the order.
 func (s *Store) evictLocked() {
-	entries := s.entriesLocked()
-	if len(entries) <= s.cap {
-		return
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime < entries[j].mtime })
-	for _, e := range entries[:len(entries)-s.cap] {
-		if os.Remove(filepath.Join(s.dir, e.name)) == nil {
+	for s.age.Len() > s.cap {
+		addr := s.age.Remove(s.age.Front()).(string)
+		delete(s.at, addr)
+		if os.Remove(s.path(addr)) == nil {
 			obs.Inc("artifact.disk.evictions")
 		}
 	}

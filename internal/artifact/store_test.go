@@ -134,3 +134,49 @@ func TestNilStoreIsInert(t *testing.T) {
 		t.Fatal("nil store not inert")
 	}
 }
+
+// TestStoreKeepsWriteOrderAcrossRestart: a reopened store evicts in the
+// write order of the files it found, down to its bound at open, and a file
+// removed by hand only drops out of that order at its turn.
+func TestStoreKeepsWriteOrderAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := func(c byte) string { return strings.Repeat("0", 63) + string(c) }
+	for _, c := range []byte("abc") {
+		if err := s.Put(addr(c), []byte{c}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond) // distinct mtimes
+	}
+	held := func(s *Store, want string) {
+		t.Helper()
+		got := ""
+		for _, c := range []byte("abcde") {
+			if _, ok := s.Get(addr(c)); ok {
+				got += string(c)
+			}
+		}
+		if got != want || s.Len() != len(want) {
+			t.Fatalf("store holds %q (Len %d), want %q", got, s.Len(), want)
+		}
+	}
+	s2, err := OpenStore(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held(s2, "bc")
+	if err := os.Remove(filepath.Join(dir, addr('c')+ext)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Put(addr('d'), []byte{'d'}); err != nil {
+		t.Fatal(err)
+	}
+	held(s2, "d")
+	if err := s2.Put(addr('e'), []byte{'e'}); err != nil {
+		t.Fatal(err)
+	}
+	held(s2, "de")
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/forest"
@@ -38,5 +39,32 @@ func TestRequestCacheHitSkipsRebuild(t *testing.T) {
 		first.Result.TotalWaste != second.Result.TotalWaste ||
 		first.Result.Emitted != second.Result.Emitted {
 		t.Errorf("cached Request differs: %+v vs %+v", first.Result, second.Result)
+	}
+}
+
+// TestPassPlanIsTheRequestedPlan: for a storage-unlimited engine, PlanKey is
+// the key a Request caches its one pass under, and PassPlan returns that
+// cached plan without building or extending the timeline.
+func TestPassPlanIsTheRequestedPlan(t *testing.T) {
+	cache := plancache.New(8)
+	e, err := New(Config{Target: pcr, Scheduler: stream.SRS, PlanCache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Request(20); err != nil {
+		t.Fatal(err)
+	}
+	cached, ok := cache.Get(e.PlanKey(20))
+	if !ok {
+		t.Fatalf("Request cached no plan under PlanKey(20) = %s", e.PlanKey(20).Canonical())
+	}
+	builds := cache.Stats().Builds
+	p, err := e.PassPlan(context.Background(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != cached || cache.Stats().Builds != builds || len(e.Batches()) != 1 {
+		t.Fatalf("PassPlan = %p (cached %p), builds %d -> %d, %d batches; want the cached plan, no build, 1 batch",
+			p, cached, builds, cache.Stats().Builds, len(e.Batches()))
 	}
 }

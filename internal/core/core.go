@@ -307,6 +307,24 @@ func (e *Engine) RequestCtx(ctx context.Context, n int) (*Batch, error) {
 	return b, nil
 }
 
+// passConfig is the stream configuration of one pristine pass on the
+// engine: its base graph, mixers, scheduler and plan cache.
+func (e *Engine) passConfig() stream.Config {
+	return stream.Config{Base: e.base, Mixers: e.mixers, Scheduler: e.cfg.Scheduler, Cache: e.cfg.PlanCache}
+}
+
+// PlanKey is the plan-cache key of the engine's pristine single-pass plan
+// for d droplets (see stream.PlanKey).
+func (e *Engine) PlanKey(d int) plancache.Key {
+	return stream.PlanKey(e.passConfig(), d, plancache.PristinePolicy)
+}
+
+// PassPlan returns the engine's pristine single-pass plan for d droplets,
+// the plan cached under PlanKey(d), without touching the timeline.
+func (e *Engine) PassPlan(ctx context.Context, d int) (*plancache.Plan, error) {
+	return stream.Plan(ctx, e.passConfig(), d, plancache.PristinePolicy)
+}
+
 // ExecuteBatch executes a planned batch cycle-by-cycle on the chip layout
 // under fault injection, closing the loop with checkpoint sensors and the
 // three-level recovery policy of internal/runtime. A nil injector runs the

@@ -39,6 +39,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/forest"
 	"repro/internal/obs"
+	"repro/internal/plancache"
 	"repro/internal/ratio"
 	"repro/internal/runtime"
 	"repro/internal/stream"
@@ -74,6 +75,9 @@ type AssaySpec struct {
 	// Class is the contamination class; empty defaults to the target ratio
 	// string (assays of one composition may share a chip, others may not).
 	Class string
+	// PlanCache is the plan cache the assay plans and replans through (nil
+	// selects plancache.Default()); a server passes its own.
+	PlanCache *plancache.Cache
 }
 
 func (a *AssaySpec) class() string {
@@ -449,7 +453,7 @@ func (f *Fleet) allDeadLocked() bool {
 func (f *Fleet) execute(ctx context.Context, a *AssaySpec, pl *placement) (*runtime.Report, error) {
 	eng, err := core.New(core.Config{
 		Target: a.Target, Algorithm: a.Algorithm, Scheduler: a.Scheduler,
-		Mixers: pl.mixers, Storage: a.Storage,
+		Mixers: pl.mixers, Storage: a.Storage, PlanCache: a.PlanCache,
 	})
 	if err != nil {
 		return nil, err

@@ -74,6 +74,7 @@ func (s *Server) serveAssay(ctx context.Context, r *http.Request) (any, error) {
 		Storage:   spec.storage,
 		Demand:    spec.demand,
 		Class:     req.Class,
+		PlanCache: s.planCache,
 	})
 	if err != nil {
 		return nil, err
