@@ -196,6 +196,9 @@ func routeCycle(cycle int, moves []exec.Move, layout *chip.Layout, ports endpoin
 	sort.SliceStable(order, func(a, b int) bool { return moves[order[a]].Cost > moves[order[b]].Cost })
 
 	blocked := layout.Blocked()
+	// One routing kernel per cycle prices every move's free-path cost
+	// without a fresh flood allocation per move.
+	router := route.NewRouter(layout)
 	tb := &table{
 		traj:    map[[3]int]int{},
 		arrival: map[int]int{},
@@ -242,7 +245,7 @@ func routeCycle(cycle int, moves []exec.Move, layout *chip.Layout, ports endpoin
 		if a := rt.Arrival(); a > cr.Makespan {
 			cr.Makespan = a
 		}
-		free, err := route.Cost(layout.Width, layout.Height, blocked, from, to)
+		free, err := router.Distance(from, to)
 		if err != nil {
 			return nil, err
 		}
