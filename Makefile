@@ -11,11 +11,15 @@ GO ?= go
 # plan requests) — raced explicitly by `make race`.
 CONCURRENT_PKGS := ./internal/parallel ./internal/plancache ./internal/experiments ./internal/stream ./internal/synth ./internal/faults ./internal/runtime ./internal/exec ./internal/route ./internal/obs ./internal/audit ./internal/core ./internal/server ./internal/mixgraph ./internal/forest ./internal/sched ./internal/wal ./internal/fleet ./internal/contam ./internal/artifact ./internal/cluster ./internal/errormodel ./cmd/dmfbd
 
-.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-cold bench-routing bench-plan bench-plan-smoke bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
+.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-cold bench-plan bench-plan-smoke bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
 
 build:
 	$(GO) build ./...
 
+# Includes the frozen fixtures that gate the planner (TestPlannerGolden)
+# and the chip layer's routing, placement, Fig. 5 and concurrent-routing
+# results (TestChipGolden); rewrite them with -update only for an intended
+# change.
 test:
 	$(GO) test ./...
 
@@ -48,13 +52,6 @@ bench-smoke:
 # allocation counts. Add -cpuprofile/-memprofile to profile it.
 bench-cold:
 	$(GO) test ./internal/server -run '^$$' -bench ColdPlanRequest -benchmem -benchtime 5000x
-
-# Routing-kernel old-vs-new measurement run: incremental vs full-recompute
-# placement annealing (bit-identity verified), cached vs cold matrices,
-# Router vs map-BFS replay. Writes results/bench_routing.json (EXPERIMENTS
-# §E7).
-bench-routing:
-	$(GO) run ./cmd/benchroute -out results/bench_routing.json
 
 # Short fuzzing passes over the parser, the forest builder, the planner
 # (plan audit, window audit, Pack/Materialize round trip), the WAL replayer,

@@ -116,12 +116,12 @@ func BenchmarkAblationPlacement(b *testing.B) {
 	var improvement float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matrix, err := route.CostMatrix(layout)
+		matrix, err := route.MatrixFor(layout)
 		if err != nil {
 			b.Fatal(err)
 		}
-		before := chip.PlacementCost(plan.Flow, matrix)
-		_, after, err := chip.OptimizePlacement(layout, plan.Flow, route.CostMatrix, 400, 1)
+		before := chip.PlacementCost(layout, plan.Flow, matrix)
+		_, after, err := chip.OptimizePlacement(layout, plan.Flow, matrix, 400, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

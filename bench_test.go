@@ -270,12 +270,12 @@ func BenchmarkStorageCounting(b *testing.B) {
 	}
 }
 
-// BenchmarkCostMatrix measures chip routing (all-pairs BFS on the PCR
-// floorplan).
+// BenchmarkCostMatrix measures chip routing: a cold all-pairs flood of the
+// PCR floorplan's transport-cost matrix, past the fingerprint cache.
 func BenchmarkCostMatrix(b *testing.B) {
 	l := PCRLayout()
 	for i := 0; i < b.N; i++ {
-		if _, err := route.CostMatrix(l); err != nil {
+		if _, err := route.NewRouter(l).Matrix(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -147,7 +147,11 @@ func run(demand int, schedStr string, optimize, moves, heatmap, routing, pinsFla
 	}
 
 	if optimize {
-		opt, cost, err := dmfb.OptimizePlacement(layout, plan.Flow, dmfb.CostMatrix, 800, 1)
+		matrix, err := dmfb.TransportMatrixFor(layout)
+		if err != nil {
+			return err
+		}
+		opt, cost, err := dmfb.OptimizePlacement(layout, plan.Flow, matrix, 800, 1)
 		if err != nil {
 			return err
 		}

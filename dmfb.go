@@ -212,9 +212,6 @@ var (
 	PCRLayout = chip.PCRLayout
 	// AutoLayout builds a lattice floorplan for any protocol census.
 	AutoLayout = chip.AutoLayout
-	// CostMatrix computes inter-module transport costs on a layout as the
-	// historical map form (uncached; hot paths use TransportMatrixFor).
-	CostMatrix = route.CostMatrix
 	// TransportMatrixFor returns the dense transport-cost matrix of a
 	// layout, served from the process-wide layout-fingerprint cache.
 	TransportMatrixFor = route.MatrixFor
@@ -239,12 +236,9 @@ var (
 	// checked at every branch of the binding search.
 	ExecuteOptimizedCtx = exec.ExecuteOptimizedCtx
 	// OptimizePlacement improves a floorplan for a traffic matrix by
-	// incremental simulated annealing (one matrix evaluation per search).
+	// incremental simulated annealing over the layout's dense transport
+	// matrix (pass TransportMatrixFor's result).
 	OptimizePlacement = chip.OptimizePlacement
-	// OptimizePlacementFull is the legacy full-recompute annealer; it
-	// accepts non-geometric matrix functions and serves as the reference
-	// implementation OptimizePlacement reproduces bit for bit.
-	OptimizePlacementFull = chip.OptimizePlacementFull
 )
 
 // Cyberphysical execution under fault injection (see internal/faults and

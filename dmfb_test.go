@@ -62,9 +62,9 @@ func TestChipLayer(t *testing.T) {
 	if plan.TotalCost <= 0 {
 		t.Error("no actuations counted")
 	}
-	m, err := CostMatrix(PCRLayout())
-	if err != nil || len(m) == 0 {
-		t.Errorf("CostMatrix: %v", err)
+	m, err := TransportMatrixFor(PCRLayout())
+	if err != nil || m.Len() == 0 {
+		t.Errorf("TransportMatrixFor: %v", err)
 	}
 }
 

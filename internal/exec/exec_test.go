@@ -195,12 +195,11 @@ func TestPlacementOptimizerReducesCost(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	matrix := route.CostMatrix
-	before, err := matrix(l)
+	matrix, err := route.MatrixFor(l)
 	if err != nil {
 		t.Fatalf("matrix: %v", err)
 	}
-	startCost := chip.PlacementCost(plan.Flow, before)
+	startCost := chip.PlacementCost(l, plan.Flow, matrix)
 	opt, optCost, err := chip.OptimizePlacement(l, plan.Flow, matrix, 400, 1)
 	if err != nil {
 		t.Fatalf("OptimizePlacement: %v", err)

@@ -20,8 +20,9 @@ import (
 type Fig5 struct {
 	// Layout is the Fig. 5-style floorplan.
 	Layout *chip.Layout
-	// CostMatrix is the inter-module transport-cost matrix.
-	CostMatrix map[[2]string]int
+	// CostMatrix is the inter-module transport-cost matrix, indexed in
+	// Layout.Modules order.
+	CostMatrix *route.Matrix
 	// ForestActuations is the streaming engine's electrode-actuation total.
 	ForestActuations int
 	// RepeatedActuations is the repeated-baseline total.
@@ -37,11 +38,10 @@ func Fig5Compute(demand int) (*Fig5, error) {
 	layout := chip.PCRLayout()
 	// MatrixFor shares the fingerprint-cached dense matrix with the
 	// exec.Execute calls below, so this geometry floods exactly once.
-	mat, err := route.MatrixFor(layout)
+	matrix, err := route.MatrixFor(layout)
 	if err != nil {
 		return nil, err
 	}
-	matrix := mat.Legacy()
 	base, err := core.MM.Build(protocols.PCR16().Ratio)
 	if err != nil {
 		return nil, err
@@ -70,7 +70,7 @@ func Fig5Compute(demand int) (*Fig5, error) {
 
 	// Placement optimization (as in §5: "the relative positions ... are
 	// optimized considering the total droplet-transportation cost").
-	opt, _, err := chip.OptimizePlacement(layout, forestPlan.Flow, route.CostMatrix, 600, 1)
+	opt, _, err := chip.OptimizePlacement(layout, forestPlan.Flow, matrix, 600, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -104,10 +104,10 @@ func (f *Fig5) Format() string {
 		fmt.Fprintf(&b, "%5s", n)
 	}
 	b.WriteByte('\n')
-	for _, a := range names {
+	for i, a := range names {
 		fmt.Fprintf(&b, "%-5s", a)
-		for _, c := range names {
-			fmt.Fprintf(&b, "%5d", f.CostMatrix[[2]string{a, c}])
+		for j := range names {
+			fmt.Fprintf(&b, "%5d", f.CostMatrix.At(i, j))
 		}
 		b.WriteByte('\n')
 	}

@@ -1,7 +1,6 @@
 package fluidsim
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/chip"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/minmix"
 	"repro/internal/ratio"
-	"repro/internal/route"
 	"repro/internal/sched"
 )
 
@@ -35,49 +33,14 @@ func benchPlan(b *testing.B) (*exec.Plan, *chip.Layout) {
 	return plan, l
 }
 
-// legacyReplay is the historical implementation: one map-based ShortestPath
-// BFS (fresh seen/prev maps) per move. Kept as the benchmark baseline for the
-// Router-kernel replay.
-func legacyReplay(plan *exec.Plan, layout *chip.Layout) (*Result, error) {
-	blocked := layout.Blocked()
-	ports := make(map[string]chip.Point, len(layout.Modules))
-	for _, m := range layout.Modules {
-		ports[m.Name] = m.Port
-	}
-	res := &Result{Actuations: make(map[chip.Point]int)}
-	for _, mv := range plan.Moves {
-		path, err := route.ShortestPath(layout.Width, layout.Height, blocked, ports[mv.From], ports[mv.To])
-		if err != nil {
-			return nil, fmt.Errorf("fluidsim: move %s->%s: %w", mv.From, mv.To, err)
-		}
-		res.Moves++
-		for _, p := range path[1:] {
-			res.Actuations[p]++
-			res.MicroSteps++
-			res.Total++
-		}
-	}
-	return res, nil
-}
-
-// BenchmarkFluidsimReplay compares the Router-kernel replay (one scratch
-// buffer set per replay) against the legacy per-move map-based BFS.
+// BenchmarkFluidsimReplay times the wear replay of the Fig. 5 plan (one
+// Router scratch buffer set per replay).
 func BenchmarkFluidsimReplay(b *testing.B) {
 	plan, l := benchPlan(b)
-	b.Run("router", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Replay(plan, l); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Replay(plan, l); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := legacyReplay(plan, l); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -46,9 +46,7 @@ type Result struct {
 // indicate an exec/route inconsistency).
 func Replay(plan *exec.Plan, layout *chip.Layout) (*Result, error) {
 	// One Router per replay: the dense kernel reuses its flood scratch across
-	// all moves instead of allocating per-call BFS maps. Router.Path is
-	// byte-identical to route.ShortestPath, so wear counts and the heat map
-	// are unchanged.
+	// all moves instead of allocating per-call BFS maps.
 	router := route.NewRouter(layout)
 	ports := make(map[string]chip.Point, len(layout.Modules))
 	for _, m := range layout.Modules {

@@ -20,8 +20,8 @@ func TestCostMatrixWalledOffModule(t *testing.T) {
 		{X: p.X - 1, Y: p.Y}, {X: p.X + 1, Y: p.Y},
 		{X: p.X, Y: p.Y - 1}, {X: p.X, Y: p.Y + 1},
 	})
-	if _, err := CostMatrix(walled); !errors.Is(err, ErrUnreachable) {
-		t.Errorf("CostMatrix: err = %v, want ErrUnreachable", err)
+	if _, err := NewRouter(walled).Matrix(); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("Matrix: err = %v, want ErrUnreachable", err)
 	}
 }
 
@@ -32,8 +32,8 @@ func TestCostMatrixStuckPort(t *testing.T) {
 	if !ok {
 		t.Fatal("PCR layout has no W1")
 	}
-	if _, err := CostMatrix(l.Degrade(nil, []chip.Point{w1.Port})); err == nil {
-		t.Error("CostMatrix with a stuck port succeeded")
+	if _, err := NewRouter(l.Degrade(nil, []chip.Point{w1.Port})).Matrix(); err == nil {
+		t.Error("Matrix with a stuck port succeeded")
 	}
 }
 
@@ -41,7 +41,7 @@ func TestCostMatrixStuckPort(t *testing.T) {
 // paths must detour around stuck electrodes, lengthening the route.
 func TestStuckCellsBlockRouting(t *testing.T) {
 	l := chip.PCRLayout()
-	base, err := CostMatrix(l)
+	base, err := NewRouter(l).Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,17 +51,18 @@ func TestStuckCellsBlockRouting(t *testing.T) {
 	if !stuck.Blocked()(chip.Point{X: 6, Y: 6}) {
 		t.Fatal("Degrade did not mark the electrode stuck")
 	}
-	got, err := CostMatrix(stuck)
+	got, err := NewRouter(stuck).Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
 	longer := false
-	for k, d := range got {
-		if d < base[k] {
-			t.Errorf("%s->%s shortened: %d < %d", k[0], k[1], d, base[k])
-		}
-		if d > base[k] {
-			longer = true
+	for i, a := range l.Modules {
+		for j, b := range l.Modules {
+			if d := got.At(i, j); d < base.At(i, j) {
+				t.Errorf("%s->%s shortened: %d < %d", a.Name, b.Name, d, base.At(i, j))
+			} else if d > base.At(i, j) {
+				longer = true
+			}
 		}
 	}
 	if !longer {
@@ -82,7 +83,7 @@ func TestDegradeDropsModules(t *testing.T) {
 	if len(l.OfKind(chip.Mixer)) != 3 {
 		t.Error("Degrade mutated the receiver")
 	}
-	if _, err := CostMatrix(d); err != nil {
+	if _, err := NewRouter(d).Matrix(); err != nil {
 		t.Errorf("degraded layout unroutable: %v", err)
 	}
 }

@@ -1,10 +1,8 @@
 package dmfb
 
-// Old-vs-new benchmarks for the dense routing kernel PR: incremental
-// placement annealing against the legacy full-recompute annealer, and the
-// fingerprint-cached matrix against a cold build. `make bench-routing`
-// (cmd/benchroute) runs the same comparisons and records the speedups in
-// results/bench_routing.json and EXPERIMENTS.md §E7.
+// Benchmarks for the dense routing kernel: incremental placement annealing
+// at the Fig. 5 experiment's size, and the fingerprint-cached matrix against
+// a cold build (EXPERIMENTS.md §E7).
 
 import (
 	"testing"
@@ -40,28 +38,21 @@ func placementInputs(b *testing.B) (*chip.Layout, chip.Flow) {
 	return l, plan.Flow
 }
 
-// BenchmarkOptimizePlacement compares the incremental delta-evaluating
-// annealer (one matrix evaluation per run) against the legacy full-recompute
-// annealer (one matrix evaluation per candidate swap) on the real
-// obstacle-aware cost model, at the Fig. 5 experiment's 600 iterations.
-// Both produce bit-identical results for the fixed seed (pinned by
-// TestOptimizePlacementMatchesFullOnRouteMatrix).
+// BenchmarkOptimizePlacement times the incremental delta-evaluating
+// annealer on the real obstacle-aware cost model and the Fig. 5 plan's
+// traffic, at the Fig. 5 experiment's 600 iterations.
 func BenchmarkOptimizePlacement(b *testing.B) {
 	l, flow := placementInputs(b)
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := chip.OptimizePlacement(l, flow, route.CostMatrix, 600, 1); err != nil {
-				b.Fatal(err)
-			}
+	matrix, err := route.MatrixFor(l)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := chip.OptimizePlacement(l, flow, matrix, 600, 1); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := chip.OptimizePlacementFull(l, flow, route.CostMatrix, 600, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkTransportMatrixFor measures the fingerprint cache: a warm hit
