@@ -11,7 +11,7 @@ GO ?= go
 # plan requests) — raced explicitly by `make race`.
 CONCURRENT_PKGS := ./internal/parallel ./internal/plancache ./internal/experiments ./internal/stream ./internal/synth ./internal/faults ./internal/runtime ./internal/exec ./internal/route ./internal/obs ./internal/audit ./internal/core ./internal/server ./internal/mixgraph ./internal/forest ./internal/sched ./internal/wal ./internal/fleet ./internal/contam ./internal/artifact ./internal/cluster ./internal/errormodel ./cmd/dmfbd
 
-.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-cold bench-plan bench-plan-smoke bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
+.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-cold results-check bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
 
 build:
 	$(GO) build ./...
@@ -82,18 +82,14 @@ audit-smoke:
 	test -s "$$tmp/mdst.jsonl" && test -s "$$tmp/chipsim.jsonl"; \
 	echo "audit-smoke: all runs audited clean"
 
-# Planning-kernel measurement run: packed arena forests, the allocation-free
-# MMS/SRS kernel, the warm end-to-end plan request and the incremental
-# demand scan. Writes results/bench_plan_packed.json; results/bench_plan.json
-# stays the recorded legacy-vs-packed comparison of EXPERIMENTS §E10.
-bench-plan:
-	$(GO) run ./cmd/benchplan -out results/bench_plan_packed.json
-
-# Fast wiring check for the same harness: one iteration of each workload,
-# writes nothing. The planner's output is gated by TestPlannerGolden's
-# frozen fixtures (part of `test`), not here.
-bench-plan-smoke:
-	$(GO) run ./cmd/benchplan -smoke
+# Regenerate the committed result tables (Table 2, Table 4, Fig. 6, Fig. 7,
+# E13) into a throwaway directory and require each CSV to match
+# results/ byte for byte (~10 s).
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; set -e; \
+	$(GO) run ./cmd/experiments -table2 -table4 -fig6 -fig7 -e13 -csvdir "$$tmp" >/dev/null; \
+	for f in table2 table4 fig6 fig7 e13_error_aware; do cmp "results/$$f.csv" "$$tmp/$$f.csv"; done; \
+	echo "results-check: results/*.csv regenerate byte-identical"
 
 # dmfbd load-test run: boots the serving core in-process, drives every
 # endpoint scenario at fixed concurrency, writes latency/throughput
@@ -155,7 +151,7 @@ chaos-migrate-smoke:
 	$(GO) test -race -run 'TestChaosMigrateKillOwner' -timeout 5m ./cmd/dmfbd
 	@echo "chaos-migrate-smoke: owner killed, session migrated, timeline bit-identical"
 
-check: build vet fmt-check test perfbench-test race bench-smoke bench-plan-smoke bench-error-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke bench-fleet-smoke bench-cluster-smoke
+check: build vet fmt-check test perfbench-test race bench-smoke results-check bench-error-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke bench-fleet-smoke bench-cluster-smoke
 
 clean:
 	$(GO) clean

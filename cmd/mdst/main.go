@@ -16,6 +16,7 @@ import (
 	"os"
 
 	dmfb "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -86,11 +87,9 @@ func run(ratioStr string, demand, mixers, storage int, algName, schedName string
 		// count in use, and a storage row.
 		mcForLayout := mixers
 		if mcForLayout == 0 {
-			base, err := dmfb.BuildGraph(dmfb.MM, target)
-			if err != nil {
+			if mcForLayout, err = core.PaperMixers(target); err != nil {
 				return err
 			}
-			mcForLayout = dmfb.MixerLowerBound(base)
 		}
 		layout, err := dmfb.AutoLayout(target.N(), mcForLayout, 8)
 		if err != nil {

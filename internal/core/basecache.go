@@ -117,9 +117,12 @@ func cachedBase(alg Algorithm, target ratio.Ratio) (*mixgraph.Graph, error) {
 	return g, nil
 }
 
-// cachedMlb returns Mlb of the target's MM tree — the paper's default mixer
-// count — memoised per ratio (names are irrelevant to the mixer search).
-func cachedMlb(target ratio.Ratio) (int, error) {
+// PaperMixers returns Mlb of the target's MM tree — the mixer count the
+// paper uses for every scheme on a ratio, and an Engine's default — memoised
+// per ratio (names are irrelevant to the mixer search). It is the one
+// derivation of that count: engines, multi-target plans, the experiments and
+// the report all resolve it here.
+func PaperMixers(target ratio.Ratio) (int, error) {
 	key := target.String()
 	if v, ok := mlbValues.get(key); ok {
 		return v, nil

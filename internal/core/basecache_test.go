@@ -122,6 +122,23 @@ func TestWarmPlanRequestAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkWarmPlanRequest times the path TestWarmPlanRequestAllocs bounds:
+// a fresh stateless Engine plus Request(20) against warm base, Mlb and plan
+// caches — the per-request work dmfbd does for a repeated plan.
+func BenchmarkWarmPlanRequest(b *testing.B) {
+	cfg := Config{Target: ratio.MustParse("2:1:1:1:1:1:9"), Algorithm: MM, Scheduler: stream.SRS}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Request(20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestBaseCachePlanEquivalence checks a cached-base engine plans exactly
 // what a cold engine would (the plan cache keys on the graph fingerprint,
 // which is identical for structurally equal graphs).

@@ -203,7 +203,7 @@ func New(cfg Config) (*Engine, error) {
 	mixers := cfg.Mixers
 	if mixers == 0 {
 		// The paper schedules every scheme with Mlb of the MM tree.
-		mixers, err = cachedMlb(cfg.Target)
+		mixers, err = PaperMixers(cfg.Target)
 		if err != nil {
 			return nil, err
 		}

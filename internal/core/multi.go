@@ -65,13 +65,11 @@ func PlanMulti(reqs []MultiRequest, alg Algorithm, mixers int, scheduler stream.
 	}
 	if mixers == 0 {
 		for _, rq := range reqs {
-			mm, err := MM.Build(rq.Target)
+			m, err := PaperMixers(rq.Target)
 			if err != nil {
 				return nil, err
 			}
-			if m := sched.Mlb(mm); m > mixers {
-				mixers = m
-			}
+			mixers = max(mixers, m)
 		}
 	}
 	f, err := forest.BuildMulti(bases, demands)

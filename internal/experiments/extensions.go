@@ -144,15 +144,11 @@ func E3ConcurrentRouting(demands []int) ([]E3Row, error) {
 	layout := chip.PCRLayout()
 	var rows []E3Row
 	for _, d := range demands {
-		f, err := forest.Build(base, d)
+		p, err := stream.BuildPlan(stream.Config{Base: base, Mixers: 3, Scheduler: stream.SRS}, d)
 		if err != nil {
 			return nil, err
 		}
-		s, err := stream.SRS.Schedule(f, 3)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := exec.Execute(s, layout)
+		plan, err := exec.Execute(p.Schedule, layout)
 		if err != nil {
 			return nil, err
 		}

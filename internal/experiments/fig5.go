@@ -7,7 +7,6 @@ import (
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/forest"
 	"repro/internal/protocols"
 	"repro/internal/route"
 	"repro/internal/sched"
@@ -46,14 +45,11 @@ func Fig5Compute(demand int) (*Fig5, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := forest.Build(base, demand)
+	p, err := stream.BuildPlan(stream.Config{Base: base, Mixers: 3, Scheduler: stream.SRS}, demand)
 	if err != nil {
 		return nil, err
 	}
-	srs, err := stream.SRS.Schedule(f, 3)
-	if err != nil {
-		return nil, err
-	}
+	srs := p.Schedule
 	forestPlan, err := exec.Execute(srs, layout)
 	if err != nil {
 		return nil, err

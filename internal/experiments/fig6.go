@@ -61,15 +61,13 @@ func Fig6Compute(dataset []ratio.Ratio, demands []int) (*Fig6, error) {
 			tc: make([]float64, len(schemes)*len(demands)),
 			i:  make([]float64, len(schemes)*len(demands)),
 		}
-		mc, err := PaperMixers(r)
+		mc, err := core.PaperMixers(r)
 		if err != nil {
 			return fig6Delta{}, err
 		}
 		for si, s := range schemes {
 			for di, demand := range demands {
-				// nil cache: every (ratio, scheme, demand) is unique within
-				// the sweep — memoising cannot hit (see runScheme).
-				res, err := runScheme(s, r, mc, demand, nil)
+				res, err := runScheme(s, r, mc, demand)
 				if err != nil {
 					return fig6Delta{}, err
 				}

@@ -11,11 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/forest"
-	"repro/internal/minmix"
-	"repro/internal/plancache"
 	"repro/internal/ratio"
-	"repro/internal/sched"
 	"repro/internal/stream"
 )
 
@@ -60,32 +56,14 @@ type Result struct {
 	W int64
 }
 
-// PaperMixers returns the mixer count the paper uses for every scheme on a
-// ratio: Mlb of the corresponding MM tree.
-func PaperMixers(r ratio.Ratio) (int, error) {
-	mm, err := minmix.Build(r)
-	if err != nil {
-		return 0, err
-	}
-	return sched.Mlb(mm), nil
-}
-
-// RunScheme evaluates one scheme on (ratio, demand) with mc mixers. Forest
-// plans (forest + schedule) are memoised in the process-wide plan cache, so
-// re-running an artefact with overlapping configurations hits instead of
-// rebuilding; RunScheme is safe for concurrent use and is the fan-out unit
-// of the parallel sweeps.
-func RunScheme(s Scheme, r ratio.Ratio, mc, demand int) (Result, error) {
-	return runScheme(s, r, mc, demand, plancache.Default())
-}
-
-// runScheme is RunScheme over an explicit plan cache. The population sweeps
-// (Table 3, Fig. 6) pass nil: every (ratio, scheme, demand) plan there is
-// visited exactly once, so memoising it can never hit, and retaining
-// thousands of pointer-dense forests only inflates the GC mark phase
-// (measured ~1.35x on BenchmarkTable3). A nil *plancache.Cache is an
-// always-miss no-op, so the planning path is identical either way.
-func runScheme(s Scheme, r ratio.Ratio, mc, demand int, cache *plancache.Cache) (Result, error) {
+// runScheme evaluates one scheme on (ratio, demand) with mc mixers; it is
+// safe for concurrent use and is the fan-out unit of the parallel sweeps.
+// Forest plans come from stream.BuildPlan, so every sweep plan passes the
+// same audit as a served one. They bypass every plan cache: each
+// (ratio, scheme, demand) of a sweep is visited exactly once, so memoising
+// it can never hit, and retaining thousands of pointer-dense forests only
+// inflates the GC mark phase (measured ~1.35x on BenchmarkTable3).
+func runScheme(s Scheme, r ratio.Ratio, mc, demand int) (Result, error) {
 	if s.Repeated {
 		b, err := core.Baseline(s.Algorithm, r, mc, demand)
 		if err != nil {
@@ -97,25 +75,7 @@ func runScheme(s Scheme, r ratio.Ratio, mc, demand int, cache *plancache.Cache) 
 	if err != nil {
 		return Result{}, err
 	}
-	build := func() (*plancache.Plan, error) {
-		f, err := forest.Build(base, demand)
-		if err != nil {
-			return nil, err
-		}
-		schedule, err := s.Scheduler.Schedule(f, mc)
-		if err != nil {
-			return nil, err
-		}
-		return plancache.NewPlan(f, schedule), nil
-	}
-	var p *plancache.Plan
-	if cache == nil {
-		// Skip key fingerprinting entirely on the uncached path: Table 2's
-		// L=256 base graphs make KeyFor measurable at sweep scale.
-		p, err = build()
-	} else {
-		p, err = cache.GetOrBuild(plancache.KeyFor(base, demand, mc, s.Scheduler.String(), plancache.PristinePolicy), build)
-	}
+	p, err := stream.BuildPlan(stream.Config{Base: base, Mixers: mc, Scheduler: s.Scheduler}, demand)
 	if err != nil {
 		return Result{}, err
 	}

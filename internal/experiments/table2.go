@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/protocols"
 	"repro/internal/ratio"
@@ -27,15 +28,13 @@ type Table2Row struct {
 func Table2(demand int) ([]Table2Row, error) {
 	ps := protocols.Table2()
 	return parallel.MapN(workers(len(ps)), ps, func(_ int, p protocols.Protocol) (Table2Row, error) {
-		mc, err := PaperMixers(p.Ratio)
+		mc, err := core.PaperMixers(p.Ratio)
 		if err != nil {
 			return Table2Row{}, fmt.Errorf("experiments: %s: %w", p.Key, err)
 		}
 		row := Table2Row{Key: p.Key, Ratio: p.Ratio, Mixers: mc, Results: map[string]Result{}}
 		for _, s := range Schemes() {
-			// nil cache: each (protocol, scheme) plan is single-use and the
-			// L=256 forests are large; see runScheme.
-			res, err := runScheme(s, p.Ratio, mc, demand, nil)
+			res, err := runScheme(s, p.Ratio, mc, demand)
 			if err != nil {
 				return Table2Row{}, fmt.Errorf("experiments: %s/%s: %w", p.Key, s.Name, err)
 			}

@@ -39,26 +39,25 @@ type table3Delta struct {
 }
 
 // table3Ratio evaluates all three schemes of all three algorithms on one
-// ratio — the fan-out unit of the Table 3 sweep. Plans are deliberately not
-// memoised (nil cache): each (ratio, scheme) is visited exactly once across
-// the whole sweep, so caching cannot hit and only adds GC mark pressure.
+// ratio — the fan-out unit of the Table 3 sweep (plans are not memoised;
+// see runScheme).
 func table3Ratio(r ratio.Ratio, demand int) ([]table3Delta, error) {
 	algs := core.Algorithms()
-	mc, err := PaperMixers(r)
+	mc, err := core.PaperMixers(r)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]table3Delta, len(algs))
 	for ai, alg := range algs {
-		baseline, err := runScheme(Scheme{Algorithm: alg, Repeated: true}, r, mc, demand, nil)
+		baseline, err := runScheme(Scheme{Algorithm: alg, Repeated: true}, r, mc, demand)
 		if err != nil {
 			return nil, err
 		}
-		mms, err := runScheme(Scheme{Algorithm: alg, Scheduler: stream.MMS}, r, mc, demand, nil)
+		mms, err := runScheme(Scheme{Algorithm: alg, Scheduler: stream.MMS}, r, mc, demand)
 		if err != nil {
 			return nil, err
 		}
-		srs, err := runScheme(Scheme{Algorithm: alg, Scheduler: stream.SRS}, r, mc, demand, nil)
+		srs, err := runScheme(Scheme{Algorithm: alg, Scheduler: stream.SRS}, r, mc, demand)
 		if err != nil {
 			return nil, err
 		}

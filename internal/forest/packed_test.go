@@ -2,6 +2,7 @@ package forest
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -262,5 +263,27 @@ func TestPackedArenaOverflowGuard(t *testing.T) {
 	}
 	if _, err := BuildPacked(b, g, 20); err != nil {
 		t.Fatalf("builder unusable after rejected demand: %v", err)
+	}
+}
+
+// BenchmarkBuildPacked times a packed forest build of the PCR master-mix at
+// D=20 and D=200 on one reused builder, so every iteration after the first
+// runs in warm arenas (TestPackedBuilderZeroAllocSteadyState pins that such
+// a build allocates nothing).
+func BenchmarkBuildPacked(b *testing.B) {
+	g, err := minmix.Build(protocols.PCR16().Ratio)
+	if err != nil {
+		b.Fatal(err)
+	}
+	builder := NewPackedBuilder(g)
+	for _, d := range []int{20, 200} {
+		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildPacked(builder, g, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -168,12 +168,11 @@ type entry struct {
 }
 
 // DefaultCapacity bounds the process-wide default cache. Its clients — the
-// demand-driven engine, stream.Run and interactive RunScheme calls — see a
-// small working set of repeated (ratio, demand, mixers, scheduler) tuples;
-// the population sweeps bypass the cache entirely (their plans are
-// single-use), so a modest bound comfortably covers every real hit pattern
-// while keeping worst-case retention, at a few kilobytes per plan, in the
-// low megabytes.
+// demand-driven engine and stream.Run — see a small working set of repeated
+// (ratio, demand, mixers, scheduler) tuples; the population sweeps bypass
+// the cache entirely (their plans are single-use), so a modest bound
+// comfortably covers every real hit pattern while keeping worst-case
+// retention, at a few kilobytes per plan, in the low megabytes.
 const DefaultCapacity = 1024
 
 // New returns an empty cache bounded to capacity entries (minimum 1).
@@ -191,8 +190,7 @@ func New(capacity int) *Cache {
 var std = New(DefaultCapacity)
 
 // Default returns the process-wide cache shared by the streaming engine
-// (stream.Run, core.Engine.Request) and the experiment sweeps
-// (experiments.RunScheme).
+// (stream.Run, core.Engine.Request).
 func Default() *Cache { return std }
 
 // Get returns the cached plan for k and marks it most recently used.

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fluidsim"
-	"repro/internal/forest"
 	"repro/internal/motion"
 	"repro/internal/pins"
 	"repro/internal/ratio"
@@ -50,20 +49,15 @@ func Generate(o Options) (string, error) {
 	}
 	mixers := o.Mixers
 	if mixers == 0 {
-		mm, err := core.MM.Build(o.Target)
-		if err != nil {
+		if mixers, err = core.PaperMixers(o.Target); err != nil {
 			return "", err
 		}
-		mixers = sched.Mlb(mm)
 	}
-	f, err := forest.Build(base, o.Demand)
+	p, err := stream.BuildPlan(stream.Config{Base: base, Mixers: mixers, Scheduler: o.Scheduler}, o.Demand)
 	if err != nil {
 		return "", err
 	}
-	s, err := o.Scheduler.Schedule(f, mixers)
-	if err != nil {
-		return "", err
-	}
+	s := p.Schedule
 	baseline, err := core.Baseline(o.Algorithm, o.Target, mixers, o.Demand)
 	if err != nil {
 		return "", err
@@ -73,11 +67,11 @@ func Generate(o Options) (string, error) {
 	fmt.Fprintf(&b, "# MDST plan: %s, D=%d\n\n", o.Target, o.Demand)
 	fmt.Fprintf(&b, "- base algorithm: %s (depth %d, %d mix-splits, %d inputs per pass)\n",
 		o.Algorithm, base.Root.Level, base.Stats().Mixes, base.Stats().InputTotal)
-	st := f.Stats()
+	st := p.Stats
 	fmt.Fprintf(&b, "- mixing forest: |F|=%d, Tms=%d, W=%d, I=%d, I[]=%v\n",
 		st.Trees, st.Mixes, st.Waste, st.InputTotal, st.Inputs)
 	fmt.Fprintf(&b, "- schedule (%s, %d mixers): Tc=%d, q=%d\n",
-		s.Algorithm, mixers, s.Cycles, sched.StorageUnits(s))
+		s.Algorithm, mixers, s.Cycles, p.Storage)
 	fmt.Fprintf(&b, "- repeated baseline: Tr=%d, Ir=%d (engine saves %.1f%% time, %.1f%% reactant)\n\n",
 		baseline.Cycles, baseline.Inputs,
 		100*float64(baseline.Cycles-s.Cycles)/float64(baseline.Cycles),

@@ -998,34 +998,21 @@ func (e *executor) bindChunk(order []string, base *mixgraph.Graph, demand, mixer
 }
 
 // cutOffMixers returns mixers whose port is blocked or unreachable from the
-// output port on the (stuck-aware) layout.
+// output port on the (stuck-aware) layout. A blocked output port cuts
+// nothing.
 func cutOffMixers(l *chip.Layout) []string {
 	outs := l.OfKind(chip.Output)
 	if len(outs) == 0 {
 		return nil
 	}
-	blocked := l.Blocked()
 	start := outs[0].Port
-	if blocked(start) {
+	if l.Blocked()(start) {
 		return nil
 	}
-	seen := map[chip.Point]bool{start: true}
-	queue := []chip.Point{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, d := range [4]chip.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}} {
-			next := chip.Point{X: cur.X + d.X, Y: cur.Y + d.Y}
-			if next.X < 0 || next.Y < 0 || next.X >= l.Width || next.Y >= l.Height || seen[next] || blocked(next) {
-				continue
-			}
-			seen[next] = true
-			queue = append(queue, next)
-		}
-	}
+	r := route.NewRouter(l)
 	var cut []string
 	for _, m := range l.OfKind(chip.Mixer) {
-		if blocked(m.Port) || !seen[m.Port] {
+		if _, err := r.Distance(start, m.Port); err != nil {
 			cut = append(cut, m.Name)
 		}
 	}

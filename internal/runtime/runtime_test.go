@@ -455,3 +455,39 @@ func TestErrormodelPrimitives(t *testing.T) {
 		t.Errorf("LinfError = %g", e)
 	}
 }
+
+// TestCutOffMixers pins which mixers a degraded chip loses to stuck cells: a
+// mixer is cut off when its port is stuck or unreachable from the output
+// port, and a blocked output port cuts nothing (the output's own failure is
+// reported elsewhere, not as a roster drop).
+func TestCutOffMixers(t *testing.T) {
+	l := chip.PCRLayout()
+	port := func(name string) chip.Point {
+		m, ok := l.Module(name)
+		if !ok {
+			t.Fatalf("PCR layout has no %s", name)
+		}
+		return m.Port
+	}
+	m1 := port("M1")
+	for _, tc := range []struct {
+		name  string
+		stuck []chip.Point
+		want  []string
+	}{
+		{"clear layout", nil, nil},
+		// The module block covers the rest of the port's neighbourhood.
+		{"walled-in mixer port", []chip.Point{
+			{X: m1.X - 1, Y: m1.Y}, {X: m1.X + 1, Y: m1.Y},
+			{X: m1.X, Y: m1.Y - 1}, {X: m1.X, Y: m1.Y + 1},
+		}, []string{"M1"}},
+		{"stuck mixer port", []chip.Point{port("M2")}, []string{"M2"}},
+		{"blocked output port", []chip.Point{port("OUT")}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := cutOffMixers(l.Degrade(nil, tc.stuck)); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("cutOffMixers = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}

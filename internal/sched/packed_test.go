@@ -96,3 +96,31 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkKernel times the MMS and SRS kernels on the packed PCR
+// master-mix forest at D=200 with 4 mixers, reusing one kernel's scratch
+// (TestKernelZeroAllocSteadyState pins that a warm run allocates nothing).
+func BenchmarkKernel(b *testing.B) {
+	g, err := minmix.Build(protocols.PCR16().Ratio)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pf, err := forest.BuildPacked(forest.NewPackedBuilder(g), g, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var k Kernel
+	for _, tc := range []struct {
+		name string
+		run  func(*forest.PackedForest, int) error
+	}{{"MMS", k.MMS}, {"SRS", k.SRS}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := tc.run(pf, 4); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -25,7 +26,8 @@ import (
 //	                         ordinal was consumed without a timeline effect;
 //	session-evict (async)  — advisory, stops recovery resurrecting LRU drops;
 //	plan-key      (async)  — distinct stateless plans, to re-warm the plan
-//	                         cache after a restart.
+//	                         cache after a restart (the newest ones, as many
+//	                         as the cache holds).
 //
 // Recovery leans on the determinism of the planning stack: replaying a
 // session's batch demands against a fresh engine rebuilds the exact
@@ -198,17 +200,50 @@ func (s *Server) notePlanKey(spec *planSpec) {
 	s.wal.AppendAsync(wal.Record{Kind: wal.KindPlanKey, Spec: specToWAL(spec), Demand: spec.demand})
 }
 
+// planKeyOf is the dedupe key of a stateless plan. Live requests and
+// recovered plan-key records share it.
+func planKeyOf(spec *planSpec) string {
+	return fmt.Sprintf("%s|d%d", spec.fingerprint(), spec.demand)
+}
+
 // markPlanKey records a stateless plan as journaled and reports whether it
-// was new. Live requests and recovered plan-key records share this key.
+// was new. Only the plan cache's capacity of keys is kept, first in first
+// out: a key that falls out is journaled afresh when it is next requested,
+// so the log's newest plan-key records are always the ones worth warming.
 func (s *Server) markPlanKey(spec *planSpec) bool {
-	key := fmt.Sprintf("%s|d%d", spec.fingerprint(), spec.demand)
+	key := planKeyOf(spec)
 	s.planKeysMu.Lock()
 	defer s.planKeysMu.Unlock()
 	if s.planKeys[key] {
 		return false
 	}
+	if len(s.planKeyOrder) >= s.planCache.Stats().Capacity {
+		delete(s.planKeys, s.planKeyOrder[0])
+		s.planKeyOrder = s.planKeyOrder[1:]
+	}
 	s.planKeys[key] = true
+	s.planKeyOrder = append(s.planKeyOrder, key)
 	return true
+}
+
+// recentPlanKeys decodes the newest distinct specs among the plan-key
+// records, at most limit of them, oldest first: warming them in that order
+// leaves the newest plan most recently used.
+func recentPlanKeys(recs []*wal.Record, limit int) []*planSpec {
+	var specs []*planSpec
+	seen := map[string]bool{}
+	for i := len(recs) - 1; i >= 0 && len(specs) < limit; i-- {
+		spec, err := specFromWAL(recs[i].Spec, recs[i].Demand)
+		if err != nil {
+			continue
+		}
+		if k := planKeyOf(spec); !seen[k] {
+			seen[k] = true
+			specs = append(specs, spec)
+		}
+	}
+	slices.Reverse(specs)
+	return specs
 }
 
 // recBatch is one batch of a session under recovery.
@@ -374,21 +409,20 @@ func (s *Server) Recover(ctx context.Context, info *wal.ReplayInfo) (*RecoveryRe
 		rep.Sessions++
 	}
 
-	// Re-warm the plan cache from the distinct stateless plan keys.
-	var keys []*planSpec
-	for _, rec := range f.planKeys {
-		spec, err := specFromWAL(rec.Spec, rec.Demand)
-		if err != nil || !s.markPlanKey(spec) {
-			continue
-		}
-		keys = append(keys, spec)
+	// Re-warm the plan cache from the most recent distinct stateless plan
+	// keys, as many as the cache holds; older ones would only be evicted by
+	// the newer ones.
+	keys := recentPlanKeys(f.planKeys, s.planCache.Stats().Capacity)
+	for _, spec := range keys {
+		s.markPlanKey(spec)
 		if err := s.warmPlanKey(ctx, spec); err == nil {
 			rep.PlanKeysWarmed++
 		}
 	}
 
-	// Compact: rewrite the log to exactly the surviving pool state (plus the
-	// plan keys), so boot cost stays proportional to live state, not uptime.
+	// Compact: rewrite the log to exactly the surviving pool state (plus
+	// those plan keys), so boot cost stays proportional to live state, not
+	// uptime.
 	var recs []wal.Record
 	for _, sess := range s.pool.snapshot() {
 		recs = append(recs, sessionRecords(sess.name, sess.spec, sess.history)...)

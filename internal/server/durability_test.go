@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -528,5 +529,72 @@ func TestErrorAwarePlanKeySurvivesRestart(t *testing.T) {
 	}
 	if keys != 1 {
 		t.Errorf("log holds %d plan-key records, want 1", keys)
+	}
+}
+
+// TestPlanKeyJournalBoundedByCache: the stateless plan-key journal keeps
+// only as many keys as the plan cache holds. After 20 distinct plans on a
+// 4-entry cache, a restart warms the newest 4 (a repeat of each builds
+// nothing), compacts the log to those 4 records, and builds nothing else.
+func TestPlanKeyJournalBoundedByCache(t *testing.T) {
+	const capacity, plans = 4, 20
+	path := filepath.Join(t.TempDir(), "keys.wal")
+	req := func(i int) PlanRequest {
+		return PlanRequest{Ratio: "2:1:1:1:1:1:9", Demand: 2 + 2*i, Scheduler: "SRS"}
+	}
+
+	l1, info1 := openWAL(t, path)
+	s1 := New(Config{WAL: l1, PlanCache: plancache.New(capacity)})
+	if _, err := s1.Recover(context.Background(), info1); err != nil {
+		t.Fatal(err)
+	}
+	ts1 := newServerAround(t, s1)
+	for i := 0; i < plans; i++ {
+		if code := post(t, ts1.URL+"/v1/plan", req(i), nil); code != http.StatusOK {
+			t.Fatalf("plan %d: status %d", i, code)
+		}
+	}
+	if err := l1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, info2 := openWAL(t, path)
+	cache := plancache.New(capacity)
+	s2 := New(Config{WAL: l2, PlanCache: cache})
+	rep, err := s2.Recover(context.Background(), info2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PlanKeysWarmed != capacity || rep.CompactedRecords != capacity {
+		t.Fatalf("recovery warmed %d plan keys and compacted to %d records, want %d and %d",
+			rep.PlanKeysWarmed, rep.CompactedRecords, capacity, capacity)
+	}
+	if st := cache.Stats(); st.Builds != capacity {
+		t.Fatalf("recovery built %d plans, want %d", st.Builds, capacity)
+	}
+	ts2 := newServerAround(t, s2)
+	for i := plans - capacity; i < plans; i++ {
+		if code := post(t, ts2.URL+"/v1/plan", req(i), nil); code != http.StatusOK {
+			t.Fatalf("repeat of plan %d: status %d", i, code)
+		}
+	}
+	if got := cache.Stats().Builds; got != capacity {
+		t.Errorf("repeating the newest %d plans after the restart built %d plans, want none", capacity, got-capacity)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := wal.Replay(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var demands []int
+	for _, rec := range recs {
+		if rec.Kind == wal.KindPlanKey {
+			demands = append(demands, rec.Demand)
+		}
+	}
+	if want := []int{34, 36, 38, 40}; !slices.Equal(demands, want) {
+		t.Errorf("log holds plan keys for demands %v, want %v", demands, want)
 	}
 }

@@ -141,9 +141,12 @@ type Server struct {
 	recovering atomic.Bool                    // WAL replay in progress
 	recovery   atomic.Pointer[RecoveryReport] // last boot's recovery report
 
-	// planKeys dedups the stateless plan keys journaled to the WAL.
-	planKeysMu sync.Mutex
-	planKeys   map[string]bool
+	// planKeys dedups the stateless plan keys journaled to the WAL. It holds
+	// at most the plan cache's capacity of keys; planKeyOrder lists them
+	// oldest first.
+	planKeysMu   sync.Mutex
+	planKeys     map[string]bool
+	planKeyOrder []string
 
 	// migrated tombstones sessions this node shipped away: session name →
 	// receiving node ID. A tombstone turns later requests for the session

@@ -39,8 +39,9 @@ func (k *planKernel) schedulePacked(s Scheduler, f *forest.PackedForest, mc int)
 
 // BuildPlan computes the single-pass plan for demand d — forest, schedule,
 // stats and peak storage — and materializes it into the immutable form the
-// plan caches hold. It is the one plan builder: stream's own cache misses
-// and the runtime's degraded replans both call it. The audit runs on the
+// plan caches hold. It is the one single-target plan builder: stream's own
+// cache misses, the runtime's degraded replans, the experiment sweeps and
+// the report all call it, directly or through Plan. The audit runs on the
 // materialized plan, so exactly what a cache receives is what was verified.
 // BuildPlan bypasses every cache and ignores cfg.Storage; the frozen
 // fixtures of TestPlannerGolden pin its output.

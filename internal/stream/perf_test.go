@@ -160,3 +160,23 @@ func TestRunCacheHitSkipsAllBuilds(t *testing.T) {
 		t.Errorf("cached plan differs: %+v vs %+v", first, second)
 	}
 }
+
+// BenchmarkColdDemandScan times a cold D' scan of the PCR master-mix up to
+// D=200 (SRS, 4 mixers, q'=4). The scan memo is purged every iteration and
+// the scan reads a plan cache of its own that it never fills, so each
+// iteration schedules every candidate demand; TestDemandScanMemo pins the
+// warm, memoised scan at zero allocations.
+func BenchmarkColdDemandScan(b *testing.B) {
+	g, err := minmix.Build(ratio.MustParse("2:1:1:1:1:1:9"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Base: g, Mixers: 4, Storage: 4, Scheduler: SRS, Cache: plancache.New(1)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		PurgeScanMemo()
+		if _, err := MaxSinglePassDemand(cfg, 200); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

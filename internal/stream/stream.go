@@ -123,8 +123,11 @@ type Result struct {
 	// Demand is the requested number of droplets D.
 	Demand int
 	// PerPassDemand is D', the single-pass demand cap the storage limit
-	// allows, chosen so the final, shorter pass fits as well (equals Demand
-	// when storage is unlimited or sufficient).
+	// allows, chosen so the final, shorter pass fits as well. It equals
+	// Demand when storage is unlimited. Under a storage budget it is the
+	// largest fitting even demand up to Demand (the scan visits even
+	// demands only), so an odd Demand always takes at least two passes,
+	// even when one pass of Demand would fit (ROADMAP item 12).
 	PerPassDemand int
 	// Passes are the planned passes in execution order.
 	Passes []Pass
