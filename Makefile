@@ -54,7 +54,8 @@ bench-cold:
 	$(GO) test ./internal/server -run '^$$' -bench ColdPlanRequest -benchmem -benchtime 5000x
 
 # Short fuzzing passes over the parser, the forest builder, the planner
-# (plan audit, window audit, Pack/Materialize round trip), the WAL replayer,
+# (plan audit, window audit, Pack/Materialize round trip, multi-pass plans
+# under a storage budget against a direct reference), the WAL replayer,
 # the session-adopt snapshot decoder, the artifact decoder, dmfbd's request
 # path (every /v1 route: no panic, no 500, no hang) and the -peers parser —
 # enough to replay the corpora and explore a little, not a soak run.

@@ -49,6 +49,10 @@ type PTask struct {
 	Targets int8
 	// NCons is the number of live entries in Cons.
 	NCons int8
+	// NInternal is the number of In entries produced by other tasks (Kind
+	// FromTask): the task's predecessor count, kept so the scheduling
+	// kernel need not re-derive it from In on every run.
+	NInternal int8
 	// Cons are the consuming task indices, in consumer-creation order. A
 	// task has at most two output droplets, so two slots always suffice and
 	// a packed task needs no consumer slice.
@@ -58,15 +62,7 @@ type PTask struct {
 }
 
 // InternalInputs counts inputs produced by other tasks (0, 1 or 2).
-func (t *PTask) InternalInputs() int {
-	n := 0
-	for _, s := range t.In {
-		if s.Kind == FromTask {
-			n++
-		}
-	}
-	return n
-}
+func (t *PTask) InternalInputs() int { return int(t.NInternal) }
 
 // FreeOutputs returns the task's final waste contribution: outputs that are
 // neither targets nor consumed.
@@ -216,6 +212,7 @@ func (b *PackedBuilder) newTask(v *mixgraph.Node, l, r PSource, tree int32) int3
 	})
 	for _, s := range [2]PSource{l, r} {
 		if s.Kind == FromTask {
+			b.f.Tasks[id].NInternal++
 			p := &b.f.Tasks[s.Ref]
 			p.Cons[p.NCons] = id
 			p.NCons++
@@ -346,6 +343,7 @@ func Pack(f *Forest) (*PackedForest, error) {
 				pt.In[s] = PSource{Kind: Input, Ref: int32(src.Fluid)}
 			} else {
 				pt.In[s] = PSource{Kind: FromTask, Ref: int32(src.Task.ID), Reused: src.Reused}
+				pt.NInternal++
 			}
 		}
 	}

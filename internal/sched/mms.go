@@ -81,7 +81,7 @@ func schedule(f *forest.Forest, mc int, algo string, p policy, firstTask int) (*
 	}
 	k := kernels.Get().(*Kernel)
 	defer kernels.Put(k)
-	if err := k.run(pf, mc, algo, p, firstTask); err != nil {
+	if _, err := k.run(pf, mc, algo, p, firstTask, unbounded); err != nil {
 		return nil, err
 	}
 	return k.Materialize(f), nil

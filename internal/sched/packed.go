@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/forest"
@@ -111,34 +112,63 @@ type Kernel struct {
 	qint     []uint64 // SRS internal-task min-heap
 	qleaf    []uint64 // SRS leaf min-heap; also Hu's queue
 	rel      []uint64 // keys released this cycle, pre-sort (MMS)
-	profile  []int32  // storage-profile scratch
+	held     int      // hand-off droplets produced before this cycle, not yet consumed
+	made     int      // hand-off droplets produced this cycle
 }
+
+// unbounded is the storage budget of a run that is never cut short.
+const unbounded = math.MaxInt
 
 // MMS runs M_Mixers_Schedule (Algorithm 1) over the packed forest.
 func (k *Kernel) MMS(f *forest.PackedForest, mc int) error {
-	return k.run(f, mc, "MMS", policyMMS, 0)
+	_, err := k.run(f, mc, "MMS", policyMMS, 0, unbounded)
+	return err
 }
 
 // SRS runs Storage_Reduced_Scheduling (Algorithm 2) over the packed forest.
 func (k *Kernel) SRS(f *forest.PackedForest, mc int) error {
-	return k.run(f, mc, "SRS", policySRS, 0)
+	_, err := k.run(f, mc, "SRS", policySRS, 0, unbounded)
+	return err
+}
+
+// MMSWithin runs MMS under a budget of q storage units. It schedules
+// exactly as MMS does but stops at the first cycle whose storage occupancy
+// exceeds q, and reports whether the schedule stayed within q to the end,
+// that is whether its peak storage (StorageUnits of the materialized
+// schedule) is at most q. The demand scan of internal/stream runs one per
+// candidate demand.
+//
+// A cut-short run leaves Cycles and Assignments describing only the cycles
+// scheduled before the cut, with the zero Assignment for every task not yet
+// reached: never Materialize it. The next run starts from clean scratch, so
+// a kernel that was cut short schedules byte-identically afterwards.
+func (k *Kernel) MMSWithin(f *forest.PackedForest, mc, q int) (bool, error) {
+	return k.run(f, mc, "MMS", policyMMS, 0, q)
+}
+
+// SRSWithin is the SRS counterpart of MMSWithin.
+func (k *Kernel) SRSWithin(f *forest.PackedForest, mc, q int) (bool, error) {
+	return k.run(f, mc, "SRS", policySRS, 0, q)
 }
 
 // MMSFrom schedules only tasks with index >= firstTask (the incremental
 // window of a pool-persistent engine); see the package-level MMSFrom.
 func (k *Kernel) MMSFrom(f *forest.PackedForest, mc, firstTask int) error {
-	return k.run(f, mc, "MMS", policyMMS, firstTask)
+	_, err := k.run(f, mc, "MMS", policyMMS, firstTask, unbounded)
+	return err
 }
 
 // SRSFrom is the SRS counterpart of MMSFrom.
 func (k *Kernel) SRSFrom(f *forest.PackedForest, mc, firstTask int) error {
-	return k.run(f, mc, "SRS", policySRS, firstTask)
+	_, err := k.run(f, mc, "SRS", policySRS, firstTask, unbounded)
+	return err
 }
 
 // Hu runs highest-level-first list scheduling (the OMS rule) over the packed
 // forest. OMS(base, mc) is Hu over BuildPacked(b, base, 2).
 func (k *Kernel) Hu(f *forest.PackedForest, mc int) error {
-	return k.run(f, mc, "OMS", policyHu, 0)
+	_, err := k.run(f, mc, "OMS", policyHu, 0, unbounded)
+	return err
 }
 
 // Cycles returns Tc of the last run.
@@ -160,36 +190,6 @@ func (k *Kernel) Materialize(f *forest.Forest) *Schedule {
 		Cycles:    k.cycles,
 		FirstTask: k.firstTask,
 	}
-}
-
-// StorageUnits returns the peak storage occupancy q of the last schedule of
-// f: the value sched.StorageUnits computes for the materialized schedule.
-// Instead of walking every droplet's storage interval cell by cell as
-// Algorithm 3 does (StorageProfile keeps that literal walk, and the plan
-// audit checks it against a difference array), it adds +1 where a lifetime
-// starts and -1 where it ends and takes the peak of the running sum, so each
-// candidate of the demand scan costs O(tasks + cycles). The kernel's profile
-// scratch is reused: zero allocations when warm.
-func (k *Kernel) StorageUnits(f *forest.PackedForest) int {
-	diff := growInt32(k.profile, k.cycles+1)
-	k.profile = diff
-	for i := range f.Tasks {
-		t := &f.Tasks[i]
-		produced := k.slots[i].Cycle
-		for c := int8(0); c < t.NCons; c++ {
-			// The droplet sits in storage during produced+1 .. consumed-1.
-			if consumed := k.slots[t.Cons[c]].Cycle; produced+1 < consumed {
-				diff[produced+1]++
-				diff[consumed]--
-			}
-		}
-	}
-	var peak, occ int32
-	for _, d := range diff {
-		occ += d
-		peak = max(peak, occ)
-	}
-	return int(peak)
 }
 
 func growAssignments(s []Assignment, n int) []Assignment {
@@ -256,26 +256,37 @@ func (k *Kernel) flush(f *forest.PackedForest, p policy) {
 // increasing index order (as Algorithms 1 and 2 do). Tasks with index <
 // firstTask are treated as completed before cycle 1: their output droplets
 // are available immediately and they receive no assignment.
-func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firstTask int) error {
+//
+// Once cycle t is scheduled its storage occupancy is final: the hand-off
+// droplets produced before t that no task of cycle t consumes (held, after
+// assign has debited cycle t's inputs). Later cycles never change it, and
+// the schedule's peak storage is the largest such occupancy, so run stops
+// at the first cycle holding more than budget droplets and reports false:
+// the finished schedule would need more than budget storage units.
+func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firstTask, budget int) (bool, error) {
 	if mc < 1 {
-		return ErrNoMixers
+		return false, ErrNoMixers
 	}
 	n := len(f.Tasks)
 	if firstTask < 0 || firstTask > n {
-		return fmt.Errorf("sched: first task %d outside [0, %d]", firstTask, n)
+		return false, fmt.Errorf("sched: first task %d outside [0, %d]", firstTask, n)
 	}
 	k.mixers, k.algorithm, k.firstTask, k.cycles = mc, algo, firstTask, 0
 	k.slots = growAssignments(k.slots, n)
 	k.pending = growInt32(k.pending, n)
 	k.fifo, k.fifoHead = k.fifo[:0], 0
 	k.qint, k.qleaf, k.rel = k.qint[:0], k.qleaf[:0], k.rel[:0]
+	k.held, k.made = 0, 0
 
 	for i := firstTask; i < n; i++ {
 		t := &f.Tasks[i]
-		preds := int32(0)
-		for _, src := range t.In {
-			if src.Kind == forest.FromTask && int(src.Ref) >= firstTask {
-				preds++
+		preds := int32(t.NInternal)
+		if firstTask > 0 {
+			for _, src := range t.In {
+				if src.Kind == forest.FromTask && int(src.Ref) < firstTask {
+					preds--
+					k.held++ // an earlier window's droplet, stored from cycle 1
+				}
 			}
 		}
 		k.pending[i] = preds
@@ -319,10 +330,18 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 			}
 		}
 		if picked == 0 {
-			return ErrDeadlock
+			return false, ErrDeadlock
 		}
 		remaining -= picked
 		k.cycles = t
+		if k.held > budget {
+			if obs.Enabled() {
+				obs.Inc("sched.schedules_cut")
+			}
+			return false, nil
+		}
+		k.held += k.made
+		k.made = 0
 		k.flush(f, p)
 	}
 	if obs.Enabled() {
@@ -333,15 +352,18 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 			obs.Observe("sched.mixer_utilization", float64(scheduled)/(float64(mc)*float64(k.cycles)))
 		}
 	}
-	return nil
+	return true, nil
 }
 
-// assign places task id at (cycle, mixer) and stages consumers whose last
-// in-window producer just finished into rel; flush enqueues them after the
-// cycle's batch completes.
+// assign places task id at (cycle, mixer), debits the droplets it consumes
+// from held, credits the droplets it hands on to made, and stages consumers
+// whose last in-window producer just finished into rel; flush enqueues them
+// after the cycle's batch completes.
 func (k *Kernel) assign(f *forest.PackedForest, id int32, cycle, mixer, firstTask int) {
 	k.slots[id] = Assignment{Cycle: cycle, Mixer: mixer}
 	t := &f.Tasks[id]
+	k.held -= t.InternalInputs()
+	k.made += int(t.NCons)
 	for c := int8(0); c < t.NCons; c++ {
 		cons := t.Cons[c]
 		if int(cons) < firstTask {

@@ -1,10 +1,13 @@
 package sched
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/forest"
 	"repro/internal/minmix"
+	"repro/internal/obs"
 	"repro/internal/protocols"
 )
 
@@ -62,9 +65,130 @@ func TestKernelErrors(t *testing.T) {
 	}
 }
 
+// TestKernelWithinMatchesStorageUnits checks the storage-bounded runs
+// against Algorithm 3 on the full schedule: MMSWithin and SRSWithin accept
+// a budget q exactly when the materialized schedule's StorageUnits is at
+// most q, and a run that fits leaves the full schedule behind.
+func TestKernelWithinMatchesStorageUnits(t *testing.T) {
+	g, err := minmix.Build(protocols.PCR16().Ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb := forest.NewPackedBuilder(g)
+	var k Kernel
+	for _, d := range []int{2, 7, 20, 33, 64} {
+		pf, err := forest.BuildPacked(pb, g, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := pf.Materialize()
+		for _, mc := range []int{1, 3, 4} {
+			for _, tc := range []struct {
+				name   string
+				full   func(*forest.Forest, int) (*Schedule, error)
+				within func(*forest.PackedForest, int, int) (bool, error)
+			}{{"MMS", MMS, k.MMSWithin}, {"SRS", SRS, k.SRSWithin}} {
+				want, err := tc.full(f, mc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q := StorageUnits(want)
+				for budget := 0; budget <= q+1; budget++ {
+					fits, err := tc.within(pf, mc, budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fits != (q <= budget) {
+						t.Errorf("D=%d %s mc=%d: within(q'=%d) = %t, StorageUnits = %d", d, tc.name, mc, budget, fits, q)
+					}
+					if fits && Gantt(k.Materialize(f)) != Gantt(want) {
+						t.Errorf("D=%d %s mc=%d q'=%d: a run that fits differs from the full schedule", d, tc.name, mc, budget)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelCutThenFullRun: a run cut short leaves partial slots and queues
+// behind. The same kernel's next full run must still produce exactly the
+// cycles and assignments of a fresh kernel, on the forest it was cut on
+// and on a smaller one.
+func TestKernelCutThenFullRun(t *testing.T) {
+	g, err := minmix.Build(protocols.PCR16().Ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := forest.BuildPacked(forest.NewPackedBuilder(g), g, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := forest.BuildPacked(forest.NewPackedBuilder(g), g, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []string{"MMS", "SRS"} {
+		for _, pf := range []*forest.PackedForest{big, small} {
+			var fresh, used Kernel
+			full, within := fresh.MMS, used.MMSWithin
+			if scheme == "SRS" {
+				full, within = fresh.SRS, used.SRSWithin
+			}
+			if err := full(pf, 4); err != nil {
+				t.Fatal(err)
+			}
+			if fits, err := within(big, 4, 1); err != nil || fits {
+				t.Fatalf("%s: within(q'=1) = %t, %v; want a cut", scheme, fits, err)
+			}
+			if fits, err := within(pf, 4, math.MaxInt); err != nil || !fits {
+				t.Fatalf("%s: unbounded run = %t, %v", scheme, fits, err)
+			}
+			if used.Cycles() != fresh.Cycles() || !slices.Equal(used.Assignments(), fresh.Assignments()) {
+				t.Errorf("%s D=%d: full run after a cut differs from a fresh kernel's", scheme, pf.Demand)
+			}
+			f := pf.Materialize()
+			if Gantt(used.Materialize(f)) != Gantt(fresh.Materialize(f)) {
+				t.Errorf("%s D=%d: materialized schedule after a cut differs", scheme, pf.Demand)
+			}
+		}
+	}
+}
+
+// TestKernelCutCounter: with observability on, a completed run counts under
+// sched.schedules and a run cut short by its storage budget under
+// sched.schedules_cut only.
+func TestKernelCutCounter(t *testing.T) {
+	g, err := minmix.Build(protocols.PCR16().Ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := forest.BuildPacked(forest.NewPackedBuilder(g), g, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Enable(obs.Options{})
+	defer obs.Disable()
+	var k Kernel
+	if fits, err := k.SRSWithin(pf, 4, 1); err != nil || fits {
+		t.Fatalf("SRSWithin(q'=1) = %t, %v; want a cut", fits, err)
+	}
+	if err := k.SRS(pf, 4); err != nil {
+		t.Fatal(err)
+	}
+	if fits, err := k.MMSWithin(pf, 4, math.MaxInt); err != nil || !fits {
+		t.Fatalf("unbounded MMSWithin = %t, %v", fits, err)
+	}
+	if got := obs.Counter("sched.schedules_cut"); got != 1 {
+		t.Errorf("sched.schedules_cut = %d, want 1", got)
+	}
+	if got := obs.Counter("sched.schedules"); got != 2 {
+		t.Errorf("sched.schedules = %d, want 2", got)
+	}
+}
+
 // TestKernelZeroAllocSteadyState proves the tentpole's scheduling
-// criterion: a warm kernel schedules (and counts storage) without a single
-// heap allocation, for both MMS and SRS.
+// criterion: a warm kernel schedules without a single heap allocation, for
+// both MMS and SRS, run in full and cut short under a storage budget.
 func TestKernelZeroAllocSteadyState(t *testing.T) {
 	g, err := minmix.Build(protocols.PCR16().Ratio)
 	if err != nil {
@@ -81,13 +205,21 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 			if err := k.MMS(pf, 4); err != nil {
 				t.Fatal(err)
 			}
-			k.StorageUnits(pf)
 		},
 		"SRS": func() {
 			if err := k.SRS(pf, 4); err != nil {
 				t.Fatal(err)
 			}
-			k.StorageUnits(pf)
+		},
+		"MMSWithin": func() {
+			if fits, err := k.MMSWithin(pf, 4, 2); err != nil || fits {
+				t.Fatalf("MMSWithin(q=2) = %t, %v; want a cut", fits, err)
+			}
+		},
+		"SRSWithin": func() {
+			if fits, err := k.SRSWithin(pf, 4, 2); err != nil || fits {
+				t.Fatalf("SRSWithin(q=2) = %t, %v; want a cut", fits, err)
+			}
 		},
 	} {
 		warm() // grow the scratch once

@@ -7,17 +7,21 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/forest"
+	"repro/internal/plancache"
 	"repro/internal/ratio"
 	"repro/internal/sched"
 )
 
-// FuzzPlan is the planner's oracle-free fuzz target. Over fuzzer-chosen
-// ratios, base algorithms, demands up to 128, mixer counts 1..8, schedulers
-// and window starts it checks that a valid input builds a plan passing the
-// full plan audit, that a windowed schedule of that plan's forest passes
-// the schedule audit, that Pack inverts Materialize on the packed forest,
-// and that no input panics. Invalid ratios are rejected by the parser and
-// base builders; non-positive demands must fail with forest.ErrBadDemand.
+// FuzzPlan is the planner's fuzz target. Over fuzzer-chosen ratios, base
+// algorithms, demands up to 128, mixer counts 1..8, schedulers, window
+// starts and storage budgets q' in 0..15 (0 is unlimited) it checks that a
+// valid input builds a plan passing the full plan audit, that a windowed
+// schedule of that plan's forest passes the schedule audit, that Pack
+// inverts Materialize on the packed forest, and that no input panics.
+// Invalid ratios are rejected by the parser and base builders; non-positive
+// demands must fail with forest.ErrBadDemand. Under a storage budget the
+// multi-pass plan must match a direct reference built from single-pass
+// plans (checkStoragePlan).
 func FuzzPlan(f *testing.F) {
 	seeds := []struct {
 		ratio          string
@@ -25,20 +29,24 @@ func FuzzPlan(f *testing.F) {
 		demand         int
 		mixers, scheme uint8
 		first          uint16
+		storage        uint8
 	}{
-		{"2:1:1:1:1:1:9", 0, 20, 3, 1, 7},
-		{"26:21:2:2:3:3:199", 2, 33, 4, 1, 0},
-		{"128:123:5", 1, 64, 0, 0, 40},
-		{"1:3", 0, 1, 7, 0, 1},
-		{"5:3:4:4", 1, 128, 5, 1, 9999},
-		{"1:1", 2, 2, 1, 0, 3},
-		{"2:1:1:1:1:1:9", 0, 0, 3, 0, 0},
-		{"2:1:1:1:1:1:9", 0, -4, 3, 0, 0},
+		{"2:1:1:1:1:1:9", 0, 20, 3, 1, 7, 5},
+		{"26:21:2:2:3:3:199", 2, 33, 4, 1, 0, 7},
+		{"128:123:5", 1, 64, 0, 0, 40, 0},
+		{"1:3", 0, 1, 7, 0, 1, 1},
+		{"5:3:4:4", 1, 128, 5, 1, 9999, 6},
+		{"1:1", 2, 2, 1, 0, 3, 2},
+		{"2:1:1:1:1:1:9", 0, 0, 3, 0, 0, 4},
+		{"2:1:1:1:1:1:9", 0, -4, 3, 0, 0, 0},
+		{"10:6:6:5:1:1:1:1:1", 1, 114, 2, 1, 0, 8},
+		{"57:28:6:6:6:3:150", 0, 128, 2, 1, 0, 11},
+		{"2:1:1:1:1:1:9", 0, 40, 0, 0, 0, 1},
 	}
 	for _, s := range seeds {
-		f.Add(s.ratio, s.alg, s.demand, s.mixers, s.scheme, s.first)
+		f.Add(s.ratio, s.alg, s.demand, s.mixers, s.scheme, s.first, s.storage)
 	}
-	f.Fuzz(func(t *testing.T, rs string, alg uint8, demand int, mixers, scheme uint8, first uint16) {
+	f.Fuzz(func(t *testing.T, rs string, alg uint8, demand int, mixers, scheme uint8, first uint16, storage uint8) {
 		r, err := ratio.Parse(rs)
 		if err != nil || r.Sum() > 1024 || demand > 128 {
 			return
@@ -90,5 +98,75 @@ func FuzzPlan(f *testing.F) {
 		if !reflect.DeepEqual(back, pf) {
 			t.Fatalf("Pack(Materialize(pf)) differs from pf for %s(%s) D=%d", algo.name, rs, demand)
 		}
+
+		if q := int(storage) % 16; q > 0 {
+			cfg.Storage = q
+			checkStoragePlan(t, cfg, demand)
+		}
 	})
+}
+
+// checkStoragePlan checks Run under a storage budget against a direct
+// reference. S(d) comes from the single-pass plan of d (BuildPlan, whose
+// Storage is Algorithm 3's peak). D' is the largest even d <= D with
+// S(d) <= q', lowered as perPassDemand lowers it until the short pass of
+// D mod D' fits too; no D' means ErrStorage. The plan must use D', take
+// ⌈D/D'⌉ passes and keep every pass within q'.
+func checkStoragePlan(t *testing.T, cfg Config, demand int) {
+	t.Helper()
+	memo := map[int]int{}
+	s := func(d int) int {
+		if v, ok := memo[d]; ok {
+			return v
+		}
+		p, err := BuildPlan(cfg, d)
+		if err != nil {
+			t.Fatalf("BuildPlan(D=%d): %v", d, err)
+		}
+		memo[d] = p.Storage
+		return p.Storage
+	}
+	want := 0
+	for limit := max(demand, 2); want == 0; {
+		dmax := 0
+		for d := 2; d <= limit; d += 2 {
+			if s(d) <= cfg.Storage {
+				dmax = d
+			}
+		}
+		if dmax == 0 {
+			break
+		}
+		if short := demand % dmax; short == 0 || s(short) <= cfg.Storage {
+			want = dmax
+		} else if dmax <= 2 {
+			break
+		} else {
+			limit = dmax - 2
+		}
+	}
+
+	cfg.Cache = plancache.New(16)
+	res, err := Run(cfg, demand)
+	if want == 0 {
+		if !errors.Is(err, ErrStorage) {
+			t.Fatalf("q'=%d D=%d: no pass fits, Run err = %v, want ErrStorage", cfg.Storage, demand, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("q'=%d D=%d: Run: %v (reference D'=%d)", cfg.Storage, demand, err, want)
+	}
+	if res.PerPassDemand != want {
+		t.Fatalf("q'=%d D=%d: D'=%d, reference %d", cfg.Storage, demand, res.PerPassDemand, want)
+	}
+	if n := (demand + want - 1) / want; len(res.Passes) != n {
+		t.Fatalf("q'=%d D=%d D'=%d: %d passes, want %d", cfg.Storage, demand, want, len(res.Passes), n)
+	}
+	for i, p := range res.Passes {
+		if q := sched.StorageUnits(p.Schedule); q > cfg.Storage || p.Storage != q {
+			t.Fatalf("q'=%d D=%d: pass %d of %d targets uses %d storage units (reported %d)",
+				cfg.Storage, demand, i+1, p.Demand, q, p.Storage)
+		}
+	}
 }

@@ -203,7 +203,7 @@ func plannerRows(t testing.TB) []goldenRow {
 				if err := k.Hu(pf, mc); err != nil {
 					return "", err
 				}
-				return scheduleValue(k.Cycles(), k.StorageUnits(pf), k.Assignments()), nil
+				return scheduleValue(k.Cycles(), sched.StorageUnits(k.Materialize(pf.Materialize())), k.Assignments()), nil
 			})
 		}
 		add("mlb "+gg.label, func() (string, error) {
@@ -378,7 +378,7 @@ func plannerRows(t testing.TB) []goldenRow {
 							if err := run(pf, mc); err != nil {
 								return "", err
 							}
-							return scheduleValue(k.Cycles(), k.StorageUnits(pf), k.Assignments()), nil
+							return scheduleValue(k.Cycles(), sched.StorageUnits(k.Materialize(f)), k.Assignments()), nil
 						})
 					}
 				}
@@ -476,28 +476,57 @@ func plannerRows(t testing.TB) []goldenRow {
 				}
 				return "S=" + strings.Join(s, ","), nil
 			}, func() (string, error) {
-				// Grown one tree at a time, as the demand scan grows it:
-				// an odd d has the same forest as d+1.
+				// Grown one tree at a time, as the demand scan grows it (an
+				// odd d has the same forest as d+1), and measured the way
+				// the scan measures it: S(d) is the least budget the
+				// storage-bounded kernel accepts.
 				s := make([]string, 0, storageScanMax-1)
 				pb.Reset(g)
+				within := k.MMSWithin
+				if scheme == SRS {
+					within = k.SRSWithin
+				}
 				for d := 2; d <= storageScanMax; d++ {
 					if pb.Forest().NumTrees() < (d+1)/2 {
 						pb.AddTree()
 					}
-					run := k.MMS
-					if scheme == SRS {
-						run = k.SRS
-					}
-					if err := run(pb.Forest(), mc); err != nil {
+					q, err := leastBudget(pb.Forest(), func(q int) (bool, error) {
+						return within(pb.Forest(), mc, q)
+					})
+					if err != nil {
 						return "", err
 					}
-					s = append(s, strconv.Itoa(k.StorageUnits(pb.Forest())))
+					s = append(s, strconv.Itoa(q))
 				}
 				return "S=" + strings.Join(s, ","), nil
 			})
 		}
 	}
 	return rows
+}
+
+// leastBudget returns the fewest storage units a storage-bounded run of f
+// accepts, by binary search: the schedule's peak storage S. Acceptance is
+// monotone in the budget, because a cut never changes the cycles scheduled
+// before it, and a budget of every hand-off droplet in f always fits.
+func leastBudget(f *forest.PackedForest, fits func(q int) (bool, error)) (int, error) {
+	lo, hi := 0, 0
+	for i := range f.Tasks {
+		hi += int(f.Tasks[i].NCons)
+	}
+	for lo < hi {
+		mid := (lo + hi) / 2
+		ok, err := fits(mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, nil
 }
 
 // readGolden parses the fixture into key -> value, preserving file order.
@@ -537,8 +566,9 @@ func readGolden(t testing.TB) (map[string]string, []string) {
 // MMS/SRS/OMS schedules, Mlb, scheduling windows, persistent-pool batch
 // sequences, multi-target forests, a seeded random sweep and the S(d)
 // storage curves behind every D'. Each row is computed twice — through the
-// public forest/sched API and on the packed builder and kernel directly —
-// and both must match the fixture. Regenerate with -update only for an
+// public forest/sched API and on the packed builder and kernel directly (the
+// S(d) rows through the storage-bounded kernel the demand scan runs) — and
+// both must match the fixture. Regenerate with -update only for an
 // intended planner change.
 func TestPlannerGolden(t *testing.T) {
 	rows := plannerRows(t)

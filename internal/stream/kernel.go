@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/audit"
@@ -25,15 +26,19 @@ type planKernel struct {
 
 var kernelPool = sync.Pool{New: func() any { return new(planKernel) }}
 
-// schedulePacked runs the configured scheme over a packed forest.
-func (k *planKernel) schedulePacked(s Scheduler, f *forest.PackedForest, mc int) error {
+// schedulePacked runs the configured scheme over a packed forest under a
+// budget of q storage units: it stops at the first cycle that holds more
+// than q droplets in storage and reports whether the schedule stayed within
+// q to its end (sched.Kernel.MMSWithin). BuildPlan passes an unlimited
+// budget; the demand scan passes q'.
+func (k *planKernel) schedulePacked(s Scheduler, f *forest.PackedForest, mc, q int) (bool, error) {
 	switch s {
 	case MMS:
-		return k.sched.MMS(f, mc)
+		return k.sched.MMSWithin(f, mc, q)
 	case SRS:
-		return k.sched.SRS(f, mc)
+		return k.sched.SRSWithin(f, mc, q)
 	default:
-		return fmt.Errorf("stream: unknown scheduler %d", int(s))
+		return false, fmt.Errorf("%w %d", ErrUnknownScheduler, int(s))
 	}
 }
 
@@ -52,7 +57,7 @@ func BuildPlan(cfg Config, d int) (*plancache.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := k.schedulePacked(cfg.Scheduler, pf, cfg.Mixers); err != nil {
+	if _, err := k.schedulePacked(cfg.Scheduler, pf, cfg.Mixers, math.MaxInt); err != nil {
 		return nil, err
 	}
 	f := pf.Materialize()

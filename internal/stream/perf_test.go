@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/forest"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/plancache"
 	"repro/internal/ratio"
 	"repro/internal/sched"
+	"repro/internal/synth"
 )
 
 // TestMaxSinglePassDemandNoFullRebuilds asserts the storage-demand scan
@@ -161,21 +164,61 @@ func TestRunCacheHitSkipsAllBuilds(t *testing.T) {
 	}
 }
 
-// BenchmarkColdDemandScan times a cold D' scan of the PCR master-mix up to
-// D=200 (SRS, 4 mixers, q'=4). The scan memo is purged every iteration and
-// the scan reads a plan cache of its own that it never fills, so each
-// iteration schedules every candidate demand; TestDemandScanMemo pins the
-// warm, memoised scan at zero allocations.
+// BenchmarkColdDemandScan times cold D' scans. The scan memo is purged
+// every iteration and the scan reads a plan cache of its own that it never
+// fills, so each iteration schedules every candidate demand (each cut at
+// its first cycle over q'); TestDemandScanMemo pins the warm, memoised scan
+// at zero allocations. The PCR case scans the PCR master-mix up to D=200
+// (SRS, 4 mixers, q'=4). The dataset cases model the storage-limited
+// requests of the serving mix: MMS and SRS at q' = 6 and 8 up to D=128 on
+// Mlb mixers, one scan per iteration, cycling through a fixed sample of
+// PaperDataset ratios (every 257th, base algorithms MM, RMA and MTCS in
+// turn).
 func BenchmarkColdDemandScan(b *testing.B) {
 	g, err := minmix.Build(ratio.MustParse("2:1:1:1:1:1:9"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{Base: g, Mixers: 4, Storage: 4, Scheduler: SRS, Cache: plancache.New(1)}
+	b.Run("PCR/SRS/mc=4/q=4", func(b *testing.B) {
+		benchScans(b, []Config{{Base: g, Mixers: 4, Storage: 4, Scheduler: SRS}}, 200)
+	})
+
+	var sample []Config
+	for i, r := range synth.PaperDataset() {
+		if i%257 != 0 {
+			continue
+		}
+		mm, err := minmix.Build(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := goldenAlgorithms[len(sample)%len(goldenAlgorithms)].build(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sample = append(sample, Config{Base: g, Mixers: sched.Mlb(mm)})
+	}
+	for _, s := range goldenSchemes {
+		for _, q := range []int{6, 8} {
+			cfgs := slices.Clone(sample)
+			for i := range cfgs {
+				cfgs[i].Storage, cfgs[i].Scheduler = q, s
+			}
+			b.Run(fmt.Sprintf("dataset/%s/q=%d", s, q), func(b *testing.B) { benchScans(b, cfgs, 128) })
+		}
+	}
+}
+
+// benchScans runs one cold scan up to limit per iteration, cycling through
+// cfgs, each against an empty plan cache of its own.
+func benchScans(b *testing.B, cfgs []Config, limit int) {
+	for i := range cfgs {
+		cfgs[i].Cache = plancache.New(1)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		PurgeScanMemo()
-		if _, err := MaxSinglePassDemand(cfg, 200); err != nil {
+		if _, err := MaxSinglePassDemand(cfgs[i%len(cfgs)], limit); err != nil {
 			b.Fatal(err)
 		}
 	}

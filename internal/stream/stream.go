@@ -46,6 +46,9 @@ func (s Scheduler) String() string {
 	}
 }
 
+// ErrUnknownScheduler reports a Scheduler value that names no scheme.
+var ErrUnknownScheduler = errors.New("stream: unknown scheduler")
+
 // Schedule runs the selected scheme.
 func (s Scheduler) Schedule(f *forest.Forest, mc int) (*sched.Schedule, error) {
 	switch s {
@@ -54,7 +57,7 @@ func (s Scheduler) Schedule(f *forest.Forest, mc int) (*sched.Schedule, error) {
 	case SRS:
 		return sched.SRS(f, mc)
 	default:
-		return nil, fmt.Errorf("stream: unknown scheduler %d", int(s))
+		return nil, fmt.Errorf("%w %d", ErrUnknownScheduler, int(s))
 	}
 }
 
@@ -187,10 +190,10 @@ type scanKey struct {
 }
 
 // scanMemo caches demand-scan results. The scan is the dominant cost of a
-// storage-limited plan request (O(D²) scheduling work across the candidate
-// demands, per request, since candidate schedules alias the live packed
-// forest and are never plan-cached), so a serving layer hammering one heavy
-// spec would otherwise recompute it on every request.
+// storage-limited plan request: one storage-bounded schedule per even
+// candidate demand, per request, since candidate schedules alias the live
+// packed forest and are never plan-cached. A serving layer hammering one
+// heavy spec would otherwise recompute it on every request.
 var scanMemo = struct {
 	sync.Mutex
 	m map[scanKey]int
@@ -212,7 +215,9 @@ func PurgeScanMemo() {
 }
 
 // MaxSinglePassDemandCtx is the context-aware scan behind
-// MaxSinglePassDemand. Repeated scans are served from the memo (a warm
+// MaxSinglePassDemand. With unlimited storage (cfg.Storage <= 0, which Run
+// plans as one pass) every demand fits, so it returns limit without
+// scheduling anything. Repeated scans are served from the memo (a warm
 // lookup allocates nothing); memo misses run the incremental packed scan
 // (demandScan). Cancellation is checked at every candidate-demand boundary
 // of a live scan; an abandoned scan returns an error wrapping
@@ -220,6 +225,9 @@ func PurgeScanMemo() {
 func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, error) {
 	if limit < 2 {
 		limit = 2
+	}
+	if cfg.Storage <= 0 {
+		return limit, nil
 	}
 	mk := scanKey{
 		graph:     cfg.Base.Fingerprint(),
@@ -260,6 +268,13 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 // every candidate schedule in its scratch, so a warm scan allocates nothing
 // per candidate and no schedule is ever cached (it would alias the live,
 // still-growing forest).
+//
+// Each candidate is scheduled under a budget of q' storage units and cut
+// short at its first cycle over budget: that cycle's occupancy is final, so
+// it already proves the candidate's peak storage exceeds q'. The cut ends
+// only that candidate. The scan still visits every even demand up to limit,
+// because storage is not monotone in demand (TestStorageNotMonotoneInDemand):
+// a larger demand can fit after a smaller one overflowed.
 func demandScan(ctx context.Context, cfg Config, limit int) (int, error) {
 	cache := cfg.cache()
 	k := kernelPool.Get().(*planKernel)
@@ -277,10 +292,11 @@ func demandScan(ctx context.Context, cfg Config, limit int) (int, error) {
 			}
 			continue
 		}
-		if err := k.schedulePacked(cfg.Scheduler, k.builder.Forest(), cfg.Mixers); err != nil {
+		fits, err := k.schedulePacked(cfg.Scheduler, k.builder.Forest(), cfg.Mixers, cfg.Storage)
+		if err != nil {
 			return 0, err
 		}
-		if k.sched.StorageUnits(k.builder.Forest()) <= cfg.Storage {
+		if fits {
 			best = d
 		}
 	}
