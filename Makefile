@@ -9,7 +9,7 @@ GO ?= go
 # graph fingerprints, the pooled packed planning kernels, the distributed
 # artifact/cluster tier and the error-model analysis shared by concurrent
 # plan requests) — raced explicitly by `make race`.
-CONCURRENT_PKGS := ./internal/parallel ./internal/plancache ./internal/experiments ./internal/stream ./internal/synth ./internal/faults ./internal/runtime ./internal/exec ./internal/route ./internal/obs ./internal/audit ./internal/core ./internal/server ./internal/mixgraph ./internal/forest ./internal/sched ./internal/wal ./internal/fleet ./internal/contam ./internal/artifact ./internal/cluster ./internal/errormodel ./cmd/dmfbd
+CONCURRENT_PKGS := ./internal/parallel ./internal/plancache ./internal/lru ./internal/experiments ./internal/stream ./internal/synth ./internal/faults ./internal/runtime ./internal/exec ./internal/route ./internal/obs ./internal/audit ./internal/core ./internal/server ./internal/mixgraph ./internal/forest ./internal/sched ./internal/wal ./internal/fleet ./internal/contam ./internal/artifact ./internal/cluster ./internal/errormodel ./cmd/dmfbd
 
 .PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-cold results-check bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
 

@@ -765,6 +765,8 @@ func runSaturated(chips, degraded, conc, reqs int, ratios []string) (scenarioRes
 		}
 		targets[i] = t
 	}
+	// The runners share one plan cache, as the assays of one server do.
+	cache := plancache.New(plancache.DefaultCapacity)
 	lat := make([]float64, reqs)
 	var errs atomic.Int32
 	var next atomic.Int64
@@ -784,10 +786,11 @@ func runSaturated(chips, degraded, conc, reqs int, ratios []string) (scenarioRes
 				// each placement is held for several milliseconds and the
 				// worker pool genuinely overlaps inside the fleet.
 				_, err := fl.Run(context.Background(), fleet.AssaySpec{
-					Target:  targets[i%len(targets)],
-					Demand:  256,
-					Storage: 4,
-					Class:   fmt.Sprintf("class-%d", i%3),
+					Target:    targets[i%len(targets)],
+					Demand:    256,
+					Storage:   4,
+					Class:     fmt.Sprintf("class-%d", i%3),
+					PlanCache: cache,
 				})
 				if err != nil {
 					errs.Add(1)

@@ -10,7 +10,6 @@
 //	experiments -quick              # smaller synthetic population
 //	experiments -csvdir results     # also write CSVs
 //	experiments -sequential         # single-threaded reference path
-//	experiments -cachestats         # report plan-cache hit rates
 package main
 
 import (
@@ -21,7 +20,6 @@ import (
 
 	"repro/internal/errormodel"
 	"repro/internal/experiments"
-	"repro/internal/plancache"
 	"repro/internal/protocols"
 	"repro/internal/ratio"
 	"repro/internal/synth"
@@ -40,7 +38,6 @@ func main() {
 		quick      = flag.Bool("quick", false, "use the L=16 population for Table 3 / Fig. 6 (fast)")
 		csvdir     = flag.String("csvdir", "", "directory to write CSV files into")
 		sequential = flag.Bool("sequential", false, "disable the parallel sweep fan-out (single-threaded reference path)")
-		cachestats = flag.Bool("cachestats", false, "print plan-cache hit/miss statistics after the run")
 	)
 	flag.Parse()
 	experiments.Sequential = *sequential
@@ -48,9 +45,6 @@ func main() {
 	if err := run(all || *t2, all || *t3, all || *t4, all || *f5, all || *f6, all || *f7, all || *ext, all || *e13, *quick, *csvdir); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
-	}
-	if *cachestats {
-		fmt.Println("plan cache:", plancache.Default().Stats())
 	}
 }
 

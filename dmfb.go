@@ -32,6 +32,8 @@
 package dmfb
 
 import (
+	"context"
+
 	"repro/internal/assay"
 	"repro/internal/audit"
 	"repro/internal/cancel"
@@ -116,8 +118,14 @@ type Engine = core.Engine
 // Batch is one Request's plan.
 type Batch = core.Batch
 
-// NewEngine builds a demand-driven mixture-preparation engine.
-var NewEngine = core.New
+// NewEngine builds a demand-driven mixture-preparation engine. A nil
+// cfg.PlanCache plans through the process-wide cache PlanCacheStats reports.
+func NewEngine(cfg Config) (*Engine, error) {
+	if cfg.PlanCache == nil {
+		cfg.PlanCache = plancache.Default()
+	}
+	return core.New(cfg)
+}
 
 // Graph is a base mix-split graph (one pass, two target droplets).
 type Graph = mixgraph.Graph
@@ -164,11 +172,20 @@ type StreamConfig = stream.Config
 type StreamResult = stream.Result
 
 // Stream plans `demand` droplets under chip-resource constraints (Table 4).
-var Stream = stream.Run
+// A nil cfg.Cache plans through the process-wide cache PlanCacheStats
+// reports.
+func Stream(cfg StreamConfig, demand int) (*StreamResult, error) {
+	return StreamCtx(context.Background(), cfg, demand)
+}
 
 // StreamCtx is Stream with cooperative cancellation: a done context abandons
 // the plan at the next pass boundary with an error wrapping ErrCanceled.
-var StreamCtx = stream.RunCtx
+func StreamCtx(ctx context.Context, cfg StreamConfig, demand int) (*StreamResult, error) {
+	if cfg.Cache == nil {
+		cfg.Cache = plancache.Default()
+	}
+	return stream.RunCtx(ctx, cfg, demand)
+}
 
 // ErrCanceled is wrapped by every context-aware entry point (StreamCtx,
 // RunWithFaultsCtx, ExecuteOptimizedCtx, Engine.RequestCtx, ...) when the
@@ -180,12 +197,14 @@ var ErrCanceled = cancel.ErrCanceled
 var Baseline = core.Baseline
 
 // PlanCacheStats reports the hit/miss/eviction counters of the process-wide
-// plan cache that Stream, NewEngine Requests and the experiment sweeps share
-// (see internal/plancache).
+// plan cache that Stream and NewEngine plan through unless given a cache of
+// their own (see internal/plancache). The facade is the only layer that
+// falls back to it: every layer below plans uncached on a nil cache.
 func PlanCacheStats() plancache.Stats { return plancache.Default().Stats() }
 
-// PurgePlanCache empties the process-wide plan cache and resets its counters;
-// useful for benchmarking uncached planning paths.
+// PurgePlanCache empties the process-wide plan cache, its demand scans
+// included, and resets its counters; useful for benchmarking uncached
+// planning paths.
 func PurgePlanCache() {
 	plancache.Default().Purge()
 	plancache.Default().ResetStats()

@@ -114,3 +114,27 @@ func TestProtocolsFacade(t *testing.T) {
 		t.Errorf("PCRAtDepth(6): %v, %v", p.Ratio, err)
 	}
 }
+
+// TestFacadePlansThroughDefaultCache: NewEngine and Stream given no cache
+// plan through the process-wide one, so PlanCacheStats sees their work.
+func TestFacadePlansThroughDefaultCache(t *testing.T) {
+	target := MustParseRatio("2:1:1:1:1:1:9")
+	engine, err := NewEngine(Config{Target: target, Algorithm: MM, Scheduler: SRS, Storage: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := PlanCacheStats()
+	if _, err := engine.Request(20); err != nil {
+		t.Fatal(err)
+	}
+	afterEngine := PlanCacheStats()
+	if afterEngine.Lookups == before.Lookups {
+		t.Errorf("NewEngine(...).Request left PlanCacheStats unchanged: %+v", afterEngine)
+	}
+	if _, err := Stream(StreamConfig{Base: engine.Base(), Mixers: 3, Storage: 3, Scheduler: SRS}, 21); err != nil {
+		t.Fatal(err)
+	}
+	if after := PlanCacheStats(); after.Lookups == afterEngine.Lookups {
+		t.Errorf("Stream left PlanCacheStats unchanged: %+v", after)
+	}
+}

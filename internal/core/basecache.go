@@ -1,10 +1,10 @@
 package core
 
 import (
-	"container/list"
 	"strings"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/mixgraph"
 	"repro/internal/ratio"
 	"repro/internal/sched"
@@ -19,71 +19,17 @@ import (
 // warm plan request nearly allocation-free end to end: the remaining work
 // is a cache-key build and a plan-cache hit.
 
-// lru is a minimal mutex-guarded bounded LRU used for derived-immutable
-// values. Concurrent misses may both compute; results are deterministic, so
-// either insert is correct.
-type lru[V any] struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	items map[string]*list.Element
-}
-
-type lruEntry[V any] struct {
-	key string
-	val V
-}
-
-func newLRU[V any](capacity int) *lru[V] {
-	return &lru[V]{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
-}
-
-func (c *lru[V]) get(k string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*lruEntry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
-func (c *lru[V]) put(k string, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		el.Value.(*lruEntry[V]).val = v
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[k] = c.ll.PushFront(&lruEntry[V]{key: k, val: v})
-	if c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*lruEntry[V]).key)
-	}
-}
-
-func (c *lru[V]) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.items)
-}
-
 // baseCacheCapacity bounds each cache. A serving process sees a small
 // working set of (algorithm, ratio) pairs; a graph is a few kilobytes, so
 // worst-case retention stays below a megabyte.
 const baseCacheCapacity = 256
 
+// Concurrent misses may both compute; results are deterministic, so either
+// insert is correct.
 var (
-	baseGraphs = newLRU[*mixgraph.Graph](baseCacheCapacity)
-	mlbValues  = newLRU[int](baseCacheCapacity)
+	baseMu     sync.Mutex // guards baseGraphs and mlbValues
+	baseGraphs = lru.New[string, *mixgraph.Graph](baseCacheCapacity)
+	mlbValues  = lru.New[string, int](baseCacheCapacity)
 )
 
 // baseKey identifies a built base graph: the algorithm, the ratio parts and
@@ -106,14 +52,19 @@ func baseKey(alg Algorithm, target ratio.Ratio) string {
 // algorithm and target, building and caching it on first use.
 func cachedBase(alg Algorithm, target ratio.Ratio) (*mixgraph.Graph, error) {
 	key := baseKey(alg, target)
-	if g, ok := baseGraphs.get(key); ok {
+	baseMu.Lock()
+	g, ok := baseGraphs.Get(key)
+	baseMu.Unlock()
+	if ok {
 		return g, nil
 	}
 	g, err := alg.Build(target)
 	if err != nil {
 		return nil, err
 	}
-	baseGraphs.put(key, g)
+	baseMu.Lock()
+	baseGraphs.Add(key, g)
+	baseMu.Unlock()
 	return g, nil
 }
 
@@ -124,20 +75,27 @@ func cachedBase(alg Algorithm, target ratio.Ratio) (*mixgraph.Graph, error) {
 // the report all resolve it here.
 func PaperMixers(target ratio.Ratio) (int, error) {
 	key := target.String()
-	if v, ok := mlbValues.get(key); ok {
+	baseMu.Lock()
+	v, ok := mlbValues.Get(key)
+	baseMu.Unlock()
+	if ok {
 		return v, nil
 	}
 	mm, err := cachedBase(MM, target)
 	if err != nil {
 		return 0, err
 	}
-	v := sched.Mlb(mm)
-	mlbValues.put(key, v)
+	v = sched.Mlb(mm)
+	baseMu.Lock()
+	mlbValues.Add(key, v)
+	baseMu.Unlock()
 	return v, nil
 }
 
 // purgeBaseCaches empties both caches (tests only).
 func purgeBaseCaches() {
-	baseGraphs.purge()
-	mlbValues.purge()
+	baseMu.Lock()
+	baseGraphs.Purge()
+	mlbValues.Purge()
+	baseMu.Unlock()
 }

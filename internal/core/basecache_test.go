@@ -105,7 +105,7 @@ func TestBaseCacheConcurrent(t *testing.T) {
 // graph and re-ran the Mlb search every request); the bound asserts the
 // promised >= 90% reduction with headroom for noise.
 func TestWarmPlanRequestAllocs(t *testing.T) {
-	cfg := Config{Target: ratio.MustParse("2:1:1:1:1:1:9"), Algorithm: MM, Scheduler: stream.SRS}
+	cfg := Config{Target: ratio.MustParse("2:1:1:1:1:1:9"), Algorithm: MM, Scheduler: stream.SRS, PlanCache: plancache.New(8)}
 	warm := func() {
 		e, err := New(cfg)
 		if err != nil {
@@ -126,7 +126,7 @@ func TestWarmPlanRequestAllocs(t *testing.T) {
 // a fresh stateless Engine plus Request(20) against warm base, Mlb and plan
 // caches — the per-request work dmfbd does for a repeated plan.
 func BenchmarkWarmPlanRequest(b *testing.B) {
-	cfg := Config{Target: ratio.MustParse("2:1:1:1:1:1:9"), Algorithm: MM, Scheduler: stream.SRS}
+	cfg := Config{Target: ratio.MustParse("2:1:1:1:1:1:9"), Algorithm: MM, Scheduler: stream.SRS, PlanCache: plancache.New(8)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e, err := New(cfg)
@@ -144,7 +144,6 @@ func BenchmarkWarmPlanRequest(b *testing.B) {
 // which is identical for structurally equal graphs).
 func TestBaseCachePlanEquivalence(t *testing.T) {
 	purgeBaseCaches()
-	plancache.Default().Purge()
 	cfg := Config{Target: ratio.MustParse("26:21:2:2:3:3:199"), Algorithm: RMA, Scheduler: stream.MMS, Storage: 5}
 	e1, err := New(cfg)
 	if err != nil {
@@ -155,7 +154,6 @@ func TestBaseCachePlanEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	purgeBaseCaches()
-	plancache.Default().Purge()
 	e2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

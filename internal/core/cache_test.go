@@ -10,11 +10,10 @@ import (
 )
 
 // TestRequestCacheHitSkipsRebuild asserts the plan-cache wiring through the
-// engine: a second identical Request (even from a fresh Engine) re-plans
-// without a single from-scratch forest build.
+// engine: a second identical Request (even from a fresh Engine on the same
+// cache) re-plans without a single from-scratch forest build.
 func TestRequestCacheHitSkipsRebuild(t *testing.T) {
-	cfg := Config{Target: pcr, Algorithm: MM, Scheduler: stream.SRS, Mixers: 3, Storage: 5}
-	plancache.Default().Purge()
+	cfg := Config{Target: pcr, Algorithm: MM, Scheduler: stream.SRS, Mixers: 3, Storage: 5, PlanCache: plancache.New(8)}
 	e1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,5 +65,23 @@ func TestPassPlanIsTheRequestedPlan(t *testing.T) {
 	if p != cached || cache.Stats().Builds != builds || len(e.Batches()) != 1 {
 		t.Fatalf("PassPlan = %p (cached %p), builds %d -> %d, %d batches; want the cached plan, no build, 1 batch",
 			p, cached, builds, cache.Stats().Builds, len(e.Batches()))
+	}
+}
+
+// TestNilPlanCacheLeavesDefaultIdle: an engine without a plan cache plans
+// uncached; its Requests neither read nor fill the process-wide cache.
+func TestNilPlanCacheLeavesDefaultIdle(t *testing.T) {
+	e, err := New(Config{Target: pcr, Scheduler: stream.SRS, Mixers: 3, Storage: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := plancache.Default().Stats()
+	for _, n := range []int{33, 33} {
+		if _, err := e.Request(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := plancache.Default().Stats(); after != before {
+		t.Errorf("plancache.Default() moved: %+v -> %+v", before, after)
 	}
 }

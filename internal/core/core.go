@@ -124,8 +124,8 @@ type Config struct {
 	// spend recovering from faults in any single pass of a batch executed
 	// with ExecuteBatch; 0 means unbounded. Planning ignores it.
 	RecoveryBudget int
-	// PlanCache overrides the plan cache the engine plans through (nil
-	// selects the process-wide plancache.Default()); see stream.Config.Cache.
+	// PlanCache is the cache the engine plans through; nil plans uncached.
+	// See stream.Config.Cache.
 	PlanCache *plancache.Cache
 	// ErrorPolicy makes the engine's planning error-aware: every Request
 	// scores the Config.Algorithm base graph against the other paper

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mixgraph"
 	"repro/internal/parallel"
+	"repro/internal/plancache"
 	"repro/internal/protocols"
 	"repro/internal/stream"
 )
@@ -44,7 +45,8 @@ func DefaultTable4Config() Table4Config {
 // Table4 runs the storage-constrained PCR streaming sweep. The (depth,
 // storage, demand) grid is flattened and evaluated cell-by-cell on a
 // GOMAXPROCS-sized worker pool (see Sequential); cells come back in the
-// paper's nesting order (depth, then storage, then demand).
+// paper's nesting order (depth, then storage, then demand), planned through
+// one cache of the sweep's own.
 func Table4(cfg Table4Config) ([]Table4Cell, error) {
 	type job struct {
 		depth, storage, demand int
@@ -66,12 +68,14 @@ func Table4(cfg Table4Config) ([]Table4Cell, error) {
 			}
 		}
 	}
+	cache := plancache.New(plancache.DefaultCapacity)
 	return parallel.MapN(workers(len(jobs)), jobs, func(_ int, j job) (Table4Cell, error) {
 		res, err := stream.Run(stream.Config{
 			Base:      j.base,
 			Mixers:    cfg.Mixers,
 			Storage:   j.storage,
 			Scheduler: stream.SRS,
+			Cache:     cache,
 		}, j.demand)
 		if err != nil {
 			return Table4Cell{}, fmt.Errorf("experiments: table4 d=%d q=%d D=%d: %w", j.depth, j.storage, j.demand, err)

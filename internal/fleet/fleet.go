@@ -75,8 +75,8 @@ type AssaySpec struct {
 	// Class is the contamination class; empty defaults to the target ratio
 	// string (assays of one composition may share a chip, others may not).
 	Class string
-	// PlanCache is the plan cache the assay plans and replans through (nil
-	// selects plancache.Default()); a server passes its own.
+	// PlanCache is the plan cache the assay plans and replans through; nil
+	// plans uncached. A server passes its own.
 	PlanCache *plancache.Cache
 }
 

@@ -1,6 +1,8 @@
 // Package plancache memoises fully-built mixing plans — a mixing forest, its
-// schedule, its aggregate stats and its storage footprint — behind a
-// concurrency-safe bounded LRU cache.
+// schedule, its aggregate stats and its storage footprint — and the §6
+// demand scans behind them, in one concurrency-safe object of two bounded
+// LRU tables. A Cache owns all memoised planning state: Purge empties both
+// tables, and a nil *Cache memoises nothing.
 //
 // A plan is a pure function of (base graph, demand, mixer count, scheduling
 // scheme): the forest construction and both schedulers are deterministic and
@@ -16,13 +18,13 @@
 package plancache
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/forest"
+	"repro/internal/lru"
 	"repro/internal/mixgraph"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -84,9 +86,18 @@ func KeyFor(g *mixgraph.Graph, demand, mixers int, scheduler, policy string) Key
 	}
 }
 
-// Fingerprint returns the structural hash of a base mixing graph; see
-// mixgraph.Graph.Fingerprint. Kept for callers that key their own tables.
-func Fingerprint(g *mixgraph.Graph) uint64 { return g.Fingerprint() }
+// ScanKey identifies one §6 demand scan. D′ is a pure function of the base
+// graph's structure (fingerprint and target), the chip resources, the scan
+// limit and the scheduler, so a memoised D′ is exactly what a fresh scan
+// returns — the argument that makes cached plans sound, one step earlier.
+type ScanKey struct {
+	Graph     uint64
+	Ratio     string
+	Mixers    int
+	Storage   int
+	Limit     int
+	Scheduler string
+}
 
 // Plan is one cached planning artefact: the forest grown for the demand, the
 // mixer/time assignment, and the two derived quantities every consumer needs
@@ -110,12 +121,13 @@ func NewPlan(f *forest.Forest, s *sched.Schedule) *Plan {
 type Stats struct {
 	// Lookups counts Get calls; Hits and Misses count their outcomes
 	// (Lookups == Hits + Misses in every snapshot). Puts counts insertions
-	// and Evictions counts LRU displacements. Builds counts GetOrBuild
+	// and Evictions counts LRU displacements. Builds counts GetOrBuildCtx
 	// misses that actually ran the build function — the cold-plan cost the
 	// distributed artifact tier exists to amortize fleet-wide.
 	Lookups, Hits, Misses, Puts, Evictions, Builds int64
-	// Size is the current entry count; Capacity the configured bound.
-	Size, Capacity int
+	// Size is the current plan count; Capacity the configured bound, which
+	// bounds the scan table too. Scans is the current demand-scan count.
+	Size, Capacity, Scans int
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
@@ -127,12 +139,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// String renders the snapshot in one line.
-func (s Stats) String() string {
-	return fmt.Sprintf("plancache: %d/%d entries, %d hits, %d misses (%.1f%% hit rate), %d evictions",
-		s.Size, s.Capacity, s.Hits, s.Misses, s.HitRate()*100, s.Evictions)
-}
-
 // Tier is a slower store under a Cache (a node's artifact tier), used for
 // pristine plans only: Fetch before a miss builds, Publish after it built.
 type Tier interface {
@@ -142,55 +148,44 @@ type Tier interface {
 	Publish(ctx context.Context, k Key, p *Plan)
 }
 
-// Cache is a concurrency-safe bounded LRU plan cache. The zero value is not
-// usable; construct with New. A nil *Cache is valid and behaves as an
-// always-miss cache, so call sites can disable caching by passing nil.
+// Cache is a concurrency-safe bounded LRU cache of plans and demand scans.
+// The zero value is not usable; construct with New. A nil *Cache is valid
+// and memoises nothing — every lookup misses and every insert is dropped —
+// so call sites disable caching by passing nil.
 type Cache struct {
 	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[Key]*list.Element
+	plans *lru.Cache[Key, *Plan]
+	scans *lru.Cache[ScanKey, int]
 	tier  Tier // nil: the cache is the only tier
 
 	// Counters live under mu (not as free-running atomics bumped after
 	// unlock) so a Stats snapshot can never observe a lookup whose outcome
 	// has not been recorded yet: lookups == hits + misses is an invariant
 	// of every snapshot, which TestStatsRaceConsistency relies on. builds
-	// is the exception: GetOrBuild runs the build function outside the lock
-	// (builds are slow), so it is a free-running atomic.
+	// is the exception: GetOrBuildCtx runs the build function outside the
+	// lock (builds are slow), so it is a free-running atomic. The counters
+	// cover plans only; scans are counted by Stats.Scans alone.
 	lookups, hits, misses, puts, evictions int64
 	builds                                 atomic.Int64
 }
 
-type entry struct {
-	key  Key
-	plan *Plan
-}
-
-// DefaultCapacity bounds the process-wide default cache. Its clients — the
-// demand-driven engine and stream.Run — see a small working set of repeated
-// (ratio, demand, mixers, scheduler) tuples; the population sweeps bypass
-// the cache entirely (their plans are single-use), so a modest bound
-// comfortably covers every real hit pattern while keeping worst-case
-// retention, at a few kilobytes per plan, in the low megabytes.
+// DefaultCapacity bounds each table of a server's own cache and of the
+// process-wide default. A serving node sees a working set of repeated
+// (ratio, demand, mixers, scheduler) tuples that a modest bound covers,
+// while worst-case retention, at a few kilobytes per plan, stays in the
+// low megabytes; a scan entry is a few words.
 const DefaultCapacity = 1024
 
-// New returns an empty cache bounded to capacity entries (minimum 1).
+// New returns an empty cache bounded to capacity plans and capacity scans
+// (minimum 1 each).
 func New(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[Key]*list.Element, capacity),
-	}
+	return &Cache{plans: lru.New[Key, *Plan](capacity), scans: lru.New[ScanKey, int](capacity)}
 }
 
 var std = New(DefaultCapacity)
 
-// Default returns the process-wide cache shared by the streaming engine
-// (stream.Run, core.Engine.Request).
+// Default returns the process-wide cache. Only the edges resolve it: the
+// root dmfb facade and a server configured without a cache of its own.
 func Default() *Cache { return std }
 
 // Get returns the cached plan for k and marks it most recently used.
@@ -200,14 +195,9 @@ func (c *Cache) Get(k Key) (*Plan, bool) {
 	}
 	c.mu.Lock()
 	c.lookups++
-	el, ok := c.items[k]
-	var p *Plan
+	p, ok := c.plans.Get(k)
 	if ok {
 		c.hits++
-		c.ll.MoveToFront(el)
-		// Capture the plan while still holding the lock: Put's refresh path
-		// rewrites entry.plan in place, so reading it after unlock races.
-		p = el.Value.(*entry).plan
 	} else {
 		c.misses++
 	}
@@ -220,27 +210,18 @@ func (c *Cache) Get(k Key) (*Plan, bool) {
 	return p, true
 }
 
-// Put inserts (or refreshes) a plan, evicting the least recently used entry
+// Put inserts (or refreshes) a plan, evicting the least recently used plan
 // when the cache is full.
 func (c *Cache) Put(k Key, p *Plan) {
 	if c == nil || p == nil {
 		return
 	}
 	c.mu.Lock()
-	if el, ok := c.items[k]; ok {
-		el.Value.(*entry).plan = p
-		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		return
+	added, evicted := c.plans.Add(k, p)
+	if added {
+		c.puts++
 	}
-	c.puts++
-	c.items[k] = c.ll.PushFront(&entry{key: k, plan: p})
-	var evicted bool
-	if c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*entry).key)
-		evicted = true
+	if evicted {
 		c.evictions++
 	}
 	c.mu.Unlock()
@@ -249,14 +230,33 @@ func (c *Cache) Put(k Key, p *Plan) {
 	}
 }
 
+// Scan returns the memoised D′ for k, marking it most recently used (a warm
+// lookup allocates nothing); on a miss it runs scan and memoises a
+// successful result, evicting the least recently used scan when the table
+// is full. A nil cache always runs scan.
+func (c *Cache) Scan(k ScanKey, scan func() (int, error)) (int, error) {
+	if c == nil {
+		return scan()
+	}
+	c.mu.Lock()
+	d, ok := c.scans.Get(k)
+	c.mu.Unlock()
+	if ok {
+		return d, nil
+	}
+	d, err := scan()
+	if err != nil {
+		return 0, err
+	}
+	c.mu.Lock()
+	c.scans.Add(k, d)
+	c.mu.Unlock()
+	return d, nil
+}
+
 // SetTier installs t under the cache (nil removes it). Call it before the
 // cache is shared: the miss path reads the tier without a lock.
 func (c *Cache) SetTier(t Tier) { c.tier = t }
-
-// GetOrBuild is GetOrBuildCtx with a background context.
-func (c *Cache) GetOrBuild(k Key, build func() (*Plan, error)) (*Plan, error) {
-	return c.GetOrBuildCtx(context.Background(), k, build)
-}
 
 // GetOrBuildCtx returns the cached plan for k. A pristine miss asks the tier
 // first (its plan is promoted, not built); failing that, build's plan is
@@ -288,24 +288,25 @@ func (c *Cache) GetOrBuildCtx(ctx context.Context, k Key, build func() (*Plan, e
 	return p, nil
 }
 
-// Len returns the current entry count.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Purge drops every entry. Counters are not reset; see ResetStats.
+// Purge drops every plan and every scan. Counters are not reset; see
+// ResetStats.
 func (c *Cache) Purge() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.ll.Init()
-	clear(c.items)
+	c.plans.Purge()
+	c.scans.Purge()
+	c.mu.Unlock()
+}
+
+// PurgeScans drops every scan and keeps the plans.
+func (c *Cache) PurgeScans() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.scans.Purge()
 	c.mu.Unlock()
 }
 
@@ -335,7 +336,8 @@ func (c *Cache) Stats() Stats {
 		Puts:      c.puts,
 		Evictions: c.evictions,
 		Builds:    c.builds.Load(),
-		Size:      c.ll.Len(),
-		Capacity:  c.cap,
+		Size:      c.plans.Len(),
+		Capacity:  c.plans.Cap(),
+		Scans:     c.scans.Len(),
 	}
 }

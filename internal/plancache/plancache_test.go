@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -52,9 +53,6 @@ func TestGetPutAndStats(t *testing.T) {
 	if st.HitRate() != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", st.HitRate())
 	}
-	if c.Stats().String() == "" {
-		t.Error("empty Stats.String")
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -85,8 +83,8 @@ func TestPurgeAndResetStats(t *testing.T) {
 	c := New(4)
 	c.Put(key(1), testPlan(t))
 	c.Purge()
-	if c.Len() != 0 {
-		t.Errorf("len after purge = %d", c.Len())
+	if c.Stats().Size != 0 {
+		t.Errorf("len after purge = %d", c.Stats().Size)
 	}
 	if _, ok := c.Get(key(1)); ok {
 		t.Error("hit after purge")
@@ -105,12 +103,12 @@ func TestNilCacheIsAlwaysMiss(t *testing.T) {
 	c.Put(key(1), testPlan(t)) // must not panic
 	c.Purge()
 	c.ResetStats()
-	if c.Len() != 0 || c.Stats() != (Stats{}) {
+	if c.Stats().Size != 0 || c.Stats() != (Stats{}) {
 		t.Error("nil cache not empty")
 	}
-	p, err := c.GetOrBuild(key(1), func() (*Plan, error) { return testPlan(t), nil })
+	p, err := c.GetOrBuildCtx(context.Background(), key(1), func() (*Plan, error) { return testPlan(t), nil })
 	if err != nil || p == nil {
-		t.Errorf("nil cache GetOrBuild: %v, %v", p, err)
+		t.Errorf("nil cache GetOrBuildCtx: %v, %v", p, err)
 	}
 }
 
@@ -118,19 +116,19 @@ func TestGetOrBuild(t *testing.T) {
 	c := New(4)
 	builds := 0
 	build := func() (*Plan, error) { builds++; return testPlan(t), nil }
-	p1, err := c.GetOrBuild(key(1), build)
+	p1, err := c.GetOrBuildCtx(context.Background(), key(1), build)
 	if err != nil || p1 == nil {
-		t.Fatalf("GetOrBuild: %v", err)
+		t.Fatalf("GetOrBuildCtx: %v", err)
 	}
-	p2, err := c.GetOrBuild(key(1), build)
+	p2, err := c.GetOrBuildCtx(context.Background(), key(1), build)
 	if err != nil || p2 != p1 {
-		t.Fatalf("second GetOrBuild rebuilt: %v", err)
+		t.Fatalf("second GetOrBuildCtx rebuilt: %v", err)
 	}
 	if builds != 1 {
 		t.Errorf("build ran %d times, want 1", builds)
 	}
 	boom := errors.New("boom")
-	if _, err := c.GetOrBuild(key(2), func() (*Plan, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.GetOrBuildCtx(context.Background(), key(2), func() (*Plan, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Errorf("build error not propagated: %v", err)
 	}
 	if _, ok := c.Get(key(2)); ok {
@@ -148,11 +146,11 @@ func TestKeyForAndFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Fingerprint(mm1) != Fingerprint(mm2) {
+	if mm1.Fingerprint() != mm2.Fingerprint() {
 		t.Error("deterministic builder produced different fingerprints")
 	}
 	k := KeyFor(mm1, 32, 3, "SRS", PristinePolicy)
-	if k != (Key{Algo: "MM", Ratio: "2:1:1:1:1:1:9", Graph: Fingerprint(mm1), Demand: 32, Mixers: 3, Scheduler: "SRS"}) {
+	if k != (Key{Algo: "MM", Ratio: "2:1:1:1:1:1:9", Graph: mm1.Fingerprint(), Demand: 32, Mixers: 3, Scheduler: "SRS"}) {
 		t.Errorf("KeyFor = %+v", k)
 	}
 	// A structurally different graph over the same ratio must not collide.
@@ -160,7 +158,7 @@ func TestKeyForAndFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Fingerprint(mt) == Fingerprint(mm1) {
+	if mt.Fingerprint() == mm1.Fingerprint() {
 		t.Error("MTCS and MM graphs share a fingerprint")
 	}
 }
@@ -207,7 +205,7 @@ func TestConcurrentAccess(t *testing.T) {
 					return
 				}
 				c.Put(k, p)
-				if _, err := c.GetOrBuild(key(i%16), func() (*Plan, error) { return p, nil }); err != nil {
+				if _, err := c.GetOrBuildCtx(context.Background(), key(i%16), func() (*Plan, error) { return p, nil }); err != nil {
 					t.Error(err)
 					return
 				}
@@ -215,7 +213,59 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() > 32 {
-		t.Errorf("cache overflowed its bound: %d entries", c.Len())
+	if c.Stats().Size > 32 {
+		t.Errorf("cache overflowed its bound: %d entries", c.Stats().Size)
+	}
+}
+
+// TestScanTable: Scan memoises a successful scan and nothing else, a nil
+// cache runs every scan, Purge empties scans with plans, PurgeScans keeps
+// the plans, and the table holds at most the cache's capacity of scans.
+func TestScanTable(t *testing.T) {
+	runs := 0
+	scan := func(d int, err error) func() (int, error) {
+		return func() (int, error) { runs++; return d, err }
+	}
+	k := ScanKey{Graph: 1, Ratio: "1:3", Mixers: 2, Storage: 4, Limit: 64, Scheduler: "SRS"}
+
+	var nilCache *Cache
+	for i := 0; i < 2; i++ {
+		if d, err := nilCache.Scan(k, scan(10, nil)); d != 10 || err != nil {
+			t.Fatalf("nil cache Scan = %d, %v", d, err)
+		}
+	}
+	if runs != 2 {
+		t.Fatalf("nil cache ran %d scans, want 2", runs)
+	}
+
+	c := New(2)
+	boom := errors.New("boom")
+	if _, err := c.Scan(k, scan(0, boom)); !errors.Is(err, boom) || c.Stats().Scans != 0 {
+		t.Fatalf("failed scan: err %v, %d scans memoised", err, c.Stats().Scans)
+	}
+	runs = 0
+	for i := 0; i < 3; i++ {
+		if d, err := c.Scan(k, scan(12, nil)); d != 12 || err != nil {
+			t.Fatalf("Scan = %d, %v", d, err)
+		}
+	}
+	if runs != 1 {
+		t.Fatalf("ran %d scans for one key, want 1", runs)
+	}
+	c.Put(key(1), testPlan(t))
+	c.PurgeScans()
+	if st := c.Stats(); st.Scans != 0 || st.Size != 1 {
+		t.Fatalf("after PurgeScans: %d scans, %d plans; want 0 and 1", st.Scans, st.Size)
+	}
+	for limit := 1; limit <= 5; limit++ {
+		k.Limit = limit
+		c.Scan(k, scan(limit, nil))
+	}
+	if n := c.Stats().Scans; n != 2 {
+		t.Fatalf("%d scans memoised, want the capacity 2", n)
+	}
+	c.Purge()
+	if st := c.Stats(); st.Scans != 0 || st.Size != 0 {
+		t.Fatalf("after Purge: %d scans, %d plans; want none", st.Scans, st.Size)
 	}
 }

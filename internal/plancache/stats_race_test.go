@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -35,9 +36,9 @@ func TestStatsRaceConsistency(t *testing.T) {
 				default:
 				}
 				st := c.Stats()
-				if st.Lookups != st.Hits+st.Misses {
-					t.Errorf("mid-storm snapshot unbalanced: lookups %d != hits %d + misses %d",
-						st.Lookups, st.Hits, st.Misses)
+				if st.Lookups != st.Hits+st.Misses || st.Scans > st.Capacity {
+					t.Errorf("mid-storm snapshot unbalanced: lookups %d != hits %d + misses %d, or %d scans past capacity %d",
+						st.Lookups, st.Hits, st.Misses, st.Scans, st.Capacity)
 					return
 				}
 			}
@@ -57,10 +58,15 @@ func TestStatsRaceConsistency(t *testing.T) {
 				case 1:
 					c.Put(k, p)
 				default:
-					if _, err := c.GetOrBuild(k, func() (*Plan, error) { return p, nil }); err != nil {
+					if _, err := c.GetOrBuildCtx(context.Background(), k, func() (*Plan, error) { return p, nil }); err != nil {
 						t.Error(err)
 						return
 					}
+				}
+				// The scan table shares the lock with the plans.
+				if _, err := c.Scan(ScanKey{Limit: i % 40}, func() (int, error) { return i % 40, nil }); err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}(w)
@@ -74,7 +80,7 @@ func TestStatsRaceConsistency(t *testing.T) {
 		t.Fatalf("final snapshot unbalanced: lookups %d != hits %d + misses %d",
 			st.Lookups, st.Hits, st.Misses)
 	}
-	// Get contributes one lookup per call; GetOrBuild one (hit) or two
+	// Get contributes one lookup per call; GetOrBuildCtx one (hit) or two
 	// (miss: the failed Get, then Put — Put is not a lookup). The exact
 	// total is scheduling-dependent, but it is bounded below by the pure
 	// Get volume.

@@ -81,8 +81,8 @@ func TestTierFailedBuildPublishesNothing(t *testing.T) {
 	if _, err := c.GetOrBuildCtx(context.Background(), key(3), func() (*Plan, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("build error not propagated: %v", err)
 	}
-	if len(tier.published) != 0 || c.Len() != 0 {
-		t.Fatalf("failed build published %v and cached %d entries", tier.published, c.Len())
+	if len(tier.published) != 0 || c.Stats().Size != 0 {
+		t.Fatalf("failed build published %v and cached %d entries", tier.published, c.Stats().Size)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestNilTierMatchesUntieredCache(t *testing.T) {
 		{key(1), func() (*Plan, error) { return p, nil }},
 	}
 	for i, step := range steps {
-		want, werr := plain.GetOrBuild(step.k, step.build)
+		want, werr := plain.GetOrBuildCtx(context.Background(), step.k, step.build)
 		got, gerr := cleared.GetOrBuildCtx(canceled, step.k, step.build)
 		if got != want || !errors.Is(gerr, werr) || plain.Stats() != cleared.Stats() {
 			t.Fatalf("step %d: got (%p, %v, %+v), want (%p, %v, %+v)",

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"container/list"
 	"sort"
 	"strconv"
 	"strings"
@@ -9,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/chip"
+	"repro/internal/lru"
 	"repro/internal/obs"
 )
 
@@ -65,19 +65,9 @@ func Fingerprint(l *chip.Layout) string {
 // live geometry while capping retention at a few hundred kilobytes.
 const matrixCacheCapacity = 128
 
-type matrixCache struct {
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type matrixEntry struct {
-	key string
-	m   *Matrix
-}
-
 var (
-	matrices = &matrixCache{ll: list.New(), items: map[string]*list.Element{}}
+	matricesMu sync.Mutex // guards matrices
+	matrices   = lru.New[string, *Matrix](matrixCacheCapacity)
 
 	// matrixBuilds counts full all-pairs matrix computations (cache misses).
 	matrixBuilds atomic.Int64
@@ -94,10 +84,9 @@ func MatrixBuildCount() int64 { return matrixBuilds.Load() }
 // PurgeMatrixCache drops every cached matrix (the build counter is not
 // reset). Tests use it to measure cold-path builds.
 func PurgeMatrixCache() {
-	matrices.mu.Lock()
-	matrices.ll.Init()
-	clear(matrices.items)
-	matrices.mu.Unlock()
+	matricesMu.Lock()
+	matrices.Purge()
+	matricesMu.Unlock()
 }
 
 // MatrixFor returns the dense transport-cost matrix of the layout, serving
@@ -106,15 +95,13 @@ func PurgeMatrixCache() {
 // cached. Safe for concurrent use.
 func MatrixFor(l *chip.Layout) (*Matrix, error) {
 	key := Fingerprint(l)
-	matrices.mu.Lock()
-	if el, ok := matrices.items[key]; ok {
-		matrices.ll.MoveToFront(el)
-		m := el.Value.(*matrixEntry).m
-		matrices.mu.Unlock()
+	matricesMu.Lock()
+	hit, ok := matrices.Get(key)
+	matricesMu.Unlock()
+	if ok {
 		obs.Inc("route.matrix_hits")
-		return m, nil
+		return hit, nil
 	}
-	matrices.mu.Unlock()
 
 	// Build outside the lock: concurrent callers missing on the same key may
 	// both build (matrices are deterministic, either result is correct).
@@ -127,19 +114,13 @@ func MatrixFor(l *chip.Layout) (*Matrix, error) {
 	matrixBuilds.Add(1)
 	obs.Inc("route.matrix_builds")
 
-	matrices.mu.Lock()
-	if el, ok := matrices.items[key]; ok {
+	matricesMu.Lock()
+	if incumbent, ok := matrices.Get(key); ok {
 		// Lost the race; keep the incumbent so all callers share one value.
-		matrices.ll.MoveToFront(el)
-		m = el.Value.(*matrixEntry).m
+		m = incumbent
 	} else {
-		matrices.items[key] = matrices.ll.PushFront(&matrixEntry{key: key, m: m})
-		if matrices.ll.Len() > matrixCacheCapacity {
-			back := matrices.ll.Back()
-			matrices.ll.Remove(back)
-			delete(matrices.items, back.Value.(*matrixEntry).key)
-		}
+		matrices.Add(key, m)
 	}
-	matrices.mu.Unlock()
+	matricesMu.Unlock()
 	return m, nil
 }

@@ -60,3 +60,36 @@ func TestDegradedReplanUsesPlanCache(t *testing.T) {
 	}
 	t.Error("the plan's cache holds no plan keyed under the recovery policy")
 }
+
+// TestNilCacheDegradedReplanLeavesDefaultIdle: Run executes a bare
+// schedule, which carries no plan cache, so its degraded replans plan
+// uncached and never touch the process-wide default cache.
+func TestNilCacheDegradedReplanLeavesDefaultIdle(t *testing.T) {
+	g, err := minmix.Build(ratio.MustParse(pcr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := stream.Run(stream.Config{Base: g, Mixers: 3, Scheduler: stream.SRS, Cache: plancache.New(8)}, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := chip.AutoLayout(g.Target.N(), 3, res.Passes[0].Storage+4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faults.New(faults.Params{DeadMixers: map[string]int{"M3": 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := plancache.Default().Stats()
+	rep, err := Run(res.Passes[0].Schedule, l, inj, Policy{})
+	if err != nil {
+		t.Fatalf("degraded run failed: %v\n%s", err, rep)
+	}
+	if rep.Degradations < 1 {
+		t.Fatalf("no degraded replan happened: %s", rep)
+	}
+	if after := plancache.Default().Stats(); after != before {
+		t.Errorf("plancache.Default() moved: %+v -> %+v", before, after)
+	}
+}

@@ -78,11 +78,12 @@ type Config struct {
 	// execution scheduled over the simulated chip farm, with per-chip
 	// health exported by /healthz/ready.
 	Fleet *fleet.Fleet
-	// PlanCache, when non-nil, isolates this server's plan cache from the
-	// process-wide default (multi-node tests and benches run several servers
-	// in one process). Nil selects plancache.Default(), or on a tiered server
-	// (Artifacts or Cluster set) a cache of its own at DefaultCapacity: the
-	// artifact tier is installed under the cache, never under the default.
+	// PlanCache holds every plan and demand scan this server memoises; give
+	// each server of a process its own (multi-node tests and benches run
+	// several in one process) so none shares another's. Nil selects
+	// plancache.Default(), or on a tiered server (Artifacts or Cluster set)
+	// a cache of its own at DefaultCapacity: the artifact tier is installed
+	// under the cache, never under the default.
 	PlanCache *plancache.Cache
 	// Artifacts, when non-nil, enables the warm disk artifact tier and the
 	// GET/PUT /v1/artifact/{addr} endpoints.

@@ -217,3 +217,43 @@ func TestTieredAssayPlansThroughServerCache(t *testing.T) {
 		t.Error("the assay's plan was not published to the artifact tier")
 	}
 }
+
+// TestServerCachesIsolateScans: two servers in one process, each with a
+// cache of its own, share no memoised planning state. The same
+// storage-limited stream request sent to A and then to B makes B run its
+// own demand scan (a scan cuts over-budget candidates, which no plan build
+// does), and B's traffic moves neither A's counters nor A's scans.
+func TestServerCachesIsolateScans(t *testing.T) {
+	obs.Enable(obs.Options{})
+	t.Cleanup(obs.Disable)
+	cacheA, cacheB := plancache.New(64), plancache.New(64)
+	_, tsA := newTestServer(t, Config{PlanCache: cacheA})
+	_, tsB := newTestServer(t, Config{PlanCache: cacheB})
+	req := PlanRequest{Ratio: "3:1:1:1:1:1:8", Demand: 41, Mixers: 4, Storage: 4, Scheduler: "SRS"}
+
+	var respA, respB StreamResponse
+	if code := post(t, tsA.URL+"/v1/stream", req, &respA); code != http.StatusOK {
+		t.Fatalf("A: status %d", code)
+	}
+	statsA := cacheA.Stats()
+	if statsA.Scans == 0 {
+		t.Fatal("A memoised no scan; the request is not storage-limited")
+	}
+	cuts := obs.Counter("sched.schedules_cut")
+	if code := post(t, tsB.URL+"/v1/stream", req, &respB); code != http.StatusOK {
+		t.Fatalf("B: status %d", code)
+	}
+	if obs.Counter("sched.schedules_cut") == cuts {
+		t.Error("B cut no candidate schedule: it reused A's demand scan")
+	}
+	if after := cacheA.Stats(); after != statsA {
+		t.Errorf("B's request moved A's cache: %+v -> %+v", statsA, after)
+	}
+	if cacheB.Stats().Scans == 0 {
+		t.Error("B memoised no scan of its own")
+	}
+	if respA.MaxSinglePassDemand != respB.MaxSinglePassDemand || respA.TotalCycles != respB.TotalCycles {
+		t.Errorf("A and B planned differently: D'=%d/%d, cycles %d/%d",
+			respA.MaxSinglePassDemand, respB.MaxSinglePassDemand, respA.TotalCycles, respB.TotalCycles)
+	}
+}

@@ -143,7 +143,7 @@ func TestBoundedScanMatchesFullSchedules(t *testing.T) {
 					full := fullScheduleStorage(t, g, s, mc, limit)
 					for q := 1; q <= 12; q++ {
 						cases++
-						PurgeScanMemo()
+						cache.Purge()
 						cfg := Config{Base: g, Mixers: mc, Storage: q, Scheduler: s, Cache: cache}
 						got, err := MaxSinglePassDemand(cfg, limit)
 						if want := largestFit(full, q, limit); err != nil || got != want {
@@ -203,7 +203,7 @@ func TestBoundedScanMatchesGoldenStorage(t *testing.T) {
 		for q := 1; q <= top+1; q++ {
 			cfg.Storage = q
 			for _, limit := range limits {
-				PurgeScanMemo()
+				cache.Purge()
 				got, err := MaxSinglePassDemand(cfg, limit)
 				if want := largestFit(s, q, limit); err != nil || got != want {
 					t.Errorf("%s q'=%d limit=%d: bounded scan D'=%d (err %v), fixture D'=%d", key, q, limit, got, err, want)

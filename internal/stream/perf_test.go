@@ -18,7 +18,6 @@ import (
 // scratch for every even candidate demand.
 func TestMaxSinglePassDemandNoFullRebuilds(t *testing.T) {
 	base := pcrBase(t)
-	plancache.Default().Purge() // force the scheduling path, not cache hits
 	before := forest.BuildCount()
 	d, err := MaxSinglePassDemand(Config{Base: base, Mixers: 3, Storage: 5, Scheduler: SRS}, 32)
 	if err != nil {
@@ -66,7 +65,6 @@ func TestMaxSinglePassDemandMatchesBruteForce(t *testing.T) {
 					brute = d
 				}
 			}
-			plancache.Default().Purge()
 			got, err := MaxSinglePassDemand(cfg, 32)
 			if err != nil {
 				t.Fatalf("%s q=%d: %v", tc.ratio, q, err)
@@ -104,7 +102,6 @@ func TestMaxSinglePassDemandNonMonotoneStorage(t *testing.T) {
 			t.Fatalf("premise shifted: q(D=%d) = %d, want %d", probe.d, q, probe.wantQ)
 		}
 	}
-	plancache.Default().Purge()
 	d, err := MaxSinglePassDemand(cfg, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +117,6 @@ func TestMaxSinglePassDemandNonMonotoneStorage(t *testing.T) {
 // and, when the demand is not a multiple of D', the final short pass).
 func TestRunReusesFullPassPlan(t *testing.T) {
 	base := pcrBase(t)
-	plancache.Default().Purge()
 	before := forest.BuildCount()
 	res, err := Run(Config{Base: base, Mixers: 3, Storage: 3, Scheduler: SRS}, 32)
 	if err != nil {
@@ -144,8 +140,7 @@ func TestRunReusesFullPassPlan(t *testing.T) {
 // an identical demand performs zero forest builds.
 func TestRunCacheHitSkipsAllBuilds(t *testing.T) {
 	base := pcrBase(t)
-	cfg := Config{Base: base, Mixers: 3, Storage: 5, Scheduler: SRS}
-	plancache.Default().Purge()
+	cfg := Config{Base: base, Mixers: 3, Storage: 5, Scheduler: SRS, Cache: plancache.New(8)}
 	first, err := Run(cfg, 32)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -164,9 +159,9 @@ func TestRunCacheHitSkipsAllBuilds(t *testing.T) {
 	}
 }
 
-// BenchmarkColdDemandScan times cold D' scans. The scan memo is purged
-// every iteration and the scan reads a plan cache of its own that it never
-// fills, so each iteration schedules every candidate demand (each cut at
+// BenchmarkColdDemandScan times cold D' scans. Each scan reads a plan cache
+// of its own, purged every iteration, so each iteration schedules every
+// candidate demand (each cut at
 // its first cycle over q'); TestDemandScanMemo pins the warm, memoised scan
 // at zero allocations. The PCR case scans the PCR master-mix up to D=200
 // (SRS, 4 mixers, q'=4). The dataset cases model the storage-limited
@@ -217,8 +212,9 @@ func benchScans(b *testing.B, cfgs []Config, limit int) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		PurgeScanMemo()
-		if _, err := MaxSinglePassDemand(cfgs[i%len(cfgs)], limit); err != nil {
+		cfg := cfgs[i%len(cfgs)]
+		cfg.Cache.Purge()
+		if _, err := MaxSinglePassDemand(cfg, limit); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/audit"
 	"repro/internal/cancel"
@@ -77,10 +76,10 @@ type Config struct {
 	// single pass of this plan; 0 means unbounded. Planning itself ignores
 	// it — the budget rides on Result.Config for the executor.
 	RecoveryBudget int
-	// Cache overrides the plan cache (nil selects the process-wide
-	// plancache.Default()). Processes hosting several logical nodes — the
-	// multi-node benchserve scenario, cluster tests — give each node its own
-	// cache so per-node hit rates and the fleet-wide build count stay honest.
+	// Cache memoises the plans and demand scans of this config; nil plans
+	// uncached. Processes hosting several logical nodes — the multi-node
+	// benchserve scenario, cluster tests — give each node its own cache so
+	// per-node hit rates, scans and the fleet-wide build count stay honest.
 	Cache *plancache.Cache
 	// ErrorPolicy, when set, makes planning error-aware (errselect.go): the
 	// engine plans Base and every graph in Candidates, bounds each plan's
@@ -93,14 +92,6 @@ type Config struct {
 	// error-aware run may select instead of Base. Ignored without
 	// ErrorPolicy.
 	Candidates []*mixgraph.Graph
-}
-
-// cache resolves the effective plan cache.
-func (cfg Config) cache() *plancache.Cache {
-	if cfg.Cache != nil {
-		return cfg.Cache
-	}
-	return plancache.Default()
 }
 
 // Pass is one mixing-forest execution.
@@ -162,7 +153,7 @@ func PlanKey(cfg Config, d int, policy string) plancache.Key {
 // plancache.PristinePolicy on a pristine chip. Plans are pure functions of
 // their key; misses build with BuildPlan (kernel.go).
 func Plan(ctx context.Context, cfg Config, d int, policy string) (*plancache.Plan, error) {
-	return cfg.cache().GetOrBuildCtx(ctx, PlanKey(cfg, d, policy), func() (*plancache.Plan, error) {
+	return cfg.Cache.GetOrBuildCtx(ctx, PlanKey(cfg, d, policy), func() (*plancache.Plan, error) {
 		return BuildPlan(cfg, d)
 	})
 }
@@ -176,52 +167,20 @@ func MaxSinglePassDemand(cfg Config, limit int) (int, error) {
 	return MaxSinglePassDemandCtx(context.Background(), cfg, limit)
 }
 
-// scanKey identifies one demand-scan result. D' is a pure function of the
-// base graph's structure (fingerprint + target), the chip resources and the
-// scan limit, so memoised results are exactly what a fresh scan returns —
-// the same soundness argument internal/plancache makes one layer down.
-type scanKey struct {
-	graph     uint64
-	target    string
-	mixers    int
-	storage   int
-	limit     int
-	scheduler Scheduler
-}
-
-// scanMemo caches demand-scan results. The scan is the dominant cost of a
-// storage-limited plan request: one storage-bounded schedule per even
-// candidate demand, per request, since candidate schedules alias the live
-// packed forest and are never plan-cached. A serving layer hammering one
-// heavy spec would otherwise recompute it on every request.
-var scanMemo = struct {
-	sync.Mutex
-	m map[scanKey]int
-}{m: map[scanKey]int{}}
-
-// scanMemoCapacity bounds the memo. Entries are two words; the bound exists
-// only to keep pathological key churn (population sweeps over thousands of
-// ratios) from growing the map without limit. Eviction clears the whole
-// map: recomputing a scan is cheap and keys rarely churn in practice.
-const scanMemoCapacity = 4096
-
-// PurgeScanMemo empties the demand-scan memo. Scans are pure functions of
-// immutable graphs, so purging is never required for correctness; tests and
-// cold-path benchmarks use it to force recomputation.
-func PurgeScanMemo() {
-	scanMemo.Lock()
-	clear(scanMemo.m)
-	scanMemo.Unlock()
-}
+// PurgeScanMemo empties the demand scans memoised on plancache.Default().
+// Scans are pure functions of immutable graphs, so purging is never required
+// for correctness; cold-path benchmarks use it to force recomputation.
+func PurgeScanMemo() { plancache.Default().PurgeScans() }
 
 // MaxSinglePassDemandCtx is the context-aware scan behind
 // MaxSinglePassDemand. With unlimited storage (cfg.Storage <= 0, which Run
 // plans as one pass) every demand fits, so it returns limit without
-// scheduling anything. Repeated scans are served from the memo (a warm
-// lookup allocates nothing); memo misses run the incremental packed scan
-// (demandScan). Cancellation is checked at every candidate-demand boundary
-// of a live scan; an abandoned scan returns an error wrapping
-// cancel.ErrCanceled and caches nothing.
+// scheduling anything. The scan is the dominant cost of a storage-limited
+// plan request, so repeated scans are served from cfg.Cache's scan table (a
+// warm lookup allocates nothing); misses, and every scan of an uncached
+// config, run the incremental packed scan (demandScan). Cancellation is
+// checked at every candidate-demand boundary of a live scan; an abandoned
+// scan returns an error wrapping cancel.ErrCanceled and caches nothing.
 func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, error) {
 	if limit < 2 {
 		limit = 2
@@ -229,31 +188,15 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 	if cfg.Storage <= 0 {
 		return limit, nil
 	}
-	mk := scanKey{
-		graph:     cfg.Base.Fingerprint(),
-		target:    cfg.Base.TargetKey(),
-		mixers:    cfg.Mixers,
-		storage:   cfg.Storage,
-		limit:     limit,
-		scheduler: cfg.Scheduler,
+	sk := plancache.ScanKey{
+		Graph:     cfg.Base.Fingerprint(),
+		Ratio:     cfg.Base.TargetKey(),
+		Mixers:    cfg.Mixers,
+		Storage:   cfg.Storage,
+		Limit:     limit,
+		Scheduler: cfg.Scheduler.String(),
 	}
-	scanMemo.Lock()
-	best, ok := scanMemo.m[mk]
-	scanMemo.Unlock()
-	if ok {
-		return best, nil
-	}
-	best, err := demandScan(ctx, cfg, limit)
-	if err != nil {
-		return 0, err
-	}
-	scanMemo.Lock()
-	if len(scanMemo.m) >= scanMemoCapacity {
-		clear(scanMemo.m)
-	}
-	scanMemo.m[mk] = best
-	scanMemo.Unlock()
-	return best, nil
+	return cfg.Cache.Scan(sk, func() (int, error) { return demandScan(ctx, cfg, limit) })
 }
 
 // demandScan is the memo-miss path of MaxSinglePassDemandCtx.
@@ -276,7 +219,6 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 // because storage is not monotone in demand (TestStorageNotMonotoneInDemand):
 // a larger demand can fit after a smaller one overflowed.
 func demandScan(ctx context.Context, cfg Config, limit int) (int, error) {
-	cache := cfg.cache()
 	k := kernelPool.Get().(*planKernel)
 	defer kernelPool.Put(k)
 	k.builder.Reset(cfg.Base)
@@ -286,7 +228,7 @@ func demandScan(ctx context.Context, cfg Config, limit int) (int, error) {
 			return 0, fmt.Errorf("stream: demand scan at D=%d: %w", d, err)
 		}
 		k.builder.AddTree()
-		if p, ok := cache.Get(PlanKey(cfg, d, plancache.PristinePolicy)); ok {
+		if p, ok := cfg.Cache.Get(PlanKey(cfg, d, plancache.PristinePolicy)); ok {
 			if p.Storage <= cfg.Storage {
 				best = d
 			}
@@ -336,16 +278,18 @@ func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
 		return nil, sched.ErrNoMixers
 	}
 	perPass := demand
+	// full is the reused full-size pass plan; short the final, shorter
+	// pass's, which perPassDemand has planned already when there is one.
+	var full, short *plancache.Plan
 	if cfg.Storage > 0 {
 		var err error
-		if perPass, err = perPassDemand(ctx, cfg, demand); err != nil {
+		if perPass, short, err = perPassDemand(ctx, cfg, demand); err != nil {
 			return nil, err
 		}
 	}
 
 	res := &Result{Config: cfg, Demand: demand, PerPassDemand: perPass}
 	start := 1
-	var full *plancache.Plan // the reused full-size pass plan
 	for remaining := demand; remaining > 0; {
 		if err := cancel.Check(ctx); err != nil {
 			return nil, fmt.Errorf("stream: pass starting at cycle %d: %w", start, err)
@@ -362,7 +306,10 @@ func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
 			}
 			p = full
 		} else {
-			p, err = Plan(ctx, cfg, d, plancache.PristinePolicy)
+			if short == nil {
+				short, err = Plan(ctx, cfg, d, plancache.PristinePolicy)
+			}
+			p = short
 		}
 		if err != nil {
 			return nil, err
@@ -398,29 +345,30 @@ func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
 // the largest demand whose pass fits in q' and whose final, shorter pass of
 // demand mod D' targets fits too. Storage use is not monotone in demand, so
 // the short pass can need more units than a full one; D' then drops to the
-// next fitting demand below it until the short pass fits as well.
-func perPassDemand(ctx context.Context, cfg Config, demand int) (int, error) {
+// next fitting demand below it until the short pass fits as well. It also
+// returns the short pass's plan (nil when D' divides the demand).
+func perPassDemand(ctx context.Context, cfg Config, demand int) (int, *plancache.Plan, error) {
 	for limit := demand; ; {
 		dmax, err := MaxSinglePassDemandCtx(ctx, cfg, limit)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		if dmax == 0 {
-			return 0, fmt.Errorf("%w (q'=%d)", ErrStorage, cfg.Storage)
+			return 0, nil, fmt.Errorf("%w (q'=%d)", ErrStorage, cfg.Storage)
 		}
 		short := demand % dmax
 		if short == 0 {
-			return dmax, nil
+			return dmax, nil, nil
 		}
 		p, err := Plan(ctx, cfg, short, plancache.PristinePolicy)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		if p.Storage <= cfg.Storage {
-			return dmax, nil
+			return dmax, p, nil
 		}
 		if dmax <= 2 {
-			return 0, fmt.Errorf("%w (q'=%d, final pass of %d)", ErrStorage, cfg.Storage, short)
+			return 0, nil, fmt.Errorf("%w (q'=%d, final pass of %d)", ErrStorage, cfg.Storage, short)
 		}
 		limit = dmax - 2
 	}
