@@ -9,6 +9,7 @@ package dmfb
 // and see EXPERIMENTS.md for the paper-vs-measured record.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
@@ -29,11 +30,11 @@ import (
 func purgePlans() { plancache.Default().Purge() }
 
 // sequentially forces the single-threaded reference path for the duration of
-// the benchmark (the parallel fan-out is the default).
+// the benchmark (the parallel fan-out is the default): under GOMAXPROCS=1
+// parallel.Workers runs every sweep on one goroutine.
 func sequentially(b *testing.B) {
-	prev := experiments.Sequential
-	experiments.Sequential = true
-	b.Cleanup(func() { experiments.Sequential = prev })
+	prev := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // BenchmarkTable2 regenerates Table 2: five protocols x nine schemes, D=32.

@@ -100,14 +100,9 @@ func runFaults(schedule *dmfb.Schedule, layout *dmfb.Layout, rate float64, seed 
 
 func run(demand int, schedStr string, optimize, moves, heatmap, routing, pinsFlag, contamFlag bool, trace int,
 	faultRate float64, seed int64, deadMixer string, budget int) error {
-	var scheduler dmfb.Scheduler
-	switch schedStr {
-	case "MMS", "mms":
-		scheduler = dmfb.MMS
-	case "SRS", "srs":
-		scheduler = dmfb.SRS
-	default:
-		return fmt.Errorf("unknown scheduler %q", schedStr)
+	scheduler, err := dmfb.ParseScheduler(schedStr)
+	if err != nil {
+		return err
 	}
 
 	target := dmfb.PCR16().Ratio

@@ -77,14 +77,9 @@ func run(cf float64, num int64, depth, demand int, schedName string, storage, se
 		return fmt.Errorf("give -cf or -num")
 	}
 
-	var scheduler dmfb.Scheduler
-	switch schedName {
-	case "MMS", "mms":
-		scheduler = dmfb.MMS
-	case "SRS", "srs":
-		scheduler = dmfb.SRS
-	default:
-		return fmt.Errorf("unknown scheduler %q", schedName)
+	scheduler, err := dmfb.ParseScheduler(schedName)
+	if err != nil {
+		return err
 	}
 
 	engine, err := dmfb.NewDilutionEngine(target, dmfb.DilutionConfig{Scheduler: scheduler, Storage: storage})

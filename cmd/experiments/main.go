@@ -9,7 +9,9 @@
 //	experiments -table2 -table4     # selected artefacts
 //	experiments -quick              # smaller synthetic population
 //	experiments -csvdir results     # also write CSVs
-//	experiments -sequential         # single-threaded reference path
+//
+// The sweeps fan out over GOMAXPROCS workers; GOMAXPROCS=1 runs them on one
+// goroutine with byte-identical output.
 package main
 
 import (
@@ -27,20 +29,18 @@ import (
 
 func main() {
 	var (
-		t2         = flag.Bool("table2", false, "Table 2: five protocols, nine schemes")
-		t3         = flag.Bool("table3", false, "Table 3: average improvements over the synthetic population")
-		t4         = flag.Bool("table4", false, "Table 4: storage-constrained PCR streaming")
-		f5         = flag.Bool("fig5", false, "Fig. 5: chip layout and electrode actuations")
-		f6         = flag.Bool("fig6", false, "Fig. 6: average Tc and I vs demand")
-		f7         = flag.Bool("fig7", false, "Fig. 7: Tc and q vs mixer count")
-		ext        = flag.Bool("ext", false, "extension experiments E1-E4 (RSM roster, persistence, routing, robustness)")
-		e13        = flag.Bool("e13", false, "E13: error-aware vs error-blind planning across fault magnitudes")
-		quick      = flag.Bool("quick", false, "use the L=16 population for Table 3 / Fig. 6 (fast)")
-		csvdir     = flag.String("csvdir", "", "directory to write CSV files into")
-		sequential = flag.Bool("sequential", false, "disable the parallel sweep fan-out (single-threaded reference path)")
+		t2     = flag.Bool("table2", false, "Table 2: five protocols, nine schemes")
+		t3     = flag.Bool("table3", false, "Table 3: average improvements over the synthetic population")
+		t4     = flag.Bool("table4", false, "Table 4: storage-constrained PCR streaming")
+		f5     = flag.Bool("fig5", false, "Fig. 5: chip layout and electrode actuations")
+		f6     = flag.Bool("fig6", false, "Fig. 6: average Tc and I vs demand")
+		f7     = flag.Bool("fig7", false, "Fig. 7: Tc and q vs mixer count")
+		ext    = flag.Bool("ext", false, "extension experiments E1-E4 (RSM roster, persistence, routing, robustness)")
+		e13    = flag.Bool("e13", false, "E13: error-aware vs error-blind planning across fault magnitudes")
+		quick  = flag.Bool("quick", false, "use the L=16 population for Table 3 / Fig. 6 (fast)")
+		csvdir = flag.String("csvdir", "", "directory to write CSV files into")
 	)
 	flag.Parse()
-	experiments.Sequential = *sequential
 	all := !(*t2 || *t3 || *t4 || *f5 || *f6 || *f7 || *ext || *e13)
 	if err := run(all || *t2, all || *t3, all || *t4, all || *f5, all || *f6, all || *f7, all || *ext, all || *e13, *quick, *csvdir); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

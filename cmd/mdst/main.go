@@ -72,14 +72,9 @@ func run(ratioStr string, demand, mixers, storage int, algName, schedName string
 	if err != nil {
 		return err
 	}
-	var scheduler dmfb.Scheduler
-	switch schedName {
-	case "MMS", "mms":
-		scheduler = dmfb.MMS
-	case "SRS", "srs":
-		scheduler = dmfb.SRS
-	default:
-		return fmt.Errorf("unknown scheduler %q (want MMS or SRS)", schedName)
+	scheduler, err := dmfb.ParseScheduler(schedName)
+	if err != nil {
+		return err
 	}
 
 	if reportOut {

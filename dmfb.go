@@ -101,6 +101,9 @@ var ParseAlgorithm = core.ParseAlgorithm
 // Scheduler selects the forest scheduling scheme.
 type Scheduler = stream.Scheduler
 
+// ParseScheduler resolves "MMS" or "SRS" (either case).
+var ParseScheduler = stream.ParseScheduler
+
 // Forest schedulers.
 const (
 	// MMS is M_Mixers_Schedule (Algorithm 1), latency-oriented.

@@ -31,7 +31,7 @@ func buildPlan(t testing.TB, algo core.Algorithm, r ratio.Ratio, demand, mc int,
 	case "MMS":
 		s, err = sched.MMS(f, mc)
 	case "SRS":
-		s, err = sched.SRSFrom(f, mc, 0)
+		s, err = sched.SRS(f, mc)
 	default:
 		t.Fatalf("unknown scheduler %q", scheduler)
 	}

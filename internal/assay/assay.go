@@ -164,14 +164,9 @@ func Parse(r io.Reader) (*Assay, error) {
 			}
 			a.Algorithm = alg
 			for _, f := range fields[2:] {
-				switch f {
-				case "MMS", "mms":
-					a.Scheduler = stream.MMS
-				case "SRS", "srs":
-					a.Scheduler = stream.SRS
-				case "persist":
+				if f == "persist" {
 					a.Persist = true
-				default:
+				} else if a.Scheduler, err = stream.ParseScheduler(f); err != nil {
 					return nil, errf("unknown use option %q", f)
 				}
 			}

@@ -159,6 +159,7 @@ type Engine struct {
 	emitted int
 	batches []*Batch
 	builder *forest.Builder // persistent-pool mode only
+	kernel  sched.Kernel    // schedules the builder's windows
 }
 
 // Batch is the plan for one Request.

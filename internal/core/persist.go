@@ -26,8 +26,10 @@ import (
 var ErrPersistStorage = errors.New("core: persistent batch exceeds the storage budget")
 
 // requestPersistent plans n more droplets on the engine's growing forest.
-// Callers hold e.mu: the builder, the timeline counters and the batch list
-// are all mutated here.
+// The engine's kernel schedules only the new window, on the builder's
+// packed forest, and materializes it over the builder's live pointer
+// forest. Callers hold e.mu: the builder, the kernel, the timeline counters
+// and the batch list are all mutated here.
 func (e *Engine) requestPersistent(n int) (*Batch, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: %w: %d", forest.ErrBadDemand, n)
@@ -45,17 +47,17 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 	}
 	f = e.builder.Forest()
 
-	var s *sched.Schedule
 	var err error
 	switch e.cfg.Scheduler {
 	case stream.SRS:
-		s, err = sched.SRSFrom(f, e.mixers, startID)
+		err = e.kernel.SRSFrom(e.builder.Packed(), e.mixers, startID)
 	default:
-		s, err = sched.MMSFrom(f, e.mixers, startID)
+		err = e.kernel.MMSFrom(e.builder.Packed(), e.mixers, startID)
 	}
 	if err != nil {
 		return nil, err
 	}
+	s := e.kernel.Materialize(f)
 	// Incremental schedules bypass stream.plan's cache-entry audit, so the
 	// schedule-level invariants (precedence, mixer exclusivity, Alg. 3
 	// storage accounting) are checked here before the batch is promised.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/forest"
 	"repro/internal/sched"
 	"repro/internal/stream"
 )
@@ -147,5 +149,126 @@ func TestPersistentStorageFunctionMatchesPlainOnFreshForest(t *testing.T) {
 	s := b.Result.Passes[0].Schedule
 	if got, plain := PersistentStorage(e.Forest(), s, 0), sched.StorageUnits(s); got < plain {
 		t.Errorf("persistent storage %d below plain counting %d", got, plain)
+	}
+}
+
+// persistBatchValue renders everything a persistent batch promises: its
+// place on the timeline, its droplet and storage accounting, and the full
+// window schedule.
+func persistBatchValue(b *Batch) string {
+	r, p := b.Result, b.Result.Passes[0]
+	s := p.Schedule
+	return fmt.Sprintf("start=%d n=%d D'=%d emitted=%d Tc=%d q=%d waste=%d inputs=%d %s mc=%d first=%d tasks=%d slots=%v",
+		b.StartCycle, r.Demand, r.PerPassDemand, r.Emitted, r.TotalCycles, p.Storage, r.TotalWaste, r.TotalInputs,
+		s.Algorithm, s.Mixers, s.FirstTask, len(s.Forest.Tasks), s.Slots)
+}
+
+// persistReference replays requests the way the persistent pool planned
+// before it scheduled its builder's packed forest: after each request's
+// trees are added, the whole grown pointer forest is packed again and a
+// fresh kernel schedules the new window. It returns each batch's rendering,
+// stopping after the first batch over the storage budget with
+// ErrPersistStorage.
+func persistReference(t *testing.T, e *Engine, requests []int) ([]string, error) {
+	t.Helper()
+	b := forest.NewBuilder(e.base)
+	elapsed := 0
+	var out []string
+	for _, n := range requests {
+		f := b.Forest()
+		start, before := len(f.Tasks), f.Stats()
+		for i := 0; i < (n+1)/2; i++ {
+			b.AddTree()
+		}
+		f = b.Forest()
+		pf, err := forest.Pack(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var k sched.Kernel
+		from := k.MMSFrom
+		if e.cfg.Scheduler == stream.SRS {
+			from = k.SRSFrom
+		}
+		if err := from(pf, e.mixers, start); err != nil {
+			t.Fatal(err)
+		}
+		s := k.Materialize(f)
+		q := PersistentStorage(f, s, start)
+		if e.cfg.Storage > 0 && q > e.cfg.Storage {
+			return out, ErrPersistStorage
+		}
+		after := f.Stats()
+		d := 2 * ((n + 1) / 2)
+		out = append(out, persistBatchValue(&Batch{Request: n, StartCycle: elapsed + 1, Result: &stream.Result{
+			Demand: n, PerPassDemand: d, Emitted: d, TotalCycles: s.Cycles,
+			TotalWaste: after.Waste - before.Waste, TotalInputs: after.InputTotal - before.InputTotal,
+			Passes: []stream.Pass{{Schedule: s, Storage: q}},
+		}}))
+		elapsed += s.Cycles
+	}
+	return out, nil
+}
+
+// TestPersistentMatchesPackReference checks a persistent engine's batches
+// byte for byte against persistReference, for MMS and SRS over odd and even
+// request sizes, with and without a storage budget that some batch exceeds.
+func TestPersistentMatchesPackReference(t *testing.T) {
+	requests := []int{3, 4, 1, 7, 2, 10, 5, 6, 9, 8, 2, 1, 16, 33}
+	sawBudgetError := false
+	for _, alg := range []Algorithm{MM, RMA} {
+		for _, scheduler := range []stream.Scheduler{stream.MMS, stream.SRS} {
+			for _, storage := range []int{0, 8} {
+				e, err := New(Config{Target: pcr, Algorithm: alg, Scheduler: scheduler, Storage: storage, PersistPool: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantErr := persistReference(t, e, requests)
+				name := fmt.Sprintf("%v/%s/q=%d", alg, scheduler, storage)
+				for i, n := range requests {
+					b, err := e.Request(n)
+					if i == len(want) {
+						if !errors.Is(err, wantErr) || wantErr == nil {
+							t.Fatalf("%s request %d: err = %v, want %v", name, i, err, wantErr)
+						}
+						sawBudgetError = true
+						break
+					}
+					if err != nil {
+						t.Fatalf("%s request %d: %v", name, i, err)
+					}
+					if got := persistBatchValue(b); got != want[i] {
+						t.Fatalf("%s request %d differs from the Pack reference:\n got %s\nwant %s", name, i, got, want[i])
+					}
+				}
+			}
+		}
+	}
+	if !sawBudgetError {
+		t.Error("no storage budget was exceeded; the ErrPersistStorage path went untested")
+	}
+}
+
+// BenchmarkPersistentRequest times one two-droplet Request on a persistent
+// PCR engine whose pool holds a 1000-Request history. Each iteration grows
+// a fresh engine to that history untimed, by one Request of 2000 droplets:
+// the pool adds trees one at a time either way, so the forest, the pool and
+// the timed Request's work equal those after 1000 two-droplet Requests.
+func BenchmarkPersistentRequest(b *testing.B) {
+	const history = 1000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, err := New(Config{Target: pcr, PersistPool: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Request(2 * history); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := e.Request(2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -39,9 +39,9 @@ type fig6Delta struct {
 // Fig6Compute sweeps the demands over the dataset. The paper uses demands
 // 1..10 for Tc and 2..32 for I over its synthetic population.
 //
-// The sweep fans out per ratio over a GOMAXPROCS-sized worker pool (see
-// Sequential) and merges the per-ratio sums in dataset order, so the
-// floating-point averages match the sequential path bit-for-bit.
+// The sweep fans out per ratio over a GOMAXPROCS-sized worker pool and
+// merges the per-ratio sums in dataset order, so the floating-point
+// averages match the GOMAXPROCS=1 path bit-for-bit.
 func Fig6Compute(dataset []ratio.Ratio, demands []int) (*Fig6, error) {
 	if len(dataset) == 0 || len(demands) == 0 {
 		return nil, fmt.Errorf("experiments: fig6 needs a dataset and demands")
@@ -56,7 +56,7 @@ func Fig6Compute(dataset []ratio.Ratio, demands []int) (*Fig6, error) {
 		out.AvgTc[s.Name] = make([]float64, len(demands))
 		out.AvgI[s.Name] = make([]float64, len(demands))
 	}
-	deltas, err := parallel.MapN(workers(len(dataset)), dataset, func(_ int, r ratio.Ratio) (fig6Delta, error) {
+	deltas, err := parallel.Map(dataset, func(_ int, r ratio.Ratio) (fig6Delta, error) {
 		d := fig6Delta{
 			tc: make([]float64, len(schemes)*len(demands)),
 			i:  make([]float64, len(schemes)*len(demands)),

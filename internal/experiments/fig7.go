@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/forest"
 	"repro/internal/parallel"
 	"repro/internal/protocols"
-	"repro/internal/sched"
 	"repro/internal/stream"
 	"repro/internal/textplot"
 )
@@ -23,34 +21,29 @@ type Fig7 struct {
 	QSRS   []int
 }
 
-// Fig7Compute sweeps the mixer count (the paper uses 1..15). The forest is
-// built once and shared read-only; each mixer count is scheduled by its own
-// worker (GOMAXPROCS-bounded, see Sequential), with results assembled in
-// mixer order.
+// Fig7Compute sweeps the mixer count (the paper uses 1..15). Each (mixer
+// count, scheme) cell is planned by stream.BuildPlan, so every plan passes
+// audit.CheckPlan; mixer counts are spread over a GOMAXPROCS-sized worker
+// pool, with results assembled in mixer order.
 func Fig7Compute(mixers []int, demand int) (*Fig7, error) {
 	base, err := core.RMA.Build(protocols.PCR16().Ratio)
-	if err != nil {
-		return nil, err
-	}
-	f, err := forest.Build(base, demand)
 	if err != nil {
 		return nil, err
 	}
 	type cell struct {
 		tcMMS, qMMS, tcSRS, qSRS int
 	}
-	cells, err := parallel.MapN(workers(len(mixers)), mixers, func(_ int, mc int) (cell, error) {
+	cells, err := parallel.Map(mixers, func(_ int, mc int) (cell, error) {
 		var c cell
 		for _, scheduler := range []stream.Scheduler{stream.MMS, stream.SRS} {
-			s, err := scheduler.Schedule(f, mc)
+			p, err := stream.BuildPlan(stream.Config{Base: base, Mixers: mc, Scheduler: scheduler}, demand)
 			if err != nil {
 				return cell{}, fmt.Errorf("experiments: fig7 M=%d: %w", mc, err)
 			}
-			q := sched.StorageUnits(s)
 			if scheduler == stream.MMS {
-				c.tcMMS, c.qMMS = s.Cycles, q
+				c.tcMMS, c.qMMS = p.Schedule.Cycles, p.Storage
 			} else {
-				c.tcSRS, c.qSRS = s.Cycles, q
+				c.tcSRS, c.qSRS = p.Schedule.Cycles, p.Storage
 			}
 		}
 		return c, nil

@@ -112,10 +112,3 @@ func FormatE5(rows []E5Result) string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

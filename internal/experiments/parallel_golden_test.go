@@ -8,28 +8,26 @@ import (
 	"repro/internal/synth"
 )
 
-// withProcs temporarily raises GOMAXPROCS so the parallel paths actually fan
-// out even on single-core CI containers.
+// withProcs sets GOMAXPROCS to n for the rest of the test.
 func withProcs(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// withSequential runs fn once with the parallel fan-out enabled and once with
-// the Sequential escape hatch, returning both renderings. The plan cache is
-// purged before each run so neither leg can borrow the other's work.
+// withSequential runs fn once under GOMAXPROCS=8, so the sweeps fan out even
+// on single-core CI containers, and once under GOMAXPROCS=1, where
+// parallel.Workers takes the single-goroutine path, returning both
+// renderings. The plan cache is purged before each run so neither leg can
+// borrow the other's work.
 func withSequential(t *testing.T, fn func() string) (par, seq string) {
 	t.Helper()
 	withProcs(t, 8)
 	plancache.Default().Purge()
 	par = fn()
-	prev := Sequential
-	Sequential = true
-	t.Cleanup(func() { Sequential = prev })
+	runtime.GOMAXPROCS(1)
 	plancache.Default().Purge()
 	seq = fn()
-	Sequential = prev
 	return par, seq
 }
 

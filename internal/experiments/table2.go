@@ -23,11 +23,11 @@ type Table2Row struct {
 
 // Table2 evaluates the paper's five example protocols (L=256) at the given
 // demand (the paper uses D=32) under all nine schemes. Protocols are
-// evaluated in parallel (one worker per protocol, bounded by GOMAXPROCS;
-// see Sequential); rows come back in the protocols' canonical order.
+// evaluated in parallel (one worker per protocol, bounded by GOMAXPROCS);
+// rows come back in the protocols' canonical order.
 func Table2(demand int) ([]Table2Row, error) {
 	ps := protocols.Table2()
-	return parallel.MapN(workers(len(ps)), ps, func(_ int, p protocols.Protocol) (Table2Row, error) {
+	return parallel.Map(ps, func(_ int, p protocols.Protocol) (Table2Row, error) {
 		mc, err := core.PaperMixers(p.Ratio)
 		if err != nil {
 			return Table2Row{}, fmt.Errorf("experiments: %s: %w", p.Key, err)

@@ -82,10 +82,10 @@ func table3Ratio(r ratio.Ratio, demand int) ([]table3Delta, error) {
 // Table3Compute evaluates the population at the given demand. Pass
 // synth.PaperDataset() for the paper's configuration.
 //
-// The sweep fans out per ratio over a GOMAXPROCS-sized worker pool (see
-// Sequential for the escape hatch) and merges the per-ratio deltas in
-// dataset order with the algorithms in core.Algorithms() order, reproducing
-// the sequential floating-point accumulation bit-for-bit.
+// The sweep fans out per ratio over a GOMAXPROCS-sized worker pool and
+// merges the per-ratio deltas in dataset order with the algorithms in
+// core.Algorithms() order, reproducing the sequential floating-point
+// accumulation bit-for-bit.
 func Table3Compute(dataset []ratio.Ratio, demand int) (*Table3, error) {
 	t := &Table3{
 		Ratios:            len(dataset),
@@ -99,7 +99,7 @@ func Table3Compute(dataset []ratio.Ratio, demand int) (*Table3, error) {
 	if len(dataset) == 0 {
 		return nil, fmt.Errorf("experiments: empty dataset")
 	}
-	deltas, err := parallel.MapN(workers(len(dataset)), dataset, func(_ int, r ratio.Ratio) ([]table3Delta, error) {
+	deltas, err := parallel.Map(dataset, func(_ int, r ratio.Ratio) ([]table3Delta, error) {
 		return table3Ratio(r, demand)
 	})
 	if err != nil {

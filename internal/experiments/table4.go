@@ -44,9 +44,9 @@ func DefaultTable4Config() Table4Config {
 
 // Table4 runs the storage-constrained PCR streaming sweep. The (depth,
 // storage, demand) grid is flattened and evaluated cell-by-cell on a
-// GOMAXPROCS-sized worker pool (see Sequential); cells come back in the
-// paper's nesting order (depth, then storage, then demand), planned through
-// one cache of the sweep's own.
+// GOMAXPROCS-sized worker pool; cells come back in the paper's nesting
+// order (depth, then storage, then demand), planned through one cache of
+// the sweep's own.
 func Table4(cfg Table4Config) ([]Table4Cell, error) {
 	type job struct {
 		depth, storage, demand int
@@ -69,7 +69,7 @@ func Table4(cfg Table4Config) ([]Table4Cell, error) {
 		}
 	}
 	cache := plancache.New(plancache.DefaultCapacity)
-	return parallel.MapN(workers(len(jobs)), jobs, func(_ int, j job) (Table4Cell, error) {
+	return parallel.Map(jobs, func(_ int, j job) (Table4Cell, error) {
 		res, err := stream.Run(stream.Config{
 			Base:      j.base,
 			Mixers:    cfg.Mixers,

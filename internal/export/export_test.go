@@ -118,14 +118,14 @@ func TestIncrementalScheduleOmitsOldSlots(t *testing.T) {
 	g, _ := minmix.Build(ratio.MustParse("2:1:1:1:1:1:9"))
 	b := forest.NewBuilder(g)
 	b.AddTree()
-	f := b.Forest()
-	start := len(f.Tasks)
+	start := len(b.Forest().Tasks)
 	b.AddTree()
-	f = b.Forest()
-	s, err := sched.MMSFrom(f, 3, start)
-	if err != nil {
+	f := b.Forest()
+	var k sched.Kernel
+	if err := k.MMSFrom(b.Packed(), 3, start); err != nil {
 		t.Fatalf("MMSFrom: %v", err)
 	}
+	s := k.Materialize(f)
 	m := roundtrip(t, Schedule(s))
 	if got := len(m["slots"].([]interface{})); got != len(f.Tasks)-start {
 		t.Errorf("incremental export has %d slots, want %d", got, len(f.Tasks)-start)

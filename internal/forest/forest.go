@@ -150,7 +150,8 @@ func (f *Forest) Target() ratio.Ratio { return f.Base.Target }
 // PackedBuilder whose forest is materialized as it grows: AddTree appends
 // the new tree's tasks to the one Forest the builder hands out, so a forest
 // (and any schedule over it) obtained earlier keeps growing in place and
-// its tasks keep their identity.
+// its tasks keep their identity. Packed exposes the same forest in packed
+// form, so the scheduling kernel runs on it without a Pack round trip.
 type Builder struct {
 	pb PackedBuilder
 	f  *Forest
@@ -181,6 +182,11 @@ func (b *Builder) Forest() *Forest {
 	b.f.Demand = 2 * len(b.f.Trees)
 	return b.f
 }
+
+// Packed returns the forest built so far in packed form: task i of Packed
+// is task i of Forest. It aliases the builder's arenas and keeps growing
+// with further AddTree calls.
+func (b *Builder) Packed() *PackedForest { return b.pb.Forest() }
 
 // ErrBadDemand reports a non-positive droplet demand.
 var ErrBadDemand = errors.New("forest: demand must be positive")

@@ -314,9 +314,11 @@ func (f *PackedForest) grow(out *Forest) {
 
 // Pack flattens a pointer-linked forest into packed form — the inverse of
 // Materialize, so Pack(pf.Materialize()) equals pf — letting the packed
-// scheduling kernel run on any forest this package produces: Build and
-// Builder forests, BuildMulti's combined forests and Restore's decoded
-// ones. PTask.Base is the ID of the task's node within its own base graph;
+// scheduling kernel run on a forest no PackedBuilder grew: BuildMulti's
+// multi-target forests and hand-built or decoded ones. Single-target
+// planners schedule the PackedBuilder forest itself (BuildPacked,
+// Builder.Packed) and never need it. PTask.Base is the ID of the task's
+// node within its own base graph;
 // a multi-target forest's tasks instantiate nodes of several graphs, so
 // only a single-target packing may be materialized again (the scheduling
 // kernel never reads Base). A task with more than two consumers has no

@@ -20,8 +20,8 @@ import (
 
 // Workers returns the default worker count for n items: GOMAXPROCS capped by
 // n, and at least 1. Passing workers <= 1 to MapN/ForEachN selects the plain
-// sequential loop, which is also the escape hatch the experiments package
-// exposes as its Sequential flag.
+// sequential loop, so every Map and ForEach runs single-goroutine under
+// GOMAXPROCS=1.
 func Workers(n int) int {
 	w := runtime.GOMAXPROCS(0)
 	if w > n {

@@ -169,7 +169,7 @@ func runOne(ctx context.Context, s *sched.Schedule, l *chip.Layout, inj *faults.
 	if err != nil {
 		// Stuck electrodes broke the binding: degrade from cycle 1.
 		rep.Degradations++
-		err = e.replan(s.Algorithm, s.Forest.Base, s.Forest.Demand, err)
+		err = e.replan(schemeOf(s), s.Forest.Base, s.Forest.Demand, err)
 	} else {
 		err = e.exec(s, plan)
 	}
@@ -902,7 +902,14 @@ func (e *executor) degrade(c *execCtx, d *degradeErr) error {
 	if remaining <= 0 {
 		return nil
 	}
-	return e.replan(c.s.Algorithm, c.s.Forest.Base, remaining, d)
+	return e.replan(schemeOf(c.s), c.s.Forest.Base, remaining, d)
+}
+
+// schemeOf returns the scheduling scheme a schedule was built with; an OMS
+// schedule replans like MMS.
+func schemeOf(s *sched.Schedule) stream.Scheduler {
+	scheme, _ := stream.ParseScheduler(s.Algorithm)
+	return scheme
 }
 
 // replan schedules the remaining demand on the surviving mixers of the
@@ -912,7 +919,7 @@ func (e *executor) degrade(c *execCtx, d *degradeErr) error {
 // single-pass schedule no longer fits the degraded chip (fewer mixers need
 // more storage), the demand is halved into multiple passes until it binds —
 // the streaming engine's storage-constrained discipline applied to recovery.
-func (e *executor) replan(prevScheduler string, base *mixgraph.Graph, demand int, cause error) error {
+func (e *executor) replan(prev stream.Scheduler, base *mixgraph.Graph, demand int, cause error) error {
 	alive := e.origin.Degrade(e.dead, e.stuck)
 	// Mixers walled off by stuck electrodes die with the roster drop.
 	for _, name := range cutOffMixers(alive) {
@@ -930,9 +937,9 @@ func (e *executor) replan(prevScheduler string, base *mixgraph.Graph, demand int
 	}
 	// Prefer the schedule's own scheme; fall back to the storage-frugal SRS
 	// when the degraded binding does not fit.
-	order := []string{"MMS", "SRS"}
-	if prevScheduler == "SRS" {
-		order = []string{"SRS"}
+	order := []stream.Scheduler{stream.MMS, stream.SRS}
+	if prev == stream.SRS {
+		order = order[1:]
 	}
 	lastErr := cause
 	remaining, chunk := demand, demand
@@ -972,13 +979,9 @@ func (e *executor) replan(prevScheduler string, base *mixgraph.Graph, demand int
 
 // bindChunk plans `demand` droplets on the degraded chip and binds the
 // schedule to it, trying the scheduling schemes in order.
-func (e *executor) bindChunk(order []string, base *mixgraph.Graph, demand, mixers int, alive *chip.Layout) (*exec.Plan, *sched.Schedule, error) {
+func (e *executor) bindChunk(order []stream.Scheduler, base *mixgraph.Graph, demand, mixers int, alive *chip.Layout) (*exec.Plan, *sched.Schedule, error) {
 	var lastErr error
-	for _, name := range order {
-		scheme := stream.MMS
-		if name == "SRS" {
-			scheme = stream.SRS
-		}
+	for _, scheme := range order {
 		// Degraded replans are built and audited by the same plan builder
 		// as pristine plans; the policy key keeps them apart in the cache.
 		p, err := stream.Plan(e.ctx, stream.Config{Base: base, Mixers: mixers, Scheduler: scheme, Cache: e.cache},

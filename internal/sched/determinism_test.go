@@ -21,8 +21,8 @@ func TestScheduleDeterminism(t *testing.T) {
 	}{
 		{"MMS", MMS},
 		{"SRS", SRS},
-		{"MMSFrom", func(f *forest.Forest, mc int) (*Schedule, error) { return MMSFrom(f, mc, 0) }},
-		{"SRSFrom", func(f *forest.Forest, mc int) (*Schedule, error) { return SRSFrom(f, mc, 0) }},
+		{"MMSFrom", func(f *forest.Forest, mc int) (*Schedule, error) { return window((*Kernel).MMSFrom, f, mc) }},
+		{"SRSFrom", func(f *forest.Forest, mc int) (*Schedule, error) { return window((*Kernel).SRSFrom, f, mc) }},
 	}
 	for _, sc := range schemes {
 		t.Run(sc.name, func(t *testing.T) {
@@ -48,4 +48,18 @@ func TestScheduleDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// window schedules the whole of f as one kernel window (first task 0) on a
+// fresh kernel.
+func window(from func(*Kernel, *forest.PackedForest, int, int) error, f *forest.Forest, mc int) (*Schedule, error) {
+	pf, err := forest.Pack(f)
+	if err != nil {
+		return nil, err
+	}
+	var k Kernel
+	if err := from(&k, pf, mc, 0); err != nil {
+		return nil, err
+	}
+	return k.Materialize(f), nil
 }

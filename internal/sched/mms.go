@@ -19,15 +19,7 @@ import (
 // the drain phase (cross-tree dependences), so — clearly the intent — newly
 // ready tasks keep being enqueued every cycle until the forest is complete.
 func MMS(f *forest.Forest, mc int) (*Schedule, error) {
-	return schedule(f, mc, "MMS", policyMMS, 0)
-}
-
-// MMSFrom schedules only the tasks with ID >= firstTask, treating earlier
-// tasks as completed before cycle 1 — the incremental window of a
-// pool-persistent demand-driven engine (droplets pooled by earlier windows
-// are available immediately and occupy storage until consumed).
-func MMSFrom(f *forest.Forest, mc, firstTask int) (*Schedule, error) {
-	return schedule(f, mc, "MMS", policyMMS, firstTask)
+	return schedule(f, mc, "MMS", policyMMS)
 }
 
 // SRS schedules a mixing forest on mc mixers with Storage_Reduced_Scheduling
@@ -45,12 +37,7 @@ func MMSFrom(f *forest.Forest, mc, firstTask int) (*Schedule, error) {
 // max(0, Mc - |Qint before dequeue|) tasks. Compared with MMS this can
 // lengthen Tc slightly but needs fewer on-chip storage units.
 func SRS(f *forest.Forest, mc int) (*Schedule, error) {
-	return schedule(f, mc, "SRS", policySRS, 0)
-}
-
-// SRSFrom is the SRS counterpart of MMSFrom.
-func SRSFrom(f *forest.Forest, mc, firstTask int) (*Schedule, error) {
-	return schedule(f, mc, "SRS", policySRS, firstTask)
+	return schedule(f, mc, "SRS", policySRS)
 }
 
 // OMS schedules a single base mixing graph on mc mixers following Luo and
@@ -58,13 +45,19 @@ func SRSFrom(f *forest.Forest, mc, firstTask int) (*Schedule, error) {
 // highest-level-first list scheduling (Hu's algorithm) attains the optimal
 // makespan, and a base mixing tree is exactly such an in-tree; package tests
 // certify optimality against exhaustive search. The graph is scheduled as a
-// demand-2 forest (one pass, two target droplets).
+// demand-2 forest (one pass, two target droplets), grown packed and run
+// through Hu directly, as Mlb runs it.
 func OMS(base *mixgraph.Graph, mc int) (*Schedule, error) {
-	f, err := forest.Build(base, 2)
+	pf, err := forest.BuildPacked(forest.NewPackedBuilder(base), base, 2)
 	if err != nil {
 		return nil, err
 	}
-	return schedule(f, mc, "OMS", policyHu, 0)
+	k := kernels.Get().(*Kernel)
+	defer kernels.Put(k)
+	if err := k.Hu(pf, mc); err != nil {
+		return nil, err
+	}
+	return k.Materialize(pf.Materialize()), nil
 }
 
 // kernels pools the scheduling kernels behind the pointer-forest entry
@@ -72,16 +65,18 @@ func OMS(base *mixgraph.Graph, mc int) (*Schedule, error) {
 // reuse as soon as it returns.
 var kernels = sync.Pool{New: func() any { return new(Kernel) }}
 
-// schedule packs f, runs the kernel with the given policy and window, and
-// materializes the result as a Schedule over f.
-func schedule(f *forest.Forest, mc int, algo string, p policy, firstTask int) (*Schedule, error) {
+// schedule packs f, runs the kernel with the given policy, and materializes
+// the result as a Schedule over f. It serves forests no PackedBuilder grew:
+// core.PlanMulti's multi-target forests and the exact-scheduler comparisons
+// of experiment E5.
+func schedule(f *forest.Forest, mc int, algo string, p policy) (*Schedule, error) {
 	pf, err := forest.Pack(f)
 	if err != nil {
 		return nil, err
 	}
 	k := kernels.Get().(*Kernel)
 	defer kernels.Put(k)
-	if _, err := k.run(pf, mc, algo, p, firstTask, unbounded); err != nil {
+	if _, err := k.run(pf, mc, algo, p, 0, unbounded); err != nil {
 		return nil, err
 	}
 	return k.Materialize(f), nil

@@ -9,10 +9,12 @@ import (
 	"repro/internal/obs"
 )
 
-// The scheduling kernel: the one implementation of MMS, SRS and OMS. The
-// pointer-forest entry points (MMS, SRS, OMS, MMSFrom, SRSFrom) pack their
-// forest and run it here; dmfbd's planner runs it on PackedBuilder forests
-// directly.
+// The scheduling kernel: the one implementation of MMS, SRS and OMS. Every
+// single-target planner runs it on a forest a PackedBuilder grew: OMS and
+// Mlb, internal/stream's plans and demand scan, and the persistent pool of
+// internal/core, whose windows (MMSFrom, SRSFrom) schedule the live
+// forest of a forest.Builder. The pointer-forest entry points MMS and SRS
+// pack their forest first; they serve multi-target and hand-built forests.
 //
 // Every queue policy orders tasks by a total order over (level,
 // internal-input count, ID) with ID as the final tie-break, so the whole
@@ -151,8 +153,10 @@ func (k *Kernel) SRSWithin(f *forest.PackedForest, mc, q int) (bool, error) {
 	return k.run(f, mc, "SRS", policySRS, 0, q)
 }
 
-// MMSFrom schedules only tasks with index >= firstTask (the incremental
-// window of a pool-persistent engine); see the package-level MMSFrom.
+// MMSFrom schedules only the tasks with index >= firstTask, treating
+// earlier tasks as completed before cycle 1 — the incremental window of a
+// pool-persistent demand-driven engine (droplets pooled by earlier windows
+// are available immediately and occupy storage until consumed).
 func (k *Kernel) MMSFrom(f *forest.PackedForest, mc, firstTask int) error {
 	_, err := k.run(f, mc, "MMS", policyMMS, firstTask, unbounded)
 	return err
@@ -179,8 +183,8 @@ func (k *Kernel) Cycles() int { return k.cycles }
 func (k *Kernel) Assignments() []Assignment { return k.slots }
 
 // Materialize copies the last run's result into a Schedule over the given
-// pointer forest (the materialized or original form of the packed one). Called once per plan-cache miss, never on a
-// steady-state path.
+// pointer forest (the materialized or original form of the packed one).
+// Called once per plan-cache miss and once per persistent-pool batch.
 func (k *Kernel) Materialize(f *forest.Forest) *Schedule {
 	return &Schedule{
 		Forest:    f,

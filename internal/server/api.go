@@ -189,13 +189,10 @@ func parsePlanRequest(req *PlanRequest) (*planSpec, error) {
 		}
 	}
 	sch := stream.MMS
-	switch req.Scheduler {
-	case "", "MMS", "mms":
-		// default
-	case "SRS", "srs":
-		sch = stream.SRS
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (want MMS or SRS)", req.Scheduler)
+	if req.Scheduler != "" {
+		if sch, err = stream.ParseScheduler(req.Scheduler); err != nil {
+			return nil, fmt.Errorf("unknown scheduler %q (want MMS or SRS)", req.Scheduler)
+		}
 	}
 	pol := errormodel.Policy{
 		Params:     errormodel.Params{SplitImbalance: req.SplitImbalance, DispenseError: req.DispenseError},

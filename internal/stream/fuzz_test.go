@@ -74,20 +74,24 @@ func FuzzPlan(f *testing.F) {
 			t.Fatalf("plan emits %d of %d demanded", p.Stats.Targets, demand)
 		}
 
-		from := sched.MMSFrom
+		pf, err := forest.Pack(p.Forest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var k sched.Kernel
+		from := k.MMSFrom
 		if cfg.Scheduler == SRS {
-			from = sched.SRSFrom
+			from = k.SRSFrom
 		}
 		start := int(first) % (len(p.Forest.Tasks) + 1)
-		s, err := from(p.Forest, cfg.Mixers, start)
-		if err != nil {
+		if err := from(pf, cfg.Mixers, start); err != nil {
 			t.Fatalf("window from task %d: %v", start, err)
 		}
-		if rep := audit.CheckSchedule(s); !rep.Clean() {
+		if rep := audit.CheckSchedule(k.Materialize(p.Forest)); !rep.Clean() {
 			t.Fatalf("window from task %d: schedule audit: %v", start, rep.Err())
 		}
 
-		pf, err := forest.BuildPacked(forest.NewPackedBuilder(g), g, demand)
+		pf, err = forest.BuildPacked(forest.NewPackedBuilder(g), g, demand)
 		if err != nil {
 			t.Fatal(err)
 		}

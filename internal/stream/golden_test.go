@@ -125,11 +125,13 @@ func scheduleValue(cycles, storage int, slots []sched.Assignment) string {
 	return fmt.Sprintf("Tc=%d q=%d slots=%s", cycles, storage, slotsDigest(slots))
 }
 
-// goldenRow is one fixture case. api computes it through the public planner
-// entry points (forest.Build, forest.Builder, forest.BuildMulti, sched.MMS,
-// sched.SRS, sched.OMS, sched.MMSFrom, sched.SRSFrom); kernel computes it on
-// forest.PackedBuilder and sched.Kernel directly, the way dmfbd plans. Both
-// must agree with each other and with the frozen fixture.
+// goldenRow is one fixture case. api computes it through the pointer-forest
+// entry points (forest.Build, forest.BuildMulti, sched.MMS, sched.SRS,
+// sched.OMS; windows on forest.Pack of a built forest; persistent batches on
+// forest.Builder and its Packed forest, as core's PersistPool engine
+// plans); kernel computes it on forest.PackedBuilder and sched.Kernel
+// directly, the way dmfbd plans. Both must agree with each other and with
+// the frozen fixture.
 type goldenRow struct {
 	key         string
 	api, kernel func() (string, error)
@@ -240,14 +242,19 @@ func plannerRows(t testing.TB) []goldenRow {
 						if err != nil {
 							return "", err
 						}
-						from := sched.MMSFrom
-						if scheme == SRS {
-							from = sched.SRSFrom
-						}
-						s, err := from(f, mc, first)
+						pf, err := forest.Pack(f)
 						if err != nil {
 							return "", err
 						}
+						var wk sched.Kernel
+						from := wk.MMSFrom
+						if scheme == SRS {
+							from = wk.SRSFrom
+						}
+						if err := from(pf, mc, first); err != nil {
+							return "", err
+						}
+						s := wk.Materialize(f)
 						return scheduleValue(s.Cycles, sched.StorageUnits(s), s.Slots), nil
 					}, func() (string, error) {
 						pf, err := forest.BuildPacked(&pb, g, windowDemand)
@@ -277,6 +284,7 @@ func plannerRows(t testing.TB) []goldenRow {
 		for _, scheme := range goldenSchemes {
 			const mc = 3
 			var lb *forest.Builder
+			var lk sched.Kernel
 			var ppb forest.PackedBuilder
 			var pk sched.Kernel
 			for step, batch := range goldenBatches {
@@ -288,14 +296,14 @@ func plannerRows(t testing.TB) []goldenRow {
 					for i := 0; i < (batch+1)/2; i++ {
 						lb.AddTree()
 					}
-					from := sched.MMSFrom
+					from := lk.MMSFrom
 					if scheme == SRS {
-						from = sched.SRSFrom
+						from = lk.SRSFrom
 					}
-					s, err := from(lb.Forest(), mc, start)
-					if err != nil {
+					if err := from(lb.Packed(), mc, start); err != nil {
 						return "", err
 					}
+					s := lk.Materialize(lb.Forest())
 					return fmt.Sprintf("%s pool=%d first=%d %s", forestValue(lb.Forest(), lb.Forest().Stats()), lb.PoolSize(), start,
 						scheduleValue(s.Cycles, sched.StorageUnits(s), s.Slots)), nil
 				}, func() (string, error) {

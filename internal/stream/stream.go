@@ -45,8 +45,20 @@ func (s Scheduler) String() string {
 	}
 }
 
-// ErrUnknownScheduler reports a Scheduler value that names no scheme.
+// ErrUnknownScheduler reports a Scheduler value or name that names no scheme.
 var ErrUnknownScheduler = errors.New("stream: unknown scheduler")
+
+// ParseScheduler resolves the paper's scheduler names.
+func ParseScheduler(s string) (Scheduler, error) {
+	switch s {
+	case "MMS", "mms":
+		return MMS, nil
+	case "SRS", "srs":
+		return SRS, nil
+	default:
+		return 0, fmt.Errorf("%w %q (want MMS or SRS)", ErrUnknownScheduler, s)
+	}
+}
 
 // Schedule runs the selected scheme.
 func (s Scheduler) Schedule(f *forest.Forest, mc int) (*sched.Schedule, error) {

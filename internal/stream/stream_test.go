@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/minmix"
@@ -183,6 +184,34 @@ func TestSchedulerString(t *testing.T) {
 	}
 	if Scheduler(9).String() == "" {
 		t.Error("unknown scheduler should render")
+	}
+}
+
+func TestParseScheduler(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Scheduler
+		ok   bool
+	}{
+		{"MMS", MMS, true},
+		{"mms", MMS, true},
+		{"SRS", SRS, true},
+		{"srs", SRS, true},
+		{"", 0, false},
+		{"Srs", 0, false},
+		{"OMS", 0, false},
+		{"NOPE", 0, false},
+	} {
+		got, err := ParseScheduler(c.in)
+		if c.ok {
+			if err != nil || got != c.want {
+				t.Errorf("ParseScheduler(%q) = %v, %v; want %v", c.in, got, err, c.want)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrUnknownScheduler) {
+			t.Errorf("ParseScheduler(%q) err = %v, want ErrUnknownScheduler", c.in, err)
+		}
 	}
 }
 
