@@ -55,7 +55,9 @@ bench-cold:
 
 # Short fuzzing passes over the parser, the forest builder, the planner
 # (plan audit, window audit, Pack/Materialize round trip, multi-pass plans
-# under a storage budget against a direct reference), the WAL replayer,
+# under a storage budget against a direct reference), the persistent pool
+# (random Request sequences under a storage budget against an engine fed
+# only the Requests that succeeded), the WAL replayer,
 # the session-adopt snapshot decoder, the artifact decoder, dmfbd's request
 # path (every /v1 route: no panic, no 500, no hang) and the -peers parser —
 # enough to replay the corpora and explore a little, not a soak run.
@@ -63,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseRatio -fuzztime=10s ./internal/ratio
 	$(GO) test -fuzz=FuzzBuildForest -fuzztime=10s ./internal/forest
 	$(GO) test -fuzz=FuzzPlan -fuzztime=10s ./internal/stream
+	$(GO) test -fuzz=FuzzPersistent -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzAdoptSnapshot -fuzztime=10s ./internal/server
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=10s ./internal/artifact

@@ -512,7 +512,7 @@ func runChurn(client *http.Client, rec *record, nNodes, nSessions, maxInflight i
 		urlOf[nd.id] = nd
 	}
 	victim, survivors := nodes[nNodes-1], nodes[:nNodes-1]
-	ring := cluster.NewRing(ids, 0)
+	ring := cluster.NewRing(ids)
 
 	type planReply struct {
 		StartCycle  int    `json:"start_cycle"`

@@ -322,7 +322,7 @@ func TestChaosMigrateKillOwner(t *testing.T) {
 	}
 
 	// A session the shared ring places on node-0 — the node we will kill.
-	ring := cluster.NewRing(ids, 0)
+	ring := cluster.NewRing(ids)
 	var name string
 	for i := 0; i < 100000; i++ {
 		cand := fmt.Sprintf("chaos-mig-%d", i)

@@ -360,6 +360,11 @@ func Decode(data []byte) (*Artifact, error) {
 	if r.err != nil {
 		return nil, r.fail()
 	}
+	// A plan schedules its whole forest; a window of it (a persistent
+	// batch's form) would verify as a plan of no cycles and no storage.
+	if s.FirstTask != 0 {
+		return nil, fmt.Errorf("%w: schedule starts at task %d, want 0", ErrCorrupt, s.FirstTask)
+	}
 	if nSlots != len(f.Tasks) {
 		return nil, fmt.Errorf("%w: %d slots for %d tasks", ErrCorrupt, nSlots, len(f.Tasks))
 	}

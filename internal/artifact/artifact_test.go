@@ -115,6 +115,32 @@ func TestAddressIsKeyDerived(t *testing.T) {
 	}
 }
 
+// windowPlan re-schedules p as a window past its last task: every slot
+// empty, no cycles, no storage, the form of a persistent batch that
+// schedules nothing of its forest.
+func windowPlan(p *plancache.Plan) *plancache.Plan {
+	n := len(p.Forest.Tasks)
+	s := &sched.Schedule{Forest: p.Forest, Mixers: p.Schedule.Mixers, Algorithm: p.Schedule.Algorithm,
+		FirstTask: n, Slots: make([]sched.Assignment, n)}
+	return &plancache.Plan{Forest: p.Forest, Schedule: s, Stats: p.Stats}
+}
+
+// TestDecodeVerifiedRejectsWindowSchedule: a plan artifact whose schedule
+// is a window is corrupt. A plan schedules every task of its forest; the
+// D=20 PCR MMS plan re-scheduled as a window past its last task would
+// otherwise pass as a plan of 0 cycles and 0 storage units, and a plan
+// cache holding it would stream 20 droplets in no time.
+func TestDecodeVerifiedRejectsWindowSchedule(t *testing.T) {
+	k, p := buildPlan(t, core.MM, protocols.PCR16().Ratio, 20, 3, "MMS")
+	data, err := Encode(k, windowPlan(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err := DecodeVerified(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("window schedule: DecodeVerified err = %v (plan %+v), want ErrCorrupt", err, a)
+	}
+}
+
 // TestCorruptArtifactsAreTypedErrors is the regression test the acceptance
 // criteria name: damaged artifacts must surface as typed errors — ErrVersion,
 // ErrIntegrity, ErrCorrupt or ErrVerify — never as panics or silent success.

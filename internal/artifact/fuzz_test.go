@@ -32,6 +32,13 @@ func FuzzArtifactDecode(f *testing.F) {
 			f.Add(seal(resealed))
 		}
 	}
+	// A schedule that is a window of its forest (TestDecodeVerifiedRejectsWindowSchedule).
+	k, p := buildPlan(f, core.MM, protocols.PCR16().Ratio, 20, 3, "MMS")
+	window, err := Encode(k, windowPlan(p))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(window)
 	f.Add([]byte{})
 	f.Add([]byte("DMFBART1"))
 	f.Add([]byte("DMFBART1\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))

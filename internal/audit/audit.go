@@ -247,10 +247,11 @@ func CheckForest(f *forest.Forest) *Report {
 	return r
 }
 
-// CheckSchedule audits a schedule: physical validity (every task exactly
-// once, precedence, mixer bounds, no double-booking) and storage occupancy,
-// recomputed independently of Algorithm 3's per-task loop via a difference
-// array over droplet lifetimes and compared cycle-by-cycle against
+// CheckSchedule audits a schedule: physical validity (every task of its
+// window exactly once, precedence, mixer bounds, no double-booking) and
+// storage occupancy, counted by consumer over the window and recomputed
+// independently of Algorithm 3's per-task loop via a difference array over
+// droplet lifetimes, then compared cycle-by-cycle against
 // sched.StorageProfile.
 func CheckSchedule(s *sched.Schedule) *Report {
 	r := &Report{}
@@ -263,11 +264,13 @@ func CheckSchedule(s *sched.Schedule) *Report {
 	// (producer cycle + 1), -1 when its consumer picks it up. Algorithm 3
 	// walks each lifetime interval instead; both must agree everywhere.
 	diff := make([]int, s.Cycles+2)
-	for _, t := range s.Forest.Tasks {
-		produced := s.Slots[t.ID].Cycle
-		for _, c := range t.Consumers() {
-			consumed := s.Slots[c.ID].Cycle
-			if produced+1 <= consumed-1 {
+	for _, t := range s.Tasks() {
+		consumed := s.At(t).Cycle
+		for _, src := range t.In {
+			if src.Kind != forest.FromTask {
+				continue
+			}
+			if produced := s.At(src.Task).Cycle; produced+1 <= consumed-1 {
 				diff[produced+1]++
 				diff[consumed]--
 			}

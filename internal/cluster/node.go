@@ -102,8 +102,6 @@ type Config struct {
 	Self string
 	// Peers are the other members (Self must not appear among them).
 	Peers []Peer
-	// VirtualNodes tunes ring balance (default DefaultVirtualNodes).
-	VirtualNodes int
 	// Timeout bounds each peer request (default 2s).
 	Timeout time.Duration
 	// BreakerThreshold / BreakerCooldown shape the per-peer circuit breaker
@@ -128,7 +126,6 @@ type peerState struct {
 // guarded by mu, breakers self-lock and http.Client is concurrency-safe.
 type Node struct {
 	self   string
-	vnodes int
 	ring   atomic.Pointer[Ring]
 	client *http.Client
 
@@ -154,7 +151,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		self:             cfg.Self,
-		vnodes:           cfg.VirtualNodes,
 		breakerThreshold: cfg.BreakerThreshold,
 		breakerCooldown:  cfg.BreakerCooldown,
 		peers:            make(map[string]*peerState, len(cfg.Peers)),
@@ -181,7 +177,7 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 		members = append(members, p.ID)
 	}
-	n.ring.Store(NewRing(members, cfg.VirtualNodes))
+	n.ring.Store(NewRing(members))
 	return n, nil
 }
 

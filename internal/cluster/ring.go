@@ -21,29 +21,25 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-member vnode count. 128 vnodes keep the
+// virtualNodes is the per-member vnode count. 128 vnodes keep the
 // per-member share of the key space within a few percent of uniform for
 // small fleets while the ring stays a few kilobytes.
-const DefaultVirtualNodes = 128
+const virtualNodes = 128
 
 // Ring is an immutable consistent-hash ring over member IDs. Build with
 // NewRing; derive changed memberships with With/Without (the ring itself is
 // never mutated, so lookups need no locking).
 type Ring struct {
 	members []string
-	vnodes  int
 	hashes  []uint64 // sorted vnode hashes
 	owners  []string // owners[i] owns hashes[i]
 }
 
-// NewRing builds a ring over the given member IDs with vnodesPerMember
-// virtual nodes each (<= 0 selects DefaultVirtualNodes). Duplicate member
-// IDs are collapsed. Placement is seeded by the member IDs alone, so every
-// node that knows the same membership computes the identical ring.
-func NewRing(members []string, vnodesPerMember int) *Ring {
-	if vnodesPerMember <= 0 {
-		vnodesPerMember = DefaultVirtualNodes
-	}
+// NewRing builds a ring over the given member IDs with virtualNodes
+// virtual nodes each. Duplicate member IDs are collapsed. Placement is
+// seeded by the member IDs alone, so every node that knows the same
+// membership computes the identical ring.
+func NewRing(members []string) *Ring {
 	seen := make(map[string]bool, len(members))
 	uniq := make([]string, 0, len(members))
 	for _, m := range members {
@@ -55,17 +51,16 @@ func NewRing(members []string, vnodesPerMember int) *Ring {
 	sort.Strings(uniq)
 	r := &Ring{
 		members: uniq,
-		vnodes:  vnodesPerMember,
-		hashes:  make([]uint64, 0, len(uniq)*vnodesPerMember),
-		owners:  make([]string, 0, len(uniq)*vnodesPerMember),
+		hashes:  make([]uint64, 0, len(uniq)*virtualNodes),
+		owners:  make([]string, 0, len(uniq)*virtualNodes),
 	}
 	type vnode struct {
 		hash  uint64
 		owner string
 	}
-	vns := make([]vnode, 0, len(uniq)*vnodesPerMember)
+	vns := make([]vnode, 0, len(uniq)*virtualNodes)
 	for _, m := range uniq {
-		for i := 0; i < vnodesPerMember; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			vns = append(vns, vnode{hash: hashKey(fmt.Sprintf("%s#%d", m, i)), owner: m})
 		}
 	}
@@ -132,7 +127,7 @@ func (r *Ring) Successors(key string, n int) []string {
 
 // With derives the ring with an additional member.
 func (r *Ring) With(member string) *Ring {
-	return NewRing(append(r.Members(), member), r.vnodes)
+	return NewRing(append(r.Members(), member))
 }
 
 // Without derives the ring with a member removed.
@@ -143,7 +138,7 @@ func (r *Ring) Without(member string) *Ring {
 			kept = append(kept, m)
 		}
 	}
-	return NewRing(kept, r.vnodes)
+	return NewRing(kept)
 }
 
 // hashKey is 64-bit FNV-1a finished with the splitmix64 mixer — stable

@@ -15,8 +15,8 @@ func keys(n int) []string {
 
 func TestRingDeterministicAndComplete(t *testing.T) {
 	members := []string{"node-b", "node-a", "node-c"}
-	r1 := NewRing(members, 64)
-	r2 := NewRing([]string{"node-c", "node-a", "node-b", "node-a"}, 64) // order/dups must not matter
+	r1 := NewRing(members)
+	r2 := NewRing([]string{"node-c", "node-a", "node-b", "node-a"}) // order/dups must not matter
 	for _, k := range keys(500) {
 		o := r1.Owner(k)
 		if o == "" {
@@ -36,7 +36,7 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c", "d"}, DefaultVirtualNodes)
+	r := NewRing([]string{"a", "b", "c", "d"})
 	counts := map[string]int{}
 	const n = 8000
 	for _, k := range keys(n) {
@@ -59,7 +59,7 @@ func TestRingBalance(t *testing.T) {
 // it gains or held — never a wholesale reshuffle (modulo hashing, which
 // would move nearly everything).
 func TestRingRebalanceBounded(t *testing.T) {
-	base := NewRing([]string{"n0", "n1", "n2", "n3"}, DefaultVirtualNodes)
+	base := NewRing([]string{"n0", "n1", "n2", "n3"})
 	ks := keys(10000)
 
 	t.Run("join", func(t *testing.T) {
@@ -109,7 +109,7 @@ func TestRingRebalanceBounded(t *testing.T) {
 // makes a failed join (or a node that joins and immediately dies) harmless:
 // reverting membership reverts placement, with no residue.
 func TestRingWithWithoutIdentity(t *testing.T) {
-	base := NewRing([]string{"n0", "n1", "n2", "n3"}, DefaultVirtualNodes)
+	base := NewRing([]string{"n0", "n1", "n2", "n3"})
 	roundtrip := base.With("nx").Without("nx")
 	for _, k := range keys(10000) {
 		if before, after := base.Owner(k), roundtrip.Owner(k); before != after {
@@ -124,7 +124,7 @@ func TestRingWithWithoutIdentity(t *testing.T) {
 // TestRingSuccessors pins the replica-set contract: distinct members, owner
 // first, clamped to membership, nil-safe.
 func TestRingSuccessors(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c", "d"}, DefaultVirtualNodes)
+	r := NewRing([]string{"a", "b", "c", "d"})
 	for _, k := range keys(500) {
 		succ := r.Successors(k, 3)
 		if len(succ) != 3 {

@@ -141,7 +141,7 @@ type Config struct {
 // timeline; the engine never re-plans droplets it has already promised.
 //
 // Engines are safe for concurrent use: the timeline state (elapsed, emitted,
-// batches, the persistent-pool builder) is guarded by an internal mutex, so
+// batches, the persistent pool) is guarded by an internal mutex, so
 // N goroutines hammering one engine serialize their Requests — each batch
 // still gets a consistent StartCycle and the timeline never tears. Requests
 // are serialized whole (plan included), preserving the engine's promise
@@ -158,8 +158,9 @@ type Engine struct {
 	elapsed int
 	emitted int
 	batches []*Batch
-	builder *forest.Builder // persistent-pool mode only
-	kernel  sched.Kernel    // schedules the builder's windows
+	pool    forest.PackedBuilder // persistent-pool mode only: the growing forest
+	pooled  *forest.Forest       // pool's committed trees; nil before the first Request
+	kernel  sched.Kernel         // schedules the pool's windows
 }
 
 // Batch is the plan for one Request.

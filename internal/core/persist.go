@@ -18,61 +18,73 @@ import (
 // consumed by later ones, so a sequence of small requests approaches the
 // droplet economy of one large request (in particular, requests summing to
 // p·2^d waste nothing at all). The price is storage: pooled droplets occupy
-// storage cells between batches, which PersistentStorage accounts for
-// exactly.
+// storage cells between batches, which windowStorage accounts for exactly.
+//
+// The engine's one mutable planning state is a forest.PackedBuilder. A
+// Request adds its trees there, schedules them as a window, and checks the
+// window; only then does the pointer forest the batches read grow by the
+// window's tasks. A failed Request rebuilds the builder's committed trees
+// and leaves no trace. Each batch's schedule covers its window only, so it
+// reads the same however far later Requests grow the forest.
 
 // ErrPersistStorage reports that a persistent batch (including the droplets
 // carried in the pool) exceeds the configured storage budget.
 var ErrPersistStorage = errors.New("core: persistent batch exceeds the storage budget")
 
 // requestPersistent plans n more droplets on the engine's growing forest.
-// The engine's kernel schedules only the new window, on the builder's
-// packed forest, and materializes it over the builder's live pointer
-// forest. Callers hold e.mu: the builder, the kernel, the timeline counters
-// and the batch list are all mutated here.
+// Callers hold e.mu: the pool, the kernel, the timeline counters and the
+// batch list are all mutated here.
 func (e *Engine) requestPersistent(n int) (*Batch, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: %w: %d", forest.ErrBadDemand, n)
 	}
-	if e.builder == nil {
-		e.builder = forest.NewBuilder(e.base)
+	// The window's tasks join a copy of the committed forest's header; it
+	// becomes the engine's forest once every check below has passed.
+	grown := forest.Forest{Base: e.base}
+	if e.pooled == nil {
+		e.pool.Reset(e.base)
+	} else {
+		grown = *e.pooled
 	}
-	f := e.builder.Forest()
-	startID := len(f.Tasks)
-	before := f.Stats()
-
+	startID, poolBefore := len(grown.Tasks), e.pool.PoolSize()
 	trees := (n + 1) / 2
 	for i := 0; i < trees; i++ {
-		e.builder.AddTree()
+		e.pool.AddTree()
 	}
-	f = e.builder.Forest()
-
+	pf := e.pool.Forest()
 	var err error
 	switch e.cfg.Scheduler {
 	case stream.SRS:
-		err = e.kernel.SRSFrom(e.builder.Packed(), e.mixers, startID)
+		err = e.kernel.SRSFrom(pf, e.mixers, startID)
 	default:
-		err = e.kernel.MMSFrom(e.builder.Packed(), e.mixers, startID)
+		err = e.kernel.MMSFrom(pf, e.mixers, startID)
 	}
 	if err != nil {
-		return nil, err
+		return nil, e.rewind(err)
 	}
-	s := e.kernel.Materialize(f)
+	pf.Grow(&grown)
+	s := e.kernel.Materialize(&grown)
 	// Incremental schedules bypass stream.plan's cache-entry audit, so the
 	// schedule-level invariants (precedence, mixer exclusivity, Alg. 3
 	// storage accounting) are checked here before the batch is promised.
 	if rep := audit.CheckSchedule(s); !rep.Clean() {
 		obs.Add("audit.violations", int64(len(rep.Violations)))
-		return nil, fmt.Errorf("core: persistent batch audit: %w", rep.Err())
+		return nil, e.rewind(fmt.Errorf("core: persistent batch audit: %w", rep.Err()))
 	}
-
-	q := PersistentStorage(f, s, startID)
+	poolAfter := e.pool.PoolSize()
+	q := windowStorage(s, poolAfter)
 	if e.cfg.Storage > 0 && q > e.cfg.Storage {
-		return nil, fmt.Errorf("%w: need %d, have %d (request fewer droplets per batch or disable PersistPool)",
-			ErrPersistStorage, q, e.cfg.Storage)
+		return nil, e.rewind(fmt.Errorf("%w: need %d, have %d (request fewer droplets per batch or disable PersistPool)",
+			ErrPersistStorage, q, e.cfg.Storage))
 	}
+	grown.Link(startID)
+	e.pooled = &grown
 
-	after := f.Stats()
+	var inputs int64
+	for _, t := range s.Tasks() {
+		inputs += int64(2 - t.InternalInputs())
+	}
+	waste := int64(poolAfter - poolBefore) // every spare droplet waits in the pool
 	res := &stream.Result{
 		Config: stream.Config{
 			Base:      e.base,
@@ -86,13 +98,13 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 			Demand:     2 * trees,
 			Schedule:   s,
 			Storage:    q,
-			Waste:      after.Waste - before.Waste,
-			Inputs:     after.InputTotal - before.InputTotal,
+			Waste:      waste,
+			Inputs:     inputs,
 			StartCycle: 1,
 		}},
 		TotalCycles: s.Cycles,
-		TotalWaste:  after.Waste - before.Waste,
-		TotalInputs: after.InputTotal - before.InputTotal,
+		TotalWaste:  waste,
+		TotalInputs: inputs,
 		Emitted:     2 * trees,
 	}
 	b := &Batch{Request: n, Result: res, StartCycle: e.elapsed + 1}
@@ -102,57 +114,56 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 	return b, nil
 }
 
+// rewind drops a failed Request's trees from the pool and returns err.
+// AddTree is deterministic, so rebuilding the committed trees restores the
+// pool exactly.
+func (e *Engine) rewind(err error) error {
+	e.pool.Reset(e.base)
+	if e.pooled != nil {
+		for range e.pooled.Trees {
+			e.pool.AddTree()
+		}
+	}
+	return err
+}
+
+// windowStorage is the exact peak storage occupancy of the persistent
+// window s when pool spare droplets wait in the pool at its end: the
+// window's hand-offs (Algorithm 3, via StorageProfile; droplets pooled by
+// earlier windows count from cycle 1), plus every spare still pooled,
+// stored from the cycle after a window task made it, or from cycle 1 if an
+// earlier window did.
+func windowStorage(s *sched.Schedule, pool int) int {
+	profile := sched.StorageProfile(s)
+	carried := pool
+	for _, t := range s.Tasks() {
+		free := t.FreeOutputs()
+		carried -= free
+		for c := s.At(t).Cycle + 1; c <= s.Cycles; c++ {
+			profile[c] += free
+		}
+	}
+	peak := 0
+	for _, v := range profile[1:] {
+		peak = max(peak, v+carried)
+	}
+	return peak
+}
+
 // PoolSize returns the number of spare droplets currently waiting in the
 // persistent pool (0 when PersistPool is off or nothing has run yet).
 func (e *Engine) PoolSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.builder == nil {
-		return 0
-	}
-	return e.builder.PoolSize()
+	return e.pool.PoolSize()
 }
 
-// Forest returns the engine's growing forest in persistent mode (nil
-// otherwise). The returned forest keeps growing with further Requests;
-// concurrent readers must not hold it across another goroutine's Request.
+// Forest returns the engine's forest as of its last successful Request in
+// persistent mode (nil otherwise). Later Requests grow the forest past the
+// returned one's tasks and trees, which stay as they are, but may consume
+// the spare droplets they pooled.
 func (e *Engine) Forest() *forest.Forest {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.builder == nil {
-		return nil
-	}
-	return e.builder.Forest()
-}
-
-// PersistentStorage computes the exact peak storage occupancy of one
-// incremental scheduling window:
-//
-//   - droplet hand-offs inside the window (Algorithm 3, via StorageProfile;
-//     droplets pooled by earlier windows count from cycle 1),
-//   - spares that remain pooled at the window's end occupy storage from
-//     their production (or from cycle 1, if carried in) to the last cycle.
-func PersistentStorage(f *forest.Forest, s *sched.Schedule, startID int) int {
-	profile := sched.StorageProfile(s)
-	// Spares still pooled at window end: tasks with free outputs.
-	for _, t := range f.Tasks {
-		free := t.FreeOutputs()
-		if free == 0 {
-			continue
-		}
-		from := 1
-		if t.ID >= startID {
-			from = s.Slots[t.ID].Cycle + 1
-		}
-		for i := from; i <= s.Cycles; i++ {
-			profile[i] += free
-		}
-	}
-	max := 0
-	for _, v := range profile {
-		if v > max {
-			max = v
-		}
-	}
-	return max
+	return e.pooled
 }

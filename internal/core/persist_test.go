@@ -3,6 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/forest"
@@ -147,9 +151,37 @@ func TestPersistentStorageFunctionMatchesPlainOnFreshForest(t *testing.T) {
 		t.Fatalf("Request: %v", err)
 	}
 	s := b.Result.Passes[0].Schedule
-	if got, plain := PersistentStorage(e.Forest(), s, 0), sched.StorageUnits(s); got < plain {
+	got := b.Result.Passes[0].Storage
+	if plain := sched.StorageUnits(s); got < plain {
 		t.Errorf("persistent storage %d below plain counting %d", got, plain)
 	}
+	if ref := persistentStorage(e.Forest(), s, 0); got != ref {
+		t.Errorf("persistent storage %d, whole-forest reference %d", got, ref)
+	}
+}
+
+// persistentStorage is the reference for a persistent window's peak storage
+// occupancy. It walks the whole forest by producer: a hand-off to a window
+// task is stored from the cycle after its producer ran (cycle 1 for an
+// earlier window's droplet), and a spare still pooled stays stored to the
+// window's last cycle. The engine counts the window's tasks by consumer
+// and takes the carried spares from its pool instead.
+func persistentStorage(f *forest.Forest, s *sched.Schedule, startID int) int {
+	profile := make([]int, s.Cycles+1)
+	for _, t := range f.Tasks {
+		from := s.At(t).Cycle + 1
+		for _, c := range t.Consumers() {
+			if c.ID >= startID {
+				for i := from; i < s.At(c).Cycle; i++ {
+					profile[i]++
+				}
+			}
+		}
+		for i := from; i <= s.Cycles; i++ {
+			profile[i] += t.FreeOutputs()
+		}
+	}
+	return slices.Max(profile)
 }
 
 // persistBatchValue renders everything a persistent batch promises: its
@@ -165,22 +197,23 @@ func persistBatchValue(b *Batch) string {
 
 // persistReference replays requests the way the persistent pool planned
 // before it scheduled its builder's packed forest: after each request's
-// trees are added, the whole grown pointer forest is packed again and a
-// fresh kernel schedules the new window. It returns each batch's rendering,
+// trees are added, the whole grown forest is materialized and packed again,
+// a fresh kernel schedules the new window, and persistentStorage walks the
+// whole forest for its storage. It returns each batch's rendering,
 // stopping after the first batch over the storage budget with
 // ErrPersistStorage.
 func persistReference(t *testing.T, e *Engine, requests []int) ([]string, error) {
 	t.Helper()
-	b := forest.NewBuilder(e.base)
+	b := forest.NewPackedBuilder(e.base)
 	elapsed := 0
 	var out []string
 	for _, n := range requests {
-		f := b.Forest()
+		f := b.Forest().Materialize()
 		start, before := len(f.Tasks), f.Stats()
 		for i := 0; i < (n+1)/2; i++ {
 			b.AddTree()
 		}
-		f = b.Forest()
+		f = b.Forest().Materialize()
 		pf, err := forest.Pack(f)
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +227,7 @@ func persistReference(t *testing.T, e *Engine, requests []int) ([]string, error)
 			t.Fatal(err)
 		}
 		s := k.Materialize(f)
-		q := PersistentStorage(f, s, start)
+		q := persistentStorage(f, s, start)
 		if e.cfg.Storage > 0 && q > e.cfg.Storage {
 			return out, ErrPersistStorage
 		}
@@ -249,26 +282,226 @@ func TestPersistentMatchesPackReference(t *testing.T) {
 	}
 }
 
-// BenchmarkPersistentRequest times one two-droplet Request on a persistent
-// PCR engine whose pool holds a 1000-Request history. Each iteration grows
-// a fresh engine to that history untimed, by one Request of 2000 droplets:
-// the pool adds trees one at a time either way, so the forest, the pool and
-// the timed Request's work equal those after 1000 two-droplet Requests.
-func BenchmarkPersistentRequest(b *testing.B) {
-	const history = 1000
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e, err := New(Config{Target: pcr, PersistPool: true})
+// itemRepro is the Request sequence that showed a failed Request left in
+// the pool: at Storage 8 under MMS, Request(33) needs 19 storage units.
+var itemRepro = []int{3, 4, 1, 7, 2, 10, 5, 6, 9, 8, 2, 1, 16, 33, 2}
+
+// forestDigest hashes everything a forest's readers see: every task's tree,
+// base node, level, targets, inputs and consumers, and every tree's root
+// and span.
+func forestDigest(f *forest.Forest) string {
+	if f == nil {
+		return "nil"
+	}
+	h := fnv.New64a()
+	for _, t := range f.Tasks {
+		fmt.Fprintf(h, "%d/%d/%d/%d/%d:", t.ID, t.Tree, t.Base.ID, t.Level, t.Targets)
+		for _, src := range t.In {
+			if src.Kind == forest.Input {
+				fmt.Fprintf(h, "i%d,", src.Fluid)
+			} else {
+				fmt.Fprintf(h, "t%d/%v,", src.Task.ID, src.Reused)
+			}
+		}
+		for _, c := range t.Consumers() {
+			fmt.Fprintf(h, "c%d,", c.ID)
+		}
+	}
+	for _, tree := range f.Trees {
+		fmt.Fprintf(h, "T%d/%d/%d;", tree.Index, tree.Root.ID, len(tree.Tasks))
+	}
+	return fmt.Sprintf("%d trees %016x", len(f.Trees), h.Sum64())
+}
+
+// engineState renders a persistent engine's whole observable state: its
+// forest, pool, timeline and every batch.
+func engineState(e *Engine) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "forest=%s pool=%d elapsed=%d emitted=%d", forestDigest(e.Forest()), e.PoolSize(), e.Elapsed(), e.Emitted())
+	for _, batch := range e.Batches() {
+		b.WriteString("\n" + persistBatchValue(batch))
+	}
+	return b.String()
+}
+
+// TestPersistentFailedRequestLeavesNoTrace feeds itemRepro to a persistent
+// engine at Storage 8. Request(33) fails with ErrPersistStorage, after
+// which the engine must equal one that never received it, down to the
+// batch the next Request(2) plans.
+func TestPersistentFailedRequestLeavesNoTrace(t *testing.T) {
+	cfg := Config{Target: pcr, PersistPool: true, Storage: 8}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := false
+	for _, n := range itemRepro {
+		b, err := e.Request(n)
+		if n == 33 {
+			if !errors.Is(err, ErrPersistStorage) {
+				t.Fatalf("Request(33): err = %v, want ErrPersistStorage", err)
+			}
+			failed = true
+		} else {
+			if err != nil {
+				t.Fatalf("Request(%d): %v", n, err)
+			}
+			want, err := ref.Request(n)
+			if err != nil {
+				t.Fatalf("reference Request(%d): %v", n, err)
+			}
+			if got, want := persistBatchValue(b), persistBatchValue(want); got != want {
+				t.Fatalf("Request(%d) after the failed one:\n got %s\nwant %s", n, got, want)
+			}
+		}
+		if got, want := engineState(e), engineState(ref); got != want {
+			t.Fatalf("after Request(%d):\n got %s\nwant %s", n, got, want)
+		}
+	}
+	if !failed {
+		t.Fatal("Request(33) was never made")
+	}
+}
+
+// TestPersistentHeapLinearInHistory checks that a persistent engine's live
+// heap grows linearly with its history: 2000 two-droplet PCR Requests hold
+// at most 2.2 times the heap of 1000.
+func TestPersistentHeapLinearInHistory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grows a 2000-Request history")
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := live()
+	e, err := New(Config{Target: pcr, PersistPool: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow := func(requests int) uint64 {
+		for i := 0; i < requests; i++ {
+			if _, err := e.Request(2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return live() - base
+	}
+	at1000 := grow(1000)
+	at2000 := grow(1000)
+	runtime.KeepAlive(e)
+	t.Logf("live heap: %d B after 1000 Requests, %d B after 2000", at1000, at2000)
+	if float64(at2000) > 2.2*float64(at1000) {
+		t.Fatalf("live heap %d B after 2000 Requests is %.2f times the %d B after 1000, want at most 2.2",
+			at2000, float64(at2000)/float64(at1000), at1000)
+	}
+}
+
+// FuzzPersistent feeds a persistent engine random Request sequences (n in
+// 1..40) under a storage budget q' in 0..15 (0: unlimited), with MMS or
+// SRS over an MM or RMA tree. After every step the engine must equal a
+// reference engine fed only the Requests that succeeded, and every earlier
+// batch must still validate with the storage it had when it was planned.
+func FuzzPersistent(f *testing.F) {
+	repro := make([]byte, len(itemRepro))
+	for i, n := range itemRepro {
+		repro[i] = byte(n - 1)
+	}
+	for _, srs := range []bool{false, true} {
+		for _, rma := range []bool{false, true} {
+			f.Add(repro, uint8(8), srs, rma)
+		}
+	}
+	f.Add([]byte{19, 0, 39, 1, 39}, uint8(3), false, false)
+	f.Fuzz(func(t *testing.T, requests []byte, storage uint8, srs, rma bool) {
+		if len(requests) > 24 {
+			requests = requests[:24]
+		}
+		cfg := Config{Target: pcr, PersistPool: true, Storage: int(storage % 16)}
+		if srs {
+			cfg.Scheduler = stream.SRS
+		}
+		if rma {
+			cfg.Algorithm = RMA
+		}
+		e, err := New(cfg)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-		if _, err := e.Request(2 * history); err != nil {
-			b.Fatal(err)
+		ref, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		b.StartTimer()
-		if _, err := e.Request(2); err != nil {
-			b.Fatal(err)
+		type planned struct {
+			s       *sched.Schedule
+			storage int
 		}
+		var earlier []planned
+		for i, r := range requests {
+			n := 1 + int(r)%40
+			b, err := e.Request(n)
+			if err != nil {
+				if !errors.Is(err, ErrPersistStorage) {
+					t.Fatalf("step %d Request(%d): %v", i, n, err)
+				}
+			} else {
+				want, err := ref.Request(n)
+				if err != nil {
+					t.Fatalf("step %d: engine planned Request(%d), the reference failed: %v", i, n, err)
+				}
+				if got, want := persistBatchValue(b), persistBatchValue(want); got != want {
+					t.Fatalf("step %d Request(%d):\n got %s\nwant %s", i, n, got, want)
+				}
+				s := b.Result.Passes[0].Schedule
+				earlier = append(earlier, planned{s, sched.StorageUnits(s)})
+			}
+			if got, want := engineState(e), engineState(ref); got != want {
+				t.Fatalf("step %d Request(%d):\n got %s\nwant %s", i, n, got, want)
+			}
+			for j, p := range earlier {
+				if err := p.s.Validate(); err != nil {
+					t.Fatalf("step %d: batch %d no longer validates: %v", i, j, err)
+				}
+				if q := sched.StorageUnits(p.s); q != p.storage {
+					t.Fatalf("step %d: batch %d storage %d, was %d", i, j, q, p.storage)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkPersistentRequest times one two-droplet Request on a persistent
+// PCR engine whose pool holds a history of 1000 or 2000 Requests. Each
+// iteration grows a fresh engine to that history untimed, by one Request
+// of twice as many droplets: the pool adds trees one at a time either way,
+// so the forest, the pool and the timed Request's work equal those after
+// that many two-droplet Requests. A Request's cost must not grow with the
+// history before it. The untimed growth dominates a run, so pin the
+// iteration count (-benchtime 200x) when measuring.
+func BenchmarkPersistentRequest(b *testing.B) {
+	for _, history := range []int{1000, 2000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e, err := New(Config{Target: pcr, PersistPool: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := e.Request(2 * history); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := e.Request(2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

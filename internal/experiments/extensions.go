@@ -239,7 +239,7 @@ type ScheduleQuality struct {
 
 // Quality computes the metrics.
 func Quality(s *sched.Schedule) ScheduleQuality {
-	tasks := len(s.Forest.Tasks) - s.FirstTask
+	tasks := len(s.Tasks())
 	total := s.Cycles * s.Mixers
 	profile := sched.StorageProfile(s)
 	sum := 0

@@ -111,11 +111,8 @@ func Schedule(s *sched.Schedule) ScheduleJSON {
 		FirstTask: s.FirstTask,
 		Profile:   sched.StorageProfile(s),
 	}
-	for _, t := range s.Forest.Tasks {
-		if t.ID < s.FirstTask {
-			continue
-		}
-		a := s.Slots[t.ID]
+	for _, t := range s.Tasks() {
+		a := s.At(t)
 		out.Slots = append(out.Slots, SlotJSON{Task: t.ID, Cycle: a.Cycle, Mixer: a.Mixer})
 	}
 	return out

@@ -116,13 +116,13 @@ func TestPlanJSON(t *testing.T) {
 
 func TestIncrementalScheduleOmitsOldSlots(t *testing.T) {
 	g, _ := minmix.Build(ratio.MustParse("2:1:1:1:1:1:9"))
-	b := forest.NewBuilder(g)
+	b := forest.NewPackedBuilder(g)
 	b.AddTree()
 	start := len(b.Forest().Tasks)
 	b.AddTree()
-	f := b.Forest()
+	f := b.Forest().Materialize()
 	var k sched.Kernel
-	if err := k.MMSFrom(b.Packed(), 3, start); err != nil {
+	if err := k.MMSFrom(b.Forest(), 3, start); err != nil {
 		t.Fatalf("MMSFrom: %v", err)
 	}
 	s := k.Materialize(f)

@@ -105,12 +105,13 @@ type Result struct {
 	Report *runtime.Report
 }
 
+// maxAttempts bounds the chips tried per assay.
+const maxAttempts = 3
+
 // Config tunes the fleet. Zero values select defaults.
 type Config struct {
 	// Chips describes the farm; empty defaults to DefaultChips(4).
 	Chips []ChipSpec
-	// MaxAttempts bounds the chips tried per assay (default 3).
-	MaxAttempts int
 	// BaseBackoff/MaxBackoff shape the capped exponential backoff between
 	// reassignments (defaults 10ms / 500ms); jitter adds up to 50%.
 	BaseBackoff time.Duration
@@ -138,9 +139,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if len(c.Chips) == 0 {
 		c.Chips = DefaultChips(4)
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
 	}
 	if c.BaseBackoff <= 0 {
 		c.BaseBackoff = 10 * time.Millisecond
@@ -260,7 +258,7 @@ func (f *Fleet) Run(ctx context.Context, a AssaySpec) (*Result, error) {
 	res := &Result{}
 	excluded := map[*Chip]bool{}
 	var lastErr error
-	for attempt := 0; attempt < f.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		pl, err := f.acquire(ctx, &a, need, excluded)
 		if err != nil {
 			obs.Inc("fleet.assays_failed")
@@ -294,7 +292,7 @@ func (f *Fleet) Run(ctx context.Context, a AssaySpec) (*Result, error) {
 			// revisit them (their breakers still gate admission).
 			excluded = map[*Chip]bool{}
 		}
-		if attempt+1 < f.cfg.MaxAttempts {
+		if attempt+1 < maxAttempts {
 			if err := f.backoff(ctx, attempt); err != nil {
 				obs.Inc("fleet.assays_failed")
 				return nil, err
@@ -302,7 +300,7 @@ func (f *Fleet) Run(ctx context.Context, a AssaySpec) (*Result, error) {
 		}
 	}
 	obs.Inc("fleet.assays_failed")
-	return nil, fmt.Errorf("%w (%d attempts): %w", ErrAssayFailed, f.cfg.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("%w (%d attempts): %w", ErrAssayFailed, maxAttempts, lastErr)
 }
 
 // backoff sleeps the capped exponential backoff with jitter for the given

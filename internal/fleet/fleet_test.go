@@ -101,7 +101,6 @@ func TestFleetReassignsOnChipFault(t *testing.T) {
 func TestFleetBreakerOpensAndTypedFailure(t *testing.T) {
 	cfg := quickCfg(ChipSpec{Name: "solo", Mixers: 4, Storage: 8, BaseFaultRate: 0.9})
 	cfg.Policy = runtime.Policy{RecoveryBudget: 1}
-	cfg.MaxAttempts = 3
 	cfg.BreakerThreshold = 3
 	f := New(cfg)
 	_, err := f.Run(context.Background(), AssaySpec{Target: mustRatio(t, "1:3"), Demand: 4})

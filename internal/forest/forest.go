@@ -16,8 +16,8 @@
 //     the new mix-split joins the pool tagged v.
 //
 // For D = p·2^d (MM base) every intermediate droplet is used and the total
-// waste W is zero. The Builder is incremental, which is what makes the
-// engine demand-driven: component trees can be appended later and reuse
+// waste W is zero. The PackedBuilder is incremental, which is what makes
+// the engine demand-driven: component trees can be appended later and reuse
 // whatever waste the earlier trees left in the pool.
 package forest
 
@@ -143,50 +143,6 @@ type Forest struct {
 
 // Target returns the target mixture ratio.
 func (f *Forest) Target() ratio.Ratio { return f.Base.Target }
-
-// Builder grows a mixing forest incrementally, one component tree at a time.
-// This is the demand-driven core: the waste pool persists between AddTree
-// calls, so later demands keep harvesting earlier spills. A Builder is a
-// PackedBuilder whose forest is materialized as it grows: AddTree appends
-// the new tree's tasks to the one Forest the builder hands out, so a forest
-// (and any schedule over it) obtained earlier keeps growing in place and
-// its tasks keep their identity. Packed exposes the same forest in packed
-// form, so the scheduling kernel runs on it without a Pack round trip.
-type Builder struct {
-	pb PackedBuilder
-	f  *Forest
-}
-
-// NewBuilder returns an empty forest builder over the given base graph.
-func NewBuilder(base *mixgraph.Graph) *Builder {
-	b := &Builder{f: &Forest{Base: base}}
-	b.pb.Reset(base)
-	return b
-}
-
-// PoolSize returns the number of spare droplets currently available for
-// reuse, keyed by base-node identity.
-func (b *Builder) PoolSize() int { return b.pb.PoolSize() }
-
-// AddTree appends the next component tree, adding two target droplets of
-// capacity, and returns it.
-func (b *Builder) AddTree() *Tree {
-	b.pb.AddTree()
-	b.pb.f.grow(b.f)
-	return b.f.Trees[len(b.f.Trees)-1]
-}
-
-// Forest returns the forest built so far. The builder may keep growing it;
-// callers that need a stable snapshot should finish adding trees first.
-func (b *Builder) Forest() *Forest {
-	b.f.Demand = 2 * len(b.f.Trees)
-	return b.f
-}
-
-// Packed returns the forest built so far in packed form: task i of Packed
-// is task i of Forest. It aliases the builder's arenas and keeps growing
-// with further AddTree calls.
-func (b *Builder) Packed() *PackedForest { return b.pb.Forest() }
 
 // ErrBadDemand reports a non-positive droplet demand.
 var ErrBadDemand = errors.New("forest: demand must be positive")

@@ -158,11 +158,14 @@ func TestPeriodicity(t *testing.T) {
 
 func TestIncrementalBuilderMatchesBatch(t *testing.T) {
 	base := pcrBase(t)
-	b := NewBuilder(base)
+	b := NewPackedBuilder(base)
+	inc := &Forest{Base: base}
 	for i := 0; i < 10; i++ {
 		b.AddTree()
+		start := len(inc.Tasks)
+		b.Forest().Grow(inc)
+		inc.Link(start)
 	}
-	inc := b.Forest()
 	batch, _ := Build(base, 20)
 	si, sb := inc.Stats(), batch.Stats()
 	if si.Mixes != sb.Mixes || si.InputTotal != sb.InputTotal || si.Waste != sb.Waste {
@@ -176,7 +179,7 @@ func TestIncrementalBuilderMatchesBatch(t *testing.T) {
 
 func TestPoolDrainsAndRefills(t *testing.T) {
 	base := pcrBase(t)
-	b := NewBuilder(base)
+	b := NewPackedBuilder(base)
 	b.AddTree() // T1: 6 wastes pooled
 	if got := b.PoolSize(); got != 6 {
 		t.Errorf("pool after T1 = %d, want 6", got)

@@ -20,10 +20,11 @@ import (
 // are recycled, not reallocated. The engine layer (internal/stream) pools
 // whole builders with sync.Pool.
 //
-// Build and Builder are this builder plus Materialize, which turns the
-// arrays into the pointer-linked Forest that schedules, audits, caches and
-// serializers read; Pack is Materialize's inverse. The frozen fixtures of
-// internal/stream (TestPlannerGolden) pin every forest it builds.
+// Build is this builder plus Materialize, which turns the arrays into the
+// pointer-linked Forest that schedules, audits, caches and serializers
+// read, and Grow extends such a Forest as its packed forest grows; Pack is
+// Materialize's inverse. The frozen fixtures of internal/stream
+// (TestPlannerGolden) pin every forest it builds.
 
 // PSource describes one input droplet of a packed task. For Kind == Input,
 // Ref is the reservoir fluid index; for Kind == FromTask it is the producing
@@ -259,16 +260,20 @@ func (f *PackedForest) Materialize() *Forest {
 		Tasks:  make([]*Task, 0, len(f.Tasks)),
 		Trees:  make([]*Tree, 0, len(f.Roots)),
 	}
-	f.grow(out)
+	f.Grow(out)
 	return out
 }
 
-// grow appends to out the tasks and trees of f it does not hold yet, so a
-// Forest materialized from an earlier, smaller state of a growing packed
-// forest keeps growing with it (Builder relies on this). A pooled droplet
-// of an earlier task consumed by a new one extends that task's consumers.
-func (f *PackedForest) grow(out *Forest) {
+// Grow appends to out the tasks and trees of f it does not hold yet: out is
+// empty or was grown from an earlier, smaller state of f, as the
+// persistent pool of internal/core grows its forest batch by batch. The new
+// tasks read their inputs from out's earlier tasks, but those tasks list
+// the new consumers of their pooled droplets only once Link runs, so a
+// caller may grow a copy of out's header, check the growth, and drop it
+// without a trace.
+func (f *PackedForest) Grow(out *Forest) {
 	start := len(out.Tasks)
+	out.Demand = f.Demand
 	tasks := make([]Task, len(f.Tasks)-start)
 	consArena := make([]*Task, 0, 2*len(tasks))
 	for i := range tasks {
@@ -285,11 +290,7 @@ func (f *PackedForest) grow(out *Forest) {
 				t.In[s] = Source{Kind: Input, Fluid: int(src.Ref)}
 				continue
 			}
-			p := ptrs[src.Ref]
-			t.In[s] = Source{Kind: FromTask, Task: p, Reused: src.Reused}
-			if int(src.Ref) < start {
-				p.consumers = append(p.consumers, t)
-			}
+			t.In[s] = Source{Kind: FromTask, Task: ptrs[src.Ref], Reused: src.Reused}
 		}
 		if pt.NCons > 0 {
 			first := len(consArena)
@@ -312,13 +313,24 @@ func (f *PackedForest) grow(out *Forest) {
 	}
 }
 
+// Link completes a Grow from start tasks on: every task before start that
+// a task from start on consumes lists that consumer.
+func (f *Forest) Link(start int) {
+	for _, t := range f.Tasks[start:] {
+		for _, src := range t.In {
+			if src.Kind == FromTask && src.Task.ID < start {
+				src.Task.consumers = append(src.Task.consumers, t)
+			}
+		}
+	}
+}
+
 // Pack flattens a pointer-linked forest into packed form — the inverse of
 // Materialize, so Pack(pf.Materialize()) equals pf — letting the packed
 // scheduling kernel run on a forest no PackedBuilder grew: BuildMulti's
 // multi-target forests and hand-built or decoded ones. Single-target
-// planners schedule the PackedBuilder forest itself (BuildPacked,
-// Builder.Packed) and never need it. PTask.Base is the ID of the task's
-// node within its own base graph;
+// planners schedule the PackedBuilder forest itself and never need it.
+// PTask.Base is the ID of the task's node within its own base graph;
 // a multi-target forest's tasks instantiate nodes of several graphs, so
 // only a single-target packing may be materialized again (the scheduling
 // kernel never reads Base). A task with more than two consumers has no

@@ -91,26 +91,25 @@ func allBases(t *testing.T) []*mixgraph.Graph {
 	return out
 }
 
-// TestBuilderGrowsInPlace checks the incremental Builder: after every
-// AddTree its forest equals a one-shot build of that many trees, and it is
-// the same Forest with the same earlier tasks, grown in place — what the
-// persistent engine's schedules and Emissions rely on.
+// TestBuilderGrowsInPlace checks that Grow and Link extend one Forest in
+// place as its packed builder grows: after every AddTree the forest equals
+// a one-shot build of that many trees, and its earlier tasks keep their
+// identity — what the persistent engine's batches rely on.
 func TestBuilderGrowsInPlace(t *testing.T) {
 	g, err := minmix.Build(protocols.PCR16().Ratio)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBuilder(g)
-	first := b.Forest()
+	b := NewPackedBuilder(g)
+	f := &Forest{Base: g}
 	var firstTask *Task
 	for step := 1; step <= 16; step++ {
-		tree := b.AddTree()
-		f := b.Forest()
-		if f != first {
-			t.Fatalf("step %d: Forest() returned a new forest", step)
-		}
-		if tree != f.Trees[step-1] || tree.Index != step {
-			t.Fatalf("step %d: AddTree returned tree %d", step, tree.Index)
+		b.AddTree()
+		start := len(f.Tasks)
+		b.Forest().Grow(f)
+		f.Link(start)
+		if tree := f.Trees[step-1]; len(f.Trees) != step || tree.Index != step {
+			t.Fatalf("step %d: %d trees, last has index %d", step, len(f.Trees), tree.Index)
 		}
 		if firstTask == nil {
 			firstTask = f.Tasks[0]

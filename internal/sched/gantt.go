@@ -15,8 +15,9 @@ func Gantt(s *Schedule) string {
 	for m := range grid {
 		grid[m] = make([]string, s.Cycles+1)
 	}
-	for _, t := range s.Forest.Tasks {
-		a := s.Slots[t.ID]
+	tasks := s.Tasks()
+	for i, t := range tasks {
+		a := s.Slots[i]
 		grid[a.Mixer][a.Cycle] = labels[t]
 	}
 
@@ -74,13 +75,19 @@ func Gantt(s *Schedule) string {
 
 	// Emission sequence: component-tree roots emit two target droplets each.
 	b.WriteString("targets:")
+	var roots []int // window positions of the component-tree roots
+	for i, task := range tasks {
+		if task.Targets > 0 {
+			roots = append(roots, i)
+		}
+	}
 	for t := 1; t <= s.Cycles; t++ {
-		for _, tree := range s.Forest.Trees {
-			if s.Slots[tree.Root.ID].Cycle == t {
+		for _, i := range roots {
+			if s.Slots[i].Cycle == t {
 				b.WriteString(" t=")
 				b.WriteString(strconv.Itoa(t))
 				b.WriteString(":2x")
-				b.WriteString(labels[tree.Root])
+				b.WriteString(labels[tasks[i]])
 			}
 		}
 	}

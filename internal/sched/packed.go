@@ -12,9 +12,9 @@ import (
 // The scheduling kernel: the one implementation of MMS, SRS and OMS. Every
 // single-target planner runs it on a forest a PackedBuilder grew: OMS and
 // Mlb, internal/stream's plans and demand scan, and the persistent pool of
-// internal/core, whose windows (MMSFrom, SRSFrom) schedule the live
-// forest of a forest.Builder. The pointer-forest entry points MMS and SRS
-// pack their forest first; they serve multi-target and hand-built forests.
+// internal/core, whose windows (MMSFrom, SRSFrom) schedule the engine's
+// growing packed forest. The pointer-forest entry points MMS and SRS pack
+// their forest first; they serve multi-target and hand-built forests.
 //
 // Every queue policy orders tasks by a total order over (level,
 // internal-input count, ID) with ID as the final tie-break, so the whole
@@ -107,9 +107,9 @@ type Kernel struct {
 	firstTask int
 	cycles    int
 
-	slots    []Assignment
-	pending  []int32  // outstanding in-window producers per task
-	fifo     []uint64 // MMS ready queue; head chases tail
+	slots    []Assignment // indexed by task - firstTask
+	pending  []int32      // outstanding in-window producers per window task
+	fifo     []uint64     // MMS ready queue; head chases tail
 	fifoHead int
 	qint     []uint64 // SRS internal-task min-heap
 	qleaf    []uint64 // SRS leaf min-heap; also Hu's queue
@@ -156,7 +156,9 @@ func (k *Kernel) SRSWithin(f *forest.PackedForest, mc, q int) (bool, error) {
 // MMSFrom schedules only the tasks with index >= firstTask, treating
 // earlier tasks as completed before cycle 1 — the incremental window of a
 // pool-persistent demand-driven engine (droplets pooled by earlier windows
-// are available immediately and occupy storage until consumed).
+// are available immediately and occupy storage until consumed). The run
+// touches the window's tasks and scratch only, however long the forest
+// before it.
 func (k *Kernel) MMSFrom(f *forest.PackedForest, mc, firstTask int) error {
 	_, err := k.run(f, mc, "MMS", policyMMS, firstTask, unbounded)
 	return err
@@ -178,13 +180,15 @@ func (k *Kernel) Hu(f *forest.PackedForest, mc int) error {
 // Cycles returns Tc of the last run.
 func (k *Kernel) Cycles() int { return k.cycles }
 
-// Assignments returns the slot table of the last run, indexed by task. The
-// slice aliases kernel scratch: it is valid until the next run.
+// Assignments returns the slot table of the last run: entry i places task
+// firstTask+i. The slice aliases kernel scratch: it is valid until the next
+// run.
 func (k *Kernel) Assignments() []Assignment { return k.slots }
 
 // Materialize copies the last run's result into a Schedule over the given
-// pointer forest (the materialized or original form of the packed one).
-// Called once per plan-cache miss and once per persistent-pool batch.
+// pointer forest (the materialized or original form of the packed one, in
+// the state the run scheduled). Called once per plan-cache miss and once
+// per persistent-pool batch.
 func (k *Kernel) Materialize(f *forest.Forest) *Schedule {
 	return &Schedule{
 		Forest:    f,
@@ -276,8 +280,8 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 		return false, fmt.Errorf("sched: first task %d outside [0, %d]", firstTask, n)
 	}
 	k.mixers, k.algorithm, k.firstTask, k.cycles = mc, algo, firstTask, 0
-	k.slots = growAssignments(k.slots, n)
-	k.pending = growInt32(k.pending, n)
+	k.slots = growAssignments(k.slots, n-firstTask)
+	k.pending = growInt32(k.pending, n-firstTask)
 	k.fifo, k.fifoHead = k.fifo[:0], 0
 	k.qint, k.qleaf, k.rel = k.qint[:0], k.qleaf[:0], k.rel[:0]
 	k.held, k.made = 0, 0
@@ -293,7 +297,7 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 				}
 			}
 		}
-		k.pending[i] = preds
+		k.pending[i-firstTask] = preds
 		if preds == 0 {
 			k.rel = append(k.rel, keyAsc(t.Level, int32(i)))
 		}
@@ -364,17 +368,14 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 // whose last in-window producer just finished into rel; flush enqueues them
 // after the cycle's batch completes.
 func (k *Kernel) assign(f *forest.PackedForest, id int32, cycle, mixer, firstTask int) {
-	k.slots[id] = Assignment{Cycle: cycle, Mixer: mixer}
+	k.slots[int(id)-firstTask] = Assignment{Cycle: cycle, Mixer: mixer}
 	t := &f.Tasks[id]
 	k.held -= t.InternalInputs()
 	k.made += int(t.NCons)
 	for c := int8(0); c < t.NCons; c++ {
-		cons := t.Cons[c]
-		if int(cons) < firstTask {
-			continue // consumed in an earlier window
-		}
-		k.pending[cons]--
-		if k.pending[cons] == 0 {
+		cons := t.Cons[c] // created after t, so inside the window
+		k.pending[int(cons)-firstTask]--
+		if k.pending[int(cons)-firstTask] == 0 {
 			k.rel = append(k.rel, keyAsc(f.Tasks[cons].Level, cons))
 		}
 	}

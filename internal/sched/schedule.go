@@ -27,7 +27,19 @@ type Assignment struct {
 	Mixer int
 }
 
-// Schedule is a complete mixer/time assignment for a mixing forest.
+// Schedule is a complete mixer/time assignment for a mixing forest, or for
+// one window of it.
+//
+// A persistent demand-driven engine schedules each batch as a window of one
+// forest that keeps growing across batches: the window runs from FirstTask
+// to the end of Forest, the state of the forest the batch was planned on.
+// Tasks before the window were completed by earlier batches before cycle
+// 1. Later batches grow the forest past Forest's end, and their tasks may
+// consume droplets the window's tasks pooled; those consumers lie after
+// the window and are ignored. Every reader reaches the window through Tasks
+// and At and counts hand-offs by consumer, so an earlier batch reads the
+// same however far the forest has grown since. A plain schedule's window
+// is the whole forest.
 type Schedule struct {
 	// Forest is the scheduled task graph.
 	Forest *forest.Forest
@@ -35,19 +47,29 @@ type Schedule struct {
 	Mixers int
 	// Algorithm names the scheduling scheme ("MMS", "SRS", "OMS").
 	Algorithm string
-	// Slots maps task ID to its assignment.
+	// Slots holds the window's assignments: Slots[i] places task
+	// FirstTask+i.
 	Slots []Assignment
 	// Cycles is the time of completion Tc (the largest assigned cycle).
 	Cycles int
-	// FirstTask is the ID of the first task this schedule covers. Tasks
-	// with smaller IDs belong to earlier scheduling windows of a persistent
-	// demand-driven engine: they are treated as completed before cycle 1
-	// and keep the zero assignment. Plain schedules have FirstTask 0.
+	// FirstTask is the ID of the window's first task; plain schedules have
+	// FirstTask 0.
 	FirstTask int
 }
 
-// At returns the assignment of task t.
-func (s *Schedule) At(t *forest.Task) Assignment { return s.Slots[t.ID] }
+// Tasks returns the tasks the schedule covers, its window, in forest order.
+func (s *Schedule) Tasks() []*forest.Task {
+	return s.Forest.Tasks[s.FirstTask : s.FirstTask+len(s.Slots)]
+}
+
+// At returns the assignment of task t. A task outside the window has the
+// zero Assignment: one before it completed before cycle 1.
+func (s *Schedule) At(t *forest.Task) Assignment {
+	if i := t.ID - s.FirstTask; i >= 0 && i < len(s.Slots) {
+		return s.Slots[i]
+	}
+	return Assignment{}
+}
 
 // Scheduling errors.
 var (
@@ -56,29 +78,24 @@ var (
 )
 
 // Validate checks the schedule against the physical constraints of the chip:
-// every task scheduled exactly once; a droplet never consumed before the
-// cycle after it was produced; at most Mc concurrent mix-splits; no mixer
-// running two mixes in one cycle; and Tc consistent with the assignments.
-// Errors are reported for the first offending task in forest order. The
-// bookkeeping lives in slices indexed by cycle, grown when a slot lies past
-// Tc, so a clean run allocates the same few objects at any forest size.
+// one slot per task of the window, each scheduled exactly once; a droplet
+// never consumed before the cycle after it was produced (droplets of tasks
+// before the window are there from cycle 1); at most Mc concurrent
+// mix-splits; no mixer running two mixes in one cycle; and Tc consistent
+// with the assignments. Errors are reported for the first offending task in
+// forest order. The bookkeeping lives in slices indexed by cycle, grown
+// when a slot lies past Tc, so a clean run allocates the same few objects
+// at any forest size.
 func (s *Schedule) Validate() error {
-	tasks := s.Forest.Tasks
-	if len(s.Slots) != len(tasks) {
-		return fmt.Errorf("sched: %d slots for %d tasks", len(s.Slots), len(tasks))
+	if n := len(s.Forest.Tasks) - s.FirstTask; s.FirstTask < 0 || len(s.Slots) != n {
+		return fmt.Errorf("sched: %d slots for %d tasks", len(s.Slots), n)
 	}
+	tasks := s.Tasks()
 	clashAt, clashWith := s.firstDoubleBooking()
 	maxCycle := 0
 	perCycle := make([]int, s.Cycles+1)
 	for i, t := range tasks {
-		a := s.Slots[t.ID]
-		if t.ID < s.FirstTask {
-			// Completed in an earlier window; must stay unassigned here.
-			if a != (Assignment{}) {
-				return fmt.Errorf("sched: pre-window task %d carries an assignment", t.ID)
-			}
-			continue
-		}
+		a := s.Slots[i]
 		if a.Cycle < 1 {
 			return fmt.Errorf("sched: task %d unscheduled or at invalid cycle %d", t.ID, a.Cycle)
 		}
@@ -98,8 +115,7 @@ func (s *Schedule) Validate() error {
 		}
 		for _, src := range t.In {
 			if src.Kind == forest.FromTask {
-				p := s.Slots[src.Task.ID]
-				if p.Cycle >= a.Cycle {
+				if p := s.At(src.Task); p.Cycle >= a.Cycle {
 					return fmt.Errorf("sched: task %d at cycle %d consumes task %d finishing at cycle %d",
 						t.ID, a.Cycle, src.Task.ID, p.Cycle)
 				}
@@ -115,31 +131,29 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// placed reports whether task t's slot is one Validate's per-task checks
-// accept up to the double-booking test: in the window, at a cycle >= 1, on
-// a mixer in 1..Mc.
-func (s *Schedule) placed(t *forest.Task) (Assignment, bool) {
-	a := s.Slots[t.ID]
-	return a, t.ID >= s.FirstTask && a.Cycle >= 1 && a.Mixer >= 1 && a.Mixer <= s.Mixers
+// placed reports whether window slot a is one Validate's per-task checks
+// accept up to the double-booking test: at a cycle >= 1, on a mixer in
+// 1..Mc.
+func (s *Schedule) placed(a Assignment) bool {
+	return a.Cycle >= 1 && a.Mixer >= 1 && a.Mixer <= s.Mixers
 }
 
-// firstDoubleBooking finds the first task, in forest order, whose (cycle,
-// mixer) an earlier task already holds. It returns that task's position in
-// Forest.Tasks and the earlier task's ID, or (-1, -1) when no mixer is
-// double-booked. Placed slots are counting-sorted into per-cycle buckets
-// (forest order kept inside each) and every bucket is sorted by mixer, so
-// the search costs O(tasks + cycles) memory however many mixers the
-// schedule declares, and no map.
+// firstDoubleBooking finds the first window slot, in forest order, whose
+// (cycle, mixer) an earlier slot already holds. It returns that slot's
+// position in the window and the earlier task's ID, or (-1, -1) when no
+// mixer is double-booked. Placed slots are counting-sorted into per-cycle
+// buckets (forest order kept inside each) and every bucket is sorted by
+// mixer, so the search costs O(tasks + cycles) memory however many mixers
+// the schedule declares, and no map.
 func (s *Schedule) firstDoubleBooking() (at, with int) {
-	tasks := s.Forest.Tasks
 	// end[c] counts cycle c's slots, then (as prefix sums) marks where its
-	// bucket of order ends. The fill walks the tasks backwards and
+	// bucket of order ends. The fill walks the slots backwards and
 	// decrements end[c] per slot, so afterwards end[c] is where bucket c
-	// starts and every bucket lists its tasks in forest order.
+	// starts and every bucket lists its slots in forest order.
 	end := make([]int32, s.Cycles+1)
 	placed := 0
-	for _, t := range tasks {
-		if a, ok := s.placed(t); ok {
+	for _, a := range s.Slots {
+		if s.placed(a) {
 			if a.Cycle >= len(end) {
 				end = append(end, make([]int32, a.Cycle+1-len(end))...)
 			}
@@ -151,13 +165,13 @@ func (s *Schedule) firstDoubleBooking() (at, with int) {
 		end[c] += end[c-1]
 	}
 	order := make([]int32, placed)
-	for i := len(tasks) - 1; i >= 0; i-- {
-		if a, ok := s.placed(tasks[i]); ok {
+	for i := len(s.Slots) - 1; i >= 0; i-- {
+		if a := s.Slots[i]; s.placed(a) {
 			end[a.Cycle]--
 			order[end[a.Cycle]] = int32(i)
 		}
 	}
-	mixer := func(i int32) int { return s.Slots[tasks[i].ID].Mixer }
+	mixer := func(i int32) int { return s.Slots[i].Mixer }
 	byMixer := func(x, y int32) int { return cmp.Or(cmp.Compare(mixer(x), mixer(y)), cmp.Compare(x, y)) }
 	at, with = -1, -1
 	hi := int32(placed) // bucket c ends where bucket c+1 starts
@@ -174,7 +188,7 @@ func (s *Schedule) firstDoubleBooking() (at, with int) {
 			// the second the earliest clash; only that second entry can
 			// beat the running minimum, so its predecessor is the occupant.
 			if pos := int(bucket[k]); mixer(bucket[k]) == mixer(bucket[k-1]) && (at < 0 || pos < at) {
-				at, with = pos, tasks[bucket[k-1]].ID
+				at, with = pos, s.FirstTask+int(bucket[k-1])
 			}
 		}
 	}

@@ -1,22 +1,29 @@
 package sched
 
-import "repro/internal/forest"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/forest"
+)
 
 // StorageProfile implements Counting_Storage_Units (Algorithm 3 of the
 // paper) on droplet lifetimes: a droplet produced by a task finishing at
 // cycle t_n and consumed by a task running at cycle t_c sits in an on-chip
 // storage cell during cycles t_n+1 .. t_c-1. Target droplets are emitted and
 // discarded wastes are routed to the waste reservoir immediately, so neither
-// occupies storage. The returned slice is indexed by cycle (1..Tc); index 0
-// is unused and zero.
+// occupies storage. Hand-offs are counted by consumer, over the window's
+// tasks: a droplet made before the window is stored from cycle 1. The
+// returned slice is indexed by cycle (1..Tc); index 0 is unused and zero.
 func StorageProfile(s *Schedule) []int {
 	profile := make([]int, s.Cycles+1)
-	for _, t := range s.Forest.Tasks {
-		produced := s.Slots[t.ID].Cycle
-		for _, c := range t.Consumers() {
-			consumed := s.Slots[c.ID].Cycle
-			for i := produced + 1; i < consumed; i++ {
-				profile[i]++
+	for i, t := range s.Tasks() {
+		consumed := s.Slots[i].Cycle
+		for _, src := range t.In {
+			if src.Kind == forest.FromTask {
+				for c := s.At(src.Task).Cycle + 1; c < consumed; c++ {
+					profile[c]++
+				}
 			}
 		}
 	}
@@ -63,19 +70,24 @@ type StoredDroplet struct {
 	From, To int
 }
 
-// StoredDroplets lists every producer-consumer droplet hand-off with its
-// storage interval, in producer-cycle order.
+// StoredDroplets lists every droplet hand-off to a task of the window with
+// its storage interval, ordered by producer and then consumer ID.
 func StoredDroplets(s *Schedule) []StoredDroplet {
 	var out []StoredDroplet
-	for _, t := range s.Forest.Tasks {
-		for _, c := range t.Consumers() {
-			out = append(out, StoredDroplet{
-				Producer: t,
-				Consumer: c,
-				From:     s.Slots[t.ID].Cycle + 1,
-				To:       s.Slots[c.ID].Cycle - 1,
-			})
+	for i, t := range s.Tasks() {
+		for _, src := range t.In {
+			if src.Kind == forest.FromTask {
+				out = append(out, StoredDroplet{
+					Producer: src.Task,
+					Consumer: t,
+					From:     s.At(src.Task).Cycle + 1,
+					To:       s.Slots[i].Cycle - 1,
+				})
+			}
 		}
 	}
+	slices.SortStableFunc(out, func(a, b StoredDroplet) int {
+		return cmp.Or(cmp.Compare(a.Producer.ID, b.Producer.ID), cmp.Compare(a.Consumer.ID, b.Consumer.ID))
+	})
 	return out
 }

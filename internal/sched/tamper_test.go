@@ -20,8 +20,6 @@ func TestValidateRejectsTamperedSchedules(t *testing.T) {
 	}{
 		{"slot count", func(s *Schedule) { s.Slots = s.Slots[:len(s.Slots)-1] },
 			"sched: 10 slots for 11 tasks"},
-		{"pre-window assignment", func(s *Schedule) { s.FirstTask = 2 },
-			"sched: pre-window task 0 carries an assignment"},
 		{"unscheduled task", func(s *Schedule) { s.Slots[3] = Assignment{} },
 			"sched: task 3 unscheduled or at invalid cycle 0"},
 		{"negative cycle", func(s *Schedule) { s.Slots[4].Cycle = -2 },
@@ -79,20 +77,18 @@ func TestValidateRejectsTamperedSchedules(t *testing.T) {
 // validateWithMaps is the map-keyed Schedule.Validate the slice-based one
 // replaced, kept as the oracle for TestValidateMatchesMapOracle.
 func validateWithMaps(s *Schedule) error {
-	if len(s.Slots) != len(s.Forest.Tasks) {
-		return fmt.Errorf("sched: %d slots for %d tasks", len(s.Slots), len(s.Forest.Tasks))
+	if n := len(s.Forest.Tasks) - s.FirstTask; s.FirstTask < 0 || len(s.Slots) != n {
+		return fmt.Errorf("sched: %d slots for %d tasks", len(s.Slots), n)
+	}
+	slot := make(map[int]Assignment) // task ID -> assignment, window tasks only
+	for i, a := range s.Slots {
+		slot[s.FirstTask+i] = a
 	}
 	maxCycle := 0
 	busy := make(map[[2]int]int) // (cycle, mixer) -> task ID
 	perCycle := make(map[int]int)
-	for _, t := range s.Forest.Tasks {
-		a := s.Slots[t.ID]
-		if t.ID < s.FirstTask {
-			if a != (Assignment{}) {
-				return fmt.Errorf("sched: pre-window task %d carries an assignment", t.ID)
-			}
-			continue
-		}
+	for _, t := range s.Forest.Tasks[s.FirstTask:] {
+		a := slot[t.ID]
 		if a.Cycle < 1 {
 			return fmt.Errorf("sched: task %d unscheduled or at invalid cycle %d", t.ID, a.Cycle)
 		}
@@ -110,7 +106,7 @@ func validateWithMaps(s *Schedule) error {
 		}
 		for _, src := range t.In {
 			if src.Kind == forest.FromTask {
-				p := s.Slots[src.Task.ID]
+				p := slot[src.Task.ID] // the zero Assignment before the window
 				if p.Cycle >= a.Cycle {
 					return fmt.Errorf("sched: task %d at cycle %d consumes task %d finishing at cycle %d",
 						t.ID, a.Cycle, src.Task.ID, p.Cycle)
@@ -169,9 +165,9 @@ func TestValidateMatchesMapOracle(t *testing.T) {
 							s.Mixers = 1 + rng.Intn(mc+1)
 						case 7:
 							s.FirstTask = rng.Intn(n)
-							clear(s.Slots[:s.FirstTask])
 						}
 					}
+					s.Slots = s.Slots[s.FirstTask:]
 					if got, want := errText(s.Validate()), errText(validateWithMaps(&s)); got != want {
 						t.Fatalf("D=%d mc=%d %s trial %d: Validate = %q, oracle %q",
 							demand, mc, base.Algorithm, trial, got, want)

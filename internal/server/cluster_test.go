@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/plancache"
+	"repro/internal/sched"
 )
 
 // clusterNode is one in-process dmfbd node of a test fleet: its own plan
@@ -209,6 +210,44 @@ func TestClusterRejectsCorruptArtifacts(t *testing.T) {
 	}
 	if nodes[1].store.Len() != 0 {
 		t.Fatal("refused artifact reached the disk tier")
+	}
+}
+
+// TestClusterRejectsWindowArtifact: a PUT whose plan schedule is a window
+// of its forest (no task scheduled, Tc=0, no storage) is refused with a
+// typed 422 and cached nowhere, so the plan the node then serves has its
+// real makespan.
+func TestClusterRejectsWindowArtifact(t *testing.T) {
+	nodes := newTestCluster(t, 2)
+	req := PlanRequest{Ratio: "2:1:1:1:1:1:9", Demand: 20}
+	a, err := artifact.DecodeVerified(buildArtifact(t, nodes[0], req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles := a.Plan.Schedule.Cycles
+	f, s := a.Plan.Forest, a.Plan.Schedule
+	window := &plancache.Plan{Forest: f, Stats: a.Plan.Stats, Schedule: &sched.Schedule{
+		Forest: f, Mixers: s.Mixers, Algorithm: s.Algorithm,
+		FirstTask: len(f.Tasks), Slots: make([]sched.Assignment, len(f.Tasks)),
+	}}
+	data, err := artifact.Encode(a.Key, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := putArtifact(t, nodes[1], a.Address(), data); code != http.StatusUnprocessableEntity {
+		t.Fatalf("window PUT status %d, want 422", code)
+	}
+	// Node 0 may replicate the real artifact to node 1 meanwhile; the
+	// refused bytes must never be stored.
+	if got, code := getArtifact(t, nodes[1], a.Address()); code == http.StatusOK && bytes.Equal(got, data) {
+		t.Fatal("refused artifact reached the disk tier")
+	}
+	var resp PlanResponse
+	if code := post(t, nodes[1].ts.URL+"/v1/plan", req, &resp); code != http.StatusOK {
+		t.Fatalf("plan status %d", code)
+	}
+	if resp.TotalCycles != cycles || resp.Emitted != 20 {
+		t.Fatalf("plan after refused PUT: %d cycles, %d emitted; want %d cycles, 20 emitted", resp.TotalCycles, resp.Emitted, cycles)
 	}
 }
 

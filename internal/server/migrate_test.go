@@ -249,7 +249,7 @@ func TestClusterMembersRuntimeChange(t *testing.T) {
 
 	// A session that ring {0,1} places on node-0 but the full ring places on
 	// the joiner: resident here now, must ship the moment node-2 joins.
-	full := cluster.NewRing([]string{a.id, b.id, joiner.id}, 0)
+	full := cluster.NewRing([]string{a.id, b.id, joiner.id})
 	narrow := a.srv.clusterNode.Ring()
 	var name string
 	for i := 0; i < 100000; i++ {

@@ -125,11 +125,18 @@ func scheduleValue(cycles, storage int, slots []sched.Assignment) string {
 	return fmt.Sprintf("Tc=%d q=%d slots=%s", cycles, storage, slotsDigest(slots))
 }
 
+// windowSlots pads the slots of a window starting at task first with the
+// zero assignment of every earlier task: the form the fixtures were frozen
+// in, when a window's slot table spanned the whole forest.
+func windowSlots(first int, slots []sched.Assignment) []sched.Assignment {
+	return append(make([]sched.Assignment, first), slots...)
+}
+
 // goldenRow is one fixture case. api computes it through the pointer-forest
 // entry points (forest.Build, forest.BuildMulti, sched.MMS, sched.SRS,
 // sched.OMS; windows on forest.Pack of a built forest; persistent batches on
-// forest.Builder and its Packed forest, as core's PersistPool engine
-// plans); kernel computes it on forest.PackedBuilder and sched.Kernel
+// a forest grown by PackedForest.Grow and Link from a PackedBuilder, as
+// core's PersistPool engine plans); kernel computes it on forest.PackedBuilder and sched.Kernel
 // directly, the way dmfbd plans. Both must agree with each other and with
 // the frozen fixture.
 type goldenRow struct {
@@ -255,7 +262,7 @@ func plannerRows(t testing.TB) []goldenRow {
 							return "", err
 						}
 						s := wk.Materialize(f)
-						return scheduleValue(s.Cycles, sched.StorageUnits(s), s.Slots), nil
+						return scheduleValue(s.Cycles, sched.StorageUnits(s), windowSlots(first, s.Slots)), nil
 					}, func() (string, error) {
 						pf, err := forest.BuildPacked(&pb, g, windowDemand)
 						if err != nil {
@@ -268,7 +275,7 @@ func plannerRows(t testing.TB) []goldenRow {
 						if err := from(pf, mc, first); err != nil {
 							return "", err
 						}
-						return scheduleValue(k.Cycles(), sched.StorageUnits(k.Materialize(pf.Materialize())), k.Assignments()), nil
+						return scheduleValue(k.Cycles(), sched.StorageUnits(k.Materialize(pf.Materialize())), windowSlots(first, k.Assignments())), nil
 					})
 				}
 			}
@@ -283,29 +290,33 @@ func plannerRows(t testing.TB) []goldenRow {
 		g := gg.g
 		for _, scheme := range goldenSchemes {
 			const mc = 3
-			var lb *forest.Builder
+			var lpb forest.PackedBuilder
+			var lf *forest.Forest
 			var lk sched.Kernel
 			var ppb forest.PackedBuilder
 			var pk sched.Kernel
 			for step, batch := range goldenBatches {
 				add(fmt.Sprintf("persist %s %s mc=%d step=%d n=%d", gg.label, scheme, mc, step, batch), func() (string, error) {
 					if step == 0 {
-						lb = forest.NewBuilder(g)
+						lpb.Reset(g)
+						lf = &forest.Forest{Base: g}
 					}
-					start := len(lb.Forest().Tasks)
+					start := len(lf.Tasks)
 					for i := 0; i < (batch+1)/2; i++ {
-						lb.AddTree()
+						lpb.AddTree()
 					}
 					from := lk.MMSFrom
 					if scheme == SRS {
 						from = lk.SRSFrom
 					}
-					if err := from(lb.Packed(), mc, start); err != nil {
+					if err := from(lpb.Forest(), mc, start); err != nil {
 						return "", err
 					}
-					s := lk.Materialize(lb.Forest())
-					return fmt.Sprintf("%s pool=%d first=%d %s", forestValue(lb.Forest(), lb.Forest().Stats()), lb.PoolSize(), start,
-						scheduleValue(s.Cycles, sched.StorageUnits(s), s.Slots)), nil
+					lpb.Forest().Grow(lf)
+					lf.Link(start)
+					s := lk.Materialize(lf)
+					return fmt.Sprintf("%s pool=%d first=%d %s", forestValue(lf, lf.Stats()), lpb.PoolSize(), start,
+						scheduleValue(s.Cycles, sched.StorageUnits(s), windowSlots(start, s.Slots))), nil
 				}, func() (string, error) {
 					if step == 0 {
 						ppb.Reset(g)
@@ -324,7 +335,7 @@ func plannerRows(t testing.TB) []goldenRow {
 					}
 					f := pf.Materialize()
 					return fmt.Sprintf("%s pool=%d first=%d %s", forestValue(f, pf.PackedStats(make([]int64, g.Target.N()))), ppb.PoolSize(), start,
-						scheduleValue(pk.Cycles(), sched.StorageUnits(pk.Materialize(f)), pk.Assignments())), nil
+						scheduleValue(pk.Cycles(), sched.StorageUnits(pk.Materialize(f)), windowSlots(start, pk.Assignments()))), nil
 				})
 			}
 		}

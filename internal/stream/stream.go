@@ -433,24 +433,17 @@ func obsRun(res *Result) {
 
 // Emissions lists (absolute cycle, droplet count) events across all passes,
 // in time order: every component-tree root emits two target droplets in the
-// cycle it executes.
-//
-// Persistent-pool batches alias one live growing forest: a pass's schedule
-// covers only its own scheduling window [FirstTask, len(Slots)), while the
-// shared forest keeps collecting trees from later batches. Trees outside the
-// window are skipped — indexing their roots into this schedule's slots used
-// to panic (or silently misreport) once a later Request had grown the
-// forest.
+// cycle it executes. A pass reports the roots of its own schedule's window,
+// so a persistent-pool batch keeps its emissions however far later batches
+// grow the forest.
 func (r *Result) Emissions() []Emission {
 	var out []Emission
 	for _, p := range r.Passes {
 		byCycle := map[int]int{}
-		for _, tree := range p.Schedule.Forest.Trees {
-			if !inWindow(p.Schedule, tree.Root) {
-				continue
+		for _, t := range p.Schedule.Tasks() {
+			if t.Targets > 0 {
+				byCycle[p.StartCycle+p.Schedule.At(t).Cycle-1] += t.Targets
 			}
-			c := p.StartCycle + p.Schedule.At(tree.Root).Cycle - 1
-			byCycle[c] += 2
 		}
 		for c, n := range byCycle {
 			out = append(out, Emission{Cycle: c, Count: n})
@@ -458,13 +451,6 @@ func (r *Result) Emissions() []Emission {
 	}
 	sortEmissions(out)
 	return out
-}
-
-// inWindow reports whether a tree root was scheduled by s itself, rather
-// than by an earlier window (ID < FirstTask) or a later one (ID beyond the
-// slot snapshot) of a shared persistent forest.
-func inWindow(s *sched.Schedule, root *forest.Task) bool {
-	return root.ID >= s.FirstTask && root.ID < len(s.Slots)
 }
 
 // FirstEmission returns the absolute cycle the first target droplets leave
@@ -475,12 +461,8 @@ func inWindow(s *sched.Schedule, root *forest.Task) bool {
 func (r *Result) FirstEmission() int {
 	first := 0
 	for _, p := range r.Passes {
-		for _, tree := range p.Schedule.Forest.Trees {
-			if !inWindow(p.Schedule, tree.Root) {
-				continue
-			}
-			c := p.StartCycle + p.Schedule.At(tree.Root).Cycle - 1
-			if first == 0 || c < first {
+		for _, t := range p.Schedule.Tasks() {
+			if c := p.StartCycle + p.Schedule.At(t).Cycle - 1; t.Targets > 0 && (first == 0 || c < first) {
 				first = c
 			}
 		}

@@ -54,11 +54,8 @@ func Gantt(s *sched.Schedule) string {
 				labelW+(t-1)*cellW, y, cellW, cellH)
 		}
 	}
-	for _, task := range s.Forest.Tasks {
-		if task.ID < s.FirstTask {
-			continue
-		}
-		a := s.Slots[task.ID]
+	for _, task := range s.Tasks() {
+		a := s.At(task)
 		x := labelW + (a.Cycle-1)*cellW
 		y := headerH + a.Mixer*cellH
 		fill := treeColors[(task.Tree-1)%len(treeColors)]
