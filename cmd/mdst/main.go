@@ -130,13 +130,13 @@ func run(ratioStr string, demand, mixers, storage int, algName, schedName string
 		target, target.Depth(), target.N(), demand, alg, engine.Mixers(), scheduler)
 	fmt.Printf("plan: %d pass(es), D'=%d per pass\n", len(res.Passes), res.PerPassDemand)
 	for i, p := range res.Passes {
-		st := p.Schedule.Forest.Stats()
+		st := p.Plan.Stats
 		fmt.Printf("pass %d: emits %d droplets, Tc=%d, q=%d, Tms=%d, W=%d, I=%d I[]=%v\n",
-			i+1, p.Demand, p.Schedule.Cycles, p.Storage, st.Mixes, st.Waste, st.InputTotal, st.Inputs)
+			i+1, p.Demand, p.Plan.Cycles, p.Storage, st.Mixes, st.Waste, st.InputTotal, st.Inputs)
 		if showForest {
-			fmt.Println(p.Schedule.Forest.Render())
+			fmt.Println(p.Plan.Forest().Render())
 		}
-		fmt.Println(dmfb.Gantt(p.Schedule))
+		fmt.Println(dmfb.Gantt(p.Plan.Schedule()))
 	}
 	fmt.Printf("total: %d cycles, %d input droplets, %d waste droplets, %d droplets emitted\n",
 		res.TotalCycles, res.TotalInputs, res.TotalWaste, res.Emitted)

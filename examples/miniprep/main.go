@@ -48,7 +48,7 @@ func main() {
 			batch.StartCycle, batch.StartCycle+res.TotalCycles-1, res.TotalInputs, res.TotalWaste)
 		for _, p := range res.Passes {
 			fmt.Printf("  pass at cycle %d: %d droplets, Tc=%d, q=%d (<= 3)\n",
-				p.StartCycle+batch.StartCycle-1, p.Demand, p.Schedule.Cycles, p.Storage)
+				p.StartCycle+batch.StartCycle-1, p.Demand, p.Plan.Cycles, p.Storage)
 		}
 	}
 	fmt.Printf("\ntotal: %d droplets planned over %d cycles\n", engine.Emitted(), engine.Elapsed())

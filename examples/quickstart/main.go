@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("demand 20 droplets of %s on %d mixers:\n", target, engine.Mixers())
 	fmt.Printf("  %d pass(es), %d cycles, %d input droplets, %d waste\n\n",
 		len(res.Passes), res.TotalCycles, res.TotalInputs, res.TotalWaste)
-	fmt.Println(dmfb.Gantt(res.Passes[0].Schedule))
+	fmt.Println(dmfb.Gantt(res.Passes[0].Plan.Schedule()))
 
 	// Compare against re-running the mixing tree 10 times.
 	baseline, err := dmfb.Baseline(dmfb.MM, target, engine.Mixers(), 20)

@@ -92,17 +92,18 @@ func (a *Artifact) Address() string { return AddressFor(a.Key) }
 // key does not describe the plan (wrong graph fingerprint or demand) — an
 // artifact must never be born inconsistent.
 func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
-	if p == nil || p.Forest == nil || p.Schedule == nil {
+	if p == nil {
 		return nil, fmt.Errorf("%w: nil plan", ErrVerify)
 	}
-	g := p.Forest.Base
+	f := p.Forest()
+	g := f.Base
 	if k.Graph != g.Fingerprint() || k.Ratio != g.TargetKey() || k.Algo != g.Algorithm {
 		return nil, fmt.Errorf("%w: key does not identify the plan's base graph", ErrVerify)
 	}
-	if k.Demand != p.Forest.Demand {
-		return nil, fmt.Errorf("%w: key demand %d, forest demand %d", ErrVerify, k.Demand, p.Forest.Demand)
+	if k.Demand != f.Demand {
+		return nil, fmt.Errorf("%w: key demand %d, forest demand %d", ErrVerify, k.Demand, f.Demand)
 	}
-	buf := make([]byte, 0, 64+16*len(p.Forest.Tasks))
+	buf := make([]byte, 0, 64+16*len(f.Tasks))
 	buf = append(buf, magic...)
 
 	// Section 1: the plan-cache key.
@@ -146,7 +147,7 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	buf = putUvarint(buf, uint64(g.Root.ID))
 
 	// Section 4: the mixing forest.
-	specs := forest.Describe(p.Forest)
+	specs := forest.Describe(f)
 	buf = putUvarint(buf, uint64(len(specs)))
 	for _, s := range specs {
 		buf = putUvarint(buf, uint64(s.Tree))
@@ -170,7 +171,7 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 
 	// Section 5: the schedule — the per-task (cycle, mixer) bindings the
 	// executor routes droplets by.
-	s := p.Schedule
+	s := p.Schedule()
 	buf = putString(buf, s.Algorithm)
 	buf = putUvarint(buf, uint64(s.Mixers))
 	buf = putUvarint(buf, uint64(s.Cycles))
@@ -375,21 +376,21 @@ func Decode(data []byte) (*Artifact, error) {
 	}
 
 	// Section 6: claimed aggregates.
-	p := &plancache.Plan{Forest: f, Schedule: s}
-	p.Storage = r.count(maxTasks)
-	p.Stats.Trees = r.count(maxTasks)
-	p.Stats.Mixes = r.count(maxTasks)
-	p.Stats.Waste = int64(r.count(maxTasks))
-	p.Stats.InputTotal = int64(r.count(maxTasks))
-	p.Stats.Targets = r.count(maxTasks)
-	p.Stats.Reuses = r.count(maxTasks)
+	var st forest.Stats
+	storage := r.count(maxTasks)
+	st.Trees = r.count(maxTasks)
+	st.Mixes = r.count(maxTasks)
+	st.Waste = int64(r.count(maxTasks))
+	st.InputTotal = int64(r.count(maxTasks))
+	st.Targets = r.count(maxTasks)
+	st.Reuses = r.count(maxTasks)
 	nInputs := r.count(maxParts)
 	if r.err != nil {
 		return nil, r.fail()
 	}
-	p.Stats.Inputs = make([]int64, nInputs)
-	for i := range p.Stats.Inputs {
-		p.Stats.Inputs[i] = int64(r.count(maxTasks))
+	st.Inputs = make([]int64, nInputs)
+	for i := range st.Inputs {
+		st.Inputs[i] = int64(r.count(maxTasks))
 	}
 	if r.err != nil {
 		return nil, r.fail()
@@ -397,18 +398,19 @@ func Decode(data []byte) (*Artifact, error) {
 	if len(r.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf))
 	}
-	return &Artifact{Key: k, Plan: p}, nil
+	return &Artifact{Key: k, Plan: plancache.FromForms(f, s, st, storage)}, nil
 }
 
 // Verify proves the decoded artifact safe to cache and execute: the embedded
 // key must describe the embedded plan (graph fingerprint, target, algorithm,
-// demand, mixers, scheduler), the claimed aggregates must equal a fresh
-// recomputation, and the full plan-level audit (audit.CheckPlan — closed
-// forms, conservation, storage occupancy, schedule physicality) must come
-// back clean. Any failure wraps ErrVerify: a decoded plan is never executed
-// on trust.
+// demand, mixers, scheduler), and the pointer-form plan audit
+// (audit.CheckForms — closed forms, conservation, storage occupancy,
+// schedule physicality, and the claimed aggregates against a fresh
+// recomputation) must come back clean. Any failure wraps ErrVerify: a
+// decoded plan is never executed on trust.
 func (a *Artifact) Verify() error {
-	g := a.Plan.Forest.Base
+	f, s := a.Plan.Forest(), a.Plan.Schedule()
+	g := f.Base
 	switch {
 	case a.Key.Graph != g.Fingerprint():
 		return fmt.Errorf("%w: key graph %016x, decoded graph %016x", ErrVerify, a.Key.Graph, g.Fingerprint())
@@ -416,30 +418,15 @@ func (a *Artifact) Verify() error {
 		return fmt.Errorf("%w: key ratio %q, decoded target %q", ErrVerify, a.Key.Ratio, g.TargetKey())
 	case a.Key.Algo != g.Algorithm:
 		return fmt.Errorf("%w: key algorithm %q, decoded graph built by %q", ErrVerify, a.Key.Algo, g.Algorithm)
-	case a.Key.Demand != a.Plan.Forest.Demand:
-		return fmt.Errorf("%w: key demand %d, forest demand %d", ErrVerify, a.Key.Demand, a.Plan.Forest.Demand)
-	case a.Key.Mixers != a.Plan.Schedule.Mixers:
-		return fmt.Errorf("%w: key mixers %d, schedule mixers %d", ErrVerify, a.Key.Mixers, a.Plan.Schedule.Mixers)
-	case a.Key.Scheduler != a.Plan.Schedule.Algorithm:
-		return fmt.Errorf("%w: key scheduler %q, schedule algorithm %q", ErrVerify, a.Key.Scheduler, a.Plan.Schedule.Algorithm)
+	case a.Key.Demand != f.Demand:
+		return fmt.Errorf("%w: key demand %d, forest demand %d", ErrVerify, a.Key.Demand, f.Demand)
+	case a.Key.Mixers != s.Mixers:
+		return fmt.Errorf("%w: key mixers %d, schedule mixers %d", ErrVerify, a.Key.Mixers, s.Mixers)
+	case a.Key.Scheduler != s.Algorithm:
+		return fmt.Errorf("%w: key scheduler %q, schedule algorithm %q", ErrVerify, a.Key.Scheduler, s.Algorithm)
 	}
-	if rep := audit.CheckPlan(a.Plan.Forest, a.Plan.Schedule); !rep.Clean() {
+	if rep := audit.CheckForms(a.Plan); !rep.Clean() {
 		return fmt.Errorf("%w: %w", ErrVerify, rep.Err())
-	}
-	st := a.Plan.Forest.Stats()
-	if st.Trees != a.Plan.Stats.Trees || st.Mixes != a.Plan.Stats.Mixes ||
-		st.Waste != a.Plan.Stats.Waste || st.InputTotal != a.Plan.Stats.InputTotal ||
-		st.Targets != a.Plan.Stats.Targets || st.Reuses != a.Plan.Stats.Reuses ||
-		len(st.Inputs) != len(a.Plan.Stats.Inputs) {
-		return fmt.Errorf("%w: claimed stats disagree with recomputation", ErrVerify)
-	}
-	for i := range st.Inputs {
-		if st.Inputs[i] != a.Plan.Stats.Inputs[i] {
-			return fmt.Errorf("%w: claimed input count for fluid %d disagrees with recomputation", ErrVerify, i)
-		}
-	}
-	if storage := sched.StorageUnits(a.Plan.Schedule); storage != a.Plan.Storage {
-		return fmt.Errorf("%w: claimed storage %d, recomputed %d", ErrVerify, a.Plan.Storage, storage)
 	}
 	return nil
 }

@@ -75,8 +75,8 @@ func TestRoundTrip(t *testing.T) {
 					a.Plan.Stats.Reuses != p.Stats.Reuses || a.Plan.Stats.Trees != p.Stats.Trees {
 					t.Fatalf("stats: got %+v, want %+v", a.Plan.Stats, p.Stats)
 				}
-				if a.Plan.Schedule.Cycles != p.Schedule.Cycles {
-					t.Fatalf("cycles: got %d, want %d", a.Plan.Schedule.Cycles, p.Schedule.Cycles)
+				if a.Plan.Cycles != p.Cycles {
+					t.Fatalf("cycles: got %d, want %d", a.Plan.Cycles, p.Cycles)
 				}
 				// Deterministic re-encode: decoded plans address-match their source.
 				again, err := Encode(a.Key, a.Plan)
@@ -119,10 +119,11 @@ func TestAddressIsKeyDerived(t *testing.T) {
 // empty, no cycles, no storage, the form of a persistent batch that
 // schedules nothing of its forest.
 func windowPlan(p *plancache.Plan) *plancache.Plan {
-	n := len(p.Forest.Tasks)
-	s := &sched.Schedule{Forest: p.Forest, Mixers: p.Schedule.Mixers, Algorithm: p.Schedule.Algorithm,
+	f := p.Forest()
+	n := len(f.Tasks)
+	s := &sched.Schedule{Forest: f, Mixers: p.Mixers, Algorithm: p.Schedule().Algorithm,
 		FirstTask: n, Slots: make([]sched.Assignment, n)}
-	return &plancache.Plan{Forest: p.Forest, Schedule: s, Stats: p.Stats}
+	return plancache.FromForms(f, s, p.Stats, 0)
 }
 
 // TestDecodeVerifiedRejectsWindowSchedule: a plan artifact whose schedule

@@ -5,14 +5,16 @@ import (
 
 	"repro/internal/forest"
 	"repro/internal/minmix"
+	"repro/internal/plancache"
 	"repro/internal/ratio"
 	"repro/internal/sched"
 )
 
-// TestCleanAuditAllocs pins the clean-path cost of the stream-count audit:
-// it runs on every multi-pass plan the serving layer builds, so a passing
-// check must not materialise violation messages. The only allocation a
-// clean run is allowed is the Report itself.
+// TestCleanAuditAllocs pins the clean-path cost of the stream-count audit
+// and the packed plan audit: they run on every plan the serving layer
+// builds, so a passing check must not materialise violation messages. A
+// clean CheckStreamCounts may allocate only the Report; a clean
+// CheckPacked the Report and its one scratch buffer, at any demand.
 func TestCleanAuditAllocs(t *testing.T) {
 	c := StreamCounts{
 		Demand:        20,
@@ -36,6 +38,32 @@ func TestCleanAuditAllocs(t *testing.T) {
 		}
 	}); allocs > 1 {
 		t.Fatalf("clean CheckStreamCounts allocates %.1f objects, want <= 1 (the Report)", allocs)
+	}
+
+	g, err := minmix.Build(ratio.MustParse("2:1:1:1:1:1:9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, demand := range []int{16, 128, 1000} {
+		pf, err := forest.BuildPacked(forest.NewPackedBuilder(g), g, demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var k sched.Kernel
+		if err := k.SRS(pf, 3); err != nil {
+			t.Fatal(err)
+		}
+		p := plancache.NewPacked(pf, k.Assignments(), "SRS", 3, k.Cycles(), k.Peak())
+		if r := CheckPacked(p); !r.Clean() {
+			t.Fatalf("D=%d: packed plan fails its own audit: %v", demand, r.Err())
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if !CheckPacked(p).Clean() {
+				t.Fatal("audit failed")
+			}
+		}); allocs > 2 {
+			t.Fatalf("clean CheckPacked allocates %.1f objects at D=%d, want <= 2 (the Report and one scratch buffer)", allocs, demand)
+		}
 	}
 }
 

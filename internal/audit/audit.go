@@ -6,8 +6,9 @@
 //
 // Two tiers of checking:
 //
-//   - Plan-level (CheckForest, CheckSchedule, CheckPlan, CheckStreamCounts):
-//     pure functions over built forests, schedules and multi-pass plans.
+//   - Plan-level (CheckPacked, CheckForms, CheckForest, CheckSchedule,
+//     CheckPlan, CheckStreamCounts): pure functions over built plans — in
+//     their packed slab or their pointer forms — and multi-pass plans.
 //     They verify the paper's closed forms — |F| = ⌈D/2⌉ component trees,
 //     2 target droplets per tree, droplet conservation I = T + W, the
 //     zero-waste theorem W = 0 for D ≡ 0 (mod 2^d) on an MM base, exact CF
@@ -29,9 +30,11 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/forest"
+	"repro/internal/plancache"
 	"repro/internal/sched"
 )
 
@@ -295,11 +298,40 @@ func CheckSchedule(s *sched.Schedule) *Report {
 	return r
 }
 
-// CheckPlan audits a (forest, schedule) pair — the unit the plan cache
-// stores. It is the default audit every built plan passes through.
+// CheckPlan audits a (forest, schedule) pair in pointer forms: the
+// cross-check of CheckPacked, which audits every plan the packed planner
+// builds, and the audit of every plan that arrives in pointer forms.
 func CheckPlan(f *forest.Forest, s *sched.Schedule) *Report {
 	r := CheckForest(f)
 	r.Merge(CheckSchedule(s))
+	return r
+}
+
+// CheckForms audits a whole plan in its pointer forms: CheckPlan on its
+// Forest and Schedule, and its claimed summary — Stats, Storage, Cycles and
+// Mixers — against a recount from those forms. It is what artifact
+// verification runs on a decoded plan, and CheckPacked's twin: the two
+// must accept and reject the same plans.
+func CheckForms(p *plancache.Plan) *Report {
+	f, s := p.Forest(), p.Schedule()
+	r := CheckPlan(f, s)
+	if !r.Clean() {
+		return r // a broken forest or schedule has no meaningful recount
+	}
+	st := f.Stats()
+	c := p.Stats
+	ok := c.Trees == st.Trees && c.Mixes == st.Mixes && c.Targets == st.Targets &&
+		c.Waste == st.Waste && c.InputTotal == st.InputTotal && c.Reuses == st.Reuses &&
+		slices.Equal(c.Inputs, st.Inputs)
+	if r.failed(ok) {
+		r.violate(&Violation{Code: MassConservation, Detail: fmt.Sprintf("claimed stats %+v, recount %+v", c, st)})
+	}
+	if storage := sched.StorageUnits(s); r.failed(storage == p.Storage) {
+		r.violate(&Violation{Code: StorageOccupancy, Detail: fmt.Sprintf("claimed storage %d, recomputed %d", p.Storage, storage)})
+	}
+	if r.failed(p.Cycles == s.Cycles && p.Mixers == s.Mixers) {
+		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("claimed Tc=%d on %d mixers, schedule Tc=%d on %d", p.Cycles, p.Mixers, s.Cycles, s.Mixers)})
+	}
 	return r
 }
 

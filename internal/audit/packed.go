@@ -1,0 +1,294 @@
+package audit
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/forest"
+	"repro/internal/plancache"
+	"repro/internal/ratio"
+)
+
+// CheckPacked audits a plan's slab — the packed forest and slot table a
+// plan cache holds — against the invariants CheckPlan proves on pointer
+// forms, and the plan's claimed summary against a recount. It reads the
+// arrays only: it never runs a scheduler and never materializes.
+//
+//   - Forest: every task's CF vector is re-derived from its PSources with
+//     ratio.MixWordsInto and must equal its base node's; sources are in
+//     range and topologically ordered, reuse flags mark cross-tree
+//     sources, and every task's consumer links match the sources naming it
+//     and fit its two outputs. Each tree's root is the last task of its
+//     span and emits the target CF; |F| = ⌈D/2⌉, T = 2|F|, I = T + W and
+//     the zero-waste theorem on MM hold, and the claimed Stats equal the
+//     recount.
+//   - Schedule: one slot per task, each at a cycle in 1..Tc on a mixer in
+//     1..Mc, producers strictly before consumers, no mixer booked twice in
+//     a cycle, Tc the largest slot cycle and every cycle running a task
+//     (a list schedule never idles).
+//   - Storage: Algorithm 3's occupancy is recomputed two independent ways,
+//     a difference array over droplet lifetimes and a walk over each
+//     lifetime's cycles; they must agree at every cycle, and their peak
+//     must equal the claimed Storage.
+//
+// A clean run allocates the Report and one scratch buffer, whatever the
+// plan's size (TestCleanAuditAllocs). A plan given in pointer forms has no
+// slab and fails; CheckPlan audits those.
+func CheckPacked(p *plancache.Plan) *Report {
+	r := &Report{}
+	f := p.Packed()
+	if r.failed(f != nil) {
+		r.violate(&Violation{Code: Structure, Detail: "plan has no packed slab"})
+		return r
+	}
+	nTasks, cycles := len(f.Tasks), p.Cycles
+	if r.failed(cycles >= 0 && cycles <= nTasks) {
+		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("Tc=%d for %d tasks: some cycle runs no task", cycles, nTasks)})
+		return r
+	}
+	n := f.Base.Target.N()
+	// The one scratch buffer: three CF word vectors, the per-fluid input
+	// recount, the per-task consumer recount and bucket order, and three
+	// per-cycle tables (lifetime walk, difference array, bucket bounds).
+	scratch := make([]int64, 4*n+2*nTasks+3*(cycles+2))
+	words, inputs := scratch[:3*n], scratch[3*n:4*n]
+	rest := scratch[4*n:]
+	cons, order := rest[:nTasks], rest[nTasks:2*nTasks]
+	rest = rest[2*nTasks:]
+	walk, diff, end := rest[:cycles+2], rest[cycles+2:2*(cycles+2)], rest[2*(cycles+2):]
+
+	if !checkPackedForest(r, f, p.Stats, words, inputs, cons) {
+		return r
+	}
+	if !checkPackedSlots(r, p, cons, order, end) {
+		return r
+	}
+
+	// Occupancy two ways. A hand-off produced at cycle a and consumed at
+	// cycle b sits in storage during a+1 .. b-1.
+	slots := p.Slots()
+	for i := range f.Tasks {
+		consumed := slots[i].Cycle
+		for _, src := range f.Tasks[i].In {
+			if src.Kind != forest.FromTask {
+				continue
+			}
+			produced := slots[src.Ref].Cycle
+			if produced+1 <= consumed-1 {
+				diff[produced+1]++
+				diff[consumed]--
+			}
+			for c := produced + 1; c < consumed; c++ {
+				walk[c]++
+			}
+		}
+	}
+	occ, peak := int64(0), int64(0)
+	for c := 1; c <= cycles; c++ {
+		occ += diff[c]
+		if r.failed(occ == walk[c]) {
+			r.violate(&Violation{Code: StorageOccupancy, Cycle: c,
+				Detail: fmt.Sprintf("difference-array occupancy %d, lifetime walk %d", occ, walk[c])})
+		}
+		peak = max(peak, occ)
+	}
+	if r.failed(peak == int64(p.Storage)) {
+		r.violate(&Violation{Code: StorageOccupancy, Detail: fmt.Sprintf("peak occupancy %d, claimed storage %d", peak, p.Storage)})
+	}
+	return r
+}
+
+// checkPackedForest is CheckPacked's forest half. It reports false when a
+// structural break makes the later checks meaningless.
+func checkPackedForest(r *Report, f *forest.PackedForest, claimed forest.Stats, words, inputs, cons []int64) bool {
+	n := len(inputs)
+	left, right, mix := words[:n], words[n:2*n], words[2*n:]
+	nodes := f.Base.Nodes
+	tasks := f.Tasks
+	// vec writes source s's CF words into dst; a producer's vector is its
+	// base node's, which the loop has already proven for every earlier task.
+	vec := func(dst []int64, s forest.PSource) uint {
+		if s.Kind == forest.Input {
+			clear(dst)
+			dst[s.Ref] = 1
+			return 0
+		}
+		return nodes[tasks[s.Ref].Base].Vec.NumsInto(dst)
+	}
+	st := forest.Stats{Trees: len(f.Roots), Mixes: len(tasks), Targets: 2 * len(f.Roots)}
+	for i := range tasks {
+		t := &tasks[i]
+		if r.failed(t.Base >= 0 && int(t.Base) < len(nodes) && !nodes[t.Base].IsLeaf()) {
+			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d instantiates base node %d, not a mix node of the base graph", i, t.Base)})
+			return false
+		}
+		internal := 0
+		for _, src := range t.In {
+			var ok bool
+			switch src.Kind {
+			case forest.Input:
+				ok = src.Ref >= 0 && int(src.Ref) < n && !src.Reused
+			case forest.FromTask:
+				ok = src.Ref >= 0 && int(src.Ref) < i && src.Reused == (tasks[src.Ref].Tree != t.Tree)
+			}
+			if r.failed(ok) {
+				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d has an invalid, out-of-order or mis-tagged source %+v", i, src)})
+				return false
+			}
+			if src.Kind == forest.Input {
+				inputs[src.Ref]++
+				st.InputTotal++
+				continue
+			}
+			cons[src.Ref]++
+			internal++
+			if src.Reused {
+				st.Reuses++
+			}
+		}
+		if r.failed(int(t.NInternal) == internal) {
+			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d counts %d internal inputs, its sources %d", i, t.NInternal, internal)})
+			return false
+		}
+		exp := ratio.MixWordsInto(mix, left, vec(left, t.In[0]), right, vec(right, t.In[1]))
+		if r.failed(nodes[t.Base].Vec.EqualWords(mix, exp)) {
+			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d: inputs do not average to its base node %d's vector %v", i, t.Base, nodes[t.Base].Vec)})
+			return false
+		}
+	}
+	for i := range tasks {
+		t := &tasks[i]
+		ok := int64(t.NCons) == cons[i] && int(t.NCons)+int(t.Targets) <= 2
+		for c := 0; ok && c < int(t.NCons); c++ {
+			j := t.Cons[c]
+			ok = int(j) > i && int(j) < len(tasks) &&
+				(tasks[j].In[0] == forest.PSource{Ref: int32(i), Kind: forest.FromTask, Reused: tasks[j].In[0].Reused} ||
+					tasks[j].In[1] == forest.PSource{Ref: int32(i), Kind: forest.FromTask, Reused: tasks[j].In[1].Reused})
+		}
+		if r.failed(ok) {
+			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d lists %d consumers %v and %d targets; %d sources name it", i, t.NCons, t.Cons, t.Targets, cons[i])})
+			return false
+		}
+		st.Waste += int64(t.FreeOutputs())
+	}
+
+	// Trees: contiguous spans from task 0, each ending in its root, the
+	// only task emitting targets.
+	roots := 0
+	for i := range tasks {
+		if tasks[i].Targets != 0 {
+			roots++
+		}
+	}
+	ok := len(f.TreeStart) == len(f.Roots) && roots == len(f.Roots)
+	for k := 0; ok && k < len(f.Roots); k++ {
+		lo, hi := f.TreeStart[k], int32(len(tasks))
+		if k+1 < len(f.TreeStart) {
+			hi = f.TreeStart[k+1]
+		}
+		ok = (k > 0 || lo == 0) && lo < hi && hi <= int32(len(tasks)) && f.Roots[k] == hi-1 && tasks[hi-1].Targets == 2
+		for j := lo; ok && j < hi; j++ {
+			ok = tasks[j].Tree == int32(k+1)
+		}
+	}
+	if r.failed(ok) {
+		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d tree spans and %d roots do not partition %d tasks into trees ending at their roots", len(f.TreeStart), len(f.Roots), len(tasks))})
+		return false
+	}
+
+	wantTrees := (f.Demand + 1) / 2
+	if r.failed(st.Trees == wantTrees) {
+		r.violate(&Violation{Code: TargetCount, Detail: fmt.Sprintf("|F| = %d trees for D=%d, want ⌈D/2⌉ = %d", st.Trees, f.Demand, wantTrees)})
+	}
+	if r.failed(st.InputTotal == int64(st.Targets)+st.Waste) {
+		r.violate(&Violation{Code: MassConservation, Detail: fmt.Sprintf("I=%d, T=%d, W=%d: I != T + W", st.InputTotal, st.Targets, st.Waste)})
+	}
+	// The target's CF words: its parts over 2^depth, reduced.
+	for i := range mix {
+		mix[i] = f.Base.Target.Part(i)
+	}
+	exp := ratio.ReduceWords(mix, uint(f.Base.Target.Depth()))
+	for k, root := range f.Roots {
+		if v := nodes[tasks[root].Base].Vec; r.failed(v.EqualWords(mix, exp)) {
+			r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("tree %d root CF %v, want %v", k+1, v, f.Base.Target.Vector())})
+		}
+	}
+	if f.Base.Algorithm == "MM" {
+		if d := f.Base.Target.Depth(); d >= 1 {
+			if period := int64(1) << uint(d); int64(st.Targets)%period == 0 {
+				if r.failed(st.Waste == 0) {
+					r.violate(&Violation{Code: WasteCount, Detail: fmt.Sprintf("W=%d for emitted=%d ≡ 0 mod 2^%d on MM base, want 0", st.Waste, st.Targets, d)})
+				}
+			}
+		}
+	}
+	ok = claimed.Trees == st.Trees && claimed.Mixes == st.Mixes && claimed.Targets == st.Targets &&
+		claimed.Waste == st.Waste && claimed.InputTotal == st.InputTotal && claimed.Reuses == st.Reuses &&
+		slices.Equal(claimed.Inputs, inputs)
+	if r.failed(ok) {
+		r.violate(&Violation{Code: MassConservation, Detail: fmt.Sprintf("claimed stats %+v, recount %+v with inputs %v", claimed, st, inputs)})
+	}
+	return true
+}
+
+// checkPackedSlots is CheckPacked's schedule half: coverage, cycle and
+// mixer ranges, precedence, Tc, and mixer exclusivity. perCycle (one entry
+// per task, as Tc never exceeds the task count) counts each cycle's tasks.
+func checkPackedSlots(r *Report, p *plancache.Plan, perCycle, order, end []int64) bool {
+	f, slots := p.Packed(), p.Slots()
+	if r.failed(len(slots) == len(f.Tasks)) {
+		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d slots for %d tasks", len(slots), len(f.Tasks))})
+		return false
+	}
+	clear(perCycle)
+	maxCycle := 0
+	for i, a := range slots {
+		ok := a.Cycle >= 1 && a.Cycle <= p.Cycles && a.Mixer >= 1 && a.Mixer <= p.Mixers
+		for _, src := range f.Tasks[i].In {
+			ok = ok && (src.Kind != forest.FromTask || slots[src.Ref].Cycle < a.Cycle)
+		}
+		if r.failed(ok) {
+			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d at (cycle %d, mixer %d): outside 1..Tc=%d and 1..Mc=%d, or not after its producers", i, a.Cycle, a.Mixer, p.Cycles, p.Mixers)})
+			return false
+		}
+		perCycle[a.Cycle-1]++
+		maxCycle = max(maxCycle, a.Cycle)
+	}
+	idle := false
+	for c := 0; c < p.Cycles; c++ {
+		idle = idle || perCycle[c] == 0
+	}
+	if r.failed(maxCycle == p.Cycles && !idle) {
+		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("Tc=%d but the slots reach cycle %d or leave a cycle idle", p.Cycles, maxCycle)})
+		return false
+	}
+	// Mixer exclusivity: counting-sort the slots into per-cycle buckets of
+	// (mixer, task) keys, sort each bucket, and look for equal neighbours.
+	clear(end)
+	for _, a := range slots {
+		end[a.Cycle]++
+	}
+	for c := 1; c < len(end); c++ {
+		end[c] += end[c-1]
+	}
+	for i := len(slots) - 1; i >= 0; i-- {
+		a := slots[i]
+		end[a.Cycle]--
+		order[end[a.Cycle]] = int64(a.Mixer)<<32 | int64(i)
+	}
+	for c := 1; c <= p.Cycles; c++ {
+		bucket := order[end[c]:end[c+1]]
+		if r.failed(len(bucket) <= p.Mixers) {
+			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d mixes at cycle %d on %d mixers", len(bucket), c, p.Mixers)})
+			return false
+		}
+		slices.Sort(bucket)
+		for k := 1; k < len(bucket); k++ {
+			if r.failed(bucket[k]>>32 != bucket[k-1]>>32) {
+				r.violate(&Violation{Code: Structure, Cycle: c, Detail: fmt.Sprintf("mixer %d double-booked (tasks %d and %d)", bucket[k]>>32, uint32(bucket[k-1]), uint32(bucket[k]))})
+				return false
+			}
+		}
+	}
+	return true
+}

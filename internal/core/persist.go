@@ -7,6 +7,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/forest"
 	"repro/internal/obs"
+	"repro/internal/plancache"
 	"repro/internal/sched"
 	"repro/internal/stream"
 )
@@ -25,7 +26,9 @@ import (
 // window; only then does the pointer forest the batches read grow by the
 // window's tasks. A failed Request rebuilds the builder's committed trees
 // and leaves no trace. Each batch's schedule covers its window only, so it
-// reads the same however far later Requests grow the forest.
+// reads the same however far later Requests grow the forest. A batch's
+// pass carries its window as a plan in pointer forms (plancache.FromForms)
+// with the window's own stats.
 
 // ErrPersistStorage reports that a persistent batch (including the droplets
 // carried in the pool) exceeds the configured storage budget.
@@ -80,11 +83,25 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 	grown.Link(startID)
 	e.pooled = &grown
 
-	var inputs int64
-	for _, t := range s.Tasks() {
-		inputs += int64(2 - t.InternalInputs())
+	// The window's own stats: its trees, tasks and inputs, and as waste
+	// every spare droplet it left in the pool.
+	st := forest.Stats{
+		Trees:   trees,
+		Mixes:   len(s.Slots),
+		Targets: 2 * trees,
+		Waste:   int64(poolAfter - poolBefore),
+		Inputs:  make([]int64, e.base.Target.N()),
 	}
-	waste := int64(poolAfter - poolBefore) // every spare droplet waits in the pool
+	for _, t := range s.Tasks() {
+		for _, src := range t.In {
+			if src.Kind == forest.Input {
+				st.Inputs[src.Fluid]++
+				st.InputTotal++
+			} else if src.Reused {
+				st.Reuses++
+			}
+		}
+	}
 	res := &stream.Result{
 		Config: stream.Config{
 			Base:      e.base,
@@ -96,15 +113,15 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 		PerPassDemand: 2 * trees,
 		Passes: []stream.Pass{{
 			Demand:     2 * trees,
-			Schedule:   s,
+			Plan:       plancache.FromForms(&grown, s, st, q),
 			Storage:    q,
-			Waste:      waste,
-			Inputs:     inputs,
+			Waste:      st.Waste,
+			Inputs:     st.InputTotal,
 			StartCycle: 1,
 		}},
 		TotalCycles: s.Cycles,
-		TotalWaste:  waste,
-		TotalInputs: inputs,
+		TotalWaste:  st.Waste,
+		TotalInputs: st.InputTotal,
 		Emitted:     2 * trees,
 	}
 	b := &Batch{Request: n, Result: res, StartCycle: e.elapsed + 1}

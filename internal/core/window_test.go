@@ -19,7 +19,7 @@ import (
 // export and quality metrics, and its result's emissions.
 func batchReading(t *testing.T, b *core.Batch) string {
 	t.Helper()
-	s := b.Result.Passes[0].Schedule
+	s := b.Result.Passes[0].Plan.Schedule()
 	js, err := json.Marshal(export.Schedule(s))
 	if err != nil {
 		t.Fatal(err)

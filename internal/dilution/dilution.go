@@ -131,7 +131,7 @@ func (e *Engine) Emissions() []stream.Emission { return e.inner.Emissions() }
 func (e *Engine) SampleUsage() (sample, buffer int64) {
 	for _, b := range e.inner.Batches() {
 		for _, p := range b.Result.Passes {
-			st := p.Schedule.Forest.Stats()
+			st := p.Plan.Stats
 			sample += st.Inputs[0]
 			buffer += st.Inputs[1]
 		}

@@ -74,11 +74,31 @@ type Analysis struct {
 	VolDev float64
 }
 
-// Analyze propagates worst-case and expected CF-error intervals through the
-// forest in closed form — no sampling. The worst-case side is a true bound:
-// it dominates every realization of the Monte-Carlo model with the same
-// parameters (and hence Simulate's P95 and Max for any trial count).
+// Analyze is AnalyzePacked over a pointer-linked single-target forest,
+// packed first; task IDs are the forest's. A forest whose tasks
+// instantiate nodes of other base graphs (a multi-target forest) is
+// rejected: analyze each target's forest on its own.
 func Analyze(f *forest.Forest, p Params) (*Analysis, error) {
+	for _, t := range f.Tasks {
+		if t.Base.ID >= len(f.Base.Nodes) || f.Base.Nodes[t.Base.ID] != t.Base {
+			return nil, fmt.Errorf("errormodel: task %d instantiates a node of another base graph", t.ID)
+		}
+	}
+	pf, err := forest.Pack(f)
+	if err != nil {
+		return nil, fmt.Errorf("errormodel: %w", err)
+	}
+	return AnalyzePacked(pf, p)
+}
+
+// AnalyzePacked propagates worst-case and expected CF-error intervals
+// through a packed single-target forest in closed form — no sampling. The
+// worst-case side is a true bound: it dominates every realization of the
+// Monte-Carlo model with the same parameters (and hence Simulate's P95 and
+// Max for any trial count). Each task's exact vector is its base node's,
+// so the analysis reads the packed arrays and the base graph alone: an
+// error-aware planner scores cached plans without materializing them.
+func AnalyzePacked(f *forest.PackedForest, p Params) (*Analysis, error) {
 	if p.SplitImbalance < 0 || p.SplitImbalance >= 0.5 ||
 		p.DispenseError < 0 || p.DispenseError >= 0.5 {
 		return nil, ErrBadParams
@@ -88,32 +108,41 @@ func Analyze(f *forest.Forest, p Params) (*Analysis, error) {
 
 	an := &Analysis{Params: p, Tasks: make([]TaskError, len(f.Tasks))}
 
-	// cf returns the exact CF vector of a source droplet as floats.
-	cf := func(s forest.Source) []float64 {
-		v := s.Vec(n)
-		out := make([]float64, n)
-		den := float64(v.Denom())
+	// nodeCF holds the exact CF vector of every base node as floats, n per
+	// node; a task's output droplets carry its base node's.
+	nodeCF := make([]float64, n*len(f.Base.Nodes))
+	for _, node := range f.Base.Nodes {
+		den := float64(node.Vec.Denom())
 		for i := 0; i < n; i++ {
-			out[i] = float64(v.Num(i)) / den
+			nodeCF[node.ID*n+i] = float64(node.Vec.Num(i)) / den
 		}
-		return out
+	}
+	// cf returns entry i of a source droplet's exact CF vector.
+	cf := func(s forest.PSource, i int) float64 {
+		if s.Kind == forest.Input {
+			if int(s.Ref) == i {
+				return 1
+			}
+			return 0
+		}
+		return nodeCF[int(f.Tasks[s.Ref].Base)*n+i]
 	}
 	// in resolves a source's error interval and volume bounds.
-	in := func(s forest.Source) (Interval, float64, float64) {
+	in := func(s forest.PSource) (Interval, float64, float64) {
 		if s.Kind == forest.Input {
 			return Interval{}, 1 - delta, 1 + delta
 		}
-		t := an.Tasks[s.Task.ID]
+		t := an.Tasks[s.Ref]
 		return t.Err, t.VolLo, t.VolHi
 	}
 
-	for _, t := range f.Tasks {
+	for id := range f.Tasks {
+		t := &f.Tasks[id]
 		ea, alo, ahi := in(t.In[0])
 		eb, blo, bhi := in(t.In[1])
-		ca, cb := cf(t.In[0]), cf(t.In[1])
 		div := 0.0
 		for i := 0; i < n; i++ {
-			if d := math.Abs(ca[i] - cb[i]); d > div {
+			if d := math.Abs(cf(t.In[0], i) - cf(t.In[1], i)); d > div {
 				div = d
 			}
 		}
@@ -134,36 +163,23 @@ func Analyze(f *forest.Forest, p Params) (*Analysis, error) {
 		expected := 0.5*(ea.Expected+eb.Expected) + wdev/math.Sqrt(3)*div
 
 		mlo, mhi := alo+blo, ahi+bhi
-		an.Tasks[t.ID] = TaskError{
+		an.Tasks[id] = TaskError{
 			Err:   Interval{Worst: worst, Expected: expected},
 			VolLo: mlo / 2 * (1 - eps),
 			VolHi: mhi / 2 * (1 + eps),
 		}
 	}
 
-	// Aggregate over the emitted targets: the unconsumed outputs of the
-	// tree roots, measured against each tree's wanted vector (which equals
-	// the root's exact vector for single-target forests; multi-target
-	// forests may add a rounding offset, accounted for below).
-	for _, tree := range f.Trees {
-		te := an.Tasks[tree.Root.ID]
-		offset := 0.0
-		want := tree.Want
-		if !want.IsZero() && !want.Equal(tree.Root.Vec) {
-			wd, rd := float64(want.Denom()), float64(tree.Root.Vec.Denom())
-			for i := 0; i < n; i++ {
-				d := math.Abs(float64(tree.Root.Vec.Num(i))/rd - float64(want.Num(i))/wd)
-				if d > offset {
-					offset = d
-				}
-			}
-		}
+	// Aggregate over the emitted targets: the two outputs of every tree
+	// root, whose exact vector is the target (the plan audits prove it).
+	for _, root := range f.Roots {
+		te := an.Tasks[root]
 		an.Targets += 2
-		if w := te.Err.Worst + offset; w > an.WorstTarget {
-			an.WorstTarget = w
+		if te.Err.Worst > an.WorstTarget {
+			an.WorstTarget = te.Err.Worst
 		}
-		if e := te.Err.Expected + offset; e > an.ExpectedTarget {
-			an.ExpectedTarget = e
+		if te.Err.Expected > an.ExpectedTarget {
+			an.ExpectedTarget = te.Err.Expected
 		}
 		if d := math.Max(te.VolHi-1, 1-te.VolLo); d > an.VolDev {
 			an.VolDev = d

@@ -163,6 +163,23 @@ func TestAnalyzeBadParams(t *testing.T) {
 			t.Errorf("params %+v accepted", p)
 		}
 	}
+	// A multi-target forest's tasks instantiate nodes of several base
+	// graphs; the packed analysis reads one graph's nodes, so it refuses.
+	var bases []*mixgraph.Graph
+	for _, r := range []string{"1:3", "3:5"} {
+		g, err := minmix.Build(ratio.MustParse(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, g)
+	}
+	multi, err := forest.BuildMulti(bases, []int{4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(multi, Params{SplitImbalance: 0.05}); err == nil {
+		t.Error("multi-target forest accepted")
+	}
 	if err := (Policy{Params: Params{SplitImbalance: 0.5}}).Validate(); err == nil {
 		t.Error("bad policy accepted")
 	}

@@ -105,7 +105,7 @@ func e13Side(eng *core.Engine, cfg E13Config, noise errormodel.Params, aware boo
 	if sel := b.Result.Selection; sel != nil {
 		side.Algorithm = sel.Algorithm
 	}
-	f := b.Result.Passes[0].Schedule.Forest
+	f := b.Result.Passes[0].Plan.Forest()
 	if aware {
 		an, err := errormodel.Analyze(f, noise)
 		if err != nil {

@@ -148,7 +148,7 @@ func E3ConcurrentRouting(demands []int) ([]E3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := exec.Execute(p.Schedule, layout)
+		plan, err := exec.Execute(p.Schedule(), layout)
 		if err != nil {
 			return nil, err
 		}

@@ -49,7 +49,7 @@ func Fig5Compute(demand int) (*Fig5, error) {
 	if err != nil {
 		return nil, err
 	}
-	srs := p.Schedule
+	srs := p.Schedule()
 	forestPlan, err := exec.Execute(srs, layout)
 	if err != nil {
 		return nil, err

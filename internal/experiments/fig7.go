@@ -41,9 +41,9 @@ func Fig7Compute(mixers []int, demand int) (*Fig7, error) {
 				return cell{}, fmt.Errorf("experiments: fig7 M=%d: %w", mc, err)
 			}
 			if scheduler == stream.MMS {
-				c.tcMMS, c.qMMS = p.Schedule.Cycles, p.Storage
+				c.tcMMS, c.qMMS = p.Cycles, p.Storage
 			} else {
-				c.tcSRS, c.qSRS = p.Schedule.Cycles, p.Storage
+				c.tcSRS, c.qSRS = p.Cycles, p.Storage
 			}
 		}
 		return c, nil

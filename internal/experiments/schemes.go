@@ -80,7 +80,7 @@ func runScheme(s Scheme, r ratio.Ratio, mc, demand int) (Result, error) {
 		return Result{}, err
 	}
 	return Result{
-		Tc: p.Schedule.Cycles,
+		Tc: p.Cycles,
 		Q:  p.Storage,
 		I:  p.Stats.InputTotal,
 		W:  p.Stats.Waste,

@@ -156,7 +156,7 @@ func Stream(r *stream.Result) StreamJSON {
 			Storage:    p.Storage,
 			Inputs:     p.Inputs,
 			Waste:      p.Waste,
-			Schedule:   Schedule(p.Schedule),
+			Schedule:   Schedule(p.Plan.Schedule()),
 		})
 	}
 	return out

@@ -1,8 +1,7 @@
-// Package plancache memoises fully-built mixing plans — a mixing forest, its
-// schedule, its aggregate stats and its storage footprint — and the §6
-// demand scans behind them, in one concurrency-safe object of two bounded
-// LRU tables. A Cache owns all memoised planning state: Purge empties both
-// tables, and a nil *Cache memoises nothing.
+// Package plancache memoises mixing plans and the §6 demand scans behind
+// them, in one concurrency-safe object of two bounded LRU tables. A Cache
+// owns all memoised planning state: Purge empties both tables, and a nil
+// *Cache memoises nothing.
 //
 // A plan is a pure function of (base graph, demand, mixer count, scheduling
 // scheme): the forest construction and both schedulers are deterministic and
@@ -13,8 +12,11 @@
 // sound even for hand-built graphs whose (algorithm, ratio) pair is not
 // unique.
 //
-// Cached plans are shared: callers must treat every reachable object —
-// forest, tasks, schedule slots, stats slices — as immutable.
+// A built plan is one pointer-free slab — the packed forest and the slot
+// table — plus its summary numbers; the pointer-linked Forest and Schedule
+// are materialized from it once, on first demand (see Plan). Cached plans
+// are shared: callers must treat every reachable object — slab, forest,
+// tasks, schedule slots, stats slices — as immutable.
 package plancache
 
 import (
@@ -99,19 +101,142 @@ type ScanKey struct {
 	Scheduler string
 }
 
-// Plan is one cached planning artefact: the forest grown for the demand, the
-// mixer/time assignment, and the two derived quantities every consumer needs
-// (forest stats and peak storage units).
+// Plan is one cached planning artefact: a single-pass plan's summary
+// numbers, and its forest and schedule in one of two forms.
+//
+// A plan the packed planner built (NewPacked) owns one pointer-free slab:
+// the packed tasks and tree bounds copied out of the builder's arenas and
+// the kernel's slot table. The serving paths read only the summary fields,
+// EmitCycles and Packed, so the slab is all a cached plan holds until a
+// caller needs pointer forms — execution, export, rendering, artifact
+// encoding — and calls Forest or Schedule, which materialize both once.
+// The garbage collector never scans the slab's arrays.
+//
+// A plan given in pointer forms (NewPlan, FromForms: decoded artifacts,
+// hand-built plans and the windows of a persistent pool) has no slab:
+// Packed returns nil and the forms are returned as given.
 type Plan struct {
-	Forest   *forest.Forest
-	Schedule *sched.Schedule
-	Stats    forest.Stats
-	Storage  int
+	// Stats are the forest's aggregate statistics.
+	Stats forest.Stats
+	// Storage is the peak storage occupancy of the schedule (Algorithm 3).
+	Storage int
+	// Cycles is the schedule's completion time Tc.
+	Cycles int
+	// Mixers is the mixer count Mc the schedule uses.
+	Mixers int
+
+	algorithm string
+	packed    forest.PackedForest // the slab's forest; Tasks is nil without a slab
+	slots     []sched.Assignment  // the slab's slot table: slots[i] places task i
+
+	once     sync.Once
+	formed   atomic.Bool
+	forest   *forest.Forest
+	schedule *sched.Schedule
 }
 
-// NewPlan derives the cached quantities from a built forest and schedule.
+// NewPacked copies a packed plan out of the planner's pooled arenas into an
+// owned slab: the forest pf, the slot table slots (slots[i] places task i;
+// a window is never cached) of an algorithm run on mixers mixers finishing
+// at cycle cycles, and its peak storage. Stats come from PackedStats.
+func NewPacked(pf *forest.PackedForest, slots []sched.Assignment, algorithm string, mixers, cycles, storage int) *Plan {
+	trees := make([]int32, 2*len(pf.Roots))
+	copy(trees, pf.Roots)
+	copy(trees[len(pf.Roots):], pf.TreeStart)
+	p := &Plan{
+		Storage:   storage,
+		Cycles:    cycles,
+		Mixers:    mixers,
+		algorithm: algorithm,
+		packed: forest.PackedForest{
+			Base:      pf.Base,
+			Demand:    pf.Demand,
+			Tasks:     append([]forest.PTask(nil), pf.Tasks...),
+			Roots:     trees[:len(pf.Roots):len(pf.Roots)],
+			TreeStart: trees[len(pf.Roots):],
+		},
+		slots: append([]sched.Assignment(nil), slots...),
+	}
+	p.Stats = p.packed.PackedStats(make([]int64, pf.Base.Target.N()))
+	return p
+}
+
+// NewPlan wraps a built forest and its schedule, deriving the stats and
+// the peak storage from them.
 func NewPlan(f *forest.Forest, s *sched.Schedule) *Plan {
-	return &Plan{Forest: f, Schedule: s, Stats: f.Stats(), Storage: sched.StorageUnits(s)}
+	return FromForms(f, s, f.Stats(), sched.StorageUnits(s))
+}
+
+// FromForms wraps pointer forms with the stats and peak storage claimed for
+// them: an artifact's claims, which its verification then re-derives, or a
+// persistent window's, which only its own batch can count. f is the forest
+// s schedules (for a window, the whole forest the window was planned on).
+func FromForms(f *forest.Forest, s *sched.Schedule, st forest.Stats, storage int) *Plan {
+	p := &Plan{Stats: st, Storage: storage, Cycles: s.Cycles, Mixers: s.Mixers, algorithm: s.Algorithm, forest: f, schedule: s}
+	p.formed.Store(true)
+	return p
+}
+
+// Forest returns the plan's pointer-linked forest, materializing it from
+// the slab on the first call. Every call returns the same forest.
+func (p *Plan) Forest() *forest.Forest {
+	p.materialize()
+	return p.forest
+}
+
+// Schedule returns the plan's schedule over Forest, materializing both from
+// the slab on the first call. Every call returns the same schedule; its
+// Slots share the slab's slot table.
+func (p *Plan) Schedule() *sched.Schedule {
+	p.materialize()
+	return p.schedule
+}
+
+func (p *Plan) materialize() {
+	if p.formed.Load() {
+		return
+	}
+	p.once.Do(func() {
+		p.forest = p.packed.Materialize()
+		p.schedule = &sched.Schedule{Forest: p.forest, Mixers: p.Mixers, Algorithm: p.algorithm, Slots: p.slots, Cycles: p.Cycles}
+		p.formed.Store(true)
+		obs.Inc("plancache.materializations")
+	})
+}
+
+// Materialized reports whether the plan's pointer forms exist: always for a
+// plan given in them, and for a slab once Forest or Schedule has run.
+func (p *Plan) Materialized() bool { return p.formed.Load() }
+
+// Packed returns the slab's packed forest, or nil for a plan given in
+// pointer forms. Its task IDs are the materialized forest's.
+func (p *Plan) Packed() *forest.PackedForest {
+	if p.packed.Tasks == nil {
+		return nil
+	}
+	return &p.packed
+}
+
+// Slots returns the slab's slot table (slots[i] places task i of Packed),
+// or nil for a plan given in pointer forms.
+func (p *Plan) Slots() []sched.Assignment { return p.slots }
+
+// EmitCycles calls fn, in task order, with the schedule cycle and target
+// droplet count of every component-tree root the schedule runs: the
+// plan's emissions. A window reports the roots of its own tasks only.
+func (p *Plan) EmitCycles(fn func(cycle, count int)) {
+	if p.Packed() != nil {
+		for _, r := range p.packed.Roots {
+			fn(p.slots[r].Cycle, int(p.packed.Tasks[r].Targets))
+		}
+		return
+	}
+	s := p.schedule
+	for _, t := range s.Tasks() {
+		if t.Targets > 0 {
+			fn(s.At(t).Cycle, t.Targets)
+		}
+	}
 }
 
 // Stats is an expvar-style snapshot of a cache's counters. All counters are

@@ -57,7 +57,7 @@ func Generate(o Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s := p.Schedule
+	s := p.Schedule()
 	baseline, err := core.Baseline(o.Algorithm, o.Target, mixers, o.Demand)
 	if err != nil {
 		return "", err

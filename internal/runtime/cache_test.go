@@ -82,7 +82,7 @@ func TestNilCacheDegradedReplanLeavesDefaultIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := plancache.Default().Stats()
-	rep, err := Run(res.Passes[0].Schedule, l, inj, Policy{})
+	rep, err := Run(res.Passes[0].Plan.Schedule(), l, inj, Policy{})
 	if err != nil {
 		t.Fatalf("degraded run failed: %v\n%s", err, rep)
 	}

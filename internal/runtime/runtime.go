@@ -81,7 +81,7 @@ func RunStreamCtx(ctx context.Context, res *stream.Result, l *chip.Layout, inj *
 		if err := cancel.Check(ctx); err != nil {
 			return agg, fmt.Errorf("runtime: pass starting at cycle %d: %w", pass.StartCycle, err)
 		}
-		r, err := runOne(ctx, pass.Schedule, l, inj, pol, pass.StartCycle-1, res.Config.Cache)
+		r, err := runOne(ctx, pass.Plan.Schedule(), l, inj, pol, pass.StartCycle-1, res.Config.Cache)
 		if r != nil {
 			agg.Passes = append(agg.Passes, r)
 			agg.absorb(r)
@@ -990,12 +990,12 @@ func (e *executor) bindChunk(order []stream.Scheduler, base *mixgraph.Graph, dem
 			lastErr = err
 			continue
 		}
-		plan, err := exec.Execute(p.Schedule, alive)
+		plan, err := exec.Execute(p.Schedule(), alive)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		return plan, p.Schedule, nil
+		return plan, p.Schedule(), nil
 	}
 	return nil, nil, lastErr
 }

@@ -118,7 +118,7 @@ func TestZeroFaultStreamGolden(t *testing.T) {
 	var wantMoves []exec.Move
 	wantCost := 0
 	for _, p := range res.Passes {
-		plan, err := exec.Execute(p.Schedule, l)
+		plan, err := exec.Execute(p.Plan.Schedule(), l)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,19 +45,14 @@ func SRS(f *forest.Forest, mc int) (*Schedule, error) {
 // highest-level-first list scheduling (Hu's algorithm) attains the optimal
 // makespan, and a base mixing tree is exactly such an in-tree; package tests
 // certify optimality against exhaustive search. The graph is scheduled as a
-// demand-2 forest (one pass, two target droplets), grown packed and run
-// through Hu directly, as Mlb runs it.
+// demand-2 forest (one pass, two target droplets) under Hu's rule, as Mlb
+// runs it.
 func OMS(base *mixgraph.Graph, mc int) (*Schedule, error) {
-	pf, err := forest.BuildPacked(forest.NewPackedBuilder(base), base, 2)
+	f, err := forest.Build(base, 2)
 	if err != nil {
 		return nil, err
 	}
-	k := kernels.Get().(*Kernel)
-	defer kernels.Put(k)
-	if err := k.Hu(pf, mc); err != nil {
-		return nil, err
-	}
-	return k.Materialize(pf.Materialize()), nil
+	return schedule(f, mc, "OMS", policyHu)
 }
 
 // kernels pools the scheduling kernels behind the pointer-forest entry
@@ -66,9 +61,9 @@ func OMS(base *mixgraph.Graph, mc int) (*Schedule, error) {
 var kernels = sync.Pool{New: func() any { return new(Kernel) }}
 
 // schedule packs f, runs the kernel with the given policy, and materializes
-// the result as a Schedule over f. It serves forests no PackedBuilder grew:
-// core.PlanMulti's multi-target forests and the exact-scheduler comparisons
-// of experiment E5.
+// the result as a Schedule over f. It serves the pointer-forest entry
+// points: core.PlanMulti's multi-target forests, the exact-scheduler
+// comparisons of experiment E5, and the repeated baseline's OMS.
 func schedule(f *forest.Forest, mc int, algo string, p policy) (*Schedule, error) {
 	pf, err := forest.Pack(f)
 	if err != nil {

@@ -116,6 +116,7 @@ type Kernel struct {
 	rel      []uint64 // keys released this cycle, pre-sort (MMS)
 	held     int      // hand-off droplets produced before this cycle, not yet consumed
 	made     int      // hand-off droplets produced this cycle
+	peak     int      // the largest occupancy held reached after a cycle's consumption
 }
 
 // unbounded is the storage budget of a run that is never cut short.
@@ -180,6 +181,11 @@ func (k *Kernel) Hu(f *forest.PackedForest, mc int) error {
 // Cycles returns Tc of the last run.
 func (k *Kernel) Cycles() int { return k.cycles }
 
+// Peak returns the peak storage occupancy of the last run's schedule: what
+// StorageUnits of its materialized form returns, counted as it ran. A
+// cut-short run reports the peak of the cycles it scheduled.
+func (k *Kernel) Peak() int { return k.peak }
+
 // Assignments returns the slot table of the last run: entry i places task
 // firstTask+i. The slice aliases kernel scratch: it is valid until the next
 // run.
@@ -187,8 +193,9 @@ func (k *Kernel) Assignments() []Assignment { return k.slots }
 
 // Materialize copies the last run's result into a Schedule over the given
 // pointer forest (the materialized or original form of the packed one, in
-// the state the run scheduled). Called once per plan-cache miss and once
-// per persistent-pool batch.
+// the state the run scheduled). The pointer-forest entry points call it,
+// and the persistent pool once per batch; a cached plan copies
+// Assignments into its slab instead.
 func (k *Kernel) Materialize(f *forest.Forest) *Schedule {
 	return &Schedule{
 		Forest:    f,
@@ -268,9 +275,9 @@ func (k *Kernel) flush(f *forest.PackedForest, p policy) {
 // Once cycle t is scheduled its storage occupancy is final: the hand-off
 // droplets produced before t that no task of cycle t consumes (held, after
 // assign has debited cycle t's inputs). Later cycles never change it, and
-// the schedule's peak storage is the largest such occupancy, so run stops
-// at the first cycle holding more than budget droplets and reports false:
-// the finished schedule would need more than budget storage units.
+// the schedule's peak storage (Peak) is the largest such occupancy, so run
+// stops at the first cycle holding more than budget droplets and reports
+// false: the finished schedule would need more than budget storage units.
 func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firstTask, budget int) (bool, error) {
 	if mc < 1 {
 		return false, ErrNoMixers
@@ -284,7 +291,7 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 	k.pending = growInt32(k.pending, n-firstTask)
 	k.fifo, k.fifoHead = k.fifo[:0], 0
 	k.qint, k.qleaf, k.rel = k.qint[:0], k.qleaf[:0], k.rel[:0]
-	k.held, k.made = 0, 0
+	k.held, k.made, k.peak = 0, 0, 0
 
 	for i := firstTask; i < n; i++ {
 		t := &f.Tasks[i]
@@ -342,6 +349,7 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 		}
 		remaining -= picked
 		k.cycles = t
+		k.peak = max(k.peak, k.held)
 		if k.held > budget {
 			if obs.Enabled() {
 				obs.Inc("sched.schedules_cut")

@@ -269,7 +269,7 @@ func planResponse(spec *planSpec, eng *core.Engine, b *core.Batch) PlanResponse 
 	for _, p := range res.Passes {
 		resp.Passes = append(resp.Passes, PassSummary{
 			Demand:     p.Demand,
-			Cycles:     p.Schedule.Cycles,
+			Cycles:     p.Plan.Cycles,
 			Storage:    p.Storage,
 			StartCycle: p.StartCycle,
 		})

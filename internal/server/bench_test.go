@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/plancache"
@@ -18,7 +19,9 @@ import (
 // misses the plan cache, a quarter of them storage-limited /v1/stream
 // requests that run the D′ demand scan and a tenth error-aware. It is the
 // cold planning path — decode, engine, packed build, schedule, materialize,
-// audit, encode — isolated from the HTTP stack so it can be profiled:
+// audit, encode — isolated from the HTTP stack so it can be profiled. It
+// also reports B/entry, the heap one plan-cache entry retains (see
+// retainedPerEntry):
 //
 //	go test ./internal/server -run '^$' -bench ColdPlanRequest -benchmem -cpuprofile cpu.out
 func BenchmarkColdPlanRequest(b *testing.B) {
@@ -52,17 +55,47 @@ func BenchmarkColdPlanRequest(b *testing.B) {
 		}
 		calls[i] = call{path, body}
 	}
-	// A private cache smaller than the replay, so a spec is evicted long
-	// before it comes round again.
-	h := New(Config{PlanCache: plancache.New(64)}).Handler()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := calls[i%len(calls)]
+	serve := func(h http.Handler, c call) {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(c.body)))
 		if w.Code != http.StatusOK {
 			b.Fatalf("%s %s: %d %s", c.path, c.body, w.Code, w.Body)
 		}
 	}
+	// A private cache smaller than the replay, so a spec is evicted long
+	// before it comes round again.
+	h := New(Config{PlanCache: plancache.New(64)}).Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(h, calls[i%len(calls)])
+	}
+	b.StopTimer()
+	b.ReportMetric(retainedPerEntry(func(h http.Handler, i int) { serve(h, calls[i%len(calls)]) }), "B/entry")
+}
+
+// retainedPerEntry fills a fresh server's 256-entry plan cache by replaying
+// requests through serve, then returns the live heap the full cache holds
+// per entry: the heap after a GC, less the heap after purging the cache and
+// collecting again, over the entry count. It counts each entry's whole
+// retained plan, its key and LRU node, and the few scan entries the
+// storage-limited requests leave.
+func retainedPerEntry(serve func(h http.Handler, i int)) float64 {
+	cache := plancache.New(256)
+	h := New(Config{PlanCache: cache}).Handler()
+	for i := 0; cache.Stats().Size < cache.Stats().Capacity; i++ {
+		serve(h, i)
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	full := live()
+	entries := cache.Stats().Size
+	cache.Purge()
+	empty := live()
+	runtime.KeepAlive(h)
+	return float64(int64(full)-int64(empty)) / float64(entries)
 }

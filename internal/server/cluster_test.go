@@ -224,12 +224,12 @@ func TestClusterRejectsWindowArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycles := a.Plan.Schedule.Cycles
-	f, s := a.Plan.Forest, a.Plan.Schedule
-	window := &plancache.Plan{Forest: f, Stats: a.Plan.Stats, Schedule: &sched.Schedule{
+	cycles := a.Plan.Cycles
+	f, s := a.Plan.Forest(), a.Plan.Schedule()
+	window := plancache.FromForms(f, &sched.Schedule{
 		Forest: f, Mixers: s.Mixers, Algorithm: s.Algorithm,
 		FirstTask: len(f.Tasks), Slots: make([]sched.Assignment, len(f.Tasks)),
-	}}
+	}, a.Plan.Stats, 0)
 	data, err := artifact.Encode(a.Key, window)
 	if err != nil {
 		t.Fatal(err)

@@ -746,7 +746,7 @@ func (s *Server) executePolicy(req *ExecuteRequest, b *core.Batch) (runtime.Poli
 	if noise.SplitImbalance == 0 && noise.DispenseError == 0 {
 		return runtime.Policy{RecoveryBudget: req.RecoveryBudget}, nil
 	}
-	an, err := errormodel.Analyze(b.Result.Passes[0].Schedule.Forest, noise)
+	an, err := stream.AnalyzePlan(b.Result.Passes[0].Plan, noise)
 	if err != nil {
 		return runtime.Policy{}, &errBadRequest{err}
 	}

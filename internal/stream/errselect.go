@@ -16,9 +16,9 @@ import (
 	"math"
 
 	"repro/internal/errormodel"
-	"repro/internal/forest"
 	"repro/internal/mixgraph"
 	"repro/internal/obs"
+	"repro/internal/plancache"
 )
 
 // CandidateScore records how one candidate base graph fared in an
@@ -157,19 +157,15 @@ func candidateGraphs(cfg Config) []*mixgraph.Graph {
 }
 
 // planErrorInterval bounds the CF error of every target a multi-pass plan
-// emits: each distinct pass forest (the reused full-size pass and a
-// possible short final pass) is analyzed in closed form and the worst pass
-// governs.
+// emits: each distinct pass plan (the reused full-size pass and a possible
+// short final pass) is analyzed in closed form and the worst pass governs.
 func planErrorInterval(res *Result, p errormodel.Params) (errormodel.Interval, error) {
 	var iv errormodel.Interval
-	seen := map[*forest.Forest]bool{}
-	for _, pass := range res.Passes {
-		f := pass.Schedule.Forest
-		if seen[f] {
-			continue
+	for i, pass := range res.Passes {
+		if i > 0 && pass.Plan == res.Passes[i-1].Plan {
+			continue // the full-size passes share one plan
 		}
-		seen[f] = true
-		an, err := errormodel.Analyze(f, p)
+		an, err := AnalyzePlan(pass.Plan, p)
 		if err != nil {
 			return iv, err
 		}
@@ -181,4 +177,15 @@ func planErrorInterval(res *Result, p errormodel.Params) (errormodel.Interval, e
 		}
 	}
 	return iv, nil
+}
+
+// AnalyzePlan is the closed-form CF-error analysis of one plan's forest: a
+// built plan is analyzed on its slab (errormodel.AnalyzePacked), so
+// scoring it materializes nothing; a plan given in pointer forms (a peer's
+// artifact) on its forest.
+func AnalyzePlan(pl *plancache.Plan, p errormodel.Params) (*errormodel.Analysis, error) {
+	if pf := pl.Packed(); pf != nil {
+		return errormodel.AnalyzePacked(pf, p)
+	}
+	return errormodel.Analyze(pl.Forest(), p)
 }

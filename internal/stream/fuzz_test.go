@@ -15,7 +15,9 @@ import (
 // FuzzPlan is the planner's fuzz target. Over fuzzer-chosen ratios, base
 // algorithms, demands up to 128, mixer counts 1..8, schedulers, window
 // starts and storage budgets q' in 0..15 (0 is unlimited) it checks that a
-// valid input builds a plan passing the full plan audit, that a windowed
+// valid input builds a plan both plan audits pass (the packed CheckPacked
+// and the pointer-form CheckForms), that one corruption of the plan
+// (planMutations, picked by the window start) fails both, that a windowed
 // schedule of that plan's forest passes the schedule audit, that Pack
 // inverts Materialize on the packed forest, and that no input panics.
 // Invalid ratios are rejected by the parser and base builders; non-positive
@@ -67,27 +69,34 @@ func FuzzPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s(%s) D=%d %s mc=%d: %v", algo.name, rs, demand, cfg.Scheduler, cfg.Mixers, err)
 		}
-		if rep := audit.CheckPlan(p.Forest, p.Schedule); !rep.Clean() {
-			t.Fatalf("plan audit: %v", rep.Err())
+		if err := auditsAgree(p); err != nil {
+			t.Fatal(err)
 		}
 		if p.Stats.Targets < demand {
 			t.Fatalf("plan emits %d of %d demanded", p.Stats.Targets, demand)
 		}
-
-		pf, err := forest.Pack(p.Forest)
+		// Each corruption of a fresh copy must fail both audits alike.
+		m := planMutations[int(first)%len(planMutations)]
+		bad, err := BuildPlan(cfg, demand)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.apply(bad)
+		if err := bothReject(bad, m.claim); err != nil {
+			t.Fatalf("%s mutation: %v", m.name, err)
+		}
+
+		pf := p.Packed()
 		var k sched.Kernel
 		from := k.MMSFrom
 		if cfg.Scheduler == SRS {
 			from = k.SRSFrom
 		}
-		start := int(first) % (len(p.Forest.Tasks) + 1)
+		start := int(first) % (len(pf.Tasks) + 1)
 		if err := from(pf, cfg.Mixers, start); err != nil {
 			t.Fatalf("window from task %d: %v", start, err)
 		}
-		if rep := audit.CheckSchedule(k.Materialize(p.Forest)); !rep.Clean() {
+		if rep := audit.CheckSchedule(k.Materialize(p.Forest())); !rep.Clean() {
 			t.Fatalf("window from task %d: schedule audit: %v", start, rep.Err())
 		}
 
@@ -168,7 +177,7 @@ func checkStoragePlan(t *testing.T, cfg Config, demand int) {
 		t.Fatalf("q'=%d D=%d D'=%d: %d passes, want %d", cfg.Storage, demand, want, len(res.Passes), n)
 	}
 	for i, p := range res.Passes {
-		if q := sched.StorageUnits(p.Schedule); q > cfg.Storage || p.Storage != q {
+		if q := sched.StorageUnits(p.Plan.Schedule()); q > cfg.Storage || p.Storage != q {
 			t.Fatalf("q'=%d D=%d: pass %d of %d targets uses %d storage units (reported %d)",
 				cfg.Storage, demand, i+1, p.Demand, q, p.Storage)
 		}

@@ -188,7 +188,7 @@ func plannerRows(t testing.TB) []goldenRow {
 						if err != nil {
 							return "", err
 						}
-						return scheduleValue(p.Schedule.Cycles, p.Storage, p.Schedule.Slots), nil
+						return scheduleValue(p.Cycles, p.Storage, p.Slots()), nil
 					})
 				}
 			}
@@ -468,7 +468,7 @@ func plannerRows(t testing.TB) []goldenRow {
 				if err != nil {
 					return "", err
 				}
-				return scheduleValue(p.Schedule.Cycles, p.Storage, p.Schedule.Slots), nil
+				return scheduleValue(p.Cycles, p.Storage, p.Slots()), nil
 			})
 		}
 	}

@@ -16,9 +16,9 @@ import (
 // that together compute one single-pass plan without steady-state
 // allocations. Kernels are pooled: a plan-cache miss borrows one, grows the
 // packed forest in its arenas, schedules it in the kernel's scratch, and
-// only then materializes the immutable Forest/Schedule pair that enters the
+// only then copies the result into the immutable slab that enters the
 // cache. The pooled arenas persist, so repeated misses of similar size
-// allocate only the cached artefacts themselves.
+// allocate only the cached slabs themselves.
 type planKernel struct {
 	builder forest.PackedBuilder
 	sched   sched.Kernel
@@ -42,14 +42,16 @@ func (k *planKernel) schedulePacked(s Scheduler, f *forest.PackedForest, mc, q i
 	}
 }
 
-// BuildPlan computes the single-pass plan for demand d — forest, schedule,
-// stats and peak storage — and materializes it into the immutable form the
-// plan caches hold. It is the one single-target plan builder: stream's own
-// cache misses, the runtime's degraded replans, the experiment sweeps and
-// the report all call it, directly or through Plan. The audit runs on the
-// materialized plan, so exactly what a cache receives is what was verified.
-// BuildPlan bypasses every cache and ignores cfg.Storage; the frozen
-// fixtures of TestPlannerGolden pin its output.
+// BuildPlan computes the single-pass plan for demand d — packed forest,
+// slot table, stats and peak storage — and copies it out of the pooled
+// arenas into the slab the plan caches hold (plancache.NewPacked). It is
+// the one single-target plan builder: stream's own cache misses, the
+// runtime's degraded replans, the experiment sweeps and the report all call
+// it, directly or through Plan. The packed audit runs on the slab, so
+// exactly what a cache receives is what was verified; nothing is
+// materialized until a caller asks for pointer forms. BuildPlan bypasses
+// every cache and ignores cfg.Storage; the frozen fixtures of
+// TestPlannerGolden pin its output.
 func BuildPlan(cfg Config, d int) (*plancache.Plan, error) {
 	k := kernelPool.Get().(*planKernel)
 	defer kernelPool.Put(k)
@@ -60,14 +62,13 @@ func BuildPlan(cfg Config, d int) (*plancache.Plan, error) {
 	if _, err := k.schedulePacked(cfg.Scheduler, pf, cfg.Mixers, math.MaxInt); err != nil {
 		return nil, err
 	}
-	f := pf.Materialize()
-	s := k.sched.Materialize(f)
+	p := plancache.NewPacked(pf, k.sched.Assignments(), cfg.Scheduler.String(), cfg.Mixers, k.sched.Cycles(), k.sched.Peak())
 	// Every plan entering a cache passes the plan-level audit first: a
 	// structurally broken forest or a storage-profile mismatch is a planner
 	// bug and must never be cached, reused, or executed.
-	if rep := audit.CheckPlan(f, s); !rep.Clean() {
+	if rep := audit.CheckPacked(p); !rep.Clean() {
 		obs.Add("audit.violations", int64(len(rep.Violations)))
 		return nil, fmt.Errorf("stream: plan audit: %w", rep.Err())
 	}
-	return plancache.NewPlan(f, s), nil
+	return p, nil
 }

@@ -130,7 +130,7 @@ func TestRunReusesFullPassPlan(t *testing.T) {
 	}
 	full := res.Passes[0]
 	for i, p := range res.Passes {
-		if p.Demand == full.Demand && p.Schedule != full.Schedule {
+		if p.Demand == full.Demand && p.Plan != full.Plan {
 			t.Errorf("pass %d re-planned the full-size pass instead of reusing it", i)
 		}
 	}

@@ -7,10 +7,11 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/audit"
 	"repro/internal/cancel"
@@ -110,15 +111,18 @@ type Config struct {
 type Pass struct {
 	// Demand is the number of target droplets this pass emits.
 	Demand int
-	// Schedule is the pass's mixer/time assignment.
-	Schedule *sched.Schedule
+	// Plan is the pass's forest and mixer/time assignment. Every full-size
+	// pass of a Result shares one Plan. Its summary fields and EmitCycles
+	// serve planning answers; Plan.Schedule and Plan.Forest materialize
+	// the pointer forms for the callers that execute or render a pass.
+	Plan *plancache.Plan
 	// Storage is the number of storage units the pass occupies at its peak.
 	Storage int
 	// Waste and Inputs are the pass's droplet costs.
 	Waste  int64
 	Inputs int64
 	// StartCycle is the absolute cycle the pass begins at (1-based); the
-	// pass occupies StartCycle .. StartCycle+Schedule.Cycles-1.
+	// pass occupies StartCycle .. StartCycle+Plan.Cycles-1.
 	StartCycle int
 }
 
@@ -161,8 +165,8 @@ func PlanKey(cfg Config, d int, policy string) plancache.Key {
 }
 
 // Plan returns the complete single-pass plan for demand d (forest, schedule,
-// stats, peak storage) from cfg's plan cache under PlanKey, policy being
-// plancache.PristinePolicy on a pristine chip. Plans are pure functions of
+// stats, peak storage; see plancache.Plan) from cfg's plan cache under
+// PlanKey, policy being plancache.PristinePolicy on a pristine chip. Plans are pure functions of
 // their key; misses build with BuildPlan (kernel.go).
 func Plan(ctx context.Context, cfg Config, d int, policy string) (*plancache.Plan, error) {
 	return cfg.Cache.GetOrBuildCtx(ctx, PlanKey(cfg, d, policy), func() (*plancache.Plan, error) {
@@ -329,17 +333,17 @@ func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
 		st := p.Stats
 		res.Passes = append(res.Passes, Pass{
 			Demand:     st.Targets,
-			Schedule:   p.Schedule,
+			Plan:       p,
 			Storage:    p.Storage,
 			Waste:      st.Waste,
 			Inputs:     st.InputTotal,
 			StartCycle: start,
 		})
-		res.TotalCycles += p.Schedule.Cycles
+		res.TotalCycles += p.Cycles
 		res.TotalWaste += st.Waste
 		res.TotalInputs += st.InputTotal
 		res.Emitted += st.Targets
-		start += p.Schedule.Cycles
+		start += p.Cycles
 		remaining -= st.Targets
 	}
 	// Cross-check the assembled multi-pass plan against the paper's closed
@@ -400,7 +404,7 @@ func auditCounts(r *Result) audit.StreamCounts {
 	for _, p := range r.Passes {
 		c.Passes = append(c.Passes, audit.PassCounts{
 			Emits:      p.Demand,
-			Cycles:     p.Schedule.Cycles,
+			Cycles:     p.Plan.Cycles,
 			Waste:      p.Waste,
 			Inputs:     p.Inputs,
 			StartCycle: p.StartCycle,
@@ -433,24 +437,28 @@ func obsRun(res *Result) {
 
 // Emissions lists (absolute cycle, droplet count) events across all passes,
 // in time order: every component-tree root emits two target droplets in the
-// cycle it executes. A pass reports the roots of its own schedule's window,
-// so a persistent-pool batch keeps its emissions however far later batches
-// grow the forest.
+// cycle it executes. A pass reports the roots of its own schedule's window
+// (plancache.Plan.EmitCycles), so a persistent-pool batch keeps its
+// emissions however far later batches grow the forest.
 func (r *Result) Emissions() []Emission {
 	var out []Emission
 	for _, p := range r.Passes {
-		byCycle := map[int]int{}
-		for _, t := range p.Schedule.Tasks() {
-			if t.Targets > 0 {
-				byCycle[p.StartCycle+p.Schedule.At(t).Cycle-1] += t.Targets
-			}
-		}
-		for c, n := range byCycle {
-			out = append(out, Emission{Cycle: c, Count: n})
-		}
+		p.Plan.EmitCycles(func(cycle, count int) {
+			out = append(out, Emission{Cycle: p.StartCycle + cycle - 1, Count: count})
+		})
 	}
-	sortEmissions(out)
-	return out
+	// Passes never overlap, so one sort brings every cycle's roots
+	// together; merge them into one event per cycle.
+	slices.SortFunc(out, func(a, b Emission) int { return cmp.Compare(a.Cycle, b.Cycle) })
+	merged := out[:0]
+	for _, e := range out {
+		if n := len(merged); n > 0 && merged[n-1].Cycle == e.Cycle {
+			merged[n-1].Count += e.Count
+			continue
+		}
+		merged = append(merged, e)
+	}
+	return merged
 }
 
 // FirstEmission returns the absolute cycle the first target droplets leave
@@ -461,11 +469,11 @@ func (r *Result) Emissions() []Emission {
 func (r *Result) FirstEmission() int {
 	first := 0
 	for _, p := range r.Passes {
-		for _, t := range p.Schedule.Tasks() {
-			if c := p.StartCycle + p.Schedule.At(t).Cycle - 1; t.Targets > 0 && (first == 0 || c < first) {
+		p.Plan.EmitCycles(func(cycle, _ int) {
+			if c := p.StartCycle + cycle - 1; first == 0 || c < first {
 				first = c
 			}
-		}
+		})
 	}
 	return first
 }
@@ -476,8 +484,4 @@ type Emission struct {
 	Cycle int
 	// Count is the number of target droplets emitted in that cycle.
 	Count int
-}
-
-func sortEmissions(es []Emission) {
-	sort.Slice(es, func(i, j int) bool { return es[i].Cycle < es[j].Cycle })
 }

@@ -171,7 +171,7 @@ func TestPassStartCyclesChain(t *testing.T) {
 		if p.StartCycle != next {
 			t.Errorf("pass %d starts at %d, want %d", i, p.StartCycle, next)
 		}
-		next += p.Schedule.Cycles
+		next += p.Plan.Cycles
 	}
 	if res.TotalCycles != next-1 {
 		t.Errorf("TotalCycles = %d, want %d", res.TotalCycles, next-1)
@@ -238,7 +238,7 @@ func TestStreamMatchesSchedulerStorageAccounting(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	p := res.Passes[0]
-	if got := sched.StorageUnits(p.Schedule); got != p.Storage {
+	if got := sched.StorageUnits(p.Plan.Schedule()); got != p.Storage {
 		t.Errorf("pass storage %d != schedule storage %d", p.Storage, got)
 	}
 }
