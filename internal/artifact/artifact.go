@@ -5,13 +5,20 @@
 // key and integrity-hashed, so any dmfbd node can execute a plan built
 // elsewhere.
 //
+// Both sides speak the plan's packed slab: Encode writes the packed tasks
+// and slot table a plan cache holds, and Decode reads the task records
+// straight back into one, so neither builds a pointer-linked forest.
+//
 // The trust posture mirrors the WAL's: artifacts are never trusted silently.
-// Decode re-validates every structural invariant while reassembling (a
-// corrupt byte stream is a typed ErrCorrupt/ErrIntegrity, never a panic or a
-// silently wrong graph), and Verify re-runs the full plan-level audit
-// (audit.CheckPlan) plus the claimed-aggregate and key-consistency checks
-// before the plan is ever cached or executed — a stale or tampered artifact
-// surfaces as ErrVerify, never as a mis-mix.
+// Decode rebuilds the base graph under mixgraph.Build's full validation and
+// checks of the forest only what filling the slab's arrays needs (a corrupt
+// byte stream is a typed ErrCorrupt/ErrIntegrity, never a panic or an
+// out-of-range index). Verify then checks the key against the plan and runs
+// audit.CheckPacked, the audit every plan the planner builds passes — closed
+// forms, exact CF arithmetic, task levels, schedule physicality, storage
+// occupancy and the claimed aggregates against a recount — before the plan
+// is ever cached or executed: a stale or tampered artifact surfaces as
+// ErrVerify, never as a mis-mix.
 //
 // Addresses are derived from the plan-cache key alone (AddressFor), so every
 // node computes the same address for the same plan without seeing its bytes;
@@ -79,7 +86,8 @@ func AddressFor(k plancache.Key) string {
 type Artifact struct {
 	// Key is the plan-cache identity the artifact was encoded under.
 	Key plancache.Key
-	// Plan is the reassembled plan (forest, schedule, stats, storage).
+	// Plan is the decoded plan: its slab, with the stats and storage the
+	// artifact claims for it.
 	Plan *plancache.Plan
 }
 
@@ -88,14 +96,18 @@ func (a *Artifact) Address() string { return AddressFor(a.Key) }
 
 // Encode serializes the plan under its cache key into the canonical binary
 // IR. Encoding is deterministic: the same (key, plan) always yields the same
-// bytes, so the integrity hash is reproducible across nodes. It fails if the
-// key does not describe the plan (wrong graph fingerprint or demand) — an
-// artifact must never be born inconsistent.
+// bytes, so the integrity hash is reproducible across nodes. It reads the
+// plan's slab only, and fails if the plan has none (a persistent window) or
+// the key does not describe the plan (wrong graph fingerprint or demand) —
+// an artifact must never be born inconsistent.
 func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: nil plan", ErrVerify)
 	}
-	f := p.Forest()
+	f, slots := p.Packed(), p.Slots()
+	if f == nil {
+		return nil, fmt.Errorf("%w: plan has no packed slab", ErrVerify)
+	}
 	g := f.Base
 	if k.Graph != g.Fingerprint() || k.Ratio != g.TargetKey() || k.Algo != g.Algorithm {
 		return nil, fmt.Errorf("%w: key does not identify the plan's base graph", ErrVerify)
@@ -146,38 +158,38 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	}
 	buf = putUvarint(buf, uint64(g.Root.ID))
 
-	// Section 4: the mixing forest.
-	specs := forest.Describe(f)
-	buf = putUvarint(buf, uint64(len(specs)))
-	for _, s := range specs {
-		buf = putUvarint(buf, uint64(s.Tree))
-		buf = putUvarint(buf, uint64(s.Base))
-		buf = putUvarint(buf, uint64(s.Level))
-		buf = putUvarint(buf, uint64(s.Targets))
-		for _, in := range s.In {
-			if in.Kind == forest.Input {
+	// Section 4: the mixing forest, one record per task: tree, base node,
+	// level, targets, and two sources, each a kind byte (0 a fluid, 1 a
+	// task's output, 2 a task's output reused across trees) and its index.
+	buf = putUvarint(buf, uint64(len(f.Tasks)))
+	for i := range f.Tasks {
+		t := &f.Tasks[i]
+		buf = putUvarint(buf, uint64(t.Tree))
+		buf = putUvarint(buf, uint64(t.Base))
+		buf = putUvarint(buf, uint64(t.Level))
+		buf = putUvarint(buf, uint64(t.Targets))
+		for _, in := range t.In {
+			switch {
+			case in.Kind == forest.Input:
 				buf = append(buf, 0)
-				buf = putUvarint(buf, uint64(in.Fluid))
-			} else {
-				b := byte(1)
-				if in.Reused {
-					b = 2
-				}
-				buf = append(buf, b)
-				buf = putUvarint(buf, uint64(in.Task))
+			case in.Reused:
+				buf = append(buf, 2)
+			default:
+				buf = append(buf, 1)
 			}
+			buf = putUvarint(buf, uint64(in.Ref))
 		}
 	}
 
 	// Section 5: the schedule — the per-task (cycle, mixer) bindings the
-	// executor routes droplets by.
-	s := p.Schedule()
-	buf = putString(buf, s.Algorithm)
-	buf = putUvarint(buf, uint64(s.Mixers))
-	buf = putUvarint(buf, uint64(s.Cycles))
-	buf = putUvarint(buf, uint64(s.FirstTask))
-	buf = putUvarint(buf, uint64(len(s.Slots)))
-	for _, a := range s.Slots {
+	// executor routes droplets by. The first scheduled task is always 0:
+	// a plan schedules its whole forest.
+	buf = putString(buf, p.Algorithm())
+	buf = putUvarint(buf, uint64(p.Mixers))
+	buf = putUvarint(buf, uint64(p.Cycles))
+	buf = putUvarint(buf, 0)
+	buf = putUvarint(buf, uint64(len(slots)))
+	for _, a := range slots {
 		buf = putUvarint(buf, uint64(a.Cycle))
 		buf = putUvarint(buf, uint64(a.Mixer))
 	}
@@ -200,13 +212,16 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	return append(buf, sum[:]...), nil
 }
 
-// Decode reassembles an artifact from its binary IR, re-validating every
-// structural invariant on the way: the integrity trailer, the base graph
-// (exact CF arithmetic, topology, target identity — mixgraph.Build runs its
-// full validation), the forest (forest.Restore's consumption and tree
-// checks) and the schedule shape. Semantic verification — the plan-level
-// audit and the claimed aggregates — is Verify's job; callers that execute
-// decoded plans use DecodeVerified.
+// Decode reassembles an artifact from its binary IR: the integrity trailer,
+// the base graph (exact CF arithmetic, topology, target identity —
+// mixgraph.Build runs its full validation), then the forest and schedule
+// read straight into a plan slab. Of those it checks only what filling the
+// slab needs: a positive demand, base nodes and fluids in range, sources
+// naming earlier tasks, at most two consumers per task, tree numbers that
+// start at 1 and only continue or step by one, and one slot per task of a
+// schedule starting at task 0. Semantic verification — the plan audit and
+// the claimed aggregates — is Verify's job; callers that execute decoded
+// plans use DecodeVerified.
 func Decode(data []byte) (*Artifact, error) {
 	if len(data) < len(magic)+sha256.Size {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(data))
@@ -230,6 +245,9 @@ func Decode(data []byte) (*Artifact, error) {
 	k.Mixers = r.count(maxTasks)
 	k.Scheduler = r.str()
 	k.Policy = r.str()
+	if r.err == nil && k.Demand == 0 {
+		r.set(errors.New("demand 0"))
+	}
 
 	// Section 2: the target ratio.
 	nParts := r.count(maxParts)
@@ -319,60 +337,93 @@ func Decode(data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	// Section 4: the forest.
+	// Section 4: the forest, read into the slab's task arena. Consumer
+	// links and predecessor counts are derived as sources arrive.
 	nTasks := r.count(maxTasks)
 	if r.err != nil {
 		return nil, r.fail()
 	}
-	specs := make([]forest.TaskSpec, nTasks)
-	for i := range specs {
-		specs[i].Tree = r.count(maxTasks)
-		specs[i].Base = r.count(maxNodes)
-		specs[i].Level = r.count(maxNodes)
-		specs[i].Targets = r.count(4)
-		for j := range specs[i].In {
-			switch kind := r.byte(); kind {
-			case 0:
-				specs[i].In[j] = forest.SourceSpec{Kind: forest.Input, Fluid: r.count(maxParts)}
-			case 1, 2:
-				specs[i].In[j] = forest.SourceSpec{Kind: forest.FromTask, Task: r.count(maxTasks), Reused: kind == 2}
+	tasks := make([]forest.PTask, nTasks)
+	for i := range tasks {
+		t := &tasks[i]
+		t.Tree = int32(r.count(maxTasks))
+		t.Base = int32(r.count(maxNodes))
+		t.Level = int32(r.count(maxNodes))
+		t.Targets = int8(r.count(4))
+		for j := range t.In {
+			kind, ref := r.byte(), int32(r.count(maxTasks))
+			switch {
+			case r.err != nil:
+			case kind == 0 && int(ref) < target.N():
+				t.In[j] = forest.PSource{Kind: forest.Input, Ref: ref}
+			case kind == 0:
+				r.set(fmt.Errorf("task %d input fluid %d out of range", i, ref))
+			case kind > 2:
+				r.set(fmt.Errorf("task %d source kind %d", i, kind))
+			case int(ref) >= i:
+				r.set(fmt.Errorf("task %d consumes task %d (not topological)", i, ref))
+			case tasks[ref].NCons == 2:
+				r.set(fmt.Errorf("task %d over-consumes task %d", i, ref))
 			default:
-				if r.err == nil {
-					r.set(fmt.Errorf("task %d source kind %d", i, kind))
-				}
+				src := &tasks[ref]
+				src.Cons[src.NCons] = int32(i)
+				src.NCons++
+				t.NInternal++
+				t.In[j] = forest.PSource{Kind: forest.FromTask, Ref: ref, Reused: kind == 2}
 			}
 		}
+		prev := int32(0)
+		if i > 0 {
+			prev = tasks[i-1].Tree
+		}
+		switch {
+		case r.err != nil:
+		case int(t.Base) >= len(g.Nodes):
+			r.set(fmt.Errorf("task %d references base node %d of %d", i, t.Base, len(g.Nodes)))
+		case t.Tree != prev && t.Tree != prev+1 || t.Tree == 0:
+			r.set(fmt.Errorf("task %d in tree %d after tree %d", i, t.Tree, prev))
+		}
+		if r.err != nil {
+			return nil, r.fail()
+		}
 	}
-	if r.err != nil {
-		return nil, r.fail()
+	// Trees are contiguous runs of tasks numbered 1, 2, ...: each starts
+	// where the number steps and ends at its root, its last task.
+	nTrees := 0
+	if nTasks > 0 {
+		nTrees = int(tasks[nTasks-1].Tree)
 	}
-	f, err := forest.Restore(g, k.Demand, specs)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	trees := make([]int32, 2*nTrees)
+	roots, starts := trees[:nTrees:nTrees], trees[nTrees:]
+	for i := range tasks {
+		tree := tasks[i].Tree - 1
+		if i == 0 || tasks[i-1].Tree-1 != tree {
+			starts[tree] = int32(i)
+		}
+		roots[tree] = int32(i)
 	}
 
 	// Section 5: the schedule bindings.
-	s := &sched.Schedule{Forest: f}
-	s.Algorithm = r.str()
-	s.Mixers = r.count(maxTasks)
-	s.Cycles = r.count(4*nTasks + 4)
-	s.FirstTask = r.count(maxTasks)
+	scheduler := r.str()
+	mixers := r.count(maxTasks)
+	cycles := r.count(4*nTasks + 4)
+	first := r.count(maxTasks)
 	nSlots := r.count(maxTasks)
 	if r.err != nil {
 		return nil, r.fail()
 	}
 	// A plan schedules its whole forest; a window of it (a persistent
 	// batch's form) would verify as a plan of no cycles and no storage.
-	if s.FirstTask != 0 {
-		return nil, fmt.Errorf("%w: schedule starts at task %d, want 0", ErrCorrupt, s.FirstTask)
+	if first != 0 {
+		return nil, fmt.Errorf("%w: schedule starts at task %d, want 0", ErrCorrupt, first)
 	}
-	if nSlots != len(f.Tasks) {
-		return nil, fmt.Errorf("%w: %d slots for %d tasks", ErrCorrupt, nSlots, len(f.Tasks))
+	if nSlots != nTasks {
+		return nil, fmt.Errorf("%w: %d slots for %d tasks", ErrCorrupt, nSlots, nTasks)
 	}
-	s.Slots = make([]sched.Assignment, nSlots)
-	for i := range s.Slots {
-		s.Slots[i].Cycle = r.count(4*nTasks + 4)
-		s.Slots[i].Mixer = r.count(maxTasks)
+	slots := make([]sched.Assignment, nSlots)
+	for i := range slots {
+		slots[i].Cycle = r.count(4*nTasks + 4)
+		slots[i].Mixer = r.count(maxTasks)
 	}
 
 	// Section 6: claimed aggregates.
@@ -398,18 +449,23 @@ func Decode(data []byte) (*Artifact, error) {
 	if len(r.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf))
 	}
-	return &Artifact{Key: k, Plan: plancache.FromForms(f, s, st, storage)}, nil
+	pf := forest.PackedForest{Base: g, Demand: k.Demand, Tasks: tasks, Roots: roots, TreeStart: starts}
+	return &Artifact{Key: k, Plan: plancache.FromSlab(pf, slots, scheduler, mixers, cycles, st, storage)}, nil
 }
 
 // Verify proves the decoded artifact safe to cache and execute: the embedded
 // key must describe the embedded plan (graph fingerprint, target, algorithm,
-// demand, mixers, scheduler), and the pointer-form plan audit
-// (audit.CheckForms — closed forms, conservation, storage occupancy,
-// schedule physicality, and the claimed aggregates against a fresh
-// recomputation) must come back clean. Any failure wraps ErrVerify: a
+// demand, mixers, scheduler), and the plan audit every built plan passes
+// (audit.CheckPacked — closed forms, exact CF arithmetic, task levels,
+// schedule physicality, storage occupancy, and the claimed aggregates
+// against a recount) must come back clean. Any failure wraps ErrVerify: a
 // decoded plan is never executed on trust.
 func (a *Artifact) Verify() error {
-	f, s := a.Plan.Forest(), a.Plan.Schedule()
+	p := a.Plan
+	f := p.Packed()
+	if f == nil {
+		return fmt.Errorf("%w: plan has no packed slab", ErrVerify)
+	}
 	g := f.Base
 	switch {
 	case a.Key.Graph != g.Fingerprint():
@@ -420,12 +476,12 @@ func (a *Artifact) Verify() error {
 		return fmt.Errorf("%w: key algorithm %q, decoded graph built by %q", ErrVerify, a.Key.Algo, g.Algorithm)
 	case a.Key.Demand != f.Demand:
 		return fmt.Errorf("%w: key demand %d, forest demand %d", ErrVerify, a.Key.Demand, f.Demand)
-	case a.Key.Mixers != s.Mixers:
-		return fmt.Errorf("%w: key mixers %d, schedule mixers %d", ErrVerify, a.Key.Mixers, s.Mixers)
-	case a.Key.Scheduler != s.Algorithm:
-		return fmt.Errorf("%w: key scheduler %q, schedule algorithm %q", ErrVerify, a.Key.Scheduler, s.Algorithm)
+	case a.Key.Mixers != p.Mixers:
+		return fmt.Errorf("%w: key mixers %d, schedule mixers %d", ErrVerify, a.Key.Mixers, p.Mixers)
+	case a.Key.Scheduler != p.Algorithm():
+		return fmt.Errorf("%w: key scheduler %q, schedule algorithm %q", ErrVerify, a.Key.Scheduler, p.Algorithm())
 	}
-	if rep := audit.CheckForms(a.Plan); !rep.Clean() {
+	if rep := audit.CheckPacked(p); !rep.Clean() {
 		return fmt.Errorf("%w: %w", ErrVerify, rep.Err())
 	}
 	return nil

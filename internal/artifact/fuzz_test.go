@@ -3,16 +3,18 @@ package artifact
 import (
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/protocols"
 )
 
 // FuzzArtifactDecode drives arbitrary bytes through Decode + Verify. The
 // contract under fuzz is total: any input either decodes to a plan that
-// passes the full audit or returns a typed error — no panics, no unbounded
-// allocation, no silently wrong plan. The corpus seeds valid artifacts (so
+// passes the full audit, and its pointer-form twin once materialized, or
+// returns a typed error — no panics, no unbounded allocation, no silently
+// wrong plan. The corpus seeds valid artifacts (so
 // the fuzzer mutates from deep inside the format) plus hand-corrupted
-// variants of the classes the decoder must catch.
+// variants of the classes the decoder and the audit must catch.
 func FuzzArtifactDecode(f *testing.F) {
 	for _, algo := range []core.Algorithm{core.MM, core.RMA} {
 		for _, scheduler := range []string{"MMS", "SRS"} {
@@ -34,21 +36,32 @@ func FuzzArtifactDecode(f *testing.F) {
 	}
 	// A schedule that is a window of its forest (TestDecodeVerifiedRejectsWindowSchedule).
 	k, p := buildPlan(f, core.MM, protocols.PCR16().Ratio, 20, 3, "MMS")
-	window, err := Encode(k, windowPlan(p))
+	data, err := Encode(k, p)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(window)
+	f.Add(windowBytes(f, data, len(p.Slots())))
 	f.Add([]byte{})
 	f.Add([]byte("DMFBART1"))
 	f.Add([]byte("DMFBART1\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
+	// Sealed forest breaches (TestDecodeRejectsCorruptForests).
+	for _, c := range corruptForests(f) {
+		f.Add(c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := Decode(data)
 		if err != nil {
 			return
 		}
-		// Structural decode succeeded; Verify must not panic either way.
-		_ = a.Verify()
+		// Structural decode succeeded; Verify must not panic either way,
+		// and a plan it accepts must materialize into pointer forms that
+		// the reference audit passes too.
+		if a.Verify() != nil {
+			return
+		}
+		if rep := audit.CheckForms(a.Plan); !rep.Clean() {
+			t.Fatalf("verified artifact fails the pointer-form audit: %v", rep.Err())
+		}
 	})
 }

@@ -299,8 +299,7 @@ func CheckSchedule(s *sched.Schedule) *Report {
 }
 
 // CheckPlan audits a (forest, schedule) pair in pointer forms: the
-// cross-check of CheckPacked, which audits every plan the packed planner
-// builds, and the audit of every plan that arrives in pointer forms.
+// reference twin of CheckPacked, which audits every plan a cache holds.
 func CheckPlan(f *forest.Forest, s *sched.Schedule) *Report {
 	r := CheckForest(f)
 	r.Merge(CheckSchedule(s))
@@ -309,9 +308,9 @@ func CheckPlan(f *forest.Forest, s *sched.Schedule) *Report {
 
 // CheckForms audits a whole plan in its pointer forms: CheckPlan on its
 // Forest and Schedule, and its claimed summary — Stats, Storage, Cycles and
-// Mixers — against a recount from those forms. It is what artifact
-// verification runs on a decoded plan, and CheckPacked's twin: the two
-// must accept and reject the same plans.
+// Mixers — against a recount from those forms. It is CheckPacked's
+// reference twin: TestAuditMutations and FuzzPlan require the two to
+// accept and reject the same plans.
 func CheckForms(p *plancache.Plan) *Report {
 	f, s := p.Forest(), p.Schedule()
 	r := CheckPlan(f, s)

@@ -20,11 +20,13 @@ import (
 // are recycled, not reallocated. The engine layer (internal/stream) pools
 // whole builders with sync.Pool.
 //
-// Build is this builder plus Materialize, which turns the arrays into the
-// pointer-linked Forest that schedules, audits, caches and serializers
-// read, and Grow extends such a Forest as its packed forest grows; Pack is
-// Materialize's inverse. The frozen fixtures of internal/stream
-// (TestPlannerGolden) pin every forest it builds.
+// The packed forest is also what a plan cache holds and what the artifact
+// codec of internal/artifact writes and reads. Build is this builder plus
+// Materialize, which turns the arrays into the pointer-linked Forest that
+// execution, export and rendering read, and Grow extends such a Forest as
+// its packed forest grows; Pack is Materialize's inverse. The frozen
+// fixtures of internal/stream (TestPlannerGolden) pin every forest it
+// builds.
 
 // PSource describes one input droplet of a packed task. For Kind == Input,
 // Ref is the reservoir fluid index; for Kind == FromTask it is the producing
@@ -327,9 +329,10 @@ func (f *Forest) Link(start int) {
 
 // Pack flattens a pointer-linked forest into packed form — the inverse of
 // Materialize, so Pack(pf.Materialize()) equals pf — letting the packed
-// scheduling kernel run on a forest no PackedBuilder grew: BuildMulti's
-// multi-target forests and hand-built or decoded ones. Single-target
-// planners schedule the PackedBuilder forest itself and never need it.
+// scheduling kernel and the plan slab hold a forest no PackedBuilder grew:
+// BuildMulti's multi-target forests and hand-built ones
+// (plancache.NewPlan). Single-target planners schedule the PackedBuilder
+// forest itself and never need it.
 // PTask.Base is the ID of the task's node within its own base graph;
 // a multi-target forest's tasks instantiate nodes of several graphs, so
 // only a single-target packing may be materialized again (the scheduling

@@ -47,10 +47,12 @@ func (f *Forest) Stats() Stats {
 }
 
 // Validate checks the forest's structural invariants: exact CF arithmetic at
-// every task, tag-correct waste reuse, output-consumption bounds, droplet
-// conservation and topological ordering. It returns nil for forests produced
-// by Build/Builder; it exists so tests (and downstream users constructing
-// forests manually) can prove correctness rather than assume it.
+// every task, each task at its base node's positional level (the level the
+// schedulers' priorities read), tag-correct waste reuse, output-consumption
+// bounds, droplet conservation and topological ordering. It returns nil
+// for forests produced by Build/Builder; it exists so tests (and
+// downstream users constructing forests manually) can prove correctness
+// rather than assume it.
 func (f *Forest) Validate() error {
 	_, err := f.ValidateStats()
 	return err
@@ -97,6 +99,9 @@ func (f *Forest) ValidateStats() (Stats, error) {
 		}
 		if !t.Vec.Equal(t.Base.Vec) {
 			return Stats{}, fmt.Errorf("forest: task %d vector %v does not match its base node %v", i, t.Vec, t.Base.Vec)
+		}
+		if t.Level != t.Base.PosLevel {
+			return Stats{}, fmt.Errorf("forest: task %d at level %d, its base node at positional level %d", i, t.Level, t.Base.PosLevel)
 		}
 		if t.Targets+len(t.consumers) > 2 {
 			return Stats{}, fmt.Errorf("forest: task %d outputs over-consumed (%d targets + %d consumers)",

@@ -104,17 +104,21 @@ type ScanKey struct {
 // Plan is one cached planning artefact: a single-pass plan's summary
 // numbers, and its forest and schedule in one of two forms.
 //
-// A plan the packed planner built (NewPacked) owns one pointer-free slab:
-// the packed tasks and tree bounds copied out of the builder's arenas and
-// the kernel's slot table. The serving paths read only the summary fields,
-// EmitCycles and Packed, so the slab is all a cached plan holds until a
-// caller needs pointer forms — execution, export, rendering, artifact
-// encoding — and calls Forest or Schedule, which materialize both once.
-// The garbage collector never scans the slab's arrays.
+// Every plan a cache holds owns one pointer-free slab: the packed tasks
+// and tree bounds, and the kernel's slot table. The planner copies it out
+// of its arenas (NewPacked), an artifact decoder reads it off the wire
+// (FromSlab) and a hand-built plan packs its forest into one (NewPlan). The
+// serving paths, the plan audit (audit.CheckPacked) and the artifact codec
+// read only the summary fields, EmitCycles, Packed and Slots, so the slab
+// is all a cached plan holds until a caller needs pointer forms —
+// execution, export, rendering — and calls Forest or Schedule, which
+// materialize both once. The garbage collector never scans the slab's
+// arrays.
 //
-// A plan given in pointer forms (NewPlan, FromForms: decoded artifacts,
-// hand-built plans and the windows of a persistent pool) has no slab:
-// Packed returns nil and the forms are returned as given.
+// A persistent pool's window is the one plan without a slab (FromForms):
+// it schedules a range of a forest other batches share, so Packed returns
+// nil and its forms are returned as given. Windows are never cached or
+// encoded.
 type Plan struct {
 	// Stats are the forest's aggregate statistics.
 	Stats forest.Stats
@@ -143,34 +147,46 @@ func NewPacked(pf *forest.PackedForest, slots []sched.Assignment, algorithm stri
 	trees := make([]int32, 2*len(pf.Roots))
 	copy(trees, pf.Roots)
 	copy(trees[len(pf.Roots):], pf.TreeStart)
-	p := &Plan{
-		Storage:   storage,
-		Cycles:    cycles,
-		Mixers:    mixers,
-		algorithm: algorithm,
-		packed: forest.PackedForest{
-			Base:      pf.Base,
-			Demand:    pf.Demand,
-			Tasks:     append([]forest.PTask(nil), pf.Tasks...),
-			Roots:     trees[:len(pf.Roots):len(pf.Roots)],
-			TreeStart: trees[len(pf.Roots):],
-		},
-		slots: append([]sched.Assignment(nil), slots...),
+	slab := forest.PackedForest{
+		Base:      pf.Base,
+		Demand:    pf.Demand,
+		Tasks:     append([]forest.PTask(nil), pf.Tasks...),
+		Roots:     trees[:len(pf.Roots):len(pf.Roots)],
+		TreeStart: trees[len(pf.Roots):],
 	}
-	p.Stats = p.packed.PackedStats(make([]int64, pf.Base.Target.N()))
+	st := slab.PackedStats(make([]int64, pf.Base.Target.N()))
+	return FromSlab(slab, append([]sched.Assignment(nil), slots...), algorithm, mixers, cycles, st, storage)
+}
+
+// FromSlab wraps a slab the plan takes ownership of — the packed forest pf
+// and its slot table (slots[i] places task i) of an algorithm run on mixers
+// mixers finishing at cycle cycles — with the stats and peak storage
+// claimed for it: the planner's own count (NewPacked) or an artifact's
+// claims, which its verification (audit.CheckPacked) then re-derives.
+func FromSlab(pf forest.PackedForest, slots []sched.Assignment, algorithm string, mixers, cycles int, st forest.Stats, storage int) *Plan {
+	return &Plan{Stats: st, Storage: storage, Cycles: cycles, Mixers: mixers, algorithm: algorithm, packed: pf, slots: slots}
+}
+
+// NewPlan wraps a built forest and the schedule of its every task, packing
+// the forest into the plan's slab and deriving the stats and the peak
+// storage from them; f and s are the plan's pointer forms. A forest with
+// no packed form (forest.Pack's error) yields a plan without a slab.
+func NewPlan(f *forest.Forest, s *sched.Schedule) *Plan {
+	st, storage := f.Stats(), sched.StorageUnits(s)
+	pf, err := forest.Pack(f)
+	if err != nil {
+		return FromForms(f, s, st, storage)
+	}
+	p := FromSlab(*pf, s.Slots, s.Algorithm, s.Mixers, s.Cycles, st, storage)
+	p.forest, p.schedule = f, s
+	p.formed.Store(true)
 	return p
 }
 
-// NewPlan wraps a built forest and its schedule, deriving the stats and
-// the peak storage from them.
-func NewPlan(f *forest.Forest, s *sched.Schedule) *Plan {
-	return FromForms(f, s, f.Stats(), sched.StorageUnits(s))
-}
-
-// FromForms wraps pointer forms with the stats and peak storage claimed for
-// them: an artifact's claims, which its verification then re-derives, or a
-// persistent window's, which only its own batch can count. f is the forest
-// s schedules (for a window, the whole forest the window was planned on).
+// FromForms wraps a persistent window's pointer forms with the stats and
+// peak storage only its own batch can count. f is the whole forest the
+// window was planned on and s schedules the window's range of it. The plan
+// has no slab.
 func FromForms(f *forest.Forest, s *sched.Schedule, st forest.Stats, storage int) *Plan {
 	p := &Plan{Stats: st, Storage: storage, Cycles: s.Cycles, Mixers: s.Mixers, algorithm: s.Algorithm, forest: f, schedule: s}
 	p.formed.Store(true)
@@ -208,8 +224,8 @@ func (p *Plan) materialize() {
 // plan given in them, and for a slab once Forest or Schedule has run.
 func (p *Plan) Materialized() bool { return p.formed.Load() }
 
-// Packed returns the slab's packed forest, or nil for a plan given in
-// pointer forms. Its task IDs are the materialized forest's.
+// Packed returns the slab's packed forest, or nil for a window. Its task
+// IDs are the materialized forest's.
 func (p *Plan) Packed() *forest.PackedForest {
 	if p.packed.Tasks == nil {
 		return nil
@@ -218,8 +234,11 @@ func (p *Plan) Packed() *forest.PackedForest {
 }
 
 // Slots returns the slab's slot table (slots[i] places task i of Packed),
-// or nil for a plan given in pointer forms.
+// or nil for a window.
 func (p *Plan) Slots() []sched.Assignment { return p.slots }
+
+// Algorithm names the scheduling scheme the plan's slots come from.
+func (p *Plan) Algorithm() string { return p.algorithm }
 
 // EmitCycles calls fn, in task order, with the schedule cycle and target
 // droplet count of every component-tree root the schedule runs: the

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +17,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/plancache"
-	"repro/internal/sched"
 )
 
 // clusterNode is one in-process dmfbd node of a test fleet: its own plan
@@ -214,26 +215,19 @@ func TestClusterRejectsCorruptArtifacts(t *testing.T) {
 }
 
 // TestClusterRejectsWindowArtifact: a PUT whose plan schedule is a window
-// of its forest (no task scheduled, Tc=0, no storage) is refused with a
-// typed 422 and cached nowhere, so the plan the node then serves has its
-// real makespan.
+// of its forest (its first-task field patched past the last task in real
+// artifact bytes, then resealed) is refused with a typed 422 and cached
+// nowhere, so the plan the node then serves has its real makespan.
 func TestClusterRejectsWindowArtifact(t *testing.T) {
 	nodes := newTestCluster(t, 2)
 	req := PlanRequest{Ratio: "2:1:1:1:1:1:9", Demand: 20}
-	a, err := artifact.DecodeVerified(buildArtifact(t, nodes[0], req))
+	built := buildArtifact(t, nodes[0], req)
+	a, err := artifact.DecodeVerified(built)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cycles := a.Plan.Cycles
-	f, s := a.Plan.Forest(), a.Plan.Schedule()
-	window := plancache.FromForms(f, &sched.Schedule{
-		Forest: f, Mixers: s.Mixers, Algorithm: s.Algorithm,
-		FirstTask: len(f.Tasks), Slots: make([]sched.Assignment, len(f.Tasks)),
-	}, a.Plan.Stats, 0)
-	data, err := artifact.Encode(a.Key, window)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := windowArtifact(t, built, a.Plan, len(a.Plan.Slots()))
 	if code := putArtifact(t, nodes[1], a.Address(), data); code != http.StatusUnprocessableEntity {
 		t.Fatalf("window PUT status %d, want 422", code)
 	}
@@ -390,4 +384,27 @@ func getArtifact(t *testing.T, nd *clusterNode, addr string) ([]byte, int) {
 		t.Fatal(err)
 	}
 	return data, resp.StatusCode
+}
+
+// windowArtifact rewrites the schedule section of data, the artifact of p,
+// to start at task first and reseals it: the wire form of a persistent
+// window, which no encoder writes.
+func windowArtifact(t *testing.T, data []byte, p *plancache.Plan, first int) []byte {
+	t.Helper()
+	head := binary.AppendUvarint(nil, uint64(len(p.Algorithm())))
+	head = append(head, p.Algorithm()...)
+	head = binary.AppendUvarint(head, uint64(p.Mixers))
+	head = binary.AppendUvarint(head, uint64(p.Cycles))
+	head = append(head, 0) // the first scheduled task
+	section := binary.AppendUvarint(head[:len(head):len(head)], uint64(len(p.Slots())))
+	payload := data[:len(data)-sha256.Size]
+	at := bytes.Index(payload, section)
+	if at < 0 || bytes.Count(payload, section) != 1 {
+		t.Fatal("schedule section not found once in the artifact")
+	}
+	out := append([]byte(nil), payload[:at+len(head)-1]...)
+	out = binary.AppendUvarint(out, uint64(first))
+	out = append(out, payload[at+len(head):]...)
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
 }

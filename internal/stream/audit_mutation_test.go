@@ -12,8 +12,8 @@ import (
 
 // planMutations each corrupt one part of a freshly built plan's slab
 // before anything materializes it, so the pointer forms inherit the
-// corruption: one input source, one slot cycle, one mixer binding, and the
-// claimed storage peak. Every mutation applies to every plan. claim marks
+// corruption: one input source, one task level, one slot cycle, one mixer
+// binding, and the claimed storage peak. Every mutation applies to every plan. claim marks
 // a corruption of the plan's claimed summary, which the forms themselves
 // do not carry: CheckPlan cannot see it, CheckForms' recount does.
 var planMutations = []struct {
@@ -34,6 +34,12 @@ var planMutations = []struct {
 				}
 			}
 		}
+	}},
+	{"level", false, func(p *plancache.Plan) {
+		// Lift the last task a level: the schedulers' priorities read task
+		// levels, though no vector or slot changes.
+		pf := p.Packed()
+		pf.Tasks[len(pf.Tasks)-1].Level++
 	}},
 	{"slot cycle", false, func(p *plancache.Plan) {
 		// Run the first consumer of another task's droplet in its

@@ -180,9 +180,9 @@ func planErrorInterval(res *Result, p errormodel.Params) (errormodel.Interval, e
 }
 
 // AnalyzePlan is the closed-form CF-error analysis of one plan's forest: a
-// built plan is analyzed on its slab (errormodel.AnalyzePacked), so
-// scoring it materializes nothing; a plan given in pointer forms (a peer's
-// artifact) on its forest.
+// plan with a slab — every cached plan, built or adopted from an artifact —
+// is analyzed on it (errormodel.AnalyzePacked), so scoring it materializes
+// nothing; a persistent window, which has no slab, on its forest.
 func AnalyzePlan(pl *plancache.Plan, p errormodel.Params) (*errormodel.Analysis, error) {
 	if pf := pl.Packed(); pf != nil {
 		return errormodel.AnalyzePacked(pf, p)
