@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/errormodel"
+	"repro/internal/runtime"
 	"repro/internal/wal"
 )
 
@@ -372,5 +374,66 @@ func TestParentFormatLogRecovers(t *testing.T) {
 	if got.StartCycle != want.StartCycle || got.Emitted != want.Emitted {
 		t.Fatalf("recovered batch start=%d emitted=%d, want start=%d emitted=%d",
 			got.StartCycle, got.Emitted, want.StartCycle, want.Emitted)
+	}
+}
+
+// TestExecutePolicyMatchesForestAnalysis pins the closed-loop policy a
+// /v1/execute run derives: it must equal runtime.DeriveFromModel over the
+// closed-form analysis of the first pass's forest, on a single-pass plan, a
+// storage-limited multi-pass plan and an error-aware plan whose selection
+// leaves MM (Table 2 Ex.1 at ι = 0.08, DESIGN §14).
+func TestExecutePolicyMatchesForestAnalysis(t *testing.T) {
+	s := New(Config{})
+	cases := []struct {
+		name string
+		req  ExecuteRequest
+	}{
+		{"single-pass", ExecuteRequest{PlanRequest: PlanRequest{
+			Ratio: "2:1:1:1:1:1:9", Demand: 20, SplitImbalance: 0.05, DispenseError: 0.02}}},
+		{"storage-limited", ExecuteRequest{PlanRequest: PlanRequest{
+			Ratio: "2:1:1:1:1:1:9", Demand: 41, Storage: 3, SplitImbalance: 0.03}}},
+		{"error-aware", ExecuteRequest{PlanRequest: PlanRequest{
+			Ratio: "26:21:2:2:3:3:199", Demand: 16, Mixers: 4, ErrorAware: true,
+			SplitImbalance: 0.08, DispenseError: 0.04, CycleSlack: 0.25}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := tc.req
+			spec, err := parsePlanRequest(&req.PlanRequest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, b, done, err := s.planBatch(context.Background(), &req.PlanRequest, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer done()
+			switch tc.name {
+			case "storage-limited":
+				if len(b.Result.Passes) < 2 {
+					t.Fatalf("plan runs %d passes, want a multi-pass plan", len(b.Result.Passes))
+				}
+			case "error-aware":
+				if sel := b.Result.Selection; sel == nil || sel.Algorithm == "MM" {
+					t.Fatalf("selection %+v does not leave MM", sel)
+				}
+			}
+			got, err := s.executePolicy(&req, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			noise := errormodel.Params{SplitImbalance: req.SplitImbalance, DispenseError: req.DispenseError}
+			an, err := errormodel.Analyze(b.Result.Passes[0].Plan.Forest(), noise)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runtime.DeriveFromModel(noise, an)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("executePolicy = %+v, want %+v", got, want)
+			}
+		})
 	}
 }
