@@ -121,13 +121,16 @@ bench-cluster-smoke:
 	$(GO) run ./cmd/benchserve -requests 0 -assay-requests 0 -cluster-requests 300 -cluster-keys 20 -out "$$tmp/bench_cluster.json"; \
 	echo "bench-cluster-smoke: cold-build ceiling, warm adoption, churn invariants held"
 
-# Error-model smoke: the two invariants the error-aware planner rests on —
-# the closed-form bound dominates Monte-Carlo on every protocol × algorithm,
-# and the E13 sweep shows the aware planner beating the blind one at the
-# ι=0.05 acceptance point — plus one iteration of the analysis/selection
-# benchmarks to keep the harness wired.
+# Error-model smoke: the invariants the error-aware planner rests on — the
+# closed-form bound dominates Monte-Carlo on every protocol × algorithm, the
+# graph pass equals the per-task forest walk on every task and demand of the
+# whole PaperDataset × MM/RMA/MTCS/RSM (DESIGN §14; `go test` checks a
+# sample, -sweep every ratio, ~20 s), and the E13 sweep shows the aware
+# planner beating the blind one at the ι=0.05 acceptance point — plus one
+# iteration of the analysis/selection benchmarks to keep the harness wired.
 bench-error-smoke:
 	$(GO) test -run 'TestAnalyticDominatesMonteCarlo' ./internal/errormodel
+	$(GO) test -run 'TestGraphPassMatchesForestWalk' ./internal/errormodel -sweep
 	$(GO) test -run 'TestE13AwareBeatsBlindUnderNoise' ./internal/experiments
 	$(GO) test -run XXX -bench 'BenchmarkAnalyze|BenchmarkErrorAwareSelection' -benchtime 1x ./internal/errormodel ./internal/stream
 	@echo "bench-error-smoke: analytic bound dominates, aware planner beats blind"

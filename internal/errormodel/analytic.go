@@ -1,8 +1,10 @@
-// Analytic (closed-form) CF-error interval propagation through a mixing
-// forest. Where Simulate estimates the error distribution by Monte-Carlo
-// sampling, Analyze derives, per task, a worst-case interval that provably
-// contains every realization of the model and an expected-magnitude
-// estimate suitable for ranking candidate plans. The worst-case bound is
+// Analytic (closed-form) CF-error interval propagation through a base
+// mixing graph. Where Simulate estimates the error distribution by
+// Monte-Carlo sampling over a forest, AnalyzeGraph derives, per base node —
+// and so for every forest task instantiating it (DESIGN §14) — a
+// worst-case interval that provably contains every realization of the
+// model and an expected-magnitude estimate suitable for ranking candidate
+// plans. The worst-case bound is
 // what the runtime derives its checkpoint tolerances from (a healthy chip
 // can never legitimately exceed it); the expected estimate is what the
 // error-aware planner minimizes.
@@ -25,8 +27,8 @@
 // per-droplet volume intervals, themselves propagated exactly: dispense
 // v ∈ [1−δ, 1+δ]; merge adds intervals; a split half of v ∈ [lo, hi] lies
 // in [lo/2·(1−ε), hi/2·(1+ε)]. The bound above is convex in w, so its
-// maximum over the w-interval is attained at an endpoint; Analyze evaluates
-// both. Dropping the anti-correlation between the two halves of one split
+// maximum over the w-interval is attained at an endpoint; AnalyzeGraph
+// evaluates both. Dropping the anti-correlation between the two halves of one split
 // only relaxes the bound, so the result dominates every sample path —
 // TestAnalyticDominatesMonteCarlo pins this against Simulate's P95 and Max
 // on every protocol and base algorithm.
@@ -37,6 +39,7 @@ import (
 	"math"
 
 	"repro/internal/forest"
+	"repro/internal/mixgraph"
 )
 
 // Interval is a per-node CF-error summary: a worst-case bound that no
@@ -58,91 +61,69 @@ type TaskError struct {
 	VolLo, VolHi float64
 }
 
-// Analysis is the closed-form error propagation over one forest.
+// Analysis is the closed-form error propagation over one base graph and,
+// from Analyze, over one forest grown from it.
 type Analysis struct {
 	// Params echoes the noise magnitudes the analysis was run under
 	// (Trials/Seed are not used).
 	Params Params
-	// Tasks holds the per-task intervals, indexed by task ID.
+	// Nodes holds every base-graph node's interval, indexed by node ID. A
+	// leaf's is a fresh dispense: no CF error, volume [1−δ, 1+δ].
+	Nodes []TaskError
+	// Tasks holds a forest's per-task intervals, indexed by task ID; each
+	// is its base node's (DESIGN §14). Only Analyze sets it.
 	Tasks []TaskError
-	// Targets is the number of emitted target droplets covered.
+	// Mixes is the analysed plan's mix-split task count, which sizes the
+	// recovery budget of runtime.DeriveFromModel. Analyze sets it to
+	// len(Tasks); a caller that analyses a plan's base graph sets it from
+	// the plan's stats.
+	Mixes int
+	// Targets is the number of emitted target droplets covered (Analyze
+	// only).
 	Targets int
 	// WorstTarget bounds the L∞ CF error of every emitted target droplet;
-	// ExpectedTarget is the largest per-tree expected-magnitude estimate.
+	// ExpectedTarget is the expected-magnitude estimate. Both are the base
+	// root's, at every demand.
 	WorstTarget, ExpectedTarget float64
 	// VolDev bounds |volume − 1| over the emitted target droplets.
 	VolDev float64
 }
 
-// Analyze is AnalyzePacked over a pointer-linked single-target forest,
-// packed first; task IDs are the forest's. A forest whose tasks
-// instantiate nodes of other base graphs (a multi-target forest) is
-// rejected: analyze each target's forest on its own.
-func Analyze(f *forest.Forest, p Params) (*Analysis, error) {
-	for _, t := range f.Tasks {
-		if t.Base.ID >= len(f.Base.Nodes) || f.Base.Nodes[t.Base.ID] != t.Base {
-			return nil, fmt.Errorf("errormodel: task %d instantiates a node of another base graph", t.ID)
-		}
-	}
-	pf, err := forest.Pack(f)
-	if err != nil {
-		return nil, fmt.Errorf("errormodel: %w", err)
-	}
-	return AnalyzePacked(pf, p)
-}
-
-// AnalyzePacked propagates worst-case and expected CF-error intervals
-// through a packed single-target forest in closed form — no sampling. The
+// AnalyzeGraph propagates worst-case and expected CF-error intervals
+// through a base graph in closed form — no sampling. Every task of a forest
+// grown from g carries exactly its base node's interval and every tree root
+// instantiates g.Root (the lemma of DESIGN §14), so one forward pass over
+// g.Nodes scores every demand's forest and every pass of a plan. The
 // worst-case side is a true bound: it dominates every realization of the
 // Monte-Carlo model with the same parameters (and hence Simulate's P95 and
-// Max for any trial count). Each task's exact vector is its base node's,
-// so the analysis reads the packed arrays and the base graph alone: an
-// error-aware planner scores cached plans without materializing them.
-func AnalyzePacked(f *forest.PackedForest, p Params) (*Analysis, error) {
+// Max for any trial count).
+func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 	if p.SplitImbalance < 0 || p.SplitImbalance >= 0.5 ||
 		p.DispenseError < 0 || p.DispenseError >= 0.5 {
 		return nil, ErrBadParams
 	}
-	n := f.Base.Target.N()
+	n := g.Target.N()
 	eps, delta := p.SplitImbalance, p.DispenseError
 
-	an := &Analysis{Params: p, Tasks: make([]TaskError, len(f.Tasks))}
-
-	// nodeCF holds the exact CF vector of every base node as floats, n per
-	// node; a task's output droplets carry its base node's.
-	nodeCF := make([]float64, n*len(f.Base.Nodes))
-	for _, node := range f.Base.Nodes {
-		den := float64(node.Vec.Denom())
+	an := &Analysis{Params: p, Nodes: make([]TaskError, len(g.Nodes))}
+	// nodeCF holds the exact CF vector of every node as floats, n per node;
+	// a leaf's is the unit vector of its fluid.
+	nodeCF := make([]float64, n*len(g.Nodes))
+	for _, v := range g.Nodes {
+		den := float64(v.Vec.Denom())
 		for i := 0; i < n; i++ {
-			nodeCF[node.ID*n+i] = float64(node.Vec.Num(i)) / den
+			nodeCF[v.ID*n+i] = float64(v.Vec.Num(i)) / den
 		}
-	}
-	// cf returns entry i of a source droplet's exact CF vector.
-	cf := func(s forest.PSource, i int) float64 {
-		if s.Kind == forest.Input {
-			if int(s.Ref) == i {
-				return 1
-			}
-			return 0
+		if v.IsLeaf() {
+			an.Nodes[v.ID] = TaskError{VolLo: 1 - delta, VolHi: 1 + delta}
+			continue
 		}
-		return nodeCF[int(f.Tasks[s.Ref].Base)*n+i]
-	}
-	// in resolves a source's error interval and volume bounds.
-	in := func(s forest.PSource) (Interval, float64, float64) {
-		if s.Kind == forest.Input {
-			return Interval{}, 1 - delta, 1 + delta
-		}
-		t := an.Tasks[s.Ref]
-		return t.Err, t.VolLo, t.VolHi
-	}
-
-	for id := range f.Tasks {
-		t := &f.Tasks[id]
-		ea, alo, ahi := in(t.In[0])
-		eb, blo, bhi := in(t.In[1])
+		a, b := v.Children[0].ID, v.Children[1].ID
+		ea, alo, ahi := an.Nodes[a].Err, an.Nodes[a].VolLo, an.Nodes[a].VolHi
+		eb, blo, bhi := an.Nodes[b].Err, an.Nodes[b].VolLo, an.Nodes[b].VolHi
 		div := 0.0
 		for i := 0; i < n; i++ {
-			if d := math.Abs(cf(t.In[0], i) - cf(t.In[1], i)); d > div {
+			if d := math.Abs(nodeCF[a*n+i] - nodeCF[b*n+i]); d > div {
 				div = d
 			}
 		}
@@ -163,32 +144,78 @@ func AnalyzePacked(f *forest.PackedForest, p Params) (*Analysis, error) {
 		expected := 0.5*(ea.Expected+eb.Expected) + wdev/math.Sqrt(3)*div
 
 		mlo, mhi := alo+blo, ahi+bhi
-		an.Tasks[id] = TaskError{
+		an.Nodes[v.ID] = TaskError{
 			Err:   Interval{Worst: worst, Expected: expected},
 			VolLo: mlo / 2 * (1 - eps),
 			VolHi: mhi / 2 * (1 + eps),
 		}
 	}
 
-	// Aggregate over the emitted targets: the two outputs of every tree
-	// root, whose exact vector is the target (the plan audits prove it).
-	for _, root := range f.Roots {
-		te := an.Tasks[root]
-		an.Targets += 2
-		if te.Err.Worst > an.WorstTarget {
-			an.WorstTarget = te.Err.Worst
-		}
-		if te.Err.Expected > an.ExpectedTarget {
-			an.ExpectedTarget = te.Err.Expected
-		}
-		if d := math.Max(te.VolHi-1, 1-te.VolLo); d > an.VolDev {
-			an.VolDev = d
+	// The emitted targets are the two outputs of every tree root, a task of
+	// g.Root whose exact vector is the target (the plan audits prove it).
+	root := an.Nodes[g.Root.ID]
+	an.WorstTarget = max(0, root.Err.Worst)
+	an.ExpectedTarget = max(0, root.Err.Expected)
+	an.VolDev = max(0, root.VolHi-1, 1-root.VolLo)
+	return an, nil
+}
+
+// Analyze is AnalyzeGraph over a single-target forest's base graph, with
+// each task's interval copied from its base node; task IDs are the
+// forest's. It first checks the lemma's premise on every task (DESIGN §14):
+// a forest whose tasks do not read their inputs from instances of their
+// base node's children — a multi-target forest, whose tasks instantiate
+// nodes of other base graphs, or a hand-built one — is rejected, so Analyze
+// never returns an interval the lemma has not proved.
+func Analyze(f *forest.Forest, p Params) (*Analysis, error) {
+	g := f.Base
+	for _, t := range f.Tasks {
+		if err := checkPremise(g, t); err != nil {
+			return nil, err
 		}
 	}
-	if an.Targets == 0 {
+	for _, tree := range f.Trees {
+		if tree.Root.Base != g.Root {
+			return nil, fmt.Errorf("errormodel: tree %d is not rooted at its base graph's root", tree.Index)
+		}
+	}
+	if len(f.Trees) == 0 {
 		return nil, fmt.Errorf("errormodel: forest emits no target droplets")
 	}
+	an, err := AnalyzeGraph(g, p)
+	if err != nil {
+		return nil, err
+	}
+	an.Tasks = make([]TaskError, len(f.Tasks))
+	for i, t := range f.Tasks {
+		an.Tasks[i] = an.Nodes[t.Base.ID]
+	}
+	an.Mixes = len(f.Tasks)
+	an.Targets = 2 * len(f.Trees)
 	return an, nil
+}
+
+// checkPremise reports a task of g's forest whose inputs are not what the
+// obtain recursion gives every task of its base node v: input k is a fresh
+// dispense of v.Children[k]'s fluid when that child is a leaf, and an
+// output of a task of v.Children[k] otherwise.
+func checkPremise(g *mixgraph.Graph, t *forest.Task) error {
+	v := t.Base
+	if v.ID >= len(g.Nodes) || g.Nodes[v.ID] != v {
+		return fmt.Errorf("errormodel: task %d instantiates a node of another base graph", t.ID)
+	}
+	if v.IsLeaf() {
+		return fmt.Errorf("errormodel: task %d instantiates leaf node %d", t.ID, v.ID)
+	}
+	for k, c := range v.Children {
+		src := t.In[k]
+		if c.IsLeaf() && src.Kind == forest.Input && src.Fluid == c.Fluid ||
+			!c.IsLeaf() && src.Kind == forest.FromTask && src.Task.Base == c {
+			continue
+		}
+		return fmt.Errorf("errormodel: task %d input %d is not an instance of its base node's child %d", t.ID, k, c.ID)
+	}
+	return nil
 }
 
 // Policy configures the error-aware planner (internal/stream,

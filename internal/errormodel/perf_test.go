@@ -21,9 +21,10 @@ func benchForest(b *testing.B) *forest.Forest {
 	return f
 }
 
-// BenchmarkAnalyze measures the closed-form interval propagation the
-// error-aware planner runs per candidate — it must stay cheap enough to
-// score every base graph on every plan request.
+// BenchmarkAnalyze measures the per-task analysis of a D=16 PCR forest:
+// the premise check over every task, the graph pass and the copy of each
+// task's node interval. Per-task reports, E13 and the Monte-Carlo
+// comparison run it; no serving path does.
 func BenchmarkAnalyze(b *testing.B) {
 	f := benchForest(b)
 	p := Params{SplitImbalance: 0.05, DispenseError: 0.02}
@@ -31,6 +32,21 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Analyze(f, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalyzeGraph measures the one pass over base nodes that the
+// error-aware planner runs per candidate and /v1/execute runs per plan:
+// the same PCR graph at any demand.
+func BenchmarkAnalyzeGraph(b *testing.B) {
+	f := benchForest(b)
+	p := Params{SplitImbalance: 0.05, DispenseError: 0.02}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AnalyzeGraph(f.Base, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,13 +21,14 @@ const (
 // from the chip's physical noise model instead of hand-tuned constants. The
 // split/volume sensor accepts exactly the imbalance the model declares
 // legitimate, and — when the caller supplies the closed-form analysis of
-// the plan about to run (errormodel.Analyze) — the CF tolerance becomes the
-// plan's analytic worst-case bound: a healthy chip can never exceed it, so
-// anything past it is a real fault, and the sensor neither cries wolf on
+// the plan about to run (errormodel.Analyze, or errormodel.AnalyzeGraph of
+// its base graph with Mixes set from the plan) — the CF tolerance becomes
+// the plan's analytic worst-case bound: a healthy chip can never exceed it,
+// so anything past it is a real fault, and the sensor neither cries wolf on
 // benign volumetric drift (over-triggering replays) nor waves through
 // corrupted targets (under-triggering). The recovery budget likewise scales
 // with how much recovery work the noise magnitudes make likely on a plan of
-// that size. A nil analysis derives the sensing thresholds from the raw
+// Mixes tasks. A nil analysis derives the sensing thresholds from the raw
 // parameters alone and leaves CF tolerance and budget at their defaults.
 func DeriveFromModel(p errormodel.Params, an *errormodel.Analysis) (Policy, error) {
 	if p.SplitImbalance < 0 || p.SplitImbalance >= 0.5 ||
@@ -48,6 +49,6 @@ func DeriveFromModel(p errormodel.Params, an *errormodel.Analysis) (Policy, erro
 	// cycles, i.e. a handful of cycles per expected faulty task. The
 	// noise magnitudes proxy the fault likelihood per task; the constant
 	// floor keeps small plans from strangling their own level-1 retries.
-	pol.RecoveryBudget = 16 + int(math.Ceil(8*(p.SplitImbalance+p.DispenseError)*float64(len(an.Tasks))))
+	pol.RecoveryBudget = 16 + int(math.Ceil(8*(p.SplitImbalance+p.DispenseError)*float64(an.Mixes)))
 	return pol, nil
 }

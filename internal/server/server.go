@@ -738,18 +738,21 @@ func (s *Server) serveExecute(ctx context.Context, r *http.Request) (any, error)
 // With a noise model in play — the request's own noise fields, else the
 // server's configured chip model — the sensor thresholds and recovery
 // budget are derived from the closed-form error analysis of the plan about
-// to run (runtime.DeriveFromModel) instead of the hand-tuned defaults; the
-// reused full-size pass is the largest forest of the plan, so its analysis
-// bounds every pass. An explicit recovery_budget always wins.
+// to run (runtime.DeriveFromModel) instead of the hand-tuned defaults. The
+// analysis is the plan's base graph's — the selected one on an error-aware
+// batch — whose interval every pass's forest shares (DESIGN §14); the
+// reused full-size pass is the largest forest of the plan, so its task
+// count sizes the budget. An explicit recovery_budget always wins.
 func (s *Server) executePolicy(req *ExecuteRequest, b *core.Batch) (runtime.Policy, error) {
 	noise := errormodel.Params{SplitImbalance: req.SplitImbalance, DispenseError: req.DispenseError}
 	if noise.SplitImbalance == 0 && noise.DispenseError == 0 {
 		return runtime.Policy{RecoveryBudget: req.RecoveryBudget}, nil
 	}
-	an, err := stream.AnalyzePlan(b.Result.Passes[0].Plan, noise)
+	an, err := errormodel.AnalyzeGraph(b.Result.Config.Base, noise)
 	if err != nil {
 		return runtime.Policy{}, &errBadRequest{err}
 	}
+	an.Mixes = b.Result.Passes[0].Plan.Stats.Mixes
 	pol, err := runtime.DeriveFromModel(noise, an)
 	if err != nil {
 		return runtime.Policy{}, &errBadRequest{err}

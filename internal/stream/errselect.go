@@ -4,7 +4,7 @@
 // (deep dilution chains amplify imbalance, shallow balanced trees damp it).
 // When Config.ErrorPolicy is set, the engine plans every candidate base
 // graph, bounds each plan's emitted CF error with the closed-form interval
-// propagation of internal/errormodel, and picks the plan minimizing the
+// propagation of internal/errormodel over the candidate's base graph, and picks the plan minimizing the
 // expected error among those within the configured cycle budget — trading
 // schedule length for robustness explicitly instead of ignoring the
 // trade-off.
@@ -18,7 +18,6 @@ import (
 	"repro/internal/errormodel"
 	"repro/internal/mixgraph"
 	"repro/internal/obs"
-	"repro/internal/plancache"
 )
 
 // CandidateScore records how one candidate base graph fared in an
@@ -82,10 +81,13 @@ func runErrorAware(ctx context.Context, cfg Config, demand int) (*Result, error)
 		if err != nil {
 			return nil, fmt.Errorf("stream: error-aware candidate %s: %w", g.Algorithm, err)
 		}
-		iv, err := planErrorInterval(res, pol.Params)
+		// Every pass's forest grows from g and every task carries its base
+		// node's interval (DESIGN §14), so one pass over g scores the plan.
+		an, err := errormodel.AnalyzeGraph(g, pol.Params)
 		if err != nil {
 			return nil, fmt.Errorf("stream: error-aware candidate %s: %w", g.Algorithm, err)
 		}
+		iv := errormodel.Interval{Worst: an.WorstTarget, Expected: an.ExpectedTarget}
 		plans[i] = scored{res: res, an: iv}
 		sel.Candidates[i] = CandidateScore{
 			Algorithm: g.Algorithm,
@@ -154,38 +156,4 @@ func candidateGraphs(cfg Config) []*mixgraph.Graph {
 		out = append(out, g)
 	}
 	return out
-}
-
-// planErrorInterval bounds the CF error of every target a multi-pass plan
-// emits: each distinct pass plan (the reused full-size pass and a possible
-// short final pass) is analyzed in closed form and the worst pass governs.
-func planErrorInterval(res *Result, p errormodel.Params) (errormodel.Interval, error) {
-	var iv errormodel.Interval
-	for i, pass := range res.Passes {
-		if i > 0 && pass.Plan == res.Passes[i-1].Plan {
-			continue // the full-size passes share one plan
-		}
-		an, err := AnalyzePlan(pass.Plan, p)
-		if err != nil {
-			return iv, err
-		}
-		if an.WorstTarget > iv.Worst {
-			iv.Worst = an.WorstTarget
-		}
-		if an.ExpectedTarget > iv.Expected {
-			iv.Expected = an.ExpectedTarget
-		}
-	}
-	return iv, nil
-}
-
-// AnalyzePlan is the closed-form CF-error analysis of one plan's forest: a
-// plan with a slab — every cached plan, built or adopted from an artifact —
-// is analyzed on it (errormodel.AnalyzePacked), so scoring it materializes
-// nothing; a persistent window, which has no slab, on its forest.
-func AnalyzePlan(pl *plancache.Plan, p errormodel.Params) (*errormodel.Analysis, error) {
-	if pf := pl.Packed(); pf != nil {
-		return errormodel.AnalyzePacked(pf, p)
-	}
-	return errormodel.Analyze(pl.Forest(), p)
 }

@@ -88,14 +88,16 @@ func TestErrorAwareSelectsLowestExpectedError(t *testing.T) {
 	if sel.Predicted.Expected != winner.Expected || sel.Predicted.Worst != winner.Worst {
 		t.Error("Selection.Predicted does not echo the winner's score")
 	}
-	// The prediction must agree with a direct closed-form analysis of the
-	// plan the caller actually received.
-	iv, err := planErrorInterval(res, pol.Params)
-	if err != nil {
-		t.Fatalf("planErrorInterval: %v", err)
-	}
-	if iv != sel.Predicted {
-		t.Errorf("predicted interval %+v != recomputed %+v", sel.Predicted, iv)
+	// The prediction must agree with a direct closed-form analysis of every
+	// pass forest of the plan the caller actually received.
+	for i, pass := range res.Passes {
+		an, err := errormodel.Analyze(pass.Plan.Forest(), pol.Params)
+		if err != nil {
+			t.Fatalf("pass %d: Analyze: %v", i, err)
+		}
+		if iv := (errormodel.Interval{Worst: an.WorstTarget, Expected: an.ExpectedTarget}); iv != sel.Predicted {
+			t.Errorf("pass %d: predicted interval %+v != recomputed %+v", i, sel.Predicted, iv)
+		}
 	}
 }
 
