@@ -1,10 +1,6 @@
 package wal
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
+import "fmt"
 
 // Session snapshots: migration ships one session's records between nodes in
 // exactly the on-disk log format — magic header plus checksummed frames with
@@ -34,41 +30,13 @@ func EncodeFrames(recs []Record) ([]byte, error) {
 // DecodeFrames parses a DMFBWAL1 byte stream produced by EncodeFrames (or a
 // whole log file body). Every structural violation — bad magic, impossible
 // length, checksum mismatch, undecodable payload, sequence gap, trailing
-// bytes — returns a typed *CorruptError wrapping ErrCorrupt; there is no
-// good-prefix salvage on the wire.
+// bytes — returns the same typed *CorruptError, wrapping ErrCorrupt, that
+// replaying the stream as a log file reports; there is no good-prefix
+// salvage on the wire.
 func DecodeFrames(data []byte) ([]Record, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, &CorruptError{Offset: 0, Reason: "short or missing magic header"}
-	}
-	off := len(magic)
-	var recs []Record
-	var lastSeq uint64
-	for off < len(data) {
-		if len(data)-off < frameHdr {
-			return nil, &CorruptError{Offset: int64(off), Reason: "truncated frame header", Records: len(recs)}
-		}
-		n := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n == 0 || n > maxPayload {
-			return nil, &CorruptError{Offset: int64(off), Reason: fmt.Sprintf("impossible payload length %d", n), Records: len(recs)}
-		}
-		if len(data)-off-frameHdr < int(n) {
-			return nil, &CorruptError{Offset: int64(off), Reason: "truncated payload", Records: len(recs)}
-		}
-		payload := data[off+frameHdr : off+frameHdr+int(n)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return nil, &CorruptError{Offset: int64(off), Reason: "checksum mismatch", Records: len(recs)}
-		}
-		var rec Record
-		if err := decodePayload(payload, &rec); err != nil {
-			return nil, &CorruptError{Offset: int64(off), Reason: "undecodable payload: " + err.Error(), Records: len(recs)}
-		}
-		if err := rec.validate(lastSeq); err != nil {
-			return nil, &CorruptError{Offset: int64(off), Reason: err.Error(), Records: len(recs)}
-		}
-		recs = append(recs, rec)
-		lastSeq = rec.Seq
-		off += frameHdr + int(n)
+	recs, _, corr := decodeFrames(data)
+	if corr != nil {
+		return nil, corr
 	}
 	return recs, nil
 }

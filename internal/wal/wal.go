@@ -92,7 +92,7 @@ func Open(path string) (*Log, *ReplayInfo, error) {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	info := &ReplayInfo{}
-	recs, lastSeq, good, corr, rerr := replayReader(f)
+	recs, good, corr, rerr := replayFile(f)
 	if rerr != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: %w", rerr)
@@ -124,6 +124,10 @@ func Open(path string) (*Log, *ReplayInfo, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
+	var lastSeq uint64
+	if len(recs) > 0 {
+		lastSeq = recs[len(recs)-1].Seq
+	}
 	l := &Log{path: path, f: f, tail: good, durable: good, seq: lastSeq}
 	l.cond = sync.NewCond(&l.mu)
 	return l, info, nil
@@ -142,7 +146,7 @@ func Replay(path string) ([]Record, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	recs, _, _, corr, rerr := replayReader(f)
+	recs, _, corr, rerr := replayFile(f)
 	if rerr != nil {
 		return recs, fmt.Errorf("wal: %w", rerr)
 	}
@@ -152,60 +156,72 @@ func Replay(path string) ([]Record, error) {
 	return recs, nil
 }
 
-// replayReader scans a log file: it returns the clean records, the last
-// clean sequence number, the offset one past the last clean frame, the
-// corruption (if any), and a real IO error (if any). A zero-length file is
-// a valid empty log with goodOffset 0 (the caller writes the magic).
-func replayReader(f *os.File) (recs []Record, lastSeq uint64, goodOffset int64, corr *CorruptError, ioErr error) {
+// replayFile reads a log file and decodes it with decodeFrames: the clean
+// records, the offset one past the last clean frame, the corruption (if
+// any), and a real IO error (if any). A zero-length file is a valid empty
+// log with goodOffset 0 (the caller writes the magic).
+func replayFile(f *os.File) (recs []Record, goodOffset int64, corr *CorruptError, ioErr error) {
 	st, err := f.Stat()
 	if err != nil {
-		return nil, 0, 0, nil, err
+		return nil, 0, nil, err
 	}
 	if st.Size() == 0 {
-		return nil, 0, 0, nil, nil
+		return nil, 0, nil, nil
 	}
-	r := io.NewSectionReader(f, 0, st.Size())
-	var hdr [len(magic)]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, 0, &CorruptError{Offset: 0, Reason: "short or missing magic header"}, nil
+	data := make([]byte, st.Size())
+	if _, err := io.ReadFull(io.NewSectionReader(f, 0, st.Size()), data); err != nil {
+		return nil, 0, nil, err
 	}
-	if string(hdr[:]) != magic {
-		return nil, 0, 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("bad magic %q", hdr[:])}, nil
+	recs, goodOffset, corr = decodeFrames(data)
+	return recs, goodOffset, corr, nil
+}
+
+// decodeFrames is the one DMFBWAL1 frame decoder, behind both log replay
+// and snapshot decoding (DecodeFrames). It parses the magic header and
+// then frames up to the end of data, and returns the records of the clean
+// prefix, the offset one past it (0 when the header itself is bad) and the
+// first structural violation, if any. Replay keeps the prefix; a snapshot
+// refuses the whole stream.
+func decodeFrames(data []byte) (recs []Record, goodOffset int64, corr *CorruptError) {
+	if len(data) < len(magic) {
+		return nil, 0, &CorruptError{Offset: 0, Reason: "short or missing magic header"}
 	}
-	off := int64(len(magic))
-	var frame [frameHdr]byte
-	buf := make([]byte, 0, 512)
-	for off < st.Size() {
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			return recs, lastSeq, off, &CorruptError{Offset: off, Reason: "truncated frame header", Records: len(recs)}, nil
+	if string(data[:len(magic)]) != magic {
+		return nil, 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("bad magic %q", data[:len(magic)])}
+	}
+	off := len(magic)
+	var lastSeq uint64
+	fail := func(reason string) ([]Record, int64, *CorruptError) {
+		return recs, int64(off), &CorruptError{Offset: int64(off), Reason: reason, Records: len(recs)}
+	}
+	for off < len(data) {
+		if len(data)-off < frameHdr {
+			return fail("truncated frame header")
 		}
-		n := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
+		n := binary.LittleEndian.Uint32(data[off : off+4])
+		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
 		if n == 0 || n > maxPayload {
-			return recs, lastSeq, off, &CorruptError{Offset: off, Reason: fmt.Sprintf("impossible payload length %d", n), Records: len(recs)}, nil
+			return fail(fmt.Sprintf("impossible payload length %d", n))
 		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
+		if len(data)-off-frameHdr < int(n) {
+			return fail("truncated payload")
 		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return recs, lastSeq, off, &CorruptError{Offset: off, Reason: "truncated payload", Records: len(recs)}, nil
-		}
-		if crc32.Checksum(buf, crcTable) != sum {
-			return recs, lastSeq, off, &CorruptError{Offset: off, Reason: "checksum mismatch", Records: len(recs)}, nil
+		payload := data[off+frameHdr : off+frameHdr+int(n)]
+		if crc32.Checksum(payload, crcTable) != sum {
+			return fail("checksum mismatch")
 		}
 		var rec Record
-		if err := decodePayload(buf, &rec); err != nil {
-			return recs, lastSeq, off, &CorruptError{Offset: off, Reason: "undecodable payload: " + err.Error(), Records: len(recs)}, nil
+		if err := decodePayload(payload, &rec); err != nil {
+			return fail("undecodable payload: " + err.Error())
 		}
 		if err := rec.validate(lastSeq); err != nil {
-			return recs, lastSeq, off, &CorruptError{Offset: off, Reason: err.Error(), Records: len(recs)}, nil
+			return fail(err.Error())
 		}
 		recs = append(recs, rec)
 		lastSeq = rec.Seq
-		off += frameHdr + int64(n)
+		off += frameHdr + int(n)
 	}
-	return recs, lastSeq, off, nil, nil
+	return recs, int64(off), nil
 }
 
 // frame appends the encoded frame of rec to dst.
