@@ -106,24 +106,20 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 	eps, delta := p.SplitImbalance, p.DispenseError
 
 	an := &Analysis{Params: p, Nodes: make([]TaskError, len(g.Nodes))}
-	// nodeCF holds the exact CF vector of every node as floats, n per node;
-	// a leaf's is the unit vector of its fluid.
-	nodeCF := make([]float64, n*len(g.Nodes))
 	for _, v := range g.Nodes {
-		den := float64(v.Vec.Denom())
-		for i := 0; i < n; i++ {
-			nodeCF[v.ID*n+i] = float64(v.Vec.Num(i)) / den
-		}
 		if v.IsLeaf() {
 			an.Nodes[v.ID] = TaskError{VolLo: 1 - delta, VolHi: 1 + delta}
 			continue
 		}
-		a, b := v.Children[0].ID, v.Children[1].ID
-		ea, alo, ahi := an.Nodes[a].Err, an.Nodes[a].VolLo, an.Nodes[a].VolHi
-		eb, blo, bhi := an.Nodes[b].Err, an.Nodes[b].VolLo, an.Nodes[b].VolHi
+		a, b := v.Children[0], v.Children[1]
+		ea, alo, ahi := an.Nodes[a.ID].Err, an.Nodes[a.ID].VolLo, an.Nodes[a.ID].VolHi
+		eb, blo, bhi := an.Nodes[b.ID].Err, an.Nodes[b.ID].VolLo, an.Nodes[b.ID].VolHi
+		// Δ is the L∞ distance of the children's exact vectors (a leaf's is
+		// the unit vector of its fluid).
+		dena, denb := float64(a.Vec.Denom()), float64(b.Vec.Denom())
 		div := 0.0
 		for i := 0; i < n; i++ {
-			if d := math.Abs(nodeCF[a*n+i] - nodeCF[b*n+i]); d > div {
+			if d := math.Abs(float64(a.Vec.Num(i))/dena - float64(b.Vec.Num(i))/denb); d > div {
 				div = d
 			}
 		}
