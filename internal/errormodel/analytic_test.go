@@ -164,7 +164,7 @@ func TestAnalyzeBadParams(t *testing.T) {
 		}
 	}
 	// A multi-target forest's tasks instantiate nodes of several base
-	// graphs; the packed analysis reads one graph's nodes, so it refuses.
+	// graphs, outside the premise of the base-graph lemma, so it refuses.
 	var bases []*mixgraph.Graph
 	for _, r := range []string{"1:3", "3:5"} {
 		g, err := minmix.Build(ratio.MustParse(r))
