@@ -4,10 +4,10 @@
 // (deep dilution chains amplify imbalance, shallow balanced trees damp it).
 // When Config.ErrorPolicy is set, the engine plans every candidate base
 // graph, bounds each plan's emitted CF error with the closed-form interval
-// propagation of internal/errormodel over the candidate's base graph, and picks the plan minimizing the
-// expected error among those within the configured cycle budget — trading
-// schedule length for robustness explicitly instead of ignoring the
-// trade-off.
+// propagation of internal/errormodel over the candidate's base graph, and
+// picks the plan minimizing the expected error among those within the
+// configured cycle budget — trading schedule length for robustness
+// explicitly instead of ignoring the trade-off.
 package stream
 
 import (
