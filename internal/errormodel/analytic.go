@@ -165,11 +165,6 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 // never returns an interval the lemma has not proved.
 func Analyze(f *forest.Forest, p Params) (*Analysis, error) {
 	g := f.Base
-	for _, t := range f.Tasks {
-		if err := checkPremise(g, t); err != nil {
-			return nil, err
-		}
-	}
 	for _, tree := range f.Trees {
 		if tree.Root.Base != g.Root {
 			return nil, fmt.Errorf("errormodel: tree %d is not rooted at its base graph's root", tree.Index)
@@ -184,6 +179,9 @@ func Analyze(f *forest.Forest, p Params) (*Analysis, error) {
 	}
 	an.Tasks = make([]TaskError, len(f.Tasks))
 	for i, t := range f.Tasks {
+		if err := checkPremise(g, t); err != nil {
+			return nil, err
+		}
 		an.Tasks[i] = an.Nodes[t.Base.ID]
 	}
 	an.Mixes = len(f.Tasks)
