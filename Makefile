@@ -49,16 +49,19 @@ bench-smoke:
 
 # The cold dmfbd planning path replayed in process (no HTTP client, no
 # perfbench harness): distinct PaperDataset specs past every cache, with
-# allocation counts. Add -cpuprofile/-memprofile to profile it.
+# allocation counts, then its engine-setup stage alone (core.New on an
+# empty base-graph cache). Add -cpuprofile/-memprofile to profile either.
 bench-cold:
 	$(GO) test ./internal/server -run '^$$' -bench ColdPlanRequest -benchmem -benchtime 5000x
+	$(GO) test ./internal/core -run '^$$' -bench ColdEngineSetup -benchmem -benchtime 2000x
 
 # Short fuzzing passes over the parser, the forest builder, the planner
 # (plan audit, window audit, Pack/Materialize round trip, multi-pass plans
 # under a storage budget against a direct reference), the persistent pool
 # (random Request sequences under a storage budget against an engine fed
-# only the Requests that succeeded), the WAL replayer,
-# the session-adopt snapshot decoder, the artifact decoder, dmfbd's request
+# only the Requests that succeeded), the paper mixer count (the closed form
+# over a ratio's bits against sched.Mlb of its built MM tree), the WAL
+# replayer, the session-adopt snapshot decoder, the artifact decoder, dmfbd's request
 # path (every /v1 route: no panic, no 500, no hang) and the -peers parser —
 # enough to replay the corpora and explore a little, not a soak run.
 fuzz-smoke:
@@ -66,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzBuildForest -fuzztime=10s ./internal/forest
 	$(GO) test -fuzz=FuzzPlan -fuzztime=10s ./internal/stream
 	$(GO) test -fuzz=FuzzPersistent -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzPaperMixers -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzAdoptSnapshot -fuzztime=10s ./internal/server
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=10s ./internal/artifact

@@ -5,31 +5,31 @@ import (
 	"sync"
 
 	"repro/internal/lru"
+	"repro/internal/minmix"
 	"repro/internal/mixgraph"
 	"repro/internal/ratio"
-	"repro/internal/sched"
 )
 
-// Base-graph and Mlb memoisation. A stateless serving layer constructs a
-// fresh Engine per request, and before this cache every New rebuilt the base
-// mixing graph — and, for the paper's default mixer setting, the MM tree
-// plus the whole Mlb mixer-count search — from scratch. Both are pure
-// functions of (algorithm, target ratio), and built graphs are immutable,
-// so they are shared process-wide behind bounded LRUs. This is what makes a
-// warm plan request nearly allocation-free end to end: the remaining work
-// is a cache-key build and a plan-cache hit.
+// Base-graph memoisation. A stateless serving layer constructs a fresh
+// Engine per request, and before this cache every New rebuilt the base
+// mixing graph from scratch. A graph is a pure function of (algorithm,
+// target ratio) and immutable once built, so graphs are shared
+// process-wide behind a bounded LRU. This is what makes a warm plan
+// request nearly allocation-free end to end: the remaining work is a
+// cache-key build and a plan-cache hit.
 
-// baseCacheCapacity bounds each cache. A serving process sees a small
-// working set of (algorithm, ratio) pairs; a graph is a few kilobytes, so
-// worst-case retention stays below a megabyte.
+// baseCacheCapacity bounds the cache. A serving process sees a small
+// working set of (algorithm, ratio) pairs, and a graph is a few kilobytes,
+// so the LRU itself holds under a megabyte. That is not a bound on graph
+// memory: every cached plan pins its base graph (PackedForest.Base), so a
+// graph the LRU evicts lives on as long as a plan-cache entry built on it.
 const baseCacheCapacity = 256
 
-// Concurrent misses may both compute; results are deterministic, so either
+// Concurrent misses may both build; results are deterministic, so either
 // insert is correct.
 var (
-	baseMu     sync.Mutex // guards baseGraphs and mlbValues
+	baseMu     sync.Mutex // guards baseGraphs
 	baseGraphs = lru.New[string, *mixgraph.Graph](baseCacheCapacity)
-	mlbValues  = lru.New[string, int](baseCacheCapacity)
 )
 
 // baseKey identifies a built base graph: the algorithm, the ratio parts and
@@ -69,33 +69,18 @@ func cachedBase(alg Algorithm, target ratio.Ratio) (*mixgraph.Graph, error) {
 }
 
 // PaperMixers returns Mlb of the target's MM tree — the mixer count the
-// paper uses for every scheme on a ratio, and an Engine's default — memoised
-// per ratio (names are irrelevant to the mixer search). It is the one
-// derivation of that count: engines, multi-target plans, the experiments and
-// the report all resolve it here.
+// paper uses for every scheme on a ratio, and an Engine's default. It is the
+// one derivation of that count: engines, multi-target plans, the
+// experiments and the report all resolve it here. The count is a closed
+// form over the ratio's bits (minmix.Mlb), so no MM tree is built, packed
+// or scheduled for it and nothing needs memoising.
 func PaperMixers(target ratio.Ratio) (int, error) {
-	key := target.String()
-	baseMu.Lock()
-	v, ok := mlbValues.Get(key)
-	baseMu.Unlock()
-	if ok {
-		return v, nil
-	}
-	mm, err := cachedBase(MM, target)
-	if err != nil {
-		return 0, err
-	}
-	v = sched.Mlb(mm)
-	baseMu.Lock()
-	mlbValues.Add(key, v)
-	baseMu.Unlock()
-	return v, nil
+	return minmix.Mlb(target)
 }
 
-// purgeBaseCaches empties both caches (tests only).
+// purgeBaseCaches empties the base-graph cache (tests only).
 func purgeBaseCaches() {
 	baseMu.Lock()
 	baseGraphs.Purge()
-	mlbValues.Purge()
 	baseMu.Unlock()
 }

@@ -194,10 +194,10 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.RecoveryBudget < 0 {
 		return nil, fmt.Errorf("%w: negative recovery budget %d", ErrBadConfig, cfg.RecoveryBudget)
 	}
-	// Base graphs and the Mlb mixer search are pure in (algorithm, target)
-	// and their results immutable, so they are memoised process-wide (see
-	// basecache.go): a stateless server constructing an Engine per request
-	// pays for neither after the first request for a target.
+	// Base graphs are pure in (algorithm, target) and immutable, so they
+	// are memoised process-wide (see basecache.go): a stateless server
+	// constructing an Engine per request builds one only on the first
+	// request for a target.
 	base, err := cachedBase(cfg.Algorithm, cfg.Target)
 	if err != nil {
 		return nil, err

@@ -98,7 +98,7 @@ func (g *Graph) DOT() string {
 			fmt.Fprintf(&b, "  n%d -> n%d;\n", c.ID, n.ID)
 		}
 		if n != g.Root {
-			for k := len(n.parents); k < 2; k++ {
+			for k := n.nparents; k < 2; k++ {
 				fmt.Fprintf(&b, "  w%d [label=\"waste\" shape=point];\n", wasteCount)
 				fmt.Fprintf(&b, "  n%d -> w%d [style=dashed];\n", n.ID, wasteCount)
 				wasteCount++

@@ -29,7 +29,7 @@ func (g *Graph) Stats() Stats {
 			s.InputTotal++
 		case Mix:
 			s.Mixes++
-			if len(n.parents) == 2 {
+			if n.nparents == 2 {
 				s.Shared++
 			}
 		}
@@ -38,7 +38,7 @@ func (g *Graph) Stats() Stats {
 	// validated graph this always equals InputTotal - 2 by conservation.
 	for _, n := range g.Nodes {
 		if n.Kind == Mix && n != g.Root {
-			s.Waste += int64(2 - len(n.parents))
+			s.Waste += int64(2 - n.nparents)
 		}
 	}
 	return s
@@ -54,7 +54,7 @@ func (g *Graph) Wastes() []*Node {
 		if n.Kind != Mix || n == g.Root {
 			continue
 		}
-		for k := len(n.parents); k < 2; k++ {
+		for k := n.nparents; k < 2; k++ {
 			out = append(out, n)
 		}
 	}

@@ -1,5 +1,7 @@
 package ratio
 
+import "fmt"
+
 // Packed CF-vector arithmetic: allocation-free word operations over the same
 // exact representation Vector uses (numerators over a 2^exp denominator).
 // The paper's arithmetic invites this layout — every concentration produced
@@ -92,6 +94,31 @@ func MixWordsInto(dst []int64, a []int64, aExp uint, b []int64, bExp uint) uint 
 // Mix(a, b) under EqualWords.
 func MixInto(dst []int64, a, b Vector) uint {
 	return MixWordsInto(dst, a.num, a.exp, b.num, b.exp)
+}
+
+// UnitIn is the arena form of Unit: it writes the pure vector of fluid i
+// into dst (len(dst) is the fluid count) and returns a Vector over dst
+// itself, without copying. dst must not change while the Vector is in use.
+func UnitIn(dst []int64, i int) Vector {
+	if i < 0 || i >= len(dst) {
+		panic(fmt.Sprintf("ratio: UnitIn(%d) over %d fluids", i, len(dst)))
+	}
+	clear(dst)
+	dst[i] = 1
+	return Vector{num: dst}
+}
+
+// MixIn is the arena form of Mix: the canonical average of a and b is
+// written into dst, which the returned Vector wraps without copying. dst
+// must not alias a or b and must not change while the Vector is in use.
+func MixIn(dst []int64, a, b Vector) Vector {
+	return Vector{num: dst, exp: MixInto(dst, a, b)}
+}
+
+// CloneIn copies v into dst (len(dst) must equal N()) and returns a Vector
+// over dst, without further copying.
+func (v Vector) CloneIn(dst []int64) Vector {
+	return Vector{num: dst, exp: v.NumsInto(dst)}
 }
 
 // EqualWords reports whether the canonical packed vector (num, exp) equals v.

@@ -130,14 +130,19 @@ func (v Vector) Equal(o Vector) bool {
 // Hot map lookups should prefer the allocation-free uint64 Hash (packed.go);
 // Key remains for human-readable identity (move logs, droplet ledgers).
 func (v Vector) Key() string {
-	b := make([]byte, 0, 4+8*len(v.num))
+	return string(v.AppendKey(make([]byte, 0, 4+8*len(v.num))))
+}
+
+// AppendKey appends the bytes of Key to b: the allocation-free form for
+// callers that order or group many vectors by key.
+func (v Vector) AppendKey(b []byte) []byte {
 	b = append(b, 'e')
 	b = strconv.AppendUint(b, uint64(v.exp), 10)
 	for _, n := range v.num {
 		b = append(b, ':')
 		b = strconv.AppendInt(b, n, 10)
 	}
-	return string(b)
+	return b
 }
 
 // errRescale reports a rescale to a coarser denominator than the vector's

@@ -24,7 +24,6 @@ package rma
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mixgraph"
 	"repro/internal/ratio"
@@ -51,6 +50,9 @@ func Build(target ratio.Ratio) (*mixgraph.Graph, error) {
 	for i := 0; i < r.N(); i++ {
 		parts = append(parts, part{fluid: i, amount: r.Part(i)})
 	}
+	for i := len(parts) - 1; i >= 0; i-- {
+		rise(parts[i:])
+	}
 	root, err := build(b, parts, d)
 	if err != nil {
 		return nil, err
@@ -58,7 +60,26 @@ func Build(target ratio.Ratio) (*mixgraph.Graph, error) {
 	return b.Build(root, Name)
 }
 
-// build returns a droplet node realising the sub-ratio `parts` (sum 2^k).
+// before is the order halving fills the left half in: amount descending,
+// fluid index ascending. Fluids are distinct within a sub-ratio, so it is
+// a total order and every sub-ratio has exactly one sorted form.
+func before(p, q part) bool {
+	if p.amount != q.amount {
+		return p.amount > q.amount
+	}
+	return p.fluid < q.fluid
+}
+
+// rise moves parts[0] right to its place; parts[1:] must be sorted.
+func rise(parts []part) {
+	for i := 1; i < len(parts) && before(parts[i], parts[i-1]); i++ {
+		parts[i], parts[i-1] = parts[i-1], parts[i]
+	}
+}
+
+// build returns a droplet node realising the sub-ratio `parts` (sum 2^k),
+// which must be sorted by before. It works in place: the left half's build
+// reorders parts freely, and the right half is re-sorted before use.
 func build(b *mixgraph.Builder, parts []part, k int) (*mixgraph.Node, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("rma: internal error: empty sub-ratio")
@@ -70,43 +91,44 @@ func build(b *mixgraph.Builder, parts []part, k int) (*mixgraph.Node, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("rma: internal error: %d fluids left at scale 1", len(parts))
 	}
-	left, right := halve(parts, int64(1)<<uint(k-1))
+	// When halve splits parts[j], its first share closes the left half and
+	// its rest opens the right one. The split share is smaller than every
+	// part before it, so the left half stays sorted; the rest may not be,
+	// so it rises into place once the left half is built.
+	j, rest := halve(parts, int64(1)<<uint(k-1))
+	left, fluid := parts[:j], -1
+	if rest > 0 {
+		fluid = parts[j].fluid
+		parts[j].amount -= rest
+		left = parts[:j+1]
+	}
 	l, err := build(b, left, k-1)
 	if err != nil {
 		return nil, err
 	}
-	rn, err := build(b, right, k-1)
+	if rest > 0 {
+		parts[j] = part{fluid: fluid, amount: rest}
+		rise(parts[j:])
+	}
+	rn, err := build(b, parts[j:], k-1)
 	if err != nil {
 		return nil, err
 	}
 	return b.Mix(l, rn), nil
 }
 
-// halve splits a sub-ratio into two halves of `half` units each, greedily
-// assigning the largest parts first and splitting one fluid across the
-// boundary if needed. Ordering is deterministic: amount descending, fluid
-// index ascending.
-func halve(parts []part, half int64) (left, right []part) {
-	sorted := append([]part(nil), parts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].amount != sorted[j].amount {
-			return sorted[i].amount > sorted[j].amount
-		}
-		return sorted[i].fluid < sorted[j].fluid
-	})
+// halve splits a sorted sub-ratio into two halves of `half` units each,
+// greedily assigning the largest parts first and splitting one fluid
+// across the boundary if needed. The left half is parts[:j] when rest is
+// 0; otherwise it is parts[:j] plus amount-rest of parts[j], and the right
+// half is rest of parts[j] plus parts[j+1:].
+func halve(parts []part, half int64) (j int, rest int64) {
 	room := half
-	for _, p := range sorted {
-		switch {
-		case room == 0:
-			right = append(right, p)
-		case p.amount <= room:
-			left = append(left, p)
-			room -= p.amount
-		default:
-			left = append(left, part{fluid: p.fluid, amount: room})
-			right = append(right, part{fluid: p.fluid, amount: p.amount - room})
-			room = 0
+	for j = 0; j < len(parts) && room > 0; j++ {
+		if parts[j].amount > room {
+			return j, parts[j].amount - room
 		}
+		room -= parts[j].amount
 	}
-	return left, right
+	return j, 0
 }

@@ -89,16 +89,19 @@ func TestErrors(t *testing.T) {
 }
 
 func TestHalveBalance(t *testing.T) {
-	left, right := halve([]part{{0, 5}, {1, 2}, {2, 1}}, 4)
-	var ls, rs int64
-	for _, p := range left {
-		ls += p.amount
+	parts := []part{{0, 5}, {1, 2}, {2, 1}}
+	j, rest := halve(parts, 4)
+	// The left half is parts[:j] plus all but rest of parts[j].
+	ls, rs := -rest, rest
+	for i, p := range parts {
+		if i <= j {
+			ls += p.amount
+		} else {
+			rs += p.amount
+		}
 	}
-	for _, p := range right {
-		rs += p.amount
-	}
-	if ls != 4 || rs != 4 {
-		t.Errorf("halve sums = %d, %d; want 4, 4", ls, rs)
+	if j != 0 || rest != 1 || ls != 4 || rs != 4 {
+		t.Errorf("halve = (%d, %d), sums %d, %d; want (0, 1), 4, 4", j, rest, ls, rs)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // specs (demand 2..128, both schedulers, MM/RMA/MTCS bases) so every request
 // misses the plan cache, a quarter of them storage-limited /v1/stream
 // requests that run the D′ demand scan and a tenth error-aware. It is the
-// cold planning path — decode, engine, packed build, schedule, materialize,
-// audit, encode — isolated from the HTTP stack so it can be profiled. It
+// cold planning path — decode, engine setup, packed build, schedule, audit,
+// encode — isolated from the HTTP stack so it can be profiled. It
 // also reports B/entry, the heap one plan-cache entry retains (see
 // retainedPerEntry):
 //
