@@ -99,7 +99,7 @@ func TestBaseCacheConcurrent(t *testing.T) {
 }
 
 // TestWarmPlanRequestAllocs pins the tentpole's end-to-end criterion: a warm
-// plan request — fresh stateless Engine, warm base/Mlb caches, plan-cache
+// plan request — fresh stateless Engine, warm base cache, plan-cache
 // hit — runs in a small constant number of allocations. The seed measured
 // 277 allocations on this exact path (engine construction rebuilt the base
 // graph and re-ran the Mlb search every request); the bound asserts the
@@ -123,7 +123,7 @@ func TestWarmPlanRequestAllocs(t *testing.T) {
 }
 
 // BenchmarkWarmPlanRequest times the path TestWarmPlanRequestAllocs bounds:
-// a fresh stateless Engine plus Request(20) against warm base, Mlb and plan
+// a fresh stateless Engine plus Request(20) against warm base and plan
 // caches — the per-request work dmfbd does for a repeated plan.
 func BenchmarkWarmPlanRequest(b *testing.B) {
 	cfg := Config{Target: ratio.MustParse("2:1:1:1:1:1:9"), Algorithm: MM, Scheduler: stream.SRS, PlanCache: plancache.New(8)}
