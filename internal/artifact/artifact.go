@@ -97,17 +97,18 @@ func (a *Artifact) Address() string { return AddressFor(a.Key) }
 // Encode serializes the plan under its cache key into the canonical binary
 // IR. Encoding is deterministic: the same (key, plan) always yields the same
 // bytes, so the integrity hash is reproducible across nodes. It reads the
-// plan's slab only, and fails if the plan has none (a persistent window) or
-// the key does not describe the plan (wrong graph fingerprint or demand) —
+// plan's slab only, and fails if the plan is a persistent batch's window
+// (a range of a forest other batches share, never cached) or the key does
+// not describe the plan (wrong graph fingerprint or demand) —
 // an artifact must never be born inconsistent.
 func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: nil plan", ErrVerify)
 	}
-	f, slots := p.Packed(), p.Slots()
-	if f == nil {
-		return nil, fmt.Errorf("%w: plan has no packed slab", ErrVerify)
+	if _, _, window := p.Window(); window {
+		return nil, fmt.Errorf("%w: plan is a persistent batch's window", ErrVerify)
 	}
+	f, slots := p.Packed(), p.Slots()
 	g := f.Base
 	if k.Graph != g.Fingerprint() || k.Ratio != g.TargetKey() || k.Algo != g.Algorithm {
 		return nil, fmt.Errorf("%w: key does not identify the plan's base graph", ErrVerify)
@@ -463,9 +464,6 @@ func Decode(data []byte) (*Artifact, error) {
 func (a *Artifact) Verify() error {
 	p := a.Plan
 	f := p.Packed()
-	if f == nil {
-		return fmt.Errorf("%w: plan has no packed slab", ErrVerify)
-	}
 	g := f.Base
 	switch {
 	case a.Key.Graph != g.Fingerprint():

@@ -165,6 +165,28 @@ func TestDecodeVerifiedRejectsWindowSchedule(t *testing.T) {
 	}
 }
 
+// TestEncodeRefusesWindow: a persistent batch's plan is a window of its
+// engine's forest, shared with the engine's other batches and never
+// cached, so Encode refuses it, the first batch's window included, even
+// under a key that describes its slab.
+func TestEncodeRefusesWindow(t *testing.T) {
+	e, err := core.New(core.Config{Target: protocols.PCR16().Ratio, PersistPool: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []int{3, 4} {
+		b, err := e.Request(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := b.Result.Passes[0].Plan
+		k := plancache.KeyFor(e.Base(), p.Packed().Demand, p.Mixers, p.Algorithm(), plancache.PristinePolicy)
+		if data, err := Encode(k, p); !errors.Is(err, ErrVerify) {
+			t.Fatalf("batch %d: Encode err = %v (%d bytes), want ErrVerify", i, err, len(data))
+		}
+	}
+}
+
 // corruptForest is one structural breach of a plan's forest, written into
 // real artifact bytes by Encode (which audits nothing) and so sealed.
 type corruptForest struct {

@@ -10,9 +10,9 @@ import (
 )
 
 // CheckPacked audits a plan's slab — the packed forest and slot table a
-// plan cache holds — against the invariants CheckPlan proves on pointer
-// forms, and the plan's claimed summary against a recount. It reads the
-// arrays only: it never runs a scheduler and never materializes.
+// plan holds — against the invariants CheckPlan proves on pointer forms,
+// and the plan's claimed summary against a recount. It reads the arrays
+// only: it never runs a scheduler and never materializes.
 //
 //   - Forest: every task's CF vector is re-derived from its PSources with
 //     ratio.MixWordsInto and must equal its base node's, and its level
@@ -32,20 +32,24 @@ import (
 //     lifetime's cycles; they must agree at every cycle, and their peak
 //     must equal the claimed Storage.
 //
+// A persistent batch's window (plancache.NewWindow) is checked on its own
+// tasks and slots. A source made before it must name a committed task,
+// whose base node and tree check the source's CF and reuse tag, and is
+// stored from cycle 1. Its waste is the pool's change, and its storage
+// also holds its spares to its end and the earlier spares it leaves
+// pooled throughout, as the engine counts them.
+//
 // It gates every plan a cache holds, built (stream.BuildPlan) or adopted
-// (artifact.Verify). A clean run allocates the Report and one scratch
-// buffer, whatever the plan's size (TestCleanAuditAllocs). A window has no
-// slab and fails.
+// (artifact.Verify), and every persistent batch. A clean run allocates the
+// Report and one scratch buffer, whatever the plan's size
+// (TestCleanAuditAllocs).
 func CheckPacked(p *plancache.Plan) *Report {
 	r := &Report{}
 	f := p.Packed()
-	if r.failed(f != nil) {
-		r.violate(&Violation{Code: Structure, Detail: "plan has no packed slab"})
-		return r
-	}
-	nTasks, cycles := len(f.Tasks), p.Cycles
-	if r.failed(cycles >= 0 && cycles <= nTasks) {
-		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("Tc=%d for %d tasks: some cycle runs no task", cycles, nTasks)})
+	first, pooled, window := p.Window()
+	nTasks, cycles := len(f.Tasks)-first, p.Cycles
+	if r.failed(first >= 0 && cycles >= 0 && cycles <= nTasks) {
+		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("Tc=%d for %d tasks from task %d: some cycle runs no task", cycles, nTasks, first)})
 		return r
 	}
 	n := f.Base.Target.N()
@@ -59,31 +63,44 @@ func CheckPacked(p *plancache.Plan) *Report {
 	rest = rest[2*nTasks:]
 	walk, diff, end := rest[:cycles+2], rest[cycles+2:2*(cycles+2)], rest[2*(cycles+2):]
 
-	if !checkPackedForest(r, f, p.Stats, words, inputs, cons) {
+	carried, ok := checkPackedForest(r, f, first, pooled, p.Stats, words, inputs, cons)
+	if !ok {
 		return r
 	}
-	if !checkPackedSlots(r, p, cons, order, end) {
+	if !checkPackedSlots(r, p, first, cons, order, end) {
 		return r
 	}
 
-	// Occupancy two ways. A hand-off produced at cycle a and consumed at
-	// cycle b sits in storage during a+1 .. b-1.
+	// Occupancy two ways: store adds n droplets held during cycles
+	// from..to. A hand-off produced at cycle a (0 before the window) and
+	// consumed at cycle b sits in storage during a+1 .. b-1.
+	store := func(from, to int, n int64) {
+		if from <= to {
+			diff[from] += n
+			diff[to+1] -= n
+		}
+		for c := from; c <= to; c++ {
+			walk[c] += n
+		}
+	}
 	slots := p.Slots()
-	for i := range f.Tasks {
-		consumed := slots[i].Cycle
+	for i := first; i < len(f.Tasks); i++ {
+		ran := slots[i-first].Cycle
 		for _, src := range f.Tasks[i].In {
-			if src.Kind != forest.FromTask {
-				continue
-			}
-			produced := slots[src.Ref].Cycle
-			if produced+1 <= consumed-1 {
-				diff[produced+1]++
-				diff[consumed]--
-			}
-			for c := produced + 1; c < consumed; c++ {
-				walk[c]++
+			if src.Kind == forest.FromTask {
+				produced := 0
+				if int(src.Ref) >= first {
+					produced = slots[int(src.Ref)-first].Cycle
+				}
+				store(produced+1, ran-1, 1)
 			}
 		}
+		if window {
+			store(ran+1, cycles, int64(f.Tasks[i].FreeOutputs()))
+		}
+	}
+	if window {
+		store(1, cycles, carried)
 	}
 	occ, peak := int64(0), int64(0)
 	for c := 1; c <= cycles; c++ {
@@ -100,15 +117,18 @@ func CheckPacked(p *plancache.Plan) *Report {
 	return r
 }
 
-// checkPackedForest is CheckPacked's forest half. It reports false when a
-// structural break makes the later checks meaningless.
-func checkPackedForest(r *Report, f *forest.PackedForest, claimed forest.Stats, words, inputs, cons []int64) bool {
+// checkPackedForest is CheckPacked's forest half, over the tasks from first
+// on. It returns the spares the pool held before them, pooled, that they
+// leave there, and reports false when a structural break makes the later
+// checks meaningless.
+func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, claimed forest.Stats, words, inputs, cons []int64) (int64, bool) {
 	n := len(inputs)
 	left, right, mix := words[:n], words[n:2*n], words[2*n:]
 	nodes := f.Base.Nodes
 	tasks := f.Tasks
 	// vec writes source s's CF words into dst; a producer's vector is its
-	// base node's, which the loop has already proven for every earlier task.
+	// base node's, which the loop has already proven for every earlier task
+	// of the window, and the source check for every task before it.
 	vec := func(dst []int64, s forest.PSource) uint {
 		if s.Kind == forest.Input {
 			clear(dst)
@@ -117,16 +137,19 @@ func checkPackedForest(r *Report, f *forest.PackedForest, claimed forest.Stats, 
 		}
 		return nodes[tasks[s.Ref].Base].Vec.NumsInto(dst)
 	}
-	st := forest.Stats{Trees: len(f.Roots), Mixes: len(tasks), Targets: 2 * len(f.Roots)}
-	for i := range tasks {
+	before := f.TreesBefore(first)
+	st := forest.Stats{Trees: len(f.Roots) - before, Mixes: len(tasks) - first}
+	st.Targets = 2 * st.Trees
+	pre, roots := int64(0), 0 // sources made before the window; tasks emitting targets
+	for i := first; i < len(tasks); i++ {
 		t := &tasks[i]
 		if r.failed(t.Base >= 0 && int(t.Base) < len(nodes) && !nodes[t.Base].IsLeaf()) {
 			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d instantiates base node %d, not a mix node of the base graph", i, t.Base)})
-			return false
+			return 0, false
 		}
 		if r.failed(t.Level == int32(nodes[t.Base].PosLevel)) {
 			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d at level %d, its base node %d at positional level %d", i, t.Level, t.Base, nodes[t.Base].PosLevel)})
-			return false
+			return 0, false
 		}
 		internal := 0
 		for _, src := range t.In {
@@ -136,35 +159,43 @@ func checkPackedForest(r *Report, f *forest.PackedForest, claimed forest.Stats, 
 				ok = src.Ref >= 0 && int(src.Ref) < n && !src.Reused
 			case forest.FromTask:
 				ok = src.Ref >= 0 && int(src.Ref) < i && src.Reused == (tasks[src.Ref].Tree != t.Tree)
+				if ok && int(src.Ref) < first {
+					b := tasks[src.Ref].Base
+					ok = b >= 0 && int(b) < len(nodes) && !nodes[b].IsLeaf()
+				}
 			}
 			if r.failed(ok) {
 				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d has an invalid, out-of-order or mis-tagged source %+v", i, src)})
-				return false
+				return 0, false
 			}
 			if src.Kind == forest.Input {
 				inputs[src.Ref]++
 				st.InputTotal++
 				continue
 			}
-			cons[src.Ref]++
 			internal++
 			if src.Reused {
 				st.Reuses++
 			}
+			if int(src.Ref) < first {
+				pre++
+				continue
+			}
+			cons[int(src.Ref)-first]++
 		}
 		if r.failed(int(t.NInternal) == internal) {
 			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d counts %d internal inputs, its sources %d", i, t.NInternal, internal)})
-			return false
+			return 0, false
 		}
 		exp := ratio.MixWordsInto(mix, left, vec(left, t.In[0]), right, vec(right, t.In[1]))
 		if r.failed(nodes[t.Base].Vec.EqualWords(mix, exp)) {
 			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d: inputs do not average to its base node %d's vector %v", i, t.Base, nodes[t.Base].Vec)})
-			return false
+			return 0, false
 		}
 	}
-	for i := range tasks {
+	for i := first; i < len(tasks); i++ {
 		t := &tasks[i]
-		ok := int64(t.NCons) == cons[i] && int(t.NCons)+int(t.Targets) <= 2
+		ok := int64(t.NCons) == cons[i-first] && int(t.NCons)+int(t.Targets) <= 2
 		for c := 0; ok && c < int(t.NCons); c++ {
 			j := t.Cons[c]
 			ok = int(j) > i && int(j) < len(tasks) &&
@@ -172,39 +203,42 @@ func checkPackedForest(r *Report, f *forest.PackedForest, claimed forest.Stats, 
 					tasks[j].In[1] == forest.PSource{Ref: int32(i), Kind: forest.FromTask, Reused: tasks[j].In[1].Reused})
 		}
 		if r.failed(ok) {
-			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d lists %d consumers %v and %d targets; %d sources name it", i, t.NCons, t.Cons, t.Targets, cons[i])})
-			return false
+			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d lists %d consumers %v and %d targets; %d sources name it", i, t.NCons, t.Cons, t.Targets, cons[i-first])})
+			return 0, false
 		}
 		st.Waste += int64(t.FreeOutputs())
-	}
-
-	// Trees: contiguous spans from task 0, each ending in its root, the
-	// only task emitting targets.
-	roots := 0
-	for i := range tasks {
-		if tasks[i].Targets != 0 {
+		if t.Targets != 0 {
 			roots++
 		}
 	}
-	ok := len(f.TreeStart) == len(f.Roots) && roots == len(f.Roots)
-	for k := 0; ok && k < len(f.Roots); k++ {
+	st.Waste -= pre
+	carried := int64(pooled) - pre
+	if r.failed(carried >= 0) {
+		r.violate(&Violation{Code: MassConservation, Detail: fmt.Sprintf("the window consumes %d spares of earlier batches, the pool held %d", pre, pooled)})
+		return 0, false
+	}
+
+	// Trees: contiguous spans from the window's first task, each ending in
+	// its root, the only task emitting targets.
+	ok := len(f.TreeStart) == len(f.Roots) && roots == st.Trees
+	for k := before; ok && k < len(f.Roots); k++ {
 		lo, hi := f.TreeStart[k], int32(len(tasks))
 		if k+1 < len(f.TreeStart) {
 			hi = f.TreeStart[k+1]
 		}
-		ok = (k > 0 || lo == 0) && lo < hi && hi <= int32(len(tasks)) && f.Roots[k] == hi-1 && tasks[hi-1].Targets == 2
+		ok = (k > before || lo == int32(first)) && lo < hi && hi <= int32(len(tasks)) && f.Roots[k] == hi-1 && tasks[hi-1].Targets == 2
 		for j := lo; ok && j < hi; j++ {
 			ok = tasks[j].Tree == int32(k+1)
 		}
 	}
 	if r.failed(ok) {
-		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d tree spans and %d roots do not partition %d tasks into trees ending at their roots", len(f.TreeStart), len(f.Roots), len(tasks))})
-		return false
+		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d tree spans and %d roots do not partition %d tasks into trees ending at their roots", len(f.TreeStart), len(f.Roots), len(tasks)-first)})
+		return 0, false
 	}
 
 	wantTrees := (f.Demand + 1) / 2
-	if r.failed(st.Trees == wantTrees) {
-		r.violate(&Violation{Code: TargetCount, Detail: fmt.Sprintf("|F| = %d trees for D=%d, want ⌈D/2⌉ = %d", st.Trees, f.Demand, wantTrees)})
+	if r.failed(len(f.Roots) == wantTrees) {
+		r.violate(&Violation{Code: TargetCount, Detail: fmt.Sprintf("|F| = %d trees for D=%d, want ⌈D/2⌉ = %d", len(f.Roots), f.Demand, wantTrees)})
 	}
 	if r.failed(st.InputTotal == int64(st.Targets)+st.Waste) {
 		r.violate(&Violation{Code: MassConservation, Detail: fmt.Sprintf("I=%d, T=%d, W=%d: I != T + W", st.InputTotal, st.Targets, st.Waste)})
@@ -214,16 +248,18 @@ func checkPackedForest(r *Report, f *forest.PackedForest, claimed forest.Stats, 
 		mix[i] = f.Base.Target.Part(i)
 	}
 	exp := ratio.ReduceWords(mix, uint(f.Base.Target.Depth()))
-	for k, root := range f.Roots {
+	for k, root := range f.Roots[before:] {
 		if v := nodes[tasks[root].Base].Vec; r.failed(v.EqualWords(mix, exp)) {
-			r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("tree %d root CF %v, want %v", k+1, v, f.Base.Target.Vector())})
+			r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("tree %d root CF %v, want %v", before+k+1, v, f.Base.Target.Vector())})
 		}
 	}
+	// The theorem holds for the forest as a whole: for a window, the pool
+	// it leaves.
 	if f.Base.Algorithm == "MM" {
 		if d := f.Base.Target.Depth(); d >= 1 {
-			if period := int64(1) << uint(d); int64(st.Targets)%period == 0 {
-				if r.failed(st.Waste == 0) {
-					r.violate(&Violation{Code: WasteCount, Detail: fmt.Sprintf("W=%d for emitted=%d ≡ 0 mod 2^%d on MM base, want 0", st.Waste, st.Targets, d)})
+			if period, emitted := int64(1)<<uint(d), int64(2*len(f.Roots)); emitted%period == 0 {
+				if w := int64(pooled) + st.Waste; r.failed(w == 0) {
+					r.violate(&Violation{Code: WasteCount, Detail: fmt.Sprintf("W=%d for emitted=%d ≡ 0 mod 2^%d on MM base, want 0", w, emitted, d)})
 				}
 			}
 		}
@@ -234,27 +270,28 @@ func checkPackedForest(r *Report, f *forest.PackedForest, claimed forest.Stats, 
 	if r.failed(ok) {
 		r.violate(&Violation{Code: MassConservation, Detail: fmt.Sprintf("claimed stats %+v, recount %+v with inputs %v", claimed, st, inputs)})
 	}
-	return true
+	return carried, true
 }
 
-// checkPackedSlots is CheckPacked's schedule half: coverage, cycle and
-// mixer ranges, precedence, Tc, and mixer exclusivity. perCycle (one entry
-// per task, as Tc never exceeds the task count) counts each cycle's tasks.
-func checkPackedSlots(r *Report, p *plancache.Plan, perCycle, order, end []int64) bool {
+// checkPackedSlots is CheckPacked's schedule half over the tasks from first
+// on: coverage, cycle and mixer ranges, precedence, Tc, and mixer
+// exclusivity. perCycle (one entry per task, as Tc never exceeds the task
+// count) counts each cycle's tasks.
+func checkPackedSlots(r *Report, p *plancache.Plan, first int, perCycle, order, end []int64) bool {
 	f, slots := p.Packed(), p.Slots()
-	if r.failed(len(slots) == len(f.Tasks)) {
-		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d slots for %d tasks", len(slots), len(f.Tasks))})
+	if r.failed(len(slots) == len(f.Tasks)-first) {
+		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d slots for %d tasks", len(slots), len(f.Tasks)-first)})
 		return false
 	}
 	clear(perCycle)
 	maxCycle := 0
 	for i, a := range slots {
 		ok := a.Cycle >= 1 && a.Cycle <= p.Cycles && a.Mixer >= 1 && a.Mixer <= p.Mixers
-		for _, src := range f.Tasks[i].In {
-			ok = ok && (src.Kind != forest.FromTask || slots[src.Ref].Cycle < a.Cycle)
+		for _, src := range f.Tasks[first+i].In {
+			ok = ok && (src.Kind != forest.FromTask || int(src.Ref) < first || slots[int(src.Ref)-first].Cycle < a.Cycle)
 		}
 		if r.failed(ok) {
-			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d at (cycle %d, mixer %d): outside 1..Tc=%d and 1..Mc=%d, or not after its producers", i, a.Cycle, a.Mixer, p.Cycles, p.Mixers)})
+			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d at (cycle %d, mixer %d): outside 1..Tc=%d and 1..Mc=%d, or not after its producers", first+i, a.Cycle, a.Mixer, p.Cycles, p.Mixers)})
 			return false
 		}
 		perCycle[a.Cycle-1]++
@@ -280,7 +317,7 @@ func checkPackedSlots(r *Report, p *plancache.Plan, perCycle, order, end []int64
 	for i := len(slots) - 1; i >= 0; i-- {
 		a := slots[i]
 		end[a.Cycle]--
-		order[end[a.Cycle]] = int64(a.Mixer)<<32 | int64(i)
+		order[end[a.Cycle]] = int64(a.Mixer)<<32 | int64(first+i)
 	}
 	for c := 1; c <= p.Cycles; c++ {
 		bucket := order[end[c]:end[c+1]]

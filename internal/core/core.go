@@ -159,8 +159,8 @@ type Engine struct {
 	emitted int
 	batches []*Batch
 	pool    forest.PackedBuilder // persistent-pool mode only: the growing forest
-	pooled  *forest.Forest       // pool's committed trees; nil before the first Request
 	kernel  sched.Kernel         // schedules the pool's windows
+	history forest.PackedForest  // the pool's committed trees, append-only; batches' plans share its prefix
 }
 
 // Batch is the plan for one Request.

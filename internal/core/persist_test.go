@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/forest"
 	"repro/internal/plancache"
 	"repro/internal/sched"
@@ -24,11 +25,13 @@ func TestPersistentPoolReusesWasteAcrossRequests(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	var inputs, waste int64
+	var last *Batch
 	for i := 0; i < 4; i++ {
 		b, err := e.Request(4)
 		if err != nil {
 			t.Fatalf("Request %d: %v", i, err)
 		}
+		last = b
 		inputs += b.Result.TotalInputs
 		waste += b.Result.TotalWaste
 	}
@@ -44,7 +47,7 @@ func TestPersistentPoolReusesWasteAcrossRequests(t *testing.T) {
 	if e.Emitted() != 16 {
 		t.Errorf("emitted = %d, want 16", e.Emitted())
 	}
-	if err := e.Forest().Validate(); err != nil {
+	if err := last.Result.Passes[0].Plan.Forest().Validate(); err != nil {
 		t.Errorf("forest invalid: %v", err)
 	}
 }
@@ -156,7 +159,7 @@ func TestPersistentStorageFunctionMatchesPlainOnFreshForest(t *testing.T) {
 	if plain := sched.StorageUnits(s); got < plain {
 		t.Errorf("persistent storage %d below plain counting %d", got, plain)
 	}
-	if ref := persistentStorage(e.Forest(), s, 0); got != ref {
+	if ref := persistentStorage(s.Forest, s, 0); got != ref {
 		t.Errorf("persistent storage %d, whole-forest reference %d", got, ref)
 	}
 }
@@ -189,8 +192,13 @@ func persistentStorage(f *forest.Forest, s *sched.Schedule, startID int) int {
 // place on the timeline, its droplet and storage accounting, and the full
 // window schedule.
 func persistBatchValue(b *Batch) string {
+	return persistValue(b, b.Result.Passes[0].Plan.Schedule())
+}
+
+// persistValue is persistBatchValue with the batch's window schedule s
+// given apart from it.
+func persistValue(b *Batch, s *sched.Schedule) string {
 	r, p := b.Result, b.Result.Passes[0]
-	s := p.Plan.Schedule()
 	return fmt.Sprintf("start=%d n=%d D'=%d emitted=%d Tc=%d q=%d waste=%d inputs=%d %s mc=%d first=%d tasks=%d slots=%v",
 		b.StartCycle, r.Demand, r.PerPassDemand, r.Emitted, r.TotalCycles, p.Storage, r.TotalWaste, r.TotalInputs,
 		s.Algorithm, s.Mixers, s.FirstTask, len(s.Forest.Tasks), s.Slots)
@@ -234,11 +242,11 @@ func persistReference(t *testing.T, e *Engine, requests []int) ([]string, error)
 		}
 		after := f.Stats()
 		d := 2 * ((n + 1) / 2)
-		out = append(out, persistBatchValue(&Batch{Request: n, StartCycle: elapsed + 1, Result: &stream.Result{
+		out = append(out, persistValue(&Batch{Request: n, StartCycle: elapsed + 1, Result: &stream.Result{
 			Demand: n, PerPassDemand: d, Emitted: d, TotalCycles: s.Cycles,
 			TotalWaste: after.Waste - before.Waste, TotalInputs: after.InputTotal - before.InputTotal,
-			Passes: []stream.Pass{{Plan: plancache.FromForms(f, s, after, q), Storage: q}},
-		}}))
+			Passes: []stream.Pass{{Storage: q}},
+		}}, s))
 		elapsed += s.Cycles
 	}
 	return out, nil
@@ -315,11 +323,16 @@ func forestDigest(f *forest.Forest) string {
 }
 
 // engineState renders a persistent engine's whole observable state: its
-// forest, pool, timeline and every batch.
+// forest (the last batch's), pool, timeline and every batch.
 func engineState(e *Engine) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "forest=%s pool=%d elapsed=%d emitted=%d", forestDigest(e.Forest()), e.PoolSize(), e.Elapsed(), e.Emitted())
-	for _, batch := range e.Batches() {
+	batches := e.Batches()
+	var f *forest.Forest
+	if len(batches) > 0 {
+		f = batches[len(batches)-1].Result.Passes[0].Plan.Forest()
+	}
+	fmt.Fprintf(&b, "forest=%s pool=%d elapsed=%d emitted=%d", forestDigest(f), e.PoolSize(), e.Elapsed(), e.Emitted())
+	for _, batch := range batches {
 		b.WriteString("\n" + persistBatchValue(batch))
 	}
 	return b.String()
@@ -404,11 +417,42 @@ func TestPersistentHeapLinearInHistory(t *testing.T) {
 	}
 }
 
+// TestPersistentRequestAllocs pins a persistent Request's allocations: a
+// two-droplet PCR Request allocates at most 20 objects, and as many at a
+// history of 2000 Requests as at 1000. An engine reaches its history by
+// one Request of twice as many droplets, as BenchmarkPersistentRequest's
+// do.
+func TestPersistentRequestAllocs(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, history := range []int{1000, 2000} {
+		e, err := New(Config{Target: pcr, PersistPool: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Request(2 * history); err != nil {
+			t.Fatal(err)
+		}
+		allocs[history] = testing.AllocsPerRun(100, func() {
+			if _, err := e.Request(2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("allocations per Request: %.0f at a history of 1000, %.0f at 2000", allocs[1000], allocs[2000])
+	if allocs[1000] != allocs[2000] {
+		t.Fatalf("a Request allocates %.0f objects at a history of 1000 but %.0f at 2000", allocs[1000], allocs[2000])
+	}
+	if allocs[1000] > 20 {
+		t.Fatalf("a Request allocates %.0f objects, want at most 20", allocs[1000])
+	}
+}
+
 // FuzzPersistent feeds a persistent engine random Request sequences (n in
 // 1..40) under a storage budget q' in 0..15 (0: unlimited), with MMS or
 // SRS over an MM or RMA tree. After every step the engine must equal a
 // reference engine fed only the Requests that succeeded, and every earlier
-// batch must still validate with the storage it had when it was planned.
+// batch must still validate with the storage it had when it was planned
+// and pass the plan audit, audit.CheckPacked.
 func FuzzPersistent(f *testing.F) {
 	repro := make([]byte, len(itemRepro))
 	for i, n := range itemRepro {
@@ -440,6 +484,7 @@ func FuzzPersistent(f *testing.F) {
 			t.Fatal(err)
 		}
 		type planned struct {
+			p       *plancache.Plan
 			s       *sched.Schedule
 			storage int
 		}
@@ -459,8 +504,9 @@ func FuzzPersistent(f *testing.F) {
 				if got, want := persistBatchValue(b), persistBatchValue(want); got != want {
 					t.Fatalf("step %d Request(%d):\n got %s\nwant %s", i, n, got, want)
 				}
-				s := b.Result.Passes[0].Plan.Schedule()
-				earlier = append(earlier, planned{s, sched.StorageUnits(s)})
+				p := b.Result.Passes[0].Plan
+				s := p.Schedule()
+				earlier = append(earlier, planned{p, s, sched.StorageUnits(s)})
 			}
 			if got, want := engineState(e), engineState(ref); got != want {
 				t.Fatalf("step %d Request(%d):\n got %s\nwant %s", i, n, got, want)
@@ -471,6 +517,9 @@ func FuzzPersistent(f *testing.F) {
 				}
 				if q := sched.StorageUnits(p.s); q != p.storage {
 					t.Fatalf("step %d: batch %d storage %d, was %d", i, j, q, p.storage)
+				}
+				if rep := audit.CheckPacked(p.p); !rep.Clean() {
+					t.Fatalf("step %d: batch %d fails the plan audit: %v", i, j, rep.Err())
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -82,4 +83,50 @@ func TestEngineConcurrentRequestsRace(t *testing.T) {
 			}
 		})
 	}
+
+	// An earlier persistent batch is read while later Requests grow the
+	// forest: its plan's forest and schedule must be its own, never
+	// written by a later batch, and read the same throughout.
+	t.Run("persistent-earlier-batch", func(t *testing.T) {
+		e, err := New(Config{Target: pcr, PersistPool: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b0, err := e.Request(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := b0.Result.Passes[0].Plan
+		want := fmt.Sprint(plan.Forest().Stats())
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < 200; i++ {
+				if _, err := e.Request(1 + i%5); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		for {
+			f := plan.Forest()
+			if got := fmt.Sprint(f.Stats()); got != want {
+				t.Fatalf("batch 0 forest stats %s, were %s", got, want)
+			}
+			if err := f.Validate(); err != nil {
+				t.Fatalf("batch 0 forest: %v", err)
+			}
+			if err := plan.Schedule().Validate(); err != nil {
+				t.Fatalf("batch 0 schedule: %v", err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			default:
+			}
+		}
+	})
 }

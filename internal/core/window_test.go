@@ -15,10 +15,12 @@ import (
 )
 
 // batchReading renders everything a reader can ask of a persistent batch:
-// its schedule's validity, storage, stored droplets, Gantt charts, JSON
-// export and quality metrics, and its result's emissions.
+// its forest's validity and stats, its schedule's validity, storage,
+// stored droplets, Gantt charts, JSON export and quality metrics, and its
+// result's emissions.
 func batchReading(t *testing.T, b *core.Batch) string {
 	t.Helper()
+	f := b.Result.Passes[0].Plan.Forest()
 	s := b.Result.Passes[0].Plan.Schedule()
 	js, err := json.Marshal(export.Schedule(s))
 	if err != nil {
@@ -28,15 +30,16 @@ func batchReading(t *testing.T, b *core.Batch) string {
 	for _, sd := range sched.StoredDroplets(s) {
 		stored = append(stored, fmt.Sprintf("%d>%d@%d..%d", sd.Producer.ID, sd.Consumer.ID, sd.From, sd.To))
 	}
-	return fmt.Sprintf("validate=%v storage=%d stored=%v\n%s\n%s\n%s\nquality=%+v emissions=%v",
-		s.Validate(), sched.StorageUnits(s), stored, sched.Gantt(s), js, svg.Gantt(s),
+	return fmt.Sprintf("forest validate=%v stats=%+v\nvalidate=%v storage=%d stored=%v\n%s\n%s\n%s\nquality=%+v emissions=%v",
+		f.Validate(), f.Stats(), s.Validate(), sched.StorageUnits(s), stored, sched.Gantt(s), js, svg.Gantt(s),
 		experiments.Quality(s), b.Result.Emissions())
 }
 
 // TestPersistentEarlierBatchesStayUsable plans persistent batches and then
-// 20 more Requests on the same engine: every earlier batch must read
-// exactly as it did right after its own Request, however far the later
-// Requests grew the forest and whatever spares of its they consumed.
+// 20 more Requests on the same engine: every earlier batch's forest must
+// validate, and every earlier batch must read exactly as it did right
+// after its own Request, its forest's stats included, however far the
+// later Requests grew the forest and whatever spares of its they consumed.
 func TestPersistentEarlierBatchesStayUsable(t *testing.T) {
 	requests := []int{3, 4, 1, 7, 2, 10, 5, 6, 9, 8}
 	for _, scheduler := range []stream.Scheduler{stream.MMS, stream.SRS} {
@@ -50,6 +53,9 @@ func TestPersistentEarlierBatchesStayUsable(t *testing.T) {
 			b, err := e.Request(n)
 			if err != nil {
 				t.Fatalf("%s Request(%d): %v", scheduler, n, err)
+			}
+			if err := b.Result.Passes[0].Plan.Forest().Validate(); err != nil {
+				t.Fatalf("%s Request(%d): forest: %v", scheduler, n, err)
 			}
 			batches = append(batches, b)
 			readings = append(readings, batchReading(t, b))

@@ -159,13 +159,10 @@ func TestPeriodicity(t *testing.T) {
 func TestIncrementalBuilderMatchesBatch(t *testing.T) {
 	base := pcrBase(t)
 	b := NewPackedBuilder(base)
-	inc := &Forest{Base: base}
 	for i := 0; i < 10; i++ {
 		b.AddTree()
-		start := len(inc.Tasks)
-		b.Forest().Grow(inc)
-		inc.Link(start)
 	}
+	inc := b.Forest().Materialize()
 	batch, _ := Build(base, 20)
 	si, sb := inc.Stats(), batch.Stats()
 	if si.Mixes != sb.Mixes || si.InputTotal != sb.InputTotal || si.Waste != sb.Waste {

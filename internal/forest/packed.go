@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mixgraph"
 )
@@ -23,10 +24,9 @@ import (
 // The packed forest is also what a plan cache holds and what the artifact
 // codec of internal/artifact writes and reads. Build is this builder plus
 // Materialize, which turns the arrays into the pointer-linked Forest that
-// execution, export and rendering read, and Grow extends such a Forest as
-// its packed forest grows; Pack is Materialize's inverse. The frozen
-// fixtures of internal/stream (TestPlannerGolden) pin every forest it
-// builds.
+// execution, export and rendering read; Pack is Materialize's inverse. The
+// frozen fixtures of internal/stream (TestPlannerGolden) pin every forest
+// it builds.
 
 // PSource describes one input droplet of a packed task. For Kind == Input,
 // Ref is the reservoir fluid index; for Kind == FromTask it is the producing
@@ -252,79 +252,52 @@ func BuildPacked(b *PackedBuilder, base *mixgraph.Graph, demand int) (*PackedFor
 	return f, nil
 }
 
-// Materialize builds the pointer-linked Forest of a packed one. It
-// allocates a constant number of backing arrays regardless of forest size,
-// and is called once per plan-cache miss — never on a steady-state path.
+// Materialize builds the pointer-linked Forest of a packed one in a fresh
+// allocation of a constant number of backing arrays. Consumers are derived
+// from the sources naming them, not from Cons, so a persistent batch's
+// slab materializes as the forest stood when the batch committed. It runs
+// once per plan whose pointer forms a caller asks for.
 func (f *PackedForest) Materialize() *Forest {
+	n := len(f.Tasks)
 	out := &Forest{
 		Base:   f.Base,
 		Demand: f.Demand,
-		Tasks:  make([]*Task, 0, len(f.Tasks)),
-		Trees:  make([]*Tree, 0, len(f.Roots)),
+		Tasks:  make([]*Task, n),
+		Trees:  make([]*Tree, len(f.Roots)),
 	}
-	f.Grow(out)
-	return out
-}
-
-// Grow appends to out the tasks and trees of f it does not hold yet: out is
-// empty or was grown from an earlier, smaller state of f, as the
-// persistent pool of internal/core grows its forest batch by batch. The new
-// tasks read their inputs from out's earlier tasks, but those tasks list
-// the new consumers of their pooled droplets only once Link runs, so a
-// caller may grow a copy of out's header, check the growth, and drop it
-// without a trace.
-func (f *PackedForest) Grow(out *Forest) {
-	start := len(out.Tasks)
-	out.Demand = f.Demand
-	tasks := make([]Task, len(f.Tasks)-start)
-	consArena := make([]*Task, 0, 2*len(tasks))
+	tasks := make([]Task, n)
+	// Two consumer slots per task, one per output.
+	consArena := make([]*Task, 2*n)
 	for i := range tasks {
-		out.Tasks = append(out.Tasks, &tasks[i])
+		out.Tasks[i] = &tasks[i]
 	}
-	ptrs := out.Tasks
-	for i := start; i < len(f.Tasks); i++ {
+	for i := range f.Tasks {
 		pt := &f.Tasks[i]
 		node := f.Base.Nodes[pt.Base]
-		t := ptrs[i]
-		*t = Task{ID: i, Tree: int(pt.Tree), Base: node, Level: int(pt.Level), Vec: node.Vec, Targets: int(pt.Targets)}
+		t := &tasks[i]
+		*t = Task{ID: i, Tree: int(pt.Tree), Base: node, Level: int(pt.Level), Vec: node.Vec, Targets: int(pt.Targets),
+			consumers: consArena[2*i : 2*i : 2*i+2]}
 		for s, src := range pt.In {
 			if src.Kind == Input {
 				t.In[s] = Source{Kind: Input, Fluid: int(src.Ref)}
 				continue
 			}
-			t.In[s] = Source{Kind: FromTask, Task: ptrs[src.Ref], Reused: src.Reused}
-		}
-		if pt.NCons > 0 {
-			first := len(consArena)
-			for c := int8(0); c < pt.NCons; c++ {
-				consArena = append(consArena, ptrs[pt.Cons[c]])
-			}
-			t.consumers = consArena[first:len(consArena):len(consArena)]
+			p := &tasks[src.Ref]
+			t.In[s] = Source{Kind: FromTask, Task: p, Reused: src.Reused}
+			p.consumers = append(p.consumers, t)
 		}
 	}
-	trees := make([]Tree, len(f.Roots)-len(out.Trees))
+	trees := make([]Tree, len(f.Roots))
 	want := f.Base.Target.Vector()
 	for i := range trees {
-		ti := len(out.Trees)
-		lo, hi := f.TreeStart[ti], int32(len(f.Tasks))
-		if ti+1 < len(f.TreeStart) {
-			hi = f.TreeStart[ti+1]
+		lo, hi := f.TreeStart[i], int32(n)
+		if i+1 < len(f.TreeStart) {
+			hi = f.TreeStart[i+1]
 		}
-		trees[i] = Tree{Index: ti + 1, Root: ptrs[f.Roots[ti]], Tasks: ptrs[lo:hi:hi], Want: want}
-		out.Trees = append(out.Trees, &trees[i])
+		trees[i] = Tree{Index: i + 1, Root: out.Tasks[f.Roots[i]], Tasks: out.Tasks[lo:hi:hi], Want: want}
+		out.Trees[i] = &trees[i]
 	}
-}
-
-// Link completes a Grow from start tasks on: every task before start that
-// a task from start on consumes lists that consumer.
-func (f *Forest) Link(start int) {
-	for _, t := range f.Tasks[start:] {
-		for _, src := range t.In {
-			if src.Kind == FromTask && src.Task.ID < start {
-				src.Task.consumers = append(src.Task.consumers, t)
-			}
-		}
-	}
+	return out
 }
 
 // Pack flattens a pointer-linked forest into packed form — the inverse of
@@ -374,30 +347,47 @@ func Pack(f *Forest) (*PackedForest, error) {
 	return pf, nil
 }
 
-// PackedStats computes the forest's aggregate statistics without
-// materializing it. Inputs is written into the caller's slice (len >= fluid
-// count) so the steady-state path allocates nothing; it returns the stats
-// with Inputs aliasing that buffer.
-func (f *PackedForest) PackedStats(inputs []int64) Stats {
+// TreesBefore returns how many trees start before task first, where a
+// window from first starts.
+func (f *PackedForest) TreesBefore(first int) int {
+	if first == 0 {
+		return 0
+	}
+	k, _ := slices.BinarySearch(f.TreeStart, int32(first))
+	return k
+}
+
+// PackedStats computes the aggregate statistics of the forest's tasks from
+// first on (the whole forest's for 0) without materializing it. A
+// persistent window's waste is the pool's change: its spares, less the
+// earlier spares it consumes. Inputs is written into the caller's slice
+// (len >= fluid count), which the returned stats alias.
+func (f *PackedForest) PackedStats(first int, inputs []int64) Stats {
 	n := f.Base.Target.N()
 	inputs = inputs[:n]
 	for i := range inputs {
 		inputs[i] = 0
 	}
+	trees := len(f.Roots) - f.TreesBefore(first)
 	s := Stats{
-		Trees:   len(f.Roots),
-		Mixes:   len(f.Tasks),
+		Trees:   trees,
+		Mixes:   len(f.Tasks) - first,
 		Inputs:  inputs,
-		Targets: 2 * len(f.Roots),
+		Targets: 2 * trees,
 	}
-	for i := range f.Tasks {
+	for i := first; i < len(f.Tasks); i++ {
 		t := &f.Tasks[i]
 		for _, src := range t.In {
 			if src.Kind == Input {
 				inputs[src.Ref]++
 				s.InputTotal++
-			} else if src.Reused {
+				continue
+			}
+			if src.Reused {
 				s.Reuses++
+			}
+			if int(src.Ref) < first {
+				s.Waste--
 			}
 		}
 		s.Waste += int64(t.FreeOutputs())

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/minmix"
@@ -91,36 +92,37 @@ func allBases(t *testing.T) []*mixgraph.Graph {
 	return out
 }
 
-// TestBuilderGrowsInPlace checks that Grow and Link extend one Forest in
-// place as its packed builder grows: after every AddTree the forest equals
-// a one-shot build of that many trees, and its earlier tasks keep their
-// identity — what the persistent engine's batches rely on.
+// TestBuilderGrowsInPlace checks that a packed builder grows its forest in
+// place: after every AddTree the forest equals a one-shot build of that
+// many trees, and every earlier task keeps its tree, base node, level,
+// targets and sources, gaining consumers only — what the persistent
+// engine's history of committed batches relies on.
 func TestBuilderGrowsInPlace(t *testing.T) {
 	g, err := minmix.Build(protocols.PCR16().Ratio)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := NewPackedBuilder(g)
-	f := &Forest{Base: g}
-	var firstTask *Task
+	var earlier []PTask
 	for step := 1; step <= 16; step++ {
 		b.AddTree()
-		start := len(f.Tasks)
-		b.Forest().Grow(f)
-		f.Link(start)
-		if tree := f.Trees[step-1]; len(f.Trees) != step || tree.Index != step {
-			t.Fatalf("step %d: %d trees, last has index %d", step, len(f.Trees), tree.Index)
+		pf := b.Forest()
+		if len(pf.Roots) != step {
+			t.Fatalf("step %d: %d trees", step, len(pf.Roots))
 		}
-		if firstTask == nil {
-			firstTask = f.Tasks[0]
-		} else if f.Tasks[0] != firstTask {
-			t.Fatalf("step %d: task 0 was replaced", step)
+		for i, was := range earlier {
+			now := pf.Tasks[i]
+			if now.Base != was.Base || now.Tree != was.Tree || now.Level != was.Level || now.Targets != was.Targets ||
+				now.NInternal != was.NInternal || now.In != was.In || now.NCons < was.NCons || !slices.Equal(now.Cons[:was.NCons], was.Cons[:was.NCons]) {
+				t.Fatalf("step %d: task %d changed from %+v to %+v", step, i, was, now)
+			}
 		}
-		pf, err := BuildPacked(NewPackedBuilder(g), g, 2*step)
+		earlier = append(earlier[:0], pf.Tasks...)
+		want, err := BuildPacked(NewPackedBuilder(g), g, 2*step)
 		if err != nil {
 			t.Fatal(err)
 		}
-		forestsEqual(t, f, pf.Materialize())
+		forestsEqual(t, pf.Materialize(), want.Materialize())
 		if got, want := b.PoolSize(), packedBuilderAt(t, g, step).PoolSize(); got != want {
 			t.Fatalf("step %d: pool %d, one-shot pool %d", step, got, want)
 		}
@@ -188,7 +190,7 @@ func TestPackedStatsMatch(t *testing.T) {
 		}
 		ws := want.Stats()
 		buf := make([]int64, g.Target.N())
-		gs := pf.PackedStats(buf)
+		gs := pf.PackedStats(0, buf)
 		if gs.Trees != ws.Trees || gs.Mixes != ws.Mixes || gs.Waste != ws.Waste ||
 			gs.InputTotal != ws.InputTotal || gs.Targets != ws.Targets || gs.Reuses != ws.Reuses {
 			t.Fatalf("packed stats %+v, materialized %+v", gs, ws)
@@ -235,7 +237,7 @@ func TestPackedStatsZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]int64, g.Target.N())
-	allocs := testing.AllocsPerRun(100, func() { pf.PackedStats(buf) })
+	allocs := testing.AllocsPerRun(100, func() { pf.PackedStats(0, buf) })
 	if allocs != 0 {
 		t.Fatalf("PackedStats allocates %.1f objects per run, want 0", allocs)
 	}

@@ -12,9 +12,10 @@
 // sound even for hand-built graphs whose (algorithm, ratio) pair is not
 // unique.
 //
-// A built plan is one pointer-free slab — the packed forest and the slot
+// Every plan is one pointer-free slab — the packed forest and the slot
 // table — plus its summary numbers; the pointer-linked Forest and Schedule
-// are materialized from it once, on first demand (see Plan). Cached plans
+// are materialized from it once, on first demand (see Plan). A persistent
+// engine's batches are slabs too, windows of its committed history. Plans
 // are shared: callers must treat every reachable object — slab, forest,
 // tasks, schedule slots, stats slices — as immutable.
 package plancache
@@ -101,26 +102,23 @@ type ScanKey struct {
 	Scheduler string
 }
 
-// Plan is one cached planning artefact: a single-pass plan's summary
-// numbers, and its forest and schedule in one of two forms.
+// Plan is one planning artefact: a single-pass plan's summary numbers and
+// one pointer-free slab, the packed tasks and tree bounds and the kernel's
+// slot table. The planner copies a slab out of its arenas (NewPacked), an
+// artifact decoder reads one off the wire (FromSlab), a hand-built plan
+// packs its forest into one (NewPlan), and a persistent engine wraps each
+// batch's window of its committed history as one (NewWindow). The serving
+// paths, the plan audit (audit.CheckPacked) and the artifact codec read
+// only the summary fields, EmitCycles, Packed and Slots, so the slab is
+// all a plan holds until a caller needs pointer forms — execution, export,
+// rendering — and calls Forest or Schedule, which materialize both once,
+// privately. The garbage collector never scans the slab's arrays.
 //
-// Every plan a cache holds owns one pointer-free slab: the packed tasks
-// and tree bounds, and the kernel's slot table. The planner copies it out
-// of its arenas (NewPacked), an artifact decoder reads it off the wire
-// (FromSlab) and a hand-built plan packs its forest into one (NewPlan). The
-// serving paths, the plan audit (audit.CheckPacked) and the artifact codec
-// read only the summary fields, EmitCycles, Packed and Slots, so the slab
-// is all a cached plan holds until a caller needs pointer forms —
-// execution, export, rendering — and calls Forest or Schedule, which
-// materialize both once. The garbage collector never scans the slab's
-// arrays.
-//
-// A persistent pool's window is the one plan without a slab (FromForms):
-// it schedules a range of a forest other batches share, so Packed returns
-// nil and its forms are returned as given. Windows are never cached or
-// encoded.
+// A window's slab holds earlier batches' tasks too, read by index; its
+// slots, stats, storage and emissions are its own. Windows are never
+// cached or encoded.
 type Plan struct {
-	// Stats are the forest's aggregate statistics.
+	// Stats are the forest's (a window's) aggregate statistics.
 	Stats forest.Stats
 	// Storage is the peak storage occupancy of the schedule (Algorithm 3).
 	Storage int
@@ -130,8 +128,11 @@ type Plan struct {
 	Mixers int
 
 	algorithm string
-	packed    forest.PackedForest // the slab's forest; Tasks is nil without a slab
-	slots     []sched.Assignment  // the slab's slot table: slots[i] places task i
+	packed    forest.PackedForest // the slab's forest
+	slots     []sched.Assignment  // the slab's slot table: slots[i] places task first+i
+	window    bool                // a persistent batch's window (NewWindow)
+	first     int                 // the window's first task; 0 for every other plan
+	pooled    int                 // the spares pooled as the window started
 
 	once     sync.Once
 	formed   atomic.Bool
@@ -140,9 +141,9 @@ type Plan struct {
 }
 
 // NewPacked copies a packed plan out of the planner's pooled arenas into an
-// owned slab: the forest pf, the slot table slots (slots[i] places task i;
-// a window is never cached) of an algorithm run on mixers mixers finishing
-// at cycle cycles, and its peak storage. Stats come from PackedStats.
+// owned slab: the forest pf, the slot table slots (slots[i] places task i)
+// of an algorithm run on mixers mixers finishing at cycle cycles, and its
+// peak storage. Stats come from PackedStats.
 func NewPacked(pf *forest.PackedForest, slots []sched.Assignment, algorithm string, mixers, cycles, storage int) *Plan {
 	trees := make([]int32, 2*len(pf.Roots))
 	copy(trees, pf.Roots)
@@ -154,8 +155,21 @@ func NewPacked(pf *forest.PackedForest, slots []sched.Assignment, algorithm stri
 		Roots:     trees[:len(pf.Roots):len(pf.Roots)],
 		TreeStart: trees[len(pf.Roots):],
 	}
-	st := slab.PackedStats(make([]int64, pf.Base.Target.N()))
+	st := slab.PackedStats(0, make([]int64, pf.Base.Target.N()))
 	return FromSlab(slab, append([]sched.Assignment(nil), slots...), algorithm, mixers, cycles, st, storage)
+}
+
+// NewWindow wraps one persistent batch as a plan owning the slab pf, the
+// engine's forest whose tasks from first on are the batch's window (the
+// earlier ones are committed history), and the window's slot table
+// (slots[i] places task first+i). pooled spares waited in the pool as the
+// window started; storage is its peak occupancy with every spare pooled.
+// Stats are PackedStats over the window: its waste is the pool's change.
+func NewWindow(pf forest.PackedForest, first, pooled int, slots []sched.Assignment, algorithm string, mixers, cycles, storage int) *Plan {
+	st := pf.PackedStats(first, make([]int64, pf.Base.Target.N()))
+	p := FromSlab(pf, slots, algorithm, mixers, cycles, st, storage)
+	p.window, p.first, p.pooled = true, first, pooled
+	return p
 }
 
 // FromSlab wraps a slab the plan takes ownership of — the packed forest pf
@@ -169,32 +183,24 @@ func FromSlab(pf forest.PackedForest, slots []sched.Assignment, algorithm string
 
 // NewPlan wraps a built forest and the schedule of its every task, packing
 // the forest into the plan's slab and deriving the stats and the peak
-// storage from them; f and s are the plan's pointer forms. A forest with
-// no packed form (forest.Pack's error) yields a plan without a slab.
+// storage from them; f and s are the plan's pointer forms. f must have a
+// packed form, as every built forest has (each task feeds at most two
+// consumers); NewPlan panics on one forest.Pack refuses.
 func NewPlan(f *forest.Forest, s *sched.Schedule) *Plan {
-	st, storage := f.Stats(), sched.StorageUnits(s)
 	pf, err := forest.Pack(f)
 	if err != nil {
-		return FromForms(f, s, st, storage)
+		panic(err)
 	}
-	p := FromSlab(*pf, s.Slots, s.Algorithm, s.Mixers, s.Cycles, st, storage)
+	p := FromSlab(*pf, s.Slots, s.Algorithm, s.Mixers, s.Cycles, f.Stats(), sched.StorageUnits(s))
 	p.forest, p.schedule = f, s
 	p.formed.Store(true)
 	return p
 }
 
-// FromForms wraps a persistent window's pointer forms with the stats and
-// peak storage only its own batch can count. f is the whole forest the
-// window was planned on and s schedules the window's range of it. The plan
-// has no slab.
-func FromForms(f *forest.Forest, s *sched.Schedule, st forest.Stats, storage int) *Plan {
-	p := &Plan{Stats: st, Storage: storage, Cycles: s.Cycles, Mixers: s.Mixers, algorithm: s.Algorithm, forest: f, schedule: s}
-	p.formed.Store(true)
-	return p
-}
-
 // Forest returns the plan's pointer-linked forest, materializing it from
-// the slab on the first call. Every call returns the same forest.
+// the slab on the first call. Every call returns the same forest. A
+// window's forest is the engine's forest as it stood when the batch
+// committed.
 func (p *Plan) Forest() *forest.Forest {
 	p.materialize()
 	return p.forest
@@ -202,7 +208,7 @@ func (p *Plan) Forest() *forest.Forest {
 
 // Schedule returns the plan's schedule over Forest, materializing both from
 // the slab on the first call. Every call returns the same schedule; its
-// Slots share the slab's slot table.
+// Slots share the slab's slot table, and a window's starts at FirstTask.
 func (p *Plan) Schedule() *sched.Schedule {
 	p.materialize()
 	return p.schedule
@@ -214,7 +220,7 @@ func (p *Plan) materialize() {
 	}
 	p.once.Do(func() {
 		p.forest = p.packed.Materialize()
-		p.schedule = &sched.Schedule{Forest: p.forest, Mixers: p.Mixers, Algorithm: p.algorithm, Slots: p.slots, Cycles: p.Cycles}
+		p.schedule = &sched.Schedule{Forest: p.forest, Mixers: p.Mixers, Algorithm: p.algorithm, Slots: p.slots, Cycles: p.Cycles, FirstTask: p.first}
 		p.formed.Store(true)
 		obs.Inc("plancache.materializations")
 	})
@@ -224,37 +230,27 @@ func (p *Plan) materialize() {
 // plan given in them, and for a slab once Forest or Schedule has run.
 func (p *Plan) Materialized() bool { return p.formed.Load() }
 
-// Packed returns the slab's packed forest, or nil for a window. Its task
-// IDs are the materialized forest's.
-func (p *Plan) Packed() *forest.PackedForest {
-	if p.packed.Tasks == nil {
-		return nil
-	}
-	return &p.packed
-}
+// Packed returns the slab's packed forest. Its task IDs are the
+// materialized forest's.
+func (p *Plan) Packed() *forest.PackedForest { return &p.packed }
 
-// Slots returns the slab's slot table (slots[i] places task i of Packed),
-// or nil for a window.
+// Slots returns the slab's slot table: slots[i] places task first+i of
+// Packed, where first is 0 but for a window.
 func (p *Plan) Slots() []sched.Assignment { return p.slots }
+
+// Window reports whether the plan is a persistent batch's window and, if
+// so, its first task and the spares the pool held as it started.
+func (p *Plan) Window() (first, pooled int, ok bool) { return p.first, p.pooled, p.window }
 
 // Algorithm names the scheduling scheme the plan's slots come from.
 func (p *Plan) Algorithm() string { return p.algorithm }
 
 // EmitCycles calls fn, in task order, with the schedule cycle and target
 // droplet count of every component-tree root the schedule runs: the
-// plan's emissions. A window reports the roots of its own tasks only.
+// plan's emissions. A window reports the roots of its own trees only.
 func (p *Plan) EmitCycles(fn func(cycle, count int)) {
-	if p.Packed() != nil {
-		for _, r := range p.packed.Roots {
-			fn(p.slots[r].Cycle, int(p.packed.Tasks[r].Targets))
-		}
-		return
-	}
-	s := p.schedule
-	for _, t := range s.Tasks() {
-		if t.Targets > 0 {
-			fn(s.At(t).Cycle, t.Targets)
-		}
+	for _, r := range p.packed.Roots[p.packed.TreesBefore(p.first):] {
+		fn(p.slots[int(r)-p.first].Cycle, int(p.packed.Tasks[r].Targets))
 	}
 }
 

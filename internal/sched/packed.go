@@ -193,9 +193,9 @@ func (k *Kernel) Assignments() []Assignment { return k.slots }
 
 // Materialize copies the last run's result into a Schedule over the given
 // pointer forest (the materialized or original form of the packed one, in
-// the state the run scheduled). The pointer-forest entry points call it,
-// and the persistent pool once per batch; a cached plan copies
-// Assignments into its slab instead.
+// the state the run scheduled). The pointer-forest entry points call it;
+// a plan, a persistent batch's included, copies Assignments into its slab
+// instead.
 func (k *Kernel) Materialize(f *forest.Forest) *Schedule {
 	return &Schedule{
 		Forest:    f,

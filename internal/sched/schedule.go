@@ -32,14 +32,11 @@ type Assignment struct {
 //
 // A persistent demand-driven engine schedules each batch as a window of one
 // forest that keeps growing across batches: the window runs from FirstTask
-// to the end of Forest, the state of the forest the batch was planned on.
-// Tasks before the window were completed by earlier batches before cycle
-// 1. Later batches grow the forest past Forest's end, and their tasks may
-// consume droplets the window's tasks pooled; those consumers lie after
-// the window and are ignored. Every reader reaches the window through Tasks
-// and At and counts hand-offs by consumer, so an earlier batch reads the
-// same however far the forest has grown since. A plain schedule's window
-// is the whole forest.
+// to the end of Forest, the forest as it stood when the batch committed,
+// materialized for that batch alone from its plan's slab. Tasks before the
+// window were completed by earlier batches before cycle 1. Every reader
+// reaches the window through Tasks and At and counts hand-offs by
+// consumer. A plain schedule's window is the whole forest.
 type Schedule struct {
 	// Forest is the scheduled task graph.
 	Forest *forest.Forest

@@ -109,7 +109,7 @@ func TestPlanAndStreamNeverMaterialize(t *testing.T) {
 		t.Fatalf("test premise: the cache built only %d plans", len(tier.plans))
 	}
 	for i, p := range tier.plans {
-		if p.Packed() == nil {
+		if p.Packed().Tasks == nil {
 			t.Fatalf("built plan %d has no packed slab", i)
 		}
 		if p.Materialized() {

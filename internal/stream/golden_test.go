@@ -135,9 +135,9 @@ func windowSlots(first int, slots []sched.Assignment) []sched.Assignment {
 // goldenRow is one fixture case. api computes it through the pointer-forest
 // entry points (forest.Build, forest.BuildMulti, sched.MMS, sched.SRS,
 // sched.OMS; windows on forest.Pack of a built forest; persistent batches on
-// a forest grown by PackedForest.Grow and Link from a PackedBuilder, as
-// core's PersistPool engine plans); kernel computes it on forest.PackedBuilder and sched.Kernel
-// directly, the way dmfbd plans. Both must agree with each other and with
+// forest.Pack of the one-shot build of every tree so far); kernel computes
+// it on forest.PackedBuilder and sched.Kernel directly, the way dmfbd and
+// core's PersistPool engine plan. Both must agree with each other and with
 // the frozen fixture.
 type goldenRow struct {
 	key         string
@@ -169,7 +169,7 @@ func plannerRows(t testing.TB) []goldenRow {
 				if err != nil {
 					return "", err
 				}
-				return forestValue(pf.Materialize(), pf.PackedStats(make([]int64, g.Target.N()))), nil
+				return forestValue(pf.Materialize(), pf.PackedStats(0, make([]int64, g.Target.N()))), nil
 			})
 			for _, scheme := range goldenSchemes {
 				for _, mc := range goldenMixers {
@@ -290,32 +290,38 @@ func plannerRows(t testing.TB) []goldenRow {
 		g := gg.g
 		for _, scheme := range goldenSchemes {
 			const mc = 3
-			var lpb forest.PackedBuilder
 			var lf *forest.Forest
 			var lk sched.Kernel
 			var ppb forest.PackedBuilder
 			var pk sched.Kernel
 			for step, batch := range goldenBatches {
 				add(fmt.Sprintf("persist %s %s mc=%d step=%d n=%d", gg.label, scheme, mc, step, batch), func() (string, error) {
+					// The pool adds trees one at a time, so after a step
+					// the forest is the one-shot build of every tree so
+					// far, and its pool holds its waste.
 					if step == 0 {
-						lpb.Reset(g)
 						lf = &forest.Forest{Base: g}
 					}
 					start := len(lf.Tasks)
-					for i := 0; i < (batch+1)/2; i++ {
-						lpb.AddTree()
+					f, err := forest.Build(g, 2*(len(lf.Trees)+(batch+1)/2))
+					if err != nil {
+						return "", err
+					}
+					pf, err := forest.Pack(f)
+					if err != nil {
+						return "", err
 					}
 					from := lk.MMSFrom
 					if scheme == SRS {
 						from = lk.SRSFrom
 					}
-					if err := from(lpb.Forest(), mc, start); err != nil {
+					if err := from(pf, mc, start); err != nil {
 						return "", err
 					}
-					lpb.Forest().Grow(lf)
-					lf.Link(start)
-					s := lk.Materialize(lf)
-					return fmt.Sprintf("%s pool=%d first=%d %s", forestValue(lf, lf.Stats()), lpb.PoolSize(), start,
+					lf = f
+					s := lk.Materialize(f)
+					st := f.Stats()
+					return fmt.Sprintf("%s pool=%d first=%d %s", forestValue(f, st), st.Waste, start,
 						scheduleValue(s.Cycles, sched.StorageUnits(s), windowSlots(start, s.Slots))), nil
 				}, func() (string, error) {
 					if step == 0 {
@@ -334,7 +340,7 @@ func plannerRows(t testing.TB) []goldenRow {
 						return "", err
 					}
 					f := pf.Materialize()
-					return fmt.Sprintf("%s pool=%d first=%d %s", forestValue(f, pf.PackedStats(make([]int64, g.Target.N()))), ppb.PoolSize(), start,
+					return fmt.Sprintf("%s pool=%d first=%d %s", forestValue(f, pf.PackedStats(0, make([]int64, g.Target.N()))), ppb.PoolSize(), start,
 						scheduleValue(pk.Cycles(), sched.StorageUnits(pk.Materialize(f)), windowSlots(start, pk.Assignments()))), nil
 				})
 			}
@@ -367,7 +373,7 @@ func plannerRows(t testing.TB) []goldenRow {
 					if err != nil {
 						return "", err
 					}
-					return fmt.Sprintf("%s emitted=%v", forestValue(f, pf.PackedStats(make([]int64, f.Base.Target.N()))), forest.TargetsOf(f, bases)), nil
+					return fmt.Sprintf("%s emitted=%v", forestValue(f, pf.PackedStats(0, make([]int64, f.Base.Target.N()))), forest.TargetsOf(f, bases)), nil
 				})
 				for _, scheme := range goldenSchemes {
 					for _, mc := range goldenMultiMc {
@@ -449,7 +455,7 @@ func plannerRows(t testing.TB) []goldenRow {
 			if err != nil {
 				return "", err
 			}
-			return forestValue(pf.Materialize(), pf.PackedStats(make([]int64, g.Target.N()))), nil
+			return forestValue(pf.Materialize(), pf.PackedStats(0, make([]int64, g.Target.N()))), nil
 		})
 		for _, scheme := range goldenSchemes {
 			const mc = 3
