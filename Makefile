@@ -47,12 +47,14 @@ perfbench-test:
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
-# The cold dmfbd planning path replayed in process (no HTTP client, no
-# perfbench harness): distinct PaperDataset specs past every cache, with
-# allocation counts, then its engine-setup stage alone (core.New on an
-# empty base-graph cache). Add -cpuprofile/-memprofile to profile either.
+# The dmfbd planning path replayed in process (no HTTP client, no
+# perfbench harness), with allocation counts: cold requests (distinct
+# PaperDataset specs past every cache), then hot ones (plan-hot's protocol
+# specs, every one a plan-cache hit), then the cold engine-setup stage
+# alone (core.New on an empty base-graph cache). Add
+# -cpuprofile/-memprofile to profile any of them.
 bench-cold:
-	$(GO) test ./internal/server -run '^$$' -bench ColdPlanRequest -benchmem -benchtime 5000x
+	$(GO) test ./internal/server -run '^$$' -bench 'ColdPlanRequest|HotPlanRequest' -benchmem -benchtime 5000x
 	$(GO) test ./internal/core -run '^$$' -bench ColdEngineSetup -benchmem -benchtime 2000x
 
 # Short fuzzing passes over the parser, the forest builder, the planner

@@ -110,7 +110,7 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	}
 	f, slots := p.Packed(), p.Slots()
 	g := f.Base
-	if k.Graph != g.Fingerprint() || k.Ratio != g.TargetKey() || k.Algo != g.Algorithm {
+	if k.Graph != g.Fingerprint() || k.Ratio != g.Target.String() || k.Algo != g.Algorithm {
 		return nil, fmt.Errorf("%w: key does not identify the plan's base graph", ErrVerify)
 	}
 	if k.Demand != f.Demand {
@@ -134,14 +134,9 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	for i := 0; i < target.N(); i++ {
 		buf = putUvarint(buf, uint64(target.Part(i)))
 	}
-	names := target.Names()
-	if names == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		for _, n := range names {
-			buf = putString(buf, n)
-		}
+	buf = append(buf, 1) // names follow; an unnamed target writes its defaults
+	for _, n := range target.Names() {
+		buf = putString(buf, n)
 	}
 
 	// Section 3: the base mixing graph.
@@ -468,8 +463,8 @@ func (a *Artifact) Verify() error {
 	switch {
 	case a.Key.Graph != g.Fingerprint():
 		return fmt.Errorf("%w: key graph %016x, decoded graph %016x", ErrVerify, a.Key.Graph, g.Fingerprint())
-	case a.Key.Ratio != g.TargetKey():
-		return fmt.Errorf("%w: key ratio %q, decoded target %q", ErrVerify, a.Key.Ratio, g.TargetKey())
+	case a.Key.Ratio != g.Target.String():
+		return fmt.Errorf("%w: key ratio %q, decoded target %q", ErrVerify, a.Key.Ratio, g.Target.String())
 	case a.Key.Algo != g.Algorithm:
 		return fmt.Errorf("%w: key algorithm %q, decoded graph built by %q", ErrVerify, a.Key.Algo, g.Algorithm)
 	case a.Key.Demand != f.Demand:

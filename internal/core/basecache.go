@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/lru"
@@ -15,8 +15,8 @@ import (
 // mixing graph from scratch. A graph is a pure function of (algorithm,
 // target ratio) and immutable once built, so graphs are shared
 // process-wide behind a bounded LRU. This is what makes a warm plan
-// request nearly allocation-free end to end: the remaining work is a
-// cache-key build and a plan-cache hit.
+// request nearly allocation-free end to end: the cache key of an unnamed
+// target is two field reads, and what remains is a plan-cache hit.
 
 // baseCacheCapacity bounds the cache. A serving process sees a small
 // working set of (algorithm, ratio) pairs, and a graph is a few kilobytes,
@@ -29,29 +29,29 @@ const baseCacheCapacity = 256
 // insert is correct.
 var (
 	baseMu     sync.Mutex // guards baseGraphs
-	baseGraphs = lru.New[string, *mixgraph.Graph](baseCacheCapacity)
+	baseGraphs = lru.New[baseKey, *mixgraph.Graph](baseCacheCapacity)
 )
 
-// baseKey identifies a built base graph: the algorithm, the ratio parts and
-// the fluid names (the names ride on Graph.Target, so differently-named
-// targets must not share a cached graph).
-func baseKey(alg Algorithm, target ratio.Ratio) string {
-	var b strings.Builder
-	b.Grow(64)
-	b.WriteString(alg.String())
-	b.WriteByte('\x1f')
-	b.WriteString(target.String())
-	for i := 0; i < target.N(); i++ {
-		b.WriteByte('\x1f')
-		b.WriteString(target.Name(i))
-	}
-	return b.String()
+// baseKey identifies a built base graph: the algorithm, the target's colon
+// form and, for a named target, its fluid names (they ride on
+// Graph.Target). Each name is written as its byte length, ':' and the
+// name, so no two name lists share an encoding whatever bytes they hold.
+type baseKey struct {
+	alg           Algorithm
+	target, names string
 }
 
 // cachedBase returns the (immutable, shared) base mixing graph for the
 // algorithm and target, building and caching it on first use.
 func cachedBase(alg Algorithm, target ratio.Ratio) (*mixgraph.Graph, error) {
-	key := baseKey(alg, target)
+	key := baseKey{alg: alg, target: target.String()}
+	if target.Named() {
+		var b []byte
+		for _, n := range target.Names() {
+			b = append(append(strconv.AppendInt(b, int64(len(n)), 10), ':'), n...)
+		}
+		key.names = string(b)
+	}
 	baseMu.Lock()
 	g, ok := baseGraphs.Get(key)
 	baseMu.Unlock()

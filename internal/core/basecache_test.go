@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -67,6 +68,21 @@ func TestBaseCacheNameIsolation(t *testing.T) {
 	if e2.Base() != e3.Base() {
 		t.Fatal("identical named targets missed the cache")
 	}
+	// Names may hold any bytes: two name lists that join to the same
+	// string under a separator must still keep their own graphs.
+	for _, names := range [][]string{{"a\x1fb", "c", "d"}, {"a", "b\x1fc", "d"}, {"a", "b", "\x1fc\x1fd"}} {
+		target, err := ratio.MustParse("1:1:2").WithNames(names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(Config{Target: target, Algorithm: MM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Base().Target.Names(); !slices.Equal(got, names) {
+			t.Fatalf("target named %q planned on a graph named %q", names, got)
+		}
+	}
 }
 
 // TestBaseCacheConcurrent exercises concurrent first use under -race.
@@ -98,12 +114,12 @@ func TestBaseCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestWarmPlanRequestAllocs pins the tentpole's end-to-end criterion: a warm
-// plan request — fresh stateless Engine, warm base cache, plan-cache
-// hit — runs in a small constant number of allocations. The seed measured
-// 277 allocations on this exact path (engine construction rebuilt the base
-// graph and re-ran the Mlb search every request); the bound asserts the
-// promised >= 90% reduction with headroom for noise.
+// TestWarmPlanRequestAllocs pins the allocations of a warm plan request —
+// fresh stateless Engine, warm base cache, plan-cache hit. The seed
+// measured 277 on this exact path (engine construction rebuilt the base
+// graph and re-ran the Mlb search every request). Rendering the base-cache
+// key from the fluid names cost 10 more until the ratio carried its colon
+// form and the key became a struct of it.
 func TestWarmPlanRequestAllocs(t *testing.T) {
 	cfg := Config{Target: ratio.MustParse("2:1:1:1:1:1:9"), Algorithm: MM, Scheduler: stream.SRS, PlanCache: plancache.New(8)}
 	warm := func() {
@@ -117,8 +133,8 @@ func TestWarmPlanRequestAllocs(t *testing.T) {
 	}
 	warm()
 	allocs := testing.AllocsPerRun(100, warm)
-	if allocs > 27 {
-		t.Fatalf("warm plan request allocates %.1f objects, want <= 27 (seed: 277)", allocs)
+	if allocs > 7 {
+		t.Fatalf("warm plan request allocates %.1f objects, want <= 7 (seed: 277)", allocs)
 	}
 }
 

@@ -44,14 +44,3 @@ func (g *Graph) Fingerprint() uint64 {
 	g.fpDone.Store(true)
 	return h
 }
-
-// TargetKey returns the target ratio in colon form, memoised. Identical to
-// g.Target.String() but allocation-free after the first call.
-func (g *Graph) TargetKey() string {
-	if s := g.targetKey.Load(); s != nil {
-		return *s
-	}
-	s := g.Target.String()
-	g.targetKey.Store(&s)
-	return s
-}

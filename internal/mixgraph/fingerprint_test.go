@@ -8,9 +8,9 @@ import (
 	"repro/internal/ratio"
 )
 
-// TestFingerprintMemo checks the memoised identity accessors: stable across
-// calls, equal across structurally identical graphs, distinct across
-// different targets, and consistent under concurrent first use.
+// TestFingerprintMemo checks the memoised fingerprint: stable across calls,
+// equal across structurally identical graphs, distinct across different
+// targets, and consistent under concurrent first use.
 func TestFingerprintMemo(t *testing.T) {
 	r := ratio.MustParse("2:1:1:1:1:1:9")
 	g1, err := minmix.Build(r)
@@ -34,8 +34,8 @@ func TestFingerprintMemo(t *testing.T) {
 	if g1.Fingerprint() == other.Fingerprint() {
 		t.Fatal("different graphs share a fingerprint")
 	}
-	if got, want := g1.TargetKey(), g1.Target.String(); got != want {
-		t.Fatalf("TargetKey %q, want %q", got, want)
+	if got, want := g1.Target.String(), r.String(); got != want {
+		t.Fatalf("graph target %q, want %q", got, want)
 	}
 
 	// Concurrent first computation must agree (exercised under -race).
@@ -51,31 +51,30 @@ func TestFingerprintMemo(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			results[i] = fresh.Fingerprint()
-			keys[i] = fresh.TargetKey()
+			keys[i] = fresh.Target.String()
 		}(i)
 	}
 	wg.Wait()
 	for i := range results {
-		if results[i] != g1.Fingerprint() || keys[i] != g1.TargetKey() {
+		if results[i] != g1.Fingerprint() || keys[i] != g1.Target.String() {
 			t.Fatalf("concurrent accessor %d diverged", i)
 		}
 	}
 }
 
-// TestFingerprintZeroAllocWarm proves the warm accessors are free: the
-// serving layer builds a plan-cache key from them on every request.
+// TestFingerprintZeroAllocWarm proves the warm fingerprint is free: the
+// serving layer builds a plan-cache key from it on every request (the
+// target's colon form is pinned free in internal/ratio).
 func TestFingerprintZeroAllocWarm(t *testing.T) {
 	g, err := minmix.Build(ratio.MustParse("2:1:1:1:1:1:9"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Fingerprint()
-	g.TargetKey()
 	allocs := testing.AllocsPerRun(100, func() {
 		_ = g.Fingerprint()
-		_ = g.TargetKey()
 	})
 	if allocs != 0 {
-		t.Fatalf("warm identity accessors allocate %.1f objects per run, want 0", allocs)
+		t.Fatalf("warm fingerprint allocates %.1f objects per run, want 0", allocs)
 	}
 }

@@ -98,14 +98,12 @@ type Graph struct {
 	// Algorithm names the base algorithm that built the graph ("MM", ...).
 	Algorithm string
 
-	// Memoised derived identity (see fingerprint.go). Graphs are immutable
-	// after Build, so both values are computed at most once per graph; the
-	// atomics make lazy computation safe under concurrent readers. The
-	// fields also make Graph uncopyable under `go vet` (copylocks), which
-	// is correct: every holder must share the one memo.
-	fp        atomic.Uint64
-	fpDone    atomic.Bool
-	targetKey atomic.Pointer[string]
+	// Memoised structural fingerprint (see fingerprint.go), computed at
+	// most once per graph and safe under concurrent readers. The atomics
+	// also make Graph uncopyable under `go vet` (copylocks), which is
+	// correct: every holder must share the one memo.
+	fp     atomic.Uint64
+	fpDone atomic.Bool
 }
 
 // Builder constructs a Graph incrementally. The zero value is not usable;

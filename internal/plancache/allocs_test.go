@@ -11,8 +11,8 @@ import (
 
 // TestWarmGetAllocs pins the plan-cache hit path at zero allocations: the
 // serving layer funnels every warm plan request through KeyFor + Get, so
-// the pair must stay free of per-call garbage. KeyFor reads two memoised
-// graph fields; Get is a map probe plus an intrusive-list move. (obs is
+// the pair must stay free of per-call garbage. KeyFor reads the graph's
+// memoised fingerprint and the target's stored colon form; Get is a map probe plus an intrusive-list move. (obs is
 // disabled in tests, so the metric hooks are single atomic loads.)
 func TestWarmGetAllocs(t *testing.T) {
 	g, err := minmix.Build(ratio.MustParse("2:1:1:1:1:1:9"))

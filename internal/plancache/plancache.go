@@ -74,13 +74,13 @@ func (k Key) Canonical() string {
 // KeyFor builds the cache key for planning `demand` droplets of g's target
 // on `mixers` mixers under the named scheduler and fault/recovery policy
 // (PristinePolicy for the fault-free planning path).
-// Both identity components are memoised on the graph, so a warm KeyFor is
-// two atomic loads and zero allocations (the serving layer calls it on
-// every plan request).
+// The graph memoises its fingerprint and the target carries its colon
+// form, so a warm KeyFor is an atomic load and zero allocations (the
+// serving layer calls it on every plan request).
 func KeyFor(g *mixgraph.Graph, demand, mixers int, scheduler, policy string) Key {
 	return Key{
 		Algo:      g.Algorithm,
-		Ratio:     g.TargetKey(),
+		Ratio:     g.Target.String(),
 		Graph:     g.Fingerprint(),
 		Demand:    demand,
 		Mixers:    mixers,

@@ -87,6 +87,9 @@ func TestNames(t *testing.T) {
 	if got := named.Name(6); got != "water" {
 		t.Errorf("Name(6) = %q, want water", got)
 	}
+	if r.Named() || !named.Named() || !named.Clone().Named() {
+		t.Errorf("Named: plain %v, named %v", r.Named(), named.Named())
+	}
 	if _, err := r.WithNames("too", "few"); err == nil {
 		t.Error("WithNames with wrong arity succeeded, want error")
 	}
@@ -167,5 +170,37 @@ func TestStringFormat(t *testing.T) {
 	}
 	if strings.Contains(MustNew(10, 6).String(), " ") {
 		t.Error("String should not contain spaces")
+	}
+	// Every constructor renders from the parts, never from input text.
+	r := MustParse(" 04 : +4:8")
+	named, err := r.WithNames("a", "b", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		r    Ratio
+		want string
+	}{
+		{r, "4:4:8"},
+		{r.Clone(), "4:4:8"},
+		{named, "4:4:8"},
+		{r.Normalized(), "1:1:2"},
+		{r.Normalized().Normalized(), "1:1:2"},
+		{MustFromPercent([]float64{50, 25, 25}, 4), "8:4:4"},
+		{Ratio{}, ""},
+	} {
+		if got := c.r.String(); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestStringZeroAlloc proves String is free: the serving layer reads it for
+// the plan-cache key, the base-graph cache key and the spec key of every
+// request.
+func TestStringZeroAlloc(t *testing.T) {
+	r := MustParse("2:1:1:1:1:1:9")
+	if allocs := testing.AllocsPerRun(100, func() { _ = r.String() }); allocs != 0 {
+		t.Fatalf("String allocates %.1f objects per call, want 0", allocs)
 	}
 }

@@ -200,12 +200,6 @@ func (s *Server) notePlanKey(spec *planSpec) {
 	s.wal.AppendAsync(wal.Record{Kind: wal.KindPlanKey, Spec: specToWAL(spec), Demand: spec.demand})
 }
 
-// planKeyOf is the dedupe key of a stateless plan. Live requests and
-// recovered plan-key records share it.
-func planKeyOf(spec *planSpec) string {
-	return fmt.Sprintf("%s|d%d", spec.fingerprint(), spec.demand)
-}
-
 // markPlanKey records a stateless plan as journaled and reports whether it
 // was new. Only the plan cache's capacity of keys is kept, first in first
 // out: a key that falls out is journaled afresh when it is next requested,
@@ -231,7 +225,7 @@ func (s *Server) markPlanKey(spec *planSpec) bool {
 // leaves the newest plan most recently used.
 func recentPlanKeys(recs []*wal.Record, limit int) []*planSpec {
 	var specs []*planSpec
-	seen := map[string]bool{}
+	seen := map[specKey]bool{}
 	for i := len(recs) - 1; i >= 0 && len(specs) < limit; i-- {
 		spec, err := specFromWAL(recs[i].Spec, recs[i].Demand)
 		if err != nil {

@@ -282,10 +282,11 @@ func TestRecoveringGate(t *testing.T) {
 // engine and restart the timeline at cycle 1).
 func TestSessionPinBlocksEviction(t *testing.T) {
 	pool := newSessionPool(sessionShards) // capacity 1 per shard
+	poolSpec := mustSpec(t, PlanRequest{Ratio: "1:3", Demand: 1})
 	build := func() (*core.Engine, error) {
 		return core.New(core.Config{Target: mustParseRatio(t, "1:3")})
 	}
-	victim, release, err := pool.acquire("victim", "fp", build, nil)
+	victim, release, err := pool.acquire("victim", poolSpec, build, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,13 +299,13 @@ func TestSessionPinBlocksEviction(t *testing.T) {
 			continue
 		}
 		flooded++
-		_, rel, err := pool.acquire(name, "fp", build, nil)
+		_, rel, err := pool.acquire(name, poolSpec, build, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rel()
 	}
-	got, rel2, err := pool.acquire("victim", "fp", func() (*core.Engine, error) {
+	got, rel2, err := pool.acquire("victim", poolSpec, func() (*core.Engine, error) {
 		t.Fatal("pinned session was evicted and rebuilt")
 		return nil, nil
 	}, nil)
@@ -322,7 +323,7 @@ func TestSessionPinBlocksEviction(t *testing.T) {
 		if pool.shard(name) != shard {
 			continue
 		}
-		_, rel, err := pool.acquire(name, "fp", build, nil)
+		_, rel, err := pool.acquire(name, poolSpec, build, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +331,7 @@ func TestSessionPinBlocksEviction(t *testing.T) {
 		break
 	}
 	rebuilt := false
-	_, rel3, err := pool.acquire("victim", "fp", func() (*core.Engine, error) {
+	_, rel3, err := pool.acquire("victim", poolSpec, func() (*core.Engine, error) {
 		rebuilt = true
 		return build()
 	}, nil)

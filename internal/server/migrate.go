@@ -202,7 +202,7 @@ func (s *Server) serveSessionAdopt(ctx context.Context, r *http.Request) (any, e
 	}
 
 	if sess, release, ok := s.pool.peek(name); ok {
-		same := sess.fp == rs.spec.fingerprint()
+		same := sess.spec.fingerprint() == rs.spec.fingerprint()
 		release()
 		if !same {
 			return nil, fmt.Errorf("%w: adopt of %q", errSessionConflict, name)

@@ -423,7 +423,7 @@ func TestFollowerTimeoutDoesNotPoisonFlight(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, err, shared := g.do(context.Background(), "k", func() (any, error) {
+		v, err, shared := g.do(context.Background(), specKey{endpoint: "k"}, func() (any, error) {
 			<-block
 			return "leader", nil
 		})
@@ -434,7 +434,7 @@ func TestFollowerTimeoutDoesNotPoisonFlight(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		g.mu.Lock()
-		_, inFlight := g.m["k"]
+		_, inFlight := g.m[specKey{endpoint: "k"}]
 		g.mu.Unlock()
 		if inFlight {
 			break
@@ -448,7 +448,7 @@ func TestFollowerTimeoutDoesNotPoisonFlight(t *testing.T) {
 	// A follower with an expired context abandons the wait, typed.
 	ctx, cancelFollower := context.WithCancel(context.Background())
 	cancelFollower()
-	if _, err, shared := g.do(ctx, "k", func() (any, error) { return "follower", nil }); err == nil || !shared {
+	if _, err, shared := g.do(ctx, specKey{endpoint: "k"}, func() (any, error) { return "follower", nil }); err == nil || !shared {
 		t.Fatalf("expired follower: err=%v shared=%v, want typed error from a shared flight", err, shared)
 	}
 
@@ -456,7 +456,7 @@ func TestFollowerTimeoutDoesNotPoisonFlight(t *testing.T) {
 	<-leaderDone
 
 	// The abandoned wait did not poison the key: a later caller runs fresh.
-	v, err, shared := g.do(context.Background(), "k", func() (any, error) { return "fresh", nil })
+	v, err, shared := g.do(context.Background(), specKey{endpoint: "k"}, func() (any, error) { return "fresh", nil })
 	if v != "fresh" || err != nil || shared {
 		t.Fatalf("post-abandon flight got %v, %v, shared=%v, want a fresh run", v, err, shared)
 	}

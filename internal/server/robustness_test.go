@@ -98,7 +98,7 @@ func TestFlightLeaderPanicReleasesKey(t *testing.T) {
 	leaderDone := make(chan any)
 	go func() {
 		defer func() { leaderDone <- recover() }()
-		g.do(context.Background(), "k", func() (any, error) {
+		g.do(context.Background(), specKey{endpoint: "k"}, func() (any, error) {
 			close(leaderIn)
 			<-release
 			panic("boom")
@@ -106,7 +106,7 @@ func TestFlightLeaderPanicReleasesKey(t *testing.T) {
 	}()
 	<-leaderIn
 	g.mu.Lock()
-	f := g.m["k"]
+	f := g.m[specKey{endpoint: "k"}]
 	g.mu.Unlock()
 	close(release)
 	if p := <-leaderDone; p != "boom" {
@@ -121,7 +121,7 @@ func TestFlightLeaderPanicReleasesKey(t *testing.T) {
 		t.Fatalf("followers of a panicked leader read %v, want errLeaderPanicked", f.err)
 	}
 	g.drain()
-	v, err, shared := g.do(context.Background(), "k", func() (any, error) { return "fresh", nil })
+	v, err, shared := g.do(context.Background(), specKey{endpoint: "k"}, func() (any, error) { return "fresh", nil })
 	if v != "fresh" || err != nil || shared {
 		t.Fatalf("next caller got %v, %v, shared=%v, want a fresh run", v, err, shared)
 	}
@@ -136,7 +136,7 @@ func TestCoalescedFollowerHonoursDeadline(t *testing.T) {
 	spec := mustSpec(t, PlanRequest{Ratio: "1:3", Demand: 4})
 	stuck := &flight{done: make(chan struct{})}
 	s.flights.mu.Lock()
-	s.flights.m = map[string]*flight{spec.flightKey("plan"): stuck}
+	s.flights.m = map[specKey]*flight{spec.flightKey("plan"): stuck}
 	s.flights.mu.Unlock()
 	defer close(stuck.done)
 

@@ -228,10 +228,11 @@ func TestSessionTimeline(t *testing.T) {
 
 func TestSessionPoolEviction(t *testing.T) {
 	pool := newSessionPool(sessionShards) // one session per shard
+	poolSpec := mustSpec(t, PlanRequest{Ratio: "1:3", Demand: 1})
 	builds := 0
 	for i := 0; i < 4*sessionShards; i++ {
 		name := fmt.Sprintf("s%d", i)
-		_, release, err := pool.acquire(name, "fp", func() (*core.Engine, error) {
+		_, release, err := pool.acquire(name, poolSpec, func() (*core.Engine, error) {
 			builds++
 			return core.New(core.Config{Target: ratio.MustParse("1:3")})
 		}, nil)
@@ -260,7 +261,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, _, sh := g.do(context.Background(), "k", func() (any, error) {
+		v, _, sh := g.do(context.Background(), specKey{endpoint: "k"}, func() (any, error) {
 			calls.Add(1)
 			close(leaderIn)
 			<-gate
@@ -273,7 +274,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, sh := g.do(context.Background(), "k", func() (any, error) {
+			v, _, sh := g.do(context.Background(), specKey{endpoint: "k"}, func() (any, error) {
 				calls.Add(1)
 				return -1, nil
 			})
@@ -301,7 +302,7 @@ func TestFlightGroupFollowerDeadline(t *testing.T) {
 	var g flightGroup
 	gate := make(chan struct{})
 	leaderIn := make(chan struct{})
-	go g.do(context.Background(), "k", func() (any, error) {
+	go g.do(context.Background(), specKey{endpoint: "k"}, func() (any, error) {
 		close(leaderIn)
 		<-gate
 		return 1, nil
@@ -311,7 +312,7 @@ func TestFlightGroupFollowerDeadline(t *testing.T) {
 
 	ctx, cancelCtx := context.WithCancel(context.Background())
 	cancelCtx()
-	_, err, sh := g.do(ctx, "k", func() (any, error) { return 2, nil })
+	_, err, sh := g.do(ctx, specKey{endpoint: "k"}, func() (any, error) { return 2, nil })
 	if !sh {
 		t.Error("follower not marked shared")
 	}

@@ -27,7 +27,7 @@ import (
 // next request, and the panic continues up the leader's own stack.
 type flightGroup struct {
 	mu sync.Mutex
-	m  map[string]*flight
+	m  map[specKey]*flight
 }
 
 type flight struct {
@@ -44,10 +44,10 @@ var errLeaderPanicked = errors.New("server: coalesced request failed: its leader
 // The boolean reports whether the result was shared (this caller was a
 // follower, not the leader); a follower's successful share counts in
 // server.flights.coalesced.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)) (any, error, bool) {
+func (g *flightGroup) do(ctx context.Context, key specKey, fn func() (any, error)) (any, error, bool) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = map[string]*flight{}
+		g.m = map[specKey]*flight{}
 	}
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()

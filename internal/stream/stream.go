@@ -206,7 +206,7 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 	}
 	sk := plancache.ScanKey{
 		Graph:     cfg.Base.Fingerprint(),
-		Ratio:     cfg.Base.TargetKey(),
+		Ratio:     cfg.Base.Target.String(),
 		Mixers:    cfg.Mixers,
 		Storage:   cfg.Storage,
 		Limit:     limit,
