@@ -140,7 +140,8 @@ func BenchmarkColdEngineSetup(b *testing.B) {
 // TestColdEngineSetupAllocs pins the allocation count of cold engine setup
 // over every configuration and target of BenchmarkColdEngineSetup. Building
 // each base graph into exact-size slabs and computing the mixer count from
-// the ratio's bits brought it from 11285 to 1029 objects.
+// the ratio's bits brought it from 11285 to 1029 objects; keying the
+// base-graph cache on the ratio's stored colon form brought it to 721.
 func TestColdEngineSetupAllocs(t *testing.T) {
 	targets := coldSetupTargets()
 	allocs := testing.AllocsPerRun(20, func() {
@@ -148,7 +149,7 @@ func TestColdEngineSetupAllocs(t *testing.T) {
 			coldSetup(t, c.cfg, targets)
 		}
 	})
-	if allocs > 1600 {
-		t.Fatalf("cold engine setup allocates %.0f objects, want <= 1600", allocs)
+	if allocs > 721 {
+		t.Fatalf("cold engine setup allocates %.0f objects, want <= 721", allocs)
 	}
 }
