@@ -51,11 +51,13 @@ bench-smoke:
 # perfbench harness), with allocation counts: cold requests (distinct
 # PaperDataset specs past every cache), then hot ones (plan-hot's protocol
 # specs, every one a plan-cache hit), then the cold engine-setup stage
-# alone (core.New on an empty base-graph cache). Add
+# alone (core.New on an empty base-graph cache) and the plan audit
+# (audit.CheckPacked) on PCR16 and Ex.1 plans. Add
 # -cpuprofile/-memprofile to profile any of them.
 bench-cold:
 	$(GO) test ./internal/server -run '^$$' -bench 'ColdPlanRequest|HotPlanRequest' -benchmem -benchtime 5000x
 	$(GO) test ./internal/core -run '^$$' -bench ColdEngineSetup -benchmem -benchtime 2000x
+	$(GO) test ./internal/audit -run '^$$' -bench CheckPacked -benchmem -benchtime 2000x
 
 # Short fuzzing passes over the parser, the forest builder, the planner
 # (plan audit, window audit, Pack/Materialize round trip, multi-pass plans
