@@ -15,10 +15,11 @@
 // byte stream is a typed ErrCorrupt/ErrIntegrity, never a panic or an
 // out-of-range index). Verify then checks the key against the plan and runs
 // audit.CheckPacked, the audit every plan the planner builds passes — closed
-// forms, exact CF arithmetic, task levels, schedule physicality, storage
-// occupancy and the claimed aggregates against a recount — before the plan
-// is ever cached or executed: a stale or tampered artifact surfaces as
-// ErrVerify, never as a mis-mix.
+// forms, the lemma's premise (each task fed by its base node's children),
+// task levels, schedule physicality, storage occupancy and the claimed
+// aggregates against a recount — before the plan is ever cached or
+// executed: a stale or tampered artifact surfaces as ErrVerify, never as a
+// mis-mix.
 //
 // Addresses are derived from the plan-cache key alone (AddressFor), so every
 // node computes the same address for the same plan without seeing its bytes;
@@ -452,7 +453,7 @@ func Decode(data []byte) (*Artifact, error) {
 // Verify proves the decoded artifact safe to cache and execute: the embedded
 // key must describe the embedded plan (graph fingerprint, target, algorithm,
 // demand, mixers, scheduler), and the plan audit every built plan passes
-// (audit.CheckPacked — closed forms, exact CF arithmetic, task levels,
+// (audit.CheckPacked — closed forms, the lemma's premise, task levels,
 // schedule physicality, storage occupancy, and the claimed aggregates
 // against a recount) must come back clean. Any failure wraps ErrVerify: a
 // decoded plan is never executed on trust.

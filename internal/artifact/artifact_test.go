@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/forest"
 	"repro/internal/plancache"
@@ -432,4 +433,76 @@ func TestVerifyCatchesStaleClaims(t *testing.T) {
 func seal(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
 	return append(payload, sum[:]...)
+}
+
+// nonChildArtifact encodes a real plan, MM over Table 2's Ex.1 at D=20 on
+// four MMS mixers, after re-pointing one task's source at a spare of a base
+// node whose vector equals, but which is not, the child the source
+// instantiated. The schedule, stats and storage are rebuilt for the changed
+// forest, so every claim is consistent and every task's inputs still
+// average to its vector: only the premise of DESIGN §14's lemma is broken,
+// and the error intervals served for the plan were never proved for it.
+func nonChildArtifact(t testing.TB) []byte {
+	t.Helper()
+	g, err := core.MM.Build(protocols.Table2()[0].Ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := forest.BuildPacked(new(forest.PackedBuilder), g, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rerouteToEqualVector(pf) {
+		t.Fatal("test premise: no source can be re-pointed at an equal-vector node")
+	}
+	f := pf.Materialize() // consumers follow the sources
+	s, err := sched.MMS(f, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := Encode(plancache.KeyFor(g, 20, 4, "MMS", plancache.PristinePolicy), plancache.NewPlan(f, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// rerouteToEqualVector points the first FromTask source it can at an
+// earlier task of a different base node with an equal vector and a free
+// output. It leaves consumer links stale.
+func rerouteToEqualVector(pf *forest.PackedForest) bool {
+	nodes := pf.Base.Nodes
+	for j := range pf.Tasks {
+		for k, src := range pf.Tasks[j].In {
+			if src.Kind != forest.FromTask {
+				continue
+			}
+			child := nodes[pf.Tasks[src.Ref].Base]
+			for q := range j {
+				if v := nodes[pf.Tasks[q].Base]; v != child && v.Vec.Equal(child.Vec) && pf.Tasks[q].FreeOutputs() > 0 {
+					pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.Tasks[q].Tree != pf.Tasks[j].Tree}
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestVerifyRejectsNonChildSource: an artifact whose task reads an input
+// from an equal-vector node that is not its base node's child decodes, and
+// its pointer forms pass the arithmetic audit, but verification must refuse
+// it: the audit checks the lemma's premise, not just the vectors.
+func TestVerifyRejectsNonChildSource(t *testing.T) {
+	data := nonChildArtifact(t)
+	a, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := audit.CheckForms(a.Plan); !rep.Clean() {
+		t.Fatalf("test premise: the pointer forms must pass, so only the premise is broken: %v", rep.Err())
+	}
+	if _, err := DecodeVerified(data); !errors.Is(err, ErrVerify) {
+		t.Fatalf("non-child source: DecodeVerified err = %v, want ErrVerify", err)
+	}
 }

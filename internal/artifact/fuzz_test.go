@@ -48,6 +48,8 @@ func FuzzArtifactDecode(f *testing.F) {
 	for _, c := range corruptForests(f) {
 		f.Add(c.data)
 	}
+	// A source from an equal-vector non-child node (TestVerifyRejectsNonChildSource).
+	f.Add(nonChildArtifact(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := Decode(data)

@@ -14,15 +14,20 @@ import (
 // and the plan's claimed summary against a recount. It reads the arrays
 // only: it never runs a scheduler and never materializes.
 //
-//   - Forest: every task's CF vector is re-derived from its PSources with
-//     ratio.MixWordsInto and must equal its base node's, and its level
-//     (which the schedulers' priorities read) must be its base node's
-//     positional level; sources are in range and topologically ordered,
-//     reuse flags mark cross-tree sources, and every task's consumer links
-//     match the sources naming it and fit its two outputs. Each tree's root
-//     is the last task of its span and emits the target CF; |F| = ⌈D/2⌉,
-//     T = 2|F|, I = T + W and the zero-waste theorem on MM hold, and the
-//     claimed Stats equal the recount.
+//   - Forest: every task instantiates a mix node of the base graph at its
+//     positional level (which the schedulers' priorities read), and reads
+//     its inputs from that node's children (PackedForest.FromChildren): a
+//     dispense of a leaf child's fluid, or an earlier task of a mix child.
+//     That is the premise of DESIGN §14's lemma. The base graph's build
+//     proved every node's vector the average of its children's, so by
+//     induction every task carries its base node's vector exactly, and
+//     the error intervals AnalyzeGraph reads off the base graph hold for
+//     it. Every tree's root is a task of the base root, the last of its
+//     span, and the base root's vector is the target. Sources are in range
+//     and topologically ordered, reuse flags mark cross-tree sources, and
+//     every task's consumer links match the sources naming it and fit its
+//     two outputs. |F| = ⌈D/2⌉, T = 2|F|, I = T + W and the zero-waste
+//     theorem on MM hold, and the claimed Stats equal the recount.
 //   - Schedule: one slot per task, each at a cycle in 1..Tc on a mixer in
 //     1..Mc, producers strictly before consumers, no mixer booked twice in
 //     a cycle, Tc the largest slot cycle and every cycle running a task
@@ -33,11 +38,11 @@ import (
 //     must equal the claimed Storage.
 //
 // A persistent batch's window (plancache.NewWindow) is checked on its own
-// tasks and slots. A source made before it must name a committed task,
-// whose base node and tree check the source's CF and reuse tag, and is
-// stored from cycle 1. Its waste is the pool's change, and its storage
-// also holds its spares to its end and the earlier spares it leaves
-// pooled throughout, as the engine counts them.
+// tasks and slots. A source made before it must name a committed task of
+// the matching child, in a tree that checks its reuse tag, and is stored
+// from cycle 1. Its waste is the pool's change, and its storage also holds
+// its spares to its end and the earlier spares it leaves pooled
+// throughout, as the engine counts them.
 //
 // It gates every plan a cache holds, built (stream.BuildPlan) or adopted
 // (artifact.Verify), and every persistent batch. A clean run allocates the
@@ -53,12 +58,12 @@ func CheckPacked(p *plancache.Plan) *Report {
 		return r
 	}
 	n := f.Base.Target.N()
-	// The one scratch buffer: three CF word vectors, the per-fluid input
+	// The one scratch buffer: the target's CF words, the per-fluid input
 	// recount, the per-task consumer recount and bucket order, and three
 	// per-cycle tables (lifetime walk, difference array, bucket bounds).
-	scratch := make([]int64, 4*n+2*nTasks+3*(cycles+2))
-	words, inputs := scratch[:3*n], scratch[3*n:4*n]
-	rest := scratch[4*n:]
+	scratch := make([]int64, 2*n+2*nTasks+3*(cycles+2))
+	words, inputs := scratch[:n], scratch[n:2*n]
+	rest := scratch[2*n:]
 	cons, order := rest[:nTasks], rest[nTasks:2*nTasks]
 	rest = rest[2*nTasks:]
 	walk, diff, end := rest[:cycles+2], rest[cycles+2:2*(cycles+2)], rest[2*(cycles+2):]
@@ -123,20 +128,8 @@ func CheckPacked(p *plancache.Plan) *Report {
 // checks meaningless.
 func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, claimed forest.Stats, words, inputs, cons []int64) (int64, bool) {
 	n := len(inputs)
-	left, right, mix := words[:n], words[n:2*n], words[2*n:]
-	nodes := f.Base.Nodes
-	tasks := f.Tasks
-	// vec writes source s's CF words into dst; a producer's vector is its
-	// base node's, which the loop has already proven for every earlier task
-	// of the window, and the source check for every task before it.
-	vec := func(dst []int64, s forest.PSource) uint {
-		if s.Kind == forest.Input {
-			clear(dst)
-			dst[s.Ref] = 1
-			return 0
-		}
-		return nodes[tasks[s.Ref].Base].Vec.NumsInto(dst)
-	}
+	g := f.Base
+	nodes, tasks := g.Nodes, f.Tasks
 	before := f.TreesBefore(first)
 	st := forest.Stats{Trees: len(f.Roots) - before, Mixes: len(tasks) - first}
 	st.Targets = 2 * st.Trees
@@ -159,10 +152,6 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 				ok = src.Ref >= 0 && int(src.Ref) < n && !src.Reused
 			case forest.FromTask:
 				ok = src.Ref >= 0 && int(src.Ref) < i && src.Reused == (tasks[src.Ref].Tree != t.Tree)
-				if ok && int(src.Ref) < first {
-					b := tasks[src.Ref].Base
-					ok = b >= 0 && int(b) < len(nodes) && !nodes[b].IsLeaf()
-				}
 			}
 			if r.failed(ok) {
 				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d has an invalid, out-of-order or mis-tagged source %+v", i, src)})
@@ -187,9 +176,8 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d counts %d internal inputs, its sources %d", i, t.NInternal, internal)})
 			return 0, false
 		}
-		exp := ratio.MixWordsInto(mix, left, vec(left, t.In[0]), right, vec(right, t.In[1]))
-		if r.failed(nodes[t.Base].Vec.EqualWords(mix, exp)) {
-			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d: inputs do not average to its base node %d's vector %v", i, t.Base, nodes[t.Base].Vec)})
+		if r.failed(f.FromChildren(i)) {
+			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d: sources %+v are not dispenses or tasks of its base node %d's children", i, t.In, t.Base)})
 			return 0, false
 		}
 	}
@@ -243,20 +231,23 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 	if r.failed(st.InputTotal == int64(st.Targets)+st.Waste) {
 		r.violate(&Violation{Code: MassConservation, Detail: fmt.Sprintf("I=%d, T=%d, W=%d: I != T + W", st.InputTotal, st.Targets, st.Waste)})
 	}
-	// The target's CF words: its parts over 2^depth, reduced.
-	for i := range mix {
-		mix[i] = f.Base.Target.Part(i)
-	}
-	exp := ratio.ReduceWords(mix, uint(f.Base.Target.Depth()))
+	// Every root emits the base root's vector, which must be the target's:
+	// its parts over 2^depth, reduced.
 	for k, root := range f.Roots[before:] {
-		if v := nodes[tasks[root].Base].Vec; r.failed(v.EqualWords(mix, exp)) {
-			r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("tree %d root CF %v, want %v", before+k+1, v, f.Base.Target.Vector())})
+		if b := tasks[root].Base; r.failed(b == int32(g.Root.ID)) {
+			r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("tree %d is rooted at base node %d, not the base root %d", before+k+1, b, g.Root.ID)})
 		}
+	}
+	for i := range words {
+		words[i] = g.Target.Part(i)
+	}
+	if v := g.Root.Vec; r.failed(v.EqualWords(words, ratio.ReduceWords(words, uint(g.Target.Depth())))) {
+		r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("base root CF %v, want %v", v, g.Target.Vector())})
 	}
 	// The theorem holds for the forest as a whole: for a window, the pool
 	// it leaves.
-	if f.Base.Algorithm == "MM" {
-		if d := f.Base.Target.Depth(); d >= 1 {
+	if g.Algorithm == "MM" {
+		if d := g.Target.Depth(); d >= 1 {
 			if period, emitted := int64(1)<<uint(d), int64(2*len(f.Roots)); emitted%period == 0 {
 				if w := int64(pooled) + st.Waste; r.failed(w == 0) {
 					r.violate(&Violation{Code: WasteCount, Detail: fmt.Sprintf("W=%d for emitted=%d ≡ 0 mod 2^%d on MM base, want 0", w, emitted, d)})

@@ -148,7 +148,8 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 	}
 
 	// The emitted targets are the two outputs of every tree root, a task of
-	// g.Root whose exact vector is the target (the plan audits prove it).
+	// g.Root whose exact vector is the target (audit.CheckPacked proves it,
+	// and this lemma's premise, on every cached plan).
 	root := an.Nodes[g.Root.ID]
 	an.WorstTarget = max(0, root.Err.Worst)
 	an.ExpectedTarget = max(0, root.Err.Expected)

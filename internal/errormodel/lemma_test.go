@@ -94,25 +94,14 @@ func walkForest(f *forest.PackedForest, p Params) []TaskError {
 }
 
 // checkPackedPremise reports the first task of f whose inputs are not what
-// the obtain recursion gives every task of its base node: a fresh dispense
-// of a leaf child's fluid, or an output of an earlier task of a mix child.
+// the obtain recursion gives every task of its base node
+// (forest.FromChildren), and a tree not rooted at the base root.
 func checkPackedPremise(t *testing.T, name string, f *forest.PackedForest) bool {
 	t.Helper()
 	for id := range f.Tasks {
-		pt := &f.Tasks[id]
-		v := f.Base.Nodes[pt.Base]
-		if v.IsLeaf() {
-			t.Errorf("%s: task %d instantiates leaf node %d", name, id, v.ID)
+		if v := f.Base.Nodes[f.Tasks[id].Base]; v.IsLeaf() || !f.FromChildren(id) {
+			t.Errorf("%s: task %d (node %d) inputs %+v are not instances of its node's children", name, id, v.ID, f.Tasks[id].In)
 			return false
-		}
-		for k, c := range v.Children {
-			src := pt.In[k]
-			ok := src.Kind == forest.Input && c.IsLeaf() && int(src.Ref) == c.Fluid ||
-				src.Kind == forest.FromTask && !c.IsLeaf() && int(src.Ref) < id && int(f.Tasks[src.Ref].Base) == c.ID
-			if !ok {
-				t.Errorf("%s: task %d (node %d) input %d %+v is not an instance of child node %d", name, id, v.ID, k, src, c.ID)
-				return false
-			}
 		}
 	}
 	for i, root := range f.Roots {
@@ -125,7 +114,8 @@ func checkPackedPremise(t *testing.T, name string, f *forest.PackedForest) bool 
 }
 
 // checkLemma grows one forest of lemmaTrees trees over g, checks the
-// premise on every task and compares the graph pass with the per-task walk
+// premise (forest.PackedForest.FromChildren, the predicate the plan audit
+// runs) on every task and compares the graph pass with the per-task walk
 // on every task and on the aggregates of every demand 1..2·lemmaTrees, at
 // every noise setting of the grid. It returns the number of tasks checked.
 func checkLemma(t *testing.T, name string, g *mixgraph.Graph, pb *forest.PackedBuilder) int {

@@ -205,6 +205,25 @@ func (b *PackedBuilder) obtain(v *mixgraph.Node, tree int32) PSource {
 	return PSource{Kind: FromTask, Ref: t}
 }
 
+// FromChildren reports whether task i reads its inputs as obtain gives
+// every task of its base node v, the premise of DESIGN §14's lemma: input
+// k is a dispense of v.Children[k]'s fluid when that child is a leaf, and
+// otherwise an output of an earlier task of v.Children[k], whether before
+// a persistent window or in it. By induction over the tasks, every task
+// meeting it carries v's vector exactly. Task i's Base must be a mix node
+// of f.Base.
+func (f *PackedForest) FromChildren(i int) bool {
+	t := &f.Tasks[i]
+	for k, c := range f.Base.Nodes[t.Base].Children {
+		src := t.In[k]
+		if !(c.IsLeaf() && src.Kind == Input && src.Ref == int32(c.Fluid) ||
+			!c.IsLeaf() && src.Kind == FromTask && src.Ref >= 0 && int(src.Ref) < i && f.Tasks[src.Ref].Base == int32(c.ID)) {
+			return false
+		}
+	}
+	return true
+}
+
 func (b *PackedBuilder) newTask(v *mixgraph.Node, l, r PSource, tree int32) int32 {
 	id := int32(len(b.f.Tasks))
 	b.f.Tasks = append(b.f.Tasks, PTask{

@@ -60,11 +60,13 @@ func (f *Forest) Validate() error {
 
 // ValidateStats is Validate returning, on success, the Stats its
 // conservation check computed, so an auditor needs only one pass over the
-// tasks for both. Every plan the serving layer builds passes through it, so
-// the clean path allocates a fixed handful of objects however large the
-// forest: source identity is an index check against Tasks (no visited-set
-// map) and each task's CF is recomputed in one reused word buffer. Vectors
-// are boxed only to render a message once a check has failed.
+// tasks for both. The pointer-form audit (audit.CheckForest, which the
+// facade exports) calls it; the plans the serving layer caches are audited
+// on their slabs instead (audit.CheckPacked). Its clean path allocates a
+// fixed handful of objects however large the forest: source identity is an
+// index check against Tasks (no visited-set map) and each task's CF is
+// recomputed in one reused word buffer. Vectors are boxed only to render a
+// message once a check has failed.
 func (f *Forest) ValidateStats() (Stats, error) {
 	n := f.Base.Target.N()
 	words := make([]int64, 3*n)

@@ -15,8 +15,12 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/forest"
 	"repro/internal/obs"
 	"repro/internal/plancache"
+	"repro/internal/protocols"
+	"repro/internal/sched"
 )
 
 // clusterNode is one in-process dmfbd node of a test fleet: its own plan
@@ -242,6 +246,53 @@ func TestClusterRejectsWindowArtifact(t *testing.T) {
 	}
 	if resp.TotalCycles != cycles || resp.Emitted != 20 {
 		t.Fatalf("plan after refused PUT: %d cycles, %d emitted; want %d cycles, 20 emitted", resp.TotalCycles, resp.Emitted, cycles)
+	}
+}
+
+// TestClusterRejectsNonChildArtifact: a PUT whose plan feeds a task from
+// a spare of an equal-vector node that is not its base node's child (a
+// real plan, rescheduled, recounted and resealed, whose vectors all check)
+// is refused with a typed 422 and stored nowhere: the error intervals the
+// node serves for a plan hold only for the forests the lemma covers.
+func TestClusterRejectsNonChildArtifact(t *testing.T) {
+	nodes := newTestCluster(t, 2)
+	g, err := core.MM.Build(protocols.Table2()[0].Ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := forest.BuildPacked(new(forest.PackedBuilder), g, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reroute := func() bool {
+		for j := range pf.Tasks {
+			for k, src := range pf.Tasks[j].In {
+				for q := 0; q < j && src.Kind == forest.FromTask; q++ {
+					if v, child := g.Nodes[pf.Tasks[q].Base], g.Nodes[pf.Tasks[src.Ref].Base]; v != child && v.Vec.Equal(child.Vec) && pf.Tasks[q].FreeOutputs() > 0 {
+						pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.Tasks[q].Tree != pf.Tasks[j].Tree}
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	rerouted := reroute()
+	f := pf.Materialize()
+	s, err := sched.MMS(f, 4)
+	if err != nil || !rerouted {
+		t.Fatalf("test premise: rerouted %v, MMS err %v", rerouted, err)
+	}
+	k := plancache.KeyFor(g, 20, 4, "MMS", plancache.PristinePolicy)
+	data, err := artifact.Encode(k, plancache.NewPlan(f, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := putArtifact(t, nodes[1], artifact.AddressFor(k), data); code != http.StatusUnprocessableEntity {
+		t.Fatalf("non-child PUT status %d, want 422", code)
+	}
+	if nodes[1].store.Len() != 0 {
+		t.Fatal("refused artifact reached the disk tier")
 	}
 }
 

@@ -75,15 +75,17 @@ func FuzzPlan(f *testing.F) {
 		if p.Stats.Targets < demand {
 			t.Fatalf("plan emits %d of %d demanded", p.Stats.Targets, demand)
 		}
-		// Each corruption of a fresh copy must fail both audits alike.
+		// Each corruption a fresh copy admits must fail both audits alike,
+		// or only the packed audit a packed-only one.
 		m := planMutations[int(first)%len(planMutations)]
 		bad, err := BuildPlan(cfg, demand)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.apply(bad)
-		if err := bothReject(bad, m.claim); err != nil {
-			t.Fatalf("%s mutation: %v", m.name, err)
+		if m.apply(bad) {
+			if err := bothReject(bad, m.claim, m.packedOnly); err != nil {
+				t.Fatalf("%s mutation: %v", m.name, err)
+			}
 		}
 
 		pf := p.Packed()
