@@ -1,6 +1,7 @@
 package errormodel
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestAnalyzeSingleMix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	if got, want := an.WorstTarget, delta/2; abs(got-want) > 1e-12 {
+	if got, want := an.WorstTarget, delta/2; math.Abs(got-want) > 1e-12 {
 		t.Errorf("single-mix worst bound = %g, want %g", got, want)
 	}
 	if an.ExpectedTarget <= 0 || an.ExpectedTarget >= an.WorstTarget {
@@ -210,7 +211,7 @@ func TestHandoffOrderBias(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Simulate(randomized): %v", err)
 	}
-	shift := abs(repOrdered.MeanErr - repRandom.MeanErr)
+	shift := math.Abs(repOrdered.MeanErr - repRandom.MeanErr)
 	rel := shift / repRandom.MeanErr
 	t.Logf("mean CF error: ordered %.6f, randomized %.6f (shift %.2f%%)",
 		repOrdered.MeanErr, repRandom.MeanErr, 100*rel)

@@ -129,7 +129,7 @@ func Split(d Droplet, eps float64) (Droplet, Droplet) {
 func (d Droplet) LinfError(want []float64) float64 {
 	worst := 0.0
 	for i := range want {
-		if e := abs(d.CF[i] - want[i]); e > worst {
+		if e := math.Abs(d.CF[i] - want[i]); e > worst {
 			worst = e
 		}
 	}
@@ -154,11 +154,7 @@ func Simulate(f *forest.Forest, p Params) (*Report, error) {
 		if want.IsZero() {
 			want = f.Base.Target.Vector()
 		}
-		cf := make([]float64, n)
-		for i := 0; i < n; i++ {
-			cf[i] = float64(want.Num(i)) / float64(want.Denom())
-		}
-		ideal[tree.Index] = cf
+		ideal[tree.Index] = want.Floats()
 	}
 
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -249,11 +245,4 @@ func nearestRank(sorted []float64, q float64) float64 {
 // 1/2^d per constituent (§2.1).
 func RoundingErrorBound(d int) float64 {
 	return 1 / float64(int64(1)<<uint(d))
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -63,6 +63,18 @@ func (v Vector) Exp() uint { return v.exp }
 // Denom returns the canonical denominator 2^Exp().
 func (v Vector) Denom() int64 { return int64(1) << v.exp }
 
+// Floats returns the concentrations as floats, each numerator over the
+// denominator: the exact CF a sensor reading or a simulated droplet is
+// compared with.
+func (v Vector) Floats() []float64 {
+	cf := make([]float64, len(v.num))
+	den := float64(v.Denom())
+	for i, n := range v.num {
+		cf[i] = float64(n) / den
+	}
+	return cf
+}
+
 // IsPure reports whether the droplet consists of a single fluid, and which.
 func (v Vector) IsPure() (fluid int, ok bool) {
 	fluid = -1

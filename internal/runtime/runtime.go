@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/audit"
@@ -668,11 +669,11 @@ func (e *executor) deliver(c *execCtx, t *forest.Task, d errormodel.Droplet, cyc
 // checkpoint sensor until the imbalance and CF pass or retries run out.
 func (e *executor) mixSplit(c *execCtx, t *forest.Task, a, b errormodel.Droplet, cycle int, mixer string) (errormodel.Droplet, errormodel.Droplet, error) {
 	merged := errormodel.Mix(a, b)
-	want := idealCF(t.Vec)
+	want := t.Vec.Floats()
 	for attempt := 0; attempt <= e.pol.MaxRetries; attempt++ {
 		eps := e.inj.SplitEpsilon(e.offset+cycle, mixer, attempt, e.pol.SensorThreshold)
 		hi, lo := errormodel.Split(merged, eps)
-		if absf(eps) <= e.pol.SensorThreshold &&
+		if math.Abs(eps) <= e.pol.SensorThreshold &&
 			hi.LinfError(want) <= e.pol.CFTolerance && lo.LinfError(want) <= e.pol.CFTolerance {
 			e.led.MixSplit(e.offset+cycle, mixer, a, b, hi, lo, t.Vec)
 			return hi, lo, nil
@@ -836,9 +837,9 @@ func (e *executor) aliveMixerFor(c *execCtx, t *forest.Task, cycle int) string {
 // emit runs the output-port sensor on a target droplet: CF within tolerance
 // and volume within the sensor threshold, or the producing root is replayed.
 func (e *executor) emit(c *execCtx, producer *forest.Task, d errormodel.Droplet, cycle int) error {
-	want := idealCF(producer.Vec)
+	want := producer.Vec.Floats()
 	for attempt := 0; attempt <= e.pol.MaxRetries; attempt++ {
-		if cfErr := d.LinfError(want); cfErr <= e.pol.CFTolerance && absf(d.Volume-1) <= e.pol.SensorThreshold {
+		if cfErr := d.LinfError(want); cfErr <= e.pol.CFTolerance && math.Abs(d.Volume-1) <= e.pol.SensorThreshold {
 			e.rep.Emitted++
 			e.rep.Targets = append(e.rep.Targets, TargetReading{Cycle: e.offset + cycle, Volume: d.Volume, CFError: cfErr})
 			e.led.Emit(e.offset+cycle, producer.Vec, d)
@@ -1020,20 +1021,4 @@ func cutOffMixers(l *chip.Layout) []string {
 		}
 	}
 	return cut
-}
-
-func idealCF(v ratio.Vector) []float64 {
-	cf := make([]float64, v.N())
-	den := float64(v.Denom())
-	for i := range cf {
-		cf[i] = float64(v.Num(i)) / den
-	}
-	return cf
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
