@@ -27,8 +27,11 @@
 package rsm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/mixgraph"
 	"repro/internal/ratio"
@@ -150,11 +153,11 @@ func keyOf(parts []part, k, nFluids int) string {
 	for _, p := range parts {
 		amounts[p.fluid] += p.amount
 	}
-	key := fmt.Sprintf("k%d", k)
+	key := strconv.AppendInt(append(make([]byte, 0, 4+8*nFluids), 'k'), int64(k), 10)
 	for _, a := range amounts {
-		key += fmt.Sprintf(":%d", a)
+		key = strconv.AppendInt(append(key, ':'), a, 10)
 	}
-	return key
+	return string(key)
 }
 
 // candidateSplits proposes a beam of halvings of the sub-ratio into two
@@ -170,15 +173,16 @@ func candidateSplits(parts []part, half int64) [][2][]part {
 
 	var out [][2][]part
 	seen := map[string]bool{}
+	var key []byte
 	add := func(left, right []part) {
 		if len(left) == 0 || len(right) == 0 {
 			return
 		}
-		k := sideKey(left) + "|" + sideKey(right)
-		if seen[k] {
+		key = appendSideKey(append(appendSideKey(key[:0], left), '|'), right)
+		if seen[string(key)] {
 			return
 		}
-		seen[k] = true
+		seen[string(key)] = true
 		out = append(out, [2][]part{left, right})
 	}
 
@@ -273,14 +277,17 @@ func mmSplit(parts []part, half int64) (left, right []part, ok bool) {
 	return toParts(pool[0]), toParts(pool[1]), true
 }
 
-func sideKey(side []part) string {
-	s := append([]part(nil), side...)
-	sort.Slice(s, func(i, j int) bool { return s[i].fluid < s[j].fluid })
-	key := ""
+// appendSideKey appends one side's parts in fluid order, "fluid=amount,"
+// each, to dst.
+func appendSideKey(dst []byte, side []part) []byte {
+	s := slices.Clone(side)
+	slices.SortFunc(s, func(a, b part) int { return cmp.Compare(a.fluid, b.fluid) })
 	for _, p := range s {
-		key += fmt.Sprintf("%d=%d,", p.fluid, p.amount)
+		dst = strconv.AppendInt(dst, int64(p.fluid), 10)
+		dst = strconv.AppendInt(append(dst, '='), p.amount, 10)
+		dst = append(dst, ',')
 	}
-	return key
+	return dst
 }
 
 func greedyFill(sorted []part, half int64) (left, right []part) {
