@@ -11,7 +11,7 @@ GO ?= go
 # plan requests) — raced explicitly by `make race`.
 CONCURRENT_PKGS := ./internal/parallel ./internal/plancache ./internal/lru ./internal/experiments ./internal/stream ./internal/synth ./internal/faults ./internal/runtime ./internal/exec ./internal/route ./internal/obs ./internal/audit ./internal/core ./internal/server ./internal/mixgraph ./internal/forest ./internal/sched ./internal/wal ./internal/fleet ./internal/contam ./internal/artifact ./internal/cluster ./internal/errormodel ./cmd/dmfbd
 
-.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-cold results-check bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
+.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-cold bench-record results-check bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,30 @@ bench-cold:
 	$(GO) test ./internal/server -run '^$$' -bench 'ColdPlanRequest|HotPlanRequest' -benchmem -benchtime 5000x
 	$(GO) test ./internal/core -run '^$$' -bench ColdEngineSetup -benchmem -benchtime 2000x
 	$(GO) test ./internal/audit -run '^$$' -bench CheckPacked -benchmem -benchtime 2000x
+
+# Record the stage and end-to-end benchmarks of ROADMAP item 15 in
+# BENCH_$(PR).json (`make bench-record PR=N`): per benchmark, the median,
+# min and max of ns/op, B/op, allocs/op and any reported metric (B/entry)
+# over five runs, with the Go version, GOMAXPROCS and CPU model
+# (cmd/benchrecord). BenchmarkPersistentRequest runs a pinned 4000
+# Requests, as its untimed engine growth otherwise takes minutes. About
+# five minutes in all.
+BENCH_RECORD := -run '^$$' -benchmem -count 5
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<number>" >&2; exit 2; }
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; set -e; \
+	$(GO) test $(BENCH_RECORD) -bench 'ColdEngineSetup|WarmPlanRequest' ./internal/core >>"$$tmp/out"; \
+	$(GO) test $(BENCH_RECORD) -bench PersistentRequest -benchtime 4000x ./internal/core >>"$$tmp/out"; \
+	$(GO) test $(BENCH_RECORD) -bench BuildPacked ./internal/forest >>"$$tmp/out"; \
+	$(GO) test $(BENCH_RECORD) -bench Kernel ./internal/sched >>"$$tmp/out"; \
+	$(GO) test $(BENCH_RECORD) -bench CheckPacked ./internal/audit >>"$$tmp/out"; \
+	$(GO) test $(BENCH_RECORD) -bench 'ColdDemandScan|ErrorAwareSelection' ./internal/stream >>"$$tmp/out"; \
+	$(GO) test $(BENCH_RECORD) -bench RunObsDisabled ./internal/runtime >>"$$tmp/out"; \
+	$(GO) test $(BENCH_RECORD) -bench '^BenchmarkBuild$$' ./internal/rsm >>"$$tmp/out"; \
+	$(GO) test $(BENCH_RECORD) -bench 'ColdPlanRequest|HotPlanRequest' ./internal/server >>"$$tmp/out"; \
+	$(GO) run ./cmd/benchrecord -pr $(PR) -commit "$$(git describe --always --dirty)" <"$$tmp/out" >"$$tmp/record.json"; \
+	mv "$$tmp/record.json" BENCH_$(PR).json; \
+	echo "bench-record: wrote BENCH_$(PR).json"
 
 # Short fuzzing passes over the parser, the forest builder, the planner
 # (plan audit, window audit, Pack/Materialize round trip, multi-pass plans

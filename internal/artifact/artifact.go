@@ -34,6 +34,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/audit"
 	"repro/internal/forest"
@@ -111,7 +112,7 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	}
 	f, slots := p.Packed(), p.Slots()
 	g := f.Base
-	if k.Graph != g.Fingerprint() || k.Ratio != g.Target.String() || k.Algo != g.Algorithm {
+	if k.Graph != g.Fingerprint() || k.Ratio != g.Target.String() || k.Names != g.Target.NamesKey() || k.Algo != g.Algorithm {
 		return nil, fmt.Errorf("%w: key does not identify the plan's base graph", ErrVerify)
 	}
 	if k.Demand != f.Demand {
@@ -161,7 +162,7 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	buf = putUvarint(buf, uint64(len(f.Tasks)))
 	for i := range f.Tasks {
 		t := &f.Tasks[i]
-		buf = putUvarint(buf, uint64(t.Tree))
+		buf = putUvarint(buf, uint64(f.TreeOf(i)))
 		buf = putUvarint(buf, uint64(t.Base))
 		buf = putUvarint(buf, uint64(t.Level))
 		buf = putUvarint(buf, uint64(t.Targets))
@@ -214,9 +215,10 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 // mixgraph.Build runs its full validation), then the forest and schedule
 // read straight into a plan slab. Of those it checks only what filling the
 // slab needs: a positive demand, base nodes and fluids in range, sources
-// naming earlier tasks, at most two consumers per task, tree numbers that
-// start at 1 and only continue or step by one, and one slot per task of a
-// schedule starting at task 0. Semantic verification — the plan audit and
+// naming earlier tasks, at most two consumers per task, levels that fit a
+// task record (at most 127), tree numbers that start at 1, only continue
+// or step by one and stop at ⌈D/2⌉, and one slot per task of a schedule
+// starting at task 0. Semantic verification — the plan audit and
 // the claimed aggregates — is Verify's job; callers that execute decoded
 // plans use DecodeVerified.
 func Decode(data []byte) (*Artifact, error) {
@@ -277,6 +279,7 @@ func Decode(data []byte) (*Artifact, error) {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
+	k.Names = target.NamesKey() // the key section leaves the names to the target
 
 	// Section 3: the base graph, rebuilt node by node with consumption
 	// budgets tracked so the builder's invariants can never panic.
@@ -341,11 +344,19 @@ func Decode(data []byte) (*Artifact, error) {
 		return nil, r.fail()
 	}
 	tasks := make([]forest.PTask, nTasks)
+	// Trees are contiguous runs of tasks numbered 1, 2, ...: each starts
+	// where the number steps and ends at its root, its last task. A plan
+	// has ⌈D/2⌉ of them (the audit checks that), so no more are read.
+	maxTrees := min((k.Demand+1)/2, nTasks)
+	trees := make([]int32, 2*maxTrees)
+	roots, starts := trees[:maxTrees:maxTrees], trees[maxTrees:]
+	nTrees := 0
 	for i := range tasks {
 		t := &tasks[i]
-		t.Tree = int32(r.count(maxTasks))
+		tree := r.count(maxTasks)
 		t.Base = int32(r.count(maxNodes))
-		t.Level = int32(r.count(maxNodes))
+		level := r.count(maxNodes)
+		t.Level = int8(level)
 		t.Targets = int8(r.count(4))
 		for j := range t.In {
 			kind, ref := r.byte(), int32(r.count(maxTasks))
@@ -369,36 +380,27 @@ func Decode(data []byte) (*Artifact, error) {
 				t.In[j] = forest.PSource{Kind: forest.FromTask, Ref: ref, Reused: kind == 2}
 			}
 		}
-		prev := int32(0)
-		if i > 0 {
-			prev = tasks[i-1].Tree
-		}
 		switch {
 		case r.err != nil:
 		case int(t.Base) >= len(g.Nodes):
 			r.set(fmt.Errorf("task %d references base node %d of %d", i, t.Base, len(g.Nodes)))
-		case t.Tree != prev && t.Tree != prev+1 || t.Tree == 0:
-			r.set(fmt.Errorf("task %d in tree %d after tree %d", i, t.Tree, prev))
+		case level > math.MaxInt8:
+			r.set(fmt.Errorf("task %d at level %d", i, level))
+		case tree != nTrees && tree != nTrees+1 || tree == 0:
+			r.set(fmt.Errorf("task %d in tree %d after tree %d", i, tree, nTrees))
+		case tree > maxTrees:
+			r.set(fmt.Errorf("task %d in tree %d of a plan for D=%d", i, tree, k.Demand))
 		}
 		if r.err != nil {
 			return nil, r.fail()
 		}
-	}
-	// Trees are contiguous runs of tasks numbered 1, 2, ...: each starts
-	// where the number steps and ends at its root, its last task.
-	nTrees := 0
-	if nTasks > 0 {
-		nTrees = int(tasks[nTasks-1].Tree)
-	}
-	trees := make([]int32, 2*nTrees)
-	roots, starts := trees[:nTrees:nTrees], trees[nTrees:]
-	for i := range tasks {
-		tree := tasks[i].Tree - 1
-		if i == 0 || tasks[i-1].Tree-1 != tree {
-			starts[tree] = int32(i)
+		if tree > nTrees {
+			starts[nTrees] = int32(i)
+			nTrees = tree
 		}
-		roots[tree] = int32(i)
+		roots[tree-1] = int32(i)
 	}
+	roots, starts = roots[:nTrees:nTrees], starts[:nTrees:nTrees]
 
 	// Section 5: the schedule bindings.
 	scheduler := r.str()
@@ -419,8 +421,8 @@ func Decode(data []byte) (*Artifact, error) {
 	}
 	slots := make([]sched.Assignment, nSlots)
 	for i := range slots {
-		slots[i].Cycle = r.count(4*nTasks + 4)
-		slots[i].Mixer = r.count(maxTasks)
+		slots[i].Cycle = int32(r.count(4*nTasks + 4))
+		slots[i].Mixer = int32(r.count(maxTasks))
 	}
 
 	// Section 6: claimed aggregates.

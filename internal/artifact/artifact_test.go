@@ -229,9 +229,6 @@ func corruptForests(t testing.TB) []corruptForest {
 		{"bad-targets", func(_ *plancache.Key, f *forest.PackedForest, _ *[]sched.Assignment) {
 			f.Tasks[0].Targets = 1
 		}},
-		{"tree-skip", func(_ *plancache.Key, f *forest.PackedForest, _ *[]sched.Assignment) {
-			f.Tasks[len(f.Tasks)-1].Tree += 3
-		}},
 		{"over-consume", func(_ *plancache.Key, f *forest.PackedForest, _ *[]sched.Assignment) {
 			last := len(f.Tasks) - 1
 			f.Tasks[last].In = [2]forest.PSource{from(0), from(0)}
@@ -258,7 +255,92 @@ func corruptForests(t testing.TB) []corruptForest {
 		}
 		out[i] = corruptForest{c.name, data}
 	}
-	return out
+	// Tree numbers are written from the spans, which cannot skip one, and
+	// a level from an int8, so those breaches go into the sealed bytes.
+	last := len(p.Packed().Tasks) - 1
+	tree, level := p.Packed().TreeOf(last), int(p.Packed().Tasks[last].Level)
+	return append(out,
+		corruptForest{"tree-skip", lastTaskBytes(t, k, p, tree+3, level)},
+		corruptForest{"level-200", lastTaskBytes(t, k, p, tree, 200)})
+}
+
+// lastTaskBytes encodes p under k, rewrites its last task's record with the
+// given tree number and level, and reseals the payload.
+func lastTaskBytes(t testing.TB, k plancache.Key, p *plancache.Plan, tree, level int) []byte {
+	t.Helper()
+	data, err := Encode(k, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.Packed()
+	last := len(f.Tasks) - 1
+	task := &f.Tasks[last]
+	record := func(tree, level int) []byte {
+		rec := putUvarint(nil, uint64(tree))
+		rec = putUvarint(rec, uint64(task.Base))
+		rec = putUvarint(rec, uint64(level))
+		rec = putUvarint(rec, uint64(task.Targets))
+		for _, in := range task.In {
+			kind := byte(0)
+			if in.Kind == forest.FromTask {
+				kind = 1
+				if in.Reused {
+					kind = 2
+				}
+			}
+			rec = putUvarint(append(rec, kind), uint64(in.Ref))
+		}
+		return append(rec, putString(nil, p.Algorithm())...) // the schedule section follows
+	}
+	was := record(f.TreeOf(last), int(task.Level))
+	payload := data[:len(data)-sha256.Size]
+	at := bytes.Index(payload, was)
+	if at < 0 || bytes.Count(payload, was) != 1 {
+		t.Fatal("last task record not found once in the artifact")
+	}
+	out := append(append([]byte(nil), payload[:at]...), record(tree, level)...)
+	return seal(append(out, payload[at+len(was):]...))
+}
+
+// TestDecodeRejectsWideLevel: a task record holds its level in a byte, so a
+// wire level above 127 is corrupt, not truncated into another level.
+func TestDecodeRejectsWideLevel(t *testing.T) {
+	for _, c := range corruptForests(t) {
+		if c.name != "level-200" {
+			continue
+		}
+		if _, err := Decode(c.data); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("level 200: Decode err = %v, want ErrCorrupt", err)
+		}
+		return
+	}
+	t.Fatal("no level-200 case")
+}
+
+// TestDecodeKeyCarriesNames: the key section leaves the target's fluid
+// names out, so the same plan of a named and an unnamed target shares one
+// address, and Decode fills the names in from the decoded target: a
+// decoded key equals the key the plan was encoded under.
+func TestDecodeKeyCarriesNames(t *testing.T) {
+	var addrs []string
+	for _, r := range []ratio.Ratio{ratio.MustParse("2:1:1:1:1:1:9"), protocols.PCR16().Ratio} {
+		k, p := servedPlan(t, core.MM, r, 20, 3, "MMS")
+		data, err := Encode(k, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := DecodeVerified(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Key != k {
+			t.Fatalf("%v: decoded key %+v, encoded under %+v", r.Names(), a.Key, k)
+		}
+		addrs = append(addrs, a.Address())
+	}
+	if addrs[0] != addrs[1] {
+		t.Fatal("fluid names changed the artifact address")
+	}
 }
 
 // TestDecodeRejectsCorruptForests: every structural breach of a sealed
@@ -480,7 +562,7 @@ func rerouteToEqualVector(pf *forest.PackedForest) bool {
 			child := nodes[pf.Tasks[src.Ref].Base]
 			for q := range j {
 				if v := nodes[pf.Tasks[q].Base]; v != child && v.Vec.Equal(child.Vec) && pf.Tasks[q].FreeOutputs() > 0 {
-					pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.Tasks[q].Tree != pf.Tasks[j].Tree}
+					pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.TreeOf(q) != pf.TreeOf(j)}
 					return true
 				}
 			}

@@ -44,7 +44,8 @@ func FuzzArtifactDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DMFBART1"))
 	f.Add([]byte("DMFBART1\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
-	// Sealed forest breaches (TestDecodeRejectsCorruptForests).
+	// Sealed forest breaches (TestDecodeRejectsCorruptForests), a wire
+	// level of 200 among them.
 	for _, c := range corruptForests(f) {
 		f.Add(c.data)
 	}

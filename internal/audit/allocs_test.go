@@ -13,8 +13,9 @@ import (
 // TestCleanAuditAllocs pins the clean-path cost of the stream-count audit
 // and the packed plan audit: they run on every plan the serving layer
 // builds, so a passing check must not materialise violation messages. A
-// clean CheckStreamCounts may allocate only the Report; a clean
-// CheckPacked the Report and its one scratch buffer, at any demand.
+// clean CheckStreamCounts may allocate only the Report, and so may a clean
+// CheckPacked at any demand: its scratch buffer is pooled. The race
+// detector's sync.Pool drops Puts at random, so that pin is skipped there.
 func TestCleanAuditAllocs(t *testing.T) {
 	c := StreamCounts{
 		Demand:        20,
@@ -57,12 +58,15 @@ func TestCleanAuditAllocs(t *testing.T) {
 		if r := CheckPacked(p); !r.Clean() {
 			t.Fatalf("D=%d: packed plan fails its own audit: %v", demand, r.Err())
 		}
+		if raceDetector {
+			continue
+		}
 		if allocs := testing.AllocsPerRun(50, func() {
 			if !CheckPacked(p).Clean() {
 				t.Fatal("audit failed")
 			}
-		}); allocs > 2 {
-			t.Fatalf("clean CheckPacked allocates %.1f objects at D=%d, want <= 2 (the Report and one scratch buffer)", allocs, demand)
+		}); allocs > 1 {
+			t.Fatalf("clean CheckPacked allocates %.1f objects at D=%d, want <= 1 (the Report)", allocs, demand)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package audit
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/forest"
 	"repro/internal/plancache"
@@ -45,8 +46,8 @@ import (
 // throughout, as the engine counts them.
 //
 // It gates every plan a cache holds, built (stream.BuildPlan) or adopted
-// (artifact.Verify), and every persistent batch. A clean run allocates the
-// Report and one scratch buffer, whatever the plan's size
+// (artifact.Verify), and every persistent batch. A clean run allocates only
+// the Report: its one scratch buffer is borrowed from a pool
 // (TestCleanAuditAllocs).
 func CheckPacked(p *plancache.Plan) *Report {
 	r := &Report{}
@@ -61,12 +62,24 @@ func CheckPacked(p *plancache.Plan) *Report {
 	// The one scratch buffer: the target's CF words, the per-fluid input
 	// recount, the per-task consumer recount and bucket order, and three
 	// per-cycle tables (lifetime walk, difference array, bucket bounds).
-	scratch := make([]int64, 2*n+2*nTasks+3*(cycles+2))
+	// Only the recounts, the walk and the difference array are read before
+	// they are written, so only they are cleared.
+	buf := scratchPool.Get().(*[]int64)
+	defer scratchPool.Put(buf)
+	need := 2*n + 2*nTasks + 3*(cycles+2)
+	if cap(*buf) < need {
+		*buf = make([]int64, need)
+	}
+	scratch := (*buf)[:need]
 	words, inputs := scratch[:n], scratch[n:2*n]
 	rest := scratch[2*n:]
 	cons, order := rest[:nTasks], rest[nTasks:2*nTasks]
 	rest = rest[2*nTasks:]
 	walk, diff, end := rest[:cycles+2], rest[cycles+2:2*(cycles+2)], rest[2*(cycles+2):]
+	clear(inputs)
+	clear(cons)
+	clear(walk)
+	clear(diff)
 
 	carried, ok := checkPackedForest(r, f, first, pooled, p.Stats, words, inputs, cons)
 	if !ok {
@@ -90,12 +103,12 @@ func CheckPacked(p *plancache.Plan) *Report {
 	}
 	slots := p.Slots()
 	for i := first; i < len(f.Tasks); i++ {
-		ran := slots[i-first].Cycle
+		ran := int(slots[i-first].Cycle)
 		for _, src := range f.Tasks[i].In {
 			if src.Kind == forest.FromTask {
 				produced := 0
 				if int(src.Ref) >= first {
-					produced = slots[int(src.Ref)-first].Cycle
+					produced = int(slots[int(src.Ref)-first].Cycle)
 				}
 				store(produced+1, ran-1, 1)
 			}
@@ -122,6 +135,10 @@ func CheckPacked(p *plancache.Plan) *Report {
 	return r
 }
 
+// scratchPool holds CheckPacked's scratch buffers, which it runs on every
+// cold build.
+var scratchPool = sync.Pool{New: func() any { return new([]int64) }}
+
 // checkPackedForest is CheckPacked's forest half, over the tasks from first
 // on. It returns the spares the pool held before them, pooled, that they
 // leave there, and reports false when a structural break makes the later
@@ -133,14 +150,35 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 	before := f.TreesBefore(first)
 	st := forest.Stats{Trees: len(f.Roots) - before, Mixes: len(tasks) - first}
 	st.Targets = 2 * st.Trees
+
+	// Trees: contiguous spans from the window's first task, each ending in
+	// its root. A task's tree is the span holding it, so the spans are
+	// checked before the reuse tags read them: they must cover every task
+	// from first.
+	ok := len(f.TreeStart) == len(f.Roots) && (before < len(f.Roots)) == (first < len(tasks))
+	for k := before; ok && k < len(f.Roots); k++ {
+		lo, hi := f.TreeStart[k], int32(len(tasks))
+		if k+1 < len(f.TreeStart) {
+			hi = f.TreeStart[k+1]
+		}
+		ok = (k > before || lo == int32(first)) && lo < hi && hi <= int32(len(tasks)) && f.Roots[k] == hi-1 && tasks[hi-1].Targets == 2
+	}
+	if !treesOK(r, f, ok, first) {
+		return 0, false
+	}
+
 	pre, roots := int64(0), 0 // sources made before the window; tasks emitting targets
+	tree := before            // the span holding task i
 	for i := first; i < len(tasks); i++ {
 		t := &tasks[i]
+		for tree+1 < len(f.TreeStart) && int(f.TreeStart[tree+1]) <= i {
+			tree++
+		}
 		if r.failed(t.Base >= 0 && int(t.Base) < len(nodes) && !nodes[t.Base].IsLeaf()) {
 			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d instantiates base node %d, not a mix node of the base graph", i, t.Base)})
 			return 0, false
 		}
-		if r.failed(t.Level == int32(nodes[t.Base].PosLevel)) {
+		if r.failed(int(t.Level) == nodes[t.Base].PosLevel) {
 			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d at level %d, its base node %d at positional level %d", i, t.Level, t.Base, nodes[t.Base].PosLevel)})
 			return 0, false
 		}
@@ -151,7 +189,7 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 			case forest.Input:
 				ok = src.Ref >= 0 && int(src.Ref) < n && !src.Reused
 			case forest.FromTask:
-				ok = src.Ref >= 0 && int(src.Ref) < i && src.Reused == (tasks[src.Ref].Tree != t.Tree)
+				ok = src.Ref >= 0 && int(src.Ref) < i && src.Reused == (src.Ref < f.TreeStart[tree])
 			}
 			if r.failed(ok) {
 				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d has an invalid, out-of-order or mis-tagged source %+v", i, src)})
@@ -206,21 +244,8 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 		return 0, false
 	}
 
-	// Trees: contiguous spans from the window's first task, each ending in
-	// its root, the only task emitting targets.
-	ok := len(f.TreeStart) == len(f.Roots) && roots == st.Trees
-	for k := before; ok && k < len(f.Roots); k++ {
-		lo, hi := f.TreeStart[k], int32(len(tasks))
-		if k+1 < len(f.TreeStart) {
-			hi = f.TreeStart[k+1]
-		}
-		ok = (k > before || lo == int32(first)) && lo < hi && hi <= int32(len(tasks)) && f.Roots[k] == hi-1 && tasks[hi-1].Targets == 2
-		for j := lo; ok && j < hi; j++ {
-			ok = tasks[j].Tree == int32(k+1)
-		}
-	}
-	if r.failed(ok) {
-		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d tree spans and %d roots do not partition %d tasks into trees ending at their roots", len(f.TreeStart), len(f.Roots), len(tasks)-first)})
+	// Each tree's root is the only task emitting targets.
+	if !treesOK(r, f, roots == st.Trees, first) {
 		return 0, false
 	}
 
@@ -264,6 +289,15 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 	return carried, true
 }
 
+// treesOK reports a Structure violation unless ok, the tree spans and roots
+// partitioning the tasks from first into trees ending at their roots.
+func treesOK(r *Report, f *forest.PackedForest, ok bool, first int) bool {
+	if r.failed(ok) {
+		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d tree spans and %d roots do not partition %d tasks into trees ending at their roots", len(f.TreeStart), len(f.Roots), len(f.Tasks)-first)})
+	}
+	return ok
+}
+
 // checkPackedSlots is CheckPacked's schedule half over the tasks from first
 // on: coverage, cycle and mixer ranges, precedence, Tc, and mixer
 // exclusivity. perCycle (one entry per task, as Tc never exceeds the task
@@ -277,7 +311,7 @@ func checkPackedSlots(r *Report, p *plancache.Plan, first int, perCycle, order, 
 	clear(perCycle)
 	maxCycle := 0
 	for i, a := range slots {
-		ok := a.Cycle >= 1 && a.Cycle <= p.Cycles && a.Mixer >= 1 && a.Mixer <= p.Mixers
+		ok := a.Cycle >= 1 && int(a.Cycle) <= p.Cycles && a.Mixer >= 1 && int(a.Mixer) <= p.Mixers
 		for _, src := range f.Tasks[first+i].In {
 			ok = ok && (src.Kind != forest.FromTask || int(src.Ref) < first || slots[int(src.Ref)-first].Cycle < a.Cycle)
 		}
@@ -286,7 +320,7 @@ func checkPackedSlots(r *Report, p *plancache.Plan, first int, perCycle, order, 
 			return false
 		}
 		perCycle[a.Cycle-1]++
-		maxCycle = max(maxCycle, a.Cycle)
+		maxCycle = max(maxCycle, int(a.Cycle))
 	}
 	idle := false
 	for c := 0; c < p.Cycles; c++ {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"sync"
 
 	"repro/internal/lru"
@@ -15,8 +14,9 @@ import (
 // mixing graph from scratch. A graph is a pure function of (algorithm,
 // target ratio) and immutable once built, so graphs are shared
 // process-wide behind a bounded LRU. This is what makes a warm plan
-// request nearly allocation-free end to end: the cache key of an unnamed
-// target is two field reads, and what remains is a plan-cache hit.
+// request nearly allocation-free end to end: the cache key is three field
+// reads, as a ratio renders its colon form and its names key once, when it
+// is made, and what remains is a plan-cache hit.
 
 // baseCacheCapacity bounds the cache. A serving process sees a small
 // working set of (algorithm, ratio) pairs, and a graph is a few kilobytes,
@@ -33,9 +33,8 @@ var (
 )
 
 // baseKey identifies a built base graph: the algorithm, the target's colon
-// form and, for a named target, its fluid names (they ride on
-// Graph.Target). Each name is written as its byte length, ':' and the
-// name, so no two name lists share an encoding whatever bytes they hold.
+// form and its fluid names (they ride on Graph.Target) in the rendering
+// ratio.Ratio.NamesKey gives them, which plancache.Key carries too.
 type baseKey struct {
 	alg           Algorithm
 	target, names string
@@ -44,14 +43,7 @@ type baseKey struct {
 // cachedBase returns the (immutable, shared) base mixing graph for the
 // algorithm and target, building and caching it on first use.
 func cachedBase(alg Algorithm, target ratio.Ratio) (*mixgraph.Graph, error) {
-	key := baseKey{alg: alg, target: target.String()}
-	if target.Named() {
-		var b []byte
-		for _, n := range target.Names() {
-			b = append(append(strconv.AppendInt(b, int64(len(n)), 10), ':'), n...)
-		}
-		key.names = string(b)
-	}
+	key := baseKey{alg: alg, target: target.String(), names: target.NamesKey()}
 	baseMu.Lock()
 	g, ok := baseGraphs.Get(key)
 	baseMu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/minmix"
+	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/ratio"
 	"repro/internal/sched"
@@ -135,6 +136,15 @@ func TestWarmPlanRequestAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, warm)
 	if allocs > 7 {
 		t.Fatalf("warm plan request allocates %.1f objects, want <= 7 (seed: 277)", allocs)
+	}
+	// dmfbd runs with observability on and no trace writer: its counters
+	// and histograms cost nothing per request, and no trace-event map is
+	// built for Emit to drop.
+	obs.Enable(obs.Options{})
+	defer obs.Disable()
+	warm()
+	if enabled := testing.AllocsPerRun(100, warm); enabled > allocs {
+		t.Fatalf("warm plan request allocates %.1f objects with obs enabled and no trace writer, %.1f disabled", enabled, allocs)
 	}
 }
 

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/forest"
 	"repro/internal/plancache"
+	"repro/internal/protocols"
+	"repro/internal/ratio"
 	"repro/internal/stream"
 )
 
@@ -83,5 +86,31 @@ func TestNilPlanCacheLeavesDefaultIdle(t *testing.T) {
 	}
 	if after := plancache.Default().Stats(); after != before {
 		t.Errorf("plancache.Default() moved: %+v -> %+v", before, after)
+	}
+}
+
+// TestPlanCacheKeepsFluidNames: a cached plan pins the base graph of the
+// engine that built it, and its renderings print that graph's fluid names,
+// so an engine on the same ratio under other names must not be served it.
+func TestPlanCacheKeepsFluidNames(t *testing.T) {
+	cache := plancache.New(16)
+	plain, err := New(Config{Target: ratio.MustParse("2:1:1:1:1:1:9"), PlanCache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Request(20); err != nil {
+		t.Fatal(err)
+	}
+	named, err := New(Config{Target: protocols.PCR16().Ratio, PlanCache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := named.Request(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := b.Result.Passes[0].Plan.Forest().Render()
+	if strings.Contains(out, "x1 (input)") || !strings.Contains(out, "buffer (input)") {
+		t.Fatalf("PCR16 plan renders another target's fluid names:\n%s", out)
 	}
 }

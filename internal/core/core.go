@@ -297,7 +297,7 @@ func (e *Engine) RequestCtx(ctx context.Context, n int) (*Batch, error) {
 	e.batches = append(e.batches, b)
 	e.elapsed += res.TotalCycles
 	e.emitted += res.Emitted
-	if obs.Enabled() {
+	if obs.Tracing() {
 		obs.Emit("core.request", map[string]any{
 			"n":           n,
 			"batch":       len(e.batches),

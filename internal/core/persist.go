@@ -132,14 +132,14 @@ func windowStorage(f *forest.PackedForest, first, pooled int, slots []sched.Assi
 	carried := pooled
 	for i := first; i < len(f.Tasks); i++ {
 		t := &f.Tasks[i]
-		ran := slots[i-first].Cycle
+		ran := int(slots[i-first].Cycle)
 		for _, src := range t.In {
 			if src.Kind != forest.FromTask {
 				continue
 			}
 			produced := 0
 			if int(src.Ref) >= first {
-				produced = slots[int(src.Ref)-first].Cycle
+				produced = int(slots[int(src.Ref)-first].Cycle)
 			} else {
 				carried--
 			}

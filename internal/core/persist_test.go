@@ -173,10 +173,10 @@ func TestPersistentStorageFunctionMatchesPlainOnFreshForest(t *testing.T) {
 func persistentStorage(f *forest.Forest, s *sched.Schedule, startID int) int {
 	profile := make([]int, s.Cycles+1)
 	for _, t := range f.Tasks {
-		from := s.At(t).Cycle + 1
+		from := int(s.At(t).Cycle) + 1
 		for _, c := range t.Consumers() {
 			if c.ID >= startID {
-				for i := from; i < s.At(c).Cycle; i++ {
+				for i := from; i < int(s.At(c).Cycle); i++ {
 					profile[i]++
 				}
 			}
@@ -423,6 +423,9 @@ func TestPersistentHeapLinearInHistory(t *testing.T) {
 // one Request of twice as many droplets, as BenchmarkPersistentRequest's
 // do.
 func TestPersistentRequestAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts vary under the race detector")
+	}
 	allocs := map[int]float64{}
 	for _, history := range []int{1000, 2000} {
 		e, err := New(Config{Target: pcr, PersistPool: true})

@@ -333,7 +333,7 @@ func newBindingTraffic(s *sched.Schedule, l *chip.Layout, m *route.Matrix) (*bin
 					tr.storeIO[p.Mixer]++
 					tr.storeIO[a.Mixer]++
 				} else {
-					lo, hi := p.Mixer, a.Mixer
+					lo, hi := int(p.Mixer), int(a.Mixer)
 					if lo > hi {
 						lo, hi = hi, lo
 					}
@@ -507,7 +507,7 @@ func executeBound(s *sched.Schedule, l *chip.Layout, binding []int, m *route.Mat
 			return nil, err
 		}
 	}
-	mixerName := func(k int) string { return mixers[binding[k-1]].Name }
+	mixerName := func(k int32) string { return mixers[binding[k-1]].Name }
 	nearestWaste := func(fromIdx int) (string, int) {
 		best, bestIdx, bestCost := wastes[0].Name, wasteIdx[0], int(^uint(0)>>1)
 		for i, w := range wastes {
@@ -520,9 +520,9 @@ func executeBound(s *sched.Schedule, l *chip.Layout, binding []int, m *route.Mat
 
 	plan := &Plan{StorageCells: map[[2]int]string{}, Flow: chip.Flow{}}
 	n := s.Forest.Target().N()
-	add := func(cycle int, from, to string, fromIdx, toIdx int, p Purpose, content string) {
+	add := func(cycle int32, from, to string, fromIdx, toIdx int, p Purpose, content string) {
 		c := m.At(fromIdx, toIdx)
-		plan.Moves = append(plan.Moves, Move{Cycle: cycle, From: from, To: to, Cost: c, Purpose: p, Content: content})
+		plan.Moves = append(plan.Moves, Move{Cycle: int(cycle), From: from, To: to, Cost: c, Purpose: p, Content: content})
 		plan.TotalCost += c
 		plan.Flow.Add(from, to, 1)
 	}

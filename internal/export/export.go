@@ -113,7 +113,7 @@ func Schedule(s *sched.Schedule) ScheduleJSON {
 	}
 	for _, t := range s.Tasks() {
 		a := s.At(t)
-		out.Slots = append(out.Slots, SlotJSON{Task: t.ID, Cycle: a.Cycle, Mixer: a.Mixer})
+		out.Slots = append(out.Slots, SlotJSON{Task: t.ID, Cycle: int(a.Cycle), Mixer: int(a.Mixer)})
 	}
 	return out
 }

@@ -41,13 +41,16 @@ type PSource struct {
 // its base node's vector (tasks instantiate base-graph nodes), so packed
 // tasks carry no vector words of their own — the index into the base graph
 // is the vector.
+//
+// A task's tree is not stored: tasks of one component tree are contiguous,
+// so PackedForest.TreeStart holds every task's tree (TreeOf). A PTask is 32
+// bytes.
 type PTask struct {
 	// Base is the base-graph node ID this task instantiates.
 	Base int32
-	// Tree is the 1-based component-tree index.
-	Tree int32
-	// Level is the paper's positional level of the mix.
-	Level int32
+	// Level is the paper's positional level of the mix, at most the base
+	// graph's depth (ratio.MaxDepth, 62).
+	Level int8
 	// Targets is 2 for component-tree roots, 0 otherwise.
 	Targets int8
 	// NCons is the number of live entries in Cons.
@@ -92,6 +95,13 @@ type PackedForest struct {
 
 // NumTrees returns |F|, the number of component trees.
 func (f *PackedForest) NumTrees() int { return len(f.Roots) }
+
+// TreeOf returns the 1-based index of the component tree task i belongs
+// to: the number of trees starting at or before it.
+func (f *PackedForest) TreeOf(i int) int {
+	k, _ := slices.BinarySearch(f.TreeStart, int32(i)+1)
+	return k
+}
 
 // poolFIFO is one base-node waste-pool queue. Spares are appended at the
 // tail and consumed from the head (oldest spare first); head chases tail
@@ -177,12 +187,12 @@ func (b *PackedBuilder) Forest() *PackedForest {
 // AddTree appends the next component tree (two droplets of capacity) and
 // returns its root task index.
 func (b *PackedBuilder) AddTree() int32 {
-	idx := int32(len(b.f.Roots) + 1)
-	b.f.TreeStart = append(b.f.TreeStart, int32(len(b.f.Tasks)))
+	start := int32(len(b.f.Tasks))
+	b.f.TreeStart = append(b.f.TreeStart, start)
 	rootNode := b.base.Root
-	l := b.obtain(rootNode.Children[0], idx)
-	r := b.obtain(rootNode.Children[1], idx)
-	root := b.newTask(rootNode, l, r, idx)
+	l := b.obtain(rootNode.Children[0], start)
+	r := b.obtain(rootNode.Children[1], start)
+	root := b.newTask(rootNode, l, r)
 	b.f.Tasks[root].Targets = 2
 	b.f.Roots = append(b.f.Roots, root)
 	return root
@@ -190,17 +200,18 @@ func (b *PackedBuilder) AddTree() int32 {
 
 // obtain is the package's recursive procedure: pooled spare first, fresh
 // input droplet for leaves, otherwise a new mix over the children (whose
-// spare output joins the pool).
-func (b *PackedBuilder) obtain(v *mixgraph.Node, tree int32) PSource {
+// spare output joins the pool). start is the current tree's first task: a
+// spare made before it is a cross-tree reuse.
+func (b *PackedBuilder) obtain(v *mixgraph.Node, start int32) PSource {
 	if id, ok := b.pool[v.ID].pop(); ok {
-		return PSource{Kind: FromTask, Ref: id, Reused: b.f.Tasks[id].Tree != tree}
+		return PSource{Kind: FromTask, Ref: id, Reused: id < start}
 	}
 	if v.IsLeaf() {
 		return PSource{Kind: Input, Ref: int32(v.Fluid)}
 	}
-	l := b.obtain(v.Children[0], tree)
-	r := b.obtain(v.Children[1], tree)
-	t := b.newTask(v, l, r, tree)
+	l := b.obtain(v.Children[0], start)
+	r := b.obtain(v.Children[1], start)
+	t := b.newTask(v, l, r)
 	b.pool[v.ID].push(t)
 	return PSource{Kind: FromTask, Ref: t}
 }
@@ -224,12 +235,11 @@ func (f *PackedForest) FromChildren(i int) bool {
 	return true
 }
 
-func (b *PackedBuilder) newTask(v *mixgraph.Node, l, r PSource, tree int32) int32 {
+func (b *PackedBuilder) newTask(v *mixgraph.Node, l, r PSource) int32 {
 	id := int32(len(b.f.Tasks))
 	b.f.Tasks = append(b.f.Tasks, PTask{
 		Base:  int32(v.ID),
-		Tree:  tree,
-		Level: int32(v.PosLevel),
+		Level: int8(v.PosLevel),
 		In:    [2]PSource{l, r},
 	})
 	for _, s := range [2]PSource{l, r} {
@@ -294,7 +304,7 @@ func (f *PackedForest) Materialize() *Forest {
 		pt := &f.Tasks[i]
 		node := f.Base.Nodes[pt.Base]
 		t := &tasks[i]
-		*t = Task{ID: i, Tree: int(pt.Tree), Base: node, Level: int(pt.Level), Vec: node.Vec, Targets: int(pt.Targets),
+		*t = Task{ID: i, Tree: f.TreeOf(i), Base: node, Level: int(pt.Level), Vec: node.Vec, Targets: int(pt.Targets),
 			consumers: consArena[2*i : 2*i : 2*i+2]}
 		for s, src := range pt.In {
 			if src.Kind == Input {
@@ -343,7 +353,7 @@ func Pack(f *Forest) (*PackedForest, error) {
 			return nil, fmt.Errorf("forest: task %d has %d consumers, a mix-split has two outputs", i, len(t.consumers))
 		}
 		pt := &pf.Tasks[i]
-		*pt = PTask{Base: int32(t.Base.ID), Tree: int32(t.Tree), Level: int32(t.Level), Targets: int8(t.Targets), NCons: int8(len(t.consumers))}
+		*pt = PTask{Base: int32(t.Base.ID), Level: int8(t.Level), Targets: int8(t.Targets), NCons: int8(len(t.consumers))}
 		for c, consumer := range t.consumers {
 			pt.Cons[c] = int32(consumer.ID)
 		}

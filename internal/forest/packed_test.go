@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/minmix"
 	"repro/internal/mixgraph"
@@ -14,6 +15,35 @@ import (
 	"repro/internal/ratio"
 	"repro/internal/rma"
 )
+
+// TestPTaskSize pins the packed task record at 32 bytes: every cached plan
+// holds one per task, so each byte is kilobytes of plan-cache heap.
+func TestPTaskSize(t *testing.T) {
+	if got := unsafe.Sizeof(PTask{}); got != 32 {
+		t.Fatalf("PTask is %d bytes, want 32", got)
+	}
+}
+
+// TestTreeOf checks that the tree spans give every task of a built forest
+// the tree the builder grew it in.
+func TestTreeOf(t *testing.T) {
+	g, err := minmix.Build(protocols.PCR16().Ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := BuildPacked(NewPackedBuilder(g), g, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := pf.Materialize()
+	for _, tree := range f.Trees {
+		for _, task := range tree.Tasks {
+			if got := pf.TreeOf(task.ID); got != tree.Index || task.Tree != tree.Index {
+				t.Fatalf("task %d: TreeOf %d, Task.Tree %d, in tree %d", task.ID, got, task.Tree, tree.Index)
+			}
+		}
+	}
+}
 
 // forestsEqual compares two pointer forests structurally, field by field.
 func forestsEqual(t *testing.T, got, want *Forest) {
@@ -104,15 +134,20 @@ func TestBuilderGrowsInPlace(t *testing.T) {
 	}
 	b := NewPackedBuilder(g)
 	var earlier []PTask
+	var starts []int32 // tree spans before the step: earlier tasks keep their trees
 	for step := 1; step <= 16; step++ {
 		b.AddTree()
 		pf := b.Forest()
 		if len(pf.Roots) != step {
 			t.Fatalf("step %d: %d trees", step, len(pf.Roots))
 		}
+		if !slices.Equal(pf.TreeStart[:step-1], starts) || int(pf.TreeStart[step-1]) != len(earlier) {
+			t.Fatalf("step %d: tree starts %v, earlier %v over %d tasks", step, pf.TreeStart, starts, len(earlier))
+		}
+		starts = append(starts[:0], pf.TreeStart...)
 		for i, was := range earlier {
 			now := pf.Tasks[i]
-			if now.Base != was.Base || now.Tree != was.Tree || now.Level != was.Level || now.Targets != was.Targets ||
+			if now.Base != was.Base || now.Level != was.Level || now.Targets != was.Targets ||
 				now.NInternal != was.NInternal || now.In != was.In || now.NCons < was.NCons || !slices.Equal(now.Cons[:was.NCons], was.Cons[:was.NCons]) {
 				t.Fatalf("step %d: task %d changed from %+v to %+v", step, i, was, now)
 			}

@@ -43,12 +43,12 @@ func (k Kind) String() string {
 
 // Node is one vertex of a mix-split graph. Nodes are created through a
 // Builder and are immutable after Build. A built graph keeps its nodes in
-// one slice and their CF numerators in one int64 slab (see Builder).
+// one slice and their CF numerators in one int64 slab (see Builder). Every
+// cached plan pins its base graph, so a Node links only to its children:
+// 88 bytes, three pointers for the garbage collector to scan.
 type Node struct {
 	// ID is the node's index in Graph.Nodes (children precede parents).
 	ID int
-	// Kind says whether the node dispenses an input droplet or mixes.
-	Kind Kind
 	// Fluid is the input-fluid index for Leaf nodes (0-based), -1 for Mix.
 	Fluid int
 	// Children are the two droplet sources of a Mix node (nil for leaves).
@@ -67,9 +67,10 @@ type Node struct {
 	PosLevel int
 	// Vec is the node's exact CF vector.
 	Vec ratio.Vector
+	// Kind says whether the node dispenses an input droplet or mixes.
+	Kind Kind
 
-	parents  [2]*Node // consumers of the node's outputs, in Mix order
-	nparents int8
+	nparents int8 // how many of the node's outputs mixes consume
 }
 
 // IsLeaf reports whether n dispenses an input droplet.
@@ -83,9 +84,6 @@ func (n *Node) outputs() int {
 	}
 	return 2
 }
-
-// Parents returns the mix nodes consuming this node's outputs (0, 1 or 2).
-func (n *Node) Parents() []*Node { return n.parents[:n.nparents] }
 
 // Graph is a complete one-pass mix-split task graph for a target ratio.
 type Graph struct {
@@ -210,9 +208,7 @@ func (b *Builder) Mix(l, r *Node) *Node {
 	n.Children = [2]*Node{l, r}
 	n.Level = max(l.Level, r.Level) + 1
 	n.Vec = ratio.MixIn(w, l.Vec, r.Vec)
-	l.parents[l.nparents] = n
 	l.nparents++
-	r.parents[r.nparents] = n
 	r.nparents++
 	return n
 }
@@ -239,7 +235,7 @@ func (b *Builder) Build(root *Node, algorithm string) (*Graph, error) {
 // flatten returns the nodes in creation order over exact-size slabs. A
 // builder whose one chunk filled up exactly already holds them; otherwise
 // the nodes and their CF words are copied into fresh slabs and every child
-// and parent link is re-pointed by ID.
+// link is re-pointed by ID.
 func (b *Builder) flatten() []*Node {
 	var arena []Node
 	if len(b.chunks) == 1 && len(b.chunks[0]) == cap(b.chunks[0]) {
@@ -256,9 +252,6 @@ func (b *Builder) flatten() []*Node {
 			nd.Vec = nd.Vec.CloneIn(words[i*n : (i+1)*n : (i+1)*n])
 			if nd.Kind == Mix {
 				nd.Children = [2]*Node{&arena[nd.Children[0].ID], &arena[nd.Children[1].ID]}
-			}
-			for k := 0; k < int(nd.nparents); k++ {
-				nd.parents[k] = &arena[nd.parents[k].ID]
 			}
 		}
 	}

@@ -3,9 +3,18 @@ package mixgraph
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ratio"
 )
+
+// TestNodeSize pins a base-graph node at no more than 88 bytes: every
+// cached plan pins its base graph's nodes.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > 88 {
+		t.Fatalf("Node is %d bytes, want <= 88", got)
+	}
+}
 
 // buildPCRTree hand-builds the MM mixing tree of Fig. 1 for the PCR
 // master-mix ratio 2:1:1:1:1:1:9 (d = 4):

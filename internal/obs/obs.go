@@ -13,9 +13,9 @@
 // overhead of the instrumented engine within the ≤2% budget.
 //
 // Callers that build Emit field maps should guard the construction with
-// Enabled() so the disabled path also skips the map allocation:
+// Tracing() so the map is built only when a trace writer will read it:
 //
-//	if obs.Enabled() {
+//	if obs.Tracing() {
 //	    obs.Emit("stream.plan", map[string]any{"demand": d})
 //	}
 package obs
@@ -55,8 +55,17 @@ type Options struct {
 }
 
 // Enabled reports whether observability is currently on. It is the guard
-// callers use to skip allocation-heavy Emit field construction.
+// callers use to skip work done only to record a metric; Emit field maps
+// take Tracing instead.
 func Enabled() bool { return active.Load() != nil }
+
+// Tracing reports whether observability is on with a trace writer, which
+// Emit writes to. It is the guard callers use to skip building Emit field
+// maps: enabled without a writer (dmfbd's default), Emit drops them.
+func Tracing() bool {
+	r := active.Load()
+	return r != nil && r.trace != nil
+}
 
 // Enable turns observability on with a fresh, empty registry. Metrics
 // recorded by a previous session are discarded.

@@ -20,7 +20,7 @@ type Event struct {
 
 // Emit writes one structured trace event. Disabled, or enabled without a
 // trace writer: a no-op. Callers building non-trivial field maps should
-// guard with Enabled() to skip the map allocation on the disabled path.
+// guard with Tracing() to skip the map allocation when nothing writes it.
 func Emit(event string, fields map[string]any) {
 	r := active.Load()
 	if r == nil || r.trace == nil {

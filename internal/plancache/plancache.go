@@ -7,10 +7,10 @@
 // scheme): the forest construction and both schedulers are deterministic and
 // read-only over their inputs, so a cached plan is exactly the plan a fresh
 // build would produce. Keys therefore combine the base algorithm label, the
-// target ratio and a structural fingerprint of the base graph with the
-// demand, mixer count and scheduler name; the fingerprint makes the key
-// sound even for hand-built graphs whose (algorithm, ratio) pair is not
-// unique.
+// target ratio with its fluid names, and a structural fingerprint of the
+// base graph with the demand, mixer count and scheduler name; the
+// fingerprint makes the key sound even for hand-built graphs whose
+// (algorithm, ratio) pair is not unique.
 //
 // Every plan is one pointer-free slab — the packed forest and the slot
 // table — plus its summary numbers; the pointer-linked Forest and Schedule
@@ -40,6 +40,13 @@ type Key struct {
 	Algo string
 	// Ratio is the target ratio in colon form.
 	Ratio string
+	// Names is the target's fluid names as ratio.Ratio.NamesKey renders
+	// them, "" for the defaults x1, x2, ...: a plan pins the base graph it
+	// was built on, whose target names what its renderings print, so two
+	// targets differing only in names never share a plan. Canonical leaves
+	// it out, as do artifact addresses; an artifact carries the names in
+	// its target and Decode fills them in.
+	Names string
 	// Graph is the structural fingerprint of the base mixing graph.
 	Graph uint64
 	// Demand is the droplet demand D the plan serves.
@@ -75,12 +82,13 @@ func (k Key) Canonical() string {
 // on `mixers` mixers under the named scheduler and fault/recovery policy
 // (PristinePolicy for the fault-free planning path).
 // The graph memoises its fingerprint and the target carries its colon
-// form, so a warm KeyFor is an atomic load and zero allocations (the
-// serving layer calls it on every plan request).
+// form and names key, so a warm KeyFor is an atomic load and zero
+// allocations (the serving layer calls it on every plan request).
 func KeyFor(g *mixgraph.Graph, demand, mixers int, scheduler, policy string) Key {
 	return Key{
 		Algo:      g.Algorithm,
 		Ratio:     g.Target.String(),
+		Names:     g.Target.NamesKey(),
 		Graph:     g.Fingerprint(),
 		Demand:    demand,
 		Mixers:    mixers,
@@ -250,7 +258,7 @@ func (p *Plan) Algorithm() string { return p.algorithm }
 // plan's emissions. A window reports the roots of its own trees only.
 func (p *Plan) EmitCycles(fn func(cycle, count int)) {
 	for _, r := range p.packed.Roots[p.packed.TreesBefore(p.first):] {
-		fn(p.slots[int(r)-p.first].Cycle, int(p.packed.Tasks[r].Targets))
+		fn(int(p.slots[int(r)-p.first].Cycle), int(p.packed.Tasks[r].Targets))
 	}
 }
 

@@ -28,6 +28,7 @@ type Ratio struct {
 	parts []int64
 	names []string // optional fluid names; nil or len == len(parts)
 	colon string   // parts in colon form, rendered once (see String)
+	nkey  string   // the names' identity form, rendered once (see NamesKey)
 }
 
 // Common construction errors.
@@ -70,6 +71,15 @@ func (r Ratio) WithNames(names ...string) (Ratio, error) {
 	}
 	c := r.Clone()
 	c.names = append([]string(nil), names...)
+	defaults := true
+	var b []byte
+	for i, n := range names {
+		defaults = defaults && n == "x"+strconv.Itoa(i+1)
+		b = append(append(strconv.AppendInt(b, int64(len(n)), 10), ':'), n...)
+	}
+	if !defaults {
+		c.nkey = string(b)
+	}
 	return c, nil
 }
 
@@ -190,6 +200,13 @@ func (r Ratio) Name(i int) string {
 // Named reports whether explicit fluid names were attached (WithNames).
 func (r Ratio) Named() bool { return r.names != nil }
 
+// NamesKey renders the fluid names as part of an identity key (a cached
+// base graph's or plan's, which carry them): "" when they are the defaults
+// x1, x2, ..., whether attached or not, and otherwise each name as its byte
+// length, ':' and the name, so no two name lists share a rendering whatever
+// bytes they hold. It is rendered once, by WithNames, and never allocates.
+func (r Ratio) NamesKey() string { return r.nkey }
+
 // Names returns all fluid names (explicit or defaulted).
 func (r Ratio) Names() []string {
 	out := make([]string, len(r.parts))
@@ -201,7 +218,7 @@ func (r Ratio) Names() []string {
 
 // Clone returns a deep copy of r.
 func (r Ratio) Clone() Ratio {
-	c := Ratio{parts: append([]int64(nil), r.parts...), colon: r.colon}
+	c := Ratio{parts: append([]int64(nil), r.parts...), colon: r.colon, nkey: r.nkey}
 	if r.names != nil {
 		c.names = append([]string(nil), r.names...)
 	}

@@ -219,7 +219,7 @@ func obsRun(rep *Report) {
 	obs.Add("runtime.degradations", int64(rep.Degradations))
 	obs.Observe("runtime.extra_cycles", float64(rep.ExtraCycles))
 	obs.Observe("runtime.recovery_depth", float64(recoveryDepth(rep)))
-	if obs.Enabled() {
+	if obs.Tracing() {
 		obs.Emit("runtime.run", map[string]any{
 			"injected":     rep.Injected,
 			"detected":     rep.Detected,
@@ -304,7 +304,7 @@ type stored struct {
 	content string
 }
 
-func (c *execCtx) mixerName(k int) string { return c.mixers[k-1].Name }
+func (c *execCtx) mixerName(k int32) string { return c.mixers[k-1].Name }
 
 // dist resolves a transport cost through the dense matrix, failing loudly
 // (route.ErrUnknownPair wrapped in ErrPlanMismatch) instead of silently
@@ -429,12 +429,12 @@ func buildSteps(c *execCtx, plan *exec.Plan) ([]step, error) {
 		return best, nil
 	}
 	var steps []step
-	add := func(cycle int, from, to string, p exec.Purpose, content string, st step) error {
+	add := func(cycle int32, from, to string, p exec.Purpose, content string, st step) error {
 		d, err := c.dist(from, to)
 		if err != nil {
 			return err
 		}
-		st.mv = exec.Move{Cycle: cycle, From: from, To: to, Cost: d, Purpose: p, Content: content}
+		st.mv = exec.Move{Cycle: int(cycle), From: from, To: to, Cost: d, Purpose: p, Content: content}
 		steps = append(steps, st)
 		return nil
 	}
@@ -821,7 +821,7 @@ func (e *executor) aliveMixerFor(c *execCtx, t *forest.Task, cycle int) string {
 		}
 		return true
 	}
-	if a := c.s.At(t); a.Mixer >= 1 && a.Mixer <= len(c.mixers) {
+	if a := c.s.At(t); a.Mixer >= 1 && int(a.Mixer) <= len(c.mixers) {
 		if name := c.mixerName(a.Mixer); alive(name) {
 			return name
 		}

@@ -103,8 +103,8 @@ func Exact(f *forest.Forest, mc int) (*Schedule, error) {
 	// Walk the choices backwards to recover per-cycle batches.
 	for mask := full; mask != 0; {
 		batch := choice[mask]
-		cycle := int(dp[mask])
-		mixer := 1
+		cycle := int32(dp[mask])
+		mixer := int32(1)
 		for i := 0; i < n; i++ {
 			if batch&(1<<uint(i)) != 0 {
 				s.Slots[i] = Assignment{Cycle: cycle, Mixer: mixer}

@@ -83,7 +83,7 @@ func Gantt(s *Schedule) string {
 	}
 	for t := 1; t <= s.Cycles; t++ {
 		for _, i := range roots {
-			if s.Slots[i].Cycle == t {
+			if int(s.Slots[i].Cycle) == t {
 				b.WriteString(" t=")
 				b.WriteString(strconv.Itoa(t))
 				b.WriteString(":2x")

@@ -36,15 +36,15 @@ const levelFieldMax = 1<<16 - 1
 
 // keyAsc orders by ascending level, then ascending ID (MMS batches, SRS
 // leaf queue, Hu's queue).
-func keyAsc(level, id int32) uint64 {
+func keyAsc(level int8, id int32) uint64 {
 	return uint64(uint32(level))<<32 | uint64(uint32(id))
 }
 
 // keyInt orders by descending level, then descending internal-input count,
 // then ascending ID (the SRS internal queue) under a MIN-heap: both
 // descending fields are stored complemented.
-func keyInt(level int32, ii int, id int32) uint64 {
-	return uint64(uint32(levelFieldMax-level))<<34 | uint64(uint32(2-ii))<<32 | uint64(uint32(id))
+func keyInt(level int8, ii int, id int32) uint64 {
+	return uint64(uint32(levelFieldMax-int32(level)))<<34 | uint64(uint32(2-ii))<<32 | uint64(uint32(id))
 }
 
 func keyID(k uint64) int32 { return int32(uint32(k)) }
@@ -376,7 +376,7 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 // whose last in-window producer just finished into rel; flush enqueues them
 // after the cycle's batch completes.
 func (k *Kernel) assign(f *forest.PackedForest, id int32, cycle, mixer, firstTask int) {
-	k.slots[int(id)-firstTask] = Assignment{Cycle: cycle, Mixer: mixer}
+	k.slots[int(id)-firstTask] = Assignment{Cycle: int32(cycle), Mixer: int32(mixer)}
 	t := &f.Tasks[id]
 	k.held -= t.InternalInputs()
 	k.made += int(t.NCons)

@@ -4,12 +4,21 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/forest"
 	"repro/internal/minmix"
 	"repro/internal/obs"
 	"repro/internal/protocols"
 )
+
+// TestAssignmentSize pins a slot at 8 bytes: every cached plan holds one
+// per task.
+func TestAssignmentSize(t *testing.T) {
+	if got := unsafe.Sizeof(Assignment{}); got != 8 {
+		t.Fatalf("Assignment is %d bytes, want 8", got)
+	}
+}
 
 // TestKernelMaterialize checks Materialize produces a valid Schedule equal
 // to the pointer-forest entry point's.

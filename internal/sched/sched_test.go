@@ -311,7 +311,7 @@ func TestStorageProfileMatchesSimulation(t *testing.T) {
 		var edges []edge
 		for _, task := range f.Tasks {
 			for _, c := range task.Consumers() {
-				edges = append(edges, edge{s.Slots[task.ID].Cycle, s.Slots[c.ID].Cycle})
+				edges = append(edges, edge{int(s.Slots[task.ID].Cycle), int(s.Slots[c.ID].Cycle)})
 			}
 		}
 		profile := StorageProfile(s)
@@ -348,7 +348,7 @@ func TestStoredDroplets(t *testing.T) {
 	f := pcrForest(t, 20)
 	s, _ := SRS(f, 3)
 	for _, sd := range StoredDroplets(s) {
-		if sd.From != s.Slots[sd.Producer.ID].Cycle+1 || sd.To != s.Slots[sd.Consumer.ID].Cycle-1 {
+		if sd.From != int(s.Slots[sd.Producer.ID].Cycle)+1 || sd.To != int(s.Slots[sd.Consumer.ID].Cycle)-1 {
 			t.Fatalf("StoredDroplet interval inconsistent: %+v", sd)
 		}
 	}

@@ -19,12 +19,15 @@ import (
 	"repro/internal/forest"
 )
 
-// Assignment places one task on a mixer at a time-cycle.
+// Assignment places one task on a mixer at a time-cycle. Both fields are
+// bounded by the task count, which the packed arena's int32 indices bound
+// (forest.ErrArenaOverflow), so an Assignment is 8 bytes; every cached
+// plan holds one per task.
 type Assignment struct {
 	// Cycle is the 1-based time-cycle the mix-split executes in.
-	Cycle int
+	Cycle int32
 	// Mixer is the 1-based on-chip mixer index (M1, M2, ... in the paper).
-	Mixer int
+	Mixer int32
 }
 
 // Schedule is a complete mixer/time assignment for a mixing forest, or for
@@ -93,21 +96,22 @@ func (s *Schedule) Validate() error {
 	perCycle := make([]int, s.Cycles+1)
 	for i, t := range tasks {
 		a := s.Slots[i]
+		cycle := int(a.Cycle)
 		if a.Cycle < 1 {
 			return fmt.Errorf("sched: task %d unscheduled or at invalid cycle %d", t.ID, a.Cycle)
 		}
-		if a.Mixer < 1 || a.Mixer > s.Mixers {
+		if a.Mixer < 1 || int(a.Mixer) > s.Mixers {
 			return fmt.Errorf("sched: task %d on invalid mixer %d (Mc=%d)", t.ID, a.Mixer, s.Mixers)
 		}
 		if i == clashAt {
 			return fmt.Errorf("sched: mixer %d double-booked at cycle %d (tasks %d and %d)",
 				a.Mixer, a.Cycle, clashWith, t.ID)
 		}
-		if a.Cycle >= len(perCycle) {
-			perCycle = append(perCycle, make([]int, a.Cycle+1-len(perCycle))...)
+		if cycle >= len(perCycle) {
+			perCycle = append(perCycle, make([]int, cycle+1-len(perCycle))...)
 		}
-		perCycle[a.Cycle]++
-		if perCycle[a.Cycle] > s.Mixers {
+		perCycle[cycle]++
+		if perCycle[cycle] > s.Mixers {
 			return fmt.Errorf("sched: more than %d mixes at cycle %d", s.Mixers, a.Cycle)
 		}
 		for _, src := range t.In {
@@ -118,9 +122,7 @@ func (s *Schedule) Validate() error {
 				}
 			}
 		}
-		if a.Cycle > maxCycle {
-			maxCycle = a.Cycle
-		}
+		maxCycle = max(maxCycle, cycle)
 	}
 	if s.Cycles != maxCycle {
 		return fmt.Errorf("sched: Tc=%d but max assigned cycle is %d", s.Cycles, maxCycle)
@@ -132,7 +134,7 @@ func (s *Schedule) Validate() error {
 // accept up to the double-booking test: at a cycle >= 1, on a mixer in
 // 1..Mc.
 func (s *Schedule) placed(a Assignment) bool {
-	return a.Cycle >= 1 && a.Mixer >= 1 && a.Mixer <= s.Mixers
+	return a.Cycle >= 1 && a.Mixer >= 1 && int(a.Mixer) <= s.Mixers
 }
 
 // firstDoubleBooking finds the first window slot, in forest order, whose
@@ -151,8 +153,8 @@ func (s *Schedule) firstDoubleBooking() (at, with int) {
 	placed := 0
 	for _, a := range s.Slots {
 		if s.placed(a) {
-			if a.Cycle >= len(end) {
-				end = append(end, make([]int32, a.Cycle+1-len(end))...)
+			if int(a.Cycle) >= len(end) {
+				end = append(end, make([]int32, int(a.Cycle)+1-len(end))...)
 			}
 			end[a.Cycle]++
 			placed++
@@ -168,7 +170,7 @@ func (s *Schedule) firstDoubleBooking() (at, with int) {
 			order[end[a.Cycle]] = int32(i)
 		}
 	}
-	mixer := func(i int32) int { return s.Slots[i].Mixer }
+	mixer := func(i int32) int32 { return s.Slots[i].Mixer }
 	byMixer := func(x, y int32) int { return cmp.Or(cmp.Compare(mixer(x), mixer(y)), cmp.Compare(x, y)) }
 	at, with = -1, -1
 	hi := int32(placed) // bucket c ends where bucket c+1 starts

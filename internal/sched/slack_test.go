@@ -51,7 +51,7 @@ func TestSchedulesRespectMobility(t *testing.T) {
 		}
 		ms := Mobilities(f, s.Cycles)
 		for _, task := range f.Tasks {
-			c := s.Slots[task.ID].Cycle
+			c := int(s.Slots[task.ID].Cycle)
 			if c < ms[task.ID].ASAP || c > ms[task.ID].ALAP {
 				t.Errorf("%s: task %d at cycle %d outside mobility [%d,%d]",
 					s.Algorithm, task.ID, c, ms[task.ID].ASAP, ms[task.ID].ALAP)

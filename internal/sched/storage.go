@@ -80,8 +80,8 @@ func StoredDroplets(s *Schedule) []StoredDroplet {
 				out = append(out, StoredDroplet{
 					Producer: src.Task,
 					Consumer: t,
-					From:     s.At(src.Task).Cycle + 1,
-					To:       s.Slots[i].Cycle - 1,
+					From:     int(s.At(src.Task).Cycle) + 1,
+					To:       int(s.Slots[i].Cycle) - 1,
 				})
 			}
 		}

@@ -84,22 +84,22 @@ func validateWithMaps(s *Schedule) error {
 	for i, a := range s.Slots {
 		slot[s.FirstTask+i] = a
 	}
-	maxCycle := 0
-	busy := make(map[[2]int]int) // (cycle, mixer) -> task ID
-	perCycle := make(map[int]int)
+	maxCycle := int32(0)
+	busy := make(map[Assignment]int) // (cycle, mixer) -> task ID
+	perCycle := make(map[int32]int)
 	for _, t := range s.Forest.Tasks[s.FirstTask:] {
 		a := slot[t.ID]
 		if a.Cycle < 1 {
 			return fmt.Errorf("sched: task %d unscheduled or at invalid cycle %d", t.ID, a.Cycle)
 		}
-		if a.Mixer < 1 || a.Mixer > s.Mixers {
+		if a.Mixer < 1 || int(a.Mixer) > s.Mixers {
 			return fmt.Errorf("sched: task %d on invalid mixer %d (Mc=%d)", t.ID, a.Mixer, s.Mixers)
 		}
-		if prev, ok := busy[[2]int{a.Cycle, a.Mixer}]; ok {
+		if prev, ok := busy[a]; ok {
 			return fmt.Errorf("sched: mixer %d double-booked at cycle %d (tasks %d and %d)",
 				a.Mixer, a.Cycle, prev, t.ID)
 		}
-		busy[[2]int{a.Cycle, a.Mixer}] = t.ID
+		busy[a] = t.ID
 		perCycle[a.Cycle]++
 		if perCycle[a.Cycle] > s.Mixers {
 			return fmt.Errorf("sched: more than %d mixes at cycle %d", s.Mixers, a.Cycle)
@@ -117,7 +117,7 @@ func validateWithMaps(s *Schedule) error {
 			maxCycle = a.Cycle
 		}
 	}
-	if s.Cycles != maxCycle {
+	if s.Cycles != int(maxCycle) {
 		return fmt.Errorf("sched: Tc=%d but max assigned cycle is %d", s.Cycles, maxCycle)
 	}
 	return nil
@@ -151,9 +151,9 @@ func TestValidateMatchesMapOracle(t *testing.T) {
 						i := rng.Intn(n)
 						switch rng.Intn(8) {
 						case 0:
-							s.Slots[i].Cycle = rng.Intn(s.Cycles+4) - 1
+							s.Slots[i].Cycle = int32(rng.Intn(s.Cycles+4) - 1)
 						case 1:
-							s.Slots[i].Mixer = rng.Intn(mc + 2)
+							s.Slots[i].Mixer = int32(rng.Intn(mc + 2))
 						case 2:
 							j := rng.Intn(n)
 							s.Slots[i], s.Slots[j] = s.Slots[j], s.Slots[i]

@@ -106,12 +106,14 @@ func servesPeer(ctx context.Context) bool { return ctx.Value(peerBuildKey{}) != 
 // (adoptFromOwner; never for a build served for a peer). A miss leaves the
 // cache to build locally and Publish. Failures are never fatal: a corrupt
 // disk file, a down owner or a verify rejection drops to the next rung, and
-// the local build remains the floor.
+// the local build remains the floor. An address leaves the target's fluid
+// names out, so a rung serves an adopted plan only if its decoded key is
+// the requested one, names included.
 func (t artifactTier) Fetch(ctx context.Context, key plancache.Key) (*plancache.Plan, bool) {
 	s := t.s
 	addr := artifact.AddressFor(key)
 	if data, ok := s.artifacts.Get(addr); ok {
-		if a, err := s.adopt(addr, data); err == nil {
+		if a, err := s.adopt(addr, data); err == nil && a.Key == key {
 			obs.Inc("server.artifact.disk_promotions")
 			return a.Plan, true
 		}
@@ -198,6 +200,9 @@ func (s *Server) adoptFromOwner(ctx context.Context, key plancache.Key, addr, ow
 			return nil
 		}
 		s.artifacts.Put(addr, data)
+		if a.Key != key {
+			return nil
+		}
 		return a.Plan
 	}
 

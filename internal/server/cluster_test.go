@@ -269,7 +269,7 @@ func TestClusterRejectsNonChildArtifact(t *testing.T) {
 			for k, src := range pf.Tasks[j].In {
 				for q := 0; q < j && src.Kind == forest.FromTask; q++ {
 					if v, child := g.Nodes[pf.Tasks[q].Base], g.Nodes[pf.Tasks[src.Ref].Base]; v != child && v.Vec.Equal(child.Vec) && pf.Tasks[q].FreeOutputs() > 0 {
-						pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.Tasks[q].Tree != pf.Tasks[j].Tree}
+						pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.TreeOf(q) != pf.TreeOf(j)}
 						return true
 					}
 				}

@@ -430,7 +430,7 @@ func (s *Server) Recover(ctx context.Context, info *wal.ReplayInfo) (*RecoveryRe
 	rep.CompactedRecords = len(recs)
 	rep.DurationMS = float64(time.Since(t0).Microseconds()) / 1000
 	s.recovery.Store(rep)
-	if obs.Enabled() {
+	if obs.Tracing() {
 		obs.Emit("server.recovery", map[string]any{
 			"records": rep.Records, "sessions": rep.Sessions,
 			"resumed": rep.ResumedBatches, "failed": len(rep.Failed),

@@ -162,7 +162,7 @@ func (s *Server) migrateSession(ctx context.Context, name, target string) (*migr
 	s.migrated[name] = target
 	s.migratedMu.Unlock()
 	obs.Inc("server.sessions.migrated")
-	if obs.Enabled() {
+	if obs.Tracing() {
 		obs.Emit("server.session_migrated", map[string]any{
 			"session": name, "target": target, "batches": batches, "bytes": len(frames),
 		})

@@ -342,6 +342,8 @@ func (s *Server) handle(name string, plans bool, fn endpoint) http.HandlerFunc {
 		status, err := s.serve(w, r, plans, fn)
 		if obs.Enabled() {
 			obs.Observe(latency, float64(time.Since(t0).Microseconds())/1000)
+		}
+		if obs.Tracing() {
 			f := map[string]any{
 				"endpoint": name,
 				"status":   status,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,9 +11,13 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/plancache"
+	"repro/internal/protocols"
+	"repro/internal/ratio"
+	"repro/internal/stream"
 )
 
 // sessionsOwnedBy returns n distinct session names whose ring owner is the
@@ -255,5 +260,47 @@ func TestServerCachesIsolateScans(t *testing.T) {
 	if respA.MaxSinglePassDemand != respB.MaxSinglePassDemand || respA.TotalCycles != respB.TotalCycles {
 		t.Errorf("A and B planned differently: D'=%d/%d, cycles %d/%d",
 			respA.MaxSinglePassDemand, respB.MaxSinglePassDemand, respA.TotalCycles, respB.TotalCycles)
+	}
+}
+
+// TestTierFetchMatchesNames: an artifact address leaves the target's fluid
+// names out, so a plan of 2:1:1:1:1:1:9 and one of PCR16 (the same ratio,
+// named) share one. The tier serves the stored plan only to the key it was
+// built under; the named key misses and is built locally.
+func TestTierFetchMatchesNames(t *testing.T) {
+	store, err := artifact.OpenStore(t.TempDir(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := artifactTier{New(Config{Artifacts: store})}
+	key := func(r ratio.Ratio) (plancache.Key, *plancache.Plan) {
+		g, err := core.MM.Build(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := stream.BuildPlan(stream.Config{Base: g, Mixers: 3, Scheduler: stream.MMS}, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plancache.KeyFor(g, 20, 3, "MMS", plancache.PristinePolicy), p
+	}
+	plain, p := key(ratio.MustParse("2:1:1:1:1:1:9"))
+	named, _ := key(protocols.PCR16().Ratio)
+	addr := artifact.AddressFor(plain)
+	if artifact.AddressFor(named) != addr || named == plain {
+		t.Fatal("test premise: the two keys differ in names only")
+	}
+	data, err := artifact.Encode(plain, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(addr, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tier.Fetch(context.Background(), named); ok {
+		t.Fatal("the tier served an unnamed target's plan to a named key")
+	}
+	if got, ok := tier.Fetch(context.Background(), plain); !ok || got.Packed().Base.Target.Name(0) != "x1" {
+		t.Fatalf("the tier did not serve the stored plan to its own key (ok=%v)", ok)
 	}
 }

@@ -60,7 +60,7 @@ var planMutations = []struct {
 				}
 			}
 		}
-		slots[0].Cycle = p.Cycles + 1
+		slots[0].Cycle = int32(p.Cycles) + 1
 		return true
 	}},
 	{"mixer binding", false, false, func(p *plancache.Plan) bool {
@@ -75,7 +75,7 @@ var planMutations = []struct {
 				}
 			}
 		}
-		slots[0].Mixer = p.Mixers + 1
+		slots[0].Mixer = int32(p.Mixers) + 1
 		return true
 	}},
 	{"storage claim", true, false, func(p *plancache.Plan) bool { p.Storage++; return true }},
@@ -113,7 +113,7 @@ func rerouteToEqualVector(pf *forest.PackedForest, ok func(q, j int) bool) bool 
 				if v := nodes[pf.Tasks[q].Base]; v == child || !v.Vec.Equal(child.Vec) || pf.Tasks[q].FreeOutputs() == 0 || !ok(q, j) {
 					continue
 				}
-				pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.Tasks[q].Tree != pf.Tasks[j].Tree}
+				pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.TreeOf(q) != pf.TreeOf(j)}
 				for i := range pf.Tasks {
 					pf.Tasks[i].NCons = 0
 				}

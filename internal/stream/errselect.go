@@ -129,7 +129,7 @@ func runErrorAware(ctx context.Context, cfg Config, demand int) (*Result, error)
 	res.Config.Candidates = cfg.Candidates
 	res.Selection = sel
 	obs.Inc("stream.error_aware.selections")
-	if obs.Enabled() {
+	if obs.Tracing() {
 		obs.Emit("stream.error_aware", map[string]any{
 			"selected":    sel.Algorithm,
 			"worst":       sel.Predicted.Worst,

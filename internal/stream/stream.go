@@ -423,6 +423,9 @@ func obsRun(res *Result) {
 	obs.Inc("stream.runs")
 	obs.Observe("stream.passes", float64(len(res.Passes)))
 	obs.Observe("stream.total_cycles", float64(res.TotalCycles))
+	if !obs.Tracing() {
+		return
+	}
 	obs.Emit("stream.plan", map[string]any{
 		"demand":       res.Demand,
 		"per_pass":     res.PerPassDemand,
