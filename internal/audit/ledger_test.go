@@ -2,6 +2,9 @@ package audit
 
 import (
 	"errors"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -15,6 +18,8 @@ import (
 // and the strict, policy-independent ledger still reports it as a typed
 // Violation. This is the "no silent mis-mix" guarantee at its last line of
 // defence.
+
+var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger_violations.txt from the current ledger")
 
 func vec11(t *testing.T) ratio.Vector {
 	t.Helper()
@@ -263,5 +268,53 @@ func TestTrailBounded(t *testing.T) {
 	}
 	if rep := l.Close(0, -1); !rep.Clean() {
 		t.Fatalf("balanced long run flagged: %v", rep.Err())
+	}
+}
+
+// TestViolationTextPinned pins the Detail and Trail text of every violation
+// one faulty run raises (testdata/ledger_violations.txt): every event kind
+// feeds the trail, the trail outgrows the 16 entries a violation carries,
+// and every check fails at least once.
+func TestViolationTextPinned(t *testing.T) {
+	l := NewLedger(2)
+	want := vec11(t)
+	for c := range 6 {
+		l.Dispense(1, c%2)
+		l.Lose(1, "balancing loss")
+	}
+	l.Dispense(1, 0)
+	l.FailedShot(1)
+	hi, lo := errormodel.Split(errormodel.Mix(unit(0), unit(1)), 0.2)
+	l.MixSplit(2, "M1", unit(0), unit(1), hi, lo, want)
+	l.MixSplit(2, "M2", unit(0), unit(1), mixed(0.5), mixed(0.5), want)
+	stale := errormodel.Droplet{Volume: 1, CF: []float64{1, 0}}
+	l.MixSplit(3, "M3", unit(0), unit(1), stale, stale, want)
+	l.Emit(4, want, hi)
+	l.Emit(4, want, unit(0))
+	l.Park(5, want.Key())
+	l.Unpark(6, "k")
+	l.Unpark(6, "k")
+	l.Lose(7, "droplet lost in transit M1->M2")
+	rep := l.Close(3, 4)
+	var b strings.Builder
+	for _, v := range rep.Violations {
+		fmt.Fprintf(&b, "%s c%d %s\n", v.Code, v.Cycle, v.Detail)
+		for _, e := range v.Trail {
+			fmt.Fprintf(&b, "\t%s\n", e)
+		}
+	}
+	const path = "testdata/ledger_violations.txt"
+	if *updateLedger {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	pinned, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(pinned) {
+		t.Fatalf("violation text changed:\n%s", got)
 	}
 }
