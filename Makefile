@@ -64,13 +64,16 @@ bench-cold:
 # min and max of ns/op, B/op, allocs/op and any reported metric (B/entry)
 # over five runs, with the Go version, GOMAXPROCS and CPU model
 # (cmd/benchrecord). BenchmarkPersistentRequest runs a pinned 4000
-# Requests, as its untimed engine growth otherwise takes minutes. About
-# five minutes in all.
+# Requests, as its untimed engine growth otherwise takes minutes, and
+# BenchmarkColdEngineSetup a pinned 2000 setups, the count bench-cold
+# runs, so allocs/op never compares runs of different lengths. About five
+# minutes in all.
 BENCH_RECORD := -run '^$$' -benchmem -count 5
 bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<number>" >&2; exit 2; }
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; set -e; \
-	$(GO) test $(BENCH_RECORD) -bench 'ColdEngineSetup|WarmPlanRequest' ./internal/core >>"$$tmp/out"; \
+	$(GO) test $(BENCH_RECORD) -bench ColdEngineSetup -benchtime 2000x ./internal/core >>"$$tmp/out"; \
+	$(GO) test $(BENCH_RECORD) -bench WarmPlanRequest ./internal/core >>"$$tmp/out"; \
 	$(GO) test $(BENCH_RECORD) -bench PersistentRequest -benchtime 4000x ./internal/core >>"$$tmp/out"; \
 	$(GO) test $(BENCH_RECORD) -bench BuildPacked ./internal/forest >>"$$tmp/out"; \
 	$(GO) test $(BENCH_RECORD) -bench Kernel ./internal/sched >>"$$tmp/out"; \

@@ -32,14 +32,61 @@ const trailCap = 4096
 // Close finalises the run: live droplets must be zero and the creation/
 // disposition totals must balance.
 //
+// The trail keeps events as records and renders them only when a check
+// fails, and each check formats its message only then, so a clean event
+// costs at most the float form of its CF vector.
+//
 // A nil *Ledger is valid and records nothing (the unaudited escape hatch);
 // every method nil-checks.
 type Ledger struct {
 	nfluids int
 	rep     *Report
 	live    int
-	trail   []string
+	trail   []event
 	dropped int
+}
+
+// eventKind discriminates trail events.
+type eventKind uint8
+
+const (
+	evDispense eventKind = iota
+	evFailedShot
+	evMixSplit
+	evPark
+	evUnpark
+	evLose
+	evEmit
+)
+
+// event is one trail entry, rendered by String.
+type event struct {
+	kind  eventKind
+	cycle int
+	fluid int          // dispense
+	what  string       // mix-split mixer; park, unpark and lose subject
+	want  ratio.Vector // mix-split and emit
+	vols  [4]float64   // mix-split a, b, hi, lo; emit's volume first
+}
+
+func (e event) String() string {
+	switch e.kind {
+	case evDispense:
+		return fmt.Sprintf("c%d dispense fluid %d", e.cycle, e.fluid)
+	case evFailedShot:
+		return fmt.Sprintf("c%d failed dispense shot", e.cycle)
+	case evMixSplit:
+		return fmt.Sprintf("c%d mix-split on %s -> %s (vols %.6g+%.6g -> %.6g+%.6g)",
+			e.cycle, e.what, e.want.Key(), e.vols[0], e.vols[1], e.vols[2], e.vols[3])
+	case evPark:
+		return fmt.Sprintf("c%d park %s", e.cycle, e.what)
+	case evUnpark:
+		return fmt.Sprintf("c%d unpark %s", e.cycle, e.what)
+	case evLose:
+		return fmt.Sprintf("c%d lose %s", e.cycle, e.what)
+	default:
+		return fmt.Sprintf("c%d emit %s (vol %.6g)", e.cycle, e.want.Key(), e.vols[0])
+	}
 }
 
 // NewLedger starts an empty ledger for droplets over nfluids fluids.
@@ -47,34 +94,32 @@ func NewLedger(nfluids int) *Ledger {
 	return &Ledger{nfluids: nfluids, rep: &Report{}}
 }
 
-func (l *Ledger) event(format string, args ...any) {
+func (l *Ledger) event(e event) {
 	if len(l.trail) >= trailCap {
 		l.dropped++
 		return
 	}
-	l.trail = append(l.trail, fmt.Sprintf(format, args...))
+	l.trail = append(l.trail, e)
 }
 
-// tail returns the most recent trail entries for violation context.
+// tail renders the most recent trail entries for violation context.
 func (l *Ledger) tail() []string {
 	const n = 16
-	if len(l.trail) <= n {
-		return append([]string(nil), l.trail...)
+	recent := l.trail[max(len(l.trail)-n, 0):]
+	if len(recent) == 0 {
+		return nil
 	}
-	return append([]string(nil), l.trail[len(l.trail)-n:]...)
+	out := make([]string, len(recent))
+	for i, e := range recent {
+		out[i] = e.String()
+	}
+	return out
 }
 
-func (l *Ledger) check(ok bool, code Code, cycle int, format string, args ...any) {
-	l.rep.Checks++
-	if ok {
-		return
-	}
-	l.rep.Violations = append(l.rep.Violations, &Violation{
-		Code:   code,
-		Cycle:  cycle,
-		Detail: fmt.Sprintf(format, args...),
-		Trail:  l.tail(),
-	})
+// violate records a failed check. Callers test the check with
+// l.rep.failed and format detail only when it fails.
+func (l *Ledger) violate(code Code, cycle int, detail string) {
+	l.rep.violate(&Violation{Code: code, Cycle: cycle, Detail: detail, Trail: l.tail()})
 }
 
 // Dispense records a successful dispense of a fresh unit droplet.
@@ -82,7 +127,7 @@ func (l *Ledger) Dispense(cycle, fluid int) {
 	if l == nil {
 		return
 	}
-	l.event("c%d dispense fluid %d", cycle, fluid)
+	l.event(event{kind: evDispense, cycle: cycle, fluid: fluid})
 	l.rep.Created++
 	l.live++
 }
@@ -93,7 +138,7 @@ func (l *Ledger) FailedShot(cycle int) {
 	if l == nil {
 		return
 	}
-	l.event("c%d failed dispense shot", cycle)
+	l.event(event{kind: evFailedShot, cycle: cycle})
 	l.rep.FailedShots++
 }
 
@@ -101,24 +146,28 @@ func (l *Ledger) FailedShot(cycle int) {
 // split into hi and lo, planned to produce CF vector want. The ledger
 // checks volume conservation (in = out), the balanced-split volume form
 // (each half carries (va+vb)/2), and exact CF arithmetic on both halves.
+// The trail keeps want, which must not change afterwards.
 func (l *Ledger) MixSplit(cycle int, mixer string, a, b, hi, lo errormodel.Droplet, want ratio.Vector) {
 	if l == nil {
 		return
 	}
-	l.event("c%d mix-split on %s -> %s (vols %.6g+%.6g -> %.6g+%.6g)",
-		cycle, mixer, want.Key(), a.Volume, b.Volume, hi.Volume, lo.Volume)
+	l.event(event{kind: evMixSplit, cycle: cycle, what: mixer, want: want,
+		vols: [4]float64{a.Volume, b.Volume, hi.Volume, lo.Volume}})
 	l.rep.MixSplits++
 	in, out := a.Volume+b.Volume, hi.Volume+lo.Volume
-	l.check(math.Abs(in-out) <= VolumeTolerance, MassConservation, cycle,
-		"mix-split on %s: volume in %.9g, out %.9g", mixer, in, out)
+	if l.rep.failed(math.Abs(in-out) <= VolumeTolerance) {
+		l.violate(MassConservation, cycle, fmt.Sprintf("mix-split on %s: volume in %.9g, out %.9g", mixer, in, out))
+	}
 	half := in / 2
-	l.check(math.Abs(hi.Volume-half) <= VolumeTolerance && math.Abs(lo.Volume-half) <= VolumeTolerance,
-		MassConservation, cycle,
-		"mix-split on %s: halves %.9g/%.9g, want %.9g each", mixer, hi.Volume, lo.Volume, half)
+	if l.rep.failed(math.Abs(hi.Volume-half) <= VolumeTolerance && math.Abs(lo.Volume-half) <= VolumeTolerance) {
+		l.violate(MassConservation, cycle,
+			fmt.Sprintf("mix-split on %s: halves %.9g/%.9g, want %.9g each", mixer, hi.Volume, lo.Volume, half))
+	}
 	ideal := want.Floats()
-	l.check(hi.LinfError(ideal) <= CFTolerance && lo.LinfError(ideal) <= CFTolerance,
-		CFExactness, cycle,
-		"mix-split on %s: CF error %.3g/%.3g vs exact %s", mixer, hi.LinfError(ideal), lo.LinfError(ideal), want)
+	if l.rep.failed(hi.LinfError(ideal) <= CFTolerance && lo.LinfError(ideal) <= CFTolerance) {
+		l.violate(CFExactness, cycle,
+			fmt.Sprintf("mix-split on %s: CF error %.3g/%.3g vs exact %s", mixer, hi.LinfError(ideal), lo.LinfError(ideal), want))
+	}
 	// Two droplets in, two out: live count is unchanged.
 }
 
@@ -128,10 +177,12 @@ func (l *Ledger) Park(cycle int, key string) {
 	if l == nil {
 		return
 	}
-	l.event("c%d park %s", cycle, key)
+	l.event(event{kind: evPark, cycle: cycle, what: key})
 	l.live--
 	l.rep.Pooled++
-	l.check(l.live >= 0, DropletLifecycle, cycle, "parked a droplet that was never created (%s)", key)
+	if l.rep.failed(l.live >= 0) {
+		l.violate(DropletLifecycle, cycle, fmt.Sprintf("parked a droplet that was never created (%s)", key))
+	}
 }
 
 // Unpark records a droplet fetched back from the parked-waste pool.
@@ -139,11 +190,12 @@ func (l *Ledger) Unpark(cycle int, key string) {
 	if l == nil {
 		return
 	}
-	l.event("c%d unpark %s", cycle, key)
+	l.event(event{kind: evUnpark, cycle: cycle, what: key})
 	l.rep.Unpooled++
 	l.live++
-	l.check(l.rep.Pooled-l.rep.Unpooled >= 0, DropletLifecycle, cycle,
-		"fetched %s from an empty pool", key)
+	if l.rep.failed(l.rep.Pooled-l.rep.Unpooled >= 0) {
+		l.violate(DropletLifecycle, cycle, fmt.Sprintf("fetched %s from an empty pool", key))
+	}
 }
 
 // Lose records a droplet destroyed without disposition: lost in transit,
@@ -152,27 +204,34 @@ func (l *Ledger) Lose(cycle int, what string) {
 	if l == nil {
 		return
 	}
-	l.event("c%d lose %s", cycle, what)
+	l.event(event{kind: evLose, cycle: cycle, what: what})
 	l.live--
 	l.rep.Lost++
-	l.check(l.live >= 0, DropletLifecycle, cycle, "lost a droplet that was never created (%s)", what)
+	if l.rep.failed(l.live >= 0) {
+		l.violate(DropletLifecycle, cycle, fmt.Sprintf("lost a droplet that was never created (%s)", what))
+	}
 }
 
 // Emit records a target droplet delivered to the output port and checks it
 // against the strict emission envelope: unit volume and the exact CF of
-// the plan, independent of the run's sensing policy.
+// the plan, independent of the run's sensing policy. The trail keeps want,
+// which must not change afterwards.
 func (l *Ledger) Emit(cycle int, want ratio.Vector, d errormodel.Droplet) {
 	if l == nil {
 		return
 	}
-	l.event("c%d emit %s (vol %.6g)", cycle, want.Key(), d.Volume)
+	l.event(event{kind: evEmit, cycle: cycle, want: want, vols: [4]float64{d.Volume}})
 	l.live--
 	l.rep.Emitted++
-	l.check(l.live >= 0, DropletLifecycle, cycle, "emitted a droplet that was never created")
-	l.check(math.Abs(d.Volume-1) <= VolumeTolerance, EmissionTolerance, cycle,
-		"emitted volume %.9g, want 1 (±%g)", d.Volume, VolumeTolerance)
-	cfErr := d.LinfError(want.Floats())
-	l.check(cfErr <= CFTolerance, EmissionTolerance, cycle, "emitted CF error %.3g vs exact %s", cfErr, want)
+	if l.rep.failed(l.live >= 0) {
+		l.violate(DropletLifecycle, cycle, "emitted a droplet that was never created")
+	}
+	if l.rep.failed(math.Abs(d.Volume-1) <= VolumeTolerance) {
+		l.violate(EmissionTolerance, cycle, fmt.Sprintf("emitted volume %.9g, want 1 (±%g)", d.Volume, VolumeTolerance))
+	}
+	if cfErr := d.LinfError(want.Floats()); l.rep.failed(cfErr <= CFTolerance) {
+		l.violate(EmissionTolerance, cycle, fmt.Sprintf("emitted CF error %.3g vs exact %s", cfErr, want))
+	}
 }
 
 // Close finalises the run and returns the audit report. minEmitted is the
@@ -184,16 +243,19 @@ func (l *Ledger) Close(minEmitted, exactEmitted int) *Report {
 	if l == nil {
 		return nil
 	}
-	l.check(l.live == 0, DropletLifecycle, 0, "%d droplets still in flight at run end", l.live)
+	if l.rep.failed(l.live == 0) {
+		l.violate(DropletLifecycle, 0, fmt.Sprintf("%d droplets still in flight at run end", l.live))
+	}
 	net := l.rep.Emitted + (l.rep.Pooled - l.rep.Unpooled) + l.rep.Lost
-	l.check(l.rep.Created == net, MassConservation, 0,
-		"created %d droplets, disposed %d (emitted %d + pooled %d − unpooled %d + lost %d)",
-		l.rep.Created, net, l.rep.Emitted, l.rep.Pooled, l.rep.Unpooled, l.rep.Lost)
-	l.check(l.rep.Emitted >= minEmitted, TargetCount, 0,
-		"emitted %d target droplets, demand was %d", l.rep.Emitted, minEmitted)
-	if exactEmitted >= 0 {
-		l.check(l.rep.Emitted == exactEmitted, TargetCount, 0,
-			"emitted %d target droplets, plan promises exactly %d", l.rep.Emitted, exactEmitted)
+	if l.rep.failed(l.rep.Created == net) {
+		l.violate(MassConservation, 0, fmt.Sprintf("created %d droplets, disposed %d (emitted %d + pooled %d − unpooled %d + lost %d)",
+			l.rep.Created, net, l.rep.Emitted, l.rep.Pooled, l.rep.Unpooled, l.rep.Lost))
+	}
+	if l.rep.failed(l.rep.Emitted >= minEmitted) {
+		l.violate(TargetCount, 0, fmt.Sprintf("emitted %d target droplets, demand was %d", l.rep.Emitted, minEmitted))
+	}
+	if exactEmitted >= 0 && l.rep.failed(l.rep.Emitted == exactEmitted) {
+		l.violate(TargetCount, 0, fmt.Sprintf("emitted %d target droplets, plan promises exactly %d", l.rep.Emitted, exactEmitted))
 	}
 	return l.rep
 }

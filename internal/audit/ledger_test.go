@@ -318,3 +318,28 @@ func TestViolationTextPinned(t *testing.T) {
 		t.Fatalf("violation text changed:\n%s", got)
 	}
 }
+
+// TestCleanLedgerAllocs pins a clean MixSplit and Emit at one allocation
+// each, the float form of the planned CF vector: the trail stores records
+// and no check formats its message until it fails.
+func TestCleanLedgerAllocs(t *testing.T) {
+	want := ratio.MustParse("2:1:1:1:1:1:9").Vector()
+	drop := errormodel.Droplet{Volume: 1, CF: want.Floats()}
+	l := NewLedger(want.N())
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.MixSplit(2, "M1", drop, drop, drop, drop, want)
+	}); allocs > 1 {
+		t.Errorf("clean MixSplit allocates %.2f objects, want <= 1", allocs)
+	}
+	for range 1001 { // AllocsPerRun's warm-up call and its 1000 runs
+		l.Dispense(1, 0)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.Emit(3, want, drop)
+	}); allocs > 1 {
+		t.Errorf("clean Emit allocates %.2f objects, want <= 1", allocs)
+	}
+	if !l.rep.Clean() {
+		t.Fatalf("clean events flagged: %v", l.rep.Err())
+	}
+}

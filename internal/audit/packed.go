@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/forest"
 	"repro/internal/plancache"
-	"repro/internal/ratio"
 )
 
 // CheckPacked audits a plan's slab — the packed forest and slot table a
@@ -19,12 +18,13 @@ import (
 //     positional level (which the schedulers' priorities read), and reads
 //     its inputs from that node's children (PackedForest.FromChildren): a
 //     dispense of a leaf child's fluid, or an earlier task of a mix child.
-//     That is the premise of DESIGN §14's lemma. The base graph's build
-//     proved every node's vector the average of its children's, so by
+//     That is the premise of DESIGN §14's lemma. A base node's vector is
+//     the average of its children's by definition (Graph.Vectors), so by
 //     induction every task carries its base node's vector exactly, and
 //     the error intervals AnalyzeGraph reads off the base graph hold for
 //     it. Every tree's root is a task of the base root, the last of its
-//     span, and the base root's vector is the target. Sources are in range
+//     span, and the base root's vector is the target (proven once per
+//     graph: Graph.RootIsTarget). Sources are in range
 //     and topologically ordered, reuse flags mark cross-tree sources, and
 //     every task's consumer links match the sources naming it and fit its
 //     two outputs. |F| = ⌈D/2⌉, T = 2|F|, I = T + W and the zero-waste
@@ -59,20 +59,20 @@ func CheckPacked(p *plancache.Plan) *Report {
 		return r
 	}
 	n := f.Base.Target.N()
-	// The one scratch buffer: the target's CF words, the per-fluid input
-	// recount, the per-task consumer recount and bucket order, and three
-	// per-cycle tables (lifetime walk, difference array, bucket bounds).
-	// Only the recounts, the walk and the difference array are read before
-	// they are written, so only they are cleared.
+	// The one scratch buffer: the base graph's for RootIsTarget, the
+	// per-fluid input recount, the per-task consumer recount and bucket
+	// order, and three per-cycle tables (lifetime walk, difference array,
+	// bucket bounds). Only the recounts, the walk and the difference array
+	// are read before they are written, so only they are cleared.
 	buf := scratchPool.Get().(*[]int64)
 	defer scratchPool.Put(buf)
-	need := 2*n + 2*nTasks + 3*(cycles+2)
+	graphWords := f.Base.ScratchWords()
+	need := graphWords + n + 2*nTasks + 3*(cycles+2)
 	if cap(*buf) < need {
 		*buf = make([]int64, need)
 	}
 	scratch := (*buf)[:need]
-	words, inputs := scratch[:n], scratch[n:2*n]
-	rest := scratch[2*n:]
+	graph, inputs, rest := scratch[:graphWords], scratch[graphWords:graphWords+n], scratch[graphWords+n:]
 	cons, order := rest[:nTasks], rest[nTasks:2*nTasks]
 	rest = rest[2*nTasks:]
 	walk, diff, end := rest[:cycles+2], rest[cycles+2:2*(cycles+2)], rest[2*(cycles+2):]
@@ -81,7 +81,7 @@ func CheckPacked(p *plancache.Plan) *Report {
 	clear(walk)
 	clear(diff)
 
-	carried, ok := checkPackedForest(r, f, first, pooled, p.Stats, words, inputs, cons)
+	carried, ok := checkPackedForest(r, f, first, pooled, p.Stats, graph, inputs, cons)
 	if !ok {
 		return r
 	}
@@ -143,7 +143,7 @@ var scratchPool = sync.Pool{New: func() any { return new([]int64) }}
 // on. It returns the spares the pool held before them, pooled, that they
 // leave there, and reports false when a structural break makes the later
 // checks meaningless.
-func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, claimed forest.Stats, words, inputs, cons []int64) (int64, bool) {
+func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, claimed forest.Stats, graph, inputs, cons []int64) (int64, bool) {
 	n := len(inputs)
 	g := f.Base
 	nodes, tasks := g.Nodes, f.Tasks
@@ -263,11 +263,8 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 			r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("tree %d is rooted at base node %d, not the base root %d", before+k+1, b, g.Root.ID)})
 		}
 	}
-	for i := range words {
-		words[i] = g.Target.Part(i)
-	}
-	if v := g.Root.Vec; r.failed(v.EqualWords(words, ratio.ReduceWords(words, uint(g.Target.Depth())))) {
-		r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("base root CF %v, want %v", v, g.Target.Vector())})
+	if r.failed(g.RootIsTarget(graph)) {
+		r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("base root CF %v, want %v", g.Vectors()[g.Root.ID], g.Target.Vector())})
 	}
 	// The theorem holds for the forest as a whole: for a window, the pool
 	// it leaves.

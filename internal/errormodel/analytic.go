@@ -106,6 +106,9 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 	eps, delta := p.SplitImbalance, p.DispenseError
 
 	an := &Analysis{Params: p, Nodes: make([]TaskError, len(g.Nodes))}
+	// The nodes' exact vectors, n numerators then the exponent per node.
+	vecs := make([]int64, len(g.Nodes)*(n+1))
+	g.VectorWords(vecs)
 	for _, v := range g.Nodes {
 		if v.IsLeaf() {
 			an.Nodes[v.ID] = TaskError{VolLo: 1 - delta, VolHi: 1 + delta}
@@ -116,10 +119,11 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 		eb, blo, bhi := an.Nodes[b.ID].Err, an.Nodes[b.ID].VolLo, an.Nodes[b.ID].VolHi
 		// Δ is the L∞ distance of the children's exact vectors (a leaf's is
 		// the unit vector of its fluid).
-		dena, denb := float64(a.Vec.Denom()), float64(b.Vec.Denom())
+		va, vb := vecs[a.ID*(n+1):][:n+1], vecs[b.ID*(n+1):][:n+1]
+		dena, denb := float64(int64(1)<<va[n]), float64(int64(1)<<vb[n])
 		div := 0.0
 		for i := 0; i < n; i++ {
-			if d := math.Abs(float64(a.Vec.Num(i))/dena - float64(b.Vec.Num(i))/denb); d > div {
+			if d := math.Abs(float64(va[i])/dena - float64(vb[i])/denb); d > div {
 				div = d
 			}
 		}

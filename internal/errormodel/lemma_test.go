@@ -40,10 +40,10 @@ func walkForest(f *forest.PackedForest, p Params) []TaskError {
 	tasks := make([]TaskError, len(f.Tasks))
 
 	nodeCF := make([]float64, n*len(f.Base.Nodes))
-	for _, node := range f.Base.Nodes {
-		den := float64(node.Vec.Denom())
+	for id, vec := range f.Base.Vectors() {
+		den := float64(vec.Denom())
 		for i := 0; i < n; i++ {
-			nodeCF[node.ID*n+i] = float64(node.Vec.Num(i)) / den
+			nodeCF[id*n+i] = float64(vec.Num(i)) / den
 		}
 	}
 	cf := func(s forest.PSource, i int) float64 {

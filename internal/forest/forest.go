@@ -79,7 +79,7 @@ type Task struct {
 	// m_{i,j} labels).
 	Tree int
 	// Base is the base-graph node this task instantiates; the task produces
-	// droplets with Base.Vec.
+	// droplets with that node's vector (Vec).
 	Base *mixgraph.Node
 	// Level is the paper's positional level of the mix (root tasks sit at
 	// level d, their children at d-1, and so on).

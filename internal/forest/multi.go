@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/mixgraph"
+	"repro/internal/ratio"
 )
 
 // Multi-target forests. The DAC 2014 paper solves MDST — many droplets of a
@@ -27,6 +28,7 @@ var ErrFluidMismatch = errors.New("forest: multi-target bases must share one flu
 // collision degrades to a miss, never to a wrong droplet.
 type MultiBuilder struct {
 	bases []*mixgraph.Graph
+	vecs  [][]ratio.Vector // each base's node vectors (Graph.Vectors)
 	f     *Forest
 	pool  map[uint64][]*Task // CF-vector hash -> tasks with a spare output
 	tasks int
@@ -45,21 +47,26 @@ func NewMultiBuilder(bases []*mixgraph.Graph) (*MultiBuilder, error) {
 			return nil, fmt.Errorf("%w: %d vs %d fluids", ErrFluidMismatch, n, b.Target.N())
 		}
 	}
+	vecs := make([][]ratio.Vector, len(bases))
+	for i, b := range bases {
+		vecs[i] = b.Vectors()
+	}
 	return &MultiBuilder{
 		bases: bases,
+		vecs:  vecs,
 		f:     &Forest{Base: bases[0]},
 		pool:  make(map[uint64][]*Task),
 	}, nil
 }
 
 // takeSpare removes and returns the oldest pooled task whose CF vector is
-// exactly v.Vec, searching the bucket for the given hash. FIFO order among
+// exactly v, searching the bucket for the given hash. FIFO order among
 // equal vectors is preserved: buckets are append-at-tail, and removal shifts
 // the remainder down (buckets are nearly always length 0-2).
-func (b *MultiBuilder) takeSpare(key uint64, v *mixgraph.Node) (*Task, bool) {
+func (b *MultiBuilder) takeSpare(key uint64, v ratio.Vector) (*Task, bool) {
 	bucket := b.pool[key]
 	for i, t := range bucket {
-		if t.Vec.Equal(v.Vec) {
+		if t.Vec.Equal(v) {
 			b.pool[key] = append(bucket[:i], bucket[i+1:]...)
 			return t, true
 		}
@@ -82,14 +89,15 @@ func (b *MultiBuilder) AddTree(ti int) (*Tree, error) {
 	if ti < 0 || ti >= len(b.bases) {
 		return nil, fmt.Errorf("forest: target %d outside [0, %d)", ti, len(b.bases))
 	}
-	base := b.bases[ti]
+	base, vecs := b.bases[ti], b.vecs[ti]
 	idx := len(b.f.Trees) + 1
 	tree := &Tree{Index: idx, Want: base.Target.Vector()}
 
 	var obtain func(v *mixgraph.Node) Source
 	obtain = func(v *mixgraph.Node) Source {
-		key := v.Vec.Hash()
-		if t, ok := b.takeSpare(key, v); ok {
+		vec := vecs[v.ID]
+		key := vec.Hash()
+		if t, ok := b.takeSpare(key, vec); ok {
 			return Source{Kind: FromTask, Task: t, Reused: t.Tree != idx}
 		}
 		if v.IsLeaf() {
@@ -97,7 +105,7 @@ func (b *MultiBuilder) AddTree(ti int) (*Tree, error) {
 		}
 		l := obtain(v.Children[0])
 		r := obtain(v.Children[1])
-		t := b.newTask(v, l, r, tree)
+		t := b.newTask(v, vec, l, r, tree)
 		b.pool[key] = append(b.pool[key], t)
 		return Source{Kind: FromTask, Task: t}
 	}
@@ -105,21 +113,21 @@ func (b *MultiBuilder) AddTree(ti int) (*Tree, error) {
 	rootNode := base.Root
 	l := obtain(rootNode.Children[0])
 	r := obtain(rootNode.Children[1])
-	root := b.newTask(rootNode, l, r, tree)
+	root := b.newTask(rootNode, vecs[rootNode.ID], l, r, tree)
 	root.Targets = 2
 	tree.Root = root
 	b.f.Trees = append(b.f.Trees, tree)
 	return tree, nil
 }
 
-func (b *MultiBuilder) newTask(v *mixgraph.Node, l, r Source, tree *Tree) *Task {
+func (b *MultiBuilder) newTask(v *mixgraph.Node, vec ratio.Vector, l, r Source, tree *Tree) *Task {
 	t := &Task{
 		ID:    b.tasks,
 		Tree:  tree.Index,
 		Base:  v,
 		Level: v.PosLevel,
 		In:    [2]Source{l, r},
-		Vec:   v.Vec,
+		Vec:   vec,
 	}
 	b.tasks++
 	for _, s := range t.In {

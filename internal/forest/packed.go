@@ -237,6 +237,11 @@ func (f *PackedForest) FromChildren(i int) bool {
 
 func (b *PackedBuilder) newTask(v *mixgraph.Node, l, r PSource) int32 {
 	id := int32(len(b.f.Tasks))
+	if len(b.f.Tasks) == cap(b.f.Tasks) {
+		// Double: append grows a large slice by only 1.25×, and a
+		// persistent pool's arena grows for the engine's whole life.
+		b.f.Tasks = slices.Grow(b.f.Tasks, max(len(b.f.Tasks), 64))
+	}
 	b.f.Tasks = append(b.f.Tasks, PTask{
 		Base:  int32(v.ID),
 		Level: int8(v.PosLevel),
@@ -300,11 +305,12 @@ func (f *PackedForest) Materialize() *Forest {
 	for i := range tasks {
 		out.Tasks[i] = &tasks[i]
 	}
+	vecs := f.Base.Vectors()
 	for i := range f.Tasks {
 		pt := &f.Tasks[i]
 		node := f.Base.Nodes[pt.Base]
 		t := &tasks[i]
-		*t = Task{ID: i, Tree: f.TreeOf(i), Base: node, Level: int(pt.Level), Vec: node.Vec, Targets: int(pt.Targets),
+		*t = Task{ID: i, Tree: f.TreeOf(i), Base: node, Level: int(pt.Level), Vec: vecs[pt.Base], Targets: int(pt.Targets),
 			consumers: consArena[2*i : 2*i : 2*i+2]}
 		for s, src := range pt.In {
 			if src.Kind == Input {

@@ -3,6 +3,7 @@ package forest
 import (
 	"fmt"
 
+	"repro/internal/mixgraph"
 	"repro/internal/ratio"
 )
 
@@ -65,12 +66,15 @@ func (f *Forest) Validate() error {
 // on their slabs instead (audit.CheckPacked). Its clean path allocates a
 // fixed handful of objects however large the forest: source identity is an
 // index check against Tasks (no visited-set map) and each task's CF is
-// recomputed in one reused word buffer. Vectors are boxed only to render a
-// message once a check has failed.
+// recomputed in one reused word buffer, which also holds the base nodes'
+// vectors (Graph.VectorWords). Vectors are boxed only to render a message
+// once a check has failed.
 func (f *Forest) ValidateStats() (Stats, error) {
 	n := f.Base.Target.N()
-	words := make([]int64, 3*n)
-	left, right, mix := words[:n], words[n:2*n], words[2*n:]
+	words := make([]int64, 3*n+len(f.Base.Nodes)*(n+1))
+	left, right, mix := words[:n], words[n:2*n], words[2*n:3*n]
+	base := baseVectors{g: f.Base, words: words[3*n:], n: n}
+	f.Base.VectorWords(base.words)
 	for i, t := range f.Tasks {
 		if t.ID != i {
 			return Stats{}, fmt.Errorf("forest: task %d has ID %d", i, t.ID)
@@ -99,8 +103,8 @@ func (f *Forest) ValidateStats() (Stats, error) {
 			want := ratio.Mix(t.In[0].Vec(n), t.In[1].Vec(n))
 			return Stats{}, fmt.Errorf("forest: task %d vector %v, inputs average %v", i, t.Vec, want)
 		}
-		if !t.Vec.Equal(t.Base.Vec) {
-			return Stats{}, fmt.Errorf("forest: task %d vector %v does not match its base node %v", i, t.Vec, t.Base.Vec)
+		if !base.equal(t.Vec, t.Base) {
+			return Stats{}, fmt.Errorf("forest: task %d vector %v does not match its base node %v", i, t.Vec, base.derive(t.Base))
 		}
 		if t.Level != t.Base.PosLevel {
 			return Stats{}, fmt.Errorf("forest: task %d at level %d, its base node at positional level %d", i, t.Level, t.Base.PosLevel)
@@ -137,4 +141,48 @@ func (f *Forest) ValidateStats() (Stats, error) {
 			s.InputTotal, s.Targets, s.Waste)
 	}
 	return s, nil
+}
+
+// baseVectors gives the CF vectors of the base nodes a forest's tasks
+// instantiate. Nodes of the forest's base graph read its propagated words;
+// a multi-target forest's tasks also instantiate nodes of other bases,
+// whose vectors are derived from their children once each.
+type baseVectors struct {
+	g     *mixgraph.Graph
+	words []int64 // g's node vectors, laid out by Graph.VectorWords
+	n     int     // the fluid count
+	other map[*mixgraph.Node]ratio.Vector
+}
+
+// owns reports whether v is a node of the base graph.
+func (b *baseVectors) owns(v *mixgraph.Node) bool {
+	return v.ID >= 0 && v.ID < len(b.g.Nodes) && b.g.Nodes[v.ID] == v
+}
+
+// equal reports whether vec is base node v's vector.
+func (b *baseVectors) equal(vec ratio.Vector, v *mixgraph.Node) bool {
+	if b.owns(v) {
+		w := b.words[v.ID*(b.n+1):][:b.n+1]
+		return vec.EqualWords(w[:b.n], uint(w[b.n]))
+	}
+	return vec.Equal(b.derive(v))
+}
+
+// derive computes base node v's vector from its children, memoised: the
+// path for nodes of other base graphs, and for messages.
+func (b *baseVectors) derive(v *mixgraph.Node) ratio.Vector {
+	if vec, ok := b.other[v]; ok {
+		return vec
+	}
+	var vec ratio.Vector
+	if v.IsLeaf() {
+		vec = ratio.Unit(v.Fluid, b.n)
+	} else {
+		vec = ratio.Mix(b.derive(v.Children[0]), b.derive(v.Children[1]))
+	}
+	if b.other == nil {
+		b.other = make(map[*mixgraph.Node]ratio.Vector)
+	}
+	b.other[v] = vec
+	return vec
 }

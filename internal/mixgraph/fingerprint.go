@@ -5,8 +5,9 @@ package mixgraph
 // deterministic algorithms (MM, RMA, MTCS, RSM) over the same ratio always
 // collide intentionally; structurally different graphs virtually never do.
 // The structure plus leaf fluids fully determine every CF vector in the
-// graph (each mix vector is the average of its children), so the fingerprint
-// is sound as a cache-key component even though it never reads a vector.
+// graph (each mix vector is the average of its children), which is why a
+// node stores none (Graph.Vectors derives them) and why the fingerprint is
+// sound as a cache-key component without reading a vector.
 //
 // Graphs are immutable after Build, so the hash is computed once and
 // memoised; the hot path (plan-cache key construction on every serving

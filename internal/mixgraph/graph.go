@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/ratio"
@@ -43,9 +44,11 @@ func (k Kind) String() string {
 
 // Node is one vertex of a mix-split graph. Nodes are created through a
 // Builder and are immutable after Build. A built graph keeps its nodes in
-// one slice and their CF numerators in one int64 slab (see Builder). Every
-// cached plan pins its base graph, so a Node links only to its children:
-// 88 bytes, three pointers for the garbage collector to scan.
+// one slice (see Builder). Every cached plan pins its base graph, so a
+// Node holds structure only and links only to its children: 56 bytes, two
+// pointers for the garbage collector to scan. Its CF vector follows from
+// the wiring and the leaf fluids (a mix is the average of its children),
+// so it is derived on demand by Graph.Vectors.
 type Node struct {
 	// ID is the node's index in Graph.Nodes (children precede parents).
 	ID int
@@ -65,8 +68,6 @@ type Node struct {
 	// nodes (two parents) the smaller candidate — the more urgent one — is
 	// kept. Scheduling policies use PosLevel; set by Builder.Build.
 	PosLevel int
-	// Vec is the node's exact CF vector.
-	Vec ratio.Vector
 	// Kind says whether the node dispenses an input droplet or mixes.
 	Kind Kind
 
@@ -102,22 +103,23 @@ type Graph struct {
 	// correct: every holder must share the one memo.
 	fp     atomic.Uint64
 	fpDone atomic.Bool
+	// rootOK memoises a proof that the root's vector is the target's (see
+	// RootIsTarget).
+	rootOK atomic.Bool
 }
 
 // Builder constructs a Graph incrementally. The zero value is not usable;
 // call NewBuilder.
 //
-// Nodes live in a node arena and their CF numerators in int64 slabs, both
-// grown in chunks so that a node once handed out never moves. The first
-// chunk holds exactly the MM tree of the target (one leaf per set bit of
-// the parts, one mix fewer), so an MM build fills it exactly and Build
-// keeps it; any other size is copied into exact-size slabs by Build.
-// Every cached plan pins its base graph, so a graph retains no spare
-// capacity.
+// Nodes live in a node arena grown in chunks, so that a node once handed
+// out never moves. The first chunk holds exactly the MM tree of the target
+// (one leaf per set bit of the parts, one mix fewer), so an MM build fills
+// it exactly and Build keeps it; any other size is copied into an
+// exact-size arena by Build. Every cached plan pins its base graph, so a
+// graph retains no spare capacity.
 type Builder struct {
 	target ratio.Ratio
 	chunks [][]Node // the node arena: full chunks, then the one being filled
-	words  []int64  // the unused CF words of the current chunk's slab
 	count  int      // nodes created so far
 }
 
@@ -126,10 +128,8 @@ func NewBuilder(r ratio.Ratio) *Builder {
 	return &Builder{target: r}
 }
 
-// node appends a zero node to the arena, numbered in creation order, with
-// the target's fluid count of CF words of its own.
-func (b *Builder) node() (*Node, []int64) {
-	n := b.target.N()
+// node appends a zero node to the arena, numbered in creation order.
+func (b *Builder) node() *Node {
 	last := len(b.chunks) - 1
 	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
 		size := b.count // doubling
@@ -137,7 +137,6 @@ func (b *Builder) node() (*Node, []int64) {
 			size = mmNodes(b.target)
 		}
 		b.chunks = append(b.chunks, make([]Node, 0, size))
-		b.words = make([]int64, size*n)
 		last++
 	}
 	c := b.chunks[last][:len(b.chunks[last])+1]
@@ -145,9 +144,7 @@ func (b *Builder) node() (*Node, []int64) {
 	nd := &c[len(c)-1]
 	nd.ID = b.count
 	b.count++
-	w := b.words[:n:n]
-	b.words = b.words[n:]
-	return nd, w
+	return nd
 }
 
 // mmNodes is the node count of r's MM tree: one leaf per set bit of the
@@ -179,10 +176,9 @@ func (b *Builder) Leaf(fluid int) *Node {
 	if fluid < 0 || fluid >= b.target.N() {
 		panic(fmt.Sprintf("mixgraph: leaf fluid %d out of range [0,%d)", fluid, b.target.N()))
 	}
-	n, w := b.node()
+	n := b.node()
 	n.Kind = Leaf
 	n.Fluid = fluid
-	n.Vec = ratio.UnitIn(w, fluid)
 	return n
 }
 
@@ -202,12 +198,11 @@ func (b *Builder) Mix(l, r *Node) *Node {
 			panic(fmt.Sprintf("mixgraph: node %d already has all outputs consumed", c.ID))
 		}
 	}
-	n, w := b.node()
+	n := b.node()
 	n.Kind = Mix
 	n.Fluid = -1
 	n.Children = [2]*Node{l, r}
 	n.Level = max(l.Level, r.Level) + 1
-	n.Vec = ratio.MixIn(w, l.Vec, r.Vec)
 	l.nparents++
 	r.nparents++
 	return n
@@ -221,7 +216,7 @@ func (b *Builder) Build(root *Node, algorithm string) (*Graph, error) {
 		return nil, fmt.Errorf("mixgraph: node ID %d inconsistent with node list", root.ID)
 	}
 	g := &Graph{Target: b.target, Nodes: b.flatten(), Algorithm: algorithm}
-	b.chunks, b.words = nil, nil
+	b.chunks = nil
 	if root != nil {
 		g.Root = g.Nodes[root.ID]
 	}
@@ -232,10 +227,10 @@ func (b *Builder) Build(root *Node, algorithm string) (*Graph, error) {
 	return g, nil
 }
 
-// flatten returns the nodes in creation order over exact-size slabs. A
+// flatten returns the nodes in creation order over an exact-size arena. A
 // builder whose one chunk filled up exactly already holds them; otherwise
-// the nodes and their CF words are copied into fresh slabs and every child
-// link is re-pointed by ID.
+// the nodes are copied into a fresh arena and every child link is
+// re-pointed by ID.
 func (b *Builder) flatten() []*Node {
 	var arena []Node
 	if len(b.chunks) == 1 && len(b.chunks[0]) == cap(b.chunks[0]) {
@@ -245,11 +240,8 @@ func (b *Builder) flatten() []*Node {
 		for _, c := range b.chunks {
 			arena = append(arena, c...)
 		}
-		n := b.target.N()
-		words := make([]int64, len(arena)*n)
 		for i := range arena {
 			nd := &arena[i]
-			nd.Vec = nd.Vec.CloneIn(words[i*n : (i+1)*n : (i+1)*n])
 			if nd.Kind == Mix {
 				nd.Children = [2]*Node{&arena[nd.Children[0].ID], &arena[nd.Children[1].ID]}
 			}
@@ -291,15 +283,15 @@ var (
 	ErrWrongTarget  = errors.New("mixgraph: root CF vector does not match the target ratio")
 	ErrUnreachable  = errors.New("mixgraph: node unreachable from root")
 	ErrBadTopology  = errors.New("mixgraph: nodes not in topological order")
-	ErrBadVector    = errors.New("mixgraph: mix vector is not the average of its children")
 	ErrOverConsumed = errors.New("mixgraph: node output consumed more than twice")
 	ErrBadLevel     = errors.New("mixgraph: mix level is not one above its highest child")
 )
 
 // Validate checks the full set of graph invariants: topological node order,
-// exact CF arithmetic at every mix, output-consumption bounds, root identity
-// with the target ratio and reachability of every node. It allocates its
-// bookkeeping once per call, not per node.
+// output-consumption bounds, structural levels, reachability of every node
+// and root identity with the target ratio, whose vector it propagates from
+// the leaves in scratch. It allocates its bookkeeping once per call, not
+// per node.
 func (g *Graph) Validate() error {
 	if g.Root == nil {
 		return ErrNoRoot
@@ -309,9 +301,6 @@ func (g *Graph) Validate() error {
 	}
 	if g.Root.nparents != 0 {
 		return ErrRootConsumed
-	}
-	if !g.Root.Vec.Equal(g.Target.Vector()) {
-		return fmt.Errorf("%w: root %v, target %v", ErrWrongTarget, g.Root.Vec, g.Target.Vector())
 	}
 	reach := make([]bool, len(g.Nodes))
 	// Each unvisited mix pops one entry and pushes two, so the stack never
@@ -332,7 +321,6 @@ func (g *Graph) Validate() error {
 			stack = append(stack, n.Children[0], n.Children[1])
 		}
 	}
-	mixed := make([]int64, g.Target.N()) // the children's average, per mix
 	for i, n := range g.Nodes {
 		if !reach[i] {
 			return fmt.Errorf("%w: node %d", ErrUnreachable, i)
@@ -346,13 +334,88 @@ func (g *Graph) Validate() error {
 					return fmt.Errorf("%w: mix %d before child %d", ErrBadTopology, n.ID, c.ID)
 				}
 			}
-			if want := ratio.MixIn(mixed, n.Children[0].Vec, n.Children[1].Vec); !n.Vec.Equal(want) {
-				return fmt.Errorf("%w: node %d has %v, children average %v", ErrBadVector, n.ID, n.Vec, want)
-			}
 			if want := max(n.Children[0].Level, n.Children[1].Level) + 1; n.Level != want {
 				return fmt.Errorf("%w: node %d level %d, want %d", ErrBadLevel, n.ID, n.Level, want)
 			}
 		}
 	}
+	// Every node is reachable and after its children, so the vectors
+	// propagate.
+	if !g.rootIsTarget(make([]int64, g.ScratchWords())) {
+		return fmt.Errorf("%w: root %v, target %v", ErrWrongTarget, g.Vectors()[g.Root.ID], g.Target.Vector())
+	}
 	return nil
+}
+
+// ScratchWords is the scratch length RootIsTarget needs: VectorWords' words
+// and the target's.
+func (g *Graph) ScratchWords() int {
+	return (len(g.Nodes) + 1) * (g.Target.N() + 1)
+}
+
+// RootIsTarget reports whether the root's CF vector is the target's, its
+// parts over 2^depth reduced. The first call that finds it so propagates
+// every node's vector into scratch, which must hold ScratchWords words;
+// graphs are immutable after Build, so the proof is then memoised in one
+// atomic, like Fingerprint's hash. A failure is not memoised.
+func (g *Graph) RootIsTarget(scratch []int64) bool {
+	if g.rootOK.Load() {
+		return true
+	}
+	ok := g.rootIsTarget(scratch)
+	if ok {
+		g.rootOK.Store(true)
+	}
+	return ok
+}
+
+// rootIsTarget is RootIsTarget without the memo.
+func (g *Graph) rootIsTarget(scratch []int64) bool {
+	k := g.Target.N()
+	g.VectorWords(scratch)
+	root, target := scratch[g.Root.ID*(k+1):][:k+1], scratch[len(g.Nodes)*(k+1):][:k]
+	for i := range target {
+		target[i] = g.Target.Part(i)
+	}
+	exp := ratio.ReduceWords(target, uint(g.Target.Depth()))
+	return int64(exp) == root[k] && slices.Equal(root[:k], target)
+}
+
+// Vectors returns every node's exact CF vector, indexed by node ID: a leaf
+// is the unit vector of its fluid and a mix the average of its children.
+// Each call propagates them afresh into one new word slab; the graph keeps
+// none, so a caller that reads them holds them only as long as it needs
+// them.
+func (g *Graph) Vectors() []ratio.Vector {
+	k := g.Target.N()
+	words := make([]int64, len(g.Nodes)*k)
+	out := make([]ratio.Vector, len(g.Nodes))
+	for i, n := range g.Nodes {
+		w := words[i*k : (i+1)*k : (i+1)*k]
+		if n.Kind == Leaf {
+			out[i] = ratio.UnitIn(w, n.Fluid)
+			continue
+		}
+		out[i] = ratio.MixIn(w, out[n.Children[0].ID], out[n.Children[1].ID])
+	}
+	return out
+}
+
+// VectorWords is Vectors into caller-provided scratch, without boxing: with
+// k the target's fluid count, node i's canonical CF numerators go to
+// dst[i*(k+1):][:k] and its exponent to dst[i*(k+1)+k]. dst must hold at
+// least len(g.Nodes)*(k+1) words, and children must precede parents (as
+// Validate proves of every built graph).
+func (g *Graph) VectorWords(dst []int64) {
+	k := g.Target.N()
+	for i, n := range g.Nodes {
+		w := dst[i*(k+1):][:k+1]
+		if n.Kind == Leaf {
+			clear(w)
+			w[n.Fluid] = 1
+			continue
+		}
+		a, b := dst[n.Children[0].ID*(k+1):][:k+1], dst[n.Children[1].ID*(k+1):][:k+1]
+		w[k] = int64(ratio.MixWordsInto(w[:k], a[:k], uint(a[k]), b[:k], uint(b[k])))
+	}
 }

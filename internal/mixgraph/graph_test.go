@@ -8,11 +8,11 @@ import (
 	"repro/internal/ratio"
 )
 
-// TestNodeSize pins a base-graph node at no more than 88 bytes: every
+// TestNodeSize pins a base-graph node at no more than 56 bytes: every
 // cached plan pins its base graph's nodes.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got > 88 {
-		t.Fatalf("Node is %d bytes, want <= 88", got)
+	if got := unsafe.Sizeof(Node{}); got > 56 {
+		t.Fatalf("Node is %d bytes, want <= 56", got)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestWastesList(t *testing.T) {
 
 func TestRootVector(t *testing.T) {
 	g := buildPCRTree(t)
-	if !g.Root.Vec.Equal(g.Target.Vector()) {
-		t.Errorf("root vec %v != target %v", g.Root.Vec, g.Target.Vector())
+	if root := g.Vectors()[g.Root.ID]; !root.Equal(g.Target.Vector()) {
+		t.Errorf("root vec %v != target %v", root, g.Target.Vector())
 	}
 }
 

@@ -43,7 +43,7 @@ func nodeName(g *Graph, n *Node, labels map[*Node]string) string {
 // Shared nodes (both outputs consumed) are drawn once and referenced by
 // label afterwards.
 func (g *Graph) Render() string {
-	labels := BFSLabels(g, 1)
+	labels, vecs := BFSLabels(g, 1), g.Vectors()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s tree for %s (d=%d)\n", g.Algorithm, g.Target, g.Root.Level)
 	drawn := make(map[*Node]bool)
@@ -63,13 +63,13 @@ func (g *Graph) Render() string {
 			fmt.Fprintf(&b, "%s%s%s (shared, see above)\n", prefix, connector, name)
 		default:
 			drawn[n] = true
-			fmt.Fprintf(&b, "%s%s%s L%d %s\n", prefix, connector, name, n.Level, n.Vec)
+			fmt.Fprintf(&b, "%s%s%s L%d %s\n", prefix, connector, name, n.Level, vecs[n.ID])
 			rec(n.Children[0], childPrefix, false)
 			rec(n.Children[1], childPrefix, true)
 		}
 	}
 	drawn[g.Root] = true
-	fmt.Fprintf(&b, "%s L%d %s (root: 2 target droplets)\n", labels[g.Root], g.Root.Level, g.Root.Vec)
+	fmt.Fprintf(&b, "%s L%d %s (root: 2 target droplets)\n", labels[g.Root], g.Root.Level, vecs[g.Root.ID])
 	rec(g.Root.Children[0], "", false)
 	rec(g.Root.Children[1], "", true)
 	return b.String()
@@ -78,7 +78,7 @@ func (g *Graph) Render() string {
 // DOT exports the graph in Graphviz format: mixes as boxes, inputs as
 // ellipses, waste outputs as dashed edges to a waste sink.
 func (g *Graph) DOT() string {
-	labels := BFSLabels(g, 1)
+	labels, vecs := BFSLabels(g, 1), g.Vectors()
 	var b strings.Builder
 	b.WriteString("digraph mixgraph {\n  rankdir=BT;\n")
 	ids := make([]int, 0, len(g.Nodes))
@@ -93,7 +93,7 @@ func (g *Graph) DOT() string {
 			fmt.Fprintf(&b, "  n%d [label=%q shape=ellipse];\n", n.ID, g.Target.Name(n.Fluid))
 			continue
 		}
-		fmt.Fprintf(&b, "  n%d [label=%q shape=box];\n", n.ID, fmt.Sprintf("%s\n%s", labels[n], n.Vec))
+		fmt.Fprintf(&b, "  n%d [label=%q shape=box];\n", n.ID, fmt.Sprintf("%s\n%s", labels[n], vecs[n.ID]))
 		for _, c := range n.Children {
 			fmt.Fprintf(&b, "  n%d -> n%d;\n", c.ID, n.ID)
 		}

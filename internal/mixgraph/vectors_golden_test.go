@@ -22,15 +22,6 @@ var updateVectors = flag.Bool("update", false, "rewrite testdata/vectors_golden.
 
 const vectorsGoldenPath = "testdata/vectors_golden.txt"
 
-// nodeVectors returns every node's CF vector in node order.
-func nodeVectors(g *mixgraph.Graph) []ratio.Vector {
-	out := make([]ratio.Vector, len(g.Nodes))
-	for i, n := range g.Nodes {
-		out[i] = n.Vec
-	}
-	return out
-}
-
 // TestVectorsGolden freezes a SHA-256 digest of every node's CF vector (in
 // node order, as Vector.Key) of the MM, RMA, MTCS and RSM graphs over
 // Table 2, PCR16 and every 7th PaperDataset ratio. Regenerate with -update
@@ -61,7 +52,7 @@ func TestVectorsGolden(t *testing.T) {
 				continue
 			}
 			h := sha256.New()
-			vecs := nodeVectors(g)
+			vecs := g.Vectors()
 			for _, v := range vecs {
 				key = append(v.AppendKey(key[:0]), '\n')
 				h.Write(key)

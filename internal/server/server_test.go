@@ -18,6 +18,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/plancache"
 	"repro/internal/ratio"
 )
 
@@ -155,6 +156,26 @@ func TestStreamEndpoint(t *testing.T) {
 	}
 	if total != resp.Emitted {
 		t.Errorf("emission timeline totals %d, emitted %d", total, resp.Emitted)
+	}
+}
+
+// TestStreamScanSkipsPlanCache: a storage-limited stream request on a
+// fresh cache looks up only the passes it plans (each lookup a miss that
+// builds), not every candidate demand its D′ scan schedules.
+func TestStreamScanSkipsPlanCache(t *testing.T) {
+	cache := plancache.New(64)
+	_, ts := newTestServer(t, Config{PlanCache: cache})
+	var resp StreamResponse
+	code := post(t, ts.URL+"/v1/stream", PlanRequest{
+		Ratio: "2:1:1:1:1:1:9", Demand: 600, Storage: 4, Mixers: 4, Scheduler: "SRS",
+	}, &resp)
+	if code != http.StatusOK {
+		t.Fatalf("status = %d, want 200", code)
+	}
+	st := cache.Stats()
+	if st.Lookups != st.Builds || st.Builds < 1 || st.Builds > 2 {
+		t.Fatalf("%d plan-cache lookups and %d builds for %d passes of D′ = %d; want one lookup per planned pass",
+			st.Lookups, st.Builds, len(resp.Passes), resp.MaxSinglePassDemand)
 	}
 }
 

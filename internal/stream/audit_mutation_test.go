@@ -102,15 +102,15 @@ var planMutations = []struct {
 // earlier task q of a different base node with an equal vector and a free
 // output, where ok(q, consumer) holds, and relinks every task's consumers.
 func rerouteToEqualVector(pf *forest.PackedForest, ok func(q, j int) bool) bool {
-	nodes := pf.Base.Nodes
+	vecs := pf.Base.Vectors()
 	for j := range pf.Tasks {
 		for k, src := range pf.Tasks[j].In {
 			if src.Kind != forest.FromTask {
 				continue
 			}
-			child := nodes[pf.Tasks[src.Ref].Base]
+			child := pf.Tasks[src.Ref].Base
 			for q := range j {
-				if v := nodes[pf.Tasks[q].Base]; v == child || !v.Vec.Equal(child.Vec) || pf.Tasks[q].FreeOutputs() == 0 || !ok(q, j) {
+				if v := pf.Tasks[q].Base; v == child || !vecs[v].Equal(vecs[child]) || pf.Tasks[q].FreeOutputs() == 0 || !ok(q, j) {
 					continue
 				}
 				pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.TreeOf(q) != pf.TreeOf(j)}

@@ -221,8 +221,10 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 // — appending one component tree per step reproduces forest.Build's
 // structure exactly (Build is itself a loop of AddTree calls) — instead of
 // rebuilding the forest from scratch for every even demand, turning the
-// forest-construction cost of the scan from O(D²) tasks into O(D). Cached
-// plans short-circuit the per-candidate scheduling as well. The whole scan
+// forest-construction cost of the scan from O(D²) tasks into O(D). It never
+// consults the plan cache: a cached plan's Storage is the kernel's peak for
+// the same forest, so a hit would decide nothing the kernel does not, and
+// on a cold cache nearly every candidate would miss. The whole scan
 // runs on one pooled planKernel: the growing forest lives in its arenas and
 // every candidate schedule in its scratch, so a warm scan allocates nothing
 // per candidate and no schedule is ever cached (it would alias the live,
@@ -244,12 +246,6 @@ func demandScan(ctx context.Context, cfg Config, limit int) (int, error) {
 			return 0, fmt.Errorf("stream: demand scan at D=%d: %w", d, err)
 		}
 		k.builder.AddTree()
-		if p, ok := cfg.Cache.Get(PlanKey(cfg, d, plancache.PristinePolicy)); ok {
-			if p.Storage <= cfg.Storage {
-				best = d
-			}
-			continue
-		}
 		fits, err := k.schedulePacked(cfg.Scheduler, k.builder.Forest(), cfg.Mixers, cfg.Storage)
 		if err != nil {
 			return 0, err
