@@ -76,7 +76,7 @@ func BenchmarkColdPlanRequest(b *testing.B) {
 		serveCall(b, h, calls[i%len(calls)])
 	}
 	b.StopTimer()
-	b.ReportMetric(retainedPerEntry(func(h http.Handler, i int) { serveCall(b, h, calls[i%len(calls)]) }), "B/entry")
+	b.ReportMetric(retainedPerEntry(b, calls), "B/entry")
 }
 
 // hotPlanCalls are the plan requests of perfbench's plan-hot workload: the
@@ -131,16 +131,50 @@ func BenchmarkHotPlanRequest(b *testing.B) {
 }
 
 // retainedPerEntry fills a fresh server's 256-entry plan cache by replaying
-// requests through serve, then returns the live heap the full cache holds
-// per entry: the heap after a GC, less the heap after purging the cache and
-// collecting again, over the entry count. It counts each entry's whole
-// retained plan, its key and LRU node, and the few scan entries the
+// calls, then returns the live heap the full cache holds per entry: the
+// heap after a GC, less the heap after purging the cache and collecting
+// again, over the entry count. Each plan pins its base graph, but core's
+// process-wide base-graph cache may hold the same graphs, and a graph it
+// holds would stay live after the purge and never be counted. So before
+// either count a second server, with a plan cache of its own, serves one
+// plan of a PaperDataset ratio the replay never names per base-cache slot
+// (256): that evicts every replayed graph, and both counts see the same
+// base-cache contents. It counts each entry's whole retained plan, its
+// base graph, key and LRU node, and the few scan entries the
 // storage-limited requests leave.
-func retainedPerEntry(serve func(h http.Handler, i int)) float64 {
+func retainedPerEntry(tb testing.TB, calls []benchCall) float64 {
+	const baseSlots = 256 // core's base-graph cache capacity
 	cache := plancache.New(256)
 	h := New(Config{PlanCache: cache}).Handler()
 	for i := 0; cache.Stats().Size < cache.Stats().Capacity; i++ {
-		serve(h, i)
+		serveCall(tb, h, calls[i%len(calls)])
+	}
+	used := make(map[string]bool)
+	for _, c := range calls {
+		var req PlanRequest
+		if err := json.Unmarshal(c.body, &req); err != nil {
+			tb.Fatal(err)
+		}
+		used[req.Ratio] = true
+	}
+	flush := New(Config{PlanCache: plancache.New(1)}).Handler()
+	served := 0
+	for _, r := range synth.PaperDataset() {
+		if served == baseSlots {
+			break
+		}
+		if used[r.String()] {
+			continue
+		}
+		body, err := json.Marshal(PlanRequest{Ratio: r.String(), Demand: 2, Algorithm: "MM"})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		serveCall(tb, flush, benchCall{"/v1/plan", body})
+		served++
+	}
+	if served < baseSlots {
+		tb.Fatalf("only %d PaperDataset ratios outside the replay, want %d", served, baseSlots)
 	}
 	live := func() uint64 {
 		var ms runtime.MemStats
@@ -153,6 +187,7 @@ func retainedPerEntry(serve func(h http.Handler, i int)) float64 {
 	cache.Purge()
 	empty := live()
 	runtime.KeepAlive(h)
+	runtime.KeepAlive(flush)
 	return float64(int64(full)-int64(empty)) / float64(entries)
 }
 
