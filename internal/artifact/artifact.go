@@ -157,25 +157,32 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	buf = putUvarint(buf, uint64(g.Root.ID))
 
 	// Section 4: the mixing forest, one record per task: tree, base node,
-	// level, targets, and two sources, each a kind byte (0 a fluid, 1 a
-	// task's output, 2 a task's output reused across trees) and its index.
+	// level, targets (2 for a tree's root, its last task, else 0), and two
+	// sources, each a kind byte (0 a fluid, 1 a task's output, 2 a task's
+	// output reused across trees: made before the tree's first task) and
+	// its index. Targets and reuse kinds are derived from the spans; the
+	// wire keeps them, and Decode checks them against the spans.
 	buf = putUvarint(buf, uint64(len(f.Tasks)))
+	tree := 0 // the trees starting at or before task i
 	for i := range f.Tasks {
 		t := &f.Tasks[i]
-		buf = putUvarint(buf, uint64(f.TreeOf(i)))
+		for tree < f.NumTrees() && int(f.TreeStart[tree]) <= i {
+			tree++
+		}
+		lo, targets := int32(0), 0
+		if tree > 0 {
+			lo = f.TreeStart[tree-1]
+		}
+		if i+1 == len(f.Tasks) || tree < f.NumTrees() && int(f.TreeStart[tree]) == i+1 {
+			targets = 2
+		}
+		buf = putUvarint(buf, uint64(tree))
 		buf = putUvarint(buf, uint64(t.Base))
 		buf = putUvarint(buf, uint64(t.Level))
-		buf = putUvarint(buf, uint64(t.Targets))
+		buf = putUvarint(buf, uint64(targets))
 		for _, in := range t.In {
-			switch {
-			case in.Kind == forest.Input:
-				buf = append(buf, 0)
-			case in.Reused:
-				buf = append(buf, 2)
-			default:
-				buf = append(buf, 1)
-			}
-			buf = putUvarint(buf, uint64(in.Ref))
+			buf = append(buf, sourceKind(in, lo))
+			buf = putUvarint(buf, uint64(in.Ref()))
 		}
 	}
 
@@ -218,9 +225,11 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 // naming earlier tasks, at most two consumers per task, levels that fit a
 // task record (at most 127), tree numbers that start at 1, only continue
 // or step by one and stop at ⌈D/2⌉, and one slot per task of a schedule
-// starting at task 0. Semantic verification — the plan audit and
-// the claimed aggregates — is Verify's job; callers that execute decoded
-// plans use DecodeVerified.
+// starting at task 0; a breach is ErrCorrupt. The slab stores no targets
+// or reuse kinds, so Decode checks the wire's against the tree spans and
+// refuses a disagreeing claim with ErrVerify. Semantic verification — the
+// plan audit and the claimed aggregates — is Verify's job; callers that
+// execute decoded plans use DecodeVerified.
 func Decode(data []byte) (*Artifact, error) {
 	if len(data) < len(magic)+sha256.Size {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(data))
@@ -337,47 +346,49 @@ func Decode(data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
-	// Section 4: the forest, read into the slab's task arena. Consumer
-	// links and predecessor counts are derived as sources arrive.
+	// Section 4: the forest, read into the slab's task arena. The sources
+	// naming each task are counted as they arrive, so none is consumed
+	// more than twice. A task's targets and its sources' reuse kinds are
+	// derived from the spans, and the wire's must agree with them.
 	nTasks := r.count(maxTasks)
 	if r.err != nil {
 		return nil, r.fail()
 	}
 	tasks := make([]forest.PTask, nTasks)
+	named := make([]uint8, nTasks)
 	// Trees are contiguous runs of tasks numbered 1, 2, ...: each starts
 	// where the number steps and ends at its root, its last task. A plan
 	// has ⌈D/2⌉ of them (the audit checks that), so no more are read.
 	maxTrees := min((k.Demand+1)/2, nTasks)
-	trees := make([]int32, 2*maxTrees)
-	roots, starts := trees[:maxTrees:maxTrees], trees[maxTrees:]
-	nTrees := 0
+	starts := make([]int32, maxTrees)
+	nTrees, targets := 0, 0 // targets: the previous task's wire targets
 	for i := range tasks {
 		t := &tasks[i]
 		tree := r.count(maxTasks)
 		t.Base = int32(r.count(maxNodes))
 		level := r.count(maxNodes)
 		t.Level = int8(level)
-		t.Targets = int8(r.count(4))
+		wasTargets := targets
+		targets = r.count(4)
+		var kinds [2]byte
 		for j := range t.In {
 			kind, ref := r.byte(), int32(r.count(maxTasks))
+			kinds[j] = kind
 			switch {
 			case r.err != nil:
 			case kind == 0 && int(ref) < target.N():
-				t.In[j] = forest.PSource{Kind: forest.Input, Ref: ref}
+				t.In[j] = forest.InputSource(ref)
 			case kind == 0:
 				r.set(fmt.Errorf("task %d input fluid %d out of range", i, ref))
 			case kind > 2:
 				r.set(fmt.Errorf("task %d source kind %d", i, kind))
 			case int(ref) >= i:
 				r.set(fmt.Errorf("task %d consumes task %d (not topological)", i, ref))
-			case tasks[ref].NCons == 2:
+			case named[ref] == 2:
 				r.set(fmt.Errorf("task %d over-consumes task %d", i, ref))
 			default:
-				src := &tasks[ref]
-				src.Cons[src.NCons] = int32(i)
-				src.NCons++
-				t.NInternal++
-				t.In[j] = forest.PSource{Kind: forest.FromTask, Ref: ref, Reused: kind == 2}
+				named[ref]++
+				t.In[j] = forest.TaskSource(ref)
 			}
 		}
 		switch {
@@ -395,12 +406,25 @@ func Decode(data []byte) (*Artifact, error) {
 			return nil, r.fail()
 		}
 		if tree > nTrees {
+			// Task i-1 ended the previous tree: it is a root.
+			if i > 0 && wasTargets != 2 {
+				return nil, fmt.Errorf("%w: task %d ends tree %d but emits %d targets, want 2", ErrVerify, i-1, nTrees, wasTargets)
+			}
 			starts[nTrees] = int32(i)
 			nTrees = tree
+		} else if wasTargets != 0 {
+			return nil, fmt.Errorf("%w: task %d emits %d targets inside tree %d, want 0", ErrVerify, i-1, wasTargets, nTrees)
 		}
-		roots[tree-1] = int32(i)
+		for j, src := range t.In {
+			if want := sourceKind(src, starts[nTrees-1]); kinds[j] != want {
+				return nil, fmt.Errorf("%w: task %d source %d has kind %d, its tree span gives %d", ErrVerify, i, j, kinds[j], want)
+			}
+		}
 	}
-	roots, starts = roots[:nTrees:nTrees], starts[:nTrees:nTrees]
+	if nTasks > 0 && targets != 2 {
+		return nil, fmt.Errorf("%w: task %d ends tree %d but emits %d targets, want 2", ErrVerify, nTasks-1, nTrees, targets)
+	}
+	starts = starts[:nTrees:nTrees]
 
 	// Section 5: the schedule bindings.
 	scheduler := r.str()
@@ -448,7 +472,7 @@ func Decode(data []byte) (*Artifact, error) {
 	if len(r.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf))
 	}
-	pf := forest.PackedForest{Base: g, Demand: k.Demand, Tasks: tasks, Roots: roots, TreeStart: starts}
+	pf := forest.PackedForest{Base: g, Demand: k.Demand, Tasks: tasks, TreeStart: starts}
 	return &Artifact{Key: k, Plan: plancache.FromSlab(pf, slots, scheduler, mixers, cycles, st, storage)}, nil
 }
 
@@ -495,6 +519,19 @@ func DecodeVerified(data []byte) (*Artifact, error) {
 		return nil, err
 	}
 	return a, nil
+}
+
+// sourceKind is the wire kind of a source of a task in the tree starting
+// at task lo: 0 a fluid, 1 a task's output, 2 a task's output made before
+// the tree, a cross-tree reuse.
+func sourceKind(s forest.PSource, lo int32) byte {
+	switch {
+	case s.Kind() == forest.Input:
+		return 0
+	case s.Ref() < lo:
+		return 2
+	}
+	return 1
 }
 
 // nodeRef reads one child-node reference, charging its output budget.

@@ -82,7 +82,7 @@ func TestRoundTrip(t *testing.T) {
 				}
 				// The decoder derives links and tree bounds the wire omits.
 				got, want := a.Plan.Packed(), p.Packed()
-				if !slices.Equal(got.Tasks, want.Tasks) || !slices.Equal(got.Roots, want.Roots) ||
+				if !slices.Equal(got.Tasks, want.Tasks) ||
 					!slices.Equal(got.TreeStart, want.TreeStart) || !slices.Equal(a.Plan.Slots(), p.Slots()) {
 					t.Fatalf("%v/%s ratio %d: decoded slab differs from the encoded one", algo, scheduler, ri)
 				}
@@ -209,7 +209,7 @@ func corruptForests(t testing.TB) []corruptForest {
 	for leaf < len(nodes) && !nodes[leaf].IsLeaf() {
 		leaf++
 	}
-	from := func(task int32) forest.PSource { return forest.PSource{Kind: forest.FromTask, Ref: task} }
+	from := forest.TaskSource
 	cases := []struct {
 		name   string
 		mutate func(k *plancache.Key, f *forest.PackedForest, slots *[]sched.Assignment)
@@ -226,16 +226,13 @@ func corruptForests(t testing.TB) []corruptForest {
 		{"forward-ref", func(_ *plancache.Key, f *forest.PackedForest, _ *[]sched.Assignment) {
 			f.Tasks[0].In[0] = from(5)
 		}},
-		{"bad-targets", func(_ *plancache.Key, f *forest.PackedForest, _ *[]sched.Assignment) {
-			f.Tasks[0].Targets = 1
-		}},
 		{"over-consume", func(_ *plancache.Key, f *forest.PackedForest, _ *[]sched.Assignment) {
 			last := len(f.Tasks) - 1
 			f.Tasks[last].In = [2]forest.PSource{from(0), from(0)}
 			f.Tasks[1].In[0] = from(0)
 		}},
 		{"fluid-range", func(_ *plancache.Key, f *forest.PackedForest, _ *[]sched.Assignment) {
-			f.Tasks[0].In[0] = forest.PSource{Kind: forest.Input, Ref: 99}
+			f.Tasks[0].In[0] = forest.InputSource(99)
 		}},
 		{"too-few-trees", func(_ *plancache.Key, f *forest.PackedForest, slots *[]sched.Assignment) {
 			f.Tasks, *slots = f.Tasks[:1], (*slots)[:1]
@@ -255,51 +252,97 @@ func corruptForests(t testing.TB) []corruptForest {
 		}
 		out[i] = corruptForest{c.name, data}
 	}
-	// Tree numbers are written from the spans, which cannot skip one, and
-	// a level from an int8, so those breaches go into the sealed bytes.
+	// Tree numbers, targets and reuse kinds are written from the spans,
+	// which cannot skip a tree or disagree with them, and a level from an
+	// int8, so those breaches go into the sealed bytes.
 	last := len(p.Packed().Tasks) - 1
-	tree, level := p.Packed().TreeOf(last), int(p.Packed().Tasks[last].Level)
+	reuse := func(recs []taskRecord, kind, to byte) {
+		for i := range recs {
+			for j, kd := range recs[i].kinds {
+				if kd == kind {
+					recs[i].kinds[j] = to
+					return
+				}
+			}
+		}
+		t.Fatalf("no source of wire kind %d", kind)
+	}
 	return append(out,
-		corruptForest{"tree-skip", lastTaskBytes(t, k, p, tree+3, level)},
-		corruptForest{"level-200", lastTaskBytes(t, k, p, tree, 200)})
+		corruptForest{"tree-skip", rewriteRecords(t, k, p, func(recs []taskRecord) { recs[last].tree += 3 })},
+		corruptForest{"level-200", rewriteRecords(t, k, p, func(recs []taskRecord) { recs[last].level = 200 })},
+		corruptForest{"bad-targets", rewriteRecords(t, k, p, func(recs []taskRecord) { recs[0].targets = 1 })},
+		corruptForest{"root-no-targets", rewriteRecords(t, k, p, func(recs []taskRecord) { recs[last].targets = 0 })},
+		corruptForest{"reuse-as-same-tree", rewriteRecords(t, k, p, func(recs []taskRecord) { reuse(recs, 2, 1) })},
+		corruptForest{"same-tree-as-reuse", rewriteRecords(t, k, p, func(recs []taskRecord) { reuse(recs, 1, 2) })})
 }
 
-// lastTaskBytes encodes p under k, rewrites its last task's record with the
-// given tree number and level, and reseals the payload.
-func lastTaskBytes(t testing.TB, k plancache.Key, p *plancache.Plan, tree, level int) []byte {
+// taskRecord is one task's record in an artifact's forest section.
+type taskRecord struct {
+	tree, base, level, targets int
+	kinds                      [2]byte
+	refs                       [2]int32
+}
+
+// rewriteRecords encodes p under k, applies edit to its task records as
+// Encode writes them (derived from p's slab here), and reseals the
+// payload.
+func rewriteRecords(t testing.TB, k plancache.Key, p *plancache.Plan, edit func(recs []taskRecord)) []byte {
 	t.Helper()
 	data, err := Encode(k, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := p.Packed()
-	last := len(f.Tasks) - 1
-	task := &f.Tasks[last]
-	record := func(tree, level int) []byte {
-		rec := putUvarint(nil, uint64(tree))
-		rec = putUvarint(rec, uint64(task.Base))
-		rec = putUvarint(rec, uint64(level))
-		rec = putUvarint(rec, uint64(task.Targets))
-		for _, in := range task.In {
-			kind := byte(0)
-			if in.Kind == forest.FromTask {
-				kind = 1
-				if in.Reused {
-					kind = 2
-				}
-			}
-			rec = putUvarint(append(rec, kind), uint64(in.Ref))
+	recs := make([]taskRecord, len(f.Tasks))
+	for i, task := range f.Tasks {
+		tree := f.TreeOf(i)
+		lo, hi := f.Span(tree - 1)
+		r := taskRecord{tree: tree, base: int(task.Base), level: int(task.Level)}
+		if i == int(hi)-1 {
+			r.targets = 2
 		}
-		return append(rec, putString(nil, p.Algorithm())...) // the schedule section follows
+		for j, in := range task.In {
+			r.kinds[j], r.refs[j] = sourceKind(in, lo), in.Ref()
+		}
+		recs[i] = r
 	}
-	was := record(f.TreeOf(last), int(task.Level))
+	section := func() []byte {
+		var b []byte
+		for _, r := range recs {
+			b = putUvarint(b, uint64(r.tree))
+			b = putUvarint(b, uint64(r.base))
+			b = putUvarint(b, uint64(r.level))
+			b = putUvarint(b, uint64(r.targets))
+			for j := range r.kinds {
+				b = putUvarint(append(b, r.kinds[j]), uint64(r.refs[j]))
+			}
+		}
+		return append(b, putString(nil, p.Algorithm())...) // the schedule section follows
+	}
+	was := section()
 	payload := data[:len(data)-sha256.Size]
 	at := bytes.Index(payload, was)
 	if at < 0 || bytes.Count(payload, was) != 1 {
-		t.Fatal("last task record not found once in the artifact")
+		t.Fatal("task records not found once in the artifact")
 	}
-	out := append(append([]byte(nil), payload[:at]...), record(tree, level)...)
+	edit(recs)
+	out := append(append([]byte(nil), payload[:at]...), section()...)
 	return seal(append(out, payload[at+len(was):]...))
+}
+
+// TestDecodeChecksDerivedClaims: a task record's targets and its
+// sources' reuse kinds are claims the slab does not store; Decode derives
+// them from the tree spans and refuses a record that disagrees with
+// ErrVerify, as verification refused it when the slab stored them.
+func TestDecodeChecksDerivedClaims(t *testing.T) {
+	for _, c := range corruptForests(t) {
+		switch c.name {
+		case "bad-targets", "root-no-targets", "reuse-as-same-tree", "same-tree-as-reuse":
+			if _, err := Decode(c.data); !errors.Is(err, ErrVerify) {
+				t.Errorf("%s: Decode err = %v, want ErrVerify", c.name, err)
+			}
+		}
+	}
 }
 
 // TestDecodeRejectsWideLevel: a task record holds its level in a byte, so a
@@ -551,18 +594,18 @@ func nonChildArtifact(t testing.TB) []byte {
 
 // rerouteToEqualVector points the first FromTask source it can at an
 // earlier task of a different base node with an equal vector and a free
-// output. It leaves consumer links stale.
+// output.
 func rerouteToEqualVector(pf *forest.PackedForest) bool {
-	vecs := pf.Base.Vectors()
+	vecs, formed := pf.Base.Vectors(), pf.Materialize()
 	for j := range pf.Tasks {
 		for k, src := range pf.Tasks[j].In {
-			if src.Kind != forest.FromTask {
+			if src.Kind() != forest.FromTask {
 				continue
 			}
-			child := pf.Tasks[src.Ref].Base
+			child := pf.Tasks[src.Ref()].Base
 			for q := range j {
-				if v := pf.Tasks[q].Base; v != child && vecs[v].Equal(vecs[child]) && pf.Tasks[q].FreeOutputs() > 0 {
-					pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.TreeOf(q) != pf.TreeOf(j)}
+				if v := pf.Tasks[q].Base; v != child && vecs[v].Equal(vecs[child]) && formed.Tasks[q].FreeOutputs() > 0 {
+					pf.Tasks[j].In[k] = forest.TaskSource(int32(q))
 					return true
 				}
 			}

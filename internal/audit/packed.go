@@ -22,13 +22,16 @@ import (
 //     the average of its children's by definition (Graph.Vectors), so by
 //     induction every task carries its base node's vector exactly, and
 //     the error intervals AnalyzeGraph reads off the base graph hold for
-//     it. Every tree's root is a task of the base root, the last of its
-//     span, and the base root's vector is the target (proven once per
-//     graph: Graph.RootIsTarget). Sources are in range
-//     and topologically ordered, reuse flags mark cross-tree sources, and
-//     every task's consumer links match the sources naming it and fit its
-//     two outputs. |F| = ⌈D/2⌉, T = 2|F|, I = T + W and the zero-waste
-//     theorem on MM hold, and the claimed Stats equal the recount.
+//     it. The tree spans partition the tasks; every tree's root, the last
+//     task of its span, is a task of the base root, and the base root's
+//     vector is the target (proven once per graph: Graph.RootIsTarget).
+//     Sources are in range and topologically ordered, and no task's
+//     outputs are over-consumed: the sources naming it, plus its two
+//     targets if it is a root, are at most two. Targets, reuse tags and
+//     consumers are derived from the spans and sources (forest.PTask), so
+//     no stored copy of them can disagree. |F| = ⌈D/2⌉, T = 2|F|,
+//     I = T + W and the zero-waste theorem on MM hold, and the claimed
+//     Stats equal the recount.
 //   - Schedule: one slot per task, each at a cycle in 1..Tc on a mixer in
 //     1..Mc, producers strictly before consumers, no mixer booked twice in
 //     a cycle, Tc the largest slot cycle and every cycle running a task
@@ -40,8 +43,7 @@ import (
 //
 // A persistent batch's window (plancache.NewWindow) is checked on its own
 // tasks and slots. A source made before it must name a committed task of
-// the matching child, in a tree that checks its reuse tag, and is stored
-// from cycle 1. Its waste is the pool's change, and its storage also holds
+// the matching child, and is stored from cycle 1. Its waste is the pool's change, and its storage also holds
 // its spares to its end and the earlier spares it leaves pooled
 // throughout, as the engine counts them.
 //
@@ -60,21 +62,22 @@ func CheckPacked(p *plancache.Plan) *Report {
 	}
 	n := f.Base.Target.N()
 	// The one scratch buffer: the base graph's for RootIsTarget, the
-	// per-fluid input recount, the per-task consumer recount and bucket
-	// order, and three per-cycle tables (lifetime walk, difference array,
-	// bucket bounds). Only the recounts, the walk and the difference array
-	// are read before they are written, so only they are cleared.
+	// per-fluid input recount, the per-task consumer recount, per-cycle
+	// task count and bucket order, and three per-cycle tables (lifetime
+	// walk, difference array, bucket bounds). Only the recounts, the walk
+	// and the difference array are read before they are written, so only
+	// they are cleared.
 	buf := scratchPool.Get().(*[]int64)
 	defer scratchPool.Put(buf)
 	graphWords := f.Base.ScratchWords()
-	need := graphWords + n + 2*nTasks + 3*(cycles+2)
+	need := graphWords + n + 3*nTasks + 3*(cycles+2)
 	if cap(*buf) < need {
 		*buf = make([]int64, need)
 	}
 	scratch := (*buf)[:need]
 	graph, inputs, rest := scratch[:graphWords], scratch[graphWords:graphWords+n], scratch[graphWords+n:]
-	cons, order := rest[:nTasks], rest[nTasks:2*nTasks]
-	rest = rest[2*nTasks:]
+	cons, perCycle, order := rest[:nTasks], rest[nTasks:2*nTasks], rest[2*nTasks:3*nTasks]
+	rest = rest[3*nTasks:]
 	walk, diff, end := rest[:cycles+2], rest[cycles+2:2*(cycles+2)], rest[2*(cycles+2):]
 	clear(inputs)
 	clear(cons)
@@ -85,7 +88,7 @@ func CheckPacked(p *plancache.Plan) *Report {
 	if !ok {
 		return r
 	}
-	if !checkPackedSlots(r, p, first, cons, order, end) {
+	if !checkPackedSlots(r, p, first, perCycle, order, end) {
 		return r
 	}
 
@@ -101,20 +104,26 @@ func CheckPacked(p *plancache.Plan) *Report {
 			walk[c] += n
 		}
 	}
+	// A window's task also stores its free outputs to the window's end:
+	// a root emits both of its droplets, another task stores those no
+	// source names (cons).
 	slots := p.Slots()
-	for i := first; i < len(f.Tasks); i++ {
-		ran := int(slots[i-first].Cycle)
-		for _, src := range f.Tasks[i].In {
-			if src.Kind == forest.FromTask {
-				produced := 0
-				if int(src.Ref) >= first {
-					produced = int(slots[int(src.Ref)-first].Cycle)
+	for k := f.TreesBefore(first); k < f.NumTrees(); k++ {
+		lo, hi := f.Span(k)
+		for i := int(lo); i < int(hi); i++ {
+			ran := int(slots[i-first].Cycle)
+			for _, src := range f.Tasks[i].In {
+				if src >= 0 {
+					produced := 0
+					if int(src) >= first {
+						produced = int(slots[int(src)-first].Cycle)
+					}
+					store(produced+1, ran-1, 1)
 				}
-				store(produced+1, ran-1, 1)
 			}
-		}
-		if window {
-			store(ran+1, cycles, int64(f.Tasks[i].FreeOutputs()))
+			if window && i < int(hi)-1 {
+				store(ran+1, cycles, 2-cons[i-first])
+			}
 		}
 	}
 	if window {
@@ -140,101 +149,85 @@ func CheckPacked(p *plancache.Plan) *Report {
 var scratchPool = sync.Pool{New: func() any { return new([]int64) }}
 
 // checkPackedForest is CheckPacked's forest half, over the tasks from first
-// on. It returns the spares the pool held before them, pooled, that they
-// leave there, and reports false when a structural break makes the later
-// checks meaningless.
+// on. It tallies into cons the sources naming each task from first, and
+// returns the spares the pool held before them, pooled, that they leave
+// there. It reports false when a structural break makes the later checks
+// meaningless.
 func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, claimed forest.Stats, graph, inputs, cons []int64) (int64, bool) {
 	n := len(inputs)
 	g := f.Base
 	nodes, tasks := g.Nodes, f.Tasks
 	before := f.TreesBefore(first)
-	st := forest.Stats{Trees: len(f.Roots) - before, Mixes: len(tasks) - first}
+	st := forest.Stats{Trees: f.NumTrees() - before, Mixes: len(tasks) - first}
 	st.Targets = 2 * st.Trees
 
-	// Trees: contiguous spans from the window's first task, each ending in
-	// its root. A task's tree is the span holding it, so the spans are
-	// checked before the reuse tags read them: they must cover every task
-	// from first.
-	ok := len(f.TreeStart) == len(f.Roots) && (before < len(f.Roots)) == (first < len(tasks))
-	for k := before; ok && k < len(f.Roots); k++ {
-		lo, hi := f.TreeStart[k], int32(len(tasks))
-		if k+1 < len(f.TreeStart) {
-			hi = f.TreeStart[k+1]
-		}
-		ok = (k > before || lo == int32(first)) && lo < hi && hi <= int32(len(tasks)) && f.Roots[k] == hi-1 && tasks[hi-1].Targets == 2
+	// Trees: nonempty contiguous spans from the window's first task,
+	// covering every task from first, each ending in its root. Targets
+	// and reuse tags are read off them.
+	ok := (before < f.NumTrees()) == (first < len(tasks))
+	for k := before; ok && k < f.NumTrees(); k++ {
+		lo, hi := f.Span(k)
+		ok = (k > before || lo == int32(first)) && lo < hi
 	}
-	if !treesOK(r, f, ok, first) {
+	if r.failed(ok) {
+		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d tree spans do not partition %d tasks from task %d into nonempty trees", len(f.TreeStart), len(tasks)-first, first)})
 		return 0, false
 	}
 
-	pre, roots := int64(0), 0 // sources made before the window; tasks emitting targets
-	tree := before            // the span holding task i
-	for i := first; i < len(tasks); i++ {
-		t := &tasks[i]
-		for tree+1 < len(f.TreeStart) && int(f.TreeStart[tree+1]) <= i {
-			tree++
-		}
-		if r.failed(t.Base >= 0 && int(t.Base) < len(nodes) && !nodes[t.Base].IsLeaf()) {
-			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d instantiates base node %d, not a mix node of the base graph", i, t.Base)})
-			return 0, false
-		}
-		if r.failed(int(t.Level) == nodes[t.Base].PosLevel) {
-			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d at level %d, its base node %d at positional level %d", i, t.Level, t.Base, nodes[t.Base].PosLevel)})
-			return 0, false
-		}
-		internal := 0
-		for _, src := range t.In {
-			var ok bool
-			switch src.Kind {
-			case forest.Input:
-				ok = src.Ref >= 0 && int(src.Ref) < n && !src.Reused
-			case forest.FromTask:
-				ok = src.Ref >= 0 && int(src.Ref) < i && src.Reused == (src.Ref < f.TreeStart[tree])
-			}
-			if r.failed(ok) {
-				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d has an invalid, out-of-order or mis-tagged source %+v", i, src)})
+	pre := int64(0) // sources made before the window
+	for k := before; k < f.NumTrees(); k++ {
+		lo, hi := f.Span(k)
+		for i := int(lo); i < int(hi); i++ {
+			t := &tasks[i]
+			if r.failed(t.Base >= 0 && int(t.Base) < len(nodes) && !nodes[t.Base].IsLeaf()) {
+				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d instantiates base node %d, not a mix node of the base graph", i, t.Base)})
 				return 0, false
 			}
-			if src.Kind == forest.Input {
-				inputs[src.Ref]++
-				st.InputTotal++
-				continue
+			if r.failed(int(t.Level) == nodes[t.Base].PosLevel) {
+				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d at level %d, its base node %d at positional level %d", i, t.Level, t.Base, nodes[t.Base].PosLevel)})
+				return 0, false
 			}
-			internal++
-			if src.Reused {
-				st.Reuses++
+			for _, src := range t.In {
+				if r.failed(src < 0 && int(src.Ref()) < n || src >= 0 && int(src) < i) {
+					r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d has an invalid or out-of-order source %s", i, sourceText(src))})
+					return 0, false
+				}
+				if src < 0 {
+					inputs[src.Ref()]++
+					st.InputTotal++
+					continue
+				}
+				if int32(src) < lo {
+					st.Reuses++
+				}
+				if int(src) < first {
+					pre++
+					continue
+				}
+				cons[int(src)-first]++
 			}
-			if int(src.Ref) < first {
-				pre++
-				continue
+			if r.failed(f.FromChildren(i)) {
+				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d: sources %s and %s are not dispenses or tasks of its base node %d's children", i, sourceText(t.In[0]), sourceText(t.In[1]), t.Base)})
+				return 0, false
 			}
-			cons[int(src.Ref)-first]++
-		}
-		if r.failed(int(t.NInternal) == internal) {
-			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d counts %d internal inputs, its sources %d", i, t.NInternal, internal)})
-			return 0, false
-		}
-		if r.failed(f.FromChildren(i)) {
-			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d: sources %+v are not dispenses or tasks of its base node %d's children", i, t.In, t.Base)})
-			return 0, false
 		}
 	}
-	for i := first; i < len(tasks); i++ {
-		t := &tasks[i]
-		ok := int64(t.NCons) == cons[i-first] && int(t.NCons)+int(t.Targets) <= 2
-		for c := 0; ok && c < int(t.NCons); c++ {
-			j := t.Cons[c]
-			ok = int(j) > i && int(j) < len(tasks) &&
-				(tasks[j].In[0] == forest.PSource{Ref: int32(i), Kind: forest.FromTask, Reused: tasks[j].In[0].Reused} ||
-					tasks[j].In[1] == forest.PSource{Ref: int32(i), Kind: forest.FromTask, Reused: tasks[j].In[1].Reused})
-		}
-		if r.failed(ok) {
-			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d lists %d consumers %v and %d targets; %d sources name it", i, t.NCons, t.Cons, t.Targets, cons[i-first])})
-			return 0, false
-		}
-		st.Waste += int64(t.FreeOutputs())
-		if t.Targets != 0 {
-			roots++
+	// No task's outputs are over-consumed: the sources naming it and, for
+	// a root, the tree's two targets fit its two outputs. The rest are
+	// waste.
+	for k := before; k < f.NumTrees(); k++ {
+		lo, hi := f.Span(k)
+		for i := int(lo); i < int(hi); i++ {
+			targets := int64(0)
+			if i == int(hi)-1 {
+				targets = 2
+			}
+			free := 2 - targets - cons[i-first]
+			if r.failed(free >= 0) {
+				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d: %d sources name it and it emits %d targets, but a mix-split has two outputs", i, cons[i-first], targets)})
+				return 0, false
+			}
+			st.Waste += free
 		}
 	}
 	st.Waste -= pre
@@ -244,23 +237,18 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 		return 0, false
 	}
 
-	// Each tree's root is the only task emitting targets.
-	if !treesOK(r, f, roots == st.Trees, first) {
-		return 0, false
-	}
-
 	wantTrees := (f.Demand + 1) / 2
-	if r.failed(len(f.Roots) == wantTrees) {
-		r.violate(&Violation{Code: TargetCount, Detail: fmt.Sprintf("|F| = %d trees for D=%d, want ⌈D/2⌉ = %d", len(f.Roots), f.Demand, wantTrees)})
+	if r.failed(f.NumTrees() == wantTrees) {
+		r.violate(&Violation{Code: TargetCount, Detail: fmt.Sprintf("|F| = %d trees for D=%d, want ⌈D/2⌉ = %d", f.NumTrees(), f.Demand, wantTrees)})
 	}
 	if r.failed(st.InputTotal == int64(st.Targets)+st.Waste) {
 		r.violate(&Violation{Code: MassConservation, Detail: fmt.Sprintf("I=%d, T=%d, W=%d: I != T + W", st.InputTotal, st.Targets, st.Waste)})
 	}
 	// Every root emits the base root's vector, which must be the target's:
 	// its parts over 2^depth, reduced.
-	for k, root := range f.Roots[before:] {
-		if b := tasks[root].Base; r.failed(b == int32(g.Root.ID)) {
-			r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("tree %d is rooted at base node %d, not the base root %d", before+k+1, b, g.Root.ID)})
+	for k := before; k < f.NumTrees(); k++ {
+		if b := tasks[f.Root(k)].Base; r.failed(b == int32(g.Root.ID)) {
+			r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("tree %d is rooted at base node %d, not the base root %d", k+1, b, g.Root.ID)})
 		}
 	}
 	if r.failed(g.RootIsTarget(graph)) {
@@ -270,7 +258,7 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 	// it leaves.
 	if g.Algorithm == "MM" {
 		if d := g.Target.Depth(); d >= 1 {
-			if period, emitted := int64(1)<<uint(d), int64(2*len(f.Roots)); emitted%period == 0 {
+			if period, emitted := int64(1)<<uint(d), int64(2*f.NumTrees()); emitted%period == 0 {
 				if w := int64(pooled) + st.Waste; r.failed(w == 0) {
 					r.violate(&Violation{Code: WasteCount, Detail: fmt.Sprintf("W=%d for emitted=%d ≡ 0 mod 2^%d on MM base, want 0", w, emitted, d)})
 				}
@@ -286,13 +274,12 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 	return carried, true
 }
 
-// treesOK reports a Structure violation unless ok, the tree spans and roots
-// partitioning the tasks from first into trees ending at their roots.
-func treesOK(r *Report, f *forest.PackedForest, ok bool, first int) bool {
-	if r.failed(ok) {
-		r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("%d tree spans and %d roots do not partition %d tasks into trees ending at their roots", len(f.TreeStart), len(f.Roots), len(f.Tasks)-first)})
+// sourceText renders a packed source for a violation message.
+func sourceText(s forest.PSource) string {
+	if s.Kind() == forest.Input {
+		return fmt.Sprintf("fluid %d", s.Ref())
 	}
-	return ok
+	return fmt.Sprintf("task %d", s.Ref())
 }
 
 // checkPackedSlots is CheckPacked's schedule half over the tasks from first
@@ -310,7 +297,7 @@ func checkPackedSlots(r *Report, p *plancache.Plan, first int, perCycle, order, 
 	for i, a := range slots {
 		ok := a.Cycle >= 1 && int(a.Cycle) <= p.Cycles && a.Mixer >= 1 && int(a.Mixer) <= p.Mixers
 		for _, src := range f.Tasks[first+i].In {
-			ok = ok && (src.Kind != forest.FromTask || int(src.Ref) < first || slots[int(src.Ref)-first].Cycle < a.Cycle)
+			ok = ok && (src < 0 || int(src) < first || slots[int(src)-first].Cycle < a.Cycle)
 		}
 		if r.failed(ok) {
 			r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d at (cycle %d, mixer %d): outside 1..Tc=%d and 1..Mc=%d, or not after its producers", first+i, a.Cycle, a.Mixer, p.Cycles, p.Mixers)})

@@ -46,7 +46,7 @@ func preWindowSource(t *testing.T, tasks []forest.PTask, first int) (int, int) {
 	t.Helper()
 	for i := first; i < len(tasks); i++ {
 		for s, src := range tasks[i].In {
-			if src.Kind == forest.FromTask && int(src.Ref) < first {
+			if src.Kind() == forest.FromTask && int(src.Ref()) < first {
 				return i, s
 			}
 		}
@@ -58,9 +58,10 @@ func preWindowSource(t *testing.T, tasks []forest.PTask, first int) (int, int) {
 // TestCheckPackedRejectsTamperedWindows: CheckPacked passes a persistent
 // batch's window as planned and rejects each of its breaches: carried
 // spares off by one against the claimed storage, a source of an earlier
-// batch with its reuse tag flipped or naming a task at or after the
-// window's start, and a slot table that also places the earlier batch's
-// tasks.
+// batch naming a task at or after the window's start, and a slot table
+// that also places the earlier batch's tasks. (Reuse tags are derived
+// from the spans, so none can be flipped; an artifact's wire still
+// carries them, and TestDecodeChecksDerivedClaims flips them there.)
 func TestCheckPackedRejectsTamperedWindows(t *testing.T) {
 	p := persistentWindow(t)
 	if first, pooled, ok := p.Window(); !ok || first == 0 || pooled != 6 || p.Storage != 5 {
@@ -83,17 +84,13 @@ func TestCheckPackedRejectsTamperedWindows(t *testing.T) {
 		{"one less carried spare", audit.StorageOccupancy, func(_ []forest.PTask, _ int, pooled *int, _ *[]sched.Assignment) {
 			*pooled--
 		}},
-		{"earlier spare tagged as same-tree", audit.Structure, func(tasks []forest.PTask, first int, _ *int, _ *[]sched.Assignment) {
-			i, s := preWindowSource(t, tasks, first)
-			tasks[i].In[s].Reused = !tasks[i].In[s].Reused
-		}},
 		{"earlier spare names the window's first task", audit.Structure, func(tasks []forest.PTask, first int, _ *int, _ *[]sched.Assignment) {
 			i, s := preWindowSource(t, tasks, first)
-			tasks[i].In[s].Ref = int32(first)
+			tasks[i].In[s] = forest.TaskSource(int32(first))
 		}},
 		{"earlier spare names a later task", audit.Structure, func(tasks []forest.PTask, first int, _ *int, _ *[]sched.Assignment) {
 			i, s := preWindowSource(t, tasks, first)
-			tasks[i].In[s].Ref = int32(len(tasks) - 1)
+			tasks[i].In[s] = forest.TaskSource(int32(len(tasks) - 1))
 		}},
 		{"slots cover the earlier tasks", audit.Structure, func(_ []forest.PTask, first int, _ *int, slots *[]sched.Assignment) {
 			*slots = append(make([]sched.Assignment, first), *slots...)

@@ -39,10 +39,10 @@ var ErrPersistStorage = errors.New("core: persistent batch exceeds the storage b
 // timeline counters and the batch list are all mutated here.
 func (e *Engine) requestPersistent(n int) (*Batch, error) {
 	h := &e.history
-	if len(h.Roots) == 0 {
+	if h.NumTrees() == 0 {
 		e.pool.Reset(e.base)
 	}
-	start, committed, pooled := len(h.Tasks), len(h.Roots), e.pool.PoolSize()
+	start, committed, pooled := len(h.Tasks), h.NumTrees(), e.pool.PoolSize()
 	trees := (n + 1) / 2
 	for i := 0; i < trees; i++ {
 		e.pool.AddTree()
@@ -61,9 +61,10 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 		return nil, e.rewind(err)
 	}
 	// The batch's slab is a copy of the history's header grown by the
-	// window and clipped at its end. Later windows link consumers only
-	// into the builder's copies of its tasks. Earlier batches keep the
-	// arrays they were given, so the task array at least doubles when full.
+	// window and clipped at its end; tasks are write-once, so no later
+	// window changes it. The builder's arena is not shared, as a failed
+	// Request rebuilds it. Earlier batches keep the arrays they were
+	// given, so the task array at least doubles when full.
 	if need := len(pf.Tasks); need > cap(h.Tasks) {
 		h.Tasks = slices.Grow(h.Tasks, need)
 	}
@@ -71,11 +72,10 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 		Base:      e.base,
 		Demand:    pf.Demand,
 		Tasks:     append(h.Tasks, pf.Tasks[start:]...),
-		Roots:     append(h.Roots, pf.Roots[committed:]...),
 		TreeStart: append(h.TreeStart, pf.TreeStart[committed:]...),
 	}
 	slab := forest.PackedForest{Base: e.base, Demand: pf.Demand,
-		Tasks: slices.Clip(grown.Tasks), Roots: slices.Clip(grown.Roots), TreeStart: slices.Clip(grown.TreeStart)}
+		Tasks: slices.Clip(grown.Tasks), TreeStart: slices.Clip(grown.TreeStart)}
 	slots := append([]sched.Assignment(nil), e.kernel.Assignments()...)
 	cycles := e.kernel.Cycles()
 	q := windowStorage(&slab, start, pooled, slots, cycles)
@@ -115,7 +115,7 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 // pool exactly.
 func (e *Engine) rewind(err error) error {
 	e.pool.Reset(e.base)
-	for range e.history.Roots {
+	for range e.history.NumTrees() {
 		e.pool.AddTree()
 	}
 	return err
@@ -123,33 +123,28 @@ func (e *Engine) rewind(err error) error {
 
 // windowStorage is the exact peak storage occupancy of the window of f
 // from task first on, run in cycles 1..cycles by slots (slots[i] places
-// task first+i), with pooled spares in the pool as it starts: its
-// hand-offs (Algorithm 3; an earlier window's droplet is stored from cycle
-// 1), each spare it pools, from the cycle after its task ran, and each
-// earlier spare it leaves pooled, throughout.
+// task first+i), with pooled spares in the pool as it starts. Every
+// droplet a window task makes but does not emit is stored from the cycle
+// after its task ran until the cycle a task consumes it (Algorithm 3's
+// hand-offs) or, left pooled, to the window's end; each pooled spare is
+// stored from cycle 1 the same way.
 func windowStorage(f *forest.PackedForest, first, pooled int, slots []sched.Assignment, cycles int) int {
 	diff := make([]int, cycles+2)
-	carried := pooled
-	for i := first; i < len(f.Tasks); i++ {
-		t := &f.Tasks[i]
-		ran := int(slots[i-first].Cycle)
-		for _, src := range t.In {
-			if src.Kind != forest.FromTask {
-				continue
+	for k := f.TreesBefore(first); k < f.NumTrees(); k++ {
+		lo, hi := f.Span(k)
+		for i := lo; i < hi; i++ {
+			ran := int(slots[int(i)-first].Cycle)
+			if i < hi-1 { // a root emits both droplets
+				diff[ran+1] += 2
 			}
-			produced := 0
-			if int(src.Ref) >= first {
-				produced = int(slots[int(src.Ref)-first].Cycle)
-			} else {
-				carried--
+			for _, src := range f.Tasks[i].In {
+				if src.Kind() == forest.FromTask {
+					diff[ran]--
+				}
 			}
-			diff[produced+1]++
-			diff[ran]--
 		}
-		diff[ran+1] += t.FreeOutputs()
-		diff[cycles+1] -= t.FreeOutputs()
 	}
-	peak, occ := 0, carried
+	peak, occ := 0, pooled
 	for _, d := range diff[1 : cycles+1] {
 		occ += d
 		peak = max(peak, occ)

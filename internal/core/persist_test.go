@@ -381,6 +381,39 @@ func TestPersistentFailedRequestLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// TestPersistentTasksWriteOnce: a persistent engine writes each task once.
+// After every Request it snapshots the tasks of the engine's growing
+// forest and of every batch's slab, and no later Request may change one
+// of them: a batch's consumers, targets and reuse tags are derived from
+// its own slab, so nothing needs writing back into an earlier task.
+func TestPersistentTasksWriteOnce(t *testing.T) {
+	e, err := New(Config{Target: pcr, PersistPool: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool []forest.PTask     // the builder's tasks after the last Request
+	var slabs [][]forest.PTask // each batch's slab as it committed
+	var batches []*Batch
+	for step, n := range []int{3, 4, 1, 7, 2, 16, 5, 2} {
+		b, err := e.Request(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := e.pool.Forest().Tasks
+		if !slices.Equal(now[:len(pool)], pool) {
+			t.Fatalf("Request %d (n=%d) rewrote an earlier task of the engine's forest", step, n)
+		}
+		for i, was := range slabs {
+			if !slices.Equal(batches[i].Result.Passes[0].Plan.Packed().Tasks, was) {
+				t.Fatalf("Request %d (n=%d) rewrote batch %d's slab", step, n, i)
+			}
+		}
+		pool = slices.Clone(now)
+		batches = append(batches, b)
+		slabs = append(slabs, slices.Clone(b.Result.Passes[0].Plan.Packed().Tasks))
+	}
+}
+
 // TestPersistentHeapLinearInHistory checks that a persistent engine's live
 // heap grows linearly with its history: 2000 two-droplet PCR Requests hold
 // at most 2.2 times the heap of 1000.

@@ -47,19 +47,19 @@ func walkForest(f *forest.PackedForest, p Params) []TaskError {
 		}
 	}
 	cf := func(s forest.PSource, i int) float64 {
-		if s.Kind == forest.Input {
-			if int(s.Ref) == i {
+		if s.Kind() == forest.Input {
+			if int(s.Ref()) == i {
 				return 1
 			}
 			return 0
 		}
-		return nodeCF[int(f.Tasks[s.Ref].Base)*n+i]
+		return nodeCF[int(f.Tasks[s.Ref()].Base)*n+i]
 	}
 	in := func(s forest.PSource) (Interval, float64, float64) {
-		if s.Kind == forest.Input {
+		if s.Kind() == forest.Input {
 			return Interval{}, 1 - delta, 1 + delta
 		}
-		t := tasks[s.Ref]
+		t := tasks[s.Ref()]
 		return t.Err, t.VolLo, t.VolHi
 	}
 	for id := range f.Tasks {
@@ -104,8 +104,8 @@ func checkPackedPremise(t *testing.T, name string, f *forest.PackedForest) bool 
 			return false
 		}
 	}
-	for i, root := range f.Roots {
-		if int(f.Tasks[root].Base) != f.Base.Root.ID {
+	for i := range f.NumTrees() {
+		if root := f.Root(i); int(f.Tasks[root].Base) != f.Base.Root.ID {
 			t.Errorf("%s: tree %d is rooted at node %d, not the base root", name, i+1, f.Tasks[root].Base)
 			return false
 		}
@@ -144,8 +144,8 @@ func checkLemma(t *testing.T, name string, g *mixgraph.Graph, pb *forest.PackedB
 		// The demand-D forest is the first ⌈D/2⌉ trees; its aggregates are
 		// the maxima over those trees' roots, as the walk took them.
 		var worst, expected, volDev float64
-		for trees, root := range f.Roots {
-			te := walk[root]
+		for trees := range f.NumTrees() {
+			te := walk[f.Root(trees)]
 			if te.Err.Worst > worst {
 				worst = te.Err.Worst
 			}

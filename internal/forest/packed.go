@@ -28,51 +28,72 @@ import (
 // frozen fixtures of internal/stream (TestPlannerGolden) pin every forest
 // it builds.
 
-// PSource describes one input droplet of a packed task. For Kind == Input,
-// Ref is the reservoir fluid index; for Kind == FromTask it is the producing
-// task's index in PackedForest.Tasks.
-type PSource struct {
-	Ref    int32
-	Kind   SourceKind
-	Reused bool
+// PSource is one input droplet of a packed task in one int32: a value
+// >= 0 is the index of the producing task in PackedForest.Tasks, a value
+// < 0 is ^f, a dispense of reservoir fluid f. Whether a task's droplet is
+// reused across trees is not stored: it is iff the producer precedes the
+// consuming task's tree.
+type PSource int32
+
+// TaskSource is an output droplet of task i.
+func TaskSource(i int32) PSource { return PSource(i) }
+
+// InputSource is a fresh droplet of reservoir fluid f.
+func InputSource(f int32) PSource { return PSource(^f) }
+
+// Kind reports whether the droplet is dispensed (Input) or made by a task
+// (FromTask).
+func (s PSource) Kind() SourceKind {
+	if s < 0 {
+		return Input
+	}
+	return FromTask
 }
 
-// PTask is one (1:1) mix-split step in packed form. Its output CF vector is
-// its base node's vector (tasks instantiate base-graph nodes), so packed
-// tasks carry no vector words of their own — the index into the base graph
-// is the vector.
+// Ref is the producing task's index for a FromTask source and the fluid
+// index for an Input one.
+func (s PSource) Ref() int32 {
+	if s < 0 {
+		return int32(^s)
+	}
+	return int32(s)
+}
+
+// PTask is one (1:1) mix-split step in packed form: only what cannot be
+// derived. Its output CF vector is its base node's vector (tasks
+// instantiate base-graph nodes), so packed tasks carry no vector words of
+// their own — the index into the base graph is the vector.
 //
-// A task's tree is not stored: tasks of one component tree are contiguous,
-// so PackedForest.TreeStart holds every task's tree (TreeOf). A PTask is 32
-// bytes.
+// Everything else follows from the tasks' sources and the tree spans, and
+// each reader derives it once per call: a task's tree is the
+// PackedForest.TreeStart span holding it (TreeOf), it emits two target
+// droplets iff it is the last task of its span, a source is a cross-tree
+// reuse iff it names a task before its own tree's first task, its
+// predecessors are its FromTask sources, and its consumers are the tasks
+// whose sources name it. Tasks are write-once: no later tree, batch or
+// window writes an earlier task. A PTask is 16 bytes.
 type PTask struct {
 	// Base is the base-graph node ID this task instantiates.
 	Base int32
 	// Level is the paper's positional level of the mix, at most the base
-	// graph's depth (ratio.MaxDepth, 62).
+	// graph's depth (ratio.MaxDepth, 62). It is stored, not looked up in
+	// the base graph: a multi-target forest (Pack) instantiates nodes of
+	// several graphs, and the scheduling kernel never reads Base.
 	Level int8
-	// Targets is 2 for component-tree roots, 0 otherwise.
-	Targets int8
-	// NCons is the number of live entries in Cons.
-	NCons int8
-	// NInternal is the number of In entries produced by other tasks (Kind
-	// FromTask): the task's predecessor count, kept so the scheduling
-	// kernel need not re-derive it from In on every run.
-	NInternal int8
-	// Cons are the consuming task indices, in consumer-creation order. A
-	// task has at most two output droplets, so two slots always suffice and
-	// a packed task needs no consumer slice.
-	Cons [2]int32
 	// In are the two input droplets.
 	In [2]PSource
 }
 
 // InternalInputs counts inputs produced by other tasks (0, 1 or 2).
-func (t *PTask) InternalInputs() int { return int(t.NInternal) }
-
-// FreeOutputs returns the task's final waste contribution: outputs that are
-// neither targets nor consumed.
-func (t *PTask) FreeOutputs() int { return 2 - int(t.Targets) - int(t.NCons) }
+func (t *PTask) InternalInputs() int {
+	n := 0
+	for _, s := range t.In {
+		if s >= 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // PackedForest is a complete mixing forest in flat index-linked form.
 type PackedForest struct {
@@ -83,24 +104,48 @@ type PackedForest struct {
 	// Tasks is the task arena in topological (creation) order; a task's
 	// index is its ID. Tasks of one component tree are contiguous.
 	Tasks []PTask
-	// Roots holds the root task index of each component tree, in tree order
-	// (tree i+1 has root Roots[i]).
-	Roots []int32
 	// TreeStart[i] is the index of the first task of tree i+1; tree i+1
 	// spans Tasks[TreeStart[i] : TreeStart[i+1]] (the last tree runs to
 	// len(Tasks)). Tasks are created bottom-up, so each tree's root is the
-	// last task of its span.
+	// last task of its span (Root).
 	TreeStart []int32
 }
 
 // NumTrees returns |F|, the number of component trees.
-func (f *PackedForest) NumTrees() int { return len(f.Roots) }
+func (f *PackedForest) NumTrees() int { return len(f.TreeStart) }
+
+// Span returns the task range [lo, hi) of tree k+1.
+func (f *PackedForest) Span(k int) (lo, hi int32) {
+	lo, hi = f.TreeStart[k], int32(len(f.Tasks))
+	if k+1 < len(f.TreeStart) {
+		hi = f.TreeStart[k+1]
+	}
+	return lo, hi
+}
+
+// Root returns the root task of tree k+1, the last task of its span.
+func (f *PackedForest) Root(k int) int32 {
+	_, hi := f.Span(k)
+	return hi - 1
+}
 
 // TreeOf returns the 1-based index of the component tree task i belongs
 // to: the number of trees starting at or before it.
 func (f *PackedForest) TreeOf(i int) int {
 	k, _ := slices.BinarySearch(f.TreeStart, int32(i)+1)
 	return k
+}
+
+// Prefix returns the forest of its first trees trees, sharing f's arrays.
+// Trees are grown in order and tasks never change after creation, so the
+// prefix of a forest built to any demand is exactly the forest BuildPacked
+// grows for demand 2·trees.
+func (f *PackedForest) Prefix(trees int) PackedForest {
+	n := int32(len(f.Tasks))
+	if trees < len(f.TreeStart) {
+		n = f.TreeStart[trees]
+	}
+	return PackedForest{Base: f.Base, Demand: 2 * trees, Tasks: f.Tasks[:n:n], TreeStart: f.TreeStart[:trees:trees]}
 }
 
 // poolFIFO is one base-node waste-pool queue. Spares are appended at the
@@ -154,7 +199,6 @@ func (b *PackedBuilder) Reset(base *mixgraph.Graph) {
 	b.f.Base = base
 	b.f.Demand = 0
 	b.f.Tasks = b.f.Tasks[:0]
-	b.f.Roots = b.f.Roots[:0]
 	b.f.TreeStart = b.f.TreeStart[:0]
 	n := len(base.Nodes)
 	if cap(b.pool) < n {
@@ -180,40 +224,36 @@ func (b *PackedBuilder) PoolSize() int {
 // builder's arenas: it is valid until the next Reset, and keeps growing with
 // further AddTree calls.
 func (b *PackedBuilder) Forest() *PackedForest {
-	b.f.Demand = 2 * len(b.f.Roots)
+	b.f.Demand = 2 * len(b.f.TreeStart)
 	return &b.f
 }
 
 // AddTree appends the next component tree (two droplets of capacity) and
 // returns its root task index.
 func (b *PackedBuilder) AddTree() int32 {
-	start := int32(len(b.f.Tasks))
-	b.f.TreeStart = append(b.f.TreeStart, start)
+	b.f.TreeStart = append(b.f.TreeStart, int32(len(b.f.Tasks)))
 	rootNode := b.base.Root
-	l := b.obtain(rootNode.Children[0], start)
-	r := b.obtain(rootNode.Children[1], start)
-	root := b.newTask(rootNode, l, r)
-	b.f.Tasks[root].Targets = 2
-	b.f.Roots = append(b.f.Roots, root)
-	return root
+	l := b.obtain(rootNode.Children[0])
+	r := b.obtain(rootNode.Children[1])
+	return b.newTask(rootNode, l, r)
 }
 
 // obtain is the package's recursive procedure: pooled spare first, fresh
 // input droplet for leaves, otherwise a new mix over the children (whose
-// spare output joins the pool). start is the current tree's first task: a
-// spare made before it is a cross-tree reuse.
-func (b *PackedBuilder) obtain(v *mixgraph.Node, start int32) PSource {
+// spare output joins the pool). A spare made before the current tree's
+// first task is a cross-tree reuse.
+func (b *PackedBuilder) obtain(v *mixgraph.Node) PSource {
 	if id, ok := b.pool[v.ID].pop(); ok {
-		return PSource{Kind: FromTask, Ref: id, Reused: id < start}
+		return TaskSource(id)
 	}
 	if v.IsLeaf() {
-		return PSource{Kind: Input, Ref: int32(v.Fluid)}
+		return InputSource(int32(v.Fluid))
 	}
-	l := b.obtain(v.Children[0], start)
-	r := b.obtain(v.Children[1], start)
+	l := b.obtain(v.Children[0])
+	r := b.obtain(v.Children[1])
 	t := b.newTask(v, l, r)
 	b.pool[v.ID].push(t)
-	return PSource{Kind: FromTask, Ref: t}
+	return TaskSource(t)
 }
 
 // FromChildren reports whether task i reads its inputs as obtain gives
@@ -227,8 +267,8 @@ func (f *PackedForest) FromChildren(i int) bool {
 	t := &f.Tasks[i]
 	for k, c := range f.Base.Nodes[t.Base].Children {
 		src := t.In[k]
-		if !(c.IsLeaf() && src.Kind == Input && src.Ref == int32(c.Fluid) ||
-			!c.IsLeaf() && src.Kind == FromTask && src.Ref >= 0 && int(src.Ref) < i && f.Tasks[src.Ref].Base == int32(c.ID)) {
+		if !(c.IsLeaf() && src == InputSource(int32(c.Fluid)) ||
+			!c.IsLeaf() && src >= 0 && int(src) < i && f.Tasks[src].Base == int32(c.ID)) {
 			return false
 		}
 	}
@@ -247,14 +287,6 @@ func (b *PackedBuilder) newTask(v *mixgraph.Node, l, r PSource) int32 {
 		Level: int8(v.PosLevel),
 		In:    [2]PSource{l, r},
 	})
-	for _, s := range [2]PSource{l, r} {
-		if s.Kind == FromTask {
-			b.f.Tasks[id].NInternal++
-			p := &b.f.Tasks[s.Ref]
-			p.Cons[p.NCons] = id
-			p.NCons++
-		}
-	}
 	return id
 }
 
@@ -287,17 +319,18 @@ func BuildPacked(b *PackedBuilder, base *mixgraph.Graph, demand int) (*PackedFor
 }
 
 // Materialize builds the pointer-linked Forest of a packed one in a fresh
-// allocation of a constant number of backing arrays. Consumers are derived
-// from the sources naming them, not from Cons, so a persistent batch's
-// slab materializes as the forest stood when the batch committed. It runs
-// once per plan whose pointer forms a caller asks for.
+// allocation of a constant number of backing arrays. Targets, reuse tags
+// and consumers are derived from the tree spans and the sources naming
+// each task, so a persistent batch's slab materializes as the forest stood
+// when the batch committed. It runs once per plan whose pointer forms a
+// caller asks for.
 func (f *PackedForest) Materialize() *Forest {
 	n := len(f.Tasks)
 	out := &Forest{
 		Base:   f.Base,
 		Demand: f.Demand,
 		Tasks:  make([]*Task, n),
-		Trees:  make([]*Tree, len(f.Roots)),
+		Trees:  make([]*Tree, f.NumTrees()),
 	}
 	tasks := make([]Task, n)
 	// Two consumer slots per task, one per output.
@@ -306,31 +339,31 @@ func (f *PackedForest) Materialize() *Forest {
 		out.Tasks[i] = &tasks[i]
 	}
 	vecs := f.Base.Vectors()
-	for i := range f.Tasks {
-		pt := &f.Tasks[i]
-		node := f.Base.Nodes[pt.Base]
-		t := &tasks[i]
-		*t = Task{ID: i, Tree: f.TreeOf(i), Base: node, Level: int(pt.Level), Vec: vecs[pt.Base], Targets: int(pt.Targets),
-			consumers: consArena[2*i : 2*i : 2*i+2]}
-		for s, src := range pt.In {
-			if src.Kind == Input {
-				t.In[s] = Source{Kind: Input, Fluid: int(src.Ref)}
-				continue
-			}
-			p := &tasks[src.Ref]
-			t.In[s] = Source{Kind: FromTask, Task: p, Reused: src.Reused}
-			p.consumers = append(p.consumers, t)
-		}
-	}
-	trees := make([]Tree, len(f.Roots))
+	trees := make([]Tree, f.NumTrees())
 	want := f.Base.Target.Vector()
-	for i := range trees {
-		lo, hi := f.TreeStart[i], int32(n)
-		if i+1 < len(f.TreeStart) {
-			hi = f.TreeStart[i+1]
+	for k := range trees {
+		lo, hi := f.Span(k)
+		for i := lo; i < hi; i++ {
+			pt := &f.Tasks[i]
+			node := f.Base.Nodes[pt.Base]
+			t := &tasks[i]
+			*t = Task{ID: int(i), Tree: k + 1, Base: node, Level: int(pt.Level), Vec: vecs[pt.Base],
+				consumers: consArena[2*i : 2*i : 2*i+2]}
+			if i == hi-1 {
+				t.Targets = 2
+			}
+			for s, src := range pt.In {
+				if src < 0 {
+					t.In[s] = Source{Kind: Input, Fluid: int(src.Ref())}
+					continue
+				}
+				p := &tasks[src]
+				t.In[s] = Source{Kind: FromTask, Task: p, Reused: int32(src) < lo}
+				p.consumers = append(p.consumers, t)
+			}
 		}
-		trees[i] = Tree{Index: i + 1, Root: out.Tasks[f.Roots[i]], Tasks: out.Tasks[lo:hi:hi], Want: want}
-		out.Trees[i] = &trees[i]
+		trees[k] = Tree{Index: k + 1, Root: out.Tasks[hi-1], Tasks: out.Tasks[lo:hi:hi], Want: want}
+		out.Trees[k] = &trees[k]
 	}
 	return out
 }
@@ -351,29 +384,23 @@ func Pack(f *Forest) (*PackedForest, error) {
 		Base:      f.Base,
 		Demand:    f.Demand,
 		Tasks:     make([]PTask, len(f.Tasks)),
-		Roots:     make([]int32, len(f.Trees)),
 		TreeStart: make([]int32, len(f.Trees)),
 	}
 	for i, t := range f.Tasks {
-		if len(t.consumers) > len(PTask{}.Cons) {
+		if len(t.consumers) > 2 {
 			return nil, fmt.Errorf("forest: task %d has %d consumers, a mix-split has two outputs", i, len(t.consumers))
 		}
 		pt := &pf.Tasks[i]
-		*pt = PTask{Base: int32(t.Base.ID), Level: int8(t.Level), Targets: int8(t.Targets), NCons: int8(len(t.consumers))}
-		for c, consumer := range t.consumers {
-			pt.Cons[c] = int32(consumer.ID)
-		}
+		*pt = PTask{Base: int32(t.Base.ID), Level: int8(t.Level)}
 		for s, src := range t.In {
 			if src.Kind == Input {
-				pt.In[s] = PSource{Kind: Input, Ref: int32(src.Fluid)}
+				pt.In[s] = InputSource(int32(src.Fluid))
 			} else {
-				pt.In[s] = PSource{Kind: FromTask, Ref: int32(src.Task.ID), Reused: src.Reused}
-				pt.NInternal++
+				pt.In[s] = TaskSource(int32(src.Task.ID))
 			}
 		}
 	}
 	for i, tree := range f.Trees {
-		pf.Roots[i] = int32(tree.Root.ID)
 		pf.TreeStart[i] = int32(tree.Root.ID)
 		if len(tree.Tasks) > 0 {
 			pf.TreeStart[i] = int32(tree.Tasks[0].ID)
@@ -393,39 +420,42 @@ func (f *PackedForest) TreesBefore(first int) int {
 }
 
 // PackedStats computes the aggregate statistics of the forest's tasks from
-// first on (the whole forest's for 0) without materializing it. A
-// persistent window's waste is the pool's change: its spares, less the
-// earlier spares it consumes. Inputs is written into the caller's slice
-// (len >= fluid count), which the returned stats alias.
+// first on (the whole forest's for 0, else a persistent window starting a
+// tree) without materializing it. A persistent window's waste is the
+// pool's change: each of its tasks makes two droplets, its roots emit two
+// each as targets, and each of its internal sources consumes one, made in
+// the window or pooled before it. Inputs is written into the caller's
+// slice (len >= fluid count), which the returned stats alias.
 func (f *PackedForest) PackedStats(first int, inputs []int64) Stats {
 	n := f.Base.Target.N()
 	inputs = inputs[:n]
 	for i := range inputs {
 		inputs[i] = 0
 	}
-	trees := len(f.Roots) - f.TreesBefore(first)
+	before := f.TreesBefore(first)
 	s := Stats{
-		Trees:   trees,
+		Trees:   f.NumTrees() - before,
 		Mixes:   len(f.Tasks) - first,
 		Inputs:  inputs,
-		Targets: 2 * trees,
+		Targets: 2 * (f.NumTrees() - before),
 	}
-	for i := first; i < len(f.Tasks); i++ {
-		t := &f.Tasks[i]
-		for _, src := range t.In {
-			if src.Kind == Input {
-				inputs[src.Ref]++
-				s.InputTotal++
-				continue
-			}
-			if src.Reused {
-				s.Reuses++
-			}
-			if int(src.Ref) < first {
-				s.Waste--
+	internal := 0
+	for k := before; k < f.NumTrees(); k++ {
+		lo, hi := f.Span(k)
+		for _, t := range f.Tasks[lo:hi] {
+			for _, src := range t.In {
+				if src < 0 {
+					inputs[src.Ref()]++
+					s.InputTotal++
+					continue
+				}
+				internal++
+				if int32(src) < lo {
+					s.Reuses++
+				}
 			}
 		}
-		s.Waste += int64(t.FreeOutputs())
 	}
+	s.Waste = int64(2*s.Mixes - s.Targets - internal)
 	return s
 }

@@ -16,11 +16,12 @@ import (
 	"repro/internal/rma"
 )
 
-// TestPTaskSize pins the packed task record at 32 bytes: every cached plan
-// holds one per task, so each byte is kilobytes of plan-cache heap.
+// TestPTaskSize pins the packed task record at 16 bytes (base node, level
+// and two 4-byte sources): every cached plan holds one per task, so each
+// byte is kilobytes of plan-cache heap.
 func TestPTaskSize(t *testing.T) {
-	if got := unsafe.Sizeof(PTask{}); got != 32 {
-		t.Fatalf("PTask is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(PTask{}); got != 16 {
+		t.Fatalf("PTask is %d bytes, want 16", got)
 	}
 }
 
@@ -123,10 +124,10 @@ func allBases(t *testing.T) []*mixgraph.Graph {
 }
 
 // TestBuilderGrowsInPlace checks that a packed builder grows its forest in
-// place: after every AddTree the forest equals a one-shot build of that
-// many trees, and every earlier task keeps its tree, base node, level,
-// targets and sources, gaining consumers only — what the persistent
-// engine's history of committed batches relies on.
+// place and writes each task once: after every AddTree the forest equals a
+// one-shot build of that many trees, and every earlier task keeps its
+// tree and its bytes — what the persistent engine's history of committed
+// batches and the demand scan's prefixes rely on.
 func TestBuilderGrowsInPlace(t *testing.T) {
 	g, err := minmix.Build(protocols.PCR16().Ratio)
 	if err != nil {
@@ -138,17 +139,15 @@ func TestBuilderGrowsInPlace(t *testing.T) {
 	for step := 1; step <= 16; step++ {
 		b.AddTree()
 		pf := b.Forest()
-		if len(pf.Roots) != step {
-			t.Fatalf("step %d: %d trees", step, len(pf.Roots))
+		if pf.NumTrees() != step {
+			t.Fatalf("step %d: %d trees", step, pf.NumTrees())
 		}
 		if !slices.Equal(pf.TreeStart[:step-1], starts) || int(pf.TreeStart[step-1]) != len(earlier) {
 			t.Fatalf("step %d: tree starts %v, earlier %v over %d tasks", step, pf.TreeStart, starts, len(earlier))
 		}
 		starts = append(starts[:0], pf.TreeStart...)
 		for i, was := range earlier {
-			now := pf.Tasks[i]
-			if now.Base != was.Base || now.Level != was.Level || now.Targets != was.Targets ||
-				now.NInternal != was.NInternal || now.In != was.In || now.NCons < was.NCons || !slices.Equal(now.Cons[:was.NCons], was.Cons[:was.NCons]) {
+			if now := pf.Tasks[i]; now != was {
 				t.Fatalf("step %d: task %d changed from %+v to %+v", step, i, was, now)
 			}
 		}
@@ -203,9 +202,17 @@ func TestPackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	named := make([]int, len(pm.Tasks))
+	for _, pt := range pm.Tasks {
+		for _, src := range pt.In {
+			if src.Kind() == FromTask {
+				named[src.Ref()]++
+			}
+		}
+	}
 	for i, task := range mf.Tasks {
-		if int(pm.Tasks[i].NCons) != len(task.Consumers()) || pm.Tasks[i].FreeOutputs() != task.FreeOutputs() {
-			t.Fatalf("multi task %d: packed %d consumers, forest %d", i, pm.Tasks[i].NCons, len(task.Consumers()))
+		if named[i] != len(task.Consumers()) || (pm.Root(pm.TreeOf(i)-1) == int32(i)) != (task.Targets == 2) {
+			t.Fatalf("multi task %d: %d packed sources name it, forest %d consumers", i, named[i], len(task.Consumers()))
 		}
 	}
 }

@@ -153,15 +153,11 @@ type Plan struct {
 // of an algorithm run on mixers mixers finishing at cycle cycles, and its
 // peak storage. Stats come from PackedStats.
 func NewPacked(pf *forest.PackedForest, slots []sched.Assignment, algorithm string, mixers, cycles, storage int) *Plan {
-	trees := make([]int32, 2*len(pf.Roots))
-	copy(trees, pf.Roots)
-	copy(trees[len(pf.Roots):], pf.TreeStart)
 	slab := forest.PackedForest{
 		Base:      pf.Base,
 		Demand:    pf.Demand,
 		Tasks:     append([]forest.PTask(nil), pf.Tasks...),
-		Roots:     trees[:len(pf.Roots):len(pf.Roots)],
-		TreeStart: trees[len(pf.Roots):],
+		TreeStart: append([]int32(nil), pf.TreeStart...),
 	}
 	st := slab.PackedStats(0, make([]int64, pf.Base.Target.N()))
 	return FromSlab(slab, append([]sched.Assignment(nil), slots...), algorithm, mixers, cycles, st, storage)
@@ -257,8 +253,9 @@ func (p *Plan) Algorithm() string { return p.algorithm }
 // droplet count of every component-tree root the schedule runs: the
 // plan's emissions. A window reports the roots of its own trees only.
 func (p *Plan) EmitCycles(fn func(cycle, count int)) {
-	for _, r := range p.packed.Roots[p.packed.TreesBefore(p.first):] {
-		fn(int(p.slots[int(r)-p.first].Cycle), int(p.packed.Tasks[r].Targets))
+	f := &p.packed
+	for k := f.TreesBefore(p.first); k < f.NumTrees(); k++ {
+		fn(int(p.slots[int(f.Root(k))-p.first].Cycle), 2)
 	}
 }
 

@@ -109,6 +109,7 @@ type Kernel struct {
 
 	slots    []Assignment // indexed by task - firstTask
 	pending  []int32      // outstanding in-window producers per window task
+	cons     []int32      // two consumer slots per window task, 0 when empty
 	fifo     []uint64     // MMS ready queue; head chases tail
 	fifoHead int
 	qint     []uint64 // SRS internal-task min-heap
@@ -289,18 +290,35 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 	k.mixers, k.algorithm, k.firstTask, k.cycles = mc, algo, firstTask, 0
 	k.slots = growAssignments(k.slots, n-firstTask)
 	k.pending = growInt32(k.pending, n-firstTask)
+	k.cons = growInt32(k.cons, 2*(n-firstTask))
 	k.fifo, k.fifoHead = k.fifo[:0], 0
 	k.qint, k.qleaf, k.rel = k.qint[:0], k.qleaf[:0], k.rel[:0]
 	k.held, k.made, k.peak = 0, 0, 0
 
+	// Predecessor counts and consumer links are derived here, from the
+	// window's sources: an in-window source is a pending producer, and the
+	// consuming task takes the producer's first free consumer slot. A
+	// consumer always follows its producer, so index 0 marks a free slot.
 	for i := firstTask; i < n; i++ {
 		t := &f.Tasks[i]
-		preds := int32(t.NInternal)
-		if firstTask > 0 {
-			for _, src := range t.In {
-				if src.Kind == forest.FromTask && int(src.Ref) < firstTask {
-					preds--
-					k.held++ // an earlier window's droplet, stored from cycle 1
+		preds := int32(0)
+		for _, src := range t.In {
+			switch {
+			case src < 0:
+			case int(src) < firstTask:
+				k.held++ // an earlier window's droplet, stored from cycle 1
+			case int(src) >= i:
+				return false, fmt.Errorf("sched: task %d consumes task %d, not an earlier one", i, src)
+			default:
+				preds++
+				c := k.cons[2*(int(src)-firstTask):]
+				switch {
+				case c[0] == 0:
+					c[0] = int32(i)
+				case c[1] == 0:
+					c[1] = int32(i)
+				default:
+					return false, fmt.Errorf("sched: task %d has more than two consumers", src)
 				}
 			}
 		}
@@ -377,11 +395,12 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 // after the cycle's batch completes.
 func (k *Kernel) assign(f *forest.PackedForest, id int32, cycle, mixer, firstTask int) {
 	k.slots[int(id)-firstTask] = Assignment{Cycle: int32(cycle), Mixer: int32(mixer)}
-	t := &f.Tasks[id]
-	k.held -= t.InternalInputs()
-	k.made += int(t.NCons)
-	for c := int8(0); c < t.NCons; c++ {
-		cons := t.Cons[c] // created after t, so inside the window
+	k.held -= f.Tasks[id].InternalInputs()
+	for _, cons := range k.cons[2*(int(id)-firstTask) : 2*(int(id)-firstTask)+2] {
+		if cons == 0 {
+			break
+		}
+		k.made++
 		k.pending[int(cons)-firstTask]--
 		if k.pending[int(cons)-firstTask] == 0 {
 			k.rel = append(k.rel, keyAsc(f.Tasks[cons].Level, cons))

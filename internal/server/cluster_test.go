@@ -264,13 +264,13 @@ func TestClusterRejectsNonChildArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecs := g.Vectors()
+	vecs, formed := g.Vectors(), pf.Materialize()
 	reroute := func() bool {
 		for j := range pf.Tasks {
 			for k, src := range pf.Tasks[j].In {
-				for q := 0; q < j && src.Kind == forest.FromTask; q++ {
-					if v, child := pf.Tasks[q].Base, pf.Tasks[src.Ref].Base; v != child && vecs[v].Equal(vecs[child]) && pf.Tasks[q].FreeOutputs() > 0 {
-						pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.TreeOf(q) != pf.TreeOf(j)}
+				for q := 0; q < j && src.Kind() == forest.FromTask; q++ {
+					if v, child := pf.Tasks[q].Base, pf.Tasks[src.Ref()].Base; v != child && vecs[v].Equal(vecs[child]) && formed.Tasks[q].FreeOutputs() > 0 {
+						pf.Tasks[j].In[k] = forest.TaskSource(int32(q))
 						return true
 					}
 				}

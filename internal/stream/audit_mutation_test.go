@@ -33,8 +33,8 @@ var planMutations = []struct {
 		n := int32(pf.Base.Target.N())
 		for i := range pf.Tasks {
 			for s := range pf.Tasks[i].In {
-				if src := &pf.Tasks[i].In[s]; src.Kind == forest.Input {
-					src.Ref = (src.Ref + 1) % n
+				if src := &pf.Tasks[i].In[s]; src.Kind() == forest.Input {
+					*src = forest.InputSource((src.Ref() + 1) % n)
 					return true
 				}
 			}
@@ -54,8 +54,8 @@ var planMutations = []struct {
 		pf, slots := p.Packed(), p.Slots()
 		for i := range pf.Tasks {
 			for _, src := range pf.Tasks[i].In {
-				if src.Kind == forest.FromTask {
-					slots[i].Cycle = slots[src.Ref].Cycle
+				if src.Kind() == forest.FromTask {
+					slots[i].Cycle = slots[src.Ref()].Cycle
 					return true
 				}
 			}
@@ -100,31 +100,21 @@ var planMutations = []struct {
 
 // rerouteToEqualVector points the first FromTask source it can at an
 // earlier task q of a different base node with an equal vector and a free
-// output, where ok(q, consumer) holds, and relinks every task's consumers.
+// output, where ok(q, consumer) holds. Consumers follow the sources, so
+// nothing else changes.
 func rerouteToEqualVector(pf *forest.PackedForest, ok func(q, j int) bool) bool {
-	vecs := pf.Base.Vectors()
+	vecs, formed := pf.Base.Vectors(), pf.Materialize()
 	for j := range pf.Tasks {
 		for k, src := range pf.Tasks[j].In {
-			if src.Kind != forest.FromTask {
+			if src.Kind() != forest.FromTask {
 				continue
 			}
-			child := pf.Tasks[src.Ref].Base
+			child := pf.Tasks[src.Ref()].Base
 			for q := range j {
-				if v := pf.Tasks[q].Base; v == child || !vecs[v].Equal(vecs[child]) || pf.Tasks[q].FreeOutputs() == 0 || !ok(q, j) {
+				if v := pf.Tasks[q].Base; v == child || !vecs[v].Equal(vecs[child]) || formed.Tasks[q].FreeOutputs() == 0 || !ok(q, j) {
 					continue
 				}
-				pf.Tasks[j].In[k] = forest.PSource{Kind: forest.FromTask, Ref: int32(q), Reused: pf.TreeOf(q) != pf.TreeOf(j)}
-				for i := range pf.Tasks {
-					pf.Tasks[i].NCons = 0
-				}
-				for i := range pf.Tasks {
-					for _, s := range pf.Tasks[i].In {
-						if p := &pf.Tasks[s.Ref]; s.Kind == forest.FromTask {
-							p.Cons[p.NCons] = int32(i)
-							p.NCons++
-						}
-					}
-				}
+				pf.Tasks[j].In[k] = forest.TaskSource(int32(q))
 				return true
 			}
 		}

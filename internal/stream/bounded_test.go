@@ -80,9 +80,11 @@ func fullScheduleStorage(t testing.TB, g *mixgraph.Graph, s Scheduler, mc, limit
 		slots := k.Assignments()
 		profile := make([]int, k.Cycles()+1)
 		for i := range pf.Tasks {
-			task := &pf.Tasks[i]
-			for c := int8(0); c < task.NCons; c++ {
-				for cyc := slots[i].Cycle + 1; cyc < slots[task.Cons[c]].Cycle; cyc++ {
+			for _, src := range pf.Tasks[i].In {
+				if src.Kind() != forest.FromTask {
+					continue
+				}
+				for cyc := slots[src.Ref()].Cycle + 1; cyc < slots[i].Cycle; cyc++ {
 					profile[cyc]++
 				}
 			}

@@ -537,7 +537,7 @@ func plannerRows(t testing.TB) []goldenRow {
 func leastBudget(f *forest.PackedForest, fits func(q int) (bool, error)) (int, error) {
 	lo, hi := 0, 0
 	for i := range f.Tasks {
-		hi += int(f.Tasks[i].NCons)
+		hi += f.Tasks[i].InternalInputs()
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
