@@ -391,7 +391,7 @@ func TestPersistentTasksWriteOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pool []forest.PTask     // the builder's tasks after the last Request
+	var pool []forest.PTask    // the builder's tasks after the last Request
 	var slabs [][]forest.PTask // each batch's slab as it committed
 	var batches []*Batch
 	for step, n := range []int{3, 4, 1, 7, 2, 16, 5, 2} {
