@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -504,6 +506,25 @@ func mustFrames(t testing.TB, recs ...wal.Record) []byte {
 	return frames
 }
 
+// withUnknownField returns snapshot with its last record naming a field no
+// record has, resealed: every frame is intact and checksummed.
+func withUnknownField(t testing.TB, snapshot []byte) []byte {
+	t.Helper()
+	const magicLen, hdr = 8, 8
+	last := magicLen
+	for off := magicLen; off < len(snapshot); off += hdr + int(binary.LittleEndian.Uint32(snapshot[off:])) {
+		last = off
+	}
+	payload := snapshot[last+hdr:]
+	if len(payload) == 0 || payload[len(payload)-1] != '}' {
+		t.Fatalf("last frame payload %q is not a JSON object", payload)
+	}
+	payload = append(bytes.Clone(payload[:len(payload)-1]), `,"future":1}`...)
+	out := binary.LittleEndian.AppendUint32(bytes.Clone(snapshot[:last]), uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, payload...)
+}
+
 // adoptTableSnapshots returns a valid one-batch snapshot of session name and
 // one invalid snapshot per way adopt refuses one. start/emitted are the true
 // batch-1 values of a 1:2:5:8 demand-6 session.
@@ -532,6 +553,7 @@ func adoptTableSnapshots(t testing.TB, name string, start, emitted int) (valid [
 		"corrupt frames":    corrupt,
 		"replay divergence": mustFrames(t, open, done(1, start+999)),
 		"invalid spec":      mustFrames(t, badSpec),
+		"unknown field":     withUnknownField(t, valid),
 	}
 	return valid, rejected
 }

@@ -261,3 +261,60 @@ func TestPlanKernelReuseAfterCut(t *testing.T) {
 		}
 	}
 }
+
+// TestScanOracleAtEveryLimit checks the top-down scan against the S(d)
+// rows of the frozen fixture: for every row, every q' from 1 to 12 and
+// every limit from 2 to 128, an uncached MaxSinglePassDemand must return
+// the largest even d <= limit with S(d) <= q', or 0 if there is none.
+// Under the race detector it takes every 9th limit and 128.
+func TestScanOracleAtEveryLimit(t *testing.T) {
+	graphs := map[string]*mixgraph.Graph{}
+	for _, gg := range goldenGraphs(t) {
+		graphs[gg.label] = gg.g
+	}
+	vals, order := readGolden(t)
+	rows, cases := 0, 0
+	for _, key := range order {
+		var label, scheme string
+		var mc int
+		if _, err := fmt.Sscanf(key, "storage %s %s mc=%d", &label, &scheme, &mc); err != nil {
+			continue
+		}
+		rows++
+		s := []int{0, 0} // S(0) and S(1) are never read
+		for _, f := range strings.Split(strings.TrimPrefix(vals[key], "S="), ",") {
+			v, err := strconv.Atoi(f)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			s = append(s, v)
+		}
+		cfg := Config{Base: graphs[label], Mixers: mc, Scheduler: MMS}
+		if scheme == "SRS" {
+			cfg.Scheduler = SRS
+		}
+		for q := 1; q <= 12; q++ {
+			cfg.Storage = q
+			for limit := 2; limit <= storageScanMax; limit++ {
+				if raceDetector && limit%9 != 0 && limit != storageScanMax {
+					continue
+				}
+				want := 0
+				for d := limit &^ 1; d >= 2; d -= 2 {
+					if s[d] <= q {
+						want = d
+						break
+					}
+				}
+				cases++
+				if got, err := MaxSinglePassDemand(cfg, limit); err != nil || got != want {
+					t.Errorf("%s q'=%d limit=%d: D'=%d (err %v), fixture D'=%d", key, q, limit, got, err, want)
+				}
+			}
+		}
+	}
+	if rows != 36 {
+		t.Fatalf("%d storage rows in the fixture, want 36", rows)
+	}
+	t.Logf("%d (row, q', limit) cases agree", cases)
+}

@@ -160,10 +160,10 @@ func TestRunCacheHitSkipsAllBuilds(t *testing.T) {
 }
 
 // BenchmarkColdDemandScan times cold D' scans. Each scan reads a plan cache
-// of its own, purged every iteration, so each iteration schedules every
-// candidate demand (each cut at
-// its first cycle over q'); TestDemandScanMemo pins the warm, memoised scan
-// at zero allocations. The PCR case scans the PCR master-mix up to D=200
+// of its own, purged every iteration, so each iteration grows the forest to
+// the limit and schedules its prefixes from the limit down to D' (each
+// candidate over q' cut at its first cycle over it); TestDemandScanMemo
+// pins the warm, memoised scan at zero allocations. The PCR case scans the PCR master-mix up to D=200
 // (SRS, 4 mixers, q'=4). The dataset cases model the storage-limited
 // requests of the serving mix: MMS and SRS at q' = 6 and 8 up to D=128 on
 // Mlb mixers, one scan per iteration, cycling through a fixed sample of

@@ -174,10 +174,10 @@ func Plan(ctx context.Context, cfg Config, d int, policy string) (*plancache.Pla
 	})
 }
 
-// MaxSinglePassDemand returns D', the largest demand not exceeding limit
-// whose one-pass schedule fits in the configured storage, or 0 if even a
-// demand of 2 does not fit. Storage use is not monotone in demand, so the
-// scan inspects every even demand up to limit and keeps the largest fit.
+// MaxSinglePassDemand returns D', the largest even demand not exceeding
+// limit whose one-pass schedule fits in the configured storage, or 0 if
+// even a demand of 2 does not fit. Storage use is not monotone in demand,
+// so the scan tries every even demand from limit down until one fits.
 // It is MaxSinglePassDemandCtx with a background context.
 func MaxSinglePassDemand(cfg Config, limit int) (int, error) {
 	return MaxSinglePassDemandCtx(context.Background(), cfg, limit)
@@ -217,44 +217,51 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 
 // demandScan is the memo-miss path of MaxSinglePassDemandCtx.
 //
-// The scan grows ONE incremental packed forest across all candidate demands
-// — appending one component tree per step reproduces forest.Build's
-// structure exactly (Build is itself a loop of AddTree calls) — instead of
-// rebuilding the forest from scratch for every even demand, turning the
-// forest-construction cost of the scan from O(D²) tasks into O(D). It never
-// consults the plan cache: a cached plan's Storage is the kernel's peak for
-// the same forest, so a hit would decide nothing the kernel does not, and
-// on a cold cache nearly every candidate would miss. The whole scan
-// runs on one pooled planKernel: the growing forest lives in its arenas and
-// every candidate schedule in its scratch, so a warm scan allocates nothing
-// per candidate and no schedule is ever cached (it would alias the live,
-// still-growing forest).
+// The scan grows ONE packed forest to limit, then schedules its prefixes
+// top-down: the first d/2 trees for d = limit, limit-2, ..., 2, returning
+// the first d that fits. Trees are grown in order and tasks are
+// write-once, and the scheduling kernel derives consumers from the tasks
+// it is given, so each prefix schedules exactly as the forest of demand d
+// (forest.PackedForest.Prefix). Storage is not monotone in demand
+// (TestStorageNotMonotoneInDemand), so a smaller demand can fit after a
+// larger one overflowed and the scan cannot bisect; but the first fit
+// from the top is the largest fitting even d, D′ itself, so no demand
+// below it is scheduled. It never consults the plan cache: a cached
+// plan's Storage is the kernel's peak for the same forest, so a hit would
+// decide nothing the kernel does not, and on a cold cache nearly every
+// candidate would miss. The whole scan runs on one pooled planKernel: the
+// forest lives in its arenas and every candidate schedule in its scratch,
+// so a warm scan allocates nothing per candidate and no schedule is ever
+// cached.
 //
 // Each candidate is scheduled under a budget of q' storage units and cut
-// short at its first cycle over budget: that cycle's occupancy is final, so
-// it already proves the candidate's peak storage exceeds q'. The cut ends
-// only that candidate. The scan still visits every even demand up to limit,
-// because storage is not monotone in demand (TestStorageNotMonotoneInDemand):
-// a larger demand can fit after a smaller one overflowed.
+// short at its first cycle over budget: that cycle's occupancy is final,
+// so it already proves the candidate's peak storage exceeds q'.
 func demandScan(ctx context.Context, cfg Config, limit int) (int, error) {
 	k := kernelPool.Get().(*planKernel)
 	defer kernelPool.Put(k)
 	k.builder.Reset(cfg.Base)
-	best := 0
-	for d := 2; d <= limit; d += 2 {
+	for t := range limit / 2 {
+		if err := cancel.Check(ctx); err != nil {
+			return 0, fmt.Errorf("stream: demand scan growing tree %d: %w", t+1, err)
+		}
+		k.builder.AddTree()
+	}
+	full := k.builder.Forest()
+	for d := limit &^ 1; d >= 2; d -= 2 {
 		if err := cancel.Check(ctx); err != nil {
 			return 0, fmt.Errorf("stream: demand scan at D=%d: %w", d, err)
 		}
-		k.builder.AddTree()
-		fits, err := k.schedulePacked(cfg.Scheduler, k.builder.Forest(), cfg.Mixers, cfg.Storage)
+		prefix := full.Prefix(d / 2)
+		fits, err := k.schedulePacked(cfg.Scheduler, &prefix, cfg.Mixers, cfg.Storage)
 		if err != nil {
 			return 0, err
 		}
 		if fits {
-			best = d
+			return d, nil
 		}
 	}
-	return best, nil
+	return 0, nil
 }
 
 // Run plans the emission of `demand` target droplets under the configured

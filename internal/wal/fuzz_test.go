@@ -17,12 +17,13 @@ func FuzzWALReplay(f *testing.F) {
 	// A valid log built through the real encoder.
 	valid := buildValidLog(f)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])                             // torn tail
-	f.Add(append(append([]byte{}, valid...), valid[8:]...)) // duplicated records
-	f.Add([]byte(magic))                                    // empty log
-	f.Add([]byte("DMFBWAL2"))                               // wrong version
-	f.Add([]byte{})                                         // empty file
-	f.Add(append([]byte(magic), 0xff, 0xff, 0xff, 0xff, 0)) // absurd length
+	f.Add(valid[:len(valid)-3])                                                                                   // torn tail
+	f.Add(append(append([]byte{}, valid...), valid[8:]...))                                                       // duplicated records
+	f.Add([]byte(magic))                                                                                          // empty log
+	f.Add([]byte("DMFBWAL2"))                                                                                     // wrong version
+	f.Add([]byte{})                                                                                               // empty file
+	f.Add(append([]byte(magic), 0xff, 0xff, 0xff, 0xff, 0))                                                       // absurd length
+	f.Add(append(append([]byte{}, valid...), rawFrame([]byte(`{"seq":6,"kind":5,"session":"a","future":1}`))...)) // unknown field
 	if flipped := append([]byte{}, valid...); len(flipped) > 20 {
 		flipped[len(flipped)/2] ^= 0x10
 		f.Add(flipped) // bit flip
@@ -55,8 +56,16 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 		// Whatever replayed must survive Open's repair and replay cleanly
-		// afterwards — the daemon's boot path.
+		// afterwards — the daemon's boot path — unless an intact frame
+		// names an unknown field: then Open refuses the log untouched.
+		var ce *CorruptError
 		l, info, err := Open(path)
+		if errors.As(err, &ce) && ce.Intact {
+			if after, rerr := os.ReadFile(path); rerr != nil || string(after) != string(data) {
+				t.Fatalf("Open refused the log (%v) but changed it", err)
+			}
+			return
+		}
 		if err != nil {
 			t.Skip() // real IO errors only
 		}

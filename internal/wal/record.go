@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // Kind enumerates the record types of the dmfbd session log.
@@ -112,6 +114,11 @@ type CorruptError struct {
 	Reason string
 	// Records is the number of records replayed cleanly before it.
 	Records int
+	// Intact marks a frame whose checksum holds but whose record names a
+	// field this version does not know: a record of a format it cannot
+	// read, not a torn write. Open refuses such a log instead of
+	// truncating it there.
+	Intact bool
 }
 
 func (e *CorruptError) Error() string {
@@ -152,4 +159,25 @@ func (r *Record) validate(prevSeq uint64) error {
 
 func encodePayload(r *Record) ([]byte, error) { return json.Marshal(r) }
 
-func decodePayload(b []byte, r *Record) error { return json.Unmarshal(b, r) }
+// errUnknownField reports a well-formed record payload naming a field that
+// Record (or its Spec) does not have.
+var errUnknownField = errors.New("unknown field")
+
+// decodePayload decodes one record payload. A field the record does not
+// have is refused, never silently dropped: the error then wraps
+// errUnknownField.
+func decodePayload(b []byte, r *Record) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(r)
+	if err == nil {
+		if _, err := dec.Token(); err != io.EOF {
+			return errors.New("data after the record")
+		}
+		return nil
+	}
+	if json.Unmarshal(b, new(Record)) == nil {
+		return fmt.Errorf("%w: %v", errUnknownField, err)
+	}
+	return err
+}

@@ -28,6 +28,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -79,8 +80,11 @@ type ReplayInfo struct {
 // Open opens (creating if absent) the log at path for appending, replaying
 // its existing records first. A corrupt tail — the expected shape after a
 // crash tore a frame in half — is reported in ReplayInfo.Corrupt and
-// repaired by truncating to the good prefix; replay itself never fails.
-// Only real IO errors return a non-nil error.
+// repaired by truncating to the good prefix. A frame that is intact but
+// names a field this version does not know is no torn tail: Open leaves
+// the file as it is and returns its *CorruptError (Intact), wrapping
+// ErrCorrupt, and no log. Otherwise only real IO errors return a non-nil
+// error.
 func Open(path string) (*Log, *ReplayInfo, error) {
 	if dir := filepath.Dir(path); dir != "" && dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -96,6 +100,10 @@ func Open(path string) (*Log, *ReplayInfo, error) {
 	if rerr != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: %w", rerr)
+	}
+	if corr != nil && corr.Intact {
+		f.Close()
+		return nil, nil, corr
 	}
 	info.Records = recs
 	info.Corrupt = corr
@@ -212,7 +220,9 @@ func decodeFrames(data []byte) (recs []Record, goodOffset int64, corr *CorruptEr
 		}
 		var rec Record
 		if err := decodePayload(payload, &rec); err != nil {
-			return fail("undecodable payload: " + err.Error())
+			recs, good, corr := fail("undecodable payload: " + err.Error())
+			corr.Intact = errors.Is(err, errUnknownField)
+			return recs, good, corr
 		}
 		if err := rec.validate(lastSeq); err != nil {
 			return fail(err.Error())

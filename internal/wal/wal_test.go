@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -400,5 +402,52 @@ func TestObsDisabledAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled obs hooks allocate %v per run, want 0", allocs)
+	}
+}
+
+// rawFrame frames payload as the log does, with a valid checksum.
+func rawFrame(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
+	return append(b, payload...)
+}
+
+// TestUnknownFieldIsIntactCorrupt: an intact, checksummed frame whose
+// record names a field no record has is a record this version cannot read,
+// not a torn tail. Replay and DecodeFrames report it as a typed
+// *CorruptError marked Intact, and Open refuses the log and leaves every
+// byte of it in place instead of truncating the frame away.
+func TestUnknownFieldIsIntactCorrupt(t *testing.T) {
+	path := tmpLog(t)
+	writeLog(t, path, 2)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string]string{
+		"record": `{"seq":3,"kind":4,"session":"s","batch":1,"future":true}`,
+		"spec":   `{"seq":3,"kind":6,"spec":{"ratio":"1:3","future":2},"demand":4}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			data := append(bytes.Clone(b), rawFrame([]byte(payload))...)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var ce *CorruptError
+			recs, err := Replay(path)
+			if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) || !ce.Intact || len(recs) != 2 || ce.Records != 2 {
+				t.Fatalf("Replay: %d records, err %v (%+v), want the 2 before an intact *CorruptError", len(recs), err, ce)
+			}
+			if _, err := DecodeFrames(data); !errors.As(err, &ce) || !ce.Intact {
+				t.Fatalf("DecodeFrames: err %v, want an intact *CorruptError", err)
+			}
+			l, info, err := Open(path)
+			if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) || !ce.Intact || l != nil || info != nil {
+				t.Fatalf("Open: log %v, info %v, err %v; want only an intact *CorruptError", l, info, err)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+				t.Fatalf("Open changed the log (%d bytes, was %d): %v", len(after), len(data), err)
+			}
+		})
 	}
 }
