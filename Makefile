@@ -11,7 +11,7 @@ GO ?= go
 # plan requests) — raced explicitly by `make race`.
 CONCURRENT_PKGS := ./internal/parallel ./internal/plancache ./internal/lru ./internal/experiments ./internal/stream ./internal/synth ./internal/faults ./internal/runtime ./internal/exec ./internal/route ./internal/obs ./internal/audit ./internal/core ./internal/server ./internal/mixgraph ./internal/forest ./internal/sched ./internal/wal ./internal/fleet ./internal/contam ./internal/artifact ./internal/cluster ./internal/errormodel ./cmd/dmfbd
 
-.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-cold bench-record results-check bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
+.PHONY: build test race vet fmt-check perfbench-test bench-smoke bench-cold bench-record bench-gate bench-runs results-check bench-serve bench-error-smoke bench-fleet-smoke bench-cluster-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke check clean
 
 build:
 	$(GO) build ./...
@@ -68,23 +68,40 @@ bench-cold:
 # BenchmarkColdEngineSetup a pinned 2000 setups, the count bench-cold
 # runs, so allocs/op never compares runs of different lengths. About five
 # minutes in all.
-BENCH_RECORD := -run '^$$' -benchmem -count 5
+BENCH_COUNT ?= 5
+BENCH_RECORD = -run '^$$' -benchmem -count $(BENCH_COUNT)
 bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<number>" >&2; exit 2; }
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; set -e; \
-	$(GO) test $(BENCH_RECORD) -bench ColdEngineSetup -benchtime 2000x ./internal/core >>"$$tmp/out"; \
-	$(GO) test $(BENCH_RECORD) -bench WarmPlanRequest ./internal/core >>"$$tmp/out"; \
-	$(GO) test $(BENCH_RECORD) -bench PersistentRequest -benchtime 4000x ./internal/core >>"$$tmp/out"; \
-	$(GO) test $(BENCH_RECORD) -bench BuildPacked ./internal/forest >>"$$tmp/out"; \
-	$(GO) test $(BENCH_RECORD) -bench Kernel ./internal/sched >>"$$tmp/out"; \
-	$(GO) test $(BENCH_RECORD) -bench CheckPacked ./internal/audit >>"$$tmp/out"; \
-	$(GO) test $(BENCH_RECORD) -bench 'ColdDemandScan|ErrorAwareSelection' ./internal/stream >>"$$tmp/out"; \
-	$(GO) test $(BENCH_RECORD) -bench RunObsDisabled ./internal/runtime >>"$$tmp/out"; \
-	$(GO) test $(BENCH_RECORD) -bench '^BenchmarkBuild$$' ./internal/rsm >>"$$tmp/out"; \
-	$(GO) test $(BENCH_RECORD) -bench 'ColdPlanRequest|HotPlanRequest' ./internal/server >>"$$tmp/out"; \
+	$(MAKE) --no-print-directory bench-runs BENCH_OUT="$$tmp/out"; \
 	$(GO) run ./cmd/benchrecord -pr $(PR) -commit "$$(git describe --always --dirty)" <"$$tmp/out" >"$$tmp/record.json"; \
 	mv "$$tmp/record.json" BENCH_$(PR).json; \
 	echo "bench-record: wrote BENCH_$(PR).json"
+
+# Gate allocs/op: run what bench-record runs, at the same pinned
+# -benchtimes, once each, and fail unless every benchmark is in the newest
+# committed BENCH_*.json and its allocs/op lies within that record's
+# min-max (cmd/benchrecord -check). ns/op is not gated. About a minute.
+bench-gate:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; set -e; \
+	$(MAKE) --no-print-directory bench-runs BENCH_COUNT=1 BENCH_OUT="$$tmp/out"; \
+	$(GO) run ./cmd/benchrecord -check "$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -n 1)" <"$$tmp/out"
+
+# The benchmark runs behind bench-record and bench-gate, BENCH_COUNT runs
+# each, appended to the file BENCH_OUT.
+bench-runs:
+	@test -n "$(BENCH_OUT)" || { echo "usage: make bench-runs BENCH_OUT=<file>" >&2; exit 2; }
+	@set -e; \
+	$(GO) test $(BENCH_RECORD) -bench ColdEngineSetup -benchtime 2000x ./internal/core >>"$(BENCH_OUT)"; \
+	$(GO) test $(BENCH_RECORD) -bench WarmPlanRequest ./internal/core >>"$(BENCH_OUT)"; \
+	$(GO) test $(BENCH_RECORD) -bench PersistentRequest -benchtime 4000x ./internal/core >>"$(BENCH_OUT)"; \
+	$(GO) test $(BENCH_RECORD) -bench BuildPacked ./internal/forest >>"$(BENCH_OUT)"; \
+	$(GO) test $(BENCH_RECORD) -bench Kernel ./internal/sched >>"$(BENCH_OUT)"; \
+	$(GO) test $(BENCH_RECORD) -bench CheckPacked ./internal/audit >>"$(BENCH_OUT)"; \
+	$(GO) test $(BENCH_RECORD) -bench 'ColdDemandScan|ErrorAwareSelection' ./internal/stream >>"$(BENCH_OUT)"; \
+	$(GO) test $(BENCH_RECORD) -bench RunObsDisabled ./internal/runtime >>"$(BENCH_OUT)"; \
+	$(GO) test $(BENCH_RECORD) -bench '^BenchmarkBuild$$' ./internal/rsm >>"$(BENCH_OUT)"; \
+	$(GO) test $(BENCH_RECORD) -bench 'ColdPlanRequest|HotPlanRequest' ./internal/server >>"$(BENCH_OUT)"
 
 # Short fuzzing passes over the parser, the forest builder, the planner
 # (plan audit, window audit, Pack/Materialize round trip, multi-pass plans
@@ -193,7 +210,7 @@ chaos-migrate-smoke:
 	$(GO) test -race -run 'TestChaosMigrateKillOwner' -timeout 5m ./cmd/dmfbd
 	@echo "chaos-migrate-smoke: owner killed, session migrated, timeline bit-identical"
 
-check: build vet fmt-check test perfbench-test race bench-smoke results-check bench-error-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke bench-fleet-smoke bench-cluster-smoke
+check: build vet fmt-check test perfbench-test race bench-smoke bench-gate results-check bench-error-smoke fuzz-smoke audit-smoke serve-smoke chaos-smoke chaos-migrate-smoke bench-fleet-smoke bench-cluster-smoke
 
 clean:
 	$(GO) clean

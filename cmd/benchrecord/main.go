@@ -5,14 +5,22 @@
 // pipes the committed stage and end-to-end benchmarks through it into
 // BENCH_N.json.
 //
+// With -check it writes no record: it gates the benchmarks on stdin
+// against a committed one instead, failing unless every benchmark of
+// either is in both and each run's allocs/op lies within the record's
+// min–max. ns/op is not gated. `make bench-gate` runs it against the
+// newest BENCH_*.json.
+//
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem -count 5 ./internal/core | benchrecord -pr <n> -commit <rev>
+//	go test -run '^$' -bench . -benchmem -count 1 ./internal/core | benchrecord -check BENCH_<n>.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,8 +60,16 @@ type Summary struct {
 func main() {
 	pr := flag.Int("pr", 0, "the change the record belongs to")
 	commit := flag.String("commit", "", "the commit the benchmarks ran on")
+	check := flag.String("check", "", "gate allocs/op against this committed record instead of writing one")
 	flag.Parse()
 	rec, err := parse(os.Stdin)
+	if err == nil && *check != "" {
+		err = gateFile(rec, *check)
+		if err == nil {
+			fmt.Printf("benchrecord: allocs/op of %d benchmarks within %s\n", len(rec.Benchmarks), *check)
+			return
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchrecord:", err)
 		os.Exit(1)
@@ -122,4 +138,54 @@ func parse(r io.Reader) (*Record, error) {
 		}
 	}
 	return rec, nil
+}
+
+// gateFile gates got against the record committed at path (gate).
+func gateFile(got *Record, path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var want Record
+	if err := json.Unmarshal(data, &want); err != nil {
+		return fmt.Errorf("%s: %v", path, err)
+	}
+	if err := gate(got, &want); err != nil {
+		return fmt.Errorf("allocs/op outside %s:\n%w", path, err)
+	}
+	return nil
+}
+
+// gate reports every benchmark of got or want missing from the other, and
+// every benchmark whose allocs/op runs in got leave want's min–max.
+func gate(got, want *Record) error {
+	key := func(b *Benchmark) string { return b.Package + " " + b.Name }
+	recorded := map[string]*Benchmark{}
+	for i := range want.Benchmarks {
+		recorded[key(&want.Benchmarks[i])] = &want.Benchmarks[i]
+	}
+	var errs []error
+	for i := range got.Benchmarks {
+		b := &got.Benchmarks[i]
+		w, ok := recorded[key(b)]
+		if !ok {
+			errs = append(errs, fmt.Errorf("%s: not in the record", key(b)))
+			continue
+		}
+		delete(recorded, key(b))
+		g, gok := b.Metrics["allocs/op"]
+		r, rok := w.Metrics["allocs/op"]
+		switch {
+		case !gok || !rok:
+			errs = append(errs, fmt.Errorf("%s: no allocs/op (run %v, recorded %v)", key(b), gok, rok))
+		case g.Min < r.Min || g.Max > r.Max:
+			errs = append(errs, fmt.Errorf("%s: allocs/op %g–%g, recorded %g–%g", key(b), g.Min, g.Max, r.Min, r.Max))
+		}
+	}
+	for i := range want.Benchmarks {
+		if k := key(&want.Benchmarks[i]); recorded[k] != nil {
+			errs = append(errs, fmt.Errorf("%s: recorded but not run", k))
+		}
+	}
+	return errors.Join(errs...)
 }

@@ -52,3 +52,33 @@ func TestParseRefusesFailure(t *testing.T) {
 		t.Fatal("a failed benchmark run parsed")
 	}
 }
+
+// TestGate gates a parsed run against records: the run's own record
+// passes, and a record doctored to another allocs/op range, or missing a
+// benchmark the run has, fails the gate naming the benchmark.
+func TestGate(t *testing.T) {
+	run, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gate(run, same); err != nil {
+		t.Fatalf("a run fails the gate of its own record: %v", err)
+	}
+	doctored, _ := parse(strings.NewReader(sample))
+	doctored.Benchmarks[0].Metrics["allocs/op"] = Summary{Median: 88, Min: 88, Max: 88}
+	if err := gate(run, doctored); err == nil || !strings.Contains(err.Error(), "BenchmarkColdPlanRequest: allocs/op 91–92, recorded 88–88") {
+		t.Fatalf("doctored allocs/op: gate error %v", err)
+	}
+	missing, _ := parse(strings.NewReader(sample))
+	missing.Benchmarks = missing.Benchmarks[:1]
+	if err := gate(run, missing); err == nil || !strings.Contains(err.Error(), "BenchmarkPersistentRequest/history=1000: not in the record") {
+		t.Fatalf("benchmark missing from the record: gate error %v", err)
+	}
+	if err := gate(missing, run); err == nil || !strings.Contains(err.Error(), "BenchmarkPersistentRequest/history=1000: recorded but not run") {
+		t.Fatalf("recorded benchmark not run: gate error %v", err)
+	}
+}
