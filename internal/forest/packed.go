@@ -84,15 +84,10 @@ type PTask struct {
 	In [2]PSource
 }
 
-// InternalInputs counts inputs produced by other tasks (0, 1 or 2).
+// InternalInputs counts inputs produced by other tasks (0, 1 or 2): the
+// sources whose sign bit is clear.
 func (t *PTask) InternalInputs() int {
-	n := 0
-	for _, s := range t.In {
-		if s >= 0 {
-			n++
-		}
-	}
-	return n
+	return 2 - int(uint32(t.In[0])>>31) - int(uint32(t.In[1])>>31)
 }
 
 // PackedForest is a complete mixing forest in flat index-linked form.

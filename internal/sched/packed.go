@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -107,9 +108,21 @@ type Kernel struct {
 	firstTask int
 	cycles    int
 
+	// The links derive found for the window from firstTask: per task its
+	// in-window predecessor count and two consumer slots, in creation
+	// order (0 marks a free slot, as a consumer follows its producer); the
+	// keyAsc keys of the tasks with no in-window predecessor, in task
+	// order; and the droplets of earlier windows the window reads.
+	// prefixes is the forest Prefixes derived them for, nil after any
+	// other run.
+	preds    []int32
+	cons     []int32
+	ready    []uint64
+	carried  int
+	prefixes *forest.PackedForest
+
 	slots    []Assignment // indexed by task - firstTask
 	pending  []int32      // outstanding in-window producers per window task
-	cons     []int32      // two consumer slots per window task, 0 when empty
 	fifo     []uint64     // MMS ready queue; head chases tail
 	fifoHead int
 	qint     []uint64 // SRS internal-task min-heap
@@ -177,6 +190,49 @@ func (k *Kernel) SRSFrom(f *forest.PackedForest, mc, firstTask int) error {
 func (k *Kernel) Hu(f *forest.PackedForest, mc int) error {
 	_, err := k.run(f, mc, "OMS", policyHu, 0, unbounded)
 	return err
+}
+
+// Prefixes readies the kernel to schedule prefixes of f, the forests of
+// its first trees (forest.PackedForest.Prefix), with MMSPrefixWithin and
+// SRSPrefixWithin. It derives every task's predecessor count and consumers
+// once; a prefix run copies the counts and skips the consumers past its
+// end, so it schedules exactly as the prefix forest would. The demand
+// scan of internal/stream runs one per candidate demand. f must not change
+// while they run; any other run ends the readiness.
+func (k *Kernel) Prefixes(f *forest.PackedForest) error {
+	if err := k.derive(f, 0); err != nil {
+		return err
+	}
+	k.prefixes = f
+	return nil
+}
+
+// MMSPrefixWithin is MMSWithin over the first trees trees of the forest
+// Prefixes readied.
+func (k *Kernel) MMSPrefixWithin(trees, mc, q int) (bool, error) {
+	return k.prefixWithin(trees, mc, "MMS", policyMMS, q)
+}
+
+// SRSPrefixWithin is the SRS counterpart of MMSPrefixWithin.
+func (k *Kernel) SRSPrefixWithin(trees, mc, q int) (bool, error) {
+	return k.prefixWithin(trees, mc, "SRS", policySRS, q)
+}
+
+func (k *Kernel) prefixWithin(trees, mc int, algo string, p policy, budget int) (bool, error) {
+	f := k.prefixes
+	switch {
+	case f == nil:
+		return false, errors.New("sched: a prefix run needs Prefixes first")
+	case mc < 1:
+		return false, ErrNoMixers
+	case trees < 0 || trees > f.NumTrees():
+		return false, fmt.Errorf("sched: prefix of %d trees of a forest of %d", trees, f.NumTrees())
+	}
+	n := len(f.Tasks)
+	if trees < f.NumTrees() {
+		n = int(f.TreeStart[trees])
+	}
+	return k.schedule(f, n, mc, algo, p, budget)
 }
 
 // Cycles returns Tc of the last run.
@@ -267,66 +323,92 @@ func (k *Kernel) flush(f *forest.PackedForest, p policy) {
 	k.rel = k.rel[:0]
 }
 
-// run is the cycle-stepped list-scheduling engine: release tasks whose
-// producers finished, let the policy pick up to mc, assign mixers in
-// increasing index order (as Algorithms 1 and 2 do). Tasks with index <
-// firstTask are treated as completed before cycle 1: their output droplets
-// are available immediately and they receive no assignment.
-//
-// Once cycle t is scheduled its storage occupancy is final: the hand-off
-// droplets produced before t that no task of cycle t consumes (held, after
-// assign has debited cycle t's inputs). Later cycles never change it, and
-// the schedule's peak storage (Peak) is the largest such occupancy, so run
-// stops at the first cycle holding more than budget droplets and reports
-// false: the finished schedule would need more than budget storage units.
+// run derives the links of f's window from firstTask and schedules it in
+// full (schedule). Tasks with index < firstTask are treated as completed
+// before cycle 1: their output droplets are available immediately and
+// they receive no assignment.
 func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firstTask, budget int) (bool, error) {
 	if mc < 1 {
 		return false, ErrNoMixers
 	}
-	n := len(f.Tasks)
-	if firstTask < 0 || firstTask > n {
+	if n := len(f.Tasks); firstTask < 0 || firstTask > n {
 		return false, fmt.Errorf("sched: first task %d outside [0, %d]", firstTask, n)
 	}
-	k.mixers, k.algorithm, k.firstTask, k.cycles = mc, algo, firstTask, 0
-	k.slots = growAssignments(k.slots, n-firstTask)
-	k.pending = growInt32(k.pending, n-firstTask)
-	k.cons = growInt32(k.cons, 2*(n-firstTask))
-	k.fifo, k.fifoHead = k.fifo[:0], 0
-	k.qint, k.qleaf, k.rel = k.qint[:0], k.qleaf[:0], k.rel[:0]
-	k.held, k.made, k.peak = 0, 0, 0
+	if err := k.derive(f, firstTask); err != nil {
+		return false, err
+	}
+	return k.schedule(f, len(f.Tasks), mc, algo, p, budget)
+}
 
-	// Predecessor counts and consumer links are derived here, from the
-	// window's sources: an in-window source is a pending producer, and the
-	// consuming task takes the producer's first free consumer slot. A
-	// consumer always follows its producer, so index 0 marks a free slot.
-	for i := firstTask; i < n; i++ {
-		t := &f.Tasks[i]
-		preds := int32(0)
-		for _, src := range t.In {
+// derive finds the links of f's window from firstTask in its sources: an
+// in-window source is a pending producer, and the consuming task takes the
+// producer's first free consumer slot; an earlier window's droplet is
+// carried into the window. A packed task stores none of them, and no run
+// writes a task.
+func (k *Kernel) derive(f *forest.PackedForest, firstTask int) error {
+	k.prefixes = nil
+	k.firstTask = firstTask
+	k.preds = growInt32(k.preds, len(f.Tasks)-firstTask)
+	k.cons = growInt32(k.cons, 2*(len(f.Tasks)-firstTask))
+	preds, cons, carried := k.preds, k.cons, 0
+	k.ready = k.ready[:0]
+	for i := firstTask; i < len(f.Tasks); i++ {
+		w := i - firstTask
+		for _, src := range f.Tasks[i].In {
+			p := int(src) - firstTask
 			switch {
 			case src < 0:
-			case int(src) < firstTask:
-				k.held++ // an earlier window's droplet, stored from cycle 1
-			case int(src) >= i:
-				return false, fmt.Errorf("sched: task %d consumes task %d, not an earlier one", i, src)
-			default:
-				preds++
-				c := k.cons[2*(int(src)-firstTask):]
-				switch {
-				case c[0] == 0:
-					c[0] = int32(i)
-				case c[1] == 0:
-					c[1] = int32(i)
-				default:
-					return false, fmt.Errorf("sched: task %d has more than two consumers", src)
-				}
+				continue
+			case p < 0:
+				carried++
+				continue
+			case p >= w:
+				return fmt.Errorf("sched: task %d consumes task %d, not an earlier one", i, src)
 			}
+			slot := 2 * p
+			if cons[slot] != 0 {
+				slot++
+			}
+			if cons[slot] != 0 {
+				return fmt.Errorf("sched: task %d has more than two consumers", src)
+			}
+			cons[slot] = int32(i)
+			preds[w]++
 		}
-		k.pending[i-firstTask] = preds
-		if preds == 0 {
-			k.rel = append(k.rel, keyAsc(t.Level, int32(i)))
+		if preds[w] == 0 {
+			k.ready = append(k.ready, keyAsc(f.Tasks[i].Level, int32(i)))
 		}
 	}
+	k.carried = carried
+	return nil
+}
+
+// schedule is the cycle-stepped list-scheduling engine over the derived
+// window's tasks before n: release tasks whose producers finished, let the
+// policy pick up to mc, assign mixers in increasing index order (as
+// Algorithms 1 and 2 do). A consumer at n or later is not scheduled and
+// takes no droplet.
+//
+// Once cycle t is scheduled its storage occupancy is final: the hand-off
+// droplets produced before t that no task of cycle t consumes (held, after
+// assign has debited cycle t's inputs). Later cycles never change it, and
+// the schedule's peak storage (Peak) is the largest such occupancy, so
+// schedule stops at the first cycle holding more than budget droplets and
+// reports false: the finished schedule would need more than budget
+// storage units.
+func (k *Kernel) schedule(f *forest.PackedForest, n, mc int, algo string, p policy, budget int) (bool, error) {
+	firstTask := k.firstTask
+	k.mixers, k.algorithm, k.cycles = mc, algo, 0
+	k.slots = growAssignments(k.slots, n-firstTask)
+	k.pending = append(k.pending[:0], k.preds[:n-firstTask]...)
+	k.fifo, k.fifoHead = k.fifo[:0], 0
+	k.qint, k.qleaf = k.qint[:0], k.qleaf[:0]
+	k.held, k.made, k.peak = k.carried, 0, 0
+	ready := len(k.ready)
+	if n < len(f.Tasks) {
+		ready, _ = slices.BinarySearchFunc(k.ready, int32(n), func(key uint64, n int32) int { return int(keyID(key) - n) })
+	}
+	k.rel = append(k.rel[:0], k.ready[:ready]...)
 	k.flush(f, p)
 
 	remaining := n - firstTask
@@ -338,7 +420,7 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 				id := keyID(k.fifo[k.fifoHead])
 				k.fifoHead++
 				picked++
-				k.assign(f, id, t, picked, firstTask)
+				k.assign(f, id, t, picked, n)
 			}
 		case policySRS:
 			intNodes := len(k.qint) // |Qint| before dequeuing, as in Algorithm 2
@@ -346,20 +428,20 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 				var key uint64
 				key, k.qint = heapPop(k.qint)
 				picked++
-				k.assign(f, keyID(key), t, picked, firstTask)
+				k.assign(f, keyID(key), t, picked, n)
 			}
 			for leafBudget := mc - intNodes; leafBudget > 0 && len(k.qleaf) > 0; leafBudget-- {
 				var key uint64
 				key, k.qleaf = heapPop(k.qleaf)
 				picked++
-				k.assign(f, keyID(key), t, picked, firstTask)
+				k.assign(f, keyID(key), t, picked, n)
 			}
 		case policyHu:
 			for picked < mc && len(k.qleaf) > 0 {
 				var key uint64
 				key, k.qleaf = heapPop(k.qleaf)
 				picked++
-				k.assign(f, keyID(key), t, picked, firstTask)
+				k.assign(f, keyID(key), t, picked, n)
 			}
 		}
 		if picked == 0 {
@@ -390,20 +472,22 @@ func (k *Kernel) run(f *forest.PackedForest, mc int, algo string, p policy, firs
 }
 
 // assign places task id at (cycle, mixer), debits the droplets it consumes
-// from held, credits the droplets it hands on to made, and stages consumers
-// whose last in-window producer just finished into rel; flush enqueues them
-// after the cycle's batch completes.
-func (k *Kernel) assign(f *forest.PackedForest, id int32, cycle, mixer, firstTask int) {
-	k.slots[int(id)-firstTask] = Assignment{Cycle: int32(cycle), Mixer: int32(mixer)}
+// from held, credits the droplets it hands on to tasks before n to made,
+// and stages consumers whose last in-window producer just finished into
+// rel; flush enqueues them after the cycle's batch completes.
+func (k *Kernel) assign(f *forest.PackedForest, id int32, cycle, mixer, n int) {
+	first, pending := k.firstTask, k.pending
+	w := int(id) - first
+	k.slots[w] = Assignment{Cycle: int32(cycle), Mixer: int32(mixer)}
 	k.held -= f.Tasks[id].InternalInputs()
-	for _, cons := range k.cons[2*(int(id)-firstTask) : 2*(int(id)-firstTask)+2] {
-		if cons == 0 {
-			break
+	for _, c := range k.cons[2*w : 2*w+2] {
+		if c == 0 || int(c) >= n {
+			break // slots fill in creation order
 		}
 		k.made++
-		k.pending[int(cons)-firstTask]--
-		if k.pending[int(cons)-firstTask] == 0 {
-			k.rel = append(k.rel, keyAsc(f.Tasks[cons].Level, cons))
+		j := int(c) - first
+		if pending[j]--; pending[j] == 0 {
+			k.rel = append(k.rel, keyAsc(f.Tasks[c].Level, c))
 		}
 	}
 }

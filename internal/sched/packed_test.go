@@ -230,6 +230,16 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 				t.Fatalf("SRSWithin(q=2) = %t, %v; want a cut", fits, err)
 			}
 		},
+		"PrefixWithin": func() {
+			if err := k.Prefixes(pf); err != nil {
+				t.Fatal(err)
+			}
+			for trees := pf.NumTrees(); trees >= 1; trees-- {
+				if _, err := k.SRSPrefixWithin(trees, 4, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
 	} {
 		warm() // grow the scratch once
 		if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
@@ -263,5 +273,56 @@ func BenchmarkKernel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestPrefixRunsMatchPrefixForests: a prefix run over a forest Prefixes
+// readied schedules exactly as a plain run over the prefix forest
+// (forest.PackedForest.Prefix), cut short or in full, whatever prefix ran
+// before it: the same fit, Tc, peak and slots.
+func TestPrefixRunsMatchPrefixForests(t *testing.T) {
+	g, err := minmix.Build(protocols.PCR16().Ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := forest.BuildPacked(forest.NewPackedBuilder(g), g, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scan, plain Kernel
+	for _, q := range []int{2, 4, math.MaxInt} {
+		for _, s := range []struct {
+			name   string
+			prefix func(trees, mc, q int) (bool, error)
+			within func(f *forest.PackedForest, mc, q int) (bool, error)
+		}{{"MMS", scan.MMSPrefixWithin, plain.MMSWithin}, {"SRS", scan.SRSPrefixWithin, plain.SRSWithin}} {
+			if err := scan.Prefixes(pf); err != nil {
+				t.Fatal(err)
+			}
+			for _, trees := range []int{32, 1, 17, 32, 5, 31} {
+				got, err := s.prefix(trees, 3, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prefix := pf.Prefix(trees)
+				want, err := s.within(&prefix, 3, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || scan.Cycles() != plain.Cycles() || scan.Peak() != plain.Peak() || !slices.Equal(scan.Assignments(), plain.Assignments()) {
+					t.Fatalf("%s q=%d, %d trees: prefix run fits %t, Tc %d, peak %d; prefix forest fits %t, Tc %d, peak %d",
+						s.name, q, trees, got, scan.Cycles(), scan.Peak(), want, plain.Cycles(), plain.Peak())
+				}
+			}
+		}
+	}
+	if _, err := scan.MMSPrefixWithin(pf.NumTrees()+1, 3, 4); err == nil {
+		t.Fatal("a prefix longer than the forest ran")
+	}
+	if err := scan.MMS(pf, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scan.MMSPrefixWithin(1, 3, 4); err == nil {
+		t.Fatal("a prefix ran after a plain run ended the readiness")
 	}
 }

@@ -42,6 +42,19 @@ func (k *planKernel) schedulePacked(s Scheduler, f *forest.PackedForest, mc, q i
 	}
 }
 
+// schedulePrefix is schedulePacked over the first trees trees of the
+// forest k.sched.Prefixes readied (sched.Kernel.MMSPrefixWithin).
+func (k *planKernel) schedulePrefix(s Scheduler, trees, mc, q int) (bool, error) {
+	switch s {
+	case MMS:
+		return k.sched.MMSPrefixWithin(trees, mc, q)
+	case SRS:
+		return k.sched.SRSPrefixWithin(trees, mc, q)
+	default:
+		return false, fmt.Errorf("%w %d", ErrUnknownScheduler, int(s))
+	}
+}
+
 // BuildPlan computes the single-pass plan for demand d — packed forest,
 // slot table, stats and peak storage — and copies it out of the pooled
 // arenas into the slab the plan caches hold (plancache.NewPacked). It is

@@ -220,9 +220,10 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 // The scan grows ONE packed forest to limit, then schedules its prefixes
 // top-down: the first d/2 trees for d = limit, limit-2, ..., 2, returning
 // the first d that fits. Trees are grown in order and tasks are
-// write-once, and the scheduling kernel derives consumers from the tasks
-// it is given, so each prefix schedules exactly as the forest of demand d
-// (forest.PackedForest.Prefix). Storage is not monotone in demand
+// write-once, so each prefix is exactly the forest of demand d
+// (forest.PackedForest.Prefix), and the kernel derives the forest's links
+// once (sched.Kernel.Prefixes) and schedules each prefix without the
+// consumers past its end. Storage is not monotone in demand
 // (TestStorageNotMonotoneInDemand), so a smaller demand can fit after a
 // larger one overflowed and the scan cannot bisect; but the first fit
 // from the top is the largest fitting even d, D′ itself, so no demand
@@ -247,13 +248,14 @@ func demandScan(ctx context.Context, cfg Config, limit int) (int, error) {
 		}
 		k.builder.AddTree()
 	}
-	full := k.builder.Forest()
+	if err := k.sched.Prefixes(k.builder.Forest()); err != nil {
+		return 0, err
+	}
 	for d := limit &^ 1; d >= 2; d -= 2 {
 		if err := cancel.Check(ctx); err != nil {
 			return 0, fmt.Errorf("stream: demand scan at D=%d: %w", d, err)
 		}
-		prefix := full.Prefix(d / 2)
-		fits, err := k.schedulePacked(cfg.Scheduler, &prefix, cfg.Mixers, cfg.Storage)
+		fits, err := k.schedulePrefix(cfg.Scheduler, d/2, cfg.Mixers, cfg.Storage)
 		if err != nil {
 			return 0, err
 		}
