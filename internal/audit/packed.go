@@ -104,29 +104,29 @@ func CheckPacked(p *plancache.Plan) *Report {
 			walk[c] += n
 		}
 	}
-	// A window's task also stores its free outputs to the window's end:
-	// a root emits both of its droplets, another task stores those no
-	// source names (cons).
 	slots := p.Slots()
-	for k := f.TreesBefore(first); k < f.NumTrees(); k++ {
-		lo, hi := f.Span(k)
-		for i := int(lo); i < int(hi); i++ {
-			ran := int(slots[i-first].Cycle)
-			for _, src := range f.Tasks[i].In {
-				if src >= 0 {
-					produced := 0
-					if int(src) >= first {
-						produced = int(slots[int(src)-first].Cycle)
-					}
-					store(produced+1, ran-1, 1)
+	for i := first; i < len(f.Tasks); i++ {
+		ran := int(slots[i-first].Cycle)
+		for _, src := range f.Tasks[i].In {
+			if src >= 0 {
+				produced := 0
+				if int(src) >= first {
+					produced = int(slots[int(src)-first].Cycle)
 				}
-			}
-			if window && i < int(hi)-1 {
-				store(ran+1, cycles, 2-cons[i-first])
+				store(produced+1, ran-1, 1)
 			}
 		}
 	}
+	// A window also stores, to its end, each task's free outputs (a root
+	// emits both of its droplets, another task stores those no source
+	// names: cons) and the spares it carries.
 	if window {
+		for k := f.TreesBefore(first); k < f.NumTrees(); k++ {
+			lo, hi := f.Span(k)
+			for i := int(lo); i < int(hi)-1; i++ {
+				store(int(slots[i-first].Cycle)+1, cycles, 2-cons[i-first])
+			}
+		}
 		store(1, cycles, carried)
 	}
 	occ, peak := int64(0), int64(0)

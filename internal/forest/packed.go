@@ -16,7 +16,7 @@ import (
 // IDs are dense — so the whole structure packs into flat arrays linked by
 // int32 indices. A PackedBuilder runs the package's obtain recursion over
 // those arrays and keeps every one of them (task arena, per-node waste-pool
-// FIFOs, tree roots) across Reset calls, so after the first build of a
+// FIFOs, tree starts) across Reset calls, so after the first build of a
 // given size, growing a forest performs zero heap allocations: the arenas
 // are recycled, not reallocated. The engine layer (internal/stream) pools
 // whole builders with sync.Pool.
@@ -129,18 +129,6 @@ func (f *PackedForest) Root(k int) int32 {
 func (f *PackedForest) TreeOf(i int) int {
 	k, _ := slices.BinarySearch(f.TreeStart, int32(i)+1)
 	return k
-}
-
-// Prefix returns the forest of its first trees trees, sharing f's arrays.
-// Trees are grown in order and tasks never change after creation, so the
-// prefix of a forest built to any demand is exactly the forest BuildPacked
-// grows for demand 2·trees.
-func (f *PackedForest) Prefix(trees int) PackedForest {
-	n := int32(len(f.Tasks))
-	if trees < len(f.TreeStart) {
-		n = f.TreeStart[trees]
-	}
-	return PackedForest{Base: f.Base, Demand: 2 * trees, Tasks: f.Tasks[:n:n], TreeStart: f.TreeStart[:trees:trees]}
 }
 
 // poolFIFO is one base-node waste-pool queue. Spares are appended at the

@@ -193,12 +193,12 @@ func (k *Kernel) Hu(f *forest.PackedForest, mc int) error {
 }
 
 // Prefixes readies the kernel to schedule prefixes of f, the forests of
-// its first trees (forest.PackedForest.Prefix), with MMSPrefixWithin and
-// SRSPrefixWithin. It derives every task's predecessor count and consumers
-// once; a prefix run copies the counts and skips the consumers past its
-// end, so it schedules exactly as the prefix forest would. The demand
-// scan of internal/stream runs one per candidate demand. f must not change
-// while they run; any other run ends the readiness.
+// its first trees, with MMSPrefixWithin and SRSPrefixWithin. It derives
+// every task's predecessor count and consumers once; a prefix run copies
+// the counts and skips the consumers past its end, so it schedules exactly
+// as the prefix forest built alone would. The demand scan of
+// internal/stream runs one per candidate demand. f must not change while
+// they run; any other run ends the readiness.
 func (k *Kernel) Prefixes(f *forest.PackedForest) error {
 	if err := k.derive(f, 0); err != nil {
 		return err

@@ -277,9 +277,9 @@ func BenchmarkKernel(b *testing.B) {
 }
 
 // TestPrefixRunsMatchPrefixForests: a prefix run over a forest Prefixes
-// readied schedules exactly as a plain run over the prefix forest
-// (forest.PackedForest.Prefix), cut short or in full, whatever prefix ran
-// before it: the same fit, Tc, peak and slots.
+// readied schedules exactly as a plain run over the forest of its demand
+// built from scratch, cut short or in full, whatever prefix ran before
+// it: the same fit, Tc, peak and slots.
 func TestPrefixRunsMatchPrefixForests(t *testing.T) {
 	g, err := minmix.Build(protocols.PCR16().Ratio)
 	if err != nil {
@@ -304,8 +304,11 @@ func TestPrefixRunsMatchPrefixForests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				prefix := pf.Prefix(trees)
-				want, err := s.within(&prefix, 3, q)
+				prefix, err := forest.BuildPacked(forest.NewPackedBuilder(g), g, 2*trees)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := s.within(prefix, 3, q)
 				if err != nil {
 					t.Fatal(err)
 				}

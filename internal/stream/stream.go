@@ -220,10 +220,9 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 // The scan grows ONE packed forest to limit, then schedules its prefixes
 // top-down: the first d/2 trees for d = limit, limit-2, ..., 2, returning
 // the first d that fits. Trees are grown in order and tasks are
-// write-once, so each prefix is exactly the forest of demand d
-// (forest.PackedForest.Prefix), and the kernel derives the forest's links
-// once (sched.Kernel.Prefixes) and schedules each prefix without the
-// consumers past its end. Storage is not monotone in demand
+// write-once, so each prefix is exactly the forest of demand d, and the
+// kernel derives the forest's links once (sched.Kernel.Prefixes) and
+// schedules each prefix without the consumers past its end. Storage is not monotone in demand
 // (TestStorageNotMonotoneInDemand), so a smaller demand can fit after a
 // larger one overflowed and the scan cannot bisect; but the first fit
 // from the top is the largest fitting even d, D′ itself, so no demand
