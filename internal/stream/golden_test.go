@@ -21,7 +21,7 @@ import (
 	"repro/internal/sched"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/planner_golden.txt from the current planner")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata fixtures of the tests run from the current planner")
 
 const goldenPath = "testdata/planner_golden.txt"
 
@@ -554,12 +554,20 @@ func leastBudget(f *forest.PackedForest, fits func(q int) (bool, error)) (int, e
 	return lo, nil
 }
 
-// readGolden parses the fixture into key -> value, preserving file order.
+// readGolden parses the planner fixture into key -> value, preserving file
+// order.
 func readGolden(t testing.TB) (map[string]string, []string) {
 	t.Helper()
-	fh, err := os.Open(goldenPath)
+	return readFixture(t, goldenPath, "TestPlannerGolden")
+}
+
+// readFixture parses the "<key> | <value>" fixture at path, which test
+// writes under -update, into key -> value, preserving file order.
+func readFixture(t testing.TB, path, test string) (map[string]string, []string) {
+	t.Helper()
+	fh, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("%v (run go test ./internal/stream -run TestPlannerGolden -update to create it)", err)
+		t.Fatalf("%v (run go test ./internal/stream -run %s -update to create it)", err, test)
 	}
 	defer fh.Close()
 	vals := map[string]string{}
