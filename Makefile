@@ -51,13 +51,15 @@ bench-smoke:
 # perfbench harness), with allocation counts: cold requests (distinct
 # PaperDataset specs past every cache), then hot ones (plan-hot's protocol
 # specs, every one a plan-cache hit), then the cold engine-setup stage
-# alone (core.New on an empty base-graph cache) and the plan audit
-# (audit.CheckPacked) on PCR16 and Ex.1 plans. Add
-# -cpuprofile/-memprofile to profile any of them.
+# alone (core.New on an empty base-graph cache), the plan audit
+# (audit.CheckPacked) on PCR16 and Ex.1 plans, and the error-aware
+# selection of Ex.1, uncached (/cold) and on a warm plan cache (/warm).
+# Add -cpuprofile/-memprofile to profile any of them.
 bench-cold:
 	$(GO) test ./internal/server -run '^$$' -bench 'ColdPlanRequest|HotPlanRequest' -benchmem -benchtime 5000x
 	$(GO) test ./internal/core -run '^$$' -bench ColdEngineSetup -benchmem -benchtime 2000x
 	$(GO) test ./internal/audit -run '^$$' -bench CheckPacked -benchmem -benchtime 2000x
+	$(GO) test ./internal/stream -run '^$$' -bench ErrorAwareSelection -benchmem -benchtime 20000x
 
 # Record the stage and end-to-end benchmarks of ROADMAP item 15 in
 # BENCH_$(PR).json (`make bench-record PR=N`): per benchmark, the median,

@@ -158,9 +158,7 @@ type Engine struct {
 	elapsed int
 	emitted int
 	batches []*Batch
-	pool    forest.PackedBuilder // persistent-pool mode only: the growing forest
-	kernel  sched.Kernel         // schedules the pool's windows
-	history forest.PackedForest  // the pool's committed trees, append-only; batches' plans share its prefix
+	persist *persistent // persistent-pool mode only (see persist.go)
 }
 
 // Batch is the plan for one Request.
@@ -214,6 +212,9 @@ func New(cfg Config) (*Engine, error) {
 		return nil, sched.ErrNoMixers
 	}
 	e := &Engine{cfg: cfg, base: base, mixers: mixers}
+	if cfg.PersistPool {
+		e.persist = new(persistent)
+	}
 	if cfg.ErrorPolicy != nil {
 		if err := cfg.ErrorPolicy.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)

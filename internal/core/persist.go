@@ -34,28 +34,37 @@ import (
 // carried in the pool) exceeds the configured storage budget.
 var ErrPersistStorage = errors.New("core: persistent batch exceeds the storage budget")
 
+// persistent is a persistent-pool engine's planning state, which only
+// PersistPool engines allocate.
+type persistent struct {
+	pool    forest.PackedBuilder // the growing forest
+	kernel  sched.Kernel         // schedules the pool's windows
+	history forest.PackedForest  // the pool's committed trees, append-only; batches' plans share its prefix
+}
+
 // requestPersistent plans n > 0 more droplets on the engine's growing
 // forest. Callers hold e.mu: the pool, the kernel, the history, the
 // timeline counters and the batch list are all mutated here.
 func (e *Engine) requestPersistent(n int) (*Batch, error) {
-	h := &e.history
+	ps := e.persist
+	h := &ps.history
 	if h.NumTrees() == 0 {
-		e.pool.Reset(e.base)
+		ps.pool.Reset(e.base)
 	}
-	start, committed, pooled := len(h.Tasks), h.NumTrees(), e.pool.PoolSize()
+	start, committed, pooled := len(h.Tasks), h.NumTrees(), ps.pool.PoolSize()
 	trees := (n + 1) / 2
 	for i := 0; i < trees; i++ {
-		e.pool.AddTree()
+		ps.pool.AddTree()
 	}
-	pf := e.pool.Forest()
+	pf := ps.pool.Forest()
 	var err error
 	algorithm := "MMS"
 	switch e.cfg.Scheduler {
 	case stream.SRS:
 		algorithm = "SRS"
-		err = e.kernel.SRSFrom(pf, e.mixers, start)
+		err = ps.kernel.SRSFrom(pf, e.mixers, start)
 	default:
-		err = e.kernel.MMSFrom(pf, e.mixers, start)
+		err = ps.kernel.MMSFrom(pf, e.mixers, start)
 	}
 	if err != nil {
 		return nil, e.rewind(err)
@@ -76,8 +85,8 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 	}
 	slab := forest.PackedForest{Base: e.base, Demand: pf.Demand,
 		Tasks: slices.Clip(grown.Tasks), TreeStart: slices.Clip(grown.TreeStart)}
-	slots := append([]sched.Assignment(nil), e.kernel.Assignments()...)
-	cycles := e.kernel.Cycles()
+	slots := append([]sched.Assignment(nil), ps.kernel.Assignments()...)
+	cycles := ps.kernel.Cycles()
 	q := windowStorage(&slab, start, pooled, slots, cycles)
 	p := plancache.NewWindow(slab, start, pooled, slots, algorithm, e.mixers, cycles, q)
 	// Persistent batches bypass stream.BuildPlan, so the batch's plan is
@@ -114,9 +123,10 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 // AddTree is deterministic, so rebuilding the committed trees restores the
 // pool exactly.
 func (e *Engine) rewind(err error) error {
-	e.pool.Reset(e.base)
-	for range e.history.NumTrees() {
-		e.pool.AddTree()
+	ps := e.persist
+	ps.pool.Reset(e.base)
+	for range ps.history.NumTrees() {
+		ps.pool.AddTree()
 	}
 	return err
 }
@@ -155,7 +165,10 @@ func windowStorage(f *forest.PackedForest, first, pooled int, slots []sched.Assi
 // PoolSize returns the number of spare droplets currently waiting in the
 // persistent pool (0 when PersistPool is off or nothing has run yet).
 func (e *Engine) PoolSize() int {
+	if e.persist == nil {
+		return 0
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.pool.PoolSize()
+	return e.persist.pool.PoolSize()
 }

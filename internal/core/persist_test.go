@@ -399,7 +399,7 @@ func TestPersistentTasksWriteOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		now := e.pool.Forest().Tasks
+		now := e.persist.pool.Forest().Tasks
 		if !slices.Equal(now[:len(pool)], pool) {
 			t.Fatalf("Request %d (n=%d) rewrote an earlier task of the engine's forest", step, n)
 		}
@@ -456,9 +456,6 @@ func TestPersistentHeapLinearInHistory(t *testing.T) {
 // one Request of twice as many droplets, as BenchmarkPersistentRequest's
 // do.
 func TestPersistentRequestAllocs(t *testing.T) {
-	if raceDetector {
-		t.Skip("allocation counts vary under the race detector")
-	}
 	allocs := map[int]float64{}
 	for _, history := range []int{1000, 2000} {
 		e, err := New(Config{Target: pcr, PersistPool: true})

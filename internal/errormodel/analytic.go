@@ -37,8 +37,10 @@ package errormodel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/forest"
+	"repro/internal/freelist"
 	"repro/internal/mixgraph"
 )
 
@@ -106,8 +108,12 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 	eps, delta := p.SplitImbalance, p.DispenseError
 
 	an := &Analysis{Params: p, Nodes: make([]TaskError, len(g.Nodes))}
-	// The nodes' exact vectors, n numerators then the exponent per node.
-	vecs := make([]int64, len(g.Nodes)*(n+1))
+	// The nodes' exact vectors, n numerators then the exponent per node,
+	// in pooled scratch: the error-aware planner analyses every candidate.
+	buf := wordsPool.Get()
+	defer wordsPool.Put(buf)
+	vecs := slices.Grow((*buf)[:0], len(g.Nodes)*(n+1))[:len(g.Nodes)*(n+1)]
+	*buf = vecs
 	g.VectorWords(vecs)
 	for _, v := range g.Nodes {
 		if v.IsLeaf() {
@@ -160,6 +166,9 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 	an.VolDev = max(0, root.VolHi-1, 1-root.VolLo)
 	return an, nil
 }
+
+// wordsPool holds AnalyzeGraph's vector words.
+var wordsPool freelist.List[[]int64]
 
 // Analyze is AnalyzeGraph over a single-target forest's base graph, with
 // each task's interval copied from its base node; task IDs are the

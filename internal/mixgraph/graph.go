@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/freelist"
 	"repro/internal/ratio"
 )
 
@@ -290,8 +291,8 @@ var (
 // Validate checks the full set of graph invariants: topological node order,
 // output-consumption bounds, structural levels, reachability of every node
 // and root identity with the target ratio, whose vector it propagates from
-// the leaves in scratch. It allocates its bookkeeping once per call, not
-// per node.
+// the leaves in scratch. Every base-graph build runs it, so its bookkeeping
+// is borrowed from a pool and a warm call allocates nothing.
 func (g *Graph) Validate() error {
 	if g.Root == nil {
 		return ErrNoRoot
@@ -302,11 +303,14 @@ func (g *Graph) Validate() error {
 	if g.Root.nparents != 0 {
 		return ErrRootConsumed
 	}
-	reach := make([]bool, len(g.Nodes))
+	sc := validatePool.Get()
+	defer sc.release()
+	reach := slices.Grow(sc.reach[:0], len(g.Nodes))[:len(g.Nodes)]
+	clear(reach)
 	// Each unvisited mix pops one entry and pushes two, so the stack never
 	// holds more than one entry per mix plus the root.
-	stack := make([]*Node, 1, len(g.Nodes)+1)
-	stack[0] = g.Root
+	stack := append(slices.Grow(sc.stack[:0], len(g.Nodes)+1), g.Root)
+	sc.reach, sc.stack = reach, stack
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -341,10 +345,28 @@ func (g *Graph) Validate() error {
 	}
 	// Every node is reachable and after its children, so the vectors
 	// propagate.
-	if !g.rootIsTarget(make([]int64, g.ScratchWords())) {
+	sc.words = slices.Grow(sc.words[:0], g.ScratchWords())
+	if !g.rootIsTarget(sc.words[:g.ScratchWords()]) {
 		return fmt.Errorf("%w: root %v, target %v", ErrWrongTarget, g.Vectors()[g.Root.ID], g.Target.Vector())
 	}
 	return nil
+}
+
+// validateScratch is Validate's bookkeeping: reach marks, the walk's stack
+// and the vector words of the root proof.
+type validateScratch struct {
+	reach []bool
+	stack []*Node
+	words []int64
+}
+
+var validatePool freelist.List[validateScratch]
+
+// release returns sc to the pool with its stack cleared, so a pooled
+// buffer pins no graph.
+func (sc *validateScratch) release() {
+	clear(sc.stack[:cap(sc.stack)])
+	validatePool.Put(sc)
 }
 
 // ScratchWords is the scratch length RootIsTarget needs: VectorWords' words

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/freelist"
 	"repro/internal/minmix"
 	"repro/internal/mixgraph"
 	"repro/internal/ratio"
@@ -45,26 +46,47 @@ type shape struct {
 	class    int32        // shapes with equal vectors share a class
 }
 
-// Build constructs the MTCS mixing DAG for the target ratio.
+// Build constructs the MTCS mixing DAG for the target ratio. Its planning
+// and instancing state is pooled scratch; the graph is the only allocation
+// a build keeps.
 func Build(target ratio.Ratio) (*mixgraph.Graph, error) {
 	r := target.Normalized()
 	d := r.Depth()
 	if r.N() < 2 || d == 0 {
 		return nil, fmt.Errorf("mtcs: ratio %v needs no mixing", target)
 	}
-	shapes, classes, err := planShape(r)
+	sc := scratchPool.Get()
+	defer sc.release()
+	classes, err := sc.planShape(r)
 	if err != nil {
 		return nil, err
 	}
-	in := instance{
-		b:      mixgraph.NewBuilder(target),
-		shapes: shapes,
-		top:    make([]int32, classes),
-		spares: make([]*mixgraph.Node, 0, len(shapes)),
-		below:  make([]int32, 0, len(shapes)),
-	}
+	in := &sc.instance
+	in.b = mixgraph.NewBuilder(target)
+	in.top = slices.Grow(in.top[:0], classes)[:classes]
+	clear(in.top)
+	in.spares, in.below = in.spares[:0], in.below[:0]
 	// The root is the last shape planned.
-	return in.b.Build(in.need(int32(len(shapes)-1), true), Name)
+	return in.b.Build(in.need(int32(len(in.shapes)-1), true), Name)
+}
+
+// scratch is one Build's transient state: the instance, whose shapes are
+// the plan, and the plan's word and key slabs, level pool and class order.
+// Every cold MTCS base-graph build needs one, so they are pooled.
+type scratch struct {
+	instance
+	words       []int64
+	keys        []byte
+	pool, order []int32
+}
+
+var scratchPool freelist.List[scratch]
+
+// release returns sc to the pool holding no node of the graph it built.
+func (sc *scratch) release() {
+	clear(sc.spares[:cap(sc.spares)])
+	sc.b = nil
+	scratchPool.Put(sc)
 }
 
 // instance instantiates a planned shape top-down with memoisation: a mix's
@@ -104,17 +126,17 @@ func (in *instance) need(i int32, isRoot bool) *mixgraph.Node {
 }
 
 // planShape builds the MM bit-decomposition shape with pools sorted by
-// vector key, maximising adjacent identical sub-mixtures. It returns the
-// shapes in creation order, root last, with each shape's class set, and
-// the number of classes.
-func planShape(r ratio.Ratio) ([]shape, int, error) {
+// vector key, maximising adjacent identical sub-mixtures, into sc.shapes:
+// the shapes in creation order, root last, with each shape's class set. It
+// returns the number of classes.
+func (sc *scratch) planShape(r ratio.Ratio) (int, error) {
 	d, n := r.Depth(), r.N()
 	size := 2*int(minmix.InputCount(r)) - 1 // the MM shape: one mix fewer than leaves
-	shapes := make([]shape, 0, size)
-	words := make([]int64, size*n)
+	shapes := slices.Grow(sc.shapes[:0], size)
+	words := slices.Grow(sc.words[:0], size*n)[:size*n]
 	// A key is "e<exp>" and ":<num>" per fluid; numerators at L=256 and
 	// below take at most three digits, so the slab rarely grows.
-	keys := make([]byte, 0, size*(3+4*n))
+	keys := slices.Grow(sc.keys[:0], size*(3+4*n))
 	add := func(sh shape) int32 {
 		start := len(keys)
 		keys = sh.vec.AppendKey(keys)
@@ -130,7 +152,7 @@ func planShape(r ratio.Ratio) ([]shape, int, error) {
 	byKey := func(a, b int32) int { return bytes.Compare(shapes[a].key, shapes[b].key) }
 	// As in minmix, one buffer holds every level's pool and the level's
 	// mixes overwrite its front half.
-	pool := make([]int32, 0, 2*n)
+	pool := slices.Grow(sc.pool[:0], 2*n)
 	for level := 1; level <= d; level++ {
 		bit := uint(level - 1)
 		for i := 0; i < n; i++ {
@@ -139,7 +161,7 @@ func planShape(r ratio.Ratio) ([]shape, int, error) {
 			}
 		}
 		if len(pool)%2 != 0 {
-			return nil, 0, fmt.Errorf("mtcs: internal error: odd pool (%d) at level %d for %v", len(pool), level, r)
+			return 0, fmt.Errorf("mtcs: internal error: odd pool (%d) at level %d for %v", len(pool), level, r)
 		}
 		// Sort by vector key so identical droplets pair with each other and
 		// identical pairs recur as identical subtrees.
@@ -154,12 +176,14 @@ func planShape(r ratio.Ratio) ([]shape, int, error) {
 		}
 		pool = pool[:len(pool)/2]
 	}
+	sc.shapes, sc.words, sc.keys, sc.pool = shapes, words, keys, pool
 	if len(pool) != 1 {
-		return nil, 0, fmt.Errorf("mtcs: internal error: %d droplets remain for %v", len(pool), r)
+		return 0, fmt.Errorf("mtcs: internal error: %d droplets remain for %v", len(pool), r)
 	}
 	// Shapes with equal keys (equal vectors) form one class, wherever in
 	// the shape they sit.
-	order := make([]int32, len(shapes))
+	order := slices.Grow(sc.order[:0], len(shapes))[:len(shapes)]
+	sc.order = order
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -171,5 +195,5 @@ func planShape(r ratio.Ratio) ([]shape, int, error) {
 		}
 		shapes[i].class = int32(classes)
 	}
-	return shapes, classes + 1, nil
+	return classes + 1, nil
 }

@@ -1,7 +1,8 @@
-// Package plancache memoises mixing plans and the §6 demand scans behind
-// them, in one concurrency-safe object of two bounded LRU tables. A Cache
-// owns all memoised planning state: Purge empties both tables, and a nil
-// *Cache memoises nothing.
+// Package plancache memoises mixing plans, the §6 demand scans behind
+// them and the total cycles error-aware selection scores candidates by, in
+// one concurrency-safe object of three bounded LRU tables. A Cache owns all
+// memoised planning state: Purge empties every table, and a nil *Cache
+// memoises nothing.
 //
 // A plan is a pure function of (base graph, demand, mixer count, scheduling
 // scheme): the forest construction and both schedulers are deterministic and
@@ -107,6 +108,19 @@ type ScanKey struct {
 	Mixers    int
 	Storage   int
 	Limit     int
+	Scheduler string
+}
+
+// TotalKey identifies the total cycles of one multi-pass plan: ScanKey's
+// fields with the plan's demand in the scan limit's place. The total is a
+// pure function of them, as every pass is of its key, so a memoised total
+// is exactly what planning the demand would sum.
+type TotalKey struct {
+	Graph     uint64
+	Ratio     string
+	Mixers    int
+	Storage   int
+	Demand    int
 	Scheduler string
 }
 
@@ -271,8 +285,9 @@ type Stats struct {
 	// distributed artifact tier exists to amortize fleet-wide.
 	Lookups, Hits, Misses, Puts, Evictions, Builds int64
 	// Size is the current plan count; Capacity the configured bound, which
-	// bounds the scan table too. Scans is the current demand-scan count.
-	Size, Capacity, Scans int
+	// bounds the scan and total tables too. Scans is the current
+	// demand-scan count and Totals the current total-cycles count.
+	Size, Capacity, Scans, Totals int
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
@@ -298,10 +313,11 @@ type Tier interface {
 // and memoises nothing — every lookup misses and every insert is dropped —
 // so call sites disable caching by passing nil.
 type Cache struct {
-	mu    sync.Mutex
-	plans *lru.Cache[Key, *Plan]
-	scans *lru.Cache[ScanKey, int]
-	tier  Tier // nil: the cache is the only tier
+	mu     sync.Mutex
+	plans  *lru.Cache[Key, *Plan]
+	scans  *lru.Cache[ScanKey, int]
+	totals *lru.Cache[TotalKey, int]
+	tier   Tier // nil: the cache is the only tier
 
 	// Counters live under mu (not as free-running atomics bumped after
 	// unlock) so a Stats snapshot can never observe a lookup whose outcome
@@ -309,7 +325,8 @@ type Cache struct {
 	// of every snapshot, which TestStatsRaceConsistency relies on. builds
 	// is the exception: GetOrBuildCtx runs the build function outside the
 	// lock (builds are slow), so it is a free-running atomic. The counters
-	// cover plans only; scans are counted by Stats.Scans alone.
+	// cover plans only; scans and totals are counted by Stats.Scans and
+	// Stats.Totals alone.
 	lookups, hits, misses, puts, evictions int64
 	builds                                 atomic.Int64
 }
@@ -321,10 +338,14 @@ type Cache struct {
 // low megabytes; a scan entry is a few words.
 const DefaultCapacity = 1024
 
-// New returns an empty cache bounded to capacity plans and capacity scans
-// (minimum 1 each).
+// New returns an empty cache bounded to capacity plans, capacity scans and
+// capacity totals (minimum 1 each).
 func New(capacity int) *Cache {
-	return &Cache{plans: lru.New[Key, *Plan](capacity), scans: lru.New[ScanKey, int](capacity)}
+	return &Cache{
+		plans:  lru.New[Key, *Plan](capacity),
+		scans:  lru.New[ScanKey, int](capacity),
+		totals: lru.New[TotalKey, int](capacity),
+	}
 }
 
 var std = New(DefaultCapacity)
@@ -383,20 +404,36 @@ func (c *Cache) Scan(k ScanKey, scan func() (int, error)) (int, error) {
 	if c == nil {
 		return scan()
 	}
-	c.mu.Lock()
-	d, ok := c.scans.Get(k)
-	c.mu.Unlock()
-	if ok {
-		return d, nil
+	return memo(&c.mu, c.scans, k, scan)
+}
+
+// Total returns the memoised total cycles for k as Scan does D′: a warm
+// lookup allocates nothing, a miss runs count and memoises a successful
+// result, and a nil cache always runs count.
+func (c *Cache) Total(k TotalKey, count func() (int, error)) (int, error) {
+	if c == nil {
+		return count()
 	}
-	d, err := scan()
+	return memo(&c.mu, c.totals, k, count)
+}
+
+// memo is Scan and Total over their table t, which mu guards: compute runs
+// outside the lock, so concurrent misses on one key may both compute.
+func memo[K comparable](mu *sync.Mutex, t *lru.Cache[K, int], k K, compute func() (int, error)) (int, error) {
+	mu.Lock()
+	v, ok := t.Get(k)
+	mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := compute()
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	c.scans.Add(k, d)
-	c.mu.Unlock()
-	return d, nil
+	mu.Lock()
+	t.Add(k, v)
+	mu.Unlock()
+	return v, nil
 }
 
 // SetTier installs t under the cache (nil removes it). Call it before the
@@ -433,7 +470,7 @@ func (c *Cache) GetOrBuildCtx(ctx context.Context, k Key, build func() (*Plan, e
 	return p, nil
 }
 
-// Purge drops every plan and every scan. Counters are not reset; see
+// Purge drops every plan, scan and total. Counters are not reset; see
 // ResetStats.
 func (c *Cache) Purge() {
 	if c == nil {
@@ -442,6 +479,7 @@ func (c *Cache) Purge() {
 	c.mu.Lock()
 	c.plans.Purge()
 	c.scans.Purge()
+	c.totals.Purge()
 	c.mu.Unlock()
 }
 
@@ -484,5 +522,6 @@ func (c *Cache) Stats() Stats {
 		Size:      c.plans.Len(),
 		Capacity:  c.plans.Cap(),
 		Scans:     c.scans.Len(),
+		Totals:    c.totals.Len(),
 	}
 }

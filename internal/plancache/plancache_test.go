@@ -269,3 +269,62 @@ func TestScanTable(t *testing.T) {
 		t.Fatalf("after Purge: %d scans, %d plans; want none", st.Scans, st.Size)
 	}
 }
+
+// TestTotalMemo: the totals table memoises a successful count once per
+// key, never a failure, keeps at most the cache's capacity, survives
+// PurgeScans and empties on Purge; a nil cache always counts.
+func TestTotalMemo(t *testing.T) {
+	runs := 0
+	count := func(n int, err error) func() (int, error) {
+		return func() (int, error) { runs++; return n, err }
+	}
+	k := TotalKey{Graph: 1, Ratio: "1:3", Mixers: 2, Storage: 4, Demand: 40, Scheduler: "SRS"}
+
+	var nilCache *Cache
+	for i := 0; i < 2; i++ {
+		if n, err := nilCache.Total(k, count(21, nil)); n != 21 || err != nil {
+			t.Fatalf("nil cache Total = %d, %v", n, err)
+		}
+	}
+	if runs != 2 {
+		t.Fatalf("nil cache ran %d counts, want 2", runs)
+	}
+
+	c := New(2)
+	boom := errors.New("boom")
+	if _, err := c.Total(k, count(0, boom)); !errors.Is(err, boom) || c.Stats().Totals != 0 {
+		t.Fatalf("failed count: err %v, %d totals memoised", err, c.Stats().Totals)
+	}
+	runs = 0
+	for i := 0; i < 3; i++ {
+		if n, err := c.Total(k, count(23, nil)); n != 23 || err != nil {
+			t.Fatalf("Total = %d, %v", n, err)
+		}
+	}
+	if runs != 1 {
+		t.Fatalf("ran %d counts for one key, want 1", runs)
+	}
+	// A scan under the same fields is a different table's entry.
+	if d, err := c.Scan(ScanKey{Graph: 1, Ratio: "1:3", Mixers: 2, Storage: 4, Limit: 40, Scheduler: "SRS"}, count(38, nil)); d != 38 || err != nil {
+		t.Fatalf("Scan = %d, %v", d, err)
+	}
+	c.PurgeScans()
+	if st := c.Stats(); st.Totals != 1 || st.Scans != 0 {
+		t.Fatalf("after PurgeScans: %d totals, %d scans; want 1 and 0", st.Totals, st.Scans)
+	}
+	for d := 1; d <= 5; d++ {
+		k.Demand = d
+		c.Total(k, count(d, nil))
+	}
+	if n := c.Stats().Totals; n != 2 {
+		t.Fatalf("%d totals memoised, want the capacity 2", n)
+	}
+	warm := count(0, nil)
+	if allocs := testing.AllocsPerRun(100, func() { c.Total(k, warm) }); allocs != 0 {
+		t.Fatalf("a warm Total allocates %.0f objects, want 0", allocs)
+	}
+	c.Purge()
+	if st := c.Stats(); st.Totals != 0 {
+		t.Fatalf("after Purge: %d totals; want none", st.Totals)
+	}
+}

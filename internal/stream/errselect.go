@@ -2,11 +2,15 @@
 // waste and storage but assumes a perfect chip; under split-volumetric
 // noise different base graphs of the same target degrade very differently
 // (deep dilution chains amplify imbalance, shallow balanced trees damp it).
-// When Config.ErrorPolicy is set, the engine plans every candidate base
-// graph, bounds each plan's emitted CF error with the closed-form interval
-// propagation of internal/errormodel over the candidate's base graph, and
-// picks the plan minimizing the expected error among those within the
-// configured cycle budget — trading schedule length for robustness
+// When Config.ErrorPolicy is set, the engine scores every candidate base
+// graph by two numbers: the total cycles of its multi-pass plan, counted on
+// the scheduling kernel over the same pass layout the planner walks but
+// with no slab, audit or cache entry (and memoised in the plan cache's
+// totals table), and the emitted CF-error bound of the closed-form interval
+// propagation of internal/errormodel over the candidate's base graph. It
+// picks the candidate minimizing the expected error among those within the
+// configured cycle budget and plans that winner alone, through the cache
+// as an error-blind request would — trading schedule length for robustness
 // explicitly instead of ignoring the trade-off.
 package stream
 
@@ -15,9 +19,11 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cancel"
 	"repro/internal/errormodel"
 	"repro/internal/mixgraph"
 	"repro/internal/obs"
+	"repro/internal/plancache"
 )
 
 // CandidateScore records how one candidate base graph fared in an
@@ -50,34 +56,34 @@ type Selection struct {
 	Candidates []CandidateScore
 }
 
-// runErrorAware is the ErrorPolicy branch of RunCtx: plan every candidate
-// base graph, score each plan's analytic CF-error interval, and return the
-// admissible plan with the lowest expected error (ties: fewer cycles, then
-// candidate order — the caller's base graph first).
+// runErrorAware is the ErrorPolicy branch of RunCtx: score every candidate
+// base graph by its total cycles and analytic CF-error interval, pick the
+// admissible candidate with the lowest expected error (ties: fewer cycles,
+// then candidate order — the caller's base graph first), and plan that
+// winner alone.
 func runErrorAware(ctx context.Context, cfg Config, demand int) (*Result, error) {
 	pol := cfg.ErrorPolicy
 	if err := pol.Validate(); err != nil {
 		return nil, fmt.Errorf("stream: error policy: %w", err)
 	}
-	// Candidate plans run through the plain planner: plans themselves are
+	// Candidates are scored and the winner planned error-blind: plans are
 	// policy-independent pure functions of (graph, demand, resources), so
-	// they share cache entries with error-blind requests for the same spec.
+	// the winner shares cache entries with error-blind requests for the
+	// same spec.
 	plain := cfg
 	plain.ErrorPolicy = nil
 	plain.Candidates = nil
 
 	cands := candidateGraphs(cfg)
-	type scored struct {
-		res *Result
-		an  errormodel.Interval
-	}
-	plans := make([]scored, len(cands))
 	sel := &Selection{Candidates: make([]CandidateScore, len(cands))}
 	minCycles := 0
 	for i, g := range cands {
+		if err := cancel.Check(ctx); err != nil {
+			return nil, fmt.Errorf("stream: error-aware candidate %s: %w", g.Algorithm, err)
+		}
 		c := plain
 		c.Base = g
-		res, err := runPlain(ctx, c, demand)
+		cycles, err := totalCycles(ctx, c, demand)
 		if err != nil {
 			return nil, fmt.Errorf("stream: error-aware candidate %s: %w", g.Algorithm, err)
 		}
@@ -87,16 +93,14 @@ func runErrorAware(ctx context.Context, cfg Config, demand int) (*Result, error)
 		if err != nil {
 			return nil, fmt.Errorf("stream: error-aware candidate %s: %w", g.Algorithm, err)
 		}
-		iv := errormodel.Interval{Worst: an.WorstTarget, Expected: an.ExpectedTarget}
-		plans[i] = scored{res: res, an: iv}
 		sel.Candidates[i] = CandidateScore{
 			Algorithm: g.Algorithm,
-			Cycles:    res.TotalCycles,
-			Worst:     iv.Worst,
-			Expected:  iv.Expected,
+			Cycles:    cycles,
+			Worst:     an.WorstTarget,
+			Expected:  an.ExpectedTarget,
 		}
-		if minCycles == 0 || res.TotalCycles < minCycles {
-			minCycles = res.TotalCycles
+		if minCycles == 0 || cycles < minCycles {
+			minCycles = cycles
 		}
 	}
 	// Admission: within (1+slack) of the cycle-optimal candidate. The limit
@@ -106,25 +110,32 @@ func runErrorAware(ctx context.Context, cfg Config, demand int) (*Result, error)
 	if extra := pol.CycleSlack*float64(minCycles) + 0.999999; extra < math.MaxInt/2 {
 		sel.CycleLimit = minCycles + int(extra)
 	}
-	best := -1
-	for i := range plans {
-		if plans[i].res.TotalCycles > sel.CycleLimit {
+	cs, best := sel.Candidates, -1
+	for i := range cs {
+		if cs[i].Cycles > sel.CycleLimit {
 			continue
 		}
-		sel.Candidates[i].Admissible = true
+		cs[i].Admissible = true
 		if best < 0 ||
-			plans[i].an.Expected < plans[best].an.Expected ||
-			(plans[i].an.Expected == plans[best].an.Expected &&
-				plans[i].res.TotalCycles < plans[best].res.TotalCycles) {
+			cs[i].Expected < cs[best].Expected ||
+			(cs[i].Expected == cs[best].Expected && cs[i].Cycles < cs[best].Cycles) {
 			best = i
 		}
 	}
 	// The cycle-optimal candidate is always admissible, so best is set.
-	sel.Candidates[best].Selected = true
-	sel.Algorithm = cands[best].Algorithm
-	sel.Predicted = plans[best].an
+	win := &cs[best]
+	win.Selected = true
+	sel.Algorithm = win.Algorithm
+	sel.Predicted = errormodel.Interval{Worst: win.Worst, Expected: win.Expected}
 
-	res := plans[best].res
+	plain.Base = cands[best]
+	res, err := runPlain(ctx, plain, demand)
+	if err != nil {
+		return nil, fmt.Errorf("stream: error-aware candidate %s: %w", win.Algorithm, err)
+	}
+	if res.TotalCycles != win.Cycles {
+		return nil, fmt.Errorf("stream: error-aware candidate %s planned %d cycles, scored %d", win.Algorithm, res.TotalCycles, win.Cycles)
+	}
 	res.Config.ErrorPolicy = cfg.ErrorPolicy
 	res.Config.Candidates = cfg.Candidates
 	res.Selection = sel
@@ -139,6 +150,26 @@ func runErrorAware(ctx context.Context, cfg Config, demand int) (*Result, error)
 		})
 	}
 	return res, nil
+}
+
+// totalCycles is the total schedule length runPlain gives demand under
+// cfg, without planning it: it comes from cfg.Cache's totals table or, on
+// a miss, from passLayout with every pass counted on the kernel
+// (countPass), which builds no slab, audits nothing and caches only the
+// total.
+func totalCycles(ctx context.Context, cfg Config, demand int) (int, error) {
+	k := plancache.TotalKey{
+		Graph:     cfg.Base.Fingerprint(),
+		Ratio:     cfg.Base.Target.String(),
+		Mixers:    cfg.Mixers,
+		Storage:   cfg.Storage,
+		Demand:    demand,
+		Scheduler: cfg.Scheduler.String(),
+	}
+	return cfg.Cache.Total(k, func() (int, error) {
+		l, err := passLayout(ctx, cfg, demand, func(d int) (passCost, error) { return countPass(cfg, d) })
+		return l.cycles(), err
+	})
 }
 
 // candidateGraphs lists the base graphs an error-aware run considers: the

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -10,8 +11,10 @@ import (
 	"repro/internal/mixgraph"
 	"repro/internal/mtcs"
 	"repro/internal/obs"
+	"repro/internal/plancache"
 	"repro/internal/ratio"
 	"repro/internal/rma"
+	"repro/internal/synth"
 )
 
 // ex1Bases builds the three paper base graphs for the Table 2 Ex.1 mixture,
@@ -201,8 +204,12 @@ func TestErrorAwareCounterDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkErrorAwareSelection measures the full three-candidate selection
-// on a warm plan cache — the steady-state cost an error-aware request adds
+// BenchmarkErrorAwareSelection measures the full three-candidate
+// selection of Table 2 Ex.1 at D = 8. /cold plans uncached, so every
+// iteration counts each candidate's cycles on the kernel and builds,
+// audits and packs the winner's plan. /warm runs on a plan cache one Run
+// has warmed, so every iteration reads the memoised totals and the
+// winner's cached plan: the steady-state cost an error-aware request adds
 // over an error-blind one.
 func BenchmarkErrorAwareSelection(b *testing.B) {
 	r := ratio.MustParse("26:21:2:2:3:3:199")
@@ -227,14 +234,135 @@ func BenchmarkErrorAwareSelection(b *testing.B) {
 			CycleSlack: 0.25,
 		},
 	}
-	if _, err := Run(cfg, 8); err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name  string
+		cache *plancache.Cache
+	}{{"cold", nil}, {"warm", plancache.New(64)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := cfg
+			cfg.Cache = bc.cache
+			if _, err := Run(cfg, 8); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg, 8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, 8); err != nil {
-			b.Fatal(err)
+}
+
+// TestTotalCyclesMatchesRunPlain is the scorer's oracle: the total cycles
+// an error-aware selection counts for a candidate on the kernel
+// (totalCycles on no cache) equal the TotalCycles runPlain plans, and a
+// demand runPlain refuses is refused with the same error text. It covers
+// every 97th PaperDataset ratio (every 291st under the race detector)
+// under MM, RMA and MTCS, q' in {0, 4, 6, 8}, MMS and SRS, and
+// D = 1, 6, ..., 126.
+func TestTotalCyclesMatchesRunPlain(t *testing.T) {
+	every := 97
+	if raceDetector {
+		every = 291
+	}
+	ctx := context.Background()
+	cases, refused := 0, 0
+	for i, r := range synth.PaperDataset() {
+		if i%every != 0 {
+			continue
 		}
+		for _, alg := range goldenAlgorithms {
+			g, err := alg.build(r)
+			if err != nil {
+				t.Fatalf("%s(%v): %v", alg.name, r, err)
+			}
+			cache := plancache.New(256)
+			for _, q := range []int{0, 4, 6, 8} {
+				for _, s := range goldenSchemes {
+					for d := 1; d <= 126; d += 5 {
+						cfg := Config{Base: g, Mixers: 3, Storage: q, Scheduler: s}
+						got, gotErr := totalCycles(ctx, cfg, d)
+						cfg.Cache = cache
+						res, wantErr := runPlain(ctx, cfg, d)
+						cases++
+						switch {
+						case gotErr != nil || wantErr != nil:
+							refused++
+							if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+								t.Fatalf("%s/%v q'=%d %v D=%d: scorer error %v, planner error %v", alg.name, r, q, s, d, gotErr, wantErr)
+							}
+						case got != res.TotalCycles:
+							t.Fatalf("%s/%v q'=%d %v D=%d: scored %d cycles, planned %d", alg.name, r, q, s, d, got, res.TotalCycles)
+						}
+					}
+				}
+			}
+		}
+	}
+	if refused == 0 || refused == cases {
+		t.Fatalf("test premise: %d of %d cases refused", refused, cases)
+	}
+	t.Logf("%d cases, %d refused", cases, refused)
+}
+
+// TestErrorAwareCachesOnlyWinner: an error-aware request leaves exactly the
+// winner's distinct passes in the plan cache, each built once and each the
+// plan the answer's passes run, and memoises one total per candidate. A
+// second identical request builds and schedules nothing.
+func TestErrorAwareCachesOnlyWinner(t *testing.T) {
+	mm, rm, mt := ex1Bases(t)
+	cache := plancache.New(64)
+	cfg := Config{
+		Base:       mm,
+		Mixers:     4,
+		Storage:    3,
+		Scheduler:  SRS,
+		Cache:      cache,
+		Candidates: []*mixgraph.Graph{rm, mt},
+		ErrorPolicy: &errormodel.Policy{
+			Params:     errormodel.Params{SplitImbalance: 0.05},
+			CycleSlack: 0.3,
+		},
+	}
+	res, err := Run(cfg, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := map[*plancache.Plan]bool{}
+	for _, p := range res.Passes {
+		plans[p.Plan] = true
+		key := PlanKey(res.Config, p.Plan.Packed().Demand, plancache.PristinePolicy)
+		if cached, ok := cache.Get(key); !ok || cached != p.Plan {
+			t.Errorf("pass plan of %d droplets is not the cached plan under the winner's key", p.Demand)
+		}
+	}
+	if len(plans) != 2 {
+		t.Fatalf("test premise: %d distinct pass plans, want a full and a short one", len(plans))
+	}
+	st := cache.Stats()
+	if st.Size != len(plans) || st.Puts != int64(len(plans)) || st.Builds != int64(len(plans)) {
+		t.Errorf("cache holds %d plans after %d puts and %d builds, want the winner's %d", st.Size, st.Puts, st.Builds, len(plans))
+	}
+	if st.Totals != len(res.Selection.Candidates) {
+		t.Errorf("%d totals memoised, want one per candidate (%d)", st.Totals, len(res.Selection.Candidates))
+	}
+
+	obs.Enable(obs.Options{})
+	t.Cleanup(obs.Disable)
+	again, err := Run(cfg, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if formatSelection(again) != formatSelection(res) {
+		t.Errorf("repeat answered\n %s\nwant\n %s", formatSelection(again), formatSelection(res))
+	}
+	if b := cache.Stats().Builds; b != st.Builds {
+		t.Errorf("repeat built %d plans, want 0", b-st.Builds)
+	}
+	if n := obs.Counter("sched.schedules"); n != 0 {
+		t.Errorf("repeat ran %d schedules, want 0", n)
 	}
 }
 

@@ -124,7 +124,7 @@ func FuzzPlan(f *testing.F) {
 // checkStoragePlan checks Run under a storage budget against a direct
 // reference. S(d) comes from the single-pass plan of d (BuildPlan, whose
 // Storage is Algorithm 3's peak). D' is the largest even d <= D with
-// S(d) <= q', lowered as perPassDemand lowers it until the short pass of
+// S(d) <= q', lowered as passLayout lowers it until the short pass of
 // D mod D' fits too; no D' means ErrStorage. The plan must use D', take
 // ⌈D/D'⌉ passes and keep every pass within q'.
 func checkStoragePlan(t *testing.T, cfg Config, demand int) {

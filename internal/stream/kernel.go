@@ -3,10 +3,10 @@ package stream
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/audit"
 	"repro/internal/forest"
+	"repro/internal/freelist"
 	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/sched"
@@ -24,7 +24,21 @@ type planKernel struct {
 	sched   sched.Kernel
 }
 
-var kernelPool = sync.Pool{New: func() any { return new(planKernel) }}
+var kernelPool freelist.List[planKernel]
+
+// maxPooledTasks bounds the forests a pooled kernel's arenas are kept for:
+// release drops a kernel that last grew a larger one.
+const maxPooledTasks = 1 << 16
+
+// getKernel borrows a kernel from the pool; release returns it.
+func getKernel() *planKernel { return kernelPool.Get() }
+
+// release returns k to the pool unless its arenas outgrew maxPooledTasks.
+func (k *planKernel) release() {
+	if len(k.builder.Forest().Tasks) <= maxPooledTasks {
+		kernelPool.Put(k)
+	}
+}
 
 // schedulePacked runs the configured scheme over a packed forest under a
 // budget of q storage units: it stops at the first cycle that holds more
@@ -66,13 +80,10 @@ func (k *planKernel) schedulePrefix(s Scheduler, trees, mc, q int) (bool, error)
 // every cache and ignores cfg.Storage; the frozen fixtures of
 // TestPlannerGolden pin its output.
 func BuildPlan(cfg Config, d int) (*plancache.Plan, error) {
-	k := kernelPool.Get().(*planKernel)
-	defer kernelPool.Put(k)
-	pf, err := forest.BuildPacked(&k.builder, cfg.Base, d)
+	k := getKernel()
+	defer k.release()
+	pf, err := k.plan(cfg, d)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := k.schedulePacked(cfg.Scheduler, pf, cfg.Mixers, math.MaxInt); err != nil {
 		return nil, err
 	}
 	p := plancache.NewPacked(pf, k.sched.Assignments(), cfg.Scheduler.String(), cfg.Mixers, k.sched.Cycles(), k.sched.Peak())
@@ -84,4 +95,30 @@ func BuildPlan(cfg Config, d int) (*plancache.Plan, error) {
 		return nil, fmt.Errorf("stream: plan audit: %w", rep.Err())
 	}
 	return p, nil
+}
+
+// plan grows the packed forest of demand d in k's arenas and schedules it
+// in k's scratch with an unlimited storage budget: BuildPlan's plan before
+// it is copied out and audited.
+func (k *planKernel) plan(cfg Config, d int) (*forest.PackedForest, error) {
+	pf, err := forest.BuildPacked(&k.builder, cfg.Base, d)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := k.schedulePacked(cfg.Scheduler, pf, cfg.Mixers, math.MaxInt); err != nil {
+		return nil, err
+	}
+	return pf, nil
+}
+
+// countPass is the pass cost of demand d that BuildPlan's plan would have
+// — its cycles and peak storage — counted on a pooled kernel alone: no
+// slab, no audit, nothing cached.
+func countPass(cfg Config, d int) (passCost, error) {
+	k := getKernel()
+	defer k.release()
+	if _, err := k.plan(cfg, d); err != nil {
+		return passCost{}, err
+	}
+	return passCost{cycles: k.sched.Cycles(), storage: k.sched.Peak()}, nil
 }

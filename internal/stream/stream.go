@@ -95,11 +95,11 @@ type Config struct {
 	// per-node hit rates, scans and the fleet-wide build count stay honest.
 	Cache *plancache.Cache
 	// ErrorPolicy, when set, makes planning error-aware (errselect.go): the
-	// engine plans Base and every graph in Candidates, bounds each plan's
-	// emitted CF error analytically under the policy's noise parameters,
-	// and returns the plan with the lowest expected error among those
-	// within the policy's cycle budget. Result.Selection records the
-	// choice. Nil plans error-blind, exactly as before.
+	// engine scores Base and every graph in Candidates by total cycles and
+	// by an analytic bound on the emitted CF error under the policy's
+	// noise parameters, and plans the candidate with the lowest expected
+	// error among those within the policy's cycle budget.
+	// Result.Selection records the choice. Nil plans error-blind.
 	ErrorPolicy *errormodel.Policy
 	// Candidates are the alternative base graphs of the same target an
 	// error-aware run may select instead of Base. Ignored without
@@ -238,8 +238,8 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 // short at its first cycle over budget: that cycle's occupancy is final,
 // so it already proves the candidate's peak storage exceeds q'.
 func demandScan(ctx context.Context, cfg Config, limit int) (int, error) {
-	k := kernelPool.Get().(*planKernel)
-	defer kernelPool.Put(k)
+	k := getKernel()
+	defer k.release()
 	k.builder.Reset(cfg.Base)
 	for t := range limit / 2 {
 		if err := cancel.Check(ctx); err != nil {
@@ -272,15 +272,16 @@ func Run(cfg Config, demand int) (*Result, error) {
 }
 
 // RunCtx plans the emission of `demand` target droplets under the configured
-// resource constraints, honouring ctx: cancellation is checked at every pass
-// boundary (and inside the storage scan), and an abandoned plan returns an
-// error wrapping cancel.ErrCanceled. The repeated full-size pass is planned
-// once and reused for all ⌈D/D'⌉ occurrences (every full pass is the same
-// forest and schedule — only StartCycle differs); only a final short pass,
-// when the demand is not a multiple of D', is planned separately, and D' is
-// lowered until that pass fits in the storage budget too. With
-// Config.ErrorPolicy set the plan is additionally selected across the
-// candidate base graphs by predicted CF error (errselect.go).
+// resource constraints, honouring ctx: cancellation is checked before every
+// distinct pass is planned (and inside the storage scan), and an abandoned
+// plan returns an error wrapping cancel.ErrCanceled. The repeated full-size
+// pass is planned once and reused for all ⌈D/D'⌉ occurrences (every full
+// pass is the same forest and schedule — only StartCycle differs); only a
+// final short pass, when the demand is not a multiple of D', is planned
+// separately, and D' is lowered until that pass fits in the storage budget
+// too (passLayout). With Config.ErrorPolicy set the plan is additionally
+// selected across the candidate base graphs by predicted CF error
+// (errselect.go).
 func RunCtx(ctx context.Context, cfg Config, demand int) (*Result, error) {
 	if cfg.ErrorPolicy != nil {
 		return runErrorAware(ctx, cfg, demand)
@@ -289,66 +290,25 @@ func RunCtx(ctx context.Context, cfg Config, demand int) (*Result, error) {
 }
 
 // runPlain is the error-blind planning path shared by direct requests and
-// every candidate of an error-aware selection.
+// the winner of an error-aware selection: it lays the demand out in passes,
+// planning each distinct pass through cfg's cache.
 func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
-	if demand <= 0 {
-		return nil, fmt.Errorf("stream: %w: %d", forest.ErrBadDemand, demand)
-	}
-	if cfg.Mixers < 1 {
-		return nil, sched.ErrNoMixers
-	}
-	perPass := demand
-	// full is the reused full-size pass plan; short the final, shorter
-	// pass's, which perPassDemand has planned already when there is one.
-	var full, short *plancache.Plan
-	if cfg.Storage > 0 {
-		var err error
-		if perPass, short, err = perPassDemand(ctx, cfg, demand); err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{Config: cfg, Demand: demand, PerPassDemand: perPass}
-	start := 1
-	for remaining := demand; remaining > 0; {
-		if err := cancel.Check(ctx); err != nil {
-			return nil, fmt.Errorf("stream: pass starting at cycle %d: %w", start, err)
-		}
-		d := perPass
-		if remaining < d {
-			d = remaining
-		}
-		var p *plancache.Plan
-		var err error
-		if d == perPass {
-			if full == nil {
-				full, err = Plan(ctx, cfg, d, plancache.PristinePolicy)
-			}
-			p = full
-		} else {
-			if short == nil {
-				short, err = Plan(ctx, cfg, d, plancache.PristinePolicy)
-			}
-			p = short
-		}
+	l, err := passLayout(ctx, cfg, demand, func(d int) (passCost, error) {
+		p, err := Plan(ctx, cfg, d, plancache.PristinePolicy)
 		if err != nil {
-			return nil, err
+			return passCost{}, err
 		}
-		st := p.Stats
-		res.Passes = append(res.Passes, Pass{
-			Demand:     st.Targets,
-			Plan:       p,
-			Storage:    p.Storage,
-			Waste:      st.Waste,
-			Inputs:     st.InputTotal,
-			StartCycle: start,
-		})
-		res.TotalCycles += p.Cycles
-		res.TotalWaste += st.Waste
-		res.TotalInputs += st.InputTotal
-		res.Emitted += st.Targets
-		start += p.Cycles
-		remaining -= st.Targets
+		return passCost{cycles: p.Cycles, storage: p.Storage, plan: p}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Config: cfg, Demand: demand, PerPassDemand: l.perPass}
+	for range l.fulls {
+		res.addPass(l.full.plan)
+	}
+	if l.shortD > 0 {
+		res.addPass(l.short.plan)
 	}
 	// Cross-check the assembled multi-pass plan against the paper's closed
 	// forms (pass count, per-pass emissions, start-cycle tiling, aggregate
@@ -361,37 +321,96 @@ func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
 	return res, nil
 }
 
-// perPassDemand resolves D' for a storage-limited plan of demand droplets:
-// the largest demand whose pass fits in q' and whose final, shorter pass of
-// demand mod D' targets fits too. Storage use is not monotone in demand, so
-// the short pass can need more units than a full one; D' then drops to the
-// next fitting demand below it until the short pass fits as well. It also
-// returns the short pass's plan (nil when D' divides the demand).
-func perPassDemand(ctx context.Context, cfg Config, demand int) (int, *plancache.Plan, error) {
-	for limit := demand; ; {
+// addPass appends a pass running plan p to the end of the result's
+// timeline.
+func (r *Result) addPass(p *plancache.Plan) {
+	st := p.Stats
+	r.Passes = append(r.Passes, Pass{
+		Demand:     st.Targets,
+		Plan:       p,
+		Storage:    p.Storage,
+		Waste:      st.Waste,
+		Inputs:     st.InputTotal,
+		StartCycle: r.TotalCycles + 1,
+	})
+	r.TotalCycles += p.Cycles
+	r.TotalWaste += st.Waste
+	r.TotalInputs += st.InputTotal
+	r.Emitted += st.Targets
+}
+
+// passCost is what a pass layout reads of one pass: its cycles and peak
+// storage and, when the pass was planned rather than counted, its plan.
+type passCost struct {
+	cycles, storage int
+	plan            *plancache.Plan
+}
+
+// layout is the pass layout of one demand: fulls passes of perPass
+// droplets (D'), then, when shortD > 0, one final pass of shortD droplets.
+// Every pass of perPass droplets emits exactly perPass: D' is even under a
+// storage budget, and without one the single pass is the whole demand.
+type layout struct {
+	perPass, fulls, shortD int
+	full, short            passCost
+}
+
+// cycles is the layout's total schedule length.
+func (l *layout) cycles() int { return l.fulls*l.full.cycles + l.short.cycles }
+
+// passLayout lays demand droplets out in passes under cfg, measuring each
+// distinct pass once with measure, the final short pass first. It is the
+// one layout walk behind both planning a demand (runPlain measures a pass
+// by planning it) and scoring one (totalCycles counts it on the kernel).
+// With unlimited storage the layout is one pass of the whole demand. Under
+// a budget of q' units, D' is the largest demand whose pass fits in q'
+// and whose final, shorter pass of demand mod D' fits too. Storage use is
+// not monotone in demand, so the short pass can need more units than a
+// full one; D' then drops to the next fitting demand below it until the
+// short pass fits as well. Cancellation is checked before every measure.
+func passLayout(ctx context.Context, cfg Config, demand int, measure func(d int) (passCost, error)) (layout, error) {
+	if demand <= 0 {
+		return layout{}, fmt.Errorf("stream: %w: %d", forest.ErrBadDemand, demand)
+	}
+	if cfg.Mixers < 1 {
+		return layout{}, sched.ErrNoMixers
+	}
+	measured := func(d int) (passCost, error) {
+		if err := cancel.Check(ctx); err != nil {
+			return passCost{}, fmt.Errorf("stream: pass of %d droplets: %w", d, err)
+		}
+		return measure(d)
+	}
+	l := layout{perPass: demand}
+	for limit := demand; cfg.Storage > 0; limit = l.perPass - 2 {
 		dmax, err := MaxSinglePassDemandCtx(ctx, cfg, limit)
 		if err != nil {
-			return 0, nil, err
+			return layout{}, err
 		}
 		if dmax == 0 {
-			return 0, nil, fmt.Errorf("%w (q'=%d)", ErrStorage, cfg.Storage)
+			return layout{}, fmt.Errorf("%w (q'=%d)", ErrStorage, cfg.Storage)
 		}
-		short := demand % dmax
-		if short == 0 {
-			return dmax, nil, nil
+		l.perPass, l.shortD, l.short = dmax, demand%dmax, passCost{}
+		if l.shortD == 0 {
+			break
 		}
-		p, err := Plan(ctx, cfg, short, plancache.PristinePolicy)
-		if err != nil {
-			return 0, nil, err
+		if l.short, err = measured(l.shortD); err != nil {
+			return layout{}, err
 		}
-		if p.Storage <= cfg.Storage {
-			return dmax, p, nil
+		if l.short.storage <= cfg.Storage {
+			break
 		}
 		if dmax <= 2 {
-			return 0, nil, fmt.Errorf("%w (q'=%d, final pass of %d)", ErrStorage, cfg.Storage, short)
+			return layout{}, fmt.Errorf("%w (q'=%d, final pass of %d)", ErrStorage, cfg.Storage, l.shortD)
 		}
-		limit = dmax - 2
 	}
+	if l.fulls = demand / l.perPass; l.fulls > 0 {
+		var err error
+		if l.full, err = measured(l.perPass); err != nil {
+			return layout{}, err
+		}
+	}
+	return l, nil
 }
 
 // auditCounts projects a Result onto the audit package's count view.
