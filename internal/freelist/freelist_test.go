@@ -2,6 +2,7 @@ package freelist
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -49,5 +50,33 @@ func TestWarmGetPutAllocatesNothing(t *testing.T) {
 	l.Put(l.Get())
 	if allocs := testing.AllocsPerRun(100, func() { l.Put(l.Get()) }); allocs != 0 {
 		t.Fatalf("warm Get/Put allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// TestListConcurrent: goroutines borrowing and returning at once never
+// share an object while both hold it, and the List never keeps more than
+// Idle (run with -race).
+func TestListConcurrent(t *testing.T) {
+	var l List[int]
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				x := l.Get()
+				if *x != 0 {
+					t.Error("Get handed out an object another goroutine holds")
+					return
+				}
+				*x = 1
+				*x = 0
+				l.Put(x)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(l.idle); n > Idle {
+		t.Fatalf("%d idle objects, want at most %d", n, Idle)
 	}
 }
