@@ -30,9 +30,6 @@ var kernelPool freelist.List[planKernel]
 // release drops a kernel that last grew a larger one.
 const maxPooledTasks = 1 << 16
 
-// getKernel borrows a kernel from the pool; release returns it.
-func getKernel() *planKernel { return kernelPool.Get() }
-
 // release returns k to the pool unless its arenas outgrew maxPooledTasks.
 func (k *planKernel) release() {
 	if len(k.builder.Forest().Tasks) <= maxPooledTasks {
@@ -80,7 +77,7 @@ func (k *planKernel) schedulePrefix(s Scheduler, trees, mc, q int) (bool, error)
 // every cache and ignores cfg.Storage; the frozen fixtures of
 // TestPlannerGolden pin its output.
 func BuildPlan(cfg Config, d int) (*plancache.Plan, error) {
-	k := getKernel()
+	k := kernelPool.Get()
 	defer k.release()
 	pf, err := k.plan(cfg, d)
 	if err != nil {
@@ -115,7 +112,7 @@ func (k *planKernel) plan(cfg Config, d int) (*forest.PackedForest, error) {
 // — its cycles and peak storage — counted on a pooled kernel alone: no
 // slab, no audit, nothing cached.
 func countPass(cfg Config, d int) (passCost, error) {
-	k := getKernel()
+	k := kernelPool.Get()
 	defer k.release()
 	if _, err := k.plan(cfg, d); err != nil {
 		return passCost{}, err

@@ -238,7 +238,7 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 // short at its first cycle over budget: that cycle's occupancy is final,
 // so it already proves the candidate's peak storage exceeds q'.
 func demandScan(ctx context.Context, cfg Config, limit int) (int, error) {
-	k := getKernel()
+	k := kernelPool.Get()
 	defer k.release()
 	k.builder.Reset(cfg.Base)
 	for t := range limit / 2 {
