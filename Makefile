@@ -68,9 +68,13 @@ bench-cold:
 # (cmd/benchrecord). BenchmarkPersistentRequest runs a pinned 4000
 # Requests, as its untimed engine growth otherwise takes minutes, and
 # BenchmarkColdEngineSetup a pinned 2000 setups, the count bench-cold
-# runs, so allocs/op never compares runs of different lengths. About five
-# minutes in all.
+# runs, so allocs/op never compares runs of different lengths.
+# BenchmarkColdPlanRequest's allocs/op moves by one or two from run to run
+# (a garbage collection empties the sync.Pools its requests borrow
+# scratch from), so it runs BENCH_COLD_COUNT times, enough for the
+# record's min-max to cover that spread. About six minutes in all.
 BENCH_COUNT ?= 5
+BENCH_COLD_COUNT ?= 20
 BENCH_RECORD = -run '^$$' -benchmem -count $(BENCH_COUNT)
 bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<number>" >&2; exit 2; }
@@ -86,11 +90,12 @@ bench-record:
 # min-max (cmd/benchrecord -check). ns/op is not gated. About a minute.
 bench-gate:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; set -e; \
-	$(MAKE) --no-print-directory bench-runs BENCH_COUNT=1 BENCH_OUT="$$tmp/out"; \
+	$(MAKE) --no-print-directory bench-runs BENCH_COUNT=1 BENCH_COLD_COUNT=1 BENCH_OUT="$$tmp/out"; \
 	$(GO) run ./cmd/benchrecord -check "$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -n 1)" <"$$tmp/out"
 
 # The benchmark runs behind bench-record and bench-gate, BENCH_COUNT runs
-# each, appended to the file BENCH_OUT.
+# each (BenchmarkColdPlanRequest BENCH_COLD_COUNT), appended to the file
+# BENCH_OUT.
 bench-runs:
 	@test -n "$(BENCH_OUT)" || { echo "usage: make bench-runs BENCH_OUT=<file>" >&2; exit 2; }
 	@set -e; \
@@ -103,7 +108,8 @@ bench-runs:
 	$(GO) test $(BENCH_RECORD) -bench 'ColdDemandScan|ErrorAwareSelection' ./internal/stream >>"$(BENCH_OUT)"; \
 	$(GO) test $(BENCH_RECORD) -bench RunObsDisabled ./internal/runtime >>"$(BENCH_OUT)"; \
 	$(GO) test $(BENCH_RECORD) -bench '^BenchmarkBuild$$' ./internal/rsm >>"$(BENCH_OUT)"; \
-	$(GO) test $(BENCH_RECORD) -bench 'ColdPlanRequest|HotPlanRequest' ./internal/server >>"$(BENCH_OUT)"
+	$(GO) test $(BENCH_RECORD) -bench HotPlanRequest ./internal/server >>"$(BENCH_OUT)"; \
+	$(GO) test -run '^$$' -benchmem -count $(BENCH_COLD_COUNT) -bench ColdPlanRequest ./internal/server >>"$(BENCH_OUT)"
 
 # Short fuzzing passes over the parser, the forest builder, the planner
 # (plan audit, window audit, Pack/Materialize round trip, multi-pass plans

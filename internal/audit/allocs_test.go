@@ -58,6 +58,9 @@ func TestCleanAuditAllocs(t *testing.T) {
 		if r := CheckPacked(p); !r.Clean() {
 			t.Fatalf("D=%d: packed plan fails its own audit: %v", demand, r.Err())
 		}
+		if raceDetector {
+			continue
+		}
 		if allocs := testing.AllocsPerRun(50, func() {
 			if !CheckPacked(p).Clean() {
 				t.Fatal("audit failed")

@@ -3,9 +3,9 @@ package audit
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/forest"
-	"repro/internal/freelist"
 	"repro/internal/plancache"
 )
 
@@ -67,8 +67,8 @@ func CheckPacked(p *plancache.Plan) *Report {
 	// walk, difference array, bucket bounds). Only the recounts, the walk
 	// and the difference array are read before they are written, so only
 	// they are cleared.
-	buf := scratchPool.Get()
-	defer releaseScratch(buf)
+	buf := scratchPool.Get().(*[]int64)
+	defer scratchPool.Put(buf)
 	graphWords := f.Base.ScratchWords()
 	need := graphWords + n + 3*nTasks + 3*(cycles+2)
 	if cap(*buf) < need {
@@ -146,18 +146,7 @@ func CheckPacked(p *plancache.Plan) *Report {
 
 // scratchPool holds CheckPacked's scratch buffers, which it runs on every
 // cold build.
-var scratchPool freelist.List[[]int64]
-
-// maxPooledScratch bounds the scratch buffers scratchPool keeps, in words.
-const maxPooledScratch = 1 << 18
-
-// releaseScratch returns buf to the pool unless it outgrew
-// maxPooledScratch.
-func releaseScratch(buf *[]int64) {
-	if cap(*buf) <= maxPooledScratch {
-		scratchPool.Put(buf)
-	}
-}
+var scratchPool = sync.Pool{New: func() any { return new([]int64) }}
 
 // checkPackedForest is CheckPacked's forest half, over the tasks from first
 // on. It tallies into cons the sources naming each task from first, and

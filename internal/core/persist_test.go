@@ -456,6 +456,9 @@ func TestPersistentHeapLinearInHistory(t *testing.T) {
 // one Request of twice as many droplets, as BenchmarkPersistentRequest's
 // do.
 func TestPersistentRequestAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts vary under the race detector")
+	}
 	allocs := map[int]float64{}
 	for _, history := range []int{1000, 2000} {
 		e, err := New(Config{Target: pcr, PersistPool: true})

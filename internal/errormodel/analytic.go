@@ -38,9 +38,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/forest"
-	"repro/internal/freelist"
 	"repro/internal/mixgraph"
 )
 
@@ -110,7 +110,7 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 	an := &Analysis{Params: p, Nodes: make([]TaskError, len(g.Nodes))}
 	// The nodes' exact vectors, n numerators then the exponent per node,
 	// in pooled scratch: the error-aware planner analyses every candidate.
-	buf := wordsPool.Get()
+	buf := wordsPool.Get().(*[]int64)
 	defer wordsPool.Put(buf)
 	vecs := slices.Grow((*buf)[:0], len(g.Nodes)*(n+1))[:len(g.Nodes)*(n+1)]
 	*buf = vecs
@@ -168,7 +168,7 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 }
 
 // wordsPool holds AnalyzeGraph's vector words.
-var wordsPool freelist.List[[]int64]
+var wordsPool = sync.Pool{New: func() any { return new([]int64) }}
 
 // Analyze is AnalyzeGraph over a single-target forest's base graph, with
 // each task's interval copied from its base node; task IDs are the

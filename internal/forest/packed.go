@@ -19,7 +19,7 @@ import (
 // FIFOs, tree starts) across Reset calls, so after the first build of a
 // given size, growing a forest performs zero heap allocations: the arenas
 // are recycled, not reallocated. The engine layer (internal/stream) pools
-// whole builders in a free list (internal/freelist).
+// whole builders with sync.Pool.
 //
 // The packed forest is also what a plan cache holds and what the artifact
 // codec of internal/artifact writes and reads. Build is this builder plus

@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
-	"repro/internal/freelist"
 	"repro/internal/ratio"
 )
 
@@ -303,7 +303,7 @@ func (g *Graph) Validate() error {
 	if g.Root.nparents != 0 {
 		return ErrRootConsumed
 	}
-	sc := validatePool.Get()
+	sc := validatePool.Get().(*validateScratch)
 	defer sc.release()
 	reach := slices.Grow(sc.reach[:0], len(g.Nodes))[:len(g.Nodes)]
 	clear(reach)
@@ -360,7 +360,7 @@ type validateScratch struct {
 	words []int64
 }
 
-var validatePool freelist.List[validateScratch]
+var validatePool = sync.Pool{New: func() any { return new(validateScratch) }}
 
 // release returns sc to the pool with its stack cleared, so a pooled
 // buffer pins no graph.

@@ -26,8 +26,8 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"sync"
 
-	"repro/internal/freelist"
 	"repro/internal/minmix"
 	"repro/internal/mixgraph"
 	"repro/internal/ratio"
@@ -55,7 +55,7 @@ func Build(target ratio.Ratio) (*mixgraph.Graph, error) {
 	if r.N() < 2 || d == 0 {
 		return nil, fmt.Errorf("mtcs: ratio %v needs no mixing", target)
 	}
-	sc := scratchPool.Get()
+	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	classes, err := sc.planShape(r)
 	if err != nil {
@@ -80,7 +80,7 @@ type scratch struct {
 	pool, order []int32
 }
 
-var scratchPool freelist.List[scratch]
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // release returns sc to the pool holding no node of the graph it built.
 func (sc *scratch) release() {

@@ -102,25 +102,13 @@ func KeyFor(g *mixgraph.Graph, demand, mixers int, scheduler, policy string) Key
 // graph's structure (fingerprint and target), the chip resources, the scan
 // limit and the scheduler, so a memoised D′ is exactly what a fresh scan
 // returns — the argument that makes cached plans sound, one step earlier.
+// The totals table is keyed on it too, with the plan's demand as Limit.
 type ScanKey struct {
 	Graph     uint64
 	Ratio     string
 	Mixers    int
 	Storage   int
 	Limit     int
-	Scheduler string
-}
-
-// TotalKey identifies the total cycles of one multi-pass plan: ScanKey's
-// fields with the plan's demand in the scan limit's place. The total is a
-// pure function of them, as every pass is of its key, so a memoised total
-// is exactly what planning the demand would sum.
-type TotalKey struct {
-	Graph     uint64
-	Ratio     string
-	Mixers    int
-	Storage   int
-	Demand    int
 	Scheduler string
 }
 
@@ -316,7 +304,7 @@ type Cache struct {
 	mu     sync.Mutex
 	plans  *lru.Cache[Key, *Plan]
 	scans  *lru.Cache[ScanKey, int]
-	totals *lru.Cache[TotalKey, int]
+	totals *lru.Cache[ScanKey, int]
 	tier   Tier // nil: the cache is the only tier
 
 	// Counters live under mu (not as free-running atomics bumped after
@@ -344,7 +332,7 @@ func New(capacity int) *Cache {
 	return &Cache{
 		plans:  lru.New[Key, *Plan](capacity),
 		scans:  lru.New[ScanKey, int](capacity),
-		totals: lru.New[TotalKey, int](capacity),
+		totals: lru.New[ScanKey, int](capacity),
 	}
 }
 
@@ -404,25 +392,27 @@ func (c *Cache) Scan(k ScanKey, scan func() (int, error)) (int, error) {
 	if c == nil {
 		return scan()
 	}
-	return memo(&c.mu, c.scans, k, scan)
+	return c.memo(c.scans, k, scan)
 }
 
-// Total returns the memoised total cycles for k as Scan does D′: a warm
-// lookup allocates nothing, a miss runs count and memoises a successful
-// result, and a nil cache always runs count.
-func (c *Cache) Total(k TotalKey, count func() (int, error)) (int, error) {
+// Total returns the memoised total cycles of the multi-pass plan of demand
+// k.Limit, as Scan does D′: a warm lookup allocates nothing, a miss runs
+// count and memoises a successful result, and a nil cache always runs
+// count. The total is a pure function of the key, as every pass is of its
+// own, so a memoised total is exactly what planning the demand would sum.
+func (c *Cache) Total(k ScanKey, count func() (int, error)) (int, error) {
 	if c == nil {
 		return count()
 	}
-	return memo(&c.mu, c.totals, k, count)
+	return c.memo(c.totals, k, count)
 }
 
-// memo is Scan and Total over their table t, which mu guards: compute runs
-// outside the lock, so concurrent misses on one key may both compute.
-func memo[K comparable](mu *sync.Mutex, t *lru.Cache[K, int], k K, compute func() (int, error)) (int, error) {
-	mu.Lock()
+// memo is Scan and Total over their table t: compute runs outside the
+// lock, so concurrent misses on one key may both compute.
+func (c *Cache) memo(t *lru.Cache[ScanKey, int], k ScanKey, compute func() (int, error)) (int, error) {
+	c.mu.Lock()
 	v, ok := t.Get(k)
-	mu.Unlock()
+	c.mu.Unlock()
 	if ok {
 		return v, nil
 	}
@@ -430,9 +420,9 @@ func memo[K comparable](mu *sync.Mutex, t *lru.Cache[K, int], k K, compute func(
 	if err != nil {
 		return 0, err
 	}
-	mu.Lock()
+	c.mu.Lock()
 	t.Add(k, v)
-	mu.Unlock()
+	c.mu.Unlock()
 	return v, nil
 }
 

@@ -278,7 +278,7 @@ func TestTotalMemo(t *testing.T) {
 	count := func(n int, err error) func() (int, error) {
 		return func() (int, error) { runs++; return n, err }
 	}
-	k := TotalKey{Graph: 1, Ratio: "1:3", Mixers: 2, Storage: 4, Demand: 40, Scheduler: "SRS"}
+	k := ScanKey{Graph: 1, Ratio: "1:3", Mixers: 2, Storage: 4, Limit: 40, Scheduler: "SRS"}
 
 	var nilCache *Cache
 	for i := 0; i < 2; i++ {
@@ -304,8 +304,8 @@ func TestTotalMemo(t *testing.T) {
 	if runs != 1 {
 		t.Fatalf("ran %d counts for one key, want 1", runs)
 	}
-	// A scan under the same fields is a different table's entry.
-	if d, err := c.Scan(ScanKey{Graph: 1, Ratio: "1:3", Mixers: 2, Storage: 4, Limit: 40, Scheduler: "SRS"}, count(38, nil)); d != 38 || err != nil {
+	// A scan under the same key is a different table's entry.
+	if d, err := c.Scan(k, count(38, nil)); d != 38 || err != nil {
 		t.Fatalf("Scan = %d, %v", d, err)
 	}
 	c.PurgeScans()
@@ -313,7 +313,7 @@ func TestTotalMemo(t *testing.T) {
 		t.Fatalf("after PurgeScans: %d totals, %d scans; want 1 and 0", st.Totals, st.Scans)
 	}
 	for d := 1; d <= 5; d++ {
-		k.Demand = d
+		k.Limit = d
 		c.Total(k, count(d, nil))
 	}
 	if n := c.Stats().Totals; n != 2 {

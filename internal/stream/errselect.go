@@ -19,11 +19,9 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cancel"
 	"repro/internal/errormodel"
 	"repro/internal/mixgraph"
 	"repro/internal/obs"
-	"repro/internal/plancache"
 )
 
 // CandidateScore records how one candidate base graph fared in an
@@ -78,12 +76,14 @@ func runErrorAware(ctx context.Context, cfg Config, demand int) (*Result, error)
 	sel := &Selection{Candidates: make([]CandidateScore, len(cands))}
 	minCycles := 0
 	for i, g := range cands {
-		if err := cancel.Check(ctx); err != nil {
-			return nil, fmt.Errorf("stream: error-aware candidate %s: %w", g.Algorithm, err)
-		}
 		c := plain
 		c.Base = g
 		cycles, err := totalCycles(ctx, c, demand)
+		if err == nil {
+			// Check between candidates, as planning the candidate would
+			// have before its first pass: a memoised total checks nothing.
+			err = checkPass(ctx, 1)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("stream: error-aware candidate %s: %w", g.Algorithm, err)
 		}
@@ -158,15 +158,7 @@ func runErrorAware(ctx context.Context, cfg Config, demand int) (*Result, error)
 // (countPass), which builds no slab, audits nothing and caches only the
 // total.
 func totalCycles(ctx context.Context, cfg Config, demand int) (int, error) {
-	k := plancache.TotalKey{
-		Graph:     cfg.Base.Fingerprint(),
-		Ratio:     cfg.Base.Target.String(),
-		Mixers:    cfg.Mixers,
-		Storage:   cfg.Storage,
-		Demand:    demand,
-		Scheduler: cfg.Scheduler.String(),
-	}
-	return cfg.Cache.Total(k, func() (int, error) {
+	return cfg.Cache.Total(scanKey(cfg, demand), func() (int, error) {
 		l, err := passLayout(ctx, cfg, demand, func(d int) (passCost, error) { return countPass(cfg, d) })
 		return l.cycles(), err
 	})

@@ -3,10 +3,10 @@ package stream
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/audit"
 	"repro/internal/forest"
-	"repro/internal/freelist"
 	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/sched"
@@ -24,18 +24,7 @@ type planKernel struct {
 	sched   sched.Kernel
 }
 
-var kernelPool freelist.List[planKernel]
-
-// maxPooledTasks bounds the forests a pooled kernel's arenas are kept for:
-// release drops a kernel that last grew a larger one.
-const maxPooledTasks = 1 << 16
-
-// release returns k to the pool unless its arenas outgrew maxPooledTasks.
-func (k *planKernel) release() {
-	if len(k.builder.Forest().Tasks) <= maxPooledTasks {
-		kernelPool.Put(k)
-	}
-}
+var kernelPool = sync.Pool{New: func() any { return new(planKernel) }}
 
 // schedulePacked runs the configured scheme over a packed forest under a
 // budget of q storage units: it stops at the first cycle that holds more
@@ -77,8 +66,8 @@ func (k *planKernel) schedulePrefix(s Scheduler, trees, mc, q int) (bool, error)
 // every cache and ignores cfg.Storage; the frozen fixtures of
 // TestPlannerGolden pin its output.
 func BuildPlan(cfg Config, d int) (*plancache.Plan, error) {
-	k := kernelPool.Get()
-	defer k.release()
+	k := kernelPool.Get().(*planKernel)
+	defer kernelPool.Put(k)
 	pf, err := k.plan(cfg, d)
 	if err != nil {
 		return nil, err
@@ -112,8 +101,8 @@ func (k *planKernel) plan(cfg Config, d int) (*forest.PackedForest, error) {
 // — its cycles and peak storage — counted on a pooled kernel alone: no
 // slab, no audit, nothing cached.
 func countPass(cfg Config, d int) (passCost, error) {
-	k := kernelPool.Get()
-	defer k.release()
+	k := kernelPool.Get().(*planKernel)
+	defer kernelPool.Put(k)
 	if _, err := k.plan(cfg, d); err != nil {
 		return passCost{}, err
 	}

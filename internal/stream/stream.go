@@ -204,7 +204,14 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 	if cfg.Storage <= 0 {
 		return limit, nil
 	}
-	sk := plancache.ScanKey{
+	return cfg.Cache.Scan(scanKey(cfg, limit), func() (int, error) { return demandScan(ctx, cfg, limit) })
+}
+
+// scanKey is the plan cache's key for cfg's base graph and resources with
+// limit as the key's limit: the D′ scan up to limit, or the total cycles
+// of a demand of limit.
+func scanKey(cfg Config, limit int) plancache.ScanKey {
+	return plancache.ScanKey{
 		Graph:     cfg.Base.Fingerprint(),
 		Ratio:     cfg.Base.Target.String(),
 		Mixers:    cfg.Mixers,
@@ -212,7 +219,6 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 		Limit:     limit,
 		Scheduler: cfg.Scheduler.String(),
 	}
-	return cfg.Cache.Scan(sk, func() (int, error) { return demandScan(ctx, cfg, limit) })
 }
 
 // demandScan is the memo-miss path of MaxSinglePassDemandCtx.
@@ -238,8 +244,8 @@ func MaxSinglePassDemandCtx(ctx context.Context, cfg Config, limit int) (int, er
 // short at its first cycle over budget: that cycle's occupancy is final,
 // so it already proves the candidate's peak storage exceeds q'.
 func demandScan(ctx context.Context, cfg Config, limit int) (int, error) {
-	k := kernelPool.Get()
-	defer k.release()
+	k := kernelPool.Get().(*planKernel)
+	defer kernelPool.Put(k)
 	k.builder.Reset(cfg.Base)
 	for t := range limit / 2 {
 		if err := cancel.Check(ctx); err != nil {
@@ -305,10 +311,14 @@ func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
 	}
 	res := &Result{Config: cfg, Demand: demand, PerPassDemand: l.perPass}
 	for range l.fulls {
-		res.addPass(l.full.plan)
+		if err := res.addPass(ctx, l.full.plan); err != nil {
+			return nil, err
+		}
 	}
 	if l.shortD > 0 {
-		res.addPass(l.short.plan)
+		if err := res.addPass(ctx, l.short.plan); err != nil {
+			return nil, err
+		}
 	}
 	// Cross-check the assembled multi-pass plan against the paper's closed
 	// forms (pass count, per-pass emissions, start-cycle tiling, aggregate
@@ -322,8 +332,11 @@ func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
 }
 
 // addPass appends a pass running plan p to the end of the result's
-// timeline.
-func (r *Result) addPass(p *plancache.Plan) {
+// timeline, unless ctx is done.
+func (r *Result) addPass(ctx context.Context, p *plancache.Plan) error {
+	if err := checkPass(ctx, r.TotalCycles+1); err != nil {
+		return err
+	}
 	st := p.Stats
 	r.Passes = append(r.Passes, Pass{
 		Demand:     st.Targets,
@@ -337,6 +350,16 @@ func (r *Result) addPass(p *plancache.Plan) {
 	r.TotalWaste += st.Waste
 	r.TotalInputs += st.InputTotal
 	r.Emitted += st.Targets
+	return nil
+}
+
+// checkPass is the cancellation check made before the pass starting at
+// cycle start is planned or appended.
+func checkPass(ctx context.Context, start int) error {
+	if err := cancel.Check(ctx); err != nil {
+		return fmt.Errorf("stream: pass starting at cycle %d: %w", start, err)
+	}
+	return nil
 }
 
 // passCost is what a pass layout reads of one pass: its cycles and peak
@@ -367,19 +390,14 @@ func (l *layout) cycles() int { return l.fulls*l.full.cycles + l.short.cycles }
 // and whose final, shorter pass of demand mod D' fits too. Storage use is
 // not monotone in demand, so the short pass can need more units than a
 // full one; D' then drops to the next fitting demand below it until the
-// short pass fits as well. Cancellation is checked before every measure.
+// short pass fits as well. Cancellation is checked in the D′ scan and
+// before the full passes, which start at cycle 1, are measured.
 func passLayout(ctx context.Context, cfg Config, demand int, measure func(d int) (passCost, error)) (layout, error) {
 	if demand <= 0 {
 		return layout{}, fmt.Errorf("stream: %w: %d", forest.ErrBadDemand, demand)
 	}
 	if cfg.Mixers < 1 {
 		return layout{}, sched.ErrNoMixers
-	}
-	measured := func(d int) (passCost, error) {
-		if err := cancel.Check(ctx); err != nil {
-			return passCost{}, fmt.Errorf("stream: pass of %d droplets: %w", d, err)
-		}
-		return measure(d)
 	}
 	l := layout{perPass: demand}
 	for limit := demand; cfg.Storage > 0; limit = l.perPass - 2 {
@@ -394,7 +412,7 @@ func passLayout(ctx context.Context, cfg Config, demand int, measure func(d int)
 		if l.shortD == 0 {
 			break
 		}
-		if l.short, err = measured(l.shortD); err != nil {
+		if l.short, err = measure(l.shortD); err != nil {
 			return layout{}, err
 		}
 		if l.short.storage <= cfg.Storage {
@@ -405,8 +423,11 @@ func passLayout(ctx context.Context, cfg Config, demand int, measure func(d int)
 		}
 	}
 	if l.fulls = demand / l.perPass; l.fulls > 0 {
+		if err := checkPass(ctx, 1); err != nil {
+			return layout{}, err
+		}
 		var err error
-		if l.full, err = measured(l.perPass); err != nil {
+		if l.full, err = measure(l.perPass); err != nil {
 			return layout{}, err
 		}
 	}
