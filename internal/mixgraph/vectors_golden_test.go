@@ -18,7 +18,7 @@ import (
 	"repro/internal/synth"
 )
 
-var updateVectors = flag.Bool("update", false, "rewrite testdata/vectors_golden.txt from the current builders")
+var update = flag.Bool("update", false, "rewrite the testdata golden files from the current builders")
 
 const vectorsGoldenPath = "testdata/vectors_golden.txt"
 
@@ -60,7 +60,7 @@ func TestVectorsGolden(t *testing.T) {
 			fmt.Fprintf(&b, "%s %s | %d %x\n", bl.name, r, len(vecs), h.Sum(nil)[:16])
 		}
 	}
-	if *updateVectors {
+	if *update {
 		if err := os.WriteFile(vectorsGoldenPath, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
