@@ -111,8 +111,9 @@ type Kernel struct {
 	// The links derive found for the window from firstTask: per task its
 	// in-window predecessor count and two consumer slots, in creation
 	// order (0 marks a free slot, as a consumer follows its producer); the
-	// keyAsc keys of the tasks with no in-window predecessor, in task
-	// order; and the droplets of earlier windows the window reads.
+	// keyAsc keys of the tasks with no in-window predecessor, sorted, that
+	// is in (level, ID) order; and the droplets of earlier windows the
+	// window reads.
 	// prefixes is the forest Prefixes derived them for, nil after any
 	// other run.
 	preds    []int32
@@ -379,6 +380,9 @@ func (k *Kernel) derive(f *forest.PackedForest, firstTask int) error {
 			k.ready = append(k.ready, keyAsc(f.Tasks[i].Level, int32(i)))
 		}
 	}
+	// Sorted once here, the keys seed every run over the window, a prefix
+	// run's included, without a sort or a heap push each.
+	slices.Sort(k.ready)
 	k.carried = carried
 	return nil
 }
@@ -404,12 +408,23 @@ func (k *Kernel) schedule(f *forest.PackedForest, n, mc int, algo string, p poli
 	k.fifo, k.fifoHead = k.fifo[:0], 0
 	k.qint, k.qleaf = k.qint[:0], k.qleaf[:0]
 	k.held, k.made, k.peak = k.carried, 0, 0
-	ready := len(k.ready)
-	if n < len(f.Tasks) {
-		ready, _ = slices.BinarySearchFunc(k.ready, int32(n), func(key uint64, n int32) int { return int(keyID(key) - n) })
+	k.rel = k.rel[:0]
+	// Seed the queues with the ready tasks before n, already in (level, ID)
+	// order: MMS's first batch as it stands, and an ascending run is a
+	// valid min-heap. Only a window's tasks reading carried droplets have
+	// internal inputs and go to SRS's internal heap.
+	for _, key := range k.ready {
+		id := keyID(key)
+		switch {
+		case int(id) >= n:
+		case p == policyMMS:
+			k.fifo = append(k.fifo, key)
+		case p == policySRS && f.Tasks[id].InternalInputs() > 0:
+			k.qint = heapPush(k.qint, keyInt(f.Tasks[id].Level, f.Tasks[id].InternalInputs(), id))
+		default:
+			k.qleaf = append(k.qleaf, key)
+		}
 	}
-	k.rel = append(k.rel[:0], k.ready[:ready]...)
-	k.flush(f, p)
 
 	remaining := n - firstTask
 	for t := 1; remaining > 0; t++ {
