@@ -92,42 +92,55 @@ func CheckPacked(p *plancache.Plan) *Report {
 		return r
 	}
 
-	// Occupancy two ways: store adds n droplets held during cycles
-	// from..to. A hand-off produced at cycle a (0 before the window) and
-	// consumed at cycle b sits in storage during a+1 .. b-1.
-	store := func(from, to int, n int64) {
-		if from <= to {
-			diff[from] += n
-			diff[to+1] -= n
-		}
-		for c := from; c <= to; c++ {
-			walk[c] += n
-		}
-	}
+	// Occupancy two ways: each stored droplet adds one to the difference
+	// array at the first cycle it is held and takes one away after the
+	// last, and one to the walk at every cycle in between. A hand-off
+	// produced at cycle a (0 before the window) and consumed at cycle b
+	// sits in storage during a+1 .. b-1.
 	slots := p.Slots()
 	for i := first; i < len(f.Tasks); i++ {
 		ran := int(slots[i-first].Cycle)
 		for _, src := range f.Tasks[i].In {
-			if src >= 0 {
-				produced := 0
-				if int(src) >= first {
-					produced = int(slots[int(src)-first].Cycle)
-				}
-				store(produced+1, ran-1, 1)
+			if src < 0 {
+				continue
+			}
+			from := 1
+			if int(src) >= first {
+				from = int(slots[int(src)-first].Cycle) + 1
+			}
+			if from < ran {
+				diff[from]++
+				diff[ran]--
+			}
+			for c := from; c < ran; c++ {
+				walk[c]++
 			}
 		}
 	}
 	// A window also stores, to its end, each task's free outputs (a root
 	// emits both of its droplets, another task stores those no source
-	// names: cons) and the spares it carries.
+	// names: cons) and the spares it carries from cycle 1.
 	if window {
 		for k := f.TreesBefore(first); k < f.NumTrees(); k++ {
 			lo, hi := f.Span(k)
 			for i := int(lo); i < int(hi)-1; i++ {
-				store(int(slots[i-first].Cycle)+1, cycles, 2-cons[i-first])
+				from, held := int(slots[i-first].Cycle)+1, 2-cons[i-first]
+				if from <= cycles {
+					diff[from] += held
+					diff[cycles+1] -= held
+				}
+				for c := from; c <= cycles; c++ {
+					walk[c] += held
+				}
 			}
 		}
-		store(1, cycles, carried)
+		if cycles >= 1 {
+			diff[1] += carried
+			diff[cycles+1] -= carried
+		}
+		for c := 1; c <= cycles; c++ {
+			walk[c] += carried
+		}
 	}
 	occ, peak := int64(0), int64(0)
 	for c := 1; c <= cycles; c++ {
@@ -183,7 +196,7 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d instantiates base node %d, not a mix node of the base graph", i, t.Base)})
 				return 0, false
 			}
-			if r.failed(int(t.Level) == nodes[t.Base].PosLevel) {
+			if r.failed(t.Level == nodes[t.Base].PosLevel) {
 				r.violate(&Violation{Code: Structure, Detail: fmt.Sprintf("task %d at level %d, its base node %d at positional level %d", i, t.Level, t.Base, nodes[t.Base].PosLevel)})
 				return 0, false
 			}
@@ -247,7 +260,7 @@ func checkPackedForest(r *Report, f *forest.PackedForest, first, pooled int, cla
 	// Every root emits the base root's vector, which must be the target's:
 	// its parts over 2^depth, reduced.
 	for k := before; k < f.NumTrees(); k++ {
-		if b := tasks[f.Root(k)].Base; r.failed(b == int32(g.Root.ID)) {
+		if b := tasks[f.Root(k)].Base; r.failed(b == g.Root.ID) {
 			r.violate(&Violation{Code: CFExactness, Detail: fmt.Sprintf("tree %d is rooted at base node %d, not the base root %d", k+1, b, g.Root.ID)})
 		}
 	}
