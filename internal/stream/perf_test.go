@@ -205,7 +205,9 @@ func BenchmarkColdDemandScan(b *testing.B) {
 }
 
 // benchScans runs one cold scan up to limit per iteration, cycling through
-// cfgs, each against an empty plan cache of its own.
+// cfgs, each against a plan cache of its own whose scan table, the only
+// one a scan reads or fills, is emptied first. Purging the plan and totals
+// tables too would add their fresh maps to the scan's allocations.
 func benchScans(b *testing.B, cfgs []Config, limit int) {
 	for i := range cfgs {
 		cfgs[i].Cache = plancache.New(1)
@@ -213,7 +215,7 @@ func benchScans(b *testing.B, cfgs []Config, limit int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := cfgs[i%len(cfgs)]
-		cfg.Cache.Purge()
+		cfg.Cache.PurgeScans()
 		if _, err := MaxSinglePassDemand(cfg, limit); err != nil {
 			b.Fatal(err)
 		}
