@@ -144,14 +144,15 @@ func Encode(k plancache.Key, p *plancache.Plan) ([]byte, error) {
 	// Section 3: the base mixing graph.
 	buf = putString(buf, g.Algorithm)
 	buf = putUvarint(buf, uint64(len(g.Nodes)))
-	for _, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if n.Kind == mixgraph.Leaf {
 			buf = append(buf, 0)
 			buf = putUvarint(buf, uint64(n.Fluid))
 		} else {
 			buf = append(buf, 1)
-			buf = putUvarint(buf, uint64(n.Children[0].ID))
-			buf = putUvarint(buf, uint64(n.Children[1].ID))
+			buf = putUvarint(buf, uint64(n.Children[0]))
+			buf = putUvarint(buf, uint64(n.Children[1]))
 		}
 	}
 	buf = putUvarint(buf, uint64(g.Root.ID))
@@ -298,7 +299,7 @@ func Decode(data []byte) (*Artifact, error) {
 		return nil, r.fail()
 	}
 	gb := mixgraph.NewBuilder(target)
-	nodes := make([]*mixgraph.Node, 0, nNodes)
+	level := make([]int, nNodes)   // structural level per node, 0 for leaves
 	claimed := make([]int, nNodes) // outputs already consumed per node
 	for i := 0; i < nNodes; i++ {
 		switch kind := r.byte(); kind {
@@ -310,10 +311,10 @@ func Decode(data []byte) (*Artifact, error) {
 			if fluid >= target.N() {
 				return nil, fmt.Errorf("%w: node %d fluid %d out of range", ErrCorrupt, i, fluid)
 			}
-			nodes = append(nodes, gb.Leaf(fluid))
+			gb.Leaf(fluid)
 		case 1:
-			l, lerr := r.nodeRef(nodes, claimed, i)
-			rn, rerr := r.nodeRef(nodes, claimed, i)
+			l, lerr := r.nodeRef(level, claimed, i)
+			rn, rerr := r.nodeRef(level, claimed, i)
 			if r.err != nil {
 				return nil, r.fail()
 			}
@@ -323,7 +324,10 @@ func Decode(data []byte) (*Artifact, error) {
 			if rerr != nil {
 				return nil, rerr
 			}
-			nodes = append(nodes, gb.Mix(l, rn))
+			if level[i] = max(level[l], level[rn]) + 1; level[i] > math.MaxInt8 {
+				return nil, fmt.Errorf("%w: node %d at level %d", ErrCorrupt, i, level[i])
+			}
+			gb.Mix(l, rn)
 		default:
 			if r.err != nil {
 				return nil, r.fail()
@@ -335,13 +339,13 @@ func Decode(data []byte) (*Artifact, error) {
 	if r.err != nil {
 		return nil, r.fail()
 	}
-	if rootID >= len(nodes) {
-		return nil, fmt.Errorf("%w: root %d of %d nodes", ErrCorrupt, rootID, len(nodes))
+	if rootID >= nNodes {
+		return nil, fmt.Errorf("%w: root %d of %d nodes", ErrCorrupt, rootID, nNodes)
 	}
 	if claimed[rootID] != 0 {
 		return nil, fmt.Errorf("%w: root %d has consumed outputs", ErrCorrupt, rootID)
 	}
-	g, err := gb.Build(nodes[rootID], algorithm)
+	g, err := gb.Build(int32(rootID), algorithm)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -534,24 +538,25 @@ func sourceKind(s forest.PSource, lo int32) byte {
 	return 1
 }
 
-// nodeRef reads one child-node reference, charging its output budget.
-func (r *reader) nodeRef(nodes []*mixgraph.Node, claimed []int, at int) (*mixgraph.Node, error) {
+// nodeRef reads node at's reference to an earlier node, charging its
+// output budget, and returns its ID.
+func (r *reader) nodeRef(level, claimed []int, at int) (int32, error) {
 	id := r.count(maxNodes)
 	if r.err != nil {
-		return nil, nil
+		return -1, nil
 	}
-	if id >= len(nodes) {
-		return nil, fmt.Errorf("%w: node %d references node %d (not topological)", ErrCorrupt, at, id)
+	if id >= at {
+		return -1, fmt.Errorf("%w: node %d references node %d (not topological)", ErrCorrupt, at, id)
 	}
 	limit := 2
-	if nodes[id].Kind == mixgraph.Leaf {
-		limit = 1
+	if level[id] == 0 {
+		limit = 1 // a leaf
 	}
 	if claimed[id] >= limit {
-		return nil, fmt.Errorf("%w: node %d over-consumes node %d", ErrCorrupt, at, id)
+		return -1, fmt.Errorf("%w: node %d over-consumes node %d", ErrCorrupt, at, id)
 	}
 	claimed[id]++
-	return nodes[id], nil
+	return int32(id), nil
 }
 
 // putUvarint / putString are the canonical primitive encoders.

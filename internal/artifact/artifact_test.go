@@ -360,6 +360,56 @@ func TestDecodeRejectsWideLevel(t *testing.T) {
 	t.Fatal("no level-200 case")
 }
 
+// TestDecodeRejectsDeepGraph: a base-graph node holds its level in a
+// byte, so a graph section whose mix chain climbs past level 127 is
+// corrupt, not a panic in the graph builder.
+func TestDecodeRejectsDeepGraph(t *testing.T) {
+	k, p := servedPlan(t, core.MM, ratio.MustNew(1, 1), 2, 1, "MMS")
+	data, err := Encode(k, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// section writes a graph section as Encode does: the algorithm, the
+	// node count, each node (0 and a fluid, or 1 and two child IDs) and
+	// the root's ID.
+	section := func(nodes [][]uint64) []byte {
+		buf := putString(nil, "MM")
+		buf = putUvarint(buf, uint64(len(nodes)))
+		for _, n := range nodes {
+			buf = append(buf, byte(n[0]))
+			for _, v := range n[1:] {
+				buf = putUvarint(buf, v)
+			}
+		}
+		return putUvarint(buf, uint64(len(nodes)-1))
+	}
+	g := p.Packed().Base
+	var real [][]uint64
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; n.IsLeaf() {
+			real = append(real, []uint64{0, uint64(n.Fluid)})
+		} else {
+			real = append(real, []uint64{1, uint64(n.Children[0]), uint64(n.Children[1])})
+		}
+	}
+	// A chain of 128 mixes, each over the one below and a fresh leaf.
+	deep := [][]uint64{{0, 0}, {0, 1}, {1, 0, 1}}
+	for range 127 {
+		top := uint64(len(deep) - 1)
+		deep = append(deep, []uint64{0, 1}, []uint64{1, top, top + 1})
+	}
+	payload := data[:len(data)-sha256.Size]
+	old := section(real)
+	at := bytes.Index(payload, old)
+	if at < 0 || bytes.Count(payload, old) != 1 {
+		t.Fatal("graph section not found once in the payload")
+	}
+	tampered := slices.Concat(payload[:at], section(deep), payload[at+len(old):])
+	if _, err := Decode(seal(tampered)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("128-level graph: Decode err = %v, want ErrCorrupt", err)
+	}
+}
+
 // TestDecodeKeyCarriesNames: the key section leaves the target's fluid
 // names out, so the same plan of a named and an unnamed target shares one
 // address, and Decode fills the names in from the decoded target: a

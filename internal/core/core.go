@@ -428,7 +428,7 @@ func Baseline(alg Algorithm, target ratio.Ratio, mixers, demand int) (*BaselineR
 		Inputs:         int64(passes) * st.InputTotal,
 		Waste:          int64(passes) * st.Waste,
 		Storage:        sched.StorageUnits(s),
-		StorageFormula: sched.BaselineStorage(base.Root.Level, mixers),
+		StorageFormula: sched.BaselineStorage(int(base.Root.Level), mixers),
 		Schedule:       s,
 	}, nil
 }

@@ -115,17 +115,18 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 	vecs := slices.Grow((*buf)[:0], len(g.Nodes)*(n+1))[:len(g.Nodes)*(n+1)]
 	*buf = vecs
 	g.VectorWords(vecs)
-	for _, v := range g.Nodes {
+	for i := range g.Nodes {
+		v := &g.Nodes[i]
 		if v.IsLeaf() {
 			an.Nodes[v.ID] = TaskError{VolLo: 1 - delta, VolHi: 1 + delta}
 			continue
 		}
 		a, b := v.Children[0], v.Children[1]
-		ea, alo, ahi := an.Nodes[a.ID].Err, an.Nodes[a.ID].VolLo, an.Nodes[a.ID].VolHi
-		eb, blo, bhi := an.Nodes[b.ID].Err, an.Nodes[b.ID].VolLo, an.Nodes[b.ID].VolHi
+		ea, alo, ahi := an.Nodes[a].Err, an.Nodes[a].VolLo, an.Nodes[a].VolHi
+		eb, blo, bhi := an.Nodes[b].Err, an.Nodes[b].VolLo, an.Nodes[b].VolHi
 		// Δ is the L∞ distance of the children's exact vectors (a leaf's is
 		// the unit vector of its fluid).
-		va, vb := vecs[a.ID*(n+1):][:n+1], vecs[b.ID*(n+1):][:n+1]
+		va, vb := vecs[int(a)*(n+1):][:n+1], vecs[int(b)*(n+1):][:n+1]
 		dena, denb := float64(int64(1)<<va[n]), float64(int64(1)<<vb[n])
 		div := 0.0
 		for i := 0; i < n; i++ {
@@ -209,19 +210,19 @@ func Analyze(f *forest.Forest, p Params) (*Analysis, error) {
 // output of a task of v.Children[k] otherwise.
 func checkPremise(g *mixgraph.Graph, t *forest.Task) error {
 	v := t.Base
-	if v.ID >= len(g.Nodes) || g.Nodes[v.ID] != v {
+	if v.ID < 0 || int(v.ID) >= len(g.Nodes) || &g.Nodes[v.ID] != v {
 		return fmt.Errorf("errormodel: task %d instantiates a node of another base graph", t.ID)
 	}
 	if v.IsLeaf() {
 		return fmt.Errorf("errormodel: task %d instantiates leaf node %d", t.ID, v.ID)
 	}
-	for k, c := range v.Children {
-		src := t.In[k]
-		if c.IsLeaf() && src.Kind == forest.Input && src.Fluid == c.Fluid ||
+	for k, id := range v.Children {
+		c, src := &g.Nodes[id], t.In[k]
+		if c.IsLeaf() && src.Kind == forest.Input && src.Fluid == int(c.Fluid) ||
 			!c.IsLeaf() && src.Kind == forest.FromTask && src.Task.Base == c {
 			continue
 		}
-		return fmt.Errorf("errormodel: task %d input %d is not an instance of its base node's child %d", t.ID, k, c.ID)
+		return fmt.Errorf("errormodel: task %d input %d is not an instance of its base node's child %d", t.ID, k, id)
 	}
 	return nil
 }

@@ -98,7 +98,7 @@ func TestZeroNoiseBoundedByRounding(t *testing.T) {
 	for _, proto := range allProtocols() {
 		for _, b := range builders {
 			f := buildForest(t, b.build, proto.Ratio, 10)
-			bound := RoundingErrorBound(f.Base.Root.Level)
+			bound := RoundingErrorBound(int(f.Base.Root.Level))
 			rep, err := Simulate(f, Params{Trials: 20, Seed: 9})
 			if err != nil {
 				t.Fatalf("%s/%s Simulate: %v", proto.Key, b.name, err)

@@ -105,7 +105,7 @@ func checkPackedPremise(t *testing.T, name string, f *forest.PackedForest) bool 
 		}
 	}
 	for i := range f.NumTrees() {
-		if root := f.Root(i); int(f.Tasks[root].Base) != f.Base.Root.ID {
+		if root := f.Root(i); f.Tasks[root].Base != f.Base.Root.ID {
 			t.Errorf("%s: tree %d is rooted at node %d, not the base root", name, i+1, f.Tasks[root].Base)
 			return false
 		}
@@ -216,7 +216,7 @@ func TestAnalyzeRejectsBrokenPremise(t *testing.T) {
 	}{
 		{"swapped inputs", func(f *forest.Forest) bool {
 			for _, task := range f.Tasks {
-				if c := task.Base.Children; c[0] != c[1] && c[0].IsLeaf() != c[1].IsLeaf() {
+				if c := task.Base.Children; c[0] != c[1] && f.Base.Nodes[c[0]].IsLeaf() != f.Base.Nodes[c[1]].IsLeaf() {
 					task.In[0], task.In[1] = task.In[1], task.In[0]
 					return true
 				}
@@ -233,8 +233,8 @@ func TestAnalyzeRejectsBrokenPremise(t *testing.T) {
 			return false
 		}},
 		{"leaf task", func(f *forest.Forest) bool {
-			for _, node := range f.Base.Nodes {
-				if node.IsLeaf() {
+			for i := range f.Base.Nodes {
+				if node := &f.Base.Nodes[i]; node.IsLeaf() {
 					f.Tasks[0].Base = node
 					return true
 				}

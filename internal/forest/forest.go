@@ -133,6 +133,10 @@ type Tree struct {
 type Forest struct {
 	// Base is the base mixing graph the forest was grown from.
 	Base *mixgraph.Graph
+	// Bases lists every target's base graph of a multi-target forest
+	// (BuildMulti), Base first: its trees' tasks instantiate nodes of
+	// each. Nil for a single-target forest.
+	Bases []*mixgraph.Graph
 	// Demand is the requested number of target droplets D.
 	Demand int
 	// Trees are the component trees T1..T|F|, |F| = ⌈D/2⌉.

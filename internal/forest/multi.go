@@ -54,7 +54,7 @@ func NewMultiBuilder(bases []*mixgraph.Graph) (*MultiBuilder, error) {
 	return &MultiBuilder{
 		bases: bases,
 		vecs:  vecs,
-		f:     &Forest{Base: bases[0]},
+		f:     &Forest{Base: bases[0], Bases: bases},
 		pool:  make(map[uint64][]*Task),
 	}, nil
 }
@@ -93,15 +93,15 @@ func (b *MultiBuilder) AddTree(ti int) (*Tree, error) {
 	idx := len(b.f.Trees) + 1
 	tree := &Tree{Index: idx, Want: base.Target.Vector()}
 
-	var obtain func(v *mixgraph.Node) Source
-	obtain = func(v *mixgraph.Node) Source {
-		vec := vecs[v.ID]
+	var obtain func(id int32) Source
+	obtain = func(id int32) Source {
+		v, vec := &base.Nodes[id], vecs[id]
 		key := vec.Hash()
 		if t, ok := b.takeSpare(key, vec); ok {
 			return Source{Kind: FromTask, Task: t, Reused: t.Tree != idx}
 		}
 		if v.IsLeaf() {
-			return Source{Kind: Input, Fluid: v.Fluid}
+			return Source{Kind: Input, Fluid: int(v.Fluid)}
 		}
 		l := obtain(v.Children[0])
 		r := obtain(v.Children[1])
@@ -125,7 +125,7 @@ func (b *MultiBuilder) newTask(v *mixgraph.Node, vec ratio.Vector, l, r Source, 
 		ID:    b.tasks,
 		Tree:  tree.Index,
 		Base:  v,
-		Level: v.PosLevel,
+		Level: int(v.PosLevel),
 		In:    [2]Source{l, r},
 		Vec:   vec,
 	}

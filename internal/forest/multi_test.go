@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/minmix"
@@ -34,6 +35,29 @@ func TestMultiTargetValidates(t *testing.T) {
 	if got[0] != 8 || got[1] != 8 {
 		t.Errorf("per-target emissions = %v, want [8 8]", got)
 	}
+}
+
+// TestMultiTargetValidateFindsBaseNodes: a multi-target forest's tasks
+// instantiate nodes of each of its bases, and Validate finds each node in
+// the graph whose array holds it; a node of a graph outside the forest,
+// even an identical one, is refused.
+func TestMultiTargetValidateFindsBaseNodes(t *testing.T) {
+	bases := buildBases(t, "3:13", "5:11")
+	f, err := BuildMulti(bases, []int{8, 8})
+	if err != nil {
+		t.Fatalf("BuildMulti: %v", err)
+	}
+	other := buildBases(t, "5:11")[0]
+	for _, task := range f.Tasks {
+		if v := task.Base; owns(bases[1], v) {
+			task.Base = &other.Nodes[v.ID]
+			if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "no base graph") {
+				t.Fatalf("Validate with a node of another graph = %v", err)
+			}
+			return
+		}
+	}
+	t.Fatal("no task instantiates a node of the second base")
 }
 
 func TestMultiTargetSharesAcrossTargets(t *testing.T) {

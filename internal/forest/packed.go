@@ -225,17 +225,18 @@ func (b *PackedBuilder) AddTree() int32 {
 // input droplet for leaves, otherwise a new mix over the children (whose
 // spare output joins the pool). A spare made before the current tree's
 // first task is a cross-tree reuse.
-func (b *PackedBuilder) obtain(v *mixgraph.Node) PSource {
-	if id, ok := b.pool[v.ID].pop(); ok {
-		return TaskSource(id)
+func (b *PackedBuilder) obtain(id int32) PSource {
+	if t, ok := b.pool[id].pop(); ok {
+		return TaskSource(t)
 	}
+	v := &b.base.Nodes[id]
 	if v.IsLeaf() {
-		return InputSource(int32(v.Fluid))
+		return InputSource(v.Fluid)
 	}
 	l := b.obtain(v.Children[0])
 	r := b.obtain(v.Children[1])
 	t := b.newTask(v, l, r)
-	b.pool[v.ID].push(t)
+	b.pool[id].push(t)
 	return TaskSource(t)
 }
 
@@ -248,10 +249,10 @@ func (b *PackedBuilder) obtain(v *mixgraph.Node) PSource {
 // of f.Base.
 func (f *PackedForest) FromChildren(i int) bool {
 	t := &f.Tasks[i]
-	for k, c := range f.Base.Nodes[t.Base].Children {
-		src := t.In[k]
-		if !(c.IsLeaf() && src == InputSource(int32(c.Fluid)) ||
-			!c.IsLeaf() && src >= 0 && int(src) < i && f.Tasks[src].Base == int32(c.ID)) {
+	for k, id := range f.Base.Nodes[t.Base].Children {
+		c, src := &f.Base.Nodes[id], t.In[k]
+		if !(c.IsLeaf() && src == InputSource(c.Fluid) ||
+			!c.IsLeaf() && src >= 0 && int(src) < i && f.Tasks[src].Base == id) {
 			return false
 		}
 	}
@@ -266,8 +267,8 @@ func (b *PackedBuilder) newTask(v *mixgraph.Node, l, r PSource) int32 {
 		b.f.Tasks = slices.Grow(b.f.Tasks, max(len(b.f.Tasks), 64))
 	}
 	b.f.Tasks = append(b.f.Tasks, PTask{
-		Base:  int32(v.ID),
-		Level: int8(v.PosLevel),
+		Base:  v.ID,
+		Level: v.PosLevel,
 		In:    [2]PSource{l, r},
 	})
 	return id
@@ -328,7 +329,7 @@ func (f *PackedForest) Materialize() *Forest {
 		lo, hi := f.Span(k)
 		for i := lo; i < hi; i++ {
 			pt := &f.Tasks[i]
-			node := f.Base.Nodes[pt.Base]
+			node := &f.Base.Nodes[pt.Base]
 			t := &tasks[i]
 			*t = Task{ID: int(i), Tree: k + 1, Base: node, Level: int(pt.Level), Vec: vecs[pt.Base],
 				consumers: consArena[2*i : 2*i : 2*i+2]}
@@ -374,7 +375,7 @@ func Pack(f *Forest) (*PackedForest, error) {
 			return nil, fmt.Errorf("forest: task %d has %d consumers, a mix-split has two outputs", i, len(t.consumers))
 		}
 		pt := &pf.Tasks[i]
-		*pt = PTask{Base: int32(t.Base.ID), Level: int8(t.Level)}
+		*pt = PTask{Base: t.Base.ID, Level: int8(t.Level)}
 		for s, src := range t.In {
 			if src.Kind == Input {
 				pt.In[s] = InputSource(int32(src.Fluid))

@@ -39,7 +39,7 @@ func Build(target ratio.Ratio) (*mixgraph.Graph, error) {
 	// level's leaves. The level's mixes overwrite its front half in place
 	// and become the next carry. A carry of at most N droplets plus at most
 	// N leaves pairs down to at most N again, so the buffer never grows.
-	pool := make([]*mixgraph.Node, 0, 2*r.N())
+	pool := make([]int32, 0, 2*r.N())
 	for level := 1; level <= d; level++ {
 		bit := uint(level - 1)
 		for i := 0; i < r.N(); i++ {

@@ -28,15 +28,16 @@ func (g *Graph) Fingerprint() uint64 {
 		}
 	}
 	mix(uint64(len(g.Nodes)))
-	for _, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if n.IsLeaf() {
 			mix(1)
 			mix(uint64(n.Fluid))
 			continue
 		}
 		mix(2)
-		mix(uint64(n.Children[0].ID))
-		mix(uint64(n.Children[1].ID))
+		mix(uint64(n.Children[0]))
+		mix(uint64(n.Children[1]))
 	}
 	// Concurrent first callers compute the same deterministic value; the
 	// value store precedes the flag store, so a reader seeing fpDone always

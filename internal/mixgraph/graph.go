@@ -14,6 +14,7 @@ package mixgraph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -44,31 +45,32 @@ func (k Kind) String() string {
 }
 
 // Node is one vertex of a mix-split graph. Nodes are created through a
-// Builder and are immutable after Build. A built graph keeps its nodes in
-// one slice (see Builder). Every cached plan pins its base graph, so a
-// Node holds structure only and links only to its children: 56 bytes, two
-// pointers for the garbage collector to scan. Its CF vector follows from
-// the wiring and the leaf fluids (a mix is the average of its children),
-// so it is derived on demand by Graph.Vectors.
+// Builder and are immutable after Build. A built graph keeps its nodes by
+// value in one array and links them by ID, so a node holds no pointer for
+// the garbage collector to scan: 20 bytes of structure, which every cached
+// plan pins with its base graph. Its CF vector follows from the wiring and
+// the leaf fluids (a mix is the average of its children), so it is derived
+// on demand by Graph.Vectors.
 type Node struct {
 	// ID is the node's index in Graph.Nodes (children precede parents).
-	ID int
+	ID int32
 	// Fluid is the input-fluid index for Leaf nodes (0-based), -1 for Mix.
-	Fluid int
-	// Children are the two droplet sources of a Mix node (nil for leaves).
-	// Each child reference consumes exactly one of the child's two outputs.
-	Children [2]*Node
+	Fluid int32
+	// Children are the node IDs of a Mix node's two droplet sources (-1
+	// for leaves). Each child reference consumes exactly one of the
+	// child's two outputs.
+	Children [2]int32
 	// Level is the structural level: leaves at level 0 and a mix at one more
 	// than its highest child, i.e. the longest mix chain below the node.
 	// The root of a depth-d graph is at level d.
-	Level int
+	Level int8
 	// PosLevel is the paper's positional level, assigned top-down: the root
 	// at Level d, every child one below its parent. It differs from Level
 	// for shallow subtrees hanging high in the tree (e.g. a leaf-leaf mix
 	// directly under the root has Level 1 but PosLevel d-1). For shared
 	// nodes (two parents) the smaller candidate — the more urgent one — is
 	// kept. Scheduling policies use PosLevel; set by Builder.Build.
-	PosLevel int
+	PosLevel int8
 	// Kind says whether the node dispenses an input droplet or mixes.
 	Kind Kind
 
@@ -91,10 +93,12 @@ func (n *Node) outputs() int {
 type Graph struct {
 	// Target is the mixture the pass prepares.
 	Target ratio.Ratio
-	// Root is the mix node whose two outputs are the target droplets.
+	// Root is the mix node whose two outputs are the target droplets; it
+	// points into Nodes, which never moves after Build.
 	Root *Node
-	// Nodes lists every node in topological order (children first).
-	Nodes []*Node
+	// Nodes holds every node in topological order (children first),
+	// indexed by ID.
+	Nodes []Node
 	// Algorithm names the base algorithm that built the graph ("MM", ...).
 	Algorithm string
 
@@ -112,40 +116,21 @@ type Graph struct {
 // Builder constructs a Graph incrementally. The zero value is not usable;
 // call NewBuilder.
 //
-// Nodes live in a node arena grown in chunks, so that a node once handed
-// out never moves. The first chunk holds exactly the MM tree of the target
-// (one leaf per set bit of the parts, one mix fewer), so an MM build fills
-// it exactly and Build keeps it; any other size is copied into an
-// exact-size arena by Build. Every cached plan pins its base graph, so a
-// graph retains no spare capacity.
+// Leaf and Mix append to one slice, borrowed from a pool, and hand out
+// node IDs; Build copies the nodes once into an exact-size array, since
+// every cached plan pins its base graph.
 type Builder struct {
 	target ratio.Ratio
-	chunks [][]Node // the node arena: full chunks, then the one being filled
-	count  int      // nodes created so far
+	buf    *[]Node // the pooled slice nodes was taken from
+	nodes  []Node  // created so far, indexed by ID
 }
+
+var nodesPool = sync.Pool{New: func() any { return new([]Node) }}
 
 // NewBuilder returns a builder for a mix-split graph targeting r.
 func NewBuilder(r ratio.Ratio) *Builder {
-	return &Builder{target: r}
-}
-
-// node appends a zero node to the arena, numbered in creation order.
-func (b *Builder) node() *Node {
-	last := len(b.chunks) - 1
-	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
-		size := b.count // doubling
-		if last < 0 {
-			size = mmNodes(b.target)
-		}
-		b.chunks = append(b.chunks, make([]Node, 0, size))
-		last++
-	}
-	c := b.chunks[last][:len(b.chunks[last])+1]
-	b.chunks[last] = c
-	nd := &c[len(c)-1]
-	nd.ID = b.count
-	b.count++
-	return nd
+	buf := nodesPool.Get().(*[]Node)
+	return &Builder{target: r, buf: buf, nodes: slices.Grow((*buf)[:0], mmNodes(r))}
 }
 
 // mmNodes is the node count of r's MM tree: one leaf per set bit of the
@@ -158,68 +143,56 @@ func mmNodes(r ratio.Ratio) int {
 	return max(2*leaves-1, 1)
 }
 
-// at returns the arena node with the given ID, nil if there is none.
-func (b *Builder) at(id int) *Node {
-	if id < 0 {
-		return nil
-	}
-	for _, c := range b.chunks {
-		if id < len(c) {
-			return &c[id]
-		}
-		id -= len(c)
-	}
-	return nil
+// add appends n, numbered in creation order, and returns its ID.
+func (b *Builder) add(n Node) int32 {
+	n.ID = int32(len(b.nodes))
+	b.nodes = append(b.nodes, n)
+	return n.ID
 }
 
-// Leaf adds a fresh input-droplet node for the given fluid index.
-func (b *Builder) Leaf(fluid int) *Node {
+// Leaf adds a fresh input-droplet node for the given fluid index and
+// returns its ID.
+func (b *Builder) Leaf(fluid int) int32 {
 	if fluid < 0 || fluid >= b.target.N() {
 		panic(fmt.Sprintf("mixgraph: leaf fluid %d out of range [0,%d)", fluid, b.target.N()))
 	}
-	n := b.node()
-	n.Kind = Leaf
-	n.Fluid = fluid
-	return n
+	return b.add(Node{Kind: Leaf, Fluid: int32(fluid), Children: [2]int32{-1, -1}})
 }
 
-// Mix adds a (1:1) mix-split node over droplets from l and r. Each call
-// consumes one output of each operand; an operand with both outputs already
-// consumed, or one made by another builder, panics (builders control their
-// own operand reuse).
-func (b *Builder) Mix(l, r *Node) *Node {
-	for _, c := range [2]*Node{l, r} {
-		if c == nil {
-			panic("mixgraph: Mix with nil child")
+// Mix adds a (1:1) mix-split node over droplets from nodes l and r and
+// returns its ID. Each call consumes one output of each operand; an
+// operand with both outputs already consumed, or an ID this builder has not
+// handed out, panics (builders control their own operand reuse).
+func (b *Builder) Mix(l, r int32) int32 {
+	for _, c := range [2]int32{l, r} {
+		if c < 0 || int(c) >= len(b.nodes) {
+			panic(fmt.Sprintf("mixgraph: Mix operand %d out of range [0,%d)", c, len(b.nodes)))
 		}
-		if b.at(c.ID) != c {
-			panic(fmt.Sprintf("mixgraph: Mix operand %d made by another builder", c.ID))
-		}
-		if int(c.nparents) >= c.outputs() || l == r && int(c.nparents)+2 > c.outputs() {
-			panic(fmt.Sprintf("mixgraph: node %d already has all outputs consumed", c.ID))
+		n := &b.nodes[c]
+		if int(n.nparents) >= n.outputs() || l == r && int(n.nparents)+2 > n.outputs() {
+			panic(fmt.Sprintf("mixgraph: node %d already has all outputs consumed", c))
 		}
 	}
-	n := b.node()
-	n.Kind = Mix
-	n.Fluid = -1
-	n.Children = [2]*Node{l, r}
-	n.Level = max(l.Level, r.Level) + 1
-	l.nparents++
-	r.nparents++
-	return n
+	ln, rn := &b.nodes[l], &b.nodes[r]
+	level := max(ln.Level, rn.Level)
+	if level == math.MaxInt8 {
+		panic(fmt.Sprintf("mixgraph: mix above level %d", level))
+	}
+	ln.nparents++
+	rn.nparents++
+	return b.add(Node{Kind: Mix, Fluid: -1, Children: [2]int32{l, r}, Level: level + 1})
 }
 
-// Build finalises the graph with the given root and verifies every
-// structural invariant. The builder must not be reused afterwards, and the
-// nodes it handed out are scratch: the graph's own nodes are g.Nodes.
-func (b *Builder) Build(root *Node, algorithm string) (*Graph, error) {
-	if root != nil && b.at(root.ID) != root {
-		return nil, fmt.Errorf("mixgraph: node ID %d inconsistent with node list", root.ID)
-	}
-	g := &Graph{Target: b.target, Nodes: b.flatten(), Algorithm: algorithm}
-	b.chunks = nil
-	if root != nil {
-		g.Root = g.Nodes[root.ID]
+// Build finalises the graph with the given root node ID and verifies every
+// structural invariant. The builder must not be reused afterwards.
+func (b *Builder) Build(root int32, algorithm string) (*Graph, error) {
+	g := &Graph{Target: b.target, Nodes: make([]Node, len(b.nodes)), Algorithm: algorithm}
+	copy(g.Nodes, b.nodes)
+	*b.buf = b.nodes[:0]
+	nodesPool.Put(b.buf)
+	b.buf, b.nodes = nil, nil
+	if root >= 0 && int(root) < len(g.Nodes) {
+		g.Root = &g.Nodes[root]
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -228,47 +201,21 @@ func (b *Builder) Build(root *Node, algorithm string) (*Graph, error) {
 	return g, nil
 }
 
-// flatten returns the nodes in creation order over an exact-size arena. A
-// builder whose one chunk filled up exactly already holds them; otherwise
-// the nodes are copied into a fresh arena and every child link is
-// re-pointed by ID.
-func (b *Builder) flatten() []*Node {
-	var arena []Node
-	if len(b.chunks) == 1 && len(b.chunks[0]) == cap(b.chunks[0]) {
-		arena = b.chunks[0]
-	} else {
-		arena = make([]Node, 0, b.count)
-		for _, c := range b.chunks {
-			arena = append(arena, c...)
-		}
-		for i := range arena {
-			nd := &arena[i]
-			if nd.Kind == Mix {
-				nd.Children = [2]*Node{&arena[nd.Children[0].ID], &arena[nd.Children[1].ID]}
-			}
-		}
-	}
-	nodes := make([]*Node, len(arena))
-	for i := range arena {
-		nodes[i] = &arena[i]
-	}
-	return nodes
-}
-
 // assignPosLevels computes positional levels top-down from the root.
 func (g *Graph) assignPosLevels() {
-	for _, n := range g.Nodes {
-		n.PosLevel = 0
+	for i := range g.Nodes {
+		g.Nodes[i].PosLevel = 0
 	}
 	g.Root.PosLevel = g.Root.Level
 	// Nodes are topologically ordered (children before parents), so a
 	// reverse sweep sees every parent before its children.
 	for i := len(g.Nodes) - 1; i >= 0; i-- {
-		n := g.Nodes[i]
+		n := &g.Nodes[i]
 		if n.Kind != Mix {
 			continue
 		}
-		for _, c := range n.Children {
+		for _, id := range n.Children {
+			c := &g.Nodes[id]
 			if c.PosLevel == 0 || n.PosLevel-1 < c.PosLevel {
 				c.PosLevel = n.PosLevel - 1
 			}
@@ -288,14 +235,18 @@ var (
 	ErrBadLevel     = errors.New("mixgraph: mix level is not one above its highest child")
 )
 
-// Validate checks the full set of graph invariants: topological node order,
-// output-consumption bounds, structural levels, reachability of every node
-// and root identity with the target ratio, whose vector it propagates from
-// the leaves in scratch. Every base-graph build runs it, so its bookkeeping
-// is borrowed from a pool and a warm call allocates nothing.
+// Validate checks the full set of graph invariants: node IDs matching
+// their indices, topological node order, output-consumption bounds,
+// structural levels, reachability of every node and root identity with the
+// target ratio, whose vector it propagates from the leaves in scratch.
+// Every base-graph build runs it, so its bookkeeping is borrowed from a
+// pool and a warm call allocates nothing.
 func (g *Graph) Validate() error {
 	if g.Root == nil {
 		return ErrNoRoot
+	}
+	if id := g.Root.ID; id < 0 || int(id) >= len(g.Nodes) || &g.Nodes[id] != g.Root {
+		return fmt.Errorf("mixgraph: root ID %d inconsistent with node list", id)
 	}
 	if g.Root.Kind != Mix {
 		return ErrRootNotMix
@@ -303,45 +254,49 @@ func (g *Graph) Validate() error {
 	if g.Root.nparents != 0 {
 		return ErrRootConsumed
 	}
-	sc := validatePool.Get().(*validateScratch)
-	defer sc.release()
-	reach := slices.Grow(sc.reach[:0], len(g.Nodes))[:len(g.Nodes)]
-	clear(reach)
-	// Each unvisited mix pops one entry and pushes two, so the stack never
-	// holds more than one entry per mix plus the root.
-	stack := append(slices.Grow(sc.stack[:0], len(g.Nodes)+1), g.Root)
-	sc.reach, sc.stack = reach, stack
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n.ID < 0 || n.ID >= len(g.Nodes) || g.Nodes[n.ID] != n {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		if int(n.ID) != i {
 			return fmt.Errorf("mixgraph: node ID %d inconsistent with node list", n.ID)
-		}
-		if reach[n.ID] {
-			continue
-		}
-		reach[n.ID] = true
-		if n.Kind == Mix {
-			stack = append(stack, n.Children[0], n.Children[1])
-		}
-	}
-	for i, n := range g.Nodes {
-		if !reach[i] {
-			return fmt.Errorf("%w: node %d", ErrUnreachable, i)
 		}
 		if int(n.nparents) > n.outputs() {
 			return fmt.Errorf("%w: node %d", ErrOverConsumed, i)
 		}
-		if n.Kind == Mix {
-			for _, c := range n.Children {
-				if c.ID >= n.ID {
-					return fmt.Errorf("%w: mix %d before child %d", ErrBadTopology, n.ID, c.ID)
-				}
-			}
-			if want := max(n.Children[0].Level, n.Children[1].Level) + 1; n.Level != want {
-				return fmt.Errorf("%w: node %d level %d, want %d", ErrBadLevel, n.ID, n.Level, want)
+		if n.Kind != Mix {
+			continue
+		}
+		for _, c := range n.Children {
+			if c < 0 || c >= n.ID {
+				return fmt.Errorf("%w: mix %d before child %d", ErrBadTopology, n.ID, c)
 			}
 		}
+		if want := max(g.Nodes[n.Children[0]].Level, g.Nodes[n.Children[1]].Level) + 1; n.Level != want {
+			return fmt.Errorf("%w: node %d level %d, want %d", ErrBadLevel, n.ID, n.Level, want)
+		}
+	}
+	// Every child precedes its parent, so the walk only meets valid IDs.
+	sc := validatePool.Get().(*validateScratch)
+	defer validatePool.Put(sc)
+	reach := slices.Grow(sc.reach[:0], len(g.Nodes))[:len(g.Nodes)]
+	clear(reach)
+	// Each unvisited mix pops one entry and pushes two, so the stack never
+	// holds more than one entry per mix plus the root.
+	stack := append(slices.Grow(sc.stack[:0], len(g.Nodes)+1), g.Root.ID)
+	sc.reach = reach
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if reach[id] {
+			continue
+		}
+		reach[id] = true
+		if n := &g.Nodes[id]; n.Kind == Mix {
+			stack = append(stack, n.Children[0], n.Children[1])
+		}
+	}
+	sc.stack = stack
+	if i := slices.Index(reach, false); i >= 0 {
+		return fmt.Errorf("%w: node %d", ErrUnreachable, i)
 	}
 	// Every node is reachable and after its children, so the vectors
 	// propagate.
@@ -353,21 +308,14 @@ func (g *Graph) Validate() error {
 }
 
 // validateScratch is Validate's bookkeeping: reach marks, the walk's stack
-// and the vector words of the root proof.
+// of node IDs and the vector words of the root proof.
 type validateScratch struct {
 	reach []bool
-	stack []*Node
+	stack []int32
 	words []int64
 }
 
 var validatePool = sync.Pool{New: func() any { return new(validateScratch) }}
-
-// release returns sc to the pool with its stack cleared, so a pooled
-// buffer pins no graph.
-func (sc *validateScratch) release() {
-	clear(sc.stack[:cap(sc.stack)])
-	validatePool.Put(sc)
-}
 
 // ScratchWords is the scratch length RootIsTarget needs: VectorWords' words
 // and the target's.
@@ -395,7 +343,7 @@ func (g *Graph) RootIsTarget(scratch []int64) bool {
 func (g *Graph) rootIsTarget(scratch []int64) bool {
 	k := g.Target.N()
 	g.VectorWords(scratch)
-	root, target := scratch[g.Root.ID*(k+1):][:k+1], scratch[len(g.Nodes)*(k+1):][:k]
+	root, target := scratch[int(g.Root.ID)*(k+1):][:k+1], scratch[len(g.Nodes)*(k+1):][:k]
 	for i := range target {
 		target[i] = g.Target.Part(i)
 	}
@@ -412,13 +360,14 @@ func (g *Graph) Vectors() []ratio.Vector {
 	k := g.Target.N()
 	words := make([]int64, len(g.Nodes)*k)
 	out := make([]ratio.Vector, len(g.Nodes))
-	for i, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		w := words[i*k : (i+1)*k : (i+1)*k]
 		if n.Kind == Leaf {
-			out[i] = ratio.UnitIn(w, n.Fluid)
+			out[i] = ratio.UnitIn(w, int(n.Fluid))
 			continue
 		}
-		out[i] = ratio.MixIn(w, out[n.Children[0].ID], out[n.Children[1].ID])
+		out[i] = ratio.MixIn(w, out[n.Children[0]], out[n.Children[1]])
 	}
 	return out
 }
@@ -430,14 +379,15 @@ func (g *Graph) Vectors() []ratio.Vector {
 // Validate proves of every built graph).
 func (g *Graph) VectorWords(dst []int64) {
 	k := g.Target.N()
-	for i, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		w := dst[i*(k+1):][:k+1]
 		if n.Kind == Leaf {
 			clear(w)
 			w[n.Fluid] = 1
 			continue
 		}
-		a, b := dst[n.Children[0].ID*(k+1):][:k+1], dst[n.Children[1].ID*(k+1):][:k+1]
+		a, b := dst[int(n.Children[0])*(k+1):][:k+1], dst[int(n.Children[1])*(k+1):][:k+1]
 		w[k] = int64(ratio.MixWordsInto(w[:k], a[:k], uint(a[k]), b[:k], uint(b[k])))
 	}
 }

@@ -1,6 +1,8 @@
 package mixgraph
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -8,11 +10,36 @@ import (
 	"repro/internal/ratio"
 )
 
-// TestNodeSize pins a base-graph node at no more than 56 bytes: every
+// TestNodeSize pins a base-graph node at no more than 20 bytes: every
 // cached plan pins its base graph's nodes.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got > 56 {
-		t.Fatalf("Node is %d bytes, want <= 56", got)
+	if got := unsafe.Sizeof(Node{}); got > 20 {
+		t.Fatalf("Node is %d bytes, want <= 20", got)
+	}
+}
+
+// TestNodePointerFree fails if Node gains a field the garbage collector
+// must scan, so a graph's node array stays noscan.
+func TestNodePointerFree(t *testing.T) {
+	var scan func(reflect.Type) string
+	scan = func(ty reflect.Type) string {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+			return ty.String()
+		case reflect.Array:
+			return scan(ty.Elem())
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				if bad := scan(ty.Field(i).Type); bad != "" {
+					return ty.Field(i).Name + " " + bad
+				}
+			}
+		}
+		return ""
+	}
+	if bad := scan(reflect.TypeFor[Node]()); bad != "" {
+		t.Fatalf("Node holds a pointer-carrying field: %s", bad)
 	}
 }
 
@@ -82,8 +109,8 @@ func TestWastesList(t *testing.T) {
 		t.Fatalf("len(Wastes) = %d, want 6", len(w))
 	}
 	levels := map[int]int{}
-	for _, n := range w {
-		levels[n.Level]++
+	for _, id := range w {
+		levels[int(g.Nodes[id].Level)]++
 	}
 	// Fig. 1: wastes at level 1 (m15,m16,m17), level 2 (m13,m14), level 3 (m12).
 	if levels[1] != 3 || levels[2] != 2 || levels[3] != 1 {
@@ -115,11 +142,17 @@ func TestLevelWidths(t *testing.T) {
 func TestBFSLabels(t *testing.T) {
 	g := buildPCRTree(t)
 	labels := BFSLabels(g, 1)
-	if got := labels[g.Root]; got != "m1,1" {
+	if got := labels[g.Root.ID]; got != "m1,1" {
 		t.Errorf("root label = %q, want m1,1", got)
 	}
-	if len(labels) != 7 {
-		t.Errorf("labelled %d mixes, want 7", len(labels))
+	mixes := 0
+	for _, l := range labels {
+		if l != "" {
+			mixes++
+		}
+	}
+	if mixes != 7 {
+		t.Errorf("labelled %d mixes, want 7", mixes)
 	}
 	// The root's mix child is m1,2.
 	if got := labels[g.Root.Children[0]]; got != "m1,2" {
@@ -167,10 +200,34 @@ func TestBuildRejectsLeafRoot(t *testing.T) {
 	}
 }
 
+// TestBuildNilRoot: a root ID the builder never handed out, negative or
+// past the last node, is no root.
 func TestBuildNilRoot(t *testing.T) {
-	b := NewBuilder(ratio.MustNew(1, 1))
-	if _, err := b.Build(nil, "bad"); err == nil {
-		t.Error("Build accepted a nil root")
+	for _, root := range []int32{-1, 0, 3} {
+		b := NewBuilder(ratio.MustNew(1, 1))
+		if root > 0 {
+			b.Mix(b.Leaf(0), b.Leaf(1))
+		}
+		if _, err := b.Build(root, "bad"); !errors.Is(err, ErrNoRoot) {
+			t.Errorf("Build(%d) = %v, want %v", root, err, ErrNoRoot)
+		}
+	}
+}
+
+// TestMixPanicsOnOutOfRangeOperand: Mix refuses an ID the builder has not
+// handed out.
+func TestMixPanicsOnOutOfRangeOperand(t *testing.T) {
+	for _, bad := range []int32{-1, 1} {
+		func() {
+			b := NewBuilder(ratio.MustNew(1, 1))
+			l := b.Leaf(0)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Mix(%d, %d) did not panic", l, bad)
+				}
+			}()
+			b.Mix(l, bad)
+		}()
 	}
 }
 

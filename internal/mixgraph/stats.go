@@ -21,8 +21,9 @@ type Stats struct {
 
 // Stats computes the single-pass statistics of g.
 func (g *Graph) Stats() Stats {
-	s := Stats{Inputs: make([]int64, g.Target.N()), Depth: g.Root.Level}
-	for _, n := range g.Nodes {
+	s := Stats{Inputs: make([]int64, g.Target.N()), Depth: int(g.Root.Level)}
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		switch n.Kind {
 		case Leaf:
 			s.Inputs[n.Fluid]++
@@ -32,41 +33,30 @@ func (g *Graph) Stats() Stats {
 			if n.nparents == 2 {
 				s.Shared++
 			}
-		}
-	}
-	// Count waste directly (unconsumed outputs of non-root mixes); in a
-	// validated graph this always equals InputTotal - 2 by conservation.
-	for _, n := range g.Nodes {
-		if n.Kind == Mix && n != g.Root {
-			s.Waste += int64(2 - n.nparents)
+			// Count waste directly (unconsumed outputs of non-root
+			// mixes); in a validated graph this always equals
+			// InputTotal - 2 by conservation.
+			if n != g.Root {
+				s.Waste += int64(2 - n.nparents)
+			}
 		}
 	}
 	return s
 }
 
-// Wastes lists the non-root mix nodes with at least one unconsumed output,
-// i.e. the droplets a single pass discards. These are exactly the droplets
-// the paper's mixing forest recycles. Nodes appear in topological order; a
-// node with two free outputs appears twice.
-func (g *Graph) Wastes() []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
+// Wastes lists the IDs of the non-root mix nodes with at least one
+// unconsumed output, i.e. the droplets a single pass discards. These are
+// exactly the droplets the paper's mixing forest recycles. Nodes appear in
+// topological order; a node with two free outputs appears twice.
+func (g *Graph) Wastes() []int32 {
+	var out []int32
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if n.Kind != Mix || n == g.Root {
 			continue
 		}
 		for k := n.nparents; k < 2; k++ {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// MixNodes returns all mix nodes in topological order.
-func (g *Graph) MixNodes() []*Node {
-	out := make([]*Node, 0, len(g.Nodes))
-	for _, n := range g.Nodes {
-		if n.Kind == Mix {
-			out = append(out, n)
+			out = append(out, n.ID)
 		}
 	}
 	return out
@@ -78,8 +68,8 @@ func (g *Graph) MixNodes() []*Node {
 // an upper bound on the mixers needed for completion in Depth cycles.
 func (g *Graph) LevelWidths() []int {
 	w := make([]int, g.Root.Level)
-	for _, n := range g.Nodes {
-		if n.Kind == Mix {
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; n.Kind == Mix {
 			w[n.PosLevel-1]++
 		}
 	}

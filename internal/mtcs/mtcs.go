@@ -82,9 +82,9 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// release returns sc to the pool holding no node of the graph it built.
+// release returns sc to the pool without the builder, whose node buffer
+// the graph's Build has already returned.
 func (sc *scratch) release() {
-	clear(sc.spares[:cap(sc.spares)])
 	sc.b = nil
 	scratchPool.Put(sc)
 }
@@ -98,11 +98,11 @@ type instance struct {
 	b      *mixgraph.Builder
 	shapes []shape
 	top    []int32 // per class: 1 + index in spares of its last spare, 0 if none
-	spares []*mixgraph.Node
+	spares []int32 // node IDs
 	below  []int32 // per spare: the top of its class before it was pushed
 }
 
-func (in *instance) need(i int32, isRoot bool) *mixgraph.Node {
+func (in *instance) need(i int32, isRoot bool) int32 {
 	s := &in.shapes[i]
 	if !isRoot {
 		if t := in.top[s.class]; t > 0 {

@@ -77,19 +77,19 @@ func rise(parts []part) {
 	}
 }
 
-// build returns a droplet node realising the sub-ratio `parts` (sum 2^k),
+// build returns the ID of a droplet node realising the sub-ratio `parts` (sum 2^k),
 // which must be sorted by before. It works in place: the left half's build
 // reorders parts freely, and the right half is re-sorted before use.
-func build(b *mixgraph.Builder, parts []part, k int) (*mixgraph.Node, error) {
+func build(b *mixgraph.Builder, parts []part, k int) (int32, error) {
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("rma: internal error: empty sub-ratio")
+		return -1, fmt.Errorf("rma: internal error: empty sub-ratio")
 	}
 	if len(parts) == 1 {
 		// A single-fluid half is satisfied by one pure unit droplet.
 		return b.Leaf(parts[0].fluid), nil
 	}
 	if k == 0 {
-		return nil, fmt.Errorf("rma: internal error: %d fluids left at scale 1", len(parts))
+		return -1, fmt.Errorf("rma: internal error: %d fluids left at scale 1", len(parts))
 	}
 	// When halve splits parts[j], its first share closes the left half and
 	// its rest opens the right one. The split share is smaller than every
@@ -104,7 +104,7 @@ func build(b *mixgraph.Builder, parts []part, k int) (*mixgraph.Node, error) {
 	}
 	l, err := build(b, left, k-1)
 	if err != nil {
-		return nil, err
+		return -1, err
 	}
 	if rest > 0 {
 		parts[j] = part{fluid: fluid, amount: rest}
@@ -112,7 +112,7 @@ func build(b *mixgraph.Builder, parts []part, k int) (*mixgraph.Node, error) {
 	}
 	rn, err := build(b, parts[j:], k-1)
 	if err != nil {
-		return nil, err
+		return -1, err
 	}
 	return b.Mix(l, rn), nil
 }

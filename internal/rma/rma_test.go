@@ -41,7 +41,7 @@ func TestPureLeafShortcut(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	l, r := g.Root.Children[0], g.Root.Children[1]
+	l, r := &g.Nodes[g.Root.Children[0]], &g.Nodes[g.Root.Children[1]]
 	oneIsPureLeaf := (l.IsLeaf() && l.Fluid == 0) || (r.IsLeaf() && r.Fluid == 0)
 	if !oneIsPureLeaf {
 		t.Error("expected a pure x1 leaf directly under the root")

@@ -78,9 +78,9 @@ func Build(target ratio.Ratio) (*mixgraph.Graph, error) {
 
 	// Instantiate with sharing, as in MTCS.
 	b := mixgraph.NewBuilder(target)
-	avail := make(map[string][]*mixgraph.Node)
-	var need func(s *shape, isRoot bool) *mixgraph.Node
-	need = func(s *shape, isRoot bool) *mixgraph.Node {
+	avail := make(map[string][]int32)
+	var need func(s *shape, isRoot bool) int32
+	need = func(s *shape, isRoot bool) int32 {
 		if !isRoot {
 			if free := avail[s.key]; len(free) > 0 {
 				n := free[len(free)-1]

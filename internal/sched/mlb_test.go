@@ -17,7 +17,7 @@ import (
 // legacyMlb is the original mixer search Mlb replaced: OMS over a freshly
 // built forest for every mixer count from 1 up.
 func legacyMlb(base *mixgraph.Graph) int {
-	cp := base.Root.Level
+	cp := int(base.Root.Level)
 	upper := 1
 	for _, w := range base.LevelWidths() {
 		if w > upper {

@@ -88,7 +88,7 @@ func schedule(f *forest.Forest, mc int, algo string, p policy) (*Schedule, error
 // (TestMlbMatchesLegacySearch checks the whole search against the search
 // from one mixer up).
 func Mlb(base *mixgraph.Graph) int {
-	cp := base.Root.Level
+	cp := int(base.Root.Level)
 	upper := 1
 	for _, w := range base.LevelWidths() {
 		if w > upper {

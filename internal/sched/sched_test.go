@@ -77,7 +77,7 @@ func TestOMSMatchesDepthAtMlb(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OMS(%s): %v", rs, err)
 		}
-		if s.Cycles != g.Root.Level {
+		if s.Cycles != int(g.Root.Level) {
 			t.Errorf("%s: OMS with Mlb=%d gives Tc=%d, want depth %d", rs, mlb, s.Cycles, g.Root.Level)
 		}
 	}

@@ -218,7 +218,7 @@ func plannerRows(t testing.TB) []goldenRow {
 		add("mlb "+gg.label, func() (string, error) {
 			// The definition: the fewest mixers whose OMS schedule finishes
 			// in the critical-path time, searched from one mixer up.
-			cp, upper := g.Root.Level, 1
+			cp, upper := int(g.Root.Level), 1
 			for _, w := range g.LevelWidths() {
 				upper = max(upper, w)
 			}
