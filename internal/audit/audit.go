@@ -368,11 +368,21 @@ type StreamCounts struct {
 // surplus over D is at most one droplet, pass start-cycles tile the
 // timeline contiguously, every pass — the final short one included — fits
 // in the storage budget, and the totals equal the per-pass sums.
+//
+// It is small enough to inline, so the Report of a caller that keeps it
+// local stays on the caller's stack: a clean audit allocates nothing
+// (TestCleanAuditAllocs).
 func CheckStreamCounts(c StreamCounts) *Report {
 	r := &Report{}
+	r.checkStreamCounts(&c)
+	return r
+}
+
+// checkStreamCounts runs CheckStreamCounts's checks into r.
+func (r *Report) checkStreamCounts(c *StreamCounts) {
 	if r.failed(c.PerPassDemand >= 1) {
 		r.violate(&Violation{Code: TargetCount, Detail: fmt.Sprintf("per-pass demand D'=%d", c.PerPassDemand)})
-		return r
+		return
 	}
 	remaining := c.Demand
 	var cycles, emitted int
@@ -422,5 +432,4 @@ func CheckStreamCounts(c StreamCounts) *Report {
 	if r.failed(c.TotalInputs == inputs) {
 		r.violate(&Violation{Code: MassConservation, Detail: fmt.Sprintf("plan claims %d inputs, passes sum to %d", c.TotalInputs, inputs)})
 	}
-	return r
 }

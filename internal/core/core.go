@@ -214,6 +214,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg, base: base, mixers: mixers}
 	if cfg.PersistPool {
 		e.persist = new(persistent)
+		e.persist.pool.Reset(base)
 	}
 	if cfg.ErrorPolicy != nil {
 		if err := cfg.ErrorPolicy.Validate(); err != nil {

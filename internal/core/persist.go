@@ -22,13 +22,14 @@ import (
 // p·2^d waste nothing at all). The price is storage: pooled droplets occupy
 // storage cells between batches, which windowStorage accounts for exactly.
 //
-// The engine's one mutable planning state is a forest.PackedBuilder. A
-// Request adds its trees there, schedules them as a window and checks the
-// batch's plan, a slab over the committed history plus the window
-// (plancache.NewWindow); only then does the history grow by the window. A
-// failed Request rebuilds the builder's committed trees and leaves no
-// trace. The history is append-only, so a batch reads the same however far
-// later batches grow it, and a Request's work is its window's.
+// The engine's one mutable planning state is a forest.PackedBuilder, whose
+// forest is the committed history. A Request marks the builder, adds its
+// trees, schedules them as a window and checks the batch's plan, a slab
+// over the builder's arrays clipped at the window's end
+// (plancache.NewWindow). A failed Request rolls the builder back to its
+// mark and leaves no trace. Tasks are write-once and later windows append
+// past every clipped slab, so a batch reads the same however far later
+// batches grow the forest, and a Request's work is its window's.
 
 // ErrPersistStorage reports that a persistent batch (including the droplets
 // carried in the pool) exceeds the configured storage budget.
@@ -37,21 +38,17 @@ var ErrPersistStorage = errors.New("core: persistent batch exceeds the storage b
 // persistent is a persistent-pool engine's planning state, which only
 // PersistPool engines allocate.
 type persistent struct {
-	pool    forest.PackedBuilder // the growing forest
-	kernel  sched.Kernel         // schedules the pool's windows
-	history forest.PackedForest  // the pool's committed trees, append-only; batches' plans share its prefix
+	pool   forest.PackedBuilder // the growing forest of committed trees
+	kernel sched.Kernel         // schedules the pool's windows
 }
 
 // requestPersistent plans n > 0 more droplets on the engine's growing
-// forest. Callers hold e.mu: the pool, the kernel, the history, the
-// timeline counters and the batch list are all mutated here.
+// forest. Callers hold e.mu: the pool, the kernel, the timeline counters
+// and the batch list are all mutated here.
 func (e *Engine) requestPersistent(n int) (*Batch, error) {
 	ps := e.persist
-	h := &ps.history
-	if h.NumTrees() == 0 {
-		ps.pool.Reset(e.base)
-	}
-	start, committed, pooled := len(h.Tasks), h.NumTrees(), ps.pool.PoolSize()
+	ps.pool.Mark()
+	start, pooled := len(ps.pool.Forest().Tasks), ps.pool.PoolSize()
 	trees := (n + 1) / 2
 	for i := 0; i < trees; i++ {
 		ps.pool.AddTree()
@@ -69,22 +66,10 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 	if err != nil {
 		return nil, e.rewind(err)
 	}
-	// The batch's slab is a copy of the history's header grown by the
-	// window and clipped at its end; tasks are write-once, so no later
-	// window changes it. The builder's arena is not shared, as a failed
-	// Request rebuilds it. Earlier batches keep the arrays they were
-	// given, so the task array at least doubles when full.
-	if need := len(pf.Tasks); need > cap(h.Tasks) {
-		h.Tasks = slices.Grow(h.Tasks, need)
-	}
-	grown := forest.PackedForest{
-		Base:      e.base,
-		Demand:    pf.Demand,
-		Tasks:     append(h.Tasks, pf.Tasks[start:]...),
-		TreeStart: append(h.TreeStart, pf.TreeStart[committed:]...),
-	}
+	// The batch's slab is the builder's forest clipped at the window's
+	// end, so later windows append past it and never write it.
 	slab := forest.PackedForest{Base: e.base, Demand: pf.Demand,
-		Tasks: slices.Clip(grown.Tasks), TreeStart: slices.Clip(grown.TreeStart)}
+		Tasks: slices.Clip(pf.Tasks), TreeStart: slices.Clip(pf.TreeStart)}
 	slots := append([]sched.Assignment(nil), ps.kernel.Assignments()...)
 	cycles := ps.kernel.Cycles()
 	q := windowStorage(&slab, start, pooled, slots, cycles)
@@ -99,7 +84,6 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 		return nil, e.rewind(fmt.Errorf("%w: need %d, have %d (request fewer droplets per batch or disable PersistPool)",
 			ErrPersistStorage, q, e.cfg.Storage))
 	}
-	*h = grown
 
 	st := p.Stats
 	res := &stream.Result{
@@ -120,14 +104,8 @@ func (e *Engine) requestPersistent(n int) (*Batch, error) {
 }
 
 // rewind drops a failed Request's trees from the pool and returns err.
-// AddTree is deterministic, so rebuilding the committed trees restores the
-// pool exactly.
 func (e *Engine) rewind(err error) error {
-	ps := e.persist
-	ps.pool.Reset(e.base)
-	for range ps.history.NumTrees() {
-		ps.pool.AddTree()
-	}
+	e.persist.pool.Rollback()
 	return err
 }
 

@@ -573,6 +573,11 @@ func FuzzPersistent(f *testing.F) {
 // history runs from H to 2H, the same relative range at both sizes, so the
 // amortized growth of its arenas weighs alike in both B/op figures. A
 // Request's cost must not grow with the history before it.
+//
+// The failed/history=H runs time a Request(33) at q' = 8 on an engine
+// that has served H two-droplet Requests: it needs 19 storage units, so
+// every one fails with ErrPersistStorage and leaves the engine as it
+// found it. Undoing it must not cost more after a long history.
 func BenchmarkPersistentRequest(b *testing.B) {
 	for _, history := range []int{1000, 2000} {
 		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
@@ -592,6 +597,26 @@ func BenchmarkPersistentRequest(b *testing.B) {
 				}
 				if _, err := e.Request(2); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, history := range []int{10, 2000} {
+		b.Run(fmt.Sprintf("failed/history=%d", history), func(b *testing.B) {
+			e, err := New(Config{Target: pcr, PersistPool: true, Storage: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for range history {
+				if _, err := e.Request(2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Request(33); !errors.Is(err, ErrPersistStorage) {
+					b.Fatalf("Request(33): err = %v, want ErrPersistStorage", err)
 				}
 			}
 		})

@@ -100,30 +100,70 @@ type Analysis struct {
 // Monte-Carlo model with the same parameters (and hence Simulate's P95 and
 // Max for any trial count).
 func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
+	if err := checkParams(p); err != nil {
+		return nil, err
+	}
+	an := &Analysis{Params: p, Nodes: make([]TaskError, len(g.Nodes))}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	forward(g, p, an.Nodes, s)
+	// The emitted targets are the two outputs of every tree root, a task of
+	// g.Root whose exact vector is the target (audit.CheckPacked proves it,
+	// and this lemma's premise, on every cached plan).
+	root := an.Nodes[g.Root.ID]
+	target := targetInterval(root)
+	an.WorstTarget, an.ExpectedTarget = target.Worst, target.Expected
+	an.VolDev = max(0, root.VolHi-1, 1-root.VolLo)
+	return an, nil
+}
+
+// AnalyzeRoot is the emitted targets' interval of AnalyzeGraph — its
+// WorstTarget and ExpectedTarget, bit for bit — without the Analysis: the
+// same forward pass runs over pooled scratch, so scoring a candidate
+// graph allocates nothing.
+func AnalyzeRoot(g *mixgraph.Graph, p Params) (Interval, error) {
+	if err := checkParams(p); err != nil {
+		return Interval{}, err
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.nodes = slices.Grow(s.nodes[:0], len(g.Nodes))[:len(g.Nodes)]
+	forward(g, p, s.nodes, s)
+	return targetInterval(s.nodes[g.Root.ID]), nil
+}
+
+func checkParams(p Params) error {
 	if p.SplitImbalance < 0 || p.SplitImbalance >= 0.5 ||
 		p.DispenseError < 0 || p.DispenseError >= 0.5 {
-		return nil, ErrBadParams
+		return ErrBadParams
 	}
+	return nil
+}
+
+// targetInterval is the emitted targets' interval given the root's.
+func targetInterval(root TaskError) Interval {
+	return Interval{Worst: max(0, root.Err.Worst), Expected: max(0, root.Err.Expected)}
+}
+
+// forward is the forward pass of AnalyzeGraph: it writes every node's
+// interval into nodes (indexed by node ID, one per node of g), children
+// before parents, with the nodes' exact vectors written into s.words.
+func forward(g *mixgraph.Graph, p Params, nodes []TaskError, s *scratch) {
 	n := g.Target.N()
 	eps, delta := p.SplitImbalance, p.DispenseError
-
-	an := &Analysis{Params: p, Nodes: make([]TaskError, len(g.Nodes))}
-	// The nodes' exact vectors, n numerators then the exponent per node,
-	// in pooled scratch: the error-aware planner analyses every candidate.
-	buf := wordsPool.Get().(*[]int64)
-	defer wordsPool.Put(buf)
-	vecs := slices.Grow((*buf)[:0], len(g.Nodes)*(n+1))[:len(g.Nodes)*(n+1)]
-	*buf = vecs
+	// The nodes' exact vectors, n numerators then the exponent per node.
+	vecs := slices.Grow(s.words[:0], len(g.Nodes)*(n+1))[:len(g.Nodes)*(n+1)]
+	s.words = vecs
 	g.VectorWords(vecs)
 	for i := range g.Nodes {
 		v := &g.Nodes[i]
 		if v.IsLeaf() {
-			an.Nodes[v.ID] = TaskError{VolLo: 1 - delta, VolHi: 1 + delta}
+			nodes[v.ID] = TaskError{VolLo: 1 - delta, VolHi: 1 + delta}
 			continue
 		}
 		a, b := v.Children[0], v.Children[1]
-		ea, alo, ahi := an.Nodes[a].Err, an.Nodes[a].VolLo, an.Nodes[a].VolHi
-		eb, blo, bhi := an.Nodes[b].Err, an.Nodes[b].VolLo, an.Nodes[b].VolHi
+		ea, alo, ahi := nodes[a].Err, nodes[a].VolLo, nodes[a].VolHi
+		eb, blo, bhi := nodes[b].Err, nodes[b].VolLo, nodes[b].VolHi
 		// Δ is the L∞ distance of the children's exact vectors (a leaf's is
 		// the unit vector of its fluid).
 		va, vb := vecs[int(a)*(n+1):][:n+1], vecs[int(b)*(n+1):][:n+1]
@@ -151,25 +191,23 @@ func AnalyzeGraph(g *mixgraph.Graph, p Params) (*Analysis, error) {
 		expected := 0.5*(ea.Expected+eb.Expected) + wdev/math.Sqrt(3)*div
 
 		mlo, mhi := alo+blo, ahi+bhi
-		an.Nodes[v.ID] = TaskError{
+		nodes[v.ID] = TaskError{
 			Err:   Interval{Worst: worst, Expected: expected},
 			VolLo: mlo / 2 * (1 - eps),
 			VolHi: mhi / 2 * (1 + eps),
 		}
 	}
-
-	// The emitted targets are the two outputs of every tree root, a task of
-	// g.Root whose exact vector is the target (audit.CheckPacked proves it,
-	// and this lemma's premise, on every cached plan).
-	root := an.Nodes[g.Root.ID]
-	an.WorstTarget = max(0, root.Err.Worst)
-	an.ExpectedTarget = max(0, root.Err.Expected)
-	an.VolDev = max(0, root.VolHi-1, 1-root.VolLo)
-	return an, nil
 }
 
-// wordsPool holds AnalyzeGraph's vector words.
-var wordsPool = sync.Pool{New: func() any { return new([]int64) }}
+// scratch is a forward pass's pooled working memory: the nodes' vector
+// words and, for AnalyzeRoot, their intervals. The error-aware planner
+// analyses every candidate graph of every request.
+type scratch struct {
+	words []int64
+	nodes []TaskError
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Analyze is AnalyzeGraph over a single-target forest's base graph, with
 // each task's interval copied from its base node; task IDs are the

@@ -12,6 +12,7 @@ import (
 	"repro/internal/protocols"
 	"repro/internal/ratio"
 	"repro/internal/rma"
+	"repro/internal/synth"
 )
 
 // builders is the base-algorithm grid the acceptance criterion sweeps:
@@ -190,6 +191,48 @@ func TestAnalyzeBadParams(t *testing.T) {
 	if err := (Policy{Params: Params{SplitImbalance: 0.05}, CycleSlack: 0.25}).Validate(); err != nil {
 		t.Errorf("valid policy rejected: %v", err)
 	}
+}
+
+// TestAnalyzeRootMatchesAnalyzeGraph checks that AnalyzeRoot's interval is
+// AnalyzeGraph's WorstTarget and ExpectedTarget bit for bit on every
+// PaperDataset ratio under MM, RMA and MTCS, over the lemma's noise grid
+// and a noiseless chip, and that it refuses the parameters AnalyzeGraph
+// refuses.
+func TestAnalyzeRootMatchesAnalyzeGraph(t *testing.T) {
+	params := append([]Params{{}}, lemmaNoise...)
+	graphs := 0
+	for _, r := range synth.PaperDataset() {
+		for _, b := range builders {
+			g, err := b.build(r)
+			if err != nil {
+				t.Fatalf("%s %s: %v", b.name, r, err)
+			}
+			graphs++
+			for _, p := range params {
+				an, err := AnalyzeGraph(g, p)
+				if err != nil {
+					t.Fatalf("%s %s: AnalyzeGraph: %v", b.name, r, err)
+				}
+				iv, err := AnalyzeRoot(g, p)
+				if err != nil {
+					t.Fatalf("%s %s: AnalyzeRoot: %v", b.name, r, err)
+				}
+				if math.Float64bits(iv.Worst) != math.Float64bits(an.WorstTarget) ||
+					math.Float64bits(iv.Expected) != math.Float64bits(an.ExpectedTarget) {
+					t.Fatalf("%s %s ι=%g δ=%g: AnalyzeRoot (%v, %v), AnalyzeGraph (%v, %v)", b.name, r,
+						p.SplitImbalance, p.DispenseError, iv.Worst, iv.Expected, an.WorstTarget, an.ExpectedTarget)
+				}
+			}
+		}
+	}
+	g, err := minmix.Build(protocols.PCR16().Ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnalyzeRoot(g, Params{SplitImbalance: 0.5}); err != ErrBadParams {
+		t.Errorf("AnalyzeRoot with ι = 0.5: err = %v, want ErrBadParams", err)
+	}
+	t.Logf("%d graphs × %d noise settings: identical", graphs, len(params))
 }
 
 // TestHandoffOrderBias is the satellite regression test: the deterministic

@@ -152,11 +152,6 @@ func (q *poolFIFO) pop() (int32, bool) {
 
 func (q *poolFIFO) len() int { return len(q.items) - int(q.head) }
 
-func (q *poolFIFO) reset() {
-	q.items = q.items[:0]
-	q.head = 0
-}
-
 // PackedBuilder grows a packed mixing forest incrementally, one component
 // tree at a time, with the package's obtain recursion and a waste pool
 // indexed by base-graph node ID. The zero value is usable after Reset; all
@@ -165,6 +160,9 @@ type PackedBuilder struct {
 	base *mixgraph.Graph
 	f    PackedForest
 	pool []poolFIFO // indexed by base-graph node ID
+	// Mark's checkpoint; saved is empty when none was taken since Reset.
+	markTasks, markTrees int
+	saved                []poolFIFO
 }
 
 // NewPackedBuilder returns a builder over the given base graph.
@@ -179,6 +177,7 @@ func NewPackedBuilder(base *mixgraph.Graph) *PackedBuilder {
 // some size, rebuilding any forest up to that size allocates nothing.
 func (b *PackedBuilder) Reset(base *mixgraph.Graph) {
 	b.base = base
+	b.saved = b.saved[:0]
 	b.f.Base = base
 	b.f.Demand = 0
 	b.f.Tasks = b.f.Tasks[:0]
@@ -189,8 +188,30 @@ func (b *PackedBuilder) Reset(base *mixgraph.Graph) {
 	} else {
 		b.pool = b.pool[:n]
 		for i := range b.pool {
-			b.pool[i].reset()
+			b.pool[i] = poolFIFO{items: b.pool[i].items[:0]}
 		}
+	}
+}
+
+// Mark records the forest and its waste pool as they stand, for Rollback
+// to return to. A later Mark replaces it; Reset discards it.
+func (b *PackedBuilder) Mark() {
+	b.markTasks, b.markTrees = len(b.f.Tasks), len(b.f.TreeStart)
+	b.saved = append(b.saved[:0], b.pool...)
+}
+
+// Rollback drops every tree added since the last Mark. The arena, the tree
+// starts and the FIFOs only append, so cutting each back to its marked
+// length (and head) restores it exactly, even after it moved to a larger
+// array, which it keeps. No task below the mark is ever written again.
+func (b *PackedBuilder) Rollback() {
+	if len(b.saved) == 0 {
+		panic("forest: Rollback without a Mark since the last Reset")
+	}
+	b.f.Tasks = b.f.Tasks[:b.markTasks]
+	b.f.TreeStart = b.f.TreeStart[:b.markTrees]
+	for i, q := range b.saved {
+		b.pool[i] = poolFIFO{items: b.pool[i].items[:len(q.items)], head: q.head}
 	}
 }
 

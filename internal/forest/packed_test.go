@@ -163,6 +163,73 @@ func TestBuilderGrowsInPlace(t *testing.T) {
 	}
 }
 
+// TestBuilderRollback checks Mark and Rollback on every paper base graph:
+// a builder marked after m trees that grows k more, rolls back and grows
+// the same k trees again must hold the tasks, tree starts and pool of one
+// that grew m+k trees and never rolled back, with every task below the
+// mark unwritten. Some rollbacks cross a reallocation of the task arena
+// and of a non-empty pool FIFO. Reset discards the mark.
+func TestBuilderRollback(t *testing.T) {
+	same := func(what string, got, want *PackedBuilder) {
+		t.Helper()
+		gf, wf := got.Forest(), want.Forest()
+		if !slices.Equal(gf.Tasks, wf.Tasks) || !slices.Equal(gf.TreeStart, wf.TreeStart) || got.PoolSize() != want.PoolSize() {
+			t.Fatalf("%s: %d tasks, %d trees, pool %d; want %d, %d, %d", what,
+				len(gf.Tasks), gf.NumTrees(), got.PoolSize(), len(wf.Tasks), wf.NumTrees(), want.PoolSize())
+		}
+	}
+	arenaMoved, fifoMoved := false, false
+	for _, g := range allBases(t) {
+		for _, c := range []struct{ m, k int }{{0, 1}, {1, 3}, {5, 2}, {3, 200}, {40, 40}} {
+			name := fmt.Sprintf("%s %s m=%d k=%d", g.Algorithm, g.Target, c.m, c.k)
+			b := packedBuilderAt(t, g, c.m)
+			b.Mark()
+			slab := slices.Clip(b.Forest().Tasks) // as a persistent batch holds it
+			was := slices.Clone(slab)
+			arena := unsafe.SliceData(b.f.Tasks)
+			fifos := make([]*int32, len(b.pool))
+			for i := range b.pool {
+				fifos[i] = unsafe.SliceData(b.pool[i].items)
+			}
+			for range c.k {
+				b.AddTree()
+			}
+			arenaMoved = arenaMoved || arena != nil && unsafe.SliceData(b.f.Tasks) != arena
+			for i := range b.pool {
+				fifoMoved = fifoMoved || fifos[i] != nil && unsafe.SliceData(b.pool[i].items) != fifos[i]
+			}
+			for round := 1; round <= 2; round++ {
+				b.Rollback()
+				same(fmt.Sprintf("%s: rollback %d", name, round), b, packedBuilderAt(t, g, c.m))
+				for range c.k {
+					b.AddTree()
+				}
+				same(fmt.Sprintf("%s: regrown %d", name, round), b, packedBuilderAt(t, g, c.m+c.k))
+			}
+			if !slices.Equal(slab, was) {
+				t.Fatalf("%s: a task below the mark was written", name)
+			}
+		}
+	}
+	if !arenaMoved || !fifoMoved {
+		t.Fatalf("no rollback crossed a reallocation (arena %v, FIFO %v)", arenaMoved, fifoMoved)
+	}
+
+	g := allBases(t)[0]
+	b := packedBuilderAt(t, g, 3)
+	b.Mark()
+	b.AddTree()
+	b.Reset(g)
+	b.AddTree()
+	same("after Reset", b, packedBuilderAt(t, g, 1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rollback after Reset did not panic")
+		}
+	}()
+	b.Rollback()
+}
+
 // packedBuilderAt returns a packed builder after trees AddTree calls.
 func packedBuilderAt(t *testing.T, g *mixgraph.Graph, trees int) *PackedBuilder {
 	t.Helper()

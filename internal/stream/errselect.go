@@ -89,15 +89,15 @@ func runErrorAware(ctx context.Context, cfg Config, demand int) (*Result, error)
 		}
 		// Every pass's forest grows from g and every task carries its base
 		// node's interval (DESIGN §14), so one pass over g scores the plan.
-		an, err := errormodel.AnalyzeGraph(g, pol.Params)
+		iv, err := errormodel.AnalyzeRoot(g, pol.Params)
 		if err != nil {
 			return nil, fmt.Errorf("stream: error-aware candidate %s: %w", g.Algorithm, err)
 		}
 		sel.Candidates[i] = CandidateScore{
 			Algorithm: g.Algorithm,
 			Cycles:    cycles,
-			Worst:     an.WorstTarget,
-			Expected:  an.ExpectedTarget,
+			Worst:     iv.Worst,
+			Expected:  iv.Expected,
 		}
 		if minCycles == 0 || cycles < minCycles {
 			minCycles = cycles

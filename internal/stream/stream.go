@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/audit"
 	"repro/internal/cancel"
@@ -323,12 +324,30 @@ func runPlain(ctx context.Context, cfg Config, demand int) (*Result, error) {
 	// Cross-check the assembled multi-pass plan against the paper's closed
 	// forms (pass count, per-pass emissions, start-cycle tiling, aggregate
 	// totals) before handing it to any executor.
-	if rep := audit.CheckStreamCounts(auditCounts(res)); !rep.Clean() {
-		obs.Add("audit.violations", int64(len(rep.Violations)))
-		return nil, fmt.Errorf("stream: plan audit: %w", rep.Err())
+	if err := auditStream(res); err != nil {
+		return nil, err
 	}
 	obsRun(res)
 	return res, nil
+}
+
+// passCountsPool recycles auditStream's per-pass buffers, so a clean audit
+// allocates nothing however many passes the stream runs.
+var passCountsPool = sync.Pool{New: func() any { return new([]audit.PassCounts) }}
+
+// auditStream checks res against the paper's closed forms with
+// audit.CheckStreamCounts.
+func auditStream(res *Result) error {
+	buf := passCountsPool.Get().(*[]audit.PassCounts)
+	c := auditCounts(res, (*buf)[:0])
+	rep := audit.CheckStreamCounts(c)
+	*buf = c.Passes
+	passCountsPool.Put(buf)
+	if !rep.Clean() {
+		obs.Add("audit.violations", int64(len(rep.Violations)))
+		return fmt.Errorf("stream: plan audit: %w", rep.Err())
+	}
+	return nil
 }
 
 // addPass appends a pass running plan p to the end of the result's
@@ -434,8 +453,9 @@ func passLayout(ctx context.Context, cfg Config, demand int, measure func(d int)
 	return l, nil
 }
 
-// auditCounts projects a Result onto the audit package's count view.
-func auditCounts(r *Result) audit.StreamCounts {
+// auditCounts projects a Result onto the audit package's count view, its
+// passes appended to buf.
+func auditCounts(r *Result, buf []audit.PassCounts) audit.StreamCounts {
 	c := audit.StreamCounts{
 		Demand:        r.Demand,
 		PerPassDemand: r.PerPassDemand,
@@ -444,6 +464,7 @@ func auditCounts(r *Result) audit.StreamCounts {
 		TotalCycles:   r.TotalCycles,
 		TotalWaste:    r.TotalWaste,
 		TotalInputs:   r.TotalInputs,
+		Passes:        buf,
 	}
 	for _, p := range r.Passes {
 		c.Passes = append(c.Passes, audit.PassCounts{

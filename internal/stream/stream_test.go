@@ -259,3 +259,35 @@ func TestFirstEmission(t *testing.T) {
 		t.Errorf("FirstEmission %d != first event %d", first, es[0].Cycle)
 	}
 }
+
+// TestCleanStreamAuditAllocs pins that the stream-count audit every run
+// ends with allocates nothing when clean, at any pass count: its per-pass
+// buffer is pooled, and the long case runs dozens of passes. The race
+// detector's sync.Pool drops Puts at random, so the pin is skipped there.
+func TestCleanStreamAuditAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	base := pcrBase(t)
+	for _, c := range []struct{ q, demand, minPasses int }{
+		{0, 20, 1},
+		{5, 64, 2},
+		{3, 600, 40},
+	} {
+		res, err := Run(Config{Base: base, Mixers: 3, Storage: c.q, Scheduler: SRS}, c.demand)
+		if err != nil {
+			t.Fatalf("Run(q=%d, D=%d): %v", c.q, c.demand, err)
+		}
+		if len(res.Passes) < c.minPasses {
+			t.Fatalf("q=%d D=%d: %d passes, want at least %d", c.q, c.demand, len(res.Passes), c.minPasses)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := auditStream(res); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("q=%d D=%d (%d passes): clean stream audit allocates %.1f objects, want 0",
+				c.q, c.demand, len(res.Passes), allocs)
+		}
+	}
+}
